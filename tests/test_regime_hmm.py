@@ -112,6 +112,53 @@ class TestFit:
             HmmConfig(covariance_kind="diag")
 
 
+class TestPinnedNumerics:
+    """EM results on one seeded series, recorded from the reference full-
+    covariance implementation. rtol 1e-9 leaves room for float64 summation
+    order and nothing else."""
+
+    PATH = [
+        641.6500585264927, 658.8643725945246, 661.5341831848185, 664.1479166071919,
+        667.49654740117, 672.086810471685, 676.029048872899, 678.3386773801013,
+        679.504597441829, 680.0664889110491, 680.380501264546,
+    ]
+    MEANS = [
+        -0.015052719121375848, -0.0035234267310849656, 0.0023777222866235574,
+        0.0019553699578234644, 0.011262284678967586,
+    ]
+    VARIANCES = [
+        0.00036427413406942303, 0.0003927310961023487, 0.0002512101614576154,
+        3.812161319869263e-05, 0.0006325004539933309,
+    ]
+    TRANSITION = [
+        [0.40546945725374706, 0.28502947198897494, 0.18025459204697009,
+         0.09982412244862528, 0.029422356261682683],
+        [0.012335165047232144, 0.9056274815060316, 0.03628128156181382,
+         0.028558802124436747, 0.017197269760485714],
+        [0.04999524624821226, 0.10814788045896734, 0.8085025958589478,
+         0.031722644912253024, 0.0016316325216195863],
+        [0.012392786898310443, 0.06710060127007421, 0.031449166934124174,
+         0.8867686064510628, 0.0022888384464283154],
+        [0.003072143577844266, 0.01460027906862261, 0.015037762614202498,
+         0.11925554771799847, 0.8480342670213322],
+    ]
+
+    def test_matches_reference_fit(self):
+        bars, _ = synth_regime_series(
+            251, 252, [(0.001, 0.008), (-0.0015, 0.02)], [[0.96, 0.04], [0.05, 0.95]]
+        )
+        returns = log_returns([b.close for b in bars])
+        assert returns.size == 251
+        model = fit(returns, HmmConfig(n_states=5, seed=17))
+        assert model.diagnostics["iterations"] == 10
+        np.testing.assert_allclose(model.log_likelihood_path, self.PATH, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(model.mean_returns, self.MEANS, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(
+            model.covariances[:, 0, 0], self.VARIANCES, rtol=1e-9, atol=0
+        )
+        np.testing.assert_allclose(model.transition, self.TRANSITION, rtol=1e-9, atol=0)
+
+
 class TestForwardPosterior:
     def test_single_state(self):
         model = build_model([1.0], [[1.0]], [0.0], [1e-4])
