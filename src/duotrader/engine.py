@@ -27,7 +27,13 @@ import numpy as np
 
 from . import alpha_fusion, metrics, portfolio_bl, regime_hmm, risk_controls, trend_net
 from .alpha_fusion import FusionConfig, Insight
-from .errors import InsufficientDataError, ParameterError
+from .errors import (
+    InsufficientDataError,
+    InvalidInputError,
+    NumericalError,
+    ParameterError,
+    TrainingDivergedError,
+)
 from .marketdata import Bar, InstrumentMeta, RollingWindow, log_returns
 from .portfolio_bl import BlConfig
 from .regime_hmm import HmmConfig
@@ -37,6 +43,10 @@ from .universe import UniverseConfig, select_universe
 
 REASON_REBALANCE = "rebalance"
 REASON_DATA_GAP = "data-gap"
+
+# A model that raises one of these for one symbol leaves that symbol without
+# a model (and so flat) for the period; the rest of the run goes on.
+MODEL_ERRORS = (InsufficientDataError, InvalidInputError, NumericalError, TrainingDivergedError)
 
 
 @dataclass
@@ -130,15 +140,24 @@ def execute(
     if order.side == "buy":
         cost = quantity * price + order_fee(quantity, config)
         if cost > cash_available:
-            affordable = max(
-                int((cash_available - config.min_fee) // price),
-                int(cash_available // (price + config.per_share_fee)),
+            # The cost is the larger of q * price + min_fee and
+            # q * (price + per_share_fee), so both bound q in closed form. The
+            # bound and the cost check round differently, so the exact check
+            # also tries one share either side of it: enough whenever one
+            # share's price exceeds the rounding error of the cash amount.
+            bound = min(
+                (cash_available - config.min_fee) // price,
+                cash_available // (price + config.per_share_fee),
             )
-            affordable = min(affordable, quantity)
-            while affordable > 0 and (
-                affordable * price + order_fee(affordable, config) > cash_available
-            ):
-                affordable -= 1
+            top = quantity if bound >= quantity else int(bound)
+            affordable = next(
+                (
+                    q for q in (top + 1, top, top - 1)
+                    if 0 < q <= quantity
+                    and q * price + order_fee(q, config) <= cash_available
+                ),
+                0,
+            )
             if affordable <= 0:
                 return None, f"{order.symbol}: buy dropped, insufficient cash"
             diagnostic = (
@@ -352,7 +371,7 @@ def run_backtest(
                         seed=_symbol_seed(engine_config.seed, "hmm", symbol),
                     )
                     hmm_models[symbol] = regime_hmm.fit(returns, cfg)
-                except InsufficientDataError as exc:
+                except MODEL_ERRORS as exc:
                     hmm_models.pop(symbol, None)
                     diagnostics.append(f"{day}: {symbol} hmm fit skipped: {exc}")
                 try:
@@ -363,7 +382,7 @@ def run_backtest(
                     )
                     model = trend_net.init_model(cfg)
                     mlp_models[symbol], _ = trend_net.train(model, data, cfg)
-                except InsufficientDataError as exc:
+                except MODEL_ERRORS as exc:
                     mlp_models.pop(symbol, None)
                     diagnostics.append(f"{day}: {symbol} net fit skipped: {exc}")
 
@@ -467,15 +486,21 @@ def _generate_insights(
             closes = window.closes()
             model = hmm_models.get(symbol)
             if model is not None:
-                returns = log_returns(closes)
-                posterior = regime_hmm.forward_posterior(model, returns)
-                forecast = regime_hmm.predict_direction(model, posterior)
-                hmm_signal = (forecast.direction, forecast.expected_return)
+                try:
+                    returns = log_returns(closes)
+                    posterior = regime_hmm.forward_posterior(model, returns)
+                    forecast = regime_hmm.predict_direction(model, posterior)
+                    hmm_signal = (forecast.direction, forecast.expected_return)
+                except MODEL_ERRORS as exc:
+                    diagnostics.append(f"{day}: {symbol} hmm forecast failed: {exc}")
             net = mlp_models.get(symbol)
             if net is not None and closes.size >= diff_window + 1:
                 recent = np.diff(closes)[-diff_window:]
-                trend = trend_net.predict_direction(net, recent)
-                nn_signal = (trend.direction, trend.magnitude)
+                try:
+                    trend = trend_net.predict_direction(net, recent)
+                    nn_signal = (trend.direction, trend.magnitude)
+                except MODEL_ERRORS as exc:
+                    diagnostics.append(f"{day}: {symbol} net forecast failed: {exc}")
         insight = alpha_fusion.fuse(
             hmm_signal, nn_signal, symbol, day, period, fusion_config
         )

@@ -66,16 +66,6 @@ class RollingWindow:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __getitem__(self, idx):
-        return self._entries[idx]
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) == self.capacity
-
     def closes(self) -> np.ndarray:
         return np.array([b.close for b in self._entries], dtype=float)
 
@@ -199,14 +189,6 @@ def log_returns(closes: Sequence[float] | np.ndarray) -> np.ndarray:
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0):
         raise InvalidInputError("log returns require finite positive closes")
     return np.diff(np.log(arr))
-
-
-def close_diffs(closes: Sequence[float] | np.ndarray) -> np.ndarray:
-    """c[i+1] - c[i] for consecutive closes."""
-    arr = np.asarray(closes, dtype=float)
-    if arr.size < 2:
-        raise InsufficientDataError(f"need at least 2 closes, got {arr.size}")
-    return np.diff(arr)
 
 
 def _next_weekday(day: date) -> date:

@@ -34,7 +34,6 @@ class BlConfig:
     risk_aversion: float = 2.5
     tau: float = 0.05
     covariance_lookback: int = 252
-    omega_rule: str = "proportional"
     long_only: bool = True
     max_weight: float = 0.20
 
@@ -43,8 +42,6 @@ class BlConfig:
             raise ParameterError("risk_aversion and tau must be > 0")
         if not 0.0 < self.max_weight <= 1.0:
             raise ParameterError("max_weight must be in (0, 1]")
-        if self.omega_rule != "proportional":
-            raise ParameterError("only the proportional omega rule is supported")
 
 
 @dataclass

@@ -1,14 +1,13 @@
-"""Gaussian hidden Markov regime model over log returns.
+"""Gaussian hidden Markov regime model over one stock's daily log returns.
 
-Fitting is expectation-maximization with a scaled forward-backward pass, run
-for a bounded number of iterations. Observations are daily log returns
-(dimension 1 in this system), but means and covariances are stored and
-processed in general dimension so every state carries a full covariance
-matrix.
+Observations are univariate: every state k carries a mean return and a
+variance, and emission densities for all states are evaluated in one
+(T, K) array. Fitting is expectation-maximization with a scaled
+forward-backward pass, run for a bounded number of iterations; the M-step
+updates every live state at once.
 
 The directional forecast is the sign of the posterior-weighted one-step-ahead
-expected return: e = (posterior @ A) @ means. The per-state mean ranking is
-exposed separately for diagnostics.
+expected return: e = (posterior @ A) @ mean_returns.
 """
 
 from __future__ import annotations
@@ -20,16 +19,16 @@ from typing import Sequence
 import numpy as np
 
 from .directions import sign_direction
-from .errors import InsufficientDataError, NumericalError, ParameterError
+from .errors import InsufficientDataError, InvalidInputError, NumericalError, ParameterError
 
 MIN_SAMPLES_PER_STATE = 10
+LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass
 class HmmConfig:
     n_states: int = 5
     max_iterations: int = 10
-    covariance_kind: str = "full"
     convergence_tol: float = 1e-4
     seed: int = 0
     variance_floor: float = 1e-12
@@ -39,8 +38,6 @@ class HmmConfig:
             raise ParameterError("n_states must be >= 1")
         if self.max_iterations < 1:
             raise ParameterError("max_iterations must be >= 1")
-        if self.covariance_kind != "full":
-            raise ParameterError("only full covariance is supported")
 
 
 @dataclass
@@ -49,8 +46,8 @@ class HmmModel:
 
     initial_probs: np.ndarray      # (K,)
     transition: np.ndarray         # (K, K), row-stochastic
-    means: np.ndarray              # (K, D)
-    covariances: np.ndarray        # (K, D, D)
+    mean_returns: np.ndarray       # (K,)
+    variances: np.ndarray          # (K,)
     fit_log_likelihood: float
     log_likelihood_path: list[float] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
@@ -59,17 +56,12 @@ class HmmModel:
     def n_states(self) -> int:
         return self.initial_probs.size
 
-    @property
-    def mean_returns(self) -> np.ndarray:
-        """Per-state mean of the first observation component."""
-        return self.means[:, 0]
-
     def to_dict(self) -> dict:
         return {
             "initial_probs": self.initial_probs.tolist(),
             "transition": self.transition.tolist(),
-            "means": self.means.tolist(),
-            "covariances": self.covariances.tolist(),
+            "mean_returns": self.mean_returns.tolist(),
+            "variances": self.variances.tolist(),
             "fit_log_likelihood": self.fit_log_likelihood,
             "log_likelihood_path": list(self.log_likelihood_path),
             "diagnostics": dict(self.diagnostics),
@@ -83,18 +75,12 @@ class HmmModel:
         return cls(
             initial_probs=np.array(payload["initial_probs"], dtype=float),
             transition=np.array(payload["transition"], dtype=float),
-            means=np.array(payload["means"], dtype=float),
-            covariances=np.array(payload["covariances"], dtype=float),
+            mean_returns=np.array(payload["mean_returns"], dtype=float),
+            variances=np.array(payload["variances"], dtype=float),
             fit_log_likelihood=float(payload["fit_log_likelihood"]),
             log_likelihood_path=list(payload.get("log_likelihood_path", [])),
             diagnostics=dict(payload.get("diagnostics", {})),
         )
-
-
-@dataclass(frozen=True)
-class StateRanking:
-    best_state: int
-    means_by_state: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -105,31 +91,21 @@ class DirectionForecast:
 
 def _as_observations(returns: Sequence[float] | np.ndarray) -> np.ndarray:
     obs = np.asarray(returns, dtype=float)
-    if obs.ndim == 1:
-        obs = obs[:, None]
+    if obs.ndim != 1:
+        raise InvalidInputError(f"returns must be one-dimensional, got shape {obs.shape}")
     return obs
 
 
-def _log_gaussian(obs: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log density of each row of ``obs`` under N(mean, cov)."""
-    dim = mean.size
-    try:
-        chol = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"state covariance not positive definite: {exc}") from exc
-    diff = obs - mean
-    solved = np.linalg.solve(chol, diff.T)
-    quad = np.sum(solved * solved, axis=0)
-    log_det = 2.0 * np.sum(np.log(np.diag(chol)))
-    return -0.5 * (dim * np.log(2.0 * np.pi) + log_det + quad)
-
-
-def _emission_log_probs(obs: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    n_states = means.shape[0]
-    log_b = np.empty((obs.shape[0], n_states))
-    for k in range(n_states):
-        log_b[:, k] = _log_gaussian(obs, means[k], covs[k])
-    return log_b
+def _emission_log_probs(obs: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """(T, K) log density of every observation under every state's Gaussian."""
+    if not np.all(variances > 0):
+        raise NumericalError(f"state variances must be positive, got {variances}")
+    sd = np.sqrt(variances)
+    # Multiplying by the reciprocal, not dividing, reproduces the densities
+    # of the earlier Cholesky-based version bit for bit, which keeps
+    # backtest fills unchanged.
+    z = (obs[:, None] - means) * (1.0 / sd)
+    return -0.5 * ((LOG_2PI + 2.0 * np.log(sd)) + z * z)
 
 
 def _forward(log_b: np.ndarray, pi: np.ndarray, trans: np.ndarray):
@@ -174,27 +150,21 @@ def _initial_parameters(obs: np.ndarray, config: HmmConfig):
     """Deterministic seeded initialization.
 
     Means come from a quantile split of the observations (sorted, cut into
-    n_states buckets), every state starts from the pooled covariance, pi is
+    n_states buckets), every state starts from the pooled variance, pi is
     uniform, and the transition matrix puts 0.8 on self-transitions. A tiny
     seeded jitter separates duplicate bucket means so EM cannot lock states
     together on heavily discretized data.
     """
     n_states = config.n_states
-    dim = obs.shape[1]
-    order = np.argsort(obs[:, 0], kind="stable")
-    buckets = np.array_split(order, n_states)
-    means = np.vstack(
-        [obs[idx].mean(axis=0) if idx.size else obs.mean(axis=0) for idx in buckets]
-    )
+    order = np.argsort(obs, kind="stable")
+    means = np.array([obs[idx].mean() for idx in np.array_split(order, n_states)])
 
-    centered = obs - obs.mean(axis=0)
-    pooled = (centered.T @ centered) / obs.shape[0]
-    pooled = _floor_covariance(pooled, config.variance_floor)
-    covs = np.repeat(pooled[None, :, :], n_states, axis=0)
+    centered = obs - obs.mean()
+    pooled = max((centered @ centered) / obs.size, config.variance_floor)
+    variances = np.full(n_states, pooled)
 
     rng = np.random.default_rng(config.seed)
-    scale = float(np.sqrt(np.diag(pooled)).mean())
-    means = means + rng.normal(0.0, 1e-6 * (scale + 1e-12), size=(n_states, dim))
+    means = means + rng.normal(0.0, 1e-6 * (np.sqrt(pooled) + 1e-12), size=n_states)
 
     pi = np.full(n_states, 1.0 / n_states)
     if n_states == 1:
@@ -203,19 +173,7 @@ def _initial_parameters(obs: np.ndarray, config: HmmConfig):
         off = 0.2 / (n_states - 1)
         trans = np.full((n_states, n_states), off)
         np.fill_diagonal(trans, 0.8)
-    return pi, trans, means, covs
-
-
-def _floor_covariance(cov: np.ndarray, floor: float) -> np.ndarray:
-    """Symmetrize and force diagonal entries up to the variance floor."""
-    cov = 0.5 * (cov + cov.T)
-    diag = np.diag(cov).copy()
-    low = diag < floor
-    if np.any(low):
-        diag[low] = floor
-        cov = cov.copy()
-        np.fill_diagonal(cov, diag)
-    return cov
+    return pi, trans, means, variances
 
 
 def fit(returns: Sequence[float] | np.ndarray, config: HmmConfig) -> HmmModel:
@@ -223,27 +181,24 @@ def fit(returns: Sequence[float] | np.ndarray, config: HmmConfig) -> HmmModel:
     iteration cap is reached. The recorded per-iteration log-likelihood path
     is non-decreasing (standard EM guarantee)."""
     obs = _as_observations(returns)
-    n_obs = obs.shape[0]
-    if n_obs < MIN_SAMPLES_PER_STATE * config.n_states:
+    if obs.size < MIN_SAMPLES_PER_STATE * config.n_states:
         raise InsufficientDataError(
             f"need >= {MIN_SAMPLES_PER_STATE * config.n_states} returns "
-            f"for {config.n_states} states, got {n_obs}"
+            f"for {config.n_states} states, got {obs.size}"
         )
 
-    pi, trans, means, covs = _initial_parameters(obs, config)
+    pi, trans, means, variances = _initial_parameters(obs, config)
     floor = config.variance_floor
     floored = False
     path: list[float] = []
     prev_ll = -np.inf
-    iterations = 0
     converged = False
 
     for _ in range(config.max_iterations):
-        log_b = _emission_log_probs(obs, means, covs)
+        log_b = _emission_log_probs(obs, means, variances)
         alphas, norms, log_likelihood, b = _forward(log_b, pi, trans)
         betas = _backward(b, trans, norms)
         path.append(log_likelihood)
-        iterations += 1
 
         gammas = alphas * betas
         gammas /= gammas.sum(axis=1, keepdims=True)
@@ -255,45 +210,44 @@ def fit(returns: Sequence[float] | np.ndarray, config: HmmConfig) -> HmmModel:
         xi_sum = trans * (alphas[:-1].T @ weighted)
 
         pi = gammas[0] / gammas[0].sum()
+        # A row whose source state is (almost) never occupied keeps its
+        # previous probabilities; the guarded denominator only avoids a
+        # division by zero in rows that np.where discards.
         from_counts = gammas[:-1].sum(axis=0)
-        new_trans = trans.copy()
-        for k in range(config.n_states):
-            if from_counts[k] > 1e-12:
-                new_trans[k] = xi_sum[k] / from_counts[k]
+        live_rows = from_counts > 1e-12
+        new_trans = np.where(
+            live_rows[:, None], xi_sum / np.where(live_rows, from_counts, 1.0)[:, None], trans
+        )
         new_trans = np.clip(new_trans, 0.0, None)
-        new_trans /= new_trans.sum(axis=1, keepdims=True)
-        trans = new_trans
+        trans = new_trans / new_trans.sum(axis=1, keepdims=True)
 
+        # Dead states keep their previous mean and variance.
         occupancy = gammas.sum(axis=0)
-        for k in range(config.n_states):
-            if occupancy[k] <= 1e-10:
-                continue  # dead state: keep previous parameters
-            mean_k = (gammas[:, k] @ obs) / occupancy[k]
-            diff = obs - mean_k
-            cov_k = (gammas[:, k][:, None] * diff).T @ diff / occupancy[k]
-            before = cov_k
-            cov_k = _floor_covariance(cov_k, floor)
-            if np.any(np.diag(before) < floor):
-                floored = True
-            means[k] = mean_k
-            covs[k] = cov_k
+        live = ~(occupancy <= 1e-10)
+        weights = np.where(live, occupancy, 1.0)
+        new_means = (obs @ gammas) / weights
+        diff = obs[:, None] - new_means
+        new_vars = ((gammas * diff) * diff).sum(axis=0) / weights
+        floored |= bool(np.any(live & (new_vars < floor)))
+        means = np.where(live, new_means, means)
+        variances = np.where(live, np.maximum(new_vars, floor), variances)
 
-        if log_likelihood - prev_ll < config.convergence_tol:
-            converged = True
-            prev_ll = log_likelihood
+        converged = log_likelihood - prev_ll < config.convergence_tol
+        if converged:
             break
         prev_ll = log_likelihood
 
+    iterations = len(path)
     # Log-likelihood of the final parameters (after the last M-step).
-    log_b = _emission_log_probs(obs, means, covs)
+    log_b = _emission_log_probs(obs, means, variances)
     _, _, final_ll, _ = _forward(log_b, pi, trans)
     path.append(final_ll)
 
     return HmmModel(
         initial_probs=pi,
         transition=trans,
-        means=means,
-        covariances=covs,
+        mean_returns=means,
+        variances=variances,
         fit_log_likelihood=final_ll,
         log_likelihood_path=path,
         diagnostics={
@@ -304,24 +258,24 @@ def fit(returns: Sequence[float] | np.ndarray, config: HmmConfig) -> HmmModel:
     )
 
 
+def _filter(model: HmmModel, returns: Sequence[float] | np.ndarray, caller: str) -> np.ndarray:
+    """Normalized forward probabilities P(state_t | returns_1..t), shape (T, K)."""
+    obs = _as_observations(returns)
+    if obs.size == 0:
+        raise InsufficientDataError(f"{caller} needs at least one return")
+    log_b = _emission_log_probs(obs, model.mean_returns, model.variances)
+    alphas, _, _, _ = _forward(log_b, model.initial_probs, model.transition)
+    return alphas
+
+
 def forward_posterior(model: HmmModel, returns: Sequence[float] | np.ndarray) -> np.ndarray:
     """Filtered state distribution P(state_T | returns_1..T)."""
-    obs = _as_observations(returns)
-    if obs.shape[0] == 0:
-        raise InsufficientDataError("forward_posterior needs at least one return")
-    log_b = _emission_log_probs(obs, model.means, model.covariances)
-    alphas, _, _, _ = _forward(log_b, model.initial_probs, model.transition)
-    return alphas[-1]
+    return _filter(model, returns, "forward_posterior")[-1]
 
 
 def filtered_states(model: HmmModel, returns: Sequence[float] | np.ndarray) -> np.ndarray:
     """Arg-max filtered state index for every time step."""
-    obs = _as_observations(returns)
-    if obs.shape[0] == 0:
-        raise InsufficientDataError("filtered_states needs at least one return")
-    log_b = _emission_log_probs(obs, model.means, model.covariances)
-    alphas, _, _, _ = _forward(log_b, model.initial_probs, model.transition)
-    return np.argmax(alphas, axis=1)
+    return np.argmax(_filter(model, returns, "filtered_states"), axis=1)
 
 
 def predict_direction(model: HmmModel, posterior: np.ndarray) -> DirectionForecast:
@@ -329,9 +283,3 @@ def predict_direction(model: HmmModel, posterior: np.ndarray) -> DirectionForeca
     posterior = np.asarray(posterior, dtype=float)
     expected = float((posterior @ model.transition) @ model.mean_returns)
     return DirectionForecast(expected, sign_direction(expected))
-
-
-def state_ranking(model: HmmModel) -> StateRanking:
-    """State with the highest historical mean return; ties go to the lowest index."""
-    means = model.mean_returns
-    return StateRanking(int(np.argmax(means)), means.copy())

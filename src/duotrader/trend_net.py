@@ -36,7 +36,6 @@ class MlpConfig:
     epochs: int = 5
     batch_size: int = 16
     seed: int = 0
-    normalize_inputs: bool = False
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -65,8 +64,6 @@ class MlpModel:
     m_biases: list[np.ndarray]
     v_biases: list[np.ndarray]
     step: int = 0
-    input_shift: np.ndarray | None = None
-    input_scale: np.ndarray | None = None
 
     @property
     def input_size(self) -> int:
@@ -81,8 +78,6 @@ class MlpModel:
             m_biases=[m.copy() for m in self.m_biases],
             v_biases=[v.copy() for v in self.v_biases],
             step=self.step,
-            input_shift=None if self.input_shift is None else self.input_shift.copy(),
-            input_scale=None if self.input_scale is None else self.input_scale.copy(),
         )
 
     def to_dict(self) -> dict:
@@ -151,12 +146,6 @@ def build_training_set(closes: Sequence[float] | np.ndarray, window: int = 5) ->
     return TrainingSet(inputs, targets)
 
 
-def _normalize(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    if model.input_shift is None:
-        return x
-    return (x - model.input_shift) / model.input_scale
-
-
 def _forward_batch(model: MlpModel, x: np.ndarray):
     """Forward pass caching activations for backprop. Hidden layers ReLU,
     output linear. Returns (prediction column, activations per layer)."""
@@ -177,7 +166,7 @@ def forward(model: MlpModel, x: Sequence[float] | np.ndarray) -> float:
         raise InvalidInputError(f"expected input of shape ({model.input_size},)")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("input must be finite")
-    out, _ = _forward_batch(model, _normalize(model, x[None, :]))
+    out, _ = _forward_batch(model, x[None, :])
     return float(out[0, 0])
 
 
@@ -218,7 +207,7 @@ def adam_step(model: MlpModel, grad_w, grad_b, config: MlpConfig) -> None:
 
 
 def dataset_mse(model: MlpModel, data: TrainingSet) -> float:
-    out, _ = _forward_batch(model, _normalize(model, data.inputs))
+    out, _ = _forward_batch(model, data.inputs)
     return float(np.mean((out[:, 0] - data.targets) ** 2))
 
 
@@ -233,27 +222,24 @@ def train(model: MlpModel, data: TrainingSet, config: MlpConfig) -> tuple[MlpMod
         raise InsufficientDataError("training set is empty")
     model = model.copy()
 
-    inputs = data.inputs
-    if config.normalize_inputs:
-        model.input_shift = inputs.mean(axis=0)
-        model.input_scale = inputs.std(axis=0) + 1e-12
-        inputs = _normalize(model, inputs)
-    targets = data.targets
+    inputs, targets = data.inputs, data.targets
 
     rng = np.random.default_rng(config.seed)
     n = inputs.shape[0]
     history: list[float] = []
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        batch_losses = []
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, grad_w, grad_b = gradients(model, inputs[idx], targets[idx])
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss at step {model.step + 1}")
-            adam_step(model, grad_w, grad_b, config)
-            batch_losses.append(loss)
-        history.append(float(np.mean(batch_losses)))
+    # Overflow surfaces as a non-finite batch loss, raised as divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            order = rng.permutation(n)
+            batch_losses = []
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                loss, grad_w, grad_b = gradients(model, inputs[idx], targets[idx])
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(f"non-finite loss at step {model.step + 1}")
+                adam_step(model, grad_w, grad_b, config)
+                batch_losses.append(loss)
+            history.append(float(np.mean(batch_losses)))
     return model, history
 
 

@@ -1,4 +1,6 @@
+import time
 import zlib
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -13,7 +15,7 @@ from duotrader.engine import (
     order_fee,
     run_backtest,
 )
-from duotrader.errors import InsufficientDataError, ParameterError
+from duotrader.errors import InsufficientDataError, NumericalError, ParameterError
 from duotrader.marketdata import InstrumentMeta, synth_regime_series
 from duotrader.portfolio_bl import BlConfig
 from duotrader.regime_hmm import HmmConfig
@@ -133,6 +135,51 @@ class TestExecute:
         assert fill.quantity == 500
         assert fill.fee == pytest.approx(2.5)
 
+    @pytest.mark.parametrize(
+        "price, per_share_fee, min_fee, cash, quantity",
+        [
+            (100.0, 0.005, 1.0, 1_050.0, 100),
+            (37.13, 0.005, 1.0, 9_999.99, 400),
+            (0.75, 0.005, 1.0, 120.0, 5_000),
+            (0.01, 0.005, 1.0, 25.0, 20_000),
+            (1e-4, 0.005, 1.0, 3.0, 20_000),
+            (1e-6, 0.005, 1.0, 1.5, 20_000),
+            (1e-6, 0.005, 1.0, 0.999, 20_000),
+            (1e-6, 0.0, 1.0, 1.005, 20_000),
+            (3.3, 0.0, 0.0, 1_000.0, 20_000),
+            (1e-6, 0.0, 0.0, 0.0125, 20_000),
+            (2.5, 0.01, 5.0, 55.0, 100),
+        ],
+    )
+    def test_cash_limited_buy_matches_brute_force(
+        self, price, per_share_fee, min_fee, cash, quantity
+    ):
+        config = EngineConfig(per_share_fee=per_share_fee, min_fee=min_fee)
+        bar = make_bar("A", close=price, open_=price)
+        # oracle: the largest share count whose exact cost fits in cash
+        expected = max(
+            (q for q in range(1, quantity + 1)
+             if q * price + order_fee(q, config) <= cash),
+            default=0,
+        )
+        fill, _ = execute(Order("A", "buy", quantity), bar, config, cash)
+        if expected == 0:
+            assert fill is None
+        else:
+            assert fill.quantity == expected
+            assert fill.quantity * fill.price + fill.fee <= cash
+
+    def test_tiny_price_buy_is_prompt(self):
+        bar = make_bar("A", close=1e-9, open_=1e-9)
+        start = time.perf_counter()
+        fill, diag = execute(Order("A", "buy", 10**14), bar, EngineConfig(), 100_000.0)
+        assert time.perf_counter() - start < 0.1
+        assert "scaled" in diag
+        # per-share fees dominate: q * (1e-9 + 0.005) <= 100000
+        assert fill.quantity == 19_999_996
+        assert fill.quantity * fill.price + fill.fee <= 100_000.0
+        assert (fill.quantity + 1) * fill.price + order_fee(fill.quantity + 1, EngineConfig()) > 100_000.0
+
 
 class TestRunBacktest:
     def test_null_strategy_constant_equity(self):
@@ -218,6 +265,42 @@ class TestRunBacktest:
             EngineConfig(initial_equity=0)
         with pytest.raises(ParameterError):
             EngineConfig(retrain_every=0)
+
+    def test_symbol_model_failure_is_isolated(self):
+        # prices of 1e160 make the trend network's squared loss overflow; the
+        # symbol must go flat with a diagnostic while the others trade on
+        bars_by_symbol, meta = synth_market(n_symbols=6)
+        bars_by_symbol["S02"] = [
+            replace(b, open=b.open * 1e160, high=b.high * 1e160,
+                    low=b.low * 1e160, close=b.close * 1e160)
+            for b in bars_by_symbol["S02"]
+        ]
+        result = small_run(bars_by_symbol, meta)
+        assert len(result.equity_curve) == 320
+        assert any("S02" in d and "fit skipped" in d for d in result.diagnostics)
+        traded = {f.symbol for f in result.fills}
+        assert "S02" not in traded
+        assert len(traded) >= 2
+        s02 = [i for i in result.insights if i.symbol == "S02"]
+        assert s02 and all(i.direction == "flat" for i in s02)
+
+    @pytest.mark.parametrize(
+        "module, name, note",
+        [
+            ("regime_hmm", "forward_posterior", "hmm forecast failed"),
+            ("trend_net", "predict_direction", "net forecast failed"),
+        ],
+    )
+    def test_forecast_failure_gives_flat_insight(self, monkeypatch, module, name, note):
+        def broken(*args):
+            raise NumericalError("forward recursion collapsed at t=3")
+
+        monkeypatch.setattr(getattr(eng, module), name, broken)
+        bars_by_symbol, meta = synth_market()
+        result = small_run(bars_by_symbol, meta)
+        assert result.insights
+        assert all(i.direction == "flat" for i in result.insights)
+        assert any(note in d for d in result.diagnostics)
 
     def test_date_range_filters_calendar(self):
         bars_by_symbol, meta = synth_market(n_symbols=2, n_bars=80)

@@ -13,7 +13,6 @@ from duotrader.errors import (
 )
 from duotrader.marketdata import (
     RollingWindow,
-    close_diffs,
     ingest_csv,
     ingest_meta_csv,
     log_returns,
@@ -145,13 +144,6 @@ class TestFeatures:
         rebuilt = np.exp(np.cumsum(log_returns(closes)))
         assert np.allclose(rebuilt, closes[1:] / closes[0], rtol=1e-12)
 
-    def test_close_diffs(self):
-        assert close_diffs([100, 100]) == pytest.approx([0.0])
-        assert close_diffs([100, 105, 103]) == pytest.approx([5.0, -2.0])
-        assert close_diffs([7.0] * 9) == pytest.approx([0.0] * 8)
-        with pytest.raises(InsufficientDataError):
-            close_diffs([1.0])
-
 
 class TestRollingWindow:
     def test_capacity_and_eviction(self):
@@ -160,15 +152,15 @@ class TestRollingWindow:
         for i, bar in enumerate(bars):
             window.push(bar)
             assert len(window) <= 3
-        assert [b.close for b in window] == [5.0, 6.0, 7.0]
-        assert window.full
+        assert list(window.closes()) == [5.0, 6.0, 7.0]
+        assert len(window) == window.capacity
 
     def test_order_preserved_below_capacity(self):
         window = RollingWindow(10)
         for i in range(4):
             window.push(make_bar(close=float(i)))
         assert list(window.closes()) == [0.0, 1.0, 2.0, 3.0]
-        assert not window.full
+        assert len(window) < window.capacity
 
     def test_invalid_capacity(self):
         with pytest.raises(ParameterError):

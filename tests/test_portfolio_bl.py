@@ -231,5 +231,3 @@ class TestConfig:
             BlConfig(tau=-1)
         with pytest.raises(ParameterError):
             BlConfig(max_weight=0.0)
-        with pytest.raises(ParameterError):
-            BlConfig(omega_rule="idzorek")

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from duotrader.errors import InsufficientDataError, ParameterError
+from duotrader.errors import (
+    InsufficientDataError,
+    InvalidInputError,
+    NumericalError,
+    ParameterError,
+)
 from duotrader.marketdata import log_returns, synth_regime_series
 from duotrader.regime_hmm import (
     HmmConfig,
@@ -12,19 +17,16 @@ from duotrader.regime_hmm import (
     fit,
     forward_posterior,
     predict_direction,
-    state_ranking,
 )
 
 
 def build_model(pi, trans, means, variances):
-    """Hand-assembled scalar-observation model."""
-    means = np.asarray(means, dtype=float)[:, None]
-    covs = np.array([[[v]] for v in variances], dtype=float)
+    """Hand-assembled model."""
     return HmmModel(
         initial_probs=np.asarray(pi, dtype=float),
         transition=np.asarray(trans, dtype=float),
-        means=means,
-        covariances=covs,
+        mean_returns=np.asarray(means, dtype=float),
+        variances=np.asarray(variances, dtype=float),
         fit_log_likelihood=0.0,
     )
 
@@ -42,7 +44,7 @@ class TestFit:
         assert model.initial_probs == pytest.approx([1.0])
         # oracle: closed-form single-state maximum-likelihood statistics
         assert model.mean_returns[0] == pytest.approx(returns.mean(), abs=1e-12)
-        assert model.covariances[0, 0, 0] == pytest.approx(
+        assert model.variances[0] == pytest.approx(
             np.mean((returns - returns.mean()) ** 2), abs=1e-12
         )
 
@@ -51,9 +53,9 @@ class TestFit:
         returns = rng.normal(0, 0.01, 150)
         a = fit(returns, HmmConfig(n_states=3, seed=9))
         b = fit(returns, HmmConfig(n_states=3, seed=9))
-        assert np.array_equal(a.means, b.means)
+        assert np.array_equal(a.mean_returns, b.mean_returns)
         assert np.array_equal(a.transition, b.transition)
-        assert np.array_equal(a.covariances, b.covariances)
+        assert np.array_equal(a.variances, b.variances)
         assert a.log_likelihood_path == b.log_likelihood_path
 
     def test_two_regime_recovery(self):
@@ -74,8 +76,17 @@ class TestFit:
 
     def test_constant_returns_floors_variance(self):
         model = fit(np.full(40, 0.001), HmmConfig(n_states=1))
-        assert model.covariances[0, 0, 0] >= 1e-12
+        assert model.variances[0] >= 1e-12
         assert model.diagnostics["variance_floored"]
+
+    def test_unvisited_source_state_keeps_finite_row(self):
+        # the outlier's state is occupied only at the last step, so its row
+        # of expected outgoing transitions is empty
+        returns = np.concatenate([np.zeros(50), [0.5]])
+        model = fit(returns, HmmConfig(n_states=2, seed=1))
+        assert np.all(np.isfinite(model.transition))
+        assert model.transition.sum(axis=1) == pytest.approx([1.0, 1.0])
+        assert model.mean_returns[1] == pytest.approx(0.5)
 
     def test_monotone_log_likelihood(self):
         rng = np.random.default_rng(11)
@@ -91,15 +102,16 @@ class TestFit:
         model = fit(returns, HmmConfig(n_states=4, seed=2))
         assert model.initial_probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert model.transition.sum(axis=1) == pytest.approx(np.ones(4), abs=1e-9)
-        for cov in model.covariances:
-            assert np.allclose(cov, cov.T)
-            assert np.all(np.linalg.eigvalsh(cov) > 0)
+        assert model.mean_returns.shape == (4,)
+        assert model.variances.shape == (4,)
+        assert np.all(model.variances > 0)
 
     def test_serialization_roundtrip(self):
         rng = np.random.default_rng(17)
         model = fit(rng.normal(0, 0.01, 100), HmmConfig(n_states=2, seed=3))
         clone = HmmModel.from_dict(model.to_dict())
-        assert np.array_equal(clone.means, model.means)
+        assert np.array_equal(clone.mean_returns, model.mean_returns)
+        assert np.array_equal(clone.variances, model.variances)
         assert np.array_equal(clone.transition, model.transition)
         assert clone.fit_log_likelihood == model.fit_log_likelihood
 
@@ -108,8 +120,12 @@ class TestFit:
             HmmConfig(n_states=0)
         with pytest.raises(ParameterError):
             HmmConfig(max_iterations=0)
-        with pytest.raises(ParameterError):
-            HmmConfig(covariance_kind="diag")
+
+    def test_rejects_multivariate_input(self):
+        with pytest.raises(InvalidInputError):
+            fit(np.zeros((60, 2)), HmmConfig(n_states=2))
+        with pytest.raises(InvalidInputError):
+            fit(np.zeros((60, 1)), HmmConfig(n_states=2))
 
 
 class TestPinnedNumerics:
@@ -153,9 +169,7 @@ class TestPinnedNumerics:
         assert model.diagnostics["iterations"] == 10
         np.testing.assert_allclose(model.log_likelihood_path, self.PATH, rtol=1e-9, atol=0)
         np.testing.assert_allclose(model.mean_returns, self.MEANS, rtol=1e-9, atol=0)
-        np.testing.assert_allclose(
-            model.covariances[:, 0, 0], self.VARIANCES, rtol=1e-9, atol=0
-        )
+        np.testing.assert_allclose(model.variances, self.VARIANCES, rtol=1e-9, atol=0)
         np.testing.assert_allclose(model.transition, self.TRANSITION, rtol=1e-9, atol=0)
 
 
@@ -204,6 +218,12 @@ class TestForwardPosterior:
         with pytest.raises(InsufficientDataError):
             forward_posterior(model, [])
 
+    @pytest.mark.parametrize("bad", [0.0, -1e-4, float("nan")])
+    def test_non_positive_variance_raises(self, bad):
+        model = build_model([0.5, 0.5], np.eye(2), [0.0, 0.01], [1e-4, bad])
+        with pytest.raises(NumericalError):
+            forward_posterior(model, [0.01, -0.02])
+
 
 class TestPredictDirection:
     def test_identity_transition_up(self):
@@ -235,8 +255,8 @@ class TestPredictDirection:
         permuted = HmmModel(
             initial_probs=model.initial_probs[perm],
             transition=model.transition[np.ix_(perm, perm)],
-            means=model.means[perm],
-            covariances=model.covariances[perm],
+            mean_returns=model.mean_returns[perm],
+            variances=model.variances[perm],
             fit_log_likelihood=model.fit_log_likelihood,
         )
         shuffled = predict_direction(permuted, forward_posterior(permuted, returns))
@@ -252,27 +272,11 @@ class TestPredictDirection:
             scaled = HmmModel(
                 initial_probs=model.initial_probs,
                 transition=model.transition,
-                means=model.means * scale,
-                covariances=model.covariances,
+                mean_returns=model.mean_returns * scale,
+                variances=model.variances,
                 fit_log_likelihood=model.fit_log_likelihood,
             )
             assert predict_direction(scaled, posterior).direction == base.direction
-
-
-class TestStateRanking:
-    def test_argmax(self):
-        model = build_model([1 / 3] * 3, np.full((3, 3), 1 / 3), [0.01, 0.02, -0.01], [1e-4] * 3)
-        ranking = state_ranking(model)
-        assert ranking.best_state == 1
-        assert ranking.means_by_state == pytest.approx([0.01, 0.02, -0.01])
-
-    def test_tie_breaks_low_index(self):
-        model = build_model([0.5, 0.5], np.eye(2), [0.02, 0.02], [1e-4, 1e-4])
-        assert state_ranking(model).best_state == 0
-
-    def test_single_state(self):
-        model = build_model([1.0], [[1.0]], [0.005], [1e-4])
-        assert state_ranking(model).best_state == 0
 
 
 class TestFilteredStates:
