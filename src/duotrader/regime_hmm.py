@@ -258,11 +258,11 @@ def fit(returns: Sequence[float] | np.ndarray, config: HmmConfig) -> HmmModel:
     )
 
 
-def _filter(model: HmmModel, returns: Sequence[float] | np.ndarray, caller: str) -> np.ndarray:
+def _filter(model: HmmModel, returns: Sequence[float] | np.ndarray) -> np.ndarray:
     """Normalized forward probabilities P(state_t | returns_1..t), shape (T, K)."""
     obs = _as_observations(returns)
     if obs.size == 0:
-        raise InsufficientDataError(f"{caller} needs at least one return")
+        raise InsufficientDataError("filtering needs at least one return")
     log_b = _emission_log_probs(obs, model.mean_returns, model.variances)
     alphas, _, _, _ = _forward(log_b, model.initial_probs, model.transition)
     return alphas
@@ -270,12 +270,12 @@ def _filter(model: HmmModel, returns: Sequence[float] | np.ndarray, caller: str)
 
 def forward_posterior(model: HmmModel, returns: Sequence[float] | np.ndarray) -> np.ndarray:
     """Filtered state distribution P(state_T | returns_1..T)."""
-    return _filter(model, returns, "forward_posterior")[-1]
+    return _filter(model, returns)[-1]
 
 
 def filtered_states(model: HmmModel, returns: Sequence[float] | np.ndarray) -> np.ndarray:
     """Arg-max filtered state index for every time step."""
-    return np.argmax(_filter(model, returns, "filtered_states"), axis=1)
+    return np.argmax(_filter(model, returns), axis=1)
 
 
 def predict_direction(model: HmmModel, posterior: np.ndarray) -> DirectionForecast:
