@@ -70,6 +70,7 @@ def _write_outputs(out_dir: Path, result: engine_mod.BacktestResult, resolved: d
         ("insights.jsonl", [i.to_dict() for i in result.insights]),
         ("risk_events.jsonl", result.risk_events),
         ("allocations.jsonl", result.allocations),
+        ("fits.jsonl", result.fits),
     ):
         path = out_dir / name
         path.write_text("".join(_json_line(r) + "\n" for r in records))

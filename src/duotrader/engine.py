@@ -4,8 +4,9 @@ Per trading day, in order:
   1. ingest the day's bars into per-symbol rolling windows
   2. fill orders queued on the prior day at today's open (sells before buys)
   3. re-select the universe on the first trading day of each month
-  4. past warm-up, on the retrain cadence: refit both models per universe
-     symbol on its rolling window
+  4. past warm-up, on the retrain cadence: refit both models for every
+     universe symbol on its rolling window, one batched call per model for
+     each group of equal-length windows
   5. past warm-up, on the rebalance cadence: generate insights, blend views
      into target weights, and queue the orders that move holdings to target
   6. run the risk overlays on today's closes; breaches queue a liquidation
@@ -116,6 +117,7 @@ class BacktestResult:
     insights: list[Insight]
     risk_events: list[dict]
     allocations: list[dict]
+    fits: list[dict]
     diagnostics: list[str]
     report: metrics.MetricsReport
     final_cash: float
@@ -285,6 +287,7 @@ def run_backtest(
     insights_log: list[Insight] = []
     risk_events: list[dict] = []
     allocations: list[dict] = []
+    fits: list[dict] = []
     diagnostics: list[str] = []
 
     candidates = {s: (bars_by_symbol[s], meta[s]) for s in sorted(bars_by_symbol) if s in meta}
@@ -359,32 +362,10 @@ def run_backtest(
 
         # (4) scheduled retraining
         if past_warmup and (day_index - engine_config.warmup_bars) % engine_config.retrain_every == 0:
-            for symbol in universe:
-                window = windows.get(symbol)
-                if window is None:
-                    continue
-                closes = window.closes()
-                try:
-                    returns = log_returns(closes)
-                    cfg = replace(
-                        hmm_config,
-                        seed=_symbol_seed(engine_config.seed, "hmm", symbol),
-                    )
-                    hmm_models[symbol] = regime_hmm.fit(returns, cfg)
-                except MODEL_ERRORS as exc:
-                    hmm_models.pop(symbol, None)
-                    diagnostics.append(f"{day}: {symbol} hmm fit skipped: {exc}")
-                try:
-                    data = trend_net.build_training_set(closes, mlp_config.input_size)
-                    cfg = replace(
-                        mlp_config,
-                        seed=_symbol_seed(engine_config.seed, "mlp", symbol),
-                    )
-                    model = trend_net.init_model(cfg)
-                    mlp_models[symbol], _ = trend_net.train(model, data, cfg)
-                except MODEL_ERRORS as exc:
-                    mlp_models.pop(symbol, None)
-                    diagnostics.append(f"{day}: {symbol} net fit skipped: {exc}")
+            _refit_models(
+                universe, windows, hmm_config, mlp_config, engine_config.seed, day,
+                hmm_models, mlp_models, fits, diagnostics,
+            )
 
         # (5) rebalance: insights -> views -> Black-Litterman -> orders
         if past_warmup and (day_index - engine_config.warmup_bars) % engine_config.rebalance_every == 0:
@@ -460,11 +441,104 @@ def run_backtest(
         insights=insights_log,
         risk_events=risk_events,
         allocations=allocations,
+        fits=fits,
         diagnostics=diagnostics,
         report=report,
         final_cash=state.cash,
         final_positions=dict(state.positions),
     )
+
+
+def _length_groups(symbols, windows: dict[str, RollingWindow]) -> dict[int, list[str]]:
+    """Symbols with a window, grouped by window length (one model batch each)."""
+    groups: dict[int, list[str]] = {}
+    for symbol in symbols:
+        window = windows.get(symbol)
+        if window is not None:
+            groups.setdefault(len(window), []).append(symbol)
+    return groups
+
+
+def _batched(batch_call, inputs: dict[str, object], outcomes: dict[str, object]) -> None:
+    """Run one batched model call on ``inputs`` (symbol -> prepared input)
+    and store each symbol's outcome: its result, or the error it ran into.
+    An error raised for the whole batch becomes every symbol's."""
+    if not inputs:
+        return
+    try:
+        results = batch_call(list(inputs), list(inputs.values()))
+    except MODEL_ERRORS as exc:
+        results = [exc] * len(inputs)
+    outcomes.update(zip(inputs, results))
+
+
+def _refit_models(
+    universe: list[str],
+    windows: dict[str, RollingWindow],
+    hmm_config: HmmConfig,
+    mlp_config: MlpConfig,
+    seed: int,
+    day: date,
+    hmm_models: dict[str, regime_hmm.HmmModel],
+    mlp_models: dict[str, trend_net.MlpModel],
+    fits: list[dict],
+    diagnostics: list[str],
+) -> None:
+    """Refit both models for every universe symbol with a window: one
+    batched call per model for each group of equal-length windows. Each
+    symbol gets exactly the models of a fit on its own window."""
+
+    def fit_hmms(symbols, series):
+        seeds = [_symbol_seed(seed, "hmm", s) for s in symbols]
+        return regime_hmm.fit_batch(np.stack(series), hmm_config, seeds)
+
+    def train_nets(symbols, data):
+        seeds = [_symbol_seed(seed, "mlp", s) for s in symbols]
+        models = [trend_net.init_model(replace(mlp_config, seed=sd)) for sd in seeds]
+        return trend_net.train_batch(models, data, mlp_config, seeds)
+
+    hmm_out: dict[str, object] = {}
+    mlp_out: dict[str, object] = {}
+    for symbols in _length_groups(universe, windows).values():
+        returns: dict[str, object] = {}
+        training: dict[str, object] = {}
+        for symbol in symbols:
+            closes = windows[symbol].closes()
+            try:
+                returns[symbol] = log_returns(closes)
+            except MODEL_ERRORS as exc:
+                hmm_out[symbol] = exc
+            try:
+                training[symbol] = trend_net.build_training_set(closes, mlp_config.input_size)
+            except MODEL_ERRORS as exc:
+                mlp_out[symbol] = exc
+        _batched(fit_hmms, returns, hmm_out)
+        _batched(train_nets, training, mlp_out)
+
+    stamp = day.isoformat()
+    for symbol in universe:
+        if symbol not in windows:
+            continue
+        outcome = hmm_out[symbol]
+        if isinstance(outcome, regime_hmm.HmmModel):
+            hmm_models[symbol] = outcome
+            fits.append({
+                "date": stamp, "symbol": symbol, "model": "hmm",
+                **outcome.diagnostics,
+                "log_likelihood_path": outcome.log_likelihood_path,
+            })
+        else:
+            hmm_models.pop(symbol, None)
+            diagnostics.append(f"{day}: {symbol} hmm fit skipped: {outcome}")
+        outcome = mlp_out[symbol]
+        if isinstance(outcome, tuple):
+            mlp_models[symbol], history = outcome
+            fits.append(
+                {"date": stamp, "symbol": symbol, "model": "mlp", "loss_history": history}
+            )
+        else:
+            mlp_models.pop(symbol, None)
+            diagnostics.append(f"{day}: {symbol} net fit skipped: {outcome}")
 
 
 def _generate_insights(
@@ -478,29 +552,41 @@ def _generate_insights(
     diff_window: int,
     diagnostics: list[str],
 ) -> list[Insight]:
+    closes = {
+        s: windows[s].closes() for s in universe if s in windows and len(windows[s]) >= 2
+    }
+
+    def filter_hmms(symbols, series):
+        return regime_hmm.forward_posterior([hmm_models[s] for s in symbols], np.stack(series))
+
+    # Filtered posteriors: one batched forward pass per window length.
+    posteriors: dict[str, object] = {}
+    for symbols in _length_groups([s for s in closes if s in hmm_models], windows).values():
+        returns: dict[str, object] = {}
+        for symbol in symbols:
+            try:
+                returns[symbol] = log_returns(closes[symbol])
+            except MODEL_ERRORS as exc:
+                posteriors[symbol] = exc
+        _batched(filter_hmms, returns, posteriors)
+
     insights = []
     for symbol in universe:
-        window = windows.get(symbol)
         hmm_signal = nn_signal = None
-        if window is not None and len(window) >= 2:
-            closes = window.closes()
-            model = hmm_models.get(symbol)
-            if model is not None:
-                try:
-                    returns = log_returns(closes)
-                    posterior = regime_hmm.forward_posterior(model, returns)
-                    forecast = regime_hmm.predict_direction(model, posterior)
-                    hmm_signal = (forecast.direction, forecast.expected_return)
-                except MODEL_ERRORS as exc:
-                    diagnostics.append(f"{day}: {symbol} hmm forecast failed: {exc}")
-            net = mlp_models.get(symbol)
-            if net is not None and closes.size >= diff_window + 1:
-                recent = np.diff(closes)[-diff_window:]
-                try:
-                    trend = trend_net.predict_direction(net, recent)
-                    nn_signal = (trend.direction, trend.magnitude)
-                except MODEL_ERRORS as exc:
-                    diagnostics.append(f"{day}: {symbol} net forecast failed: {exc}")
+        posterior = posteriors.get(symbol)
+        if isinstance(posterior, np.ndarray):
+            forecast = regime_hmm.predict_direction(hmm_models[symbol], posterior)
+            hmm_signal = (forecast.direction, forecast.expected_return)
+        elif posterior is not None:
+            diagnostics.append(f"{day}: {symbol} hmm forecast failed: {posterior}")
+        net = mlp_models.get(symbol)
+        if net is not None and symbol in closes and closes[symbol].size >= diff_window + 1:
+            recent = np.diff(closes[symbol])[-diff_window:]
+            try:
+                trend = trend_net.predict_direction(net, recent)
+                nn_signal = (trend.direction, trend.magnitude)
+            except MODEL_ERRORS as exc:
+                diagnostics.append(f"{day}: {symbol} net forecast failed: {exc}")
         insight = alpha_fusion.fuse(
             hmm_signal, nn_signal, symbol, day, period, fusion_config
         )

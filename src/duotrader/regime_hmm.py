@@ -1,10 +1,11 @@
 """Gaussian hidden Markov regime model over one stock's daily log returns.
 
 Observations are univariate: every state k carries a mean return and a
-variance, and emission densities for all states are evaluated in one
-(T, K) array. Fitting is expectation-maximization with a scaled
+variance. Fitting is expectation-maximization with a scaled
 forward-backward pass, run for a bounded number of iterations; the M-step
-updates every live state at once.
+updates every live state at once. Every routine works on S series at once,
+with (S, T, K) emission, forward and backward arrays: ``fit_batch`` fits a
+batch and ``fit`` is a batch of one.
 
 The directional forecast is the sign of the posterior-weighted one-step-ahead
 expected return: e = (posterior @ A) @ mean_returns.
@@ -96,58 +97,136 @@ def _as_observations(returns: Sequence[float] | np.ndarray) -> np.ndarray:
     return obs
 
 
+def _as_batch(returns: np.ndarray) -> np.ndarray:
+    obs = np.asarray(returns, dtype=float)
+    if obs.ndim != 2:
+        raise InvalidInputError(f"batched returns must be (series, time), got shape {obs.shape}")
+    return obs
+
+
 def _emission_log_probs(obs: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """(T, K) log density of every observation under every state's Gaussian."""
-    if not np.all(variances > 0):
-        raise NumericalError(f"state variances must be positive, got {variances}")
+    """(S, T, K) log density of every observation under every state's Gaussian."""
     sd = np.sqrt(variances)
     # Multiplying by the reciprocal, not dividing, reproduces the densities
     # of the earlier Cholesky-based version bit for bit, which keeps
-    # backtest fills unchanged.
-    z = (obs[:, None] - means) * (1.0 / sd)
-    return -0.5 * ((LOG_2PI + 2.0 * np.log(sd)) + z * z)
+    # backtest fills unchanged. The in-place steps compute
+    # -0.5 * ((log 2pi + 2 log sd) + z * z) in one (S, T, K) buffer.
+    z = obs[:, :, None] - means[:, None, :]
+    z *= (1.0 / sd)[:, None, :]
+    z *= z
+    z += (LOG_2PI + 2.0 * np.log(sd))[:, None, :]
+    z *= -0.5
+    return z
 
 
-def _forward(log_b: np.ndarray, pi: np.ndarray, trans: np.ndarray):
-    """Scaled forward pass. Returns (normalized alphas, norms, log-likelihood).
+def _forward(obs, means, variances, pi, trans):
+    """Scaled forward pass over S series at once: obs (S, T); means,
+    variances and pi (S, K); trans (S, K, K).
 
-    Emission probabilities are shifted per time step before exponentiation;
-    the shift cancels in the normalized recursion and is added back to the
-    log-likelihood, so the result is exact even for extreme densities.
+    Returns (normalized alphas, norms, log-likelihoods, b, errors): b holds
+    the emission probabilities, shifted per time step before
+    exponentiation; the shift cancels in the normalized recursion and is
+    added back to the log-likelihood, so the result is exact even for
+    extreme densities. errors[s] is the NumericalError series s ran into, or
+    None; the other outputs of a failed series are meaningless. Every array
+    op acts on each series separately (matmul runs one BLAS call per
+    series), so a series gets the same bits in any batch.
     """
-    n_obs, _ = log_b.shape
-    shifts = log_b.max(axis=1)
-    b = np.exp(log_b - shifts[:, None])
-    alphas = np.empty_like(b)
-    norms = np.empty(n_obs)
+    n_series, n_obs = obs.shape
+    errors: list[NumericalError | None] = [None] * n_series
+    invalid = ~np.all(variances > 0, axis=1)
+    for s in np.flatnonzero(invalid):
+        errors[s] = NumericalError(f"state variances must be positive, got {variances[s]}")
+    if invalid.any():
+        # Harmless stand-ins keep the failed series from raising warnings
+        # while the rest of the batch is computed.
+        variances = np.where(invalid[:, None], 1.0, variances)
+        means = np.where(invalid[:, None], 0.0, means)
 
-    a = pi * b[0]
-    norms[0] = a.sum()
-    if norms[0] <= 0:
-        raise NumericalError("forward recursion collapsed at t=0")
-    alphas[0] = a / norms[0]
-    for t in range(1, n_obs):
-        a = (alphas[t - 1] @ trans) * b[t]
-        norms[t] = a.sum()
-        if norms[t] <= 0:
-            raise NumericalError(f"forward recursion collapsed at t={t}")
-        alphas[t] = a / norms[t]
-    log_likelihood = float(np.log(norms).sum() + shifts.sum())
-    return alphas, norms, log_likelihood, b
+    b = _emission_log_probs(obs, means, variances)
+    shifts = b.max(axis=2)
+    b -= shifts[:, :, None]
+    np.exp(b, out=b)
+    alphas = np.empty_like(b)
+    norms = np.empty((n_series, n_obs))
+
+    # A collapsed series divides by a zero norm and turns NaN from there
+    # on; it is reported at its first zero norm, and nothing it computes
+    # reaches another series.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = pi * b[:, 0]
+        for t in range(n_obs):
+            if t:
+                a = np.matmul(alpha[:, None, :], trans)[:, 0] * b[:, t]
+            norm = np.add.reduce(a, axis=1)
+            norms[:, t] = norm
+            alpha = alphas[:, t] = a / norm[:, None]
+        log_likelihood = np.log(norms).sum(axis=1) + shifts.sum(axis=1)
+    collapsed = norms <= 0
+    for s in np.flatnonzero(collapsed.any(axis=1)):
+        if errors[s] is None:
+            errors[s] = NumericalError(f"forward recursion collapsed at t={np.argmax(collapsed[s])}")
+    return alphas, norms, log_likelihood, b, errors
 
 
 def _backward(b: np.ndarray, trans: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Backward pass scaled by the forward norms (Rabiner-style)."""
-    n_obs, n_states = b.shape
-    betas = np.empty((n_obs, n_states))
-    betas[-1] = 1.0
-    for t in range(n_obs - 2, -1, -1):
-        betas[t] = (trans @ (b[t + 1] * betas[t + 1])) / norms[t + 1]
+    """Backward pass scaled by the forward norms (Rabiner-style), (S, T, K)."""
+    betas = np.empty_like(b)
+    beta = betas[:, -1] = np.ones((b.shape[0], b.shape[2]))
+    for t in range(b.shape[1] - 2, -1, -1):
+        carried = (b[:, t + 1] * beta)[:, :, None]
+        beta = betas[:, t] = np.matmul(trans, carried)[:, :, 0] / norms[:, t + 1, None]
     return betas
 
 
-def _initial_parameters(obs: np.ndarray, config: HmmConfig):
-    """Deterministic seeded initialization.
+def _m_step(obs, alphas, betas, b, norms, trans, means, variances, floor):
+    """Re-estimate every series' parameters from one E-step (betas is
+    overwritten). Returns (pi, trans, means, variances, floored) with
+    floored (S,) marking series whose new variance hit the floor in some
+    live state."""
+    # Expected transition counts, accumulated without materializing the
+    # (T, K, K) tensor. With this scaling each xi_t is already a proper
+    # posterior, so the sum is the expected count matrix.
+    weighted = b[:, 1:] * betas[:, 1:]
+    weighted /= norms[:, 1:, None]
+    xi_sum = trans * np.matmul(alphas[:, :-1].transpose(0, 2, 1), weighted)
+    del weighted
+
+    gammas = betas  # betas are not needed again
+    gammas *= alphas
+    gammas /= gammas.sum(axis=2, keepdims=True)
+
+    pi = gammas[:, 0] / gammas[:, 0].sum(axis=1, keepdims=True)
+    # A row whose source state is (almost) never occupied keeps its
+    # previous probabilities; the guarded denominator only avoids a
+    # division by zero in rows that np.where discards.
+    from_counts = gammas[:, :-1].sum(axis=1)
+    live_rows = from_counts > 1e-12
+    new_trans = np.where(
+        live_rows[:, :, None],
+        xi_sum / np.where(live_rows, from_counts, 1.0)[:, :, None],
+        trans,
+    )
+    new_trans = np.clip(new_trans, 0.0, None)
+    trans = new_trans / new_trans.sum(axis=2, keepdims=True)
+
+    # Dead states keep their previous mean and variance.
+    occupancy = gammas.sum(axis=1)
+    live = ~(occupancy <= 1e-10)
+    weights = np.where(live, occupancy, 1.0)
+    new_means = np.matmul(obs[:, None, :], gammas)[:, 0] / weights
+    diff = obs[:, :, None] - new_means[:, None, :]
+    spread = gammas * diff
+    spread *= diff
+    new_vars = spread.sum(axis=1) / weights
+    floored = np.any(live & (new_vars < floor), axis=1)
+    means = np.where(live, new_means, means)
+    variances = np.where(live, np.maximum(new_vars, floor), variances)
+    return pi, trans, means, variances, floored
+
+
+def _initial_parameters(obs: np.ndarray, config: HmmConfig, seed: int):
+    """Deterministic seeded initialization of one series.
 
     Means come from a quantile split of the observations (sorted, cut into
     n_states buckets), every state starts from the pooled variance, pi is
@@ -163,7 +242,7 @@ def _initial_parameters(obs: np.ndarray, config: HmmConfig):
     pooled = max((centered @ centered) / obs.size, config.variance_floor)
     variances = np.full(n_states, pooled)
 
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     means = means + rng.normal(0.0, 1e-6 * (np.sqrt(pooled) + 1e-12), size=n_states)
 
     pi = np.full(n_states, 1.0 / n_states)
@@ -176,106 +255,146 @@ def _initial_parameters(obs: np.ndarray, config: HmmConfig):
     return pi, trans, means, variances
 
 
+def fit_batch(
+    returns: np.ndarray, config: HmmConfig, seeds: Sequence[int]
+) -> list[HmmModel | NumericalError]:
+    """Fit one model per row of an (S, T) return array by batched EM.
+
+    Series s is initialized from ``seeds[s]`` (``config.seed`` is not used)
+    and stops on its own iteration: when its log-likelihood gain drops below
+    tolerance or the iteration cap is reached. Each series gets exactly the
+    model ``fit`` gives it alone. Returns one entry per series: its model, or
+    the NumericalError its fit ran into. Raises for the whole batch when the
+    series are too short.
+    """
+    obs = _as_batch(returns)
+    n_series, n_obs = obs.shape
+    if n_obs < MIN_SAMPLES_PER_STATE * config.n_states:
+        raise InsufficientDataError(
+            f"need >= {MIN_SAMPLES_PER_STATE * config.n_states} returns "
+            f"for {config.n_states} states, got {n_obs}"
+        )
+    if len(seeds) != n_series:
+        raise ParameterError(f"need one seed per series, got {len(seeds)} for {n_series}")
+    if n_series == 0:
+        return []
+
+    initial = [_initial_parameters(row, config, seed) for row, seed in zip(obs, seeds)]
+    pi, trans, means, variances = (np.stack(p) for p in zip(*initial))
+    paths: list[list[float]] = [[] for _ in range(n_series)]
+    floored = np.zeros(n_series, dtype=bool)
+    converged = np.zeros(n_series, dtype=bool)
+    # A finished series makes one more forward pass, for the log-likelihood
+    # of its final parameters (after the last M-step).
+    finished = np.zeros(n_series, dtype=bool)
+    prev_ll = np.full(n_series, -np.inf)
+    results: list[HmmModel | NumericalError | None] = [None] * n_series
+    rows = np.arange(n_series)  # series with an open fit, in batch order
+    iteration = 0
+
+    while rows.size:
+        x = obs[rows]
+        alphas, norms, log_likelihood, b, errors = _forward(x, means, variances, pi, trans)
+        keep = []
+        for pos, row in enumerate(rows):
+            if errors[pos] is not None:
+                results[row] = errors[pos]
+                continue
+            paths[row].append(float(log_likelihood[pos]))
+            if not finished[row]:
+                keep.append(pos)
+                continue
+            results[row] = HmmModel(
+                initial_probs=pi[pos],
+                transition=trans[pos],
+                mean_returns=means[pos],
+                variances=variances[pos],
+                fit_log_likelihood=paths[row][-1],
+                log_likelihood_path=paths[row],
+                diagnostics={
+                    "iterations": len(paths[row]) - 1,
+                    "converged": bool(converged[row]),
+                    "variance_floored": bool(floored[row]),
+                },
+            )
+        if len(keep) < rows.size:
+            # One array at a time, so that only one old copy is alive at once.
+            alphas = alphas[keep]
+            b = b[keep]
+            rows, x, norms, log_likelihood = rows[keep], x[keep], norms[keep], log_likelihood[keep]
+            pi, trans, means, variances = pi[keep], trans[keep], means[keep], variances[keep]
+        if not rows.size:
+            break
+
+        betas = _backward(b, trans, norms)
+        pi, trans, means, variances, floored_now = _m_step(
+            x, alphas, betas, b, norms, trans, means, variances, config.variance_floor
+        )
+        # Free this pass's (S, T, K) arrays before the next pass makes its own.
+        del alphas, betas, b
+        iteration += 1
+        floored[rows] |= floored_now
+        converged[rows] = log_likelihood - prev_ll[rows] < config.convergence_tol
+        prev_ll[rows] = log_likelihood
+        finished[rows] = converged[rows] | (iteration == config.max_iterations)
+    return results
+
+
 def fit(returns: Sequence[float] | np.ndarray, config: HmmConfig) -> HmmModel:
     """Fit by EM until the log-likelihood gain drops below tolerance or the
     iteration cap is reached. The recorded per-iteration log-likelihood path
-    is non-decreasing (standard EM guarantee)."""
-    obs = _as_observations(returns)
-    if obs.size < MIN_SAMPLES_PER_STATE * config.n_states:
-        raise InsufficientDataError(
-            f"need >= {MIN_SAMPLES_PER_STATE * config.n_states} returns "
-            f"for {config.n_states} states, got {obs.size}"
-        )
-
-    pi, trans, means, variances = _initial_parameters(obs, config)
-    floor = config.variance_floor
-    floored = False
-    path: list[float] = []
-    prev_ll = -np.inf
-    converged = False
-
-    for _ in range(config.max_iterations):
-        log_b = _emission_log_probs(obs, means, variances)
-        alphas, norms, log_likelihood, b = _forward(log_b, pi, trans)
-        betas = _backward(b, trans, norms)
-        path.append(log_likelihood)
-
-        gammas = alphas * betas
-        gammas /= gammas.sum(axis=1, keepdims=True)
-
-        # Expected transition counts, accumulated without materializing the
-        # (T, K, K) tensor. With this scaling each xi_t is already a proper
-        # posterior, so the sum is the expected count matrix.
-        weighted = b[1:] * betas[1:] / norms[1:, None]
-        xi_sum = trans * (alphas[:-1].T @ weighted)
-
-        pi = gammas[0] / gammas[0].sum()
-        # A row whose source state is (almost) never occupied keeps its
-        # previous probabilities; the guarded denominator only avoids a
-        # division by zero in rows that np.where discards.
-        from_counts = gammas[:-1].sum(axis=0)
-        live_rows = from_counts > 1e-12
-        new_trans = np.where(
-            live_rows[:, None], xi_sum / np.where(live_rows, from_counts, 1.0)[:, None], trans
-        )
-        new_trans = np.clip(new_trans, 0.0, None)
-        trans = new_trans / new_trans.sum(axis=1, keepdims=True)
-
-        # Dead states keep their previous mean and variance.
-        occupancy = gammas.sum(axis=0)
-        live = ~(occupancy <= 1e-10)
-        weights = np.where(live, occupancy, 1.0)
-        new_means = (obs @ gammas) / weights
-        diff = obs[:, None] - new_means
-        new_vars = ((gammas * diff) * diff).sum(axis=0) / weights
-        floored |= bool(np.any(live & (new_vars < floor)))
-        means = np.where(live, new_means, means)
-        variances = np.where(live, np.maximum(new_vars, floor), variances)
-
-        converged = log_likelihood - prev_ll < config.convergence_tol
-        if converged:
-            break
-        prev_ll = log_likelihood
-
-    iterations = len(path)
-    # Log-likelihood of the final parameters (after the last M-step).
-    log_b = _emission_log_probs(obs, means, variances)
-    _, _, final_ll, _ = _forward(log_b, pi, trans)
-    path.append(final_ll)
-
-    return HmmModel(
-        initial_probs=pi,
-        transition=trans,
-        mean_returns=means,
-        variances=variances,
-        fit_log_likelihood=final_ll,
-        log_likelihood_path=path,
-        diagnostics={
-            "iterations": iterations,
-            "converged": converged,
-            "variance_floored": floored,
-        },
-    )
+    is non-decreasing (standard EM guarantee). A batch of one series."""
+    (result,) = fit_batch(_as_observations(returns)[None], config, [config.seed])
+    if isinstance(result, NumericalError):
+        raise result
+    return result
 
 
-def _filter(model: HmmModel, returns: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Normalized forward probabilities P(state_t | returns_1..t), shape (T, K)."""
-    obs = _as_observations(returns)
-    if obs.size == 0:
+def _filter(models: Sequence[HmmModel], returns: np.ndarray):
+    """Normalized forward probabilities P(state_t | returns_1..t) of S series
+    under their own models: (S, T, K) alphas and one error (or None) per
+    series."""
+    obs = _as_batch(returns)
+    if obs.shape[1] == 0:
         raise InsufficientDataError("filtering needs at least one return")
-    log_b = _emission_log_probs(obs, model.mean_returns, model.variances)
-    alphas, _, _, _ = _forward(log_b, model.initial_probs, model.transition)
-    return alphas
+    if len(models) != obs.shape[0]:
+        raise ParameterError(f"need one model per series, got {len(models)} for {obs.shape[0]}")
+    alphas, _, _, _, errors = _forward(
+        obs,
+        np.stack([m.mean_returns for m in models]),
+        np.stack([m.variances for m in models]),
+        np.stack([m.initial_probs for m in models]),
+        np.stack([m.transition for m in models]),
+    )
+    return alphas, errors
 
 
-def forward_posterior(model: HmmModel, returns: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Filtered state distribution P(state_T | returns_1..T)."""
-    return _filter(model, returns)[-1]
+def _filter_one(model: HmmModel, returns: Sequence[float] | np.ndarray) -> np.ndarray:
+    alphas, (error,) = _filter([model], _as_observations(returns)[None])
+    if error is not None:
+        raise error
+    return alphas[0]
+
+
+def forward_posterior(
+    model: HmmModel | Sequence[HmmModel], returns: Sequence[float] | np.ndarray
+) -> np.ndarray | list[np.ndarray | NumericalError]:
+    """Filtered state distribution P(state_T | returns_1..T).
+
+    With one ``HmmModel`` and a 1-D series, returns the (K,) posterior and
+    raises on failure. With a sequence of S models and an (S, T) array, runs
+    one batched forward pass and returns S entries, each that series' (K,)
+    posterior under its own model or the NumericalError it ran into.
+    """
+    if isinstance(model, HmmModel):
+        return _filter_one(model, returns)[-1]
+    alphas, errors = _filter(model, returns)
+    return [alphas[s, -1] if error is None else error for s, error in enumerate(errors)]
 
 
 def filtered_states(model: HmmModel, returns: Sequence[float] | np.ndarray) -> np.ndarray:
     """Arg-max filtered state index for every time step."""
-    return np.argmax(_filter(model, returns), axis=1)
+    return np.argmax(_filter_one(model, returns), axis=1)
 
 
 def predict_direction(model: HmmModel, posterior: np.ndarray) -> DirectionForecast:

@@ -8,11 +8,15 @@ reconstructible as last close + prediction.
 
 Everything is implemented directly on numpy arrays: forward, backprop, and
 the Adam recurrence, so gradients can be checked against finite differences.
+Each routine works on a stack of networks with a leading network axis;
+``train_batch`` trains a stack in lock-step and a single network is a stack
+of one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -138,25 +142,79 @@ def build_training_set(closes: Sequence[float] | np.ndarray, window: int = 5) ->
             f"need at least {needed} closes for one sample, got {closes.size}"
         )
     diffs = np.diff(closes)
-    n_samples = diffs.size - window
-    inputs = np.empty((n_samples, window))
-    for i in range(n_samples):
-        inputs[i] = diffs[i : i + window]
+    inputs = np.lib.stride_tricks.sliding_window_view(diffs, window)[:-1].copy()
     targets = diffs[window:].copy()
     return TrainingSet(inputs, targets)
 
 
-def _forward_batch(model: MlpModel, x: np.ndarray):
-    """Forward pass caching activations for backprop. Hidden layers ReLU,
-    output linear. Returns (prediction column, activations per layer)."""
+def _forward_stack(weights, biases, x: np.ndarray):
+    """Forward pass of S networks at once, caching activations for backprop.
+    weights[i] is (S, fan_in, fan_out), biases[i] (S, fan_out) and x
+    (S, B, fan_in). Hidden layers ReLU, output linear. Returns (predictions
+    (S, B, 1), activations per layer)."""
     activations = [x]
     a = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(a, w) + b[:, None, :]
         a = z if i == last else np.maximum(z, 0.0)
         activations.append(a)
     return a, activations
+
+
+def _gradients_stack(weights, biases, inputs: np.ndarray, targets: np.ndarray):
+    """Analytic MSE gradients of S networks, each on its own (B, fan_in)
+    batch. Returns (losses (S,), dW list, db list), each with the leading
+    network axis. matmul runs one BLAS call per network, so a network gets
+    the same bits in any stack."""
+    out, activations = _forward_stack(weights, biases, inputs)
+    residual = out[:, :, 0] - targets
+    losses = np.mean(residual**2, axis=1)
+    n = inputs.shape[1]
+
+    delta = (2.0 / n) * residual[:, :, None]
+    grad_w = [np.empty(0)] * len(weights)
+    grad_b = [np.empty(0)] * len(biases)
+    for i in range(len(weights) - 1, -1, -1):
+        grad_w[i] = np.matmul(activations[i].transpose(0, 2, 1), delta)
+        grad_b[i] = delta.sum(axis=1)
+        if i > 0:
+            delta = np.matmul(delta, weights[i].transpose(0, 2, 1)) * (activations[i] > 0.0)
+    return losses, grad_w, grad_b
+
+
+def _adam_update(params, grads, ms, vs, step: int, config: MlpConfig) -> None:
+    """Adam update at ``step`` (counted from 1) of every tensor, in place.
+    Elementwise, so a tensor may hold one network or a stack of them."""
+    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
+    corr1 = 1.0 - b1**step
+    corr2 = 1.0 - b2**step
+    for p, g, m, v in zip(params, grads, ms, vs):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + eps)
+
+
+def _flatten(tensors) -> np.ndarray:
+    return np.concatenate([t.ravel() for t in tensors])
+
+
+def _unflatten(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Views of the rows of an (S, P) array as (S, *shape) tensors, in the
+    layout of _flatten."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[:, offset : offset + size].reshape(flat.shape[0], *shape))
+        offset += size
+    return views
+
+
+def _lead(arrays) -> list[np.ndarray]:
+    """Views of single-network tensors as stacks of one."""
+    return [np.asarray(a)[None] for a in arrays]
 
 
 def forward(model: MlpModel, x: Sequence[float] | np.ndarray) -> float:
@@ -166,49 +224,133 @@ def forward(model: MlpModel, x: Sequence[float] | np.ndarray) -> float:
         raise InvalidInputError(f"expected input of shape ({model.input_size},)")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("input must be finite")
-    out, _ = _forward_batch(model, x[None, :])
-    return float(out[0, 0])
+    out, _ = _forward_stack(_lead(model.weights), _lead(model.biases), x[None, None, :])
+    return float(out[0, 0, 0])
 
 
 def gradients(model: MlpModel, inputs: np.ndarray, targets: np.ndarray):
     """Analytic MSE gradients for a batch. Returns (loss, dW list, db list)."""
-    out, activations = _forward_batch(model, inputs)
-    residual = out[:, 0] - targets
-    loss = float(np.mean(residual**2))
-    n = inputs.shape[0]
-
-    delta = (2.0 / n) * residual[:, None]
-    grad_w = [np.empty(0)] * len(model.weights)
-    grad_b = [np.empty(0)] * len(model.biases)
-    for i in range(len(model.weights) - 1, -1, -1):
-        grad_w[i] = activations[i].T @ delta
-        grad_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ model.weights[i].T) * (activations[i] > 0.0)
-    return loss, grad_w, grad_b
+    losses, grad_w, grad_b = _gradients_stack(
+        _lead(model.weights), _lead(model.biases),
+        np.asarray(inputs, dtype=float)[None], np.asarray(targets, dtype=float)[None],
+    )
+    return float(losses[0]), [g[0] for g in grad_w], [g[0] for g in grad_b]
 
 
 def adam_step(model: MlpModel, grad_w, grad_b, config: MlpConfig) -> None:
     """One Adam update over every parameter tensor, in place."""
     model.step += 1
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
-    corr1 = 1.0 - b1**model.step
-    corr2 = 1.0 - b2**model.step
-    for params, grads, ms, vs in (
-        (model.weights, grad_w, model.m_weights, model.v_weights),
-        (model.biases, grad_b, model.m_biases, model.v_biases),
-    ):
-        for p, g, m, v in zip(params, grads, ms, vs):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + eps)
+    _adam_update(
+        model.weights + model.biases,
+        list(grad_w) + list(grad_b),
+        model.m_weights + model.m_biases,
+        model.v_weights + model.v_biases,
+        model.step,
+        config,
+    )
 
 
 def dataset_mse(model: MlpModel, data: TrainingSet) -> float:
-    out, _ = _forward_batch(model, data.inputs)
-    return float(np.mean((out[:, 0] - data.targets) ** 2))
+    out, _ = _forward_stack(_lead(model.weights), _lead(model.biases), data.inputs[None])
+    return float(np.mean((out[0, :, 0] - data.targets) ** 2))
+
+
+def train_batch(
+    models: Sequence[MlpModel],
+    data: Sequence[TrainingSet],
+    config: MlpConfig,
+    seeds: Sequence[int],
+) -> list[tuple[MlpModel, list[float]] | TrainingDivergedError]:
+    """Train copies of S networks in lock-step; the arguments are untouched.
+
+    Network s trains on ``data[s]`` with its own shuffle seeded by
+    ``seeds[s]`` (``config.seed`` is not used), and gets exactly the model
+    and loss history ``train`` gives it alone. The training sets must have
+    one length and the models one Adam step count, so that every network
+    takes the same batches. Returns one entry per network: (trained model,
+    per-epoch loss history), or the TrainingDivergedError raised when its
+    loss became non-finite.
+    """
+    if not (len(models) == len(data) == len(seeds)):
+        raise ParameterError("need one training set and one seed per model")
+    if not models:
+        return []
+    if len({len(d) for d in data}) != 1 or len({m.step for m in models}) != 1:
+        raise ParameterError("lock-step training needs equal training-set lengths and steps")
+    n = len(data[0])
+    if n == 0:
+        raise InsufficientDataError("training set is empty")
+
+    n_layers = len(models[0].weights)
+    shapes = [t.shape for t in models[0].weights + models[0].biases]
+    # Parameters and Adam moments of network s are row s of an (S, P)
+    # array in the params_to_vector layout, so one Adam step is one update
+    # of whole arrays; the layer tensors are views into the rows.
+    params, ms, vs = (
+        np.stack([_flatten(getattr(m, w) + getattr(m, b)) for m in models])
+        for w, b in (("weights", "biases"), ("m_weights", "m_biases"), ("v_weights", "v_biases"))
+    )
+    tensors = _unflatten(params, shapes)
+    step = models[0].step
+    inputs = np.stack([d.inputs for d in data])
+    targets = np.stack([d.targets for d in data])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rows = list(range(len(models)))  # networks still training, in stack order
+    results: list = [None] * len(models)
+    histories: list[list[float]] = [[] for _ in models]
+
+    # Overflow surfaces as a non-finite batch loss, raised as divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            batch_losses = []
+            for start in range(0, n, config.batch_size):
+                idx = order[:, start : start + config.batch_size]
+                picked = np.arange(len(rows))[:, None]
+                losses, grad_w, grad_b = _gradients_stack(
+                    tensors[:n_layers], tensors[n_layers:],
+                    inputs[picked, idx], targets[picked, idx],
+                )
+                grads = np.concatenate([g.reshape(len(rows), -1) for g in grad_w + grad_b], axis=1)
+                diverged = ~np.isfinite(losses)
+                if diverged.any():
+                    keep = np.flatnonzero(~diverged)
+                    for pos in np.flatnonzero(diverged):
+                        results[rows[pos]] = TrainingDivergedError(
+                            f"non-finite loss at step {step + 1}"
+                        )
+                    rows = [rows[pos] for pos in keep]
+                    rngs = [rngs[pos] for pos in keep]
+                    params, ms, vs, grads = params[keep], ms[keep], vs[keep], grads[keep]
+                    tensors = _unflatten(params, shapes)
+                    inputs, targets, order = inputs[keep], targets[keep], order[keep]
+                    losses = losses[keep]
+                    batch_losses = [b[keep] for b in batch_losses]
+                    if not rows:
+                        return results
+                step += 1
+                _adam_update([params], [grads], [ms], [vs], step, config)
+                batch_losses.append(losses)
+            # One row per network, so each mean sums its losses in the
+            # same order as a mean over one network's list.
+            for row, mean in zip(rows, np.stack(batch_losses, axis=1).mean(axis=1)):
+                histories[row].append(float(mean))
+
+    m_tensors, v_tensors = _unflatten(ms, shapes), _unflatten(vs, shapes)
+    for pos, row in enumerate(rows):
+        results[row] = (
+            MlpModel(
+                weights=[t[pos] for t in tensors[:n_layers]],
+                biases=[t[pos] for t in tensors[n_layers:]],
+                m_weights=[t[pos] for t in m_tensors[:n_layers]],
+                v_weights=[t[pos] for t in v_tensors[:n_layers]],
+                m_biases=[t[pos] for t in m_tensors[n_layers:]],
+                v_biases=[t[pos] for t in v_tensors[n_layers:]],
+                step=step,
+            ),
+            histories[row],
+        )
+    return results
 
 
 def train(model: MlpModel, data: TrainingSet, config: MlpConfig) -> tuple[MlpModel, list[float]]:
@@ -216,31 +358,12 @@ def train(model: MlpModel, data: TrainingSet, config: MlpConfig) -> tuple[MlpMod
 
     Runs ``epochs`` passes of mini-batch Adam with a seeded shuffle. Returns
     the trained model and the per-epoch mean of the batch MSE losses (each
-    batch loss evaluated before its update).
+    batch loss evaluated before its update). A batch of one network.
     """
-    if len(data) == 0:
-        raise InsufficientDataError("training set is empty")
-    model = model.copy()
-
-    inputs, targets = data.inputs, data.targets
-
-    rng = np.random.default_rng(config.seed)
-    n = inputs.shape[0]
-    history: list[float] = []
-    # Overflow surfaces as a non-finite batch loss, raised as divergence.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.epochs):
-            order = rng.permutation(n)
-            batch_losses = []
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                loss, grad_w, grad_b = gradients(model, inputs[idx], targets[idx])
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(f"non-finite loss at step {model.step + 1}")
-                adam_step(model, grad_w, grad_b, config)
-                batch_losses.append(loss)
-            history.append(float(np.mean(batch_losses)))
-    return model, history
+    (result,) = train_batch([model], [data], config, [config.seed])
+    if isinstance(result, TrainingDivergedError):
+        raise result
+    return result
 
 
 def predict_direction(model: MlpModel, recent_diffs: Sequence[float] | np.ndarray) -> TrendForecast:
@@ -256,8 +379,7 @@ def predict_direction(model: MlpModel, recent_diffs: Sequence[float] | np.ndarra
 
 def params_to_vector(model: MlpModel) -> np.ndarray:
     """Flatten weights then biases, layer by layer (for gradient checks)."""
-    parts = [w.ravel() for w in model.weights] + [b.ravel() for b in model.biases]
-    return np.concatenate(parts)
+    return _flatten(model.weights + model.biases)
 
 
 def vector_to_params(model: MlpModel, vector: np.ndarray) -> None:

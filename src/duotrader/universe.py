@@ -9,6 +9,7 @@ deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
 from typing import Mapping, Sequence
@@ -45,19 +46,20 @@ def select_universe(
 ) -> list[str]:
     """Apply the liquidity filter then the sector/market-cap filter.
 
-    Histories are truncated to bars on or before ``as_of``; symbols with no
-    history by then are ignored. Returns an ordered list (largest market cap
-    first), possibly shorter than ``fine_count``.
+    Each history must be in timestamp order (``ingest_csv`` enforces it), so
+    it is truncated to bars on or before ``as_of`` by bisection; symbols
+    with no history by then are ignored. Returns an ordered list (largest
+    market cap first), possibly shorter than ``fine_count``.
     """
     liquidity: list[tuple[float, str]] = []
     latest_close: dict[str, float] = {}
     for symbol, (bars, _meta) in candidates.items():
-        past = [b for b in bars if b.timestamp <= as_of]
-        if not past:
+        end = bisect_right(bars, as_of, key=lambda b: b.timestamp)
+        if end == 0:
             continue
-        window = past[-config.liquidity_lookback:]
+        window = bars[max(0, end - config.liquidity_lookback):end]
         liquidity.append((dollar_volume(window), symbol))
-        latest_close[symbol] = past[-1].close
+        latest_close[symbol] = bars[end - 1].close
 
     liquidity.sort(key=lambda item: (-item[0], item[1]))
     coarse = [symbol for _, symbol in liquidity[: config.coarse_count]]

@@ -25,7 +25,7 @@ RUN_CONFIG = {
 
 OUTPUT_FILES = [
     "equity_curve.csv", "fills.jsonl", "insights.jsonl",
-    "risk_events.jsonl", "report.json",
+    "risk_events.jsonl", "report.json", "fits.jsonl",
 ]
 
 
@@ -93,6 +93,27 @@ class TestBacktest:
         assert (out_dir / "resolved_config.json").exists()
         report = json.loads((out_dir / "report.json").read_text())
         assert report["start_equity"] == 100000.0
+
+    def test_fits_log(self, tmp_path):
+        data_dir = run_synth(tmp_path)
+        out_dir = tmp_path / "out"
+        config = write_run_config(tmp_path, data_dir, out_dir)
+        assert main(["backtest", "--config", str(config), "--seed", "5"]) == 0
+        records = [json.loads(line) for line in (out_dir / "fits.jsonl").read_text().splitlines()]
+        hmm = [r for r in records if r["model"] == "hmm"]
+        mlp = [r for r in records if r["model"] == "mlp"]
+        assert hmm and len(hmm) == len(mlp)
+        for record in hmm:
+            assert set(record) == {
+                "date", "symbol", "model", "iterations", "converged",
+                "variance_floored", "log_likelihood_path",
+            }
+            path = record["log_likelihood_path"]
+            assert len(path) == record["iterations"] + 1
+            assert all(b >= a - 1e-9 * abs(a) for a, b in zip(path, path[1:]))
+        for record in mlp:
+            assert set(record) == {"date", "symbol", "model", "loss_history"}
+            assert len(record["loss_history"]) == RUN_CONFIG["mlp"]["epochs"]
 
     def test_benchmark_flag_wires_through(self, tmp_path):
         data_dir = run_synth(tmp_path)

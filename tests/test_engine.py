@@ -16,7 +16,8 @@ from duotrader.engine import (
     run_backtest,
 )
 from duotrader.errors import InsufficientDataError, NumericalError, ParameterError
-from duotrader.marketdata import InstrumentMeta, synth_regime_series
+from duotrader import regime_hmm, trend_net
+from duotrader.marketdata import InstrumentMeta, log_returns, synth_regime_series
 from duotrader.portfolio_bl import BlConfig
 from duotrader.regime_hmm import HmmConfig
 from duotrader.risk_controls import RiskConfig
@@ -312,6 +313,57 @@ class TestRunBacktest:
         assert result.equity_curve[0].timestamp == all_days[10]
         assert result.equity_curve[-1].timestamp == all_days[50]
         assert len(result.equity_curve) == 41
+
+
+def assert_fits_match_direct(result, bars_by_symbol, seed=3, window_bars=100):
+    """Each fit record equals a fit of that symbol alone on its own window
+    (the batch never changes a symbol's numbers). Returns the window length
+    of every record."""
+    lengths = {}
+    for record in result.fits:
+        symbol, day = record["symbol"], date.fromisoformat(record["date"])
+        closes = np.array(
+            [b.close for b in bars_by_symbol[symbol] if b.timestamp <= day][-window_bars:]
+        )
+        lengths[(record["date"], symbol)] = closes.size
+        if record["model"] == "hmm":
+            config = HmmConfig(n_states=2, seed=eng._symbol_seed(seed, "hmm", symbol))
+            model = regime_hmm.fit(log_returns(closes), config)
+            assert record["log_likelihood_path"] == model.log_likelihood_path
+            assert record["iterations"] == model.diagnostics["iterations"]
+        else:
+            config = MlpConfig(epochs=2, seed=eng._symbol_seed(seed, "mlp", symbol))
+            data = trend_net.build_training_set(closes)
+            _, history = trend_net.train(trend_net.init_model(config), data, config)
+            assert record["loss_history"] == history
+    return lengths
+
+
+class TestBatchedRefit:
+    def test_two_window_lengths(self):
+        # S03 lists 60 bars late, so its window is shorter than the others'
+        # at the first two refits and the refit runs two batches per model
+        bars_by_symbol, meta = synth_market(n_symbols=4)
+        bars_by_symbol["S03"] = bars_by_symbol["S03"][60:]
+        result = small_run(bars_by_symbol, meta)
+        lengths = assert_fits_match_direct(result, bars_by_symbol)
+        first = min(day for day, _ in lengths)
+        assert {lengths[(first, s)] for s in ("S00", "S03")} == {100, 61}
+        assert {r["model"] for r in result.fits if r["symbol"] == "S03"} == {"hmm", "mlp"}
+
+    def test_failing_symbol_leaves_batch_unchanged(self):
+        bars_by_symbol, meta = synth_market(n_symbols=6)
+        bars_by_symbol["S02"] = [
+            replace(b, open=b.open * 1e160, high=b.high * 1e160,
+                    low=b.low * 1e160, close=b.close * 1e160)
+            for b in bars_by_symbol["S02"]
+        ]
+        result = small_run(bars_by_symbol, meta)
+        skipped = [d for d in result.diagnostics if "S02 net fit skipped" in d]
+        assert skipped and all(d.endswith(": non-finite loss at step 1") for d in skipped)
+        assert not any(r["symbol"] == "S02" and r["model"] == "mlp" for r in result.fits)
+        assert any(r["model"] == "mlp" for r in result.fits)
+        assert_fits_match_direct(result, bars_by_symbol)
 
 
 class TestDataGap:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from duotrader.regime_hmm import (
     HmmModel,
     filtered_states,
     fit,
+    fit_batch,
     forward_posterior,
     predict_direction,
 )
@@ -29,6 +31,24 @@ def build_model(pi, trans, means, variances):
         variances=np.asarray(variances, dtype=float),
         fit_log_likelihood=0.0,
     )
+
+
+def regime_returns(seed, n_returns):
+    bars, _ = synth_regime_series(
+        seed, n_returns + 1, [(0.001, 0.008), (-0.0015, 0.02)], [[0.96, 0.04], [0.05, 0.95]]
+    )
+    return log_returns([b.close for b in bars])
+
+
+def assert_same_model(got, want):
+    """Bit-for-bit equality of every fitted field."""
+    assert np.array_equal(got.initial_probs, want.initial_probs)
+    assert np.array_equal(got.transition, want.transition)
+    assert np.array_equal(got.mean_returns, want.mean_returns)
+    assert np.array_equal(got.variances, want.variances)
+    assert got.fit_log_likelihood == want.fit_log_likelihood
+    assert got.log_likelihood_path == want.log_likelihood_path
+    assert got.diagnostics == want.diagnostics
 
 
 def normal_pdf(x, mean, var):
@@ -173,6 +193,44 @@ class TestPinnedNumerics:
         np.testing.assert_allclose(model.transition, self.TRANSITION, rtol=1e-9, atol=0)
 
 
+class TestFitBatch:
+    CONFIG = HmmConfig(n_states=3, max_iterations=60)
+
+    def test_equals_per_series_fit(self):
+        returns = np.stack([regime_returns(300 + s, 251) for s in range(12)])
+        seeds = [11 * s + 1 for s in range(12)]
+        batch = fit_batch(returns, self.CONFIG, seeds)
+        singles = [
+            fit(row, HmmConfig(n_states=3, max_iterations=60, seed=seed))
+            for row, seed in zip(returns, seeds)
+        ]
+        # the series stop on different iterations, some at the cap
+        iterations = {m.diagnostics["iterations"] for m in batch}
+        assert len(iterations) > 2 and 60 in iterations
+        for got, want in zip(batch, singles):
+            assert_same_model(got, want)
+
+    def test_failing_series_isolated(self):
+        config = HmmConfig(n_states=3, variance_floor=0.0)
+        returns = np.stack([regime_returns(41, 120), np.zeros(120), regime_returns(42, 120)])
+        with pytest.raises(NumericalError) as alone:
+            fit(returns[1], replace(config, seed=2))
+        batch = fit_batch(returns, config, [1, 2, 3])
+        assert isinstance(batch[1], NumericalError)
+        assert str(batch[1]) == str(alone.value)
+        for got, want in zip(batch[::2], fit_batch(returns[::2], config, [1, 3])):
+            assert_same_model(got, want)
+
+    def test_whole_batch_errors(self):
+        with pytest.raises(InsufficientDataError):
+            fit_batch(np.zeros((3, 29)), self.CONFIG, [0, 1, 2])
+        with pytest.raises(InvalidInputError):
+            fit_batch(np.zeros(60), self.CONFIG, [0])
+        with pytest.raises(ParameterError):
+            fit_batch(np.zeros((2, 60)), self.CONFIG, [0])
+        assert fit_batch(np.zeros((0, 60)), self.CONFIG, []) == []
+
+
 class TestForwardPosterior:
     def test_single_state(self):
         model = build_model([1.0], [[1.0]], [0.0], [1e-4])
@@ -217,6 +275,30 @@ class TestForwardPosterior:
         model = build_model([1.0], [[1.0]], [0.0], [1e-4])
         with pytest.raises(InsufficientDataError):
             forward_posterior(model, [])
+
+    def test_collapse_reports_first_step(self):
+        # the only state that can follow state 0 gives the second return a
+        # density that underflows to zero
+        model = build_model([1.0, 0.0], np.eye(2), [0.0, 1.0], [1e-8, 1e-8])
+        with pytest.raises(NumericalError, match="collapsed at t=1$"):
+            forward_posterior(model, [0.0, 1.0, 1.0])
+
+    def test_batch_equals_per_model(self):
+        returns = np.stack([regime_returns(500 + s, 90) for s in range(6)])
+        models = [fit(r, HmmConfig(n_states=3, seed=s)) for s, r in enumerate(returns)]
+        nan_variance = build_model(
+            [0.4, 0.3, 0.3], np.eye(3), [0.0, 0.01, -0.01], [1e-4, float("nan"), 1e-4]
+        )
+        collapsing = build_model([1.0, 0.0, 0.0], np.eye(3), [1.0, 0.0, 0.0], [1e-8] * 3)
+        broken = {1: nan_variance, 4: collapsing}
+        batch = forward_posterior([broken.get(s, m) for s, m in enumerate(models)], returns)
+        for s, (got, model, row) in enumerate(zip(batch, models, returns)):
+            if s in broken:
+                with pytest.raises(NumericalError) as alone:
+                    forward_posterior(broken[s], row)
+                assert str(got) == str(alone.value)
+            else:
+                assert np.array_equal(got, forward_posterior(model, row))
 
     @pytest.mark.parametrize("bad", [0.0, -1e-4, float("nan")])
     def test_non_positive_variance_raises(self, bad):

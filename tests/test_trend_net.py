@@ -7,6 +7,7 @@ from duotrader.errors import (
     InsufficientDataError,
     InvalidInputError,
     ParameterError,
+    TrainingDivergedError,
 )
 from duotrader.trend_net import (
     MlpConfig,
@@ -20,8 +21,27 @@ from duotrader.trend_net import (
     params_to_vector,
     predict_direction,
     train,
+    train_batch,
     vector_to_params,
 )
+
+
+MODEL_TENSORS = ("weights", "biases", "m_weights", "v_weights", "m_biases", "v_biases")
+
+
+def assert_same_training(got, want):
+    """Bit-for-bit equality of parameters, Adam moments, step and losses."""
+    (got_model, got_history), (want_model, want_history) = got, want
+    assert got_model.step == want_model.step
+    assert got_history == want_history
+    for name in MODEL_TENSORS:
+        for a, b in zip(getattr(got_model, name), getattr(want_model, name)):
+            assert np.array_equal(a, b)
+
+
+def random_walk_set(seed, n_closes=90, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return build_training_set(scale * (50.0 + np.cumsum(rng.normal(0, 1, n_closes))))
 
 
 def zero_model(config=None):
@@ -223,6 +243,42 @@ class TestTrain:
         data = TrainingSet(np.zeros((0, 5)), np.zeros(0))
         with pytest.raises(InsufficientDataError):
             train(init_model(MlpConfig(seed=0)), data, MlpConfig(seed=0))
+
+
+class TestTrainBatch:
+    CONFIG = MlpConfig(epochs=3, batch_size=16)
+
+    def run_batch(self, data, seeds):
+        models = [init_model(MlpConfig(seed=seed)) for seed in seeds]
+        return train_batch(models, data, self.CONFIG, seeds)
+
+    def run_alone(self, data, seed):
+        config = MlpConfig(epochs=3, batch_size=16, seed=seed)
+        return train(init_model(config), data, config)
+
+    def test_equals_per_model_train(self):
+        # 83 samples: the last batch of each epoch is a short one
+        data = [random_walk_set(s) for s in range(6)]
+        seeds = [7 * s + 3 for s in range(6)]
+        for got, d, seed in zip(self.run_batch(data, seeds), data, seeds):
+            assert_same_training(got, self.run_alone(d, seed))
+
+    def test_diverging_network_isolated(self):
+        data = [random_walk_set(1), random_walk_set(2, scale=1e160), random_walk_set(3)]
+        with pytest.raises(TrainingDivergedError) as alone:
+            self.run_alone(data[1], 20)
+        batch = self.run_batch(data, [10, 20, 30])
+        assert isinstance(batch[1], TrainingDivergedError)
+        assert str(batch[1]) == str(alone.value)
+        for got, want in zip(batch[::2], self.run_batch(data[::2], [10, 30])):
+            assert_same_training(got, want)
+
+    def test_lock_step_preconditions(self):
+        with pytest.raises(ParameterError):
+            self.run_batch([random_walk_set(1), random_walk_set(2, n_closes=60)], [1, 2])
+        with pytest.raises(ParameterError):
+            self.run_batch([random_walk_set(1)], [1, 2])
+        assert self.run_batch([], []) == []
 
 
 class TestPredictDirection:

@@ -82,6 +82,20 @@ class TestSelectUniverse:
         config = UniverseConfig(coarse_count=5, fine_count=5)
         assert select_universe(candidates, config, AS_OF) == []
 
+    def test_bar_dated_as_of_is_used_and_later_bars_are_not(self):
+        # AAA's cap overtakes BBB's on the third day; BBB's overtakes it
+        # again on the fourth
+        aaa = make_bars("AAA", [10.0, 10.0, 30.0, 1.0, 1.0])
+        bbb = make_bars("BBB", [20.0, 20.0, 20.0, 50.0, 50.0])
+        candidates = {
+            "AAA": (aaa, InstrumentMeta("AAA", "Energy", 100)),
+            "BBB": (bbb, InstrumentMeta("BBB", "Energy", 100)),
+        }
+        config = UniverseConfig(coarse_count=2, fine_count=1)
+        assert select_universe(candidates, config, aaa[1].timestamp) == ["BBB"]
+        assert select_universe(candidates, config, aaa[2].timestamp) == ["AAA"]
+        assert select_universe(candidates, config, aaa[3].timestamp) == ["BBB"]
+
     def test_fewer_matches_than_fine_count(self):
         candidates = dict([candidate("AAA", "Energy", 100, [10.0] * 40)])
         config = UniverseConfig(coarse_count=10, fine_count=5)
