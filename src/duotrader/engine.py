@@ -1,26 +1,34 @@
 """Deterministic event-driven daily backtest loop.
 
 Per trading day, in order:
-  1. ingest the day's bars into per-symbol rolling windows
-  2. fill orders queued on the prior day at today's open (sells before buys)
-  3. re-select the universe on the first trading day of each month
-  4. past warm-up, on the retrain cadence: refit both models for every
-     universe symbol on its rolling window, one batched call per model for
-     each group of equal-length windows
-  5. past warm-up, on the rebalance cadence: generate insights, blend views
-     into target weights, and queue the orders that move holdings to target
-  6. run the risk overlays on today's closes; breaches queue a liquidation
-  7. append the equity point (cash + positions at last known closes)
+  1. ``_ingest``: push the day's bars into per-symbol rolling windows; a
+     held symbol missing more than ``max_gap_bars`` bars is liquidated
+  2. ``_fill_orders``: fill orders queued on the prior day at today's open
+     (sells before buys)
+  3. ``select_universe``: re-select the universe on the first trading day of
+     each month
+  4. ``_refit_models``: past warm-up, on the retrain cadence, refit both
+     models for every universe symbol on its rolling window, one batched
+     call per model for each group of equal-length windows
+  5. ``_rebalance``: past warm-up, on the rebalance cadence, generate
+     insights (``_generate_insights``), blend views into target weights
+     (``_build_targets``), and queue the orders that move holdings to target
+  6. ``_check_risk``: run the risk overlays on today's closes; breaches
+     queue a liquidation
+  7. ``_Run.equity``: append the equity point (cash + positions at last
+     known closes)
 
-Orders always fill at the NEXT bar's open, so no decision ever uses a price
-that was not yet observable. The run is a pure function of data + configs:
-per-symbol model seeds are derived from the engine seed with a stable CRC.
+All stages read and change one ``_Run`` object; both liquidation paths go
+through ``_queue_liquidation``. Orders always fill at the NEXT bar's open,
+so no decision ever uses a price that was not yet observable. The run is a
+pure function of data + configs: per-symbol model seeds are derived from the
+engine seed with a stable CRC.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import date
 from typing import Iterable, Mapping
 
@@ -207,36 +215,45 @@ def align_benchmark_returns(
     return aligned[1:] / aligned[:-1] - 1.0
 
 
-class _PortfolioState:
-    """Cash, integer share positions, and per-position risk states."""
+@dataclass
+class _Run:
+    """Everything one backtest reads and changes: the seven configs and the
+    instrument metadata; the book (cash, integer share positions and the
+    per-position risk states); the rolling windows, last closes, gap counts
+    and fitted models; the pending orders; the universe; and the logs that
+    become the BacktestResult."""
 
-    def __init__(self, cash: float):
-        self.cash = cash
-        self.positions: dict[str, int] = {}
-        self.risk_states: dict[str, risk_controls.PositionRiskState] = {}
+    meta: Mapping[str, InstrumentMeta]
+    universe_config: UniverseConfig
+    hmm: HmmConfig
+    mlp: MlpConfig
+    fusion: FusionConfig
+    bl: BlConfig
+    risk: RiskConfig
+    engine: EngineConfig
+    cash: float
+    positions: dict[str, int] = field(default_factory=dict)
+    risk_states: dict[str, risk_controls.PositionRiskState] = field(default_factory=dict)
+    windows: dict[str, RollingWindow] = field(default_factory=dict)
+    last_close: dict[str, float] = field(default_factory=dict)
+    missing_streak: dict[str, int] = field(default_factory=dict)
+    hmm_models: dict[str, regime_hmm.HmmModel] = field(default_factory=dict)
+    mlp_models: dict[str, trend_net.MlpModel] = field(default_factory=dict)
+    pending: list[Order] = field(default_factory=list)
+    universe: list[str] = field(default_factory=list)
+    equity_curve: list[EquityPoint] = field(default_factory=list)
+    fills: list[Fill] = field(default_factory=list)
+    insights: list[Insight] = field(default_factory=list)
+    risk_events: list[dict] = field(default_factory=list)
+    allocations: list[dict] = field(default_factory=list)
+    fits: list[dict] = field(default_factory=list)
+    diagnostics: list[str] = field(default_factory=list)
 
-    def apply_fill(self, fill: Fill, risk_config: RiskConfig) -> None:
-        held = self.positions.get(fill.symbol, 0)
-        if fill.side == "buy":
-            self.cash -= fill.quantity * fill.price + fill.fee
-            self.positions[fill.symbol] = held + fill.quantity
-            if held == 0:
-                self.risk_states[fill.symbol] = risk_controls.PositionRiskState.open_position(
-                    fill.symbol, fill.price, risk_config
-                )
-        else:
-            self.cash += fill.quantity * fill.price - fill.fee
-            remaining = held - fill.quantity
-            if remaining > 0:
-                self.positions[fill.symbol] = remaining
-            else:
-                self.positions.pop(fill.symbol, None)
-                self.risk_states.pop(fill.symbol, None)
-
-    def equity(self, last_close: Mapping[str, float]) -> float:
+    def equity(self) -> float:
+        """Cash plus every position marked at its last known close."""
         value = self.cash
         for symbol, qty in self.positions.items():
-            value += qty * last_close[symbol]
+            value += qty * self.last_close[symbol]
         return value
 
 
@@ -254,199 +271,176 @@ def run_backtest(
 ) -> BacktestResult:
     """Run the full warm-up / retrain / rebalance / risk loop over the data
     and produce the equity curve, logs, and the performance report."""
+    start, end = engine_config.start_date, engine_config.end_date
     calendar = sorted(
         {
             bar.timestamp
             for bars in bars_by_symbol.values()
             for bar in bars
-            if (engine_config.start_date is None or bar.timestamp >= engine_config.start_date)
-            and (engine_config.end_date is None or bar.timestamp <= engine_config.end_date)
+            if (start is None or bar.timestamp >= start) and (end is None or bar.timestamp <= end)
         }
     )
     if not calendar:
         raise InsufficientDataError("no bars inside the configured date range")
-
     bars_at: dict[date, dict[str, Bar]] = {day: {} for day in calendar}
     for symbol, bars in bars_by_symbol.items():
         for bar in bars:
             if bar.timestamp in bars_at:
                 bars_at[bar.timestamp][symbol] = bar
 
-    state = _PortfolioState(engine_config.initial_equity)
-    windows: dict[str, RollingWindow] = {}
-    last_close: dict[str, float] = {}
-    missing_streak: dict[str, int] = {}
-    hmm_models: dict[str, regime_hmm.HmmModel] = {}
-    mlp_models: dict[str, trend_net.MlpModel] = {}
-    pending: list[Order] = []
-    universe: list[str] = []
-    prev_month: tuple[int, int] | None = None
-
-    equity_curve: list[EquityPoint] = []
-    fills: list[Fill] = []
-    insights_log: list[Insight] = []
-    risk_events: list[dict] = []
-    allocations: list[dict] = []
-    fits: list[dict] = []
-    diagnostics: list[str] = []
-
+    run = _Run(
+        meta, universe_config, hmm_config, mlp_config, fusion_config, bl_config,
+        risk_config, engine_config, engine_config.initial_equity,
+    )
     candidates = {s: (bars_by_symbol[s], meta[s]) for s in sorted(bars_by_symbol) if s in meta}
     for s in sorted(bars_by_symbol):
         if s not in meta:
-            diagnostics.append(f"{s}: no metadata, excluded from universe selection")
-
+            run.diagnostics.append(f"{s}: no metadata, excluded from universe selection")
+    month = None
     for day_index, day in enumerate(calendar):
         today = bars_at[day]
+        _ingest(run, day, today)
+        _fill_orders(run, day, today)
+        if (day.year, day.month) != month:
+            month = (day.year, day.month)
+            run.universe = select_universe(candidates, run.universe_config, day)
+        since_warmup = day_index - engine_config.warmup_bars
+        if since_warmup >= 0 and since_warmup % engine_config.retrain_every == 0:
+            _refit_models(run, day)
+        if since_warmup >= 0 and since_warmup % engine_config.rebalance_every == 0:
+            _rebalance(run, day)
+        _check_risk(run, day, today)
+        run.equity_curve.append(EquityPoint(day, run.equity()))
 
-        # (1) ingest
-        for symbol in sorted(today):
-            bar = today[symbol]
-            window = windows.get(symbol)
-            if window is None:
-                window = windows[symbol] = RollingWindow(engine_config.window_bars)
-            window.push(bar)
-            last_close[symbol] = bar.close
-            missing_streak[symbol] = 0
-        for symbol in sorted(state.positions):
-            if symbol in today:
-                continue
-            missing_streak[symbol] = missing_streak.get(symbol, 0) + 1
-            if missing_streak[symbol] > engine_config.max_gap_bars and not any(
-                o.symbol == symbol and o.reason != REASON_REBALANCE for o in pending
-            ):
-                pending = [o for o in pending if o.symbol != symbol]
-                pending.append(
-                    Order(symbol, "sell", state.positions[symbol], REASON_DATA_GAP)
-                )
-                diagnostics.append(
-                    f"{day}: {symbol} missing {missing_streak[symbol]} bars, force-liquidating"
-                )
-                risk_events.append(
-                    {
-                        "date": day.isoformat(),
-                        "symbol": symbol,
-                        "reason": REASON_DATA_GAP,
-                        "close": last_close.get(symbol, 0.0),
-                        "stop_level": 0.0,
-                    }
-                )
-
-        # (2) fill pending orders at today's open, sells first
-        still_pending: list[Order] = []
-        for order in sorted(pending, key=lambda o: (o.side != "sell", o.symbol)):
-            bar = today.get(order.symbol)
-            if bar is None:
-                still_pending.append(order)
-                continue
-            if order.side == "sell":
-                held = state.positions.get(order.symbol, 0)
-                if held <= 0:
-                    continue
-                order = replace(order, quantity=min(order.quantity, held))
-            fill, diag = execute(order, bar, engine_config, state.cash)
-            if diag:
-                diagnostics.append(f"{day}: {diag}")
-            if fill is None:
-                continue
-            state.apply_fill(fill, risk_config)
-            fills.append(fill)
-        pending = still_pending
-
-        # (3) monthly universe re-selection
-        month = (day.year, day.month)
-        if month != prev_month:
-            universe = select_universe(candidates, universe_config, day)
-            prev_month = month
-
-        past_warmup = day_index >= engine_config.warmup_bars
-
-        # (4) scheduled retraining
-        if past_warmup and (day_index - engine_config.warmup_bars) % engine_config.retrain_every == 0:
-            _refit_models(
-                universe, windows, hmm_config, mlp_config, engine_config.seed, day,
-                hmm_models, mlp_models, fits, diagnostics,
-            )
-
-        # (5) rebalance: insights -> views -> Black-Litterman -> orders
-        if past_warmup and (day_index - engine_config.warmup_bars) % engine_config.rebalance_every == 0:
-            day_insights = _generate_insights(
-                universe, windows, hmm_models, mlp_models, fusion_config,
-                day, engine_config.rebalance_every, mlp_config.input_size, diagnostics,
-            )
-            insights_log.extend(day_insights)
-            targets = _build_targets(
-                universe, windows, meta, last_close, day_insights,
-                bl_config, day, allocations, diagnostics,
-            )
-            if targets is not None:
-                pending = [o for o in pending if o.reason != REASON_REBALANCE]
-                equity_now = state.equity(last_close)
-                for symbol in sorted(set(targets.weights) | set(state.positions)):
-                    if any(o.symbol == symbol for o in pending):
-                        continue  # pending liquidation wins
-                    price = last_close.get(symbol)
-                    if price is None or price <= 0:
-                        continue
-                    weight = targets.weights.get(symbol, 0.0)
-                    goal = int(weight * equity_now // price)
-                    delta = goal - state.positions.get(symbol, 0)
-                    if delta > 0:
-                        pending.append(Order(symbol, "buy", delta))
-                    elif delta < 0:
-                        pending.append(Order(symbol, "sell", -delta))
-
-        # (6) risk overlays on today's closes
-        for symbol in sorted(state.positions):
-            bar = today.get(symbol)
-            if bar is None:
-                continue
-            risk_state = state.risk_states.get(symbol)
-            if risk_state is None:
-                continue
-            risk_state, decision = risk_controls.update_and_check(
-                risk_state, bar.close, risk_config
-            )
-            state.risk_states[symbol] = risk_state
-            if decision.action == risk_controls.LIQUIDATE and not any(
-                o.symbol == symbol and o.reason != REASON_REBALANCE for o in pending
-            ):
-                pending = [o for o in pending if o.symbol != symbol]
-                pending.append(
-                    Order(symbol, "sell", state.positions[symbol], decision.reason)
-                )
-                risk_events.append(
-                    {
-                        "date": day.isoformat(),
-                        "symbol": symbol,
-                        "reason": decision.reason,
-                        "close": decision.close,
-                        "stop_level": decision.stop_level,
-                    }
-                )
-
-        # (7) mark to market
-        equity_curve.append(EquityPoint(day, state.equity(last_close)))
-
-    curve_dates = [p.timestamp for p in equity_curve]
+    curve_dates = [p.timestamp for p in run.equity_curve]
     report = metrics.compute_report(
-        curve_dates,
-        [p.equity for p in equity_curve],
-        fills,
-        align_benchmark_returns(benchmark_bars, curve_dates),
-        engine_config.risk_free_rate,
+        curve_dates, [p.equity for p in run.equity_curve], run.fills,
+        align_benchmark_returns(benchmark_bars, curve_dates), engine_config.risk_free_rate,
     )
     return BacktestResult(
-        equity_curve=equity_curve,
-        fills=fills,
-        insights=insights_log,
-        risk_events=risk_events,
-        allocations=allocations,
-        fits=fits,
-        diagnostics=diagnostics,
-        report=report,
-        final_cash=state.cash,
-        final_positions=dict(state.positions),
+        equity_curve=run.equity_curve, fills=run.fills, insights=run.insights,
+        risk_events=run.risk_events, allocations=run.allocations, fits=run.fits,
+        diagnostics=run.diagnostics, report=report, final_cash=run.cash,
+        final_positions=dict(run.positions),
     )
+
+
+def _queue_liquidation(
+    run: _Run, day: date, symbol: str, reason: str, close: float, stop_level: float
+) -> bool:
+    """Replace the symbol's pending orders with a sell of the whole position
+    and log the risk event. Does nothing, and returns False, when a
+    liquidation of the symbol is already pending."""
+    if any(o.symbol == symbol and o.reason != REASON_REBALANCE for o in run.pending):
+        return False
+    run.pending = [o for o in run.pending if o.symbol != symbol]
+    run.pending.append(Order(symbol, "sell", run.positions[symbol], reason))
+    run.risk_events.append({
+        "date": day.isoformat(), "symbol": symbol, "reason": reason,
+        "close": close, "stop_level": stop_level,
+    })
+    return True
+
+
+def _ingest(run: _Run, day: date, today: Mapping[str, Bar]) -> None:
+    """Step 1: push the day's bars into the rolling windows, then count the
+    bars each held symbol has missed; a gap longer than ``max_gap_bars``
+    queues a liquidation."""
+    for symbol in sorted(today):
+        bar = today[symbol]
+        window = run.windows.get(symbol)
+        if window is None:
+            window = run.windows[symbol] = RollingWindow(run.engine.window_bars)
+        window.push(bar)
+        run.last_close[symbol] = bar.close
+        run.missing_streak[symbol] = 0
+    for symbol in sorted(run.positions):
+        if symbol in today:
+            continue
+        missed = run.missing_streak[symbol] = run.missing_streak.get(symbol, 0) + 1
+        if missed > run.engine.max_gap_bars and _queue_liquidation(
+            run, day, symbol, REASON_DATA_GAP, run.last_close.get(symbol, 0.0), 0.0
+        ):
+            run.diagnostics.append(f"{day}: {symbol} missing {missed} bars, force-liquidating")
+
+
+def _fill_orders(run: _Run, day: date, today: Mapping[str, Bar]) -> None:
+    """Step 2: fill pending orders at today's open, sells first. An order
+    for a symbol without a bar today stays pending; a sell is capped at the
+    shares held."""
+    still_pending: list[Order] = []
+    for order in sorted(run.pending, key=lambda o: (o.side != "sell", o.symbol)):
+        bar = today.get(order.symbol)
+        if bar is None:
+            still_pending.append(order)
+            continue
+        held = run.positions.get(order.symbol, 0)
+        if order.side == "sell":
+            if held <= 0:
+                continue
+            order = replace(order, quantity=min(order.quantity, held))
+        fill, diag = execute(order, bar, run.engine, run.cash)
+        if diag:
+            run.diagnostics.append(f"{day}: {diag}")
+        if fill is None:
+            continue
+        if fill.side == "buy":
+            run.cash -= fill.quantity * fill.price + fill.fee
+            run.positions[fill.symbol] = held + fill.quantity
+            if held == 0:
+                run.risk_states[fill.symbol] = risk_controls.PositionRiskState.open_position(
+                    fill.symbol, fill.price, run.risk
+                )
+        else:
+            run.cash += fill.quantity * fill.price - fill.fee
+            if held > fill.quantity:
+                run.positions[fill.symbol] = held - fill.quantity
+            else:
+                run.positions.pop(fill.symbol, None)
+                run.risk_states.pop(fill.symbol, None)
+        run.fills.append(fill)
+    run.pending = still_pending
+
+
+def _rebalance(run: _Run, day: date) -> None:
+    """Step 5: insights -> Black-Litterman targets -> the orders that move
+    each holding to its target share count. Replaces pending rebalance
+    orders; a symbol with a pending liquidation is left alone."""
+    insights = _generate_insights(run, day)
+    run.insights.extend(insights)
+    targets = _build_targets(run, day, insights)
+    if targets is None:
+        return
+    run.pending = [o for o in run.pending if o.reason != REASON_REBALANCE]
+    equity_now = run.equity()
+    for symbol in sorted(set(targets.weights) | set(run.positions)):
+        if any(o.symbol == symbol for o in run.pending):
+            continue  # pending liquidation wins
+        price = run.last_close.get(symbol)
+        if price is None or price <= 0:
+            continue
+        goal = int(targets.weights.get(symbol, 0.0) * equity_now // price)
+        delta = goal - run.positions.get(symbol, 0)
+        if delta > 0:
+            run.pending.append(Order(symbol, "buy", delta))
+        elif delta < 0:
+            run.pending.append(Order(symbol, "sell", -delta))
+
+
+def _check_risk(run: _Run, day: date, today: Mapping[str, Bar]) -> None:
+    """Step 6: advance each held position's risk state with today's close;
+    a breach queues a liquidation."""
+    for symbol in sorted(run.positions):
+        bar = today.get(symbol)
+        risk_state = run.risk_states.get(symbol)
+        if bar is None or risk_state is None:
+            continue
+        risk_state, decision = risk_controls.update_and_check(risk_state, bar.close, run.risk)
+        run.risk_states[symbol] = risk_state
+        if decision.action == risk_controls.LIQUIDATE:
+            _queue_liquidation(
+                run, day, symbol, decision.reason, decision.close, decision.stop_level
+            )
 
 
 def _length_groups(symbols, windows: dict[str, RollingWindow]) -> dict[int, list[str]]:
@@ -472,88 +466,70 @@ def _batched(batch_call, inputs: dict[str, object], outcomes: dict[str, object])
     outcomes.update(zip(inputs, results))
 
 
-def _refit_models(
-    universe: list[str],
-    windows: dict[str, RollingWindow],
-    hmm_config: HmmConfig,
-    mlp_config: MlpConfig,
-    seed: int,
-    day: date,
-    hmm_models: dict[str, regime_hmm.HmmModel],
-    mlp_models: dict[str, trend_net.MlpModel],
-    fits: list[dict],
-    diagnostics: list[str],
-) -> None:
-    """Refit both models for every universe symbol with a window: one
-    batched call per model for each group of equal-length windows. Each
+def _refit_models(run: _Run, day: date) -> None:
+    """Step 4: refit both models for every universe symbol with a window:
+    one batched call per model for each group of equal-length windows. Each
     symbol gets exactly the models of a fit on its own window."""
 
     def fit_hmms(symbols, series):
-        seeds = [_symbol_seed(seed, "hmm", s) for s in symbols]
-        return regime_hmm.fit_batch(np.stack(series), hmm_config, seeds)
+        seeds = [_symbol_seed(run.engine.seed, "hmm", s) for s in symbols]
+        return regime_hmm.fit_batch(np.stack(series), run.hmm, seeds)
 
     def train_nets(symbols, data):
-        seeds = [_symbol_seed(seed, "mlp", s) for s in symbols]
-        models = [trend_net.init_model(replace(mlp_config, seed=sd)) for sd in seeds]
-        return trend_net.train_batch(models, data, mlp_config, seeds)
+        seeds = [_symbol_seed(run.engine.seed, "mlp", s) for s in symbols]
+        models = [trend_net.init_model(replace(run.mlp, seed=sd)) for sd in seeds]
+        return trend_net.train_batch(models, data, run.mlp, seeds)
 
     hmm_out: dict[str, object] = {}
     mlp_out: dict[str, object] = {}
-    for symbols in _length_groups(universe, windows).values():
+    for symbols in _length_groups(run.universe, run.windows).values():
         returns: dict[str, object] = {}
         training: dict[str, object] = {}
         for symbol in symbols:
-            closes = windows[symbol].closes()
+            closes = run.windows[symbol].closes()
             try:
                 returns[symbol] = log_returns(closes)
             except MODEL_ERRORS as exc:
                 hmm_out[symbol] = exc
             try:
-                training[symbol] = trend_net.build_training_set(closes, mlp_config.input_size)
+                training[symbol] = trend_net.build_training_set(closes, run.mlp.input_size)
             except MODEL_ERRORS as exc:
                 mlp_out[symbol] = exc
         _batched(fit_hmms, returns, hmm_out)
         _batched(train_nets, training, mlp_out)
 
     stamp = day.isoformat()
-    for symbol in universe:
-        if symbol not in windows:
+    for symbol in run.universe:
+        if symbol not in run.windows:
             continue
         outcome = hmm_out[symbol]
         if isinstance(outcome, regime_hmm.HmmModel):
-            hmm_models[symbol] = outcome
-            fits.append({
+            run.hmm_models[symbol] = outcome
+            run.fits.append({
                 "date": stamp, "symbol": symbol, "model": "hmm",
                 **outcome.diagnostics,
                 "log_likelihood_path": outcome.log_likelihood_path,
             })
         else:
-            hmm_models.pop(symbol, None)
-            diagnostics.append(f"{day}: {symbol} hmm fit skipped: {outcome}")
+            run.hmm_models.pop(symbol, None)
+            run.diagnostics.append(f"{day}: {symbol} hmm fit skipped: {outcome}")
         outcome = mlp_out[symbol]
         if isinstance(outcome, tuple):
-            mlp_models[symbol], history = outcome
-            fits.append(
+            run.mlp_models[symbol], history = outcome
+            run.fits.append(
                 {"date": stamp, "symbol": symbol, "model": "mlp", "loss_history": history}
             )
         else:
-            mlp_models.pop(symbol, None)
-            diagnostics.append(f"{day}: {symbol} net fit skipped: {outcome}")
+            run.mlp_models.pop(symbol, None)
+            run.diagnostics.append(f"{day}: {symbol} net fit skipped: {outcome}")
 
 
-def _generate_insights(
-    universe: list[str],
-    windows: dict[str, RollingWindow],
-    hmm_models: dict[str, regime_hmm.HmmModel],
-    mlp_models: dict[str, trend_net.MlpModel],
-    fusion_config: FusionConfig,
-    day: date,
-    period: int,
-    diff_window: int,
-    diagnostics: list[str],
-) -> list[Insight]:
+def _generate_insights(run: _Run, day: date) -> list[Insight]:
+    """One fused insight per universe symbol, for a period of one rebalance
+    interval; a symbol without a model or whose forecast fails is flat."""
+    windows, hmm_models, diff_window = run.windows, run.hmm_models, run.mlp.input_size
     closes = {
-        s: windows[s].closes() for s in universe if s in windows and len(windows[s]) >= 2
+        s: windows[s].closes() for s in run.universe if s in windows and len(windows[s]) >= 2
     }
 
     def filter_hmms(symbols, series):
@@ -571,58 +547,51 @@ def _generate_insights(
         _batched(filter_hmms, returns, posteriors)
 
     insights = []
-    for symbol in universe:
+    for symbol in run.universe:
         hmm_signal = nn_signal = None
         posterior = posteriors.get(symbol)
         if isinstance(posterior, np.ndarray):
             forecast = regime_hmm.predict_direction(hmm_models[symbol], posterior)
             hmm_signal = (forecast.direction, forecast.expected_return)
         elif posterior is not None:
-            diagnostics.append(f"{day}: {symbol} hmm forecast failed: {posterior}")
-        net = mlp_models.get(symbol)
+            run.diagnostics.append(f"{day}: {symbol} hmm forecast failed: {posterior}")
+        net = run.mlp_models.get(symbol)
         if net is not None and symbol in closes and closes[symbol].size >= diff_window + 1:
             recent = np.diff(closes[symbol])[-diff_window:]
             try:
                 trend = trend_net.predict_direction(net, recent)
                 nn_signal = (trend.direction, trend.magnitude)
             except MODEL_ERRORS as exc:
-                diagnostics.append(f"{day}: {symbol} net forecast failed: {exc}")
+                run.diagnostics.append(f"{day}: {symbol} net forecast failed: {exc}")
         insight = alpha_fusion.fuse(
-            hmm_signal, nn_signal, symbol, day, period, fusion_config
+            hmm_signal, nn_signal, symbol, day, run.engine.rebalance_every, run.fusion
         )
         if insight.diagnostic:
-            diagnostics.append(f"{day}: {symbol}: {insight.diagnostic}")
+            run.diagnostics.append(f"{day}: {symbol}: {insight.diagnostic}")
         insights.append(insight)
     return insights
 
 
 def _build_targets(
-    universe: list[str],
-    windows: dict[str, RollingWindow],
-    meta: Mapping[str, InstrumentMeta],
-    last_close: Mapping[str, float],
-    day_insights: list[Insight],
-    bl_config: BlConfig,
-    day: date,
-    allocations: list[dict],
-    diagnostics: list[str],
+    run: _Run, day: date, insights: list[Insight]
 ) -> portfolio_bl.TargetPortfolio | None:
     """Estimate the covariance over the universe, blend views, and optimize.
     Returns None (hold current book) when the universe is empty or data is
     too thin for a covariance estimate."""
+    windows, last_close, bl_config = run.windows, run.last_close, run.bl
     usable = [
-        s for s in universe
-        if s in windows and len(windows[s]) >= 2 and s in meta and s in last_close
+        s for s in run.universe
+        if s in windows and len(windows[s]) >= 2 and s in run.meta and s in last_close
     ]
     if not usable:
-        if universe:
-            diagnostics.append(f"{day}: rebalance skipped, no usable symbols")
+        if run.universe:
+            run.diagnostics.append(f"{day}: rebalance skipped, no usable symbols")
         return portfolio_bl.TargetPortfolio({})  # empty universe -> all cash
 
     lengths = [len(windows[s]) - 1 for s in usable]
     depth = min(min(lengths), bl_config.covariance_lookback)
     if depth < len(usable) + 2:
-        diagnostics.append(
+        run.diagnostics.append(
             f"{day}: rebalance skipped, only {depth} aligned returns for {len(usable)} assets"
         )
         return None
@@ -631,13 +600,13 @@ def _build_targets(
         s: log_returns(windows[s].closes())[-depth:] for s in usable
     }
     sigma = portfolio_bl.estimate_covariance(return_windows)
-    caps = np.array([meta[s].shares_outstanding * last_close[s] for s in usable])
+    caps = np.array([run.meta[s].shares_outstanding * last_close[s] for s in usable])
     market_weights = caps / caps.sum()
     pi = portfolio_bl.equilibrium_returns(sigma, market_weights, bl_config.risk_aversion)
-    views = portfolio_bl.build_views(day_insights, usable, sigma, bl_config)
+    views = portfolio_bl.build_views(insights, usable, sigma, bl_config)
     mu = portfolio_bl.posterior_returns(pi, sigma, bl_config.tau, views)
     targets = portfolio_bl.optimize_weights(mu, sigma, bl_config, usable)
-    allocations.append(
+    run.allocations.append(
         {
             "date": day.isoformat(),
             "symbols": list(usable),

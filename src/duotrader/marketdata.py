@@ -78,10 +78,6 @@ class IngestResult:
     rejected_rows: int = 0
     diagnostics: list[str] = field(default_factory=list)
 
-    @property
-    def symbols(self) -> list[str]:
-        return sorted(self.bars_by_symbol)
-
 
 def _parse_float(text: str, default: float | None = None) -> float | None:
     text = text.strip()

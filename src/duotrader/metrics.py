@@ -17,7 +17,8 @@ Conventions (documented because several have competing definitions):
 
 Ratios that are undefined on the given data (zero return variance, zero
 benchmark variance, no closed trades) are reported as 0.0 and listed in the
-report's ``flags``.
+report's ``flags``. A fill whose fee is greater than its notional (quantity
+times price) adds the ``fee-exceeds-notional`` flag.
 """
 
 from __future__ import annotations
@@ -260,6 +261,8 @@ def compute_report(
     plr = profit_loss_ratio(average_win, average_loss)
 
     total_fees = float(sum(f.fee for f in fills))
+    if any(f.fee > f.quantity * f.price for f in fills):
+        flags.append("fee-exceeds-notional")
     traded_value = float(sum(f.quantity * f.price for f in fills))
     turnover = (traded_value / values.size) / float(np.mean(values))
 

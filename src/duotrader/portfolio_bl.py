@@ -69,9 +69,6 @@ class TargetPortfolio:
 
     weights: dict[str, float]
 
-    def total(self) -> float:
-        return float(sum(self.weights.values()))
-
 
 def estimate_covariance(
     windows: Mapping[str, Sequence[float] | np.ndarray],

@@ -13,7 +13,6 @@ expected return: e = (posterior @ A) @ mean_returns.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -53,10 +52,6 @@ class HmmModel:
     log_likelihood_path: list[float] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def n_states(self) -> int:
-        return self.initial_probs.size
-
     def to_dict(self) -> dict:
         return {
             "initial_probs": self.initial_probs.tolist(),
@@ -67,9 +62,6 @@ class HmmModel:
             "log_likelihood_path": list(self.log_likelihood_path),
             "diagnostics": dict(self.diagnostics),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "HmmModel":

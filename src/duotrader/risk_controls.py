@@ -57,15 +57,6 @@ class RiskDecision:
     stop_level: float
     drawdown: float
 
-    def to_dict(self) -> dict:
-        return {
-            "action": self.action,
-            "reason": self.reason,
-            "close": self.close,
-            "stop_level": self.stop_level,
-            "drawdown": self.drawdown,
-        }
-
 
 def update_and_check(
     state: PositionRiskState, close: float, config: RiskConfig

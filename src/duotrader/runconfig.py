@@ -125,8 +125,13 @@ def load_config(
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
 
-    if isinstance(payload.get("engine"), dict) and "seed" in payload["engine"]:
-        raise ConfigError("set the top-level 'seed' key; engine.seed is derived from it")
+    # The engine derives every per-symbol model seed from the top-level seed,
+    # so a section seed would be accepted and change nothing.
+    for section in ("engine", "hmm", "mlp"):
+        if isinstance(payload.get(section), dict) and "seed" in payload[section]:
+            raise ConfigError(
+                f"set the top-level 'seed' key; {section}.seed is derived from it"
+            )
 
     kwargs: dict[str, Any] = {}
     for key, value in payload.items():

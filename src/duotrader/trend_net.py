@@ -15,7 +15,6 @@ of one.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -73,17 +72,6 @@ class MlpModel:
     def input_size(self) -> int:
         return self.weights[0].shape[0]
 
-    def copy(self) -> "MlpModel":
-        return MlpModel(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            m_weights=[m.copy() for m in self.m_weights],
-            v_weights=[v.copy() for v in self.v_weights],
-            m_biases=[m.copy() for m in self.m_biases],
-            v_biases=[v.copy() for v in self.v_biases],
-            step=self.step,
-        )
-
     def to_dict(self) -> dict:
         return {
             "layer_sizes": [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights],
@@ -91,9 +79,6 @@ class MlpModel:
             "biases": [b.tolist() for b in self.biases],
             "step": self.step,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 @dataclass(frozen=True)

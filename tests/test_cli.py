@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from duotrader.cli import main
 
 SYNTH_SPEC = {
@@ -162,9 +164,16 @@ class TestBacktest:
         assert code == 2
         assert "warmup" in capsys.readouterr().err
 
-    def test_engine_seed_key_rejected(self, tmp_path, capsys):
-        config = write_json(tmp_path / "run.json", {"engine": {"seed": 4}})
+    @pytest.mark.parametrize("section", ["engine", "hmm", "mlp"])
+    def test_engine_seed_key_rejected(self, tmp_path, capsys, section):
+        # Per-symbol seeds derive from the top-level seed; a section seed
+        # would change nothing, so it is refused from a file and from --set.
+        config = write_json(tmp_path / "run.json", {section: {"seed": 4}})
         assert main(["backtest", "--config", str(config)]) == 2
+        assert f"{section}.seed" in capsys.readouterr().err
+        config = write_json(tmp_path / "run.json", {})
+        assert main(["backtest", "--config", str(config), "--set", f"{section}.seed=4"]) == 2
+        assert f"{section}.seed" in capsys.readouterr().err
 
     def test_dotted_override_applies(self, tmp_path):
         data_dir = run_synth(tmp_path)

@@ -399,6 +399,12 @@ class TestDataGap:
         assert gap_events and gap_events[0]["symbol"] == "GAP"
         assert gap_fills and gap_fills[0].symbol == "GAP"
         assert gap_fills[0].side == "sell"
+        # The 12-bar gap passes max_gap_bars on its 6th missing day; the
+        # pending liquidation then blocks a second one on each later day.
+        liquidating = [d for d in result.diagnostics if "force-liquidating" in d]
+        assert len(gap_events) == 1
+        assert len(liquidating) == 1 and "GAP missing 6 bars" in liquidating[0]
+        assert len(gap_fills) == 1
 
 
 class TestBenchmarkAlignment:

@@ -113,6 +113,15 @@ class TestComputeReport:
         assert report.win_rate == pytest.approx(0.60)
         assert report.loss_rate == pytest.approx(0.40)
         assert report.total_orders == 80
+        assert "fee-exceeds-notional" not in report.flags
+
+    def test_fee_above_notional_flagged(self):
+        # one share at $0.50 still pays the $1 minimum fee
+        report = compute_report(days(5), np.full(5, 1e5), [fill("P", "buy", 1, 0.50)])
+        assert report.flags.count("fee-exceeds-notional") == 1
+        # a fee equal to the notional is not flagged
+        report = compute_report(days(5), np.full(5, 1e5), [fill("P", "buy", 1, 1.00)])
+        assert "fee-exceeds-notional" not in report.flags
 
     def test_ten_bar_spreadsheet_oracle(self):
         # oracle: every formula recomputed independently, spreadsheet style
