@@ -24,6 +24,7 @@ from .errors import ConfigError, DuotraderError
 from .marketdata import (
     BAR_CSV_HEADER,
     META_CSV_HEADER,
+    Bar,
     ingest_csv,
     ingest_meta_csv,
     synth_regime_series,
@@ -122,6 +123,12 @@ def _print_summary(report: metrics.MetricsReport) -> None:
         print(f"{'Flags':<{width}}  {', '.join(report.flags)}")
 
 
+def _benchmark_bars(path: str) -> list[Bar]:
+    """Every bar of a benchmark CSV, symbol by symbol in file order."""
+    bench = ingest_csv(path)
+    return [b for s, series in bench.bars_by_symbol.items() for b in series.to_bars(s)]
+
+
 def cmd_backtest(args: argparse.Namespace) -> int:
     overrides: dict[str, object] = {}
     for item in args.set or []:
@@ -144,8 +151,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     meta = ingest_meta_csv(config.data.meta)
     benchmark_bars = None
     if config.data.benchmark:
-        bench = ingest_csv(config.data.benchmark)
-        benchmark_bars = [b for series in bench.bars_by_symbol.values() for b in series]
+        benchmark_bars = _benchmark_bars(config.data.benchmark)
 
     result = engine_mod.run_backtest(
         bars.bars_by_symbol,
@@ -285,11 +291,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     fills = _read_fills_jsonl(Path(args.fills))
     benchmark_returns = None
     if args.benchmark:
-        bench = ingest_csv(args.benchmark)
-        bars = sorted(
-            (b for series in bench.bars_by_symbol.values() for b in series),
-            key=lambda b: b.timestamp,
-        )
+        bars = sorted(_benchmark_bars(args.benchmark), key=lambda b: b.timestamp)
         benchmark_returns = engine_mod.align_benchmark_returns(bars, dates)
     report = metrics.compute_report(
         dates, values, fills, benchmark_returns, args.risk_free

@@ -1,8 +1,11 @@
 """Deterministic event-driven daily backtest loop.
 
-Per trading day, in order:
-  1. ``_ingest``: push the day's bars into per-symbol rolling windows; a
-     held symbol missing more than ``max_gap_bars`` bars is liquidated
+Each symbol's history is one ``SymbolBars`` (day ordinals plus OHLCV
+columns). A symbol's rolling window on a day is a slice of its close column:
+its last ``window_bars`` closes on or before that day, none before
+``start_date``. Per trading day, in order:
+  1. ``_check_gaps``: a held symbol missing more than ``max_gap_bars`` bars
+     is liquidated
   2. ``_fill_orders``: fill orders queued on the prior day at today's open
      (sells before buys)
   3. ``select_universe``: re-select the universe on the first trading day of
@@ -18,9 +21,11 @@ Per trading day, in order:
   7. ``_Run.equity``: append the equity point (cash + positions at last
      known closes)
 
-All stages read and change one ``_Run`` object; both liquidation paths go
-through ``_queue_liquidation``. Orders always fill at the NEXT bar's open,
-so no decision ever uses a price that was not yet observable. The run is a
+All stages read and change one ``_Run`` object and touch only the held
+symbols, the pending orders and, on refit and rebalance days, the universe;
+both liquidation paths go through ``_queue_liquidation``. Orders always fill
+at the NEXT bar's open, so no decision ever uses a price that was not yet
+observable. The run is a
 pure function of data + configs: per-symbol model seeds are derived from the
 engine seed with a stable CRC.
 """
@@ -30,7 +35,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field, replace
 from datetime import date
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,7 +48,7 @@ from .errors import (
     ParameterError,
     TrainingDivergedError,
 )
-from .marketdata import Bar, InstrumentMeta, RollingWindow, log_returns
+from .marketdata import Bar, InstrumentMeta, SymbolBars, log_returns
 from .portfolio_bl import BlConfig
 from .regime_hmm import HmmConfig
 from .risk_controls import RiskConfig
@@ -217,12 +222,16 @@ def align_benchmark_returns(
 
 @dataclass
 class _Run:
-    """Everything one backtest reads and changes: the seven configs and the
-    instrument metadata; the book (cash, integer share positions and the
-    per-position risk states); the rolling windows, last closes, gap counts
-    and fitted models; the pending orders; the universe; and the logs that
-    become the BacktestResult."""
+    """Everything one backtest reads and changes: the market columns, each
+    symbol's first row on or after the start date and the current day; the
+    seven configs and the instrument metadata; the book (cash, integer share
+    positions and the per-position risk states); the fitted models; the
+    pending orders; the universe; and the logs that become the
+    BacktestResult."""
 
+    series: Mapping[str, SymbolBars]
+    first_row: Mapping[str, int]
+    calendar_index: Mapping[int, int]
     meta: Mapping[str, InstrumentMeta]
     universe_config: UniverseConfig
     hmm: HmmConfig
@@ -234,9 +243,8 @@ class _Run:
     cash: float
     positions: dict[str, int] = field(default_factory=dict)
     risk_states: dict[str, risk_controls.PositionRiskState] = field(default_factory=dict)
-    windows: dict[str, RollingWindow] = field(default_factory=dict)
-    last_close: dict[str, float] = field(default_factory=dict)
-    missing_streak: dict[str, int] = field(default_factory=dict)
+    today: int = 0  # ordinal of the current day
+    latest_rows: dict[str, int | None] = field(default_factory=dict)
     hmm_models: dict[str, regime_hmm.HmmModel] = field(default_factory=dict)
     mlp_models: dict[str, trend_net.MlpModel] = field(default_factory=dict)
     pending: list[Order] = field(default_factory=list)
@@ -249,16 +257,48 @@ class _Run:
     fits: list[dict] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
 
+    def start_day(self, day: date) -> None:
+        self.today = day.toordinal()
+        self.latest_rows = {}
+
+    def latest_row(self, symbol: str) -> int | None:
+        """Row of the symbol's last bar on or before today and on or after
+        the start date; None before its first such bar."""
+        if symbol not in self.latest_rows:
+            series = self.series[symbol]
+            end = int(series.days.searchsorted(self.today, "right"))
+            self.latest_rows[symbol] = end - 1 if end > self.first_row[symbol] else None
+        return self.latest_rows[symbol]
+
+    def bar_today(self, symbol: str) -> Bar | None:
+        row = self.latest_row(symbol)
+        if row is None or self.series[symbol].days[row] != self.today:
+            return None
+        return self.series[symbol].bar(symbol, row)
+
+    def last_close(self, symbol: str) -> float | None:
+        row = self.latest_row(symbol)
+        return None if row is None else float(self.series[symbol].close[row])
+
+    def window(self, symbol: str) -> np.ndarray | None:
+        """The symbol's last ``window_bars`` closes as of today (a read-only
+        slice), or None before its first bar."""
+        row = self.latest_row(symbol)
+        if row is None:
+            return None
+        lo = max(self.first_row[symbol], row + 1 - self.engine.window_bars)
+        return self.series[symbol].close[lo:row + 1]
+
     def equity(self) -> float:
         """Cash plus every position marked at its last known close."""
         value = self.cash
         for symbol, qty in self.positions.items():
-            value += qty * self.last_close[symbol]
+            value += qty * self.last_close(symbol)
         return value
 
 
 def run_backtest(
-    bars_by_symbol: Mapping[str, list[Bar]],
+    bars_by_symbol: Mapping[str, SymbolBars | Sequence[Bar]],
     meta: Mapping[str, InstrumentMeta],
     universe_config: UniverseConfig,
     hmm_config: HmmConfig,
@@ -270,37 +310,40 @@ def run_backtest(
     benchmark_bars: list[Bar] | None = None,
 ) -> BacktestResult:
     """Run the full warm-up / retrain / rebalance / risk loop over the data
-    and produce the equity curve, logs, and the performance report."""
+    and produce the equity curve, logs, and the performance report. A
+    symbol's history may be given as a timestamp-ordered Bar list, which is
+    converted to columns once."""
+    series = {
+        s: bars if isinstance(bars, SymbolBars) else SymbolBars.from_bars(bars)
+        for s, bars in bars_by_symbol.items()
+    }
     start, end = engine_config.start_date, engine_config.end_date
-    calendar = sorted(
-        {
-            bar.timestamp
-            for bars in bars_by_symbol.values()
-            for bar in bars
-            if (start is None or bar.timestamp >= start) and (end is None or bar.timestamp <= end)
-        }
-    )
-    if not calendar:
+    first_row, in_range = {}, []
+    for symbol, columns in series.items():
+        days = columns.days
+        lo = 0 if start is None else int(days.searchsorted(start.toordinal()))
+        hi = days.size if end is None else int(days.searchsorted(end.toordinal(), "right"))
+        first_row[symbol] = lo
+        in_range.append(days[lo:hi])
+    ordinals = np.unique(np.concatenate([np.empty(0, np.int64), *in_range]))
+    if ordinals.size == 0:
         raise InsufficientDataError("no bars inside the configured date range")
-    bars_at: dict[date, dict[str, Bar]] = {day: {} for day in calendar}
-    for symbol, bars in bars_by_symbol.items():
-        for bar in bars:
-            if bar.timestamp in bars_at:
-                bars_at[bar.timestamp][symbol] = bar
+    calendar = [date.fromordinal(int(day)) for day in ordinals]
 
     run = _Run(
+        series, first_row, {int(day): i for i, day in enumerate(ordinals)},
         meta, universe_config, hmm_config, mlp_config, fusion_config, bl_config,
         risk_config, engine_config, engine_config.initial_equity,
     )
-    candidates = {s: (bars_by_symbol[s], meta[s]) for s in sorted(bars_by_symbol) if s in meta}
-    for s in sorted(bars_by_symbol):
+    candidates = {s: (series[s], meta[s]) for s in sorted(series) if s in meta}
+    for s in sorted(series):
         if s not in meta:
             run.diagnostics.append(f"{s}: no metadata, excluded from universe selection")
     month = None
     for day_index, day in enumerate(calendar):
-        today = bars_at[day]
-        _ingest(run, day, today)
-        _fill_orders(run, day, today)
+        run.start_day(day)
+        _check_gaps(run, day, day_index)
+        _fill_orders(run, day)
         if (day.year, day.month) != month:
             month = (day.year, day.month)
             run.universe = select_universe(candidates, run.universe_config, day)
@@ -309,7 +352,7 @@ def run_backtest(
             _refit_models(run, day)
         if since_warmup >= 0 and since_warmup % engine_config.rebalance_every == 0:
             _rebalance(run, day)
-        _check_risk(run, day, today)
+        _check_risk(run, day)
         run.equity_curve.append(EquityPoint(day, run.equity()))
 
     curve_dates = [p.timestamp for p in run.equity_curve]
@@ -342,35 +385,29 @@ def _queue_liquidation(
     return True
 
 
-def _ingest(run: _Run, day: date, today: Mapping[str, Bar]) -> None:
-    """Step 1: push the day's bars into the rolling windows, then count the
-    bars each held symbol has missed; a gap longer than ``max_gap_bars``
-    queues a liquidation."""
-    for symbol in sorted(today):
-        bar = today[symbol]
-        window = run.windows.get(symbol)
-        if window is None:
-            window = run.windows[symbol] = RollingWindow(run.engine.window_bars)
-        window.push(bar)
-        run.last_close[symbol] = bar.close
-        run.missing_streak[symbol] = 0
+def _check_gaps(run: _Run, day: date, day_index: int) -> None:
+    """Step 1: count the trading days since each held symbol's last bar; a
+    gap longer than ``max_gap_bars`` queues a liquidation. Fills happen only
+    on days with a bar, so a held symbol was held on every day it missed."""
     for symbol in sorted(run.positions):
-        if symbol in today:
+        row = run.latest_row(symbol)
+        last_day = int(run.series[symbol].days[row])
+        if last_day == run.today:
             continue
-        missed = run.missing_streak[symbol] = run.missing_streak.get(symbol, 0) + 1
+        missed = day_index - run.calendar_index[last_day]
         if missed > run.engine.max_gap_bars and _queue_liquidation(
-            run, day, symbol, REASON_DATA_GAP, run.last_close.get(symbol, 0.0), 0.0
+            run, day, symbol, REASON_DATA_GAP, run.last_close(symbol), 0.0
         ):
             run.diagnostics.append(f"{day}: {symbol} missing {missed} bars, force-liquidating")
 
 
-def _fill_orders(run: _Run, day: date, today: Mapping[str, Bar]) -> None:
+def _fill_orders(run: _Run, day: date) -> None:
     """Step 2: fill pending orders at today's open, sells first. An order
     for a symbol without a bar today stays pending; a sell is capped at the
     shares held."""
     still_pending: list[Order] = []
     for order in sorted(run.pending, key=lambda o: (o.side != "sell", o.symbol)):
-        bar = today.get(order.symbol)
+        bar = run.bar_today(order.symbol)
         if bar is None:
             still_pending.append(order)
             continue
@@ -416,7 +453,7 @@ def _rebalance(run: _Run, day: date) -> None:
     for symbol in sorted(set(targets.weights) | set(run.positions)):
         if any(o.symbol == symbol for o in run.pending):
             continue  # pending liquidation wins
-        price = run.last_close.get(symbol)
+        price = run.last_close(symbol)
         if price is None or price <= 0:
             continue
         goal = int(targets.weights.get(symbol, 0.0) * equity_now // price)
@@ -427,11 +464,11 @@ def _rebalance(run: _Run, day: date) -> None:
             run.pending.append(Order(symbol, "sell", -delta))
 
 
-def _check_risk(run: _Run, day: date, today: Mapping[str, Bar]) -> None:
+def _check_risk(run: _Run, day: date) -> None:
     """Step 6: advance each held position's risk state with today's close;
     a breach queues a liquidation."""
     for symbol in sorted(run.positions):
-        bar = today.get(symbol)
+        bar = run.bar_today(symbol)
         risk_state = run.risk_states.get(symbol)
         if bar is None or risk_state is None:
             continue
@@ -443,13 +480,11 @@ def _check_risk(run: _Run, day: date, today: Mapping[str, Bar]) -> None:
             )
 
 
-def _length_groups(symbols, windows: dict[str, RollingWindow]) -> dict[int, list[str]]:
-    """Symbols with a window, grouped by window length (one model batch each)."""
+def _length_groups(windows: Mapping[str, np.ndarray]) -> dict[int, list[str]]:
+    """Symbols grouped by window length (one model batch each)."""
     groups: dict[int, list[str]] = {}
-    for symbol in symbols:
-        window = windows.get(symbol)
-        if window is not None:
-            groups.setdefault(len(window), []).append(symbol)
+    for symbol, window in windows.items():
+        groups.setdefault(window.size, []).append(symbol)
     return groups
 
 
@@ -480,13 +515,14 @@ def _refit_models(run: _Run, day: date) -> None:
         models = [trend_net.init_model(replace(run.mlp, seed=sd)) for sd in seeds]
         return trend_net.train_batch(models, data, run.mlp, seeds)
 
+    windows = {s: w for s in run.universe if (w := run.window(s)) is not None}
     hmm_out: dict[str, object] = {}
     mlp_out: dict[str, object] = {}
-    for symbols in _length_groups(run.universe, run.windows).values():
+    for symbols in _length_groups(windows).values():
         returns: dict[str, object] = {}
         training: dict[str, object] = {}
         for symbol in symbols:
-            closes = run.windows[symbol].closes()
+            closes = windows[symbol]
             try:
                 returns[symbol] = log_returns(closes)
             except MODEL_ERRORS as exc:
@@ -499,9 +535,7 @@ def _refit_models(run: _Run, day: date) -> None:
         _batched(train_nets, training, mlp_out)
 
     stamp = day.isoformat()
-    for symbol in run.universe:
-        if symbol not in run.windows:
-            continue
+    for symbol in windows:
         outcome = hmm_out[symbol]
         if isinstance(outcome, regime_hmm.HmmModel):
             run.hmm_models[symbol] = outcome
@@ -527,9 +561,9 @@ def _refit_models(run: _Run, day: date) -> None:
 def _generate_insights(run: _Run, day: date) -> list[Insight]:
     """One fused insight per universe symbol, for a period of one rebalance
     interval; a symbol without a model or whose forecast fails is flat."""
-    windows, hmm_models, diff_window = run.windows, run.hmm_models, run.mlp.input_size
+    hmm_models, diff_window = run.hmm_models, run.mlp.input_size
     closes = {
-        s: windows[s].closes() for s in run.universe if s in windows and len(windows[s]) >= 2
+        s: w for s in run.universe if (w := run.window(s)) is not None and w.size >= 2
     }
 
     def filter_hmms(symbols, series):
@@ -537,7 +571,7 @@ def _generate_insights(run: _Run, day: date) -> list[Insight]:
 
     # Filtered posteriors: one batched forward pass per window length.
     posteriors: dict[str, object] = {}
-    for symbols in _length_groups([s for s in closes if s in hmm_models], windows).values():
+    for symbols in _length_groups({s: w for s, w in closes.items() if s in hmm_models}).values():
         returns: dict[str, object] = {}
         for symbol in symbols:
             try:
@@ -578,17 +612,18 @@ def _build_targets(
     """Estimate the covariance over the universe, blend views, and optimize.
     Returns None (hold current book) when the universe is empty or data is
     too thin for a covariance estimate."""
-    windows, last_close, bl_config = run.windows, run.last_close, run.bl
-    usable = [
-        s for s in run.universe
-        if s in windows and len(windows[s]) >= 2 and s in run.meta and s in last_close
-    ]
+    bl_config = run.bl
+    windows = {
+        s: w for s in run.universe
+        if (w := run.window(s)) is not None and w.size >= 2 and s in run.meta
+    }
+    usable = list(windows)
     if not usable:
         if run.universe:
             run.diagnostics.append(f"{day}: rebalance skipped, no usable symbols")
         return portfolio_bl.TargetPortfolio({})  # empty universe -> all cash
 
-    lengths = [len(windows[s]) - 1 for s in usable]
+    lengths = [windows[s].size - 1 for s in usable]
     depth = min(min(lengths), bl_config.covariance_lookback)
     if depth < len(usable) + 2:
         run.diagnostics.append(
@@ -596,11 +631,9 @@ def _build_targets(
         )
         return None
 
-    return_windows = {
-        s: log_returns(windows[s].closes())[-depth:] for s in usable
-    }
+    return_windows = {s: log_returns(windows[s])[-depth:] for s in usable}
     sigma = portfolio_bl.estimate_covariance(return_windows)
-    caps = np.array([run.meta[s].shares_outstanding * last_close[s] for s in usable])
+    caps = np.array([run.meta[s].shares_outstanding * run.last_close(s) for s in usable])
     market_weights = caps / caps.sum()
     pi = portfolio_bl.equilibrium_returns(sigma, market_weights, bl_config.risk_aversion)
     views = portfolio_bl.build_views(insights, usable, sigma, bl_config)

@@ -1,13 +1,16 @@
 """Bar ingestion, feature extraction, and synthetic regime-switching data.
 
-All prices are daily closes in currency units. Ingestion is strict about
-closing prices (a bar without a valid positive close is dropped) and about
-per-symbol timestamp ordering (a violation is fatal).
+All prices are daily closes in currency units. Ingestion keeps each
+symbol's history as columns (``SymbolBars``), not as one object per bar. It
+is strict about prices (a bar without a valid positive close, or with a
+non-finite open, high, low or volume, is dropped) and about per-symbol
+timestamp ordering (a violation is fatal).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
@@ -49,34 +52,70 @@ class InstrumentMeta:
     shares_outstanding: int
 
 
-class RollingWindow:
-    """Fixed-capacity FIFO of bars, newest last. Pushing at capacity evicts the oldest."""
+@dataclass(frozen=True, eq=False)
+class SymbolBars:
+    """One symbol's daily history as columns, oldest first: ``days`` holds
+    strictly increasing day ordinals (``date.toordinal``) and the other five
+    read-only float64 arrays hold that day's fields. A volume is a whole
+    number of shares."""
 
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ParameterError(f"window capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: list[Bar] = []
-
-    def push(self, bar: Bar) -> None:
-        self._entries.append(bar)
-        if len(self._entries) > self.capacity:
-            del self._entries[0]
+    days: np.ndarray
+    open: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    close: np.ndarray
+    volume: np.ndarray
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self.days.size
 
-    def closes(self) -> np.ndarray:
-        return np.array([b.close for b in self._entries], dtype=float)
+    @classmethod
+    def from_bars(cls, bars: Sequence[Bar]) -> SymbolBars:
+        """Columns of a Bar list, which must be in strictly increasing
+        timestamp order."""
+        days = np.array([b.timestamp.toordinal() for b in bars], dtype=np.int64)
+        if np.any(np.diff(days) <= 0):
+            raise DataOrderingError("bars must be in strictly increasing timestamp order")
+        fields = [
+            np.array([getattr(b, name) for b in bars], dtype=float)
+            for name in ("open", "high", "low", "close", "volume")
+        ]
+        return cls(*_read_only(days, *fields))
+
+    def to_bars(self, symbol: str) -> list[Bar]:
+        """Every row as a Bar of ``symbol``, oldest first."""
+        return [self.bar(symbol, row) for row in range(len(self))]
+
+    def bar(self, symbol: str, row: int) -> Bar:
+        return Bar(
+            symbol, date.fromordinal(int(self.days[row])), float(self.open[row]),
+            float(self.high[row]), float(self.low[row]), float(self.close[row]),
+            int(self.volume[row]),
+        )
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 @dataclass
 class IngestResult:
-    """Bars grouped by symbol plus ingestion diagnostics."""
+    """Per-symbol columns, in the order each symbol first appears, plus
+    ingestion diagnostics."""
 
-    bars_by_symbol: dict[str, list[Bar]]
+    bars_by_symbol: dict[str, SymbolBars]
     rejected_rows: int = 0
     diagnostics: list[str] = field(default_factory=list)
+
+
+# One CSV row as numpy's C parser reads it. Symbols and dates stay Python
+# strings (a fixed-width string field would silently truncate a long one).
+_ROW_DTYPE = np.dtype(
+    [("symbol", object), ("date", object)]
+    + [(name, np.float64) for name in BAR_CSV_HEADER[2:]]
+)
 
 
 def _parse_float(text: str, default: float | None = None) -> float | None:
@@ -86,29 +125,121 @@ def _parse_float(text: str, default: float | None = None) -> float | None:
     return float(text)
 
 
-def ingest_csv(path: str | Path) -> IngestResult:
-    """Load a bar CSV (header: symbol,date,open,high,low,close,volume).
+def _parse_price(text: str, default: float, name: str) -> float:
+    value = _parse_float(text, default)
+    if not math.isfinite(value):
+        raise ValueError(f"invalid {name}")
+    return value
 
-    Rows without a valid positive close are skipped and counted. A row whose
-    optional open/high/low/volume fields are blank inherits the close (volume
-    defaults to 0). Non-monotonic timestamps within a symbol are fatal.
-    """
-    path = Path(path)
+
+def _open_bar_csv(path: Path):
+    """Open a bar CSV and check its header; returns the open handle and a
+    csv reader positioned after the header."""
     try:
         handle = path.open(newline="")
     except OSError as exc:
         raise DuotraderError(f"cannot read bar file {path}: {exc}") from exc
+    reader = csv.reader(handle)
+    header = next(reader, None)
+    if header is None or [h.strip().lower() for h in header] != BAR_CSV_HEADER:
+        handle.close()
+        raise DuotraderError(
+            f"{path}: expected header {','.join(BAR_CSV_HEADER)}, got {header}"
+        )
+    return handle, reader
 
-    bars: dict[str, list[Bar]] = {}
+
+def ingest_csv(path: str | Path) -> IngestResult:
+    """Load a bar CSV (header: symbol,date,open,high,low,close,volume).
+
+    Rows without a valid positive close are skipped and counted, as are rows
+    with a non-finite open, high, low or volume. A row whose optional
+    open/high/low/volume fields are blank inherits the close (volume defaults
+    to 0); a volume is truncated to whole shares. Non-monotonic timestamps
+    within a symbol are fatal.
+
+    The file is first read by numpy's C parser and checked column-wise; a
+    file that this cannot show to be clean (a parse error, a blank field, a
+    row that would be rejected, a quoted or padded symbol, an out-of-order
+    timestamp) is read again row by row, which gives the same columns plus
+    the diagnostics.
+    """
+    path = Path(path)
+    handle, reader = _open_bar_csv(path)
+    with handle:
+        if not any(reader):
+            return IngestResult({})
+    columns = _read_clean_columns(path)
+    if columns is not None:
+        return IngestResult(columns)
+    return _read_rows(path)
+
+
+def _distinct(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct strings of an object array in order of first appearance,
+    and each element's index into them."""
+    index: dict[str, int] = {}
+    codes = np.fromiter(
+        (index.setdefault(v, len(index)) for v in values), dtype=np.intp, count=values.size
+    )
+    return list(index), codes
+
+
+def _read_clean_columns(path: Path) -> dict[str, SymbolBars] | None:
+    """The fast path of ``ingest_csv``: None unless every row parses and
+    passes the row-by-row rules, with each symbol's timestamps increasing."""
+    try:
+        with path.open() as handle:
+            table = np.loadtxt(
+                handle, dtype=_ROW_DTYPE, delimiter=",", skiprows=1, comments=None, ndmin=1
+            )
+    except OSError as exc:
+        raise DuotraderError(f"cannot read bar file {path}: {exc}") from exc
+    except ValueError:
+        return None
+
+    symbols, symbol_codes = _distinct(table["symbol"])
+    if any(not s or s != s.strip() or '"' in s for s in symbols):
+        return None
+    dates, date_codes = _distinct(table["date"])
+    try:
+        ordinals = np.array([date.fromisoformat(d.strip()).toordinal() for d in dates])
+    except ValueError:
+        return None
+    days = ordinals[date_codes]
+
+    open_, high, low, close, volume = (table[name] for name in BAR_CSV_HEADER[2:])
+    volume = np.trunc(volume) + 0.0  # int(float(text)), with -0.0 as 0
+    clean = (
+        np.isfinite(open_) & np.isfinite(high) & np.isfinite(low)
+        & np.isfinite(close) & np.isfinite(volume) & (close > 0) & (volume >= 0)
+        & (low <= np.minimum(open_, close)) & (np.maximum(open_, close) <= high)
+    )
+    if not clean.all():
+        return None
+
+    # Group the rows by symbol, keeping file order within each symbol.
+    order = np.argsort(symbol_codes, kind="stable")
+    grouped_codes, days = symbol_codes[order], days[order]
+    same_symbol = grouped_codes[1:] == grouped_codes[:-1]
+    if np.any(np.diff(days)[same_symbol] <= 0):
+        return None
+    columns = _read_only(days, *(c[order] for c in (open_, high, low, close, volume)))
+    bounds = np.concatenate([[0], np.flatnonzero(~same_symbol) + 1, [days.size]])
+    return {
+        symbol: SymbolBars(*(c[bounds[code]:bounds[code + 1]] for c in columns))
+        for code, symbol in enumerate(symbols)
+    }
+
+
+def _read_rows(path: Path) -> IngestResult:
+    """The row-by-row reader of ``ingest_csv``, which also accounts for
+    every rejected row."""
+    rows: dict[str, list[tuple]] = {}
     rejected = 0
     diagnostics: list[str] = []
+    handle, reader = _open_bar_csv(path)
     with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != BAR_CSV_HEADER:
-            raise DuotraderError(
-                f"{path}: expected header {','.join(BAR_CSV_HEADER)}, got {header}"
-            )
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -120,14 +251,14 @@ def ingest_csv(path: str | Path) -> IngestResult:
             try:
                 ts = date.fromisoformat(row[1].strip())
                 close = _parse_float(row[5])
-                if close is None or not np.isfinite(close) or close <= 0:
+                if close is None or not math.isfinite(close) or close <= 0:
                     raise ValueError("invalid close")
-                open_ = _parse_float(row[2], close)
-                high = _parse_float(row[3], close)
-                low = _parse_float(row[4], close)
+                open_ = _parse_price(row[2], close, "open")
+                high = _parse_price(row[3], close, "high")
+                low = _parse_price(row[4], close, "low")
                 vol_text = row[6].strip()
                 volume = int(float(vol_text)) if vol_text else 0
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 rejected += 1
                 diagnostics.append(f"{path}:{lineno}: {exc}")
                 continue
@@ -139,13 +270,20 @@ def ingest_csv(path: str | Path) -> IngestResult:
                 rejected += 1
                 diagnostics.append(f"{path}:{lineno}: inconsistent OHLCV fields")
                 continue
-            prior = bars.setdefault(symbol, [])
-            if prior and ts <= prior[-1].timestamp:
+            prior = rows.setdefault(symbol, [])
+            day = ts.toordinal()
+            if prior and day <= prior[-1][0]:
                 raise DataOrderingError(
-                    f"{path}:{lineno}: {symbol} timestamp {ts} not after {prior[-1].timestamp}"
+                    f"{path}:{lineno}: {symbol} timestamp {ts} not after "
+                    f"{date.fromordinal(prior[-1][0])}"
                 )
-            prior.append(Bar(symbol, ts, open_, high, low, close, volume))
-    return IngestResult(bars, rejected, diagnostics)
+            prior.append((day, open_, high, low, close, volume))
+    columns = {}
+    for symbol, records in rows.items():
+        days, *fields = zip(*records)
+        arrays = [np.array(days, dtype=np.int64)] + [np.array(f, dtype=float) for f in fields]
+        columns[symbol] = SymbolBars(*_read_only(*arrays))
+    return IngestResult(columns, rejected, diagnostics)
 
 
 def ingest_meta_csv(path: str | Path) -> dict[str, InstrumentMeta]:
@@ -170,7 +308,10 @@ def ingest_meta_csv(path: str | Path) -> dict[str, InstrumentMeta]:
             if len(row) != 3:
                 raise DuotraderError(f"{path}:{lineno}: wrong field count")
             symbol = row[0].strip()
-            shares = int(float(row[2]))
+            try:
+                shares = int(float(row[2]))
+            except (ValueError, OverflowError) as exc:
+                raise DuotraderError(f"{path}:{lineno}: invalid shares_outstanding: {exc}") from exc
             if not symbol or shares <= 0:
                 raise DuotraderError(f"{path}:{lineno}: invalid metadata row")
             meta[symbol] = InstrumentMeta(symbol, row[1].strip(), shares)

@@ -9,13 +9,14 @@ deterministic.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date
-from typing import Mapping, Sequence
+from typing import Mapping
+
+import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .marketdata import Bar, InstrumentMeta
+from .marketdata import InstrumentMeta, SymbolBars
 
 
 @dataclass
@@ -32,34 +33,37 @@ class UniverseConfig:
             raise ParameterError("liquidity_lookback must be >= 1")
 
 
-def dollar_volume(bars: Sequence[Bar]) -> float:
-    """Total traded value: sum of close * volume over the given bars."""
-    if not bars:
+def dollar_volume(close: np.ndarray, volume: np.ndarray) -> float:
+    """Total traded value: close * volume summed oldest first. A pairwise
+    sum (``np.sum``) rounds differently and could reorder candidates."""
+    if close.size == 0:
         raise InsufficientDataError("dollar_volume needs at least one bar")
-    return float(sum(b.close * b.volume for b in bars))
+    return float((close * volume).cumsum()[-1])
 
 
 def select_universe(
-    candidates: Mapping[str, tuple[Sequence[Bar], InstrumentMeta]],
+    candidates: Mapping[str, tuple[SymbolBars, InstrumentMeta]],
     config: UniverseConfig,
     as_of: date,
 ) -> list[str]:
     """Apply the liquidity filter then the sector/market-cap filter.
 
-    Each history must be in timestamp order (``ingest_csv`` enforces it), so
-    it is truncated to bars on or before ``as_of`` by bisection; symbols
-    with no history by then are ignored. Returns an ordered list (largest
-    market cap first), possibly shorter than ``fine_count``.
+    Each history is truncated to bars on or before ``as_of`` by binary
+    search; symbols with no history by then are ignored. Liquidity is the
+    dollar volume of the last ``liquidity_lookback`` bars. Returns an
+    ordered list (largest market cap first), possibly shorter than
+    ``fine_count``.
     """
+    as_of_day = as_of.toordinal()
     liquidity: list[tuple[float, str]] = []
     latest_close: dict[str, float] = {}
     for symbol, (bars, _meta) in candidates.items():
-        end = bisect_right(bars, as_of, key=lambda b: b.timestamp)
+        end = int(bars.days.searchsorted(as_of_day, "right"))
         if end == 0:
             continue
-        window = bars[max(0, end - config.liquidity_lookback):end]
-        liquidity.append((dollar_volume(window), symbol))
-        latest_close[symbol] = bars[end - 1].close
+        lo = max(0, end - config.liquidity_lookback)
+        liquidity.append((dollar_volume(bars.close[lo:end], bars.volume[lo:end]), symbol))
+        latest_close[symbol] = float(bars.close[end - 1])
 
     liquidity.sort(key=lambda item: (-item[0], item[1]))
     coarse = [symbol for _, symbol in liquidity[: config.coarse_count]]

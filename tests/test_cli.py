@@ -152,6 +152,15 @@ class TestBacktest:
         assert code == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_unparsable_metadata_exit_1(self, tmp_path, capsys):
+        data_dir = run_synth(tmp_path)
+        meta = data_dir / "meta.csv"
+        meta.write_text(meta.read_text().replace(",Energy,", ",Energy,abc", 1))
+        config = write_run_config(tmp_path, data_dir, tmp_path / "out")
+        code = main(["backtest", "--config", str(config)])
+        assert code == 1
+        assert "meta.csv:2: invalid shares_outstanding" in capsys.readouterr().err
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         config = write_json(tmp_path / "run.json", {"tpyo": 1})
         code = main(["backtest", "--config", str(config)])

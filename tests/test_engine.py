@@ -314,6 +314,21 @@ class TestRunBacktest:
         assert result.equity_curve[-1].timestamp == all_days[50]
         assert len(result.equity_curve) == 41
 
+    def test_windows_exclude_bars_before_start_date(self):
+        # Warm-up ends 30 bars after start_date while a window holds 100
+        # bars, so the first refits would reach back before start_date if
+        # the earlier history were not cut off.
+        bars_by_symbol, meta = synth_market(n_symbols=4)
+        start = bars_by_symbol["S00"][150].timestamp
+        result = small_run(bars_by_symbol, meta, warmup_bars=30, start_date=start)
+        assert result.fits
+        in_range = {
+            s: [b for b in bars if b.timestamp >= start] for s, bars in bars_by_symbol.items()
+        }
+        lengths = assert_fits_match_direct(result, in_range)
+        assert min(lengths.values()) == 31
+        assert max(lengths.values()) == 100
+
 
 def assert_fits_match_direct(result, bars_by_symbol, seed=3, window_bars=100):
     """Each fit record equals a fit of that symbol alone on its own window

@@ -11,15 +11,14 @@ from duotrader.errors import (
     InvalidInputError,
     ParameterError,
 )
+from duotrader import marketdata
 from duotrader.marketdata import (
-    RollingWindow,
+    SymbolBars,
     ingest_csv,
     ingest_meta_csv,
     log_returns,
     synth_regime_series,
 )
-
-from conftest import make_bar
 
 
 HEADER = "symbol,date,open,high,low,close,volume\n"
@@ -36,11 +35,12 @@ class TestIngest:
         path = write_bars(tmp_path, ["XOM,2020-01-02,70.0,71.0,69.5,70.5,1000000"])
         result = ingest_csv(path)
         assert result.rejected_rows == 0
-        (bar,) = result.bars_by_symbol["XOM"]
-        assert bar.symbol == "XOM"
-        assert bar.timestamp == date(2020, 1, 2)
-        assert (bar.open, bar.high, bar.low, bar.close) == (70.0, 71.0, 69.5, 70.5)
-        assert bar.volume == 1000000
+        series = result.bars_by_symbol["XOM"]
+        assert len(series) == 1
+        assert series.days[0] == date(2020, 1, 2).toordinal()
+        fields = (series.open, series.high, series.low, series.close, series.volume)
+        assert [f[0] for f in fields] == [70.0, 71.0, 69.5, 70.5, 1000000.0]
+        assert not series.close.flags.writeable
 
     def test_empty_close_rejected(self, tmp_path):
         path = write_bars(tmp_path, [
@@ -57,6 +57,39 @@ class TestIngest:
         result = ingest_csv(path)
         assert result.rejected_rows == 1
         assert "XOM" not in result.bars_by_symbol
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["open", "high", "low"])
+    def test_non_finite_price_rejected(self, tmp_path, column, value):
+        fields = {"open": "70.0", "high": "71.0", "low": "69.5"}
+        fields[column] = value
+        row = f"XOM,2020-01-02,{fields['open']},{fields['high']},{fields['low']},70.5,100"
+        result = ingest_csv(write_bars(tmp_path, [row]))
+        assert result.rejected_rows == 1
+        assert "XOM" not in result.bars_by_symbol
+        assert result.diagnostics == [f"{tmp_path / 'bars.csv'}:2: invalid {column}"]
+
+    @pytest.mark.parametrize("volume", ["inf", "-inf", "1e400"])
+    def test_infinite_volume_rejected(self, tmp_path, volume):
+        path = write_bars(tmp_path, [
+            "XOM,2020-01-02,70.0,71.0,69.5,70.5,100",
+            f"XOM,2020-01-03,70.0,71.0,69.5,70.5,{volume}",
+        ])
+        result = ingest_csv(path)
+        assert result.rejected_rows == 1
+        assert len(result.bars_by_symbol["XOM"]) == 1
+        assert result.diagnostics == [
+            f"{path}:3: cannot convert float infinity to integer"
+        ]
+
+    def test_volume_truncated_to_whole_shares(self, tmp_path):
+        path = write_bars(tmp_path, [
+            "XOM,2020-01-02,70.0,71.0,69.5,70.5,12.9",
+            "XOM,2020-01-03,70.0,71.0,69.5,70.5,-0.5",
+        ])
+        volume = ingest_csv(path).bars_by_symbol["XOM"].volume
+        assert volume.tolist() == [12.0, 0.0]
+        assert not np.signbit(volume[1])
 
     def test_non_monotonic_dates_fatal(self, tmp_path):
         path = write_bars(tmp_path, [
@@ -93,14 +126,15 @@ class TestIngest:
     def test_blank_optionals_inherit_close(self, tmp_path):
         path = write_bars(tmp_path, ["XOM,2020-01-02,,,,70.5,"])
         result = ingest_csv(path)
-        (bar,) = result.bars_by_symbol["XOM"]
-        assert bar.open == bar.high == bar.low == bar.close == 70.5
-        assert bar.volume == 0
+        series = result.bars_by_symbol["XOM"]
+        assert len(series) == 1
+        assert series.open[0] == series.high[0] == series.low[0] == series.close[0] == 70.5
+        assert series.volume[0] == 0
 
     def test_never_admits_nonpositive_close(self, tmp_path):
         rows = [f"S,2020-01-{2+i:02d},,,,{c},10" for i, c in enumerate([1.0, 0.0, -1.0, 2.0])]
         result = ingest_csv(write_bars(tmp_path, rows))
-        assert all(b.close > 0 for b in result.bars_by_symbol["S"])
+        assert np.all(result.bars_by_symbol["S"].close > 0)
         assert result.rejected_rows == 2
 
     def test_meta_csv(self, tmp_path):
@@ -115,6 +149,132 @@ class TestIngest:
         path.write_text("symbol,sector,shares_outstanding\nXOM,Energy,0\n")
         with pytest.raises(DuotraderError):
             ingest_meta_csv(path)
+
+    @pytest.mark.parametrize("shares", ["abc", "inf", ""])
+    def test_meta_unparsable_shares(self, tmp_path, shares):
+        path = tmp_path / "meta.csv"
+        path.write_text(
+            f"symbol,sector,shares_outstanding\nCVX,Energy,100\nXOM,Energy,{shares}\n"
+        )
+        with pytest.raises(DuotraderError, match=r"meta\.csv:3: invalid shares_outstanding"):
+            ingest_meta_csv(path)
+
+
+def _columns(series: SymbolBars) -> list[np.ndarray]:
+    return [series.days, series.open, series.high, series.low, series.close, series.volume]
+
+
+def assert_same_ingest(a, b):
+    assert list(a.bars_by_symbol) == list(b.bars_by_symbol)
+    for symbol, series in a.bars_by_symbol.items():
+        for x, y in zip(_columns(series), _columns(b.bars_by_symbol[symbol])):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert a.rejected_rows == b.rejected_rows
+    assert a.diagnostics == b.diagnostics
+
+
+GOOD_ROWS = [
+    "CVX,2020-01-02,110.0,111.5,109.0,111.0,2000",
+    "CVX,2020-01-03,111.0,112.0,110.5,111.25,2500.7",
+]
+LONG_SYMBOL = "ABCDEFGHIJKLMNOPQRSTUV"  # 22 characters
+
+
+def _iso_date_accepted(text: str) -> bool:
+    try:
+        date.fromisoformat(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _outcome(read, path):
+    """What a reader gives for a file: its result, or the ordering error."""
+    try:
+        return read(path)
+    except DataOrderingError as exc:
+        return exc
+
+
+def assert_same_outcome(a, b):
+    if isinstance(a, DataOrderingError) or isinstance(b, DataOrderingError):
+        assert type(a) is type(b) and str(a) == str(b)
+    else:
+        assert_same_ingest(a, b)
+
+
+XOM_ROW = "XOM,2020-01-02,70.0,71.0,69.5,70.5,100"
+
+
+class TestFastPathParity:
+    """``ingest_csv`` reads a file with numpy's C parser and falls back to
+    the row-by-row reader unless the file is provably clean; either way the
+    outcome equals the row-by-row reader's."""
+
+    @pytest.mark.parametrize(
+        "rows, newline, expect_fast",
+        [
+            pytest.param([XOM_ROW.replace("XOM", LONG_SYMBOL)], "\n", True, id="long-symbol"),
+            pytest.param([XOM_ROW.replace("XOM", '"XOM"')], "\n", False, id="quoted-symbol"),
+            pytest.param([XOM_ROW.replace("XOM", " XOM ")], "\n", False, id="padded-symbol"),
+            pytest.param(["XOM,2020-01-02,,,,70.5,"], "\n", False, id="blank-optionals"),
+            pytest.param([XOM_ROW.replace("2020-01-02", "")], "\n", False, id="blank-date"),
+            pytest.param([XOM_ROW.replace("2020-01-02", "NaT")], "\n", False, id="nat-date"),
+            pytest.param(
+                [XOM_ROW.replace("2020-01-02", "20150102")], "\n",
+                _iso_date_accepted("20150102"), id="basic-format-date",
+            ),
+            pytest.param([XOM_ROW.replace("2020-01-02", "2015-01")], "\n", False,
+                         id="year-month-date"),
+            pytest.param([XOM_ROW], "\r\n", True, id="crlf"),
+            pytest.param(
+                [XOM_ROW.replace("-02,", "-06,"), XOM_ROW], "\n", False,
+                id="out-of-order",
+            ),
+            pytest.param([XOM_ROW.replace(",100", ",1e400")], "\n", False,
+                         id="infinite-volume"),
+            pytest.param([XOM_ROW + ",7"], "\n", False, id="extra-field"),
+            pytest.param([XOM_ROW, ""], "\n", True, id="blank-line"),
+        ],
+    )
+    def test_hazard(self, tmp_path, rows, newline, expect_fast):
+        path = tmp_path / "bars.csv"
+        text = HEADER + "".join(r + "\n" for r in GOOD_ROWS + rows)
+        path.write_bytes(text.replace("\n", newline).encode())
+        fast = marketdata._read_clean_columns(path)
+        assert (fast is not None) == expect_fast
+        outcome = _outcome(ingest_csv, path)
+        assert_same_outcome(outcome, _outcome(marketdata._read_rows, path))
+        if fast is not None:
+            assert_same_ingest(outcome, marketdata.IngestResult(fast))
+
+    def test_out_of_order_error_names_line(self, tmp_path):
+        path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW.replace("-02,", "-06,"), XOM_ROW])
+        with pytest.raises(DataOrderingError) as error:
+            ingest_csv(path)
+        assert str(error.value) == f"{path}:5: XOM timestamp 2020-01-02 not after 2020-01-06"
+
+    def test_generated_market_takes_fast_path(self, tmp_path):
+        rows = []
+        for i, symbol in enumerate(["S02", "S00", "S01"]):
+            bars, _ = synth_regime_series(i, 40, [(0.0, 0.01)], [[1.0]], symbol=symbol)
+            rows += [
+                f"{b.symbol},{b.timestamp},{b.open!r},{b.high!r},{b.low!r},{b.close!r},{b.volume}"
+                for b in bars
+            ]
+        path = write_bars(tmp_path, rows)
+        fast = marketdata._read_clean_columns(path)
+        assert fast is not None and list(fast) == ["S02", "S00", "S01"]
+        assert_same_ingest(ingest_csv(path), marketdata._read_rows(path))
+
+    def test_bar_round_trip(self):
+        bars, _ = synth_regime_series(4, 30, [(0.0, 0.01)], [[1.0]], symbol="RT")
+        assert SymbolBars.from_bars(bars).to_bars("RT") == bars
+
+    def test_from_bars_rejects_unordered(self):
+        bars, _ = synth_regime_series(4, 3, [(0.0, 0.01)], [[1.0]])
+        with pytest.raises(DataOrderingError):
+            SymbolBars.from_bars([bars[0], bars[2], bars[1]])
 
 
 class TestFeatures:
@@ -143,28 +303,6 @@ class TestFeatures:
         closes = 50 * np.exp(np.cumsum(rng.normal(0, 0.02, 300)))
         rebuilt = np.exp(np.cumsum(log_returns(closes)))
         assert np.allclose(rebuilt, closes[1:] / closes[0], rtol=1e-12)
-
-
-class TestRollingWindow:
-    def test_capacity_and_eviction(self):
-        window = RollingWindow(3)
-        bars = [make_bar(close=float(i)) for i in range(1, 8)]
-        for i, bar in enumerate(bars):
-            window.push(bar)
-            assert len(window) <= 3
-        assert list(window.closes()) == [5.0, 6.0, 7.0]
-        assert len(window) == window.capacity
-
-    def test_order_preserved_below_capacity(self):
-        window = RollingWindow(10)
-        for i in range(4):
-            window.push(make_bar(close=float(i)))
-        assert list(window.closes()) == [0.0, 1.0, 2.0, 3.0]
-        assert len(window) < window.capacity
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ParameterError):
-            RollingWindow(0)
 
 
 class TestSynthSeries:

@@ -1,36 +1,35 @@
 from datetime import date
 
+import numpy as np
 import pytest
 
 from duotrader.errors import InsufficientDataError, ParameterError
-from duotrader.marketdata import InstrumentMeta
+from duotrader.marketdata import InstrumentMeta, SymbolBars
 from duotrader.universe import UniverseConfig, dollar_volume, select_universe
 
-from conftest import make_bar, make_bars
+from conftest import make_bars
 
 AS_OF = date(2020, 6, 1)
 
 
 def candidate(symbol, sector, shares, closes, volumes=None):
     bars = make_bars(symbol, closes, start=date(2020, 1, 2), volumes=volumes)
-    return symbol, (bars, InstrumentMeta(symbol, sector, shares))
+    return symbol, (SymbolBars.from_bars(bars), InstrumentMeta(symbol, sector, shares))
 
 
 class TestDollarVolume:
     def test_single_product(self):
-        assert dollar_volume([make_bar(close=10.0, volume=1000)]) == 10000.0
+        assert dollar_volume(np.array([10.0]), np.array([1000.0])) == 10000.0
 
     def test_sum(self):
-        bars = [make_bar(close=10.0, volume=1000), make_bar(close=20.0, volume=500)]
-        assert dollar_volume(bars) == 20000.0
+        assert dollar_volume(np.array([10.0, 20.0]), np.array([1000.0, 500.0])) == 20000.0
 
     def test_zero_volumes(self):
-        bars = [make_bar(close=10.0, volume=0), make_bar(close=20.0, volume=0)]
-        assert dollar_volume(bars) == 0.0
+        assert dollar_volume(np.array([10.0, 20.0]), np.zeros(2)) == 0.0
 
     def test_empty_error(self):
         with pytest.raises(InsufficientDataError):
-            dollar_volume([])
+            dollar_volume(np.array([]), np.array([]))
 
 
 class TestSelectUniverse:
@@ -78,7 +77,7 @@ class TestSelectUniverse:
     def test_symbols_without_history_skipped(self):
         symbol, payload = candidate("FUT", "Energy", 100, [10.0] * 5)
         future_bars = make_bars("FUT", [10.0] * 5, start=date(2021, 1, 4))
-        candidates = {symbol: (future_bars, payload[1])}
+        candidates = {symbol: (SymbolBars.from_bars(future_bars), payload[1])}
         config = UniverseConfig(coarse_count=5, fine_count=5)
         assert select_universe(candidates, config, AS_OF) == []
 
@@ -88,8 +87,8 @@ class TestSelectUniverse:
         aaa = make_bars("AAA", [10.0, 10.0, 30.0, 1.0, 1.0])
         bbb = make_bars("BBB", [20.0, 20.0, 20.0, 50.0, 50.0])
         candidates = {
-            "AAA": (aaa, InstrumentMeta("AAA", "Energy", 100)),
-            "BBB": (bbb, InstrumentMeta("BBB", "Energy", 100)),
+            "AAA": (SymbolBars.from_bars(aaa), InstrumentMeta("AAA", "Energy", 100)),
+            "BBB": (SymbolBars.from_bars(bbb), InstrumentMeta("BBB", "Energy", 100)),
         }
         config = UniverseConfig(coarse_count=2, fine_count=1)
         assert select_universe(candidates, config, aaa[1].timestamp) == ["BBB"]
@@ -122,6 +121,24 @@ class TestSelectUniverse:
         assert result == ["CCC"]
         assert len(result) <= config.fine_count
         assert all(candidates[s][1].sector.lower() == "energy" for s in result)
+
+
+    def test_liquidity_summed_oldest_first(self):
+        # AAA trades 1e16 on its first day and 1 on each of the next 29.
+        # Summed oldest first, each 1 rounds away (1e16 + 1 is a tie that
+        # rounds to even), so AAA's liquidity is 1e16, below BBB's 1e16 + 14;
+        # numpy's pairwise sum adds the ones first and ranks AAA above BBB.
+        aaa_volumes = [100_000_000] + [1] * 29
+        aaa_closes = [1e8] + [1.0] * 29
+        bbb_closes = [1e16 + 14] + [1.0] * 29
+        candidates = dict([
+            candidate("AAA", "Energy", 100, aaa_closes, volumes=aaa_volumes),
+            candidate("BBB", "Energy", 100, bbb_closes, volumes=[1] + [0] * 29),
+        ])
+        products = np.array(aaa_closes) * np.array(aaa_volumes)
+        assert np.sum(products) > 1e16 + 14 > float(np.cumsum(products)[-1]) == 1e16
+        config = UniverseConfig(coarse_count=1, fine_count=1)
+        assert select_universe(candidates, config, AS_OF) == ["BBB"]
 
 
 class TestConfig:
