@@ -9,7 +9,6 @@ not used for sizing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import date
 
@@ -39,9 +38,6 @@ class Insight:
             "period": self.period,
             "diagnostic": self.diagnostic,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 @dataclass

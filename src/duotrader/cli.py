@@ -124,9 +124,11 @@ def _print_summary(report: metrics.MetricsReport) -> None:
 
 
 def _benchmark_bars(path: str) -> list[Bar]:
-    """Every bar of a benchmark CSV, symbol by symbol in file order."""
-    bench = ingest_csv(path)
-    return [b for s, series in bench.bars_by_symbol.items() for b in series.to_bars(s)]
+    """The bars of a one-symbol benchmark CSV, oldest first."""
+    series = ingest_csv(path).bars_by_symbol
+    if len(series) > 1:
+        raise DuotraderError(f"{path}: a benchmark file holds one symbol, got {', '.join(series)}")
+    return [b for symbol, bars in series.items() for b in bars.to_bars(symbol)]
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
@@ -291,7 +293,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     fills = _read_fills_jsonl(Path(args.fills))
     benchmark_returns = None
     if args.benchmark:
-        bars = sorted(_benchmark_bars(args.benchmark), key=lambda b: b.timestamp)
+        bars = _benchmark_bars(args.benchmark)
         benchmark_returns = engine_mod.align_benchmark_returns(bars, dates)
     report = metrics.compute_report(
         dates, values, fills, benchmark_returns, args.risk_free

@@ -2,8 +2,8 @@
 
 All prices are daily closes in currency units. Ingestion keeps each
 symbol's history as columns (``SymbolBars``), not as one object per bar. It
-is strict about prices (a bar without a valid positive close, or with a
-non-finite open, high, low or volume, is dropped) and about per-symbol
+is strict about prices (a bar without a valid positive close, open, high
+and low, or with a non-finite volume, is dropped) and about per-symbol
 timestamp ordering (a violation is fatal).
 """
 
@@ -125,9 +125,10 @@ def _parse_float(text: str, default: float | None = None) -> float | None:
     return float(text)
 
 
-def _parse_price(text: str, default: float, name: str) -> float:
+def _parse_price(text: str, default: float | None, name: str) -> float:
+    """A finite positive price; a blank field gives ``default``."""
     value = _parse_float(text, default)
-    if not math.isfinite(value):
+    if value is None or not math.isfinite(value) or value <= 0:
         raise ValueError(f"invalid {name}")
     return value
 
@@ -152,11 +153,11 @@ def _open_bar_csv(path: Path):
 def ingest_csv(path: str | Path) -> IngestResult:
     """Load a bar CSV (header: symbol,date,open,high,low,close,volume).
 
-    Rows without a valid positive close are skipped and counted, as are rows
-    with a non-finite open, high, low or volume. A row whose optional
-    open/high/low/volume fields are blank inherits the close (volume defaults
-    to 0); a volume is truncated to whole shares. Non-monotonic timestamps
-    within a symbol are fatal.
+    Rows without a valid positive close, open, high and low, or with a
+    non-finite volume, are skipped and counted. A row whose optional
+    open/high/low/volume fields are blank inherits the close (volume
+    defaults to 0); a volume is truncated to whole shares. Non-monotonic
+    timestamps within a symbol are fatal.
 
     The file is first read by numpy's C parser and checked column-wise; a
     file that this cannot show to be clean (a parse error, a blank field, a
@@ -210,9 +211,10 @@ def _read_clean_columns(path: Path) -> dict[str, SymbolBars] | None:
 
     open_, high, low, close, volume = (table[name] for name in BAR_CSV_HEADER[2:])
     volume = np.trunc(volume) + 0.0  # int(float(text)), with -0.0 as 0
+    # low > 0 and the OHLC ordering make every price positive.
     clean = (
         np.isfinite(open_) & np.isfinite(high) & np.isfinite(low)
-        & np.isfinite(close) & np.isfinite(volume) & (close > 0) & (volume >= 0)
+        & np.isfinite(close) & np.isfinite(volume) & (low > 0) & (volume >= 0)
         & (low <= np.minimum(open_, close)) & (np.maximum(open_, close) <= high)
     )
     if not clean.all():
@@ -250,9 +252,7 @@ def _read_rows(path: Path) -> IngestResult:
             symbol = row[0].strip()
             try:
                 ts = date.fromisoformat(row[1].strip())
-                close = _parse_float(row[5])
-                if close is None or not math.isfinite(close) or close <= 0:
-                    raise ValueError("invalid close")
+                close = _parse_price(row[5], None, "close")
                 open_ = _parse_price(row[2], close, "open")
                 high = _parse_price(row[3], close, "high")
                 low = _parse_price(row[4], close, "low")

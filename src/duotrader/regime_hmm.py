@@ -48,32 +48,9 @@ class HmmModel:
     transition: np.ndarray         # (K, K), row-stochastic
     mean_returns: np.ndarray       # (K,)
     variances: np.ndarray          # (K,)
-    fit_log_likelihood: float
+    # One log-likelihood per EM iteration; the last is the final parameters'.
     log_likelihood_path: list[float] = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "initial_probs": self.initial_probs.tolist(),
-            "transition": self.transition.tolist(),
-            "mean_returns": self.mean_returns.tolist(),
-            "variances": self.variances.tolist(),
-            "fit_log_likelihood": self.fit_log_likelihood,
-            "log_likelihood_path": list(self.log_likelihood_path),
-            "diagnostics": dict(self.diagnostics),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "HmmModel":
-        return cls(
-            initial_probs=np.array(payload["initial_probs"], dtype=float),
-            transition=np.array(payload["transition"], dtype=float),
-            mean_returns=np.array(payload["mean_returns"], dtype=float),
-            variances=np.array(payload["variances"], dtype=float),
-            fit_log_likelihood=float(payload["fit_log_likelihood"]),
-            log_likelihood_path=list(payload.get("log_likelihood_path", [])),
-            diagnostics=dict(payload.get("diagnostics", {})),
-        )
 
 
 @dataclass(frozen=True)
@@ -301,7 +278,6 @@ def fit_batch(
                 transition=trans[pos],
                 mean_returns=means[pos],
                 variances=variances[pos],
-                fit_log_likelihood=paths[row][-1],
                 log_likelihood_path=paths[row],
                 diagnostics={
                     "iterations": len(paths[row]) - 1,

@@ -30,6 +30,10 @@ from .errors import (
 )
 
 LAYER_SIZES = (5, 10, 10, 10, 5, 1)
+# Adam's decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -39,9 +43,6 @@ class MlpConfig:
     epochs: int = 5
     batch_size: int = 16
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2 or any(s < 1 for s in self.layer_sizes):
@@ -58,27 +59,15 @@ class MlpConfig:
 
 @dataclass
 class MlpModel:
-    """Layer parameters plus Adam moment state (one moment pair per tensor)."""
+    """Layer parameters and the number of Adam updates behind them."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
     step: int = 0
 
     @property
     def input_size(self) -> int:
         return self.weights[0].shape[0]
-
-    def to_dict(self) -> dict:
-        return {
-            "layer_sizes": [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights],
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-            "step": self.step,
-        }
 
 
 @dataclass(frozen=True)
@@ -107,14 +96,7 @@ def init_model(config: MlpConfig) -> MlpModel:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(
-        weights=weights,
-        biases=biases,
-        m_weights=[np.zeros_like(w) for w in weights],
-        v_weights=[np.zeros_like(w) for w in weights],
-        m_biases=[np.zeros_like(b) for b in biases],
-        v_biases=[np.zeros_like(b) for b in biases],
-    )
+    return MlpModel(weights, biases)
 
 
 def build_training_set(closes: Sequence[float] | np.ndarray, window: int = 5) -> TrainingSet:
@@ -168,27 +150,21 @@ def _gradients_stack(weights, biases, inputs: np.ndarray, targets: np.ndarray):
     return losses, grad_w, grad_b
 
 
-def _adam_update(params, grads, ms, vs, step: int, config: MlpConfig) -> None:
-    """Adam update at ``step`` (counted from 1) of every tensor, in place.
-    Elementwise, so a tensor may hold one network or a stack of them."""
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
-    corr1 = 1.0 - b1**step
-    corr2 = 1.0 - b2**step
-    for p, g, m, v in zip(params, grads, ms, vs):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= config.learning_rate * (m / corr1) / (np.sqrt(v / corr2) + eps)
-
-
-def _flatten(tensors) -> np.ndarray:
-    return np.concatenate([t.ravel() for t in tensors])
+def _adam_update(params, grads, m, v, step: int, learning_rate: float) -> None:
+    """Adam update at ``step`` (counted from 1) of the (S, P) parameters and
+    their moments, in place, from the (S, P) gradients."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    corr1 = 1.0 - ADAM_BETA1**step
+    corr2 = 1.0 - ADAM_BETA2**step
+    params -= learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
 
 
 def _unflatten(flat: np.ndarray, shapes) -> list[np.ndarray]:
     """Views of the rows of an (S, P) array as (S, *shape) tensors, in the
-    layout of _flatten."""
+    layout of params_to_vector."""
     views, offset = [], 0
     for shape in shapes:
         size = math.prod(shape)
@@ -222,24 +198,6 @@ def gradients(model: MlpModel, inputs: np.ndarray, targets: np.ndarray):
     return float(losses[0]), [g[0] for g in grad_w], [g[0] for g in grad_b]
 
 
-def adam_step(model: MlpModel, grad_w, grad_b, config: MlpConfig) -> None:
-    """One Adam update over every parameter tensor, in place."""
-    model.step += 1
-    _adam_update(
-        model.weights + model.biases,
-        list(grad_w) + list(grad_b),
-        model.m_weights + model.m_biases,
-        model.v_weights + model.v_biases,
-        model.step,
-        config,
-    )
-
-
-def dataset_mse(model: MlpModel, data: TrainingSet) -> float:
-    out, _ = _forward_stack(_lead(model.weights), _lead(model.biases), data.inputs[None])
-    return float(np.mean((out[0, :, 0] - data.targets) ** 2))
-
-
 def train_batch(
     models: Sequence[MlpModel],
     data: Sequence[TrainingSet],
@@ -251,32 +209,32 @@ def train_batch(
     Network s trains on ``data[s]`` with its own shuffle seeded by
     ``seeds[s]`` (``config.seed`` is not used), and gets exactly the model
     and loss history ``train`` gives it alone. The training sets must have
-    one length and the models one Adam step count, so that every network
-    takes the same batches. Returns one entry per network: (trained model,
-    per-epoch loss history), or the TrainingDivergedError raised when its
-    loss became non-finite.
+    one length, so that every network takes the same batches. Adam's
+    moments start at zero, so a model passed in with ``step > 0`` (no caller
+    does this) only keeps its weights and adds this call's updates to its
+    count. Returns one entry per network: (trained model, per-epoch loss
+    history), or the TrainingDivergedError raised when its loss became
+    non-finite (its step counts this call's updates).
     """
     if not (len(models) == len(data) == len(seeds)):
         raise ParameterError("need one training set and one seed per model")
     if not models:
         return []
-    if len({len(d) for d in data}) != 1 or len({m.step for m in models}) != 1:
-        raise ParameterError("lock-step training needs equal training-set lengths and steps")
+    if len({len(d) for d in data}) != 1:
+        raise ParameterError("lock-step training needs training sets of one length")
     n = len(data[0])
     if n == 0:
         raise InsufficientDataError("training set is empty")
 
     n_layers = len(models[0].weights)
     shapes = [t.shape for t in models[0].weights + models[0].biases]
-    # Parameters and Adam moments of network s are row s of an (S, P)
-    # array in the params_to_vector layout, so one Adam step is one update
-    # of whole arrays; the layer tensors are views into the rows.
-    params, ms, vs = (
-        np.stack([_flatten(getattr(m, w) + getattr(m, b)) for m in models])
-        for w, b in (("weights", "biases"), ("m_weights", "m_biases"), ("v_weights", "v_biases"))
-    )
+    # Parameters and Adam moments (from zero) of network s are row s of an
+    # (S, P) array in the params_to_vector layout, so one Adam step is one
+    # update of whole arrays; the layer tensors are views into the rows.
+    params = np.stack([params_to_vector(m) for m in models])
+    ms, vs = np.zeros_like(params), np.zeros_like(params)
     tensors = _unflatten(params, shapes)
-    step = models[0].step
+    step = 0
     inputs = np.stack([d.inputs for d in data])
     targets = np.stack([d.targets for d in data])
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -314,24 +272,19 @@ def train_batch(
                     if not rows:
                         return results
                 step += 1
-                _adam_update([params], [grads], [ms], [vs], step, config)
+                _adam_update(params, grads, ms, vs, step, config.learning_rate)
                 batch_losses.append(losses)
             # One row per network, so each mean sums its losses in the
             # same order as a mean over one network's list.
             for row, mean in zip(rows, np.stack(batch_losses, axis=1).mean(axis=1)):
                 histories[row].append(float(mean))
 
-    m_tensors, v_tensors = _unflatten(ms, shapes), _unflatten(vs, shapes)
     for pos, row in enumerate(rows):
         results[row] = (
             MlpModel(
                 weights=[t[pos] for t in tensors[:n_layers]],
                 biases=[t[pos] for t in tensors[n_layers:]],
-                m_weights=[t[pos] for t in m_tensors[:n_layers]],
-                v_weights=[t[pos] for t in v_tensors[:n_layers]],
-                m_biases=[t[pos] for t in m_tensors[n_layers:]],
-                v_biases=[t[pos] for t in v_tensors[n_layers:]],
-                step=step,
+                step=models[row].step + step,
             ),
             histories[row],
         )
@@ -364,7 +317,7 @@ def predict_direction(model: MlpModel, recent_diffs: Sequence[float] | np.ndarra
 
 def params_to_vector(model: MlpModel) -> np.ndarray:
     """Flatten weights then biases, layer by layer (for gradient checks)."""
-    return _flatten(model.weights + model.biases)
+    return np.concatenate([t.ravel() for t in model.weights + model.biases])
 
 
 def vector_to_params(model: MlpModel, vector: np.ndarray) -> None:

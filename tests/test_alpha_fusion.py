@@ -1,5 +1,4 @@
 import itertools
-import json
 from datetime import date
 
 import pytest
@@ -93,7 +92,7 @@ class TestDegradation:
 class TestLogging:
     def test_json_record(self):
         insight = fuse((UP, 0.01), (UP, 2.0), "CVX", DAY, 21)
-        record = json.loads(insight.to_json())
+        record = insight.to_dict()
         assert record["symbol"] == "CVX"
         assert record["date"] == "2021-03-01"
         assert record["direction"] == UP

@@ -132,6 +132,27 @@ class TestBacktest:
         resolved = json.loads((out_dir / "resolved_config.json").read_text())
         assert resolved["data"]["benchmark"].endswith("bars.csv")
 
+    def test_multi_symbol_benchmark_exit_1(self, tmp_path, capsys):
+        # Two symbols' closes keyed by date would interleave into one
+        # benchmark series, so both commands refuse the file.
+        data_dir = run_synth(tmp_path)
+        bench_dir = run_synth(tmp_path / "bench", seed=99, spec=dict(SYNTH_SPEC, symbols=2))
+        bench = str(bench_dir / "bars.csv")
+        out_dir = tmp_path / "out"
+        config = write_run_config(tmp_path, data_dir, out_dir)
+        assert main(["backtest", "--config", str(config), "--benchmark", bench]) == 1
+        assert "holds one symbol, got SYN00, SYN01" in capsys.readouterr().err
+        assert main(["backtest", "--config", str(config)]) == 0
+        code = main([
+            "report",
+            "--equity", str(out_dir / "equity_curve.csv"),
+            "--fills", str(out_dir / "fills.jsonl"),
+            "--benchmark", bench,
+            "--out", str(tmp_path / "report2.json"),
+        ])
+        assert code == 1
+        assert "holds one symbol, got SYN00, SYN01" in capsys.readouterr().err
+
     def test_seed_determinism(self, tmp_path):
         data_dir = run_synth(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

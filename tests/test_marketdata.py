@@ -248,6 +248,19 @@ class TestFastPathParity:
         if fast is not None:
             assert_same_ingest(outcome, marketdata.IngestResult(fast))
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("column", ["open", "low"])
+    def test_non_positive_price_rejected(self, tmp_path, column, value):
+        # The low goes with a non-positive open, so the OHLC order still
+        # holds; the open is checked first.
+        open_ = value if column == "open" else "70.0"
+        path = write_bars(tmp_path, [*GOOD_ROWS, f"XOM,2020-01-02,{open_},71.0,{value},70.5,100"])
+        assert marketdata._read_clean_columns(path) is None
+        result = ingest_csv(path)
+        assert_same_ingest(result, marketdata._read_rows(path))
+        assert result.rejected_rows == 1
+        assert result.diagnostics == [f"{path}:4: invalid {column}"]
+
     def test_out_of_order_error_names_line(self, tmp_path):
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW.replace("-02,", "-06,"), XOM_ROW])
         with pytest.raises(DataOrderingError) as error:

@@ -29,7 +29,6 @@ def build_model(pi, trans, means, variances):
         transition=np.asarray(trans, dtype=float),
         mean_returns=np.asarray(means, dtype=float),
         variances=np.asarray(variances, dtype=float),
-        fit_log_likelihood=0.0,
     )
 
 
@@ -46,7 +45,6 @@ def assert_same_model(got, want):
     assert np.array_equal(got.transition, want.transition)
     assert np.array_equal(got.mean_returns, want.mean_returns)
     assert np.array_equal(got.variances, want.variances)
-    assert got.fit_log_likelihood == want.fit_log_likelihood
     assert got.log_likelihood_path == want.log_likelihood_path
     assert got.diagnostics == want.diagnostics
 
@@ -125,15 +123,6 @@ class TestFit:
         assert model.mean_returns.shape == (4,)
         assert model.variances.shape == (4,)
         assert np.all(model.variances > 0)
-
-    def test_serialization_roundtrip(self):
-        rng = np.random.default_rng(17)
-        model = fit(rng.normal(0, 0.01, 100), HmmConfig(n_states=2, seed=3))
-        clone = HmmModel.from_dict(model.to_dict())
-        assert np.array_equal(clone.mean_returns, model.mean_returns)
-        assert np.array_equal(clone.variances, model.variances)
-        assert np.array_equal(clone.transition, model.transition)
-        assert clone.fit_log_likelihood == model.fit_log_likelihood
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
@@ -339,7 +328,6 @@ class TestPredictDirection:
             transition=model.transition[np.ix_(perm, perm)],
             mean_returns=model.mean_returns[perm],
             variances=model.variances[perm],
-            fit_log_likelihood=model.fit_log_likelihood,
         )
         shuffled = predict_direction(permuted, forward_posterior(permuted, returns))
         assert shuffled.expected_return == pytest.approx(base.expected_return, abs=1e-12)
@@ -356,7 +344,6 @@ class TestPredictDirection:
                 transition=model.transition,
                 mean_returns=model.mean_returns * scale,
                 variances=model.variances,
-                fit_log_likelihood=model.fit_log_likelihood,
             )
             assert predict_direction(scaled, posterior).direction == base.direction
 

@@ -50,6 +50,9 @@ def test_unknown_section_key(tmp_path):
     path.write_text(json.dumps({"risk": {"maxdrawdown": 0.1}}))
     with pytest.raises(ConfigError, match="maxdrawdown"):
         load_config(path)
+    # Adam's decay rates and epsilon are module constants, not config fields.
+    with pytest.raises(ConfigError, match="adam_beta1"):
+        load_config(None, {"mlp.adam_beta1": 0.8})
 
 
 def test_invalid_section_value(tmp_path):
