@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 import zlib
 from dataclasses import replace
@@ -379,6 +381,98 @@ class TestBatchedRefit:
         assert not any(r["symbol"] == "S02" and r["model"] == "mlp" for r in result.fits)
         assert any(r["model"] == "mlp" for r in result.fits)
         assert_fits_match_direct(result, bars_by_symbol)
+
+
+def cadence_churn_run():
+    """Refits every 42 bars, rebalances every 10 and reselects a universe of
+    4 out of 8 symbols every month. S05 lists 60 bars late, so its first
+    window is shorter than the others'. S07's prices jump by 1e160 at bar
+    250, so its network refits fail from then on. Returns the bars and the
+    result."""
+    bars_by_symbol, meta = synth_market(n_symbols=8, n_bars=360)
+    bars_by_symbol["S05"] = bars_by_symbol["S05"][60:]
+    bars_by_symbol["S07"] = bars_by_symbol["S07"][:250] + [
+        replace(b, open=b.open * 1e160, high=b.high * 1e160,
+                low=b.low * 1e160, close=b.close * 1e160)
+        for b in bars_by_symbol["S07"][250:]
+    ]
+    result = run_backtest(
+        bars_by_symbol,
+        meta,
+        UniverseConfig(fine_count=4, coarse_count=4, liquidity_lookback=10),
+        HmmConfig(n_states=2),
+        MlpConfig(epochs=2),
+        FusionConfig(),
+        BlConfig(covariance_lookback=60),
+        RiskConfig(),
+        EngineConfig(
+            seed=3, warmup_bars=120, retrain_every=42, rebalance_every=10, window_bars=100
+        ),
+    )
+    return bars_by_symbol, result
+
+
+def jsonl_sha256(records) -> str:
+    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestCadenceAndChurn:
+    """Pins a run whose models outlive the universe membership they were fit
+    in: a symbol out of the universe at a refit keeps its older models, and a
+    failed refit drops the model it would have replaced."""
+
+    FILLS_SHA256 = "8fea22de0c42ee50f7bc6bb0a6e98f30030e50959866a88d5513b0731ad2cbad"
+    FITS_SHA256 = "225fa229b394b3cc26ce474ad0e8e49499fceaf1e8852877c826f9516d9f52dc"
+    DIAGNOSTICS = [
+        "2015-08-14: S04: missing model output: hmm,nn",
+        "2016-01-01: S00: missing model output: hmm,nn",
+        "2016-01-15: S00: missing model output: hmm,nn",
+        "2016-01-29: S00: missing model output: hmm,nn",
+        "2016-02-10: S07 net fit skipped: non-finite loss at step 1",
+        "2016-02-12: S07: missing model output: nn",
+        "2016-02-26: S07: missing model output: nn",
+        "2016-03-11: S07: missing model output: nn",
+        "2016-03-25: S07: missing model output: nn",
+        "2016-04-08: S07 net fit skipped: non-finite loss at step 1",
+        "2016-04-08: S07: missing model output: nn",
+        "2016-04-22: S07: missing model output: nn",
+        "2016-05-06: S07: missing model output: nn",
+    ]
+
+    def test_pinned_run(self):
+        bars_by_symbol, result = cadence_churn_run()
+        fitted: dict[date, set[str]] = {}
+        for record in result.fits:
+            fitted.setdefault(date.fromisoformat(record["date"]), set()).add(record["symbol"])
+        universes: dict[date, set[str]] = {}
+        for insight in result.insights:
+            universes.setdefault(insight.issued_at, set()).add(insight.symbol)
+        refit_days = sorted(fitted)
+
+        def last_refit(day):
+            return max(r for r in refit_days if r <= day)
+
+        # Between two refits some symbol leaves the universe and comes back.
+        periods: dict[tuple[date, str], str] = {}
+        for day in sorted(universes):
+            for symbol in bars_by_symbol:
+                key = (last_refit(day), symbol)
+                periods[key] = periods.get(key, "") + ("1" if symbol in universes[day] else "0")
+        assert any("10" in membership.strip("0") for membership in periods.values())
+        # Some universe symbol missed the latest refit but was refit earlier,
+        # so it forecasts with its older models.
+        assert any(
+            symbol not in fitted[last_refit(day)]
+            and any(symbol in fitted[r] for r in refit_days if r < last_refit(day))
+            for day, universe in universes.items() for symbol in universe
+        )
+        lengths = assert_fits_match_direct(result, bars_by_symbol)
+        assert lengths[(refit_days[0].isoformat(), "S05")] == 61
+
+        assert jsonl_sha256(f.to_dict() for f in result.fills) == self.FILLS_SHA256
+        assert jsonl_sha256(result.fits) == self.FITS_SHA256
+        assert result.diagnostics == self.DIAGNOSTICS
 
 
 class TestDataGap:
