@@ -123,9 +123,20 @@ def _print_summary(report: metrics.MetricsReport) -> None:
         print(f"{'Flags':<{width}}  {', '.join(report.flags)}")
 
 
+def _print_ingest_notes(ingested) -> None:
+    """Report a CSV's rejected rows on stderr as ``[ingest]`` lines."""
+    for note in ingested.diagnostics:
+        print(f"[ingest] {note}", file=sys.stderr)
+    if ingested.rejected_rows:
+        print(f"[ingest] rejected {ingested.rejected_rows} row(s)", file=sys.stderr)
+
+
 def _benchmark_bars(path: str) -> list[Bar]:
-    """The bars of a one-symbol benchmark CSV, oldest first."""
-    series = ingest_csv(path).bars_by_symbol
+    """The bars of a one-symbol benchmark CSV, oldest first. Rejected rows
+    are reported on stderr."""
+    ingested = ingest_csv(path)
+    _print_ingest_notes(ingested)
+    series = ingested.bars_by_symbol
     if len(series) > 1:
         raise DuotraderError(f"{path}: a benchmark file holds one symbol, got {', '.join(series)}")
     return [b for symbol, bars in series.items() for b in bars.to_bars(symbol)]
@@ -146,10 +157,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     config = load_config(args.config, overrides)
 
     bars = ingest_csv(config.data.bars)
-    for note in bars.diagnostics:
-        print(f"[ingest] {note}", file=sys.stderr)
-    if bars.rejected_rows:
-        print(f"[ingest] rejected {bars.rejected_rows} row(s)", file=sys.stderr)
+    _print_ingest_notes(bars)
     meta = ingest_meta_csv(config.data.meta)
     benchmark_bars = None
     if config.data.benchmark:
@@ -291,12 +299,13 @@ def _read_fills_jsonl(path: Path) -> list[engine_mod.Fill]:
 def cmd_report(args: argparse.Namespace) -> int:
     dates, values = _read_equity_csv(Path(args.equity))
     fills = _read_fills_jsonl(Path(args.fills))
-    benchmark_returns = None
+    benchmark_returns = benchmark_end = None
     if args.benchmark:
         bars = _benchmark_bars(args.benchmark)
         benchmark_returns = engine_mod.align_benchmark_returns(bars, dates)
+        benchmark_end = max((b.timestamp for b in bars), default=None)
     report = metrics.compute_report(
-        dates, values, fills, benchmark_returns, args.risk_free
+        dates, values, fills, benchmark_returns, args.risk_free, benchmark_end
     )
     _write_report(Path(args.out), report)
     _print_summary(report)

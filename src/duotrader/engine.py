@@ -1,33 +1,44 @@
-"""Deterministic event-driven daily backtest loop.
+"""Deterministic event-driven daily backtest, run in two phases.
 
 Each symbol's history is one ``SymbolBars`` (day ordinals plus OHLCV
 columns). A symbol's rolling window on a day is a slice of its close column:
 its last ``window_bars`` closes on or before that day, none before
-``start_date``. Per trading day, in order:
+``start_date``.
+
+Phase 1, the plan (``_plan_signals``), depends on the data and the configs
+alone. It walks the calendar once: it re-selects the universe
+(``select_universe``) on the first trading day of each month and, past
+warm-up, notes every refit (on the retrain cadence: both models for every
+universe symbol with a window) and every rebalance (on the rebalance
+cadence). A rebalance forecasts each universe symbol with the models of its
+latest refit; a failed refit leaves the symbol without that model, and a
+symbol out of the universe at a refit keeps its older models. The plan then
+runs the refits and the rebalances' HMM posteriors as batched model calls
+over windows of one length, at most ``MODEL_CHUNK`` series per call. Each
+chunk's inputs are built from the window slices when the chunk runs, and its
+models are dropped once every rebalance that uses them has its forecasts.
+
+Phase 2, the book loop, then runs per trading day, in order:
   1. ``_check_gaps``: a held symbol missing more than ``max_gap_bars`` bars
      is liquidated
   2. ``_fill_orders``: fill orders queued on the prior day at today's open
      (sells before buys)
-  3. ``select_universe``: re-select the universe on the first trading day of
-     each month
-  4. ``_refit_models``: past warm-up, on the retrain cadence, refit both
-     models for every universe symbol on its rolling window, one batched
-     call per model for each group of equal-length windows
-  5. ``_rebalance``: past warm-up, on the rebalance cadence, generate
+  3. on a refit day, record the plan's fit records and fit diagnostics
+  4. ``_rebalance``: on a rebalance day, fuse the plan's forecasts into
      insights (``_generate_insights``), blend views into target weights
      (``_build_targets``), and queue the orders that move holdings to target
-  6. ``_check_risk``: run the risk overlays on today's closes; breaches
+  5. ``_check_risk``: run the risk overlays on today's closes; breaches
      queue a liquidation
-  7. ``_Run.equity``: append the equity point (cash + positions at last
+  6. ``_Run.equity``: append the equity point (cash + positions at last
      known closes)
 
-All stages read and change one ``_Run`` object and touch only the held
-symbols, the pending orders and, on refit and rebalance days, the universe;
-both liquidation paths go through ``_queue_liquidation``. Orders always fill
-at the NEXT bar's open, so no decision ever uses a price that was not yet
-observable. The run is a
-pure function of data + configs: per-symbol model seeds are derived from the
-engine seed with a stable CRC.
+The book stages read and change one ``_Run`` object and touch only the held
+symbols, the pending orders and, on rebalance days, the universe; both
+liquidation paths go through ``_queue_liquidation``. Orders always fill at
+the NEXT bar's open, so no decision ever uses a price that was not yet
+observable. The run is a pure function of data + configs: per-symbol model
+seeds are derived from the engine seed with a stable CRC, and every model
+call gives a series the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -61,6 +72,12 @@ REASON_DATA_GAP = "data-gap"
 # A model that raises one of these for one symbol leaves that symbol without
 # a model (and so flat) for the period; the rest of the run goes on.
 MODEL_ERRORS = (InsufficientDataError, InvalidInputError, NumericalError, TrainingDivergedError)
+
+# Most series in one batched refit or posterior call. Wider calls spread the
+# per-step Python overhead of the recursions over more series; the gain
+# levels off near 60, while a call's (series, time, state) arrays grow with
+# the width and count toward the run's peak memory.
+MODEL_CHUNK = 48
 
 
 @dataclass
@@ -225,9 +242,8 @@ class _Run:
     """Everything one backtest reads and changes: the market columns, each
     symbol's first row on or after the start date and the current day; the
     seven configs and the instrument metadata; the book (cash, integer share
-    positions and the per-position risk states); the fitted models; the
-    pending orders; the universe; and the logs that become the
-    BacktestResult."""
+    positions and the per-position risk states); the pending orders; and the
+    logs that become the BacktestResult."""
 
     series: Mapping[str, SymbolBars]
     first_row: Mapping[str, int]
@@ -245,10 +261,7 @@ class _Run:
     risk_states: dict[str, risk_controls.PositionRiskState] = field(default_factory=dict)
     today: int = 0  # ordinal of the current day
     latest_rows: dict[str, int | None] = field(default_factory=dict)
-    hmm_models: dict[str, regime_hmm.HmmModel] = field(default_factory=dict)
-    mlp_models: dict[str, trend_net.MlpModel] = field(default_factory=dict)
     pending: list[Order] = field(default_factory=list)
-    universe: list[str] = field(default_factory=list)
     equity_curve: list[EquityPoint] = field(default_factory=list)
     fills: list[Fill] = field(default_factory=list)
     insights: list[Insight] = field(default_factory=list)
@@ -261,13 +274,16 @@ class _Run:
         self.today = day.toordinal()
         self.latest_rows = {}
 
+    def row_on(self, symbol: str, day: int) -> int | None:
+        """Row of the symbol's last bar on or before the day ordinal and on
+        or after the start date; None before its first such bar."""
+        end = int(self.series[symbol].days.searchsorted(day, "right"))
+        return end - 1 if end > self.first_row[symbol] else None
+
     def latest_row(self, symbol: str) -> int | None:
-        """Row of the symbol's last bar on or before today and on or after
-        the start date; None before its first such bar."""
+        """``row_on`` today, looked up once per day."""
         if symbol not in self.latest_rows:
-            series = self.series[symbol]
-            end = int(series.days.searchsorted(self.today, "right"))
-            self.latest_rows[symbol] = end - 1 if end > self.first_row[symbol] else None
+            self.latest_rows[symbol] = self.row_on(symbol, self.today)
         return self.latest_rows[symbol]
 
     def bar_today(self, symbol: str) -> Bar | None:
@@ -280,14 +296,16 @@ class _Run:
         row = self.latest_row(symbol)
         return None if row is None else float(self.series[symbol].close[row])
 
-    def window(self, symbol: str) -> np.ndarray | None:
-        """The symbol's last ``window_bars`` closes as of today (a read-only
-        slice), or None before its first bar."""
-        row = self.latest_row(symbol)
-        if row is None:
-            return None
+    def closes(self, symbol: str, row: int) -> np.ndarray:
+        """The symbol's last ``window_bars`` closes up to the row (a
+        read-only slice)."""
         lo = max(self.first_row[symbol], row + 1 - self.engine.window_bars)
         return self.series[symbol].close[lo:row + 1]
+
+    def window(self, symbol: str) -> np.ndarray | None:
+        """The symbol's window as of today, or None before its first bar."""
+        row = self.latest_row(symbol)
+        return None if row is None else self.closes(symbol, row)
 
     def equity(self) -> float:
         """Cash plus every position marked at its last known close."""
@@ -295,6 +313,27 @@ class _Run:
         for symbol, qty in self.positions.items():
             value += qty * self.last_close(symbol)
         return value
+
+
+@dataclass
+class _Step:
+    """The plan for one refit or rebalance day: the day and its universe; a
+    refit's fit records and fit diagnostics; and, on a rebalance day, each
+    universe symbol's HMM and network forecast: its (direction, size)
+    signal, or the error the forecast ran into. A symbol without a model, or
+    with too short a window, has no forecast."""
+
+    day: date
+    universe: list[str]
+    rebalance: bool
+    fits: list[dict] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+    hmm: dict[str, tuple | Exception] = field(default_factory=dict)
+    net: dict[str, tuple | Exception] = field(default_factory=dict)
+
+
+# One symbol's window on a plan day: (plan step, symbol, window row).
+_Job = tuple[_Step, str, int]
 
 
 def run_backtest(
@@ -335,23 +374,20 @@ def run_backtest(
         meta, universe_config, hmm_config, mlp_config, fusion_config, bl_config,
         risk_config, engine_config, engine_config.initial_equity,
     )
-    candidates = {s: (series[s], meta[s]) for s in sorted(series) if s in meta}
     for s in sorted(series):
         if s not in meta:
             run.diagnostics.append(f"{s}: no metadata, excluded from universe selection")
-    month = None
+    plan = _plan_signals(run, calendar)
     for day_index, day in enumerate(calendar):
         run.start_day(day)
         _check_gaps(run, day, day_index)
         _fill_orders(run, day)
-        if (day.year, day.month) != month:
-            month = (day.year, day.month)
-            run.universe = select_universe(candidates, run.universe_config, day)
-        since_warmup = day_index - engine_config.warmup_bars
-        if since_warmup >= 0 and since_warmup % engine_config.retrain_every == 0:
-            _refit_models(run, day)
-        if since_warmup >= 0 and since_warmup % engine_config.rebalance_every == 0:
-            _rebalance(run, day)
+        step = plan.pop(day_index, None)
+        if step is not None:
+            run.fits.extend(step.fits)
+            run.diagnostics.extend(step.notes)
+            if step.rebalance:
+                _rebalance(run, step)
         _check_risk(run, day)
         run.equity_curve.append(EquityPoint(day, run.equity()))
 
@@ -359,6 +395,7 @@ def run_backtest(
     report = metrics.compute_report(
         curve_dates, [p.equity for p in run.equity_curve], run.fills,
         align_benchmark_returns(benchmark_bars, curve_dates), engine_config.risk_free_rate,
+        max((b.timestamp for b in benchmark_bars or ()), default=None),
     )
     return BacktestResult(
         equity_curve=run.equity_curve, fills=run.fills, insights=run.insights,
@@ -439,13 +476,13 @@ def _fill_orders(run: _Run, day: date) -> None:
     run.pending = still_pending
 
 
-def _rebalance(run: _Run, day: date) -> None:
-    """Step 5: insights -> Black-Litterman targets -> the orders that move
+def _rebalance(run: _Run, step: _Step) -> None:
+    """Step 4: insights -> Black-Litterman targets -> the orders that move
     each holding to its target share count. Replaces pending rebalance
     orders; a symbol with a pending liquidation is left alone."""
-    insights = _generate_insights(run, day)
+    insights = _generate_insights(run, step)
     run.insights.extend(insights)
-    targets = _build_targets(run, day, insights)
+    targets = _build_targets(run, step, insights)
     if targets is None:
         return
     run.pending = [o for o in run.pending if o.reason != REASON_REBALANCE]
@@ -465,7 +502,7 @@ def _rebalance(run: _Run, day: date) -> None:
 
 
 def _check_risk(run: _Run, day: date) -> None:
-    """Step 6: advance each held position's risk state with today's close;
+    """Step 5: advance each held position's risk state with today's close;
     a breach queues a liquidation."""
     for symbol in sorted(run.positions):
         bar = run.bar_today(symbol)
@@ -480,18 +517,72 @@ def _check_risk(run: _Run, day: date) -> None:
             )
 
 
-def _length_groups(windows: Mapping[str, np.ndarray]) -> dict[int, list[str]]:
-    """Symbols grouped by window length (one model batch each)."""
-    groups: dict[int, list[str]] = {}
-    for symbol, window in windows.items():
-        groups.setdefault(window.size, []).append(symbol)
-    return groups
+def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
+    """Phase 1: the universe, every refit and every rebalance forecast of
+    the run, from the data alone. Returns the plan of each refit or
+    rebalance day by its calendar index."""
+    engine = run.engine
+    candidates = {s: (run.series[s], run.meta[s]) for s in sorted(run.series) if s in run.meta}
+    steps: dict[int, _Step] = {}
+    refits: list[_Job] = []
+    users: list[list[_Job]] = []  # per refit, the forecasts made with its models
+    latest: dict[str, int] = {}  # symbol -> index of its latest refit
+    month = universe = None
+    for day_index, day in enumerate(calendar):
+        if (day.year, day.month) != month:
+            month = (day.year, day.month)
+            universe = select_universe(candidates, run.universe_config, day)
+        since_warmup = day_index - engine.warmup_bars
+        if since_warmup < 0:
+            continue
+        refit = since_warmup % engine.retrain_every == 0
+        rebalance = since_warmup % engine.rebalance_every == 0
+        if not (refit or rebalance):
+            continue
+        step = steps[day_index] = _Step(day, universe, rebalance)
+        today = day.toordinal()
+        rows = {s: row for s in universe if (row := run.row_on(s, today)) is not None}
+        if refit:
+            for symbol, row in rows.items():
+                latest[symbol] = len(refits)
+                refits.append((step, symbol, row))
+                users.append([])
+        if rebalance:
+            for symbol, row in rows.items():
+                if symbol in latest:
+                    users[latest[symbol]].append((step, symbol, row))
+
+    logs: list[tuple[list[dict], list[str]]] = [([], [])] * len(refits)
+    for chunk in _length_chunks(run, refits):
+        jobs = [refits[i] for i in chunk]
+        hmms, nets = _refit_chunk(run, jobs)
+        for pos, (step, symbol, _) in enumerate(jobs):
+            logs[chunk[pos]] = _fit_log(step.day, symbol, hmms[pos], nets[pos])
+        _forecast(run, [
+            (use, hmms[pos], nets[pos]) for pos, i in enumerate(chunk) for use in users[i]
+        ])
+    for (step, _, _), (records, notes) in zip(refits, logs):
+        step.fits += records
+        step.notes += notes
+    return steps
 
 
-def _batched(batch_call, inputs: dict[str, object], outcomes: dict[str, object]) -> None:
-    """Run one batched model call on ``inputs`` (symbol -> prepared input)
-    and store each symbol's outcome: its result, or the error it ran into.
-    An error raised for the whole batch becomes every symbol's."""
+def _length_chunks(run: _Run, jobs: list[_Job]) -> Iterable[list[int]]:
+    """The job indices grouped by window length (first-seen order) and cut
+    into runs of at most MODEL_CHUNK: the inputs of one batched model call
+    each."""
+    groups: dict[int, list[int]] = {}
+    for i, (_, symbol, row) in enumerate(jobs):
+        groups.setdefault(run.closes(symbol, row).size, []).append(i)
+    for group in groups.values():
+        for start in range(0, len(group), MODEL_CHUNK):
+            yield group[start:start + MODEL_CHUNK]
+
+
+def _batched(batch_call, inputs: dict[int, object], outcomes: dict[int, object]) -> None:
+    """Run one batched model call on ``inputs`` (job -> prepared input) and
+    store each job's outcome: its result, or the error it ran into. An error
+    raised for the whole batch becomes every job's."""
     if not inputs:
         return
     try:
@@ -501,102 +592,114 @@ def _batched(batch_call, inputs: dict[str, object], outcomes: dict[str, object])
     outcomes.update(zip(inputs, results))
 
 
-def _refit_models(run: _Run, day: date) -> None:
-    """Step 4: refit both models for every universe symbol with a window:
-    one batched call per model for each group of equal-length windows. Each
-    symbol gets exactly the models of a fit on its own window."""
+def _refit_chunk(run: _Run, jobs: list[_Job]):
+    """Fit both models on each job's window, all of one length: one batched
+    call per model. Returns each job's HMM outcome and network outcome (a
+    model, a (model, loss history) pair, or an error), exactly those of a fit
+    on that window alone."""
+    symbols = [symbol for _, symbol, _ in jobs]
 
-    def fit_hmms(symbols, series):
-        seeds = [_symbol_seed(run.engine.seed, "hmm", s) for s in symbols]
+    def fit_hmms(positions, series):
+        seeds = [_symbol_seed(run.engine.seed, "hmm", symbols[p]) for p in positions]
         return regime_hmm.fit_batch(np.stack(series), run.hmm, seeds)
 
-    def train_nets(symbols, data):
-        seeds = [_symbol_seed(run.engine.seed, "mlp", s) for s in symbols]
+    def train_nets(positions, data):
+        seeds = [_symbol_seed(run.engine.seed, "mlp", symbols[p]) for p in positions]
         models = [trend_net.init_model(replace(run.mlp, seed=sd)) for sd in seeds]
         return trend_net.train_batch(models, data, run.mlp, seeds)
 
-    windows = {s: w for s in run.universe if (w := run.window(s)) is not None}
-    hmm_out: dict[str, object] = {}
-    mlp_out: dict[str, object] = {}
-    for symbols in _length_groups(windows).values():
-        returns: dict[str, object] = {}
-        training: dict[str, object] = {}
-        for symbol in symbols:
-            closes = windows[symbol]
-            try:
-                returns[symbol] = log_returns(closes)
-            except MODEL_ERRORS as exc:
-                hmm_out[symbol] = exc
-            try:
-                training[symbol] = trend_net.build_training_set(closes, run.mlp.input_size)
-            except MODEL_ERRORS as exc:
-                mlp_out[symbol] = exc
-        _batched(fit_hmms, returns, hmm_out)
-        _batched(train_nets, training, mlp_out)
+    returns: dict[int, object] = {}
+    training: dict[int, object] = {}
+    hmms: dict[int, object] = {}
+    nets: dict[int, object] = {}
+    for pos, (_, symbol, row) in enumerate(jobs):
+        closes = run.closes(symbol, row)
+        try:
+            returns[pos] = log_returns(closes)
+        except MODEL_ERRORS as exc:
+            hmms[pos] = exc
+        try:
+            training[pos] = trend_net.build_training_set(closes, run.mlp.input_size)
+        except MODEL_ERRORS as exc:
+            nets[pos] = exc
+    _batched(fit_hmms, returns, hmms)
+    _batched(train_nets, training, nets)
+    return hmms, nets
 
+
+def _fit_log(day: date, symbol: str, hmm, net) -> tuple[list[dict], list[str]]:
+    """The fit records and fit diagnostics of one symbol's refit."""
+    records, notes = [], []
     stamp = day.isoformat()
-    for symbol in windows:
-        outcome = hmm_out[symbol]
-        if isinstance(outcome, regime_hmm.HmmModel):
-            run.hmm_models[symbol] = outcome
-            run.fits.append({
-                "date": stamp, "symbol": symbol, "model": "hmm",
-                **outcome.diagnostics,
-                "log_likelihood_path": outcome.log_likelihood_path,
-            })
-        else:
-            run.hmm_models.pop(symbol, None)
-            run.diagnostics.append(f"{day}: {symbol} hmm fit skipped: {outcome}")
-        outcome = mlp_out[symbol]
-        if isinstance(outcome, tuple):
-            run.mlp_models[symbol], history = outcome
-            run.fits.append(
-                {"date": stamp, "symbol": symbol, "model": "mlp", "loss_history": history}
-            )
-        else:
-            run.mlp_models.pop(symbol, None)
-            run.diagnostics.append(f"{day}: {symbol} net fit skipped: {outcome}")
+    if isinstance(hmm, regime_hmm.HmmModel):
+        records.append({
+            "date": stamp, "symbol": symbol, "model": "hmm",
+            **hmm.diagnostics,
+            "log_likelihood_path": hmm.log_likelihood_path,
+        })
+    else:
+        notes.append(f"{day}: {symbol} hmm fit skipped: {hmm}")
+    if isinstance(net, tuple):
+        records.append({"date": stamp, "symbol": symbol, "model": "mlp", "loss_history": net[1]})
+    else:
+        notes.append(f"{day}: {symbol} net fit skipped: {net}")
+    return records, notes
 
 
-def _generate_insights(run: _Run, day: date) -> list[Insight]:
-    """One fused insight per universe symbol, for a period of one rebalance
-    interval; a symbol without a model or whose forecast fails is flat."""
-    hmm_models, diff_window = run.hmm_models, run.mlp.input_size
-    closes = {
-        s: w for s in run.universe if (w := run.window(s)) is not None and w.size >= 2
-    }
+def _forecast(run: _Run, uses: list[tuple[_Job, object, object]]) -> None:
+    """Store each use's forecasts in its plan step, for a list of (job, HMM
+    outcome, network outcome): HMM posteriors in batched forward passes over
+    windows of one length, then one network forward pass per use."""
+    with_hmm = [
+        (job, hmm) for job, hmm, _ in uses
+        if isinstance(hmm, regime_hmm.HmmModel) and run.closes(*job[1:]).size >= 2
+    ]
 
-    def filter_hmms(symbols, series):
-        return regime_hmm.forward_posterior([hmm_models[s] for s in symbols], np.stack(series))
+    def filter_hmms(ids, series):
+        return regime_hmm.forward_posterior([with_hmm[i][1] for i in ids], np.stack(series))
 
-    # Filtered posteriors: one batched forward pass per window length.
-    posteriors: dict[str, object] = {}
-    for symbols in _length_groups({s: w for s, w in closes.items() if s in hmm_models}).values():
-        returns: dict[str, object] = {}
-        for symbol in symbols:
+    for chunk in _length_chunks(run, [job for job, _ in with_hmm]):
+        returns: dict[int, object] = {}
+        posteriors: dict[int, object] = {}
+        for i in chunk:
             try:
-                returns[symbol] = log_returns(closes[symbol])
+                returns[i] = log_returns(run.closes(*with_hmm[i][0][1:]))
             except MODEL_ERRORS as exc:
-                posteriors[symbol] = exc
+                posteriors[i] = exc
         _batched(filter_hmms, returns, posteriors)
+        for i in chunk:
+            (step, symbol, _), model = with_hmm[i]
+            posterior = posteriors[i]
+            if isinstance(posterior, np.ndarray):
+                forecast = regime_hmm.predict_direction(model, posterior)
+                posterior = (forecast.direction, forecast.expected_return)
+            step.hmm[symbol] = posterior
 
-    insights = []
-    for symbol in run.universe:
-        hmm_signal = nn_signal = None
-        posterior = posteriors.get(symbol)
-        if isinstance(posterior, np.ndarray):
-            forecast = regime_hmm.predict_direction(hmm_models[symbol], posterior)
-            hmm_signal = (forecast.direction, forecast.expected_return)
-        elif posterior is not None:
-            run.diagnostics.append(f"{day}: {symbol} hmm forecast failed: {posterior}")
-        net = run.mlp_models.get(symbol)
-        if net is not None and symbol in closes and closes[symbol].size >= diff_window + 1:
-            recent = np.diff(closes[symbol])[-diff_window:]
-            try:
-                trend = trend_net.predict_direction(net, recent)
-                nn_signal = (trend.direction, trend.magnitude)
-            except MODEL_ERRORS as exc:
-                run.diagnostics.append(f"{day}: {symbol} net forecast failed: {exc}")
+    diff_window = run.mlp.input_size
+    for (step, symbol, row), _, net in uses:
+        closes = run.closes(symbol, row)
+        if not isinstance(net, tuple) or closes.size <= diff_window:
+            continue
+        try:
+            trend = trend_net.predict_direction(net[0], np.diff(closes)[-diff_window:])
+            step.net[symbol] = (trend.direction, trend.magnitude)
+        except MODEL_ERRORS as exc:
+            step.net[symbol] = exc
+
+
+def _generate_insights(run: _Run, step: _Step) -> list[Insight]:
+    """One fused insight per universe symbol from the plan's forecasts, for
+    a period of one rebalance interval; a symbol without a model or whose
+    forecast failed is flat."""
+    day, insights = step.day, []
+    for symbol in step.universe:
+        hmm_signal, nn_signal = step.hmm.get(symbol), step.net.get(symbol)
+        if isinstance(hmm_signal, Exception):
+            run.diagnostics.append(f"{day}: {symbol} hmm forecast failed: {hmm_signal}")
+            hmm_signal = None
+        if isinstance(nn_signal, Exception):
+            run.diagnostics.append(f"{day}: {symbol} net forecast failed: {nn_signal}")
+            nn_signal = None
         insight = alpha_fusion.fuse(
             hmm_signal, nn_signal, symbol, day, run.engine.rebalance_every, run.fusion
         )
@@ -607,19 +710,19 @@ def _generate_insights(run: _Run, day: date) -> list[Insight]:
 
 
 def _build_targets(
-    run: _Run, day: date, insights: list[Insight]
+    run: _Run, step: _Step, insights: list[Insight]
 ) -> portfolio_bl.TargetPortfolio | None:
     """Estimate the covariance over the universe, blend views, and optimize.
     Returns None (hold current book) when the universe is empty or data is
     too thin for a covariance estimate."""
-    bl_config = run.bl
+    bl_config, day, universe = run.bl, step.day, step.universe
     windows = {
-        s: w for s in run.universe
+        s: w for s in universe
         if (w := run.window(s)) is not None and w.size >= 2 and s in run.meta
     }
     usable = list(windows)
     if not usable:
-        if run.universe:
+        if universe:
             run.diagnostics.append(f"{day}: rebalance skipped, no usable symbols")
         return portfolio_bl.TargetPortfolio({})  # empty universe -> all cash
 

@@ -18,7 +18,9 @@ Conventions (documented because several have competing definitions):
 Ratios that are undefined on the given data (zero return variance, zero
 benchmark variance, no closed trades) are reported as 0.0 and listed in the
 report's ``flags``. A fill whose fee is greater than its notional (quantity
-times price) adds the ``fee-exceeds-notional`` flag.
+times price) adds the ``fee-exceeds-notional`` flag. A benchmark whose last
+bar comes before the last equity date adds ``benchmark-ends-early``: its
+returns after that bar are forward-filled zeros.
 """
 
 from __future__ import annotations
@@ -169,12 +171,14 @@ def compute_report(
     fills: Iterable,
     benchmark_returns: Sequence[float] | np.ndarray | None = None,
     risk_free_rate: float = 0.0,
+    benchmark_end: date | None = None,
 ) -> MetricsReport:
     """Compute every report statistic.
 
     ``benchmark_returns`` must hold one simple return per equity-curve day
     after the first (length = len(equity) - 1); pass None to skip
     benchmark-relative statistics (they are flagged and reported as 0).
+    ``benchmark_end`` is the date of the benchmark's last bar, if known.
     """
     values = np.asarray(equity, dtype=float)
     if values.size < 2:
@@ -196,6 +200,8 @@ def compute_report(
             raise DataAlignmentError(
                 f"benchmark has {bench.size} returns, expected {n}"
             )
+        if benchmark_end is not None and benchmark_end < dates[-1]:
+            flags.append("benchmark-ends-early")
 
     start, end = float(values[0]), float(values[-1])
     calendar_days = (dates[-1] - dates[0]).days

@@ -352,12 +352,13 @@ def forward_posterior(
     With one ``HmmModel`` and a 1-D series, returns the (K,) posterior and
     raises on failure. With a sequence of S models and an (S, T) array, runs
     one batched forward pass and returns S entries, each that series' (K,)
-    posterior under its own model or the NumericalError it ran into.
+    posterior under its own model or the NumericalError it ran into. A
+    posterior is a copy: it keeps no (S, T, K) forward array alive.
     """
     if isinstance(model, HmmModel):
-        return _filter_one(model, returns)[-1]
+        return _filter_one(model, returns)[-1].copy()
     alphas, errors = _filter(model, returns)
-    return [alphas[s, -1] if error is None else error for s, error in enumerate(errors)]
+    return [alphas[s, -1].copy() if error is None else error for s, error in enumerate(errors)]
 
 
 def filtered_states(model: HmmModel, returns: Sequence[float] | np.ndarray) -> np.ndarray:

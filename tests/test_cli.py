@@ -129,8 +129,57 @@ class TestBacktest:
         assert code == 0
         report = json.loads((out_dir / "report.json").read_text())
         assert "no-benchmark" not in report["flags"]
+        assert "benchmark-ends-early" not in report["flags"]
         resolved = json.loads((out_dir / "resolved_config.json").read_text())
         assert resolved["data"]["benchmark"].endswith("bars.csv")
+
+    def test_rejected_benchmark_rows_reported(self, tmp_path, capsys):
+        data_dir = run_synth(tmp_path)
+        bench_dir = run_synth(tmp_path / "bench", seed=99, spec=dict(SYNTH_SPEC, symbols=1))
+        bench = bench_dir / "bars.csv"
+        lines = bench.read_text().splitlines(keepends=True)
+        fields = lines[5].split(",")
+        fields[5] = "abc"  # the close
+        lines[5] = ",".join(fields)
+        bench.write_text("".join(lines))
+        out_dir = tmp_path / "out"
+        config = write_run_config(tmp_path, data_dir, out_dir)
+        capsys.readouterr()
+        assert main(["backtest", "--config", str(config), "--benchmark", str(bench)]) == 0
+        err = capsys.readouterr().err
+        assert f"[ingest] {bench}:6: could not convert string to float: 'abc'" in err
+        assert "[ingest] rejected 1 row(s)" in err
+        code = main([
+            "report",
+            "--equity", str(out_dir / "equity_curve.csv"),
+            "--fills", str(out_dir / "fills.jsonl"),
+            "--benchmark", str(bench),
+            "--out", str(tmp_path / "report2.json"),
+        ])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert f"[ingest] {bench}:6: could not convert string to float: 'abc'" in err
+        assert "[ingest] rejected 1 row(s)" in err
+
+    def test_benchmark_ending_early_flagged(self, tmp_path):
+        data_dir = run_synth(tmp_path)
+        short = dict(SYNTH_SPEC, symbols=1, n_bars=SYNTH_SPEC["n_bars"] - 30)
+        bench = run_synth(tmp_path / "bench", seed=99, spec=short) / "bars.csv"
+        out_dir = tmp_path / "out"
+        config = write_run_config(tmp_path, data_dir, out_dir)
+        assert main(["backtest", "--config", str(config), "--benchmark", str(bench)]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert "benchmark-ends-early" in report["flags"]
+        redo = tmp_path / "report2.json"
+        code = main([
+            "report",
+            "--equity", str(out_dir / "equity_curve.csv"),
+            "--fills", str(out_dir / "fills.jsonl"),
+            "--benchmark", str(bench),
+            "--out", str(redo),
+        ])
+        assert code == 0
+        assert redo.read_bytes() == (out_dir / "report.json").read_bytes()
 
     def test_multi_symbol_benchmark_exit_1(self, tmp_path, capsys):
         # Two symbols' closes keyed by date would interleave into one

@@ -474,6 +474,28 @@ class TestCadenceAndChurn:
         assert jsonl_sha256(result.fits) == self.FITS_SHA256
         assert result.diagnostics == self.DIAGNOSTICS
 
+    def test_chunk_boundaries_leave_the_run_unchanged(self, monkeypatch):
+        _, default = cadence_churn_run()
+        widths = {"fit": [], "filter": []}
+        fit_batch, forward_posterior = regime_hmm.fit_batch, regime_hmm.forward_posterior
+
+        def spy_fit(returns, *args):
+            widths["fit"].append(len(returns))
+            return fit_batch(returns, *args)
+
+        def spy_filter(models, returns):
+            widths["filter"].append(len(models))
+            return forward_posterior(models, returns)
+
+        monkeypatch.setattr(eng, "MODEL_CHUNK", 3)
+        monkeypatch.setattr(eng.regime_hmm, "fit_batch", spy_fit)
+        monkeypatch.setattr(eng.regime_hmm, "forward_posterior", spy_filter)
+        _, chunked = cadence_churn_run()
+        # Each refit day has four windows, so chunks of 3 cut across days.
+        assert max(widths["fit"]) == max(widths["filter"]) == 3
+        assert len(widths["fit"]) > len({r["date"] for r in default.fits})
+        assert chunked == default
+
 
 class TestDataGap:
     def test_gap_forces_liquidation(self):

@@ -215,6 +215,14 @@ class TestComputeReport:
         assert report.alpha == pytest.approx(0.0, abs=1e-9)
         assert "information-ratio-undefined" in report.flags  # zero active risk
 
+    def test_benchmark_ending_early_flagged(self):
+        dates = days(6)
+        equity = [100.0, 101.0, 99.0, 102.0, 103.0, 104.0]
+        bench = [0.01, -0.02, 0.0, 0.0, 0.0]
+        for end, flagged in ((dates[2], True), (dates[-1], False), (None, False)):
+            report = compute_report(dates, equity, [], bench, benchmark_end=end)
+            assert ("benchmark-ends-early" in report.flags) is flagged
+
     def test_sharpe_scale_invariance(self):
         rng = np.random.default_rng(21)
         equity = 1e5 * np.exp(np.cumsum(rng.normal(0.0005, 0.01, 90)))

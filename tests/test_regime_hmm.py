@@ -289,6 +289,18 @@ class TestForwardPosterior:
             else:
                 assert np.array_equal(got, forward_posterior(model, row))
 
+    def test_posteriors_own_their_memory(self):
+        # A view of the (S, T, K) forward array would keep all of it alive
+        # for as long as the (K,) posterior is held.
+        returns = np.stack([regime_returns(600 + s, 60) for s in range(3)])
+        models = [fit(r, HmmConfig(n_states=2, seed=s)) for s, r in enumerate(returns)]
+        batch = forward_posterior(models, returns)
+        single = forward_posterior(models[0], returns[0])
+        for posterior in [*batch, single]:
+            assert posterior.shape == (2,)
+            assert posterior.base is None and posterior.flags.owndata
+        assert np.array_equal(batch[0], single)
+
     @pytest.mark.parametrize("bad", [0.0, -1e-4, float("nan")])
     def test_non_positive_variance_raises(self, bad):
         model = build_model([0.5, 0.5], np.eye(2), [0.0, 0.01], [1e-4, bad])
