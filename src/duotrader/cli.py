@@ -299,13 +299,15 @@ def _read_fills_jsonl(path: Path) -> list[engine_mod.Fill]:
 def cmd_report(args: argparse.Namespace) -> int:
     dates, values = _read_equity_csv(Path(args.equity))
     fills = _read_fills_jsonl(Path(args.fills))
-    benchmark_returns = benchmark_end = None
+    benchmark_returns = benchmark_end = benchmark_start = None
     if args.benchmark:
         bars = _benchmark_bars(args.benchmark)
         benchmark_returns = engine_mod.align_benchmark_returns(bars, dates)
-        benchmark_end = max((b.timestamp for b in bars), default=None)
+        bench_dates = [b.timestamp for b in bars]
+        benchmark_end = max(bench_dates, default=None)
+        benchmark_start = min(bench_dates, default=None)
     report = metrics.compute_report(
-        dates, values, fills, benchmark_returns, args.risk_free, benchmark_end
+        dates, values, fills, benchmark_returns, args.risk_free, benchmark_end, benchmark_start
     )
     _write_report(Path(args.out), report)
     _print_summary(report)

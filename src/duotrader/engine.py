@@ -17,6 +17,10 @@ runs the refits and the rebalances' HMM posteriors as batched model calls
 over windows of one length, at most ``MODEL_CHUNK`` series per call. Each
 chunk's inputs are built from the window slices when the chunk runs, and its
 models are dropped once every rebalance that uses them has its forecasts.
+The refit chunks are independent of each other, so with several usable CPUs
+they run in forked worker processes (``_refit_outcomes``); the parent takes
+their outcomes back in chunk order and runs every posterior and forecast
+itself, so the plan is the same with any number of workers.
 
 Phase 2, the book loop, then runs per trading day, in order:
   1. ``_check_gaps``: a held symbol missing more than ``max_gap_bars`` bars
@@ -43,10 +47,15 @@ call gives a series the same bits in any batch.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
+import time
 import zlib
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -76,7 +85,9 @@ MODEL_ERRORS = (InsufficientDataError, InvalidInputError, NumericalError, Traini
 # Most series in one batched refit or posterior call. Wider calls spread the
 # per-step Python overhead of the recursions over more series; the gain
 # levels off near 60, while a call's (series, time, state) arrays grow with
-# the width and count toward the run's peak memory.
+# the width and count toward the run's peak memory. A refit chunk is also the
+# grain of the worker pool: one task per chunk, so a run with one chunk (or
+# one usable CPU) refits in-process.
 MODEL_CHUNK = 48
 
 
@@ -392,10 +403,11 @@ def run_backtest(
         run.equity_curve.append(EquityPoint(day, run.equity()))
 
     curve_dates = [p.timestamp for p in run.equity_curve]
+    bench_dates = [b.timestamp for b in benchmark_bars or ()]
     report = metrics.compute_report(
         curve_dates, [p.equity for p in run.equity_curve], run.fills,
         align_benchmark_returns(benchmark_bars, curve_dates), engine_config.risk_free_rate,
-        max((b.timestamp for b in benchmark_bars or ()), default=None),
+        max(bench_dates, default=None), min(bench_dates, default=None),
     )
     return BacktestResult(
         equity_curve=run.equity_curve, fills=run.fills, insights=run.insights,
@@ -553,11 +565,10 @@ def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
                     users[latest[symbol]].append((step, symbol, row))
 
     logs: list[tuple[list[dict], list[str]]] = [([], [])] * len(refits)
-    for chunk in _length_chunks(run, refits):
-        jobs = [refits[i] for i in chunk]
-        hmms, nets = _refit_chunk(run, jobs)
-        for pos, (step, symbol, _) in enumerate(jobs):
-            logs[chunk[pos]] = _fit_log(step.day, symbol, hmms[pos], nets[pos])
+    for chunk, (hmms, nets) in _refit_outcomes(run, refits, list(_length_chunks(run, refits))):
+        for pos, i in enumerate(chunk):
+            step, symbol, _ = refits[i]
+            logs[i] = _fit_log(step.day, symbol, hmms[pos], nets[pos])
         _forecast(run, [
             (use, hmms[pos], nets[pos]) for pos, i in enumerate(chunk) for use in users[i]
         ])
@@ -565,6 +576,67 @@ def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
         step.fits += records
         step.notes += notes
     return steps
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _refit_outcomes(
+    run: _Run, refits: list[_Job], chunks: list[list[int]]
+) -> Iterator[tuple[list[int], tuple[dict, dict]]]:
+    """Each chunk of refit indices with its ``_refit_chunk`` outcomes, in
+    chunk order. With more than one usable CPU and chunk, the chunks run in
+    a pool of forked workers, one task per chunk: the workers inherit the run
+    and the refits, and only the outcomes (models, loss histories and model
+    errors) are pickled back. A worker that dies makes this raise
+    ``BrokenProcessPool``."""
+    workers = min(_usable_cpus(), len(chunks))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        for chunk in chunks:
+            yield chunk, _refit_chunk(run, [refits[i] for i in chunk])
+        return
+    # fork, not spawn: a forked worker shares the market columns instead of
+    # re-importing the package and unpickling them. The pool forks all its
+    # workers before it starts its own thread.
+    pool = ProcessPoolExecutor(
+        workers, multiprocessing.get_context("fork"),
+        initializer=_start_refit_worker, initargs=(run, refits, chunks, os.getpid()),
+    )
+    try:
+        yield from zip(chunks, pool.map(_refit_in_worker, range(len(chunks))))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+# What a refit worker was forked with: the run, its refits and the chunks.
+# Set by the worker initializer, so only ever in a worker process.
+_worker_plan: tuple[_Run, list[_Job], list[list[int]]] | None = None
+
+
+def _start_refit_worker(
+    run: _Run, refits: list[_Job], chunks: list[list[int]], parent: int
+) -> None:
+    """Refit worker initializer: keep the inherited plan, and exit once the
+    parent is gone (an idle worker would otherwise wait for tasks forever)."""
+    global _worker_plan
+    _worker_plan = (run, refits, chunks)
+
+    def exit_with_parent() -> None:
+        while os.getppid() == parent:  # re-parented once the parent is gone
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+
+
+def _refit_in_worker(index: int) -> tuple[dict, dict]:
+    run, refits, chunks = _worker_plan
+    return _refit_chunk(run, [refits[i] for i in chunks[index]])
 
 
 def _length_chunks(run: _Run, jobs: list[_Job]) -> Iterable[list[int]]:

@@ -20,7 +20,9 @@ benchmark variance, no closed trades) are reported as 0.0 and listed in the
 report's ``flags``. A fill whose fee is greater than its notional (quantity
 times price) adds the ``fee-exceeds-notional`` flag. A benchmark whose last
 bar comes before the last equity date adds ``benchmark-ends-early``: its
-returns after that bar are forward-filled zeros.
+returns after that bar are forward-filled zeros. One whose first bar comes
+after the first equity date adds ``benchmark-starts-late``: its first close
+is back-filled, so its returns before that bar are zeros.
 """
 
 from __future__ import annotations
@@ -172,13 +174,15 @@ def compute_report(
     benchmark_returns: Sequence[float] | np.ndarray | None = None,
     risk_free_rate: float = 0.0,
     benchmark_end: date | None = None,
+    benchmark_start: date | None = None,
 ) -> MetricsReport:
     """Compute every report statistic.
 
     ``benchmark_returns`` must hold one simple return per equity-curve day
     after the first (length = len(equity) - 1); pass None to skip
     benchmark-relative statistics (they are flagged and reported as 0).
-    ``benchmark_end`` is the date of the benchmark's last bar, if known.
+    ``benchmark_start`` and ``benchmark_end`` are the dates of the
+    benchmark's first and last bars, if known.
     """
     values = np.asarray(equity, dtype=float)
     if values.size < 2:
@@ -202,6 +206,8 @@ def compute_report(
             )
         if benchmark_end is not None and benchmark_end < dates[-1]:
             flags.append("benchmark-ends-early")
+        if benchmark_start is not None and benchmark_start > dates[0]:
+            flags.append("benchmark-starts-late")
 
     start, end = float(values[0]), float(values[-1])
     calendar_days = (dates[-1] - dates[0]).days

@@ -130,6 +130,7 @@ class TestBacktest:
         report = json.loads((out_dir / "report.json").read_text())
         assert "no-benchmark" not in report["flags"]
         assert "benchmark-ends-early" not in report["flags"]
+        assert "benchmark-starts-late" not in report["flags"]
         resolved = json.loads((out_dir / "resolved_config.json").read_text())
         assert resolved["data"]["benchmark"].endswith("bars.csv")
 
@@ -170,6 +171,29 @@ class TestBacktest:
         assert main(["backtest", "--config", str(config), "--benchmark", str(bench)]) == 0
         report = json.loads((out_dir / "report.json").read_text())
         assert "benchmark-ends-early" in report["flags"]
+        redo = tmp_path / "report2.json"
+        code = main([
+            "report",
+            "--equity", str(out_dir / "equity_curve.csv"),
+            "--fills", str(out_dir / "fills.jsonl"),
+            "--benchmark", str(bench),
+            "--out", str(redo),
+        ])
+        assert code == 0
+        assert redo.read_bytes() == (out_dir / "report.json").read_bytes()
+
+    def test_benchmark_starting_late_flagged(self, tmp_path):
+        data_dir = run_synth(tmp_path)
+        spec = dict(SYNTH_SPEC, symbols=1)
+        bench = run_synth(tmp_path / "bench", seed=99, spec=spec) / "bars.csv"
+        lines = bench.read_text().splitlines(keepends=True)
+        bench.write_text(lines[0] + "".join(lines[31:]))  # drop the first 30 bars
+        out_dir = tmp_path / "out"
+        config = write_run_config(tmp_path, data_dir, out_dir)
+        assert main(["backtest", "--config", str(config), "--benchmark", str(bench)]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert "benchmark-starts-late" in report["flags"]
+        assert "benchmark-ends-early" not in report["flags"]
         redo = tmp_path / "report2.json"
         code = main([
             "report",

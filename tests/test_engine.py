@@ -1,7 +1,10 @@
+import faulthandler
 import hashlib
 import json
+import os
 import time
 import zlib
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -475,6 +478,8 @@ class TestCadenceAndChurn:
         assert result.diagnostics == self.DIAGNOSTICS
 
     def test_chunk_boundaries_leave_the_run_unchanged(self, monkeypatch):
+        # The spies count calls in this process only, so the refits stay here.
+        monkeypatch.setattr(eng, "_usable_cpus", lambda: 1)
         _, default = cadence_churn_run()
         widths = {"fit": [], "filter": []}
         fit_batch, forward_posterior = regime_hmm.fit_batch, regime_hmm.forward_posterior
@@ -495,6 +500,37 @@ class TestCadenceAndChurn:
         assert max(widths["fit"]) == max(widths["filter"]) == 3
         assert len(widths["fit"]) > len({r["date"] for r in default.fits})
         assert chunked == default
+
+    def test_pooled_refits_equal_serial(self, monkeypatch):
+        # Chunks of 3 give several refit tasks; S07's failing network refits
+        # send TrainingDivergedError outcomes back from the workers.
+        monkeypatch.setattr(eng, "MODEL_CHUNK", 3)
+        monkeypatch.setattr(eng, "_usable_cpus", lambda: 1)
+        _, serial = cadence_churn_run()
+        monkeypatch.setattr(eng, "_usable_cpus", lambda: 2)
+        _, pooled = cadence_churn_run()
+        assert any("S07 net fit skipped: non-finite loss" in d for d in pooled.diagnostics)
+        assert pooled == serial
+
+    def test_dead_refit_worker_raises(self, monkeypatch):
+        test_pid = os.getpid()
+        fit_batch = regime_hmm.fit_batch
+
+        def die_in_worker(*args):
+            if os.getpid() != test_pid:
+                os._exit(1)
+            return fit_batch(*args)
+
+        monkeypatch.setattr(eng, "MODEL_CHUNK", 3)
+        monkeypatch.setattr(eng, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(eng.regime_hmm, "fit_batch", die_in_worker)
+        # A hang ends the test process with a traceback instead of stalling.
+        faulthandler.dump_traceback_later(120, exit=True)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                cadence_churn_run()
+        finally:
+            faulthandler.cancel_dump_traceback_later()
 
 
 class TestDataGap:

@@ -223,6 +223,15 @@ class TestComputeReport:
             report = compute_report(dates, equity, [], bench, benchmark_end=end)
             assert ("benchmark-ends-early" in report.flags) is flagged
 
+    def test_benchmark_starting_late_flagged(self):
+        dates = days(6)
+        equity = [100.0, 101.0, 99.0, 102.0, 103.0, 104.0]
+        bench = [0.0, 0.0, 0.01, -0.02, 0.01]
+        for start, flagged in ((dates[2], True), (dates[0], False), (None, False)):
+            report = compute_report(dates, equity, [], bench, benchmark_start=start)
+            assert ("benchmark-starts-late" in report.flags) is flagged
+            assert "benchmark-ends-early" not in report.flags
+
     def test_sharpe_scale_invariance(self):
         rng = np.random.default_rng(21)
         equity = 1e5 * np.exp(np.cumsum(rng.normal(0.0005, 0.01, 90)))
