@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -70,6 +71,46 @@ class TestSynth:
         b = run_synth(tmp_path / "b", seed=9)
         for name in ("bars.csv", "meta.csv", "regimes.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    # The README quick-start spec, and one whose first bar falls on its
+    # start_date, a Saturday: the next bar is the Monday after it.
+    README_SPEC = {
+        "symbols": 8,
+        "n_bars": 420,
+        "regimes": [[0.0010, 0.009], [-0.0012, 0.018]],
+        "transition": [[0.97, 0.03], [0.04, 0.96]],
+    }
+    SATURDAY_SPEC = {
+        "symbols": ["ALPHA", "BETA"],
+        "n_bars": 30,
+        "start_date": "2016-01-02",
+        "regimes": [[0.0005, 0.012]],
+        "start_price": 40.0,
+        "sector": "Utilities",
+    }
+
+    @pytest.mark.parametrize("spec, sha256", [
+        (README_SPEC, {
+            "bars.csv": "04c392a286e878156e86ffdde0be1bc40a96e1abbe33f37b0ac8f12dddb86ec9",
+            "meta.csv": "05a8fb8416eabcde72b6301121ce783fb648ee2a463c99274d152d13dc73907e",
+            "regimes.csv": "b80768b9d5800ed034799dfa109b0832d0b122abd929ec742eb0b9dd0c3fe1d7",
+        }),
+        (SATURDAY_SPEC, {
+            "bars.csv": "dea02dcff1cb5444750f275e94eb4be7186b90419cdd2d8bc05c62895eb1cd8a",
+            "meta.csv": "651389eb130ed346735b680467557cb3520345f29a9b9b948c929a67d3bdf57c",
+            "regimes.csv": "3009200d68b16bef5d3ca1cc5debb3bc881ecd0d82b35e63c704fe85c1a869d7",
+        }),
+    ], ids=["readme", "saturday-start"])
+    def test_pinned_files(self, tmp_path, spec, sha256):
+        data_dir = run_synth(tmp_path, seed=7, spec=spec)
+        assert {
+            name: hashlib.sha256((data_dir / name).read_bytes()).hexdigest() for name in sha256
+        } == sha256
+
+    def test_saturday_start_keeps_its_first_bar(self, tmp_path):
+        data_dir = run_synth(tmp_path, spec=self.SATURDAY_SPEC)
+        dates = [line.split(",")[1] for line in (data_dir / "bars.csv").read_text().splitlines()]
+        assert dates[1:4] == ["2016-01-02", "2016-01-04", "2016-01-05"]
 
     def test_invalid_transition_nonzero_exit(self, tmp_path, capsys):
         spec = dict(SYNTH_SPEC, transition=[[0.5, 0.2], [0.5, 0.5]])
