@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import zlib
 from datetime import date
@@ -24,7 +25,7 @@ from .errors import ConfigError, DuotraderError
 from .marketdata import (
     BAR_CSV_HEADER,
     META_CSV_HEADER,
-    Bar,
+    SymbolBars,
     ingest_csv,
     ingest_meta_csv,
     synth_regime_series,
@@ -131,15 +132,15 @@ def _print_ingest_notes(ingested) -> None:
         print(f"[ingest] rejected {ingested.rejected_rows} row(s)", file=sys.stderr)
 
 
-def _benchmark_bars(path: str) -> list[Bar]:
-    """The bars of a one-symbol benchmark CSV, oldest first. Rejected rows
-    are reported on stderr."""
+def _benchmark_bars(path: str) -> SymbolBars | None:
+    """The bars of a one-symbol benchmark CSV; None if it has no bar.
+    Rejected rows are reported on stderr."""
     ingested = ingest_csv(path)
     _print_ingest_notes(ingested)
     series = ingested.bars_by_symbol
     if len(series) > 1:
         raise DuotraderError(f"{path}: a benchmark file holds one symbol, got {', '.join(series)}")
-    return [b for symbol, bars in series.items() for b in bars.to_bars(symbol)]
+    return next(iter(series.values()), None)
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
@@ -159,9 +160,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     bars = ingest_csv(config.data.bars)
     _print_ingest_notes(bars)
     meta = ingest_meta_csv(config.data.meta)
-    benchmark_bars = None
-    if config.data.benchmark:
-        benchmark_bars = _benchmark_bars(config.data.benchmark)
+    benchmark = _benchmark_bars(config.data.benchmark) if config.data.benchmark else None
 
     result = engine_mod.run_backtest(
         bars.bars_by_symbol,
@@ -173,16 +172,11 @@ def cmd_backtest(args: argparse.Namespace) -> int:
         config.bl,
         config.risk,
         config.engine,
-        benchmark_bars=benchmark_bars,
+        benchmark=benchmark,
     )
 
     out_dir = Path(config.out_dir)
     paths = _write_outputs(out_dir, result, config.resolved())
-    for path in paths:
-        if not path.exists():
-            print(f"output missing: {path}", file=sys.stderr)
-            return EXIT_DATA
-    json.loads((out_dir / "report.json").read_text())  # validate
 
     _print_summary(result.report)
     print(f"\nwrote {len(paths)} artifact(s) to {out_dir}")
@@ -226,15 +220,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
         sub_seed = (seed ^ zlib.crc32(f"synth:{symbol}".encode())) % 2**31
         price = start_price * (1.0 + (sub_seed % 97) / 97.0)
         bars, labels = synth_regime_series(
-            sub_seed, n_bars, regimes, transition,
-            symbol=symbol, start_price=price, start_date=start_date,
+            sub_seed, n_bars, regimes, transition, start_price=price, start_date=start_date,
         )
-        for bar, label in zip(bars, labels):
-            bar_rows.append(
-                f"{bar.symbol},{bar.timestamp.isoformat()},{bar.open!r},"
-                f"{bar.high!r},{bar.low!r},{bar.close!r},{bar.volume}"
-            )
-            label_rows.append(f"{bar.symbol},{bar.timestamp.isoformat()},{label}")
+        columns = (bars.open, bars.high, bars.low, bars.close, bars.volume, labels)
+        for day, open_, high, low, close, volume, label in zip(
+            bars.days.tolist(), *(column.tolist() for column in columns)
+        ):
+            day = date.fromordinal(day).isoformat()
+            bar_rows.append(f"{symbol},{day},{open_!r},{high!r},{low!r},{close!r},{int(volume)}")
+            label_rows.append(f"{symbol},{day},{label}")
         shares = 1_000_000 + (sub_seed % 1_000) * 250_000
         meta_rows.append(f"{symbol},{sector},{shares}")
 
@@ -262,10 +256,15 @@ def _read_equity_csv(path: Path) -> tuple[list[date], list[float]]:
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             day, value = line.split(",")
-            dates.append(date.fromisoformat(day))
-            values.append(float(value))
+            day, value = date.fromisoformat(day), float(value)
         except ValueError as exc:
             raise DuotraderError(f"{path}:{lineno}: bad equity row: {exc}") from exc
+        if not math.isfinite(value):
+            raise DuotraderError(f"{path}:{lineno}: bad equity row: equity {value} is not finite")
+        if dates and day <= dates[-1]:
+            raise DuotraderError(f"{path}:{lineno}: bad equity row: {day} not after {dates[-1]}")
+        dates.append(day)
+        values.append(value)
     return dates, values
 
 
@@ -291,7 +290,7 @@ def _read_fills_jsonl(path: Path) -> list[engine_mod.Fill]:
                     reason=record.get("reason", "rebalance"),
                 )
             )
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DuotraderError(f"{path}:{lineno}: bad fill record: {exc}") from exc
     return fills
 
@@ -299,15 +298,10 @@ def _read_fills_jsonl(path: Path) -> list[engine_mod.Fill]:
 def cmd_report(args: argparse.Namespace) -> int:
     dates, values = _read_equity_csv(Path(args.equity))
     fills = _read_fills_jsonl(Path(args.fills))
-    benchmark_returns = benchmark_end = benchmark_start = None
-    if args.benchmark:
-        bars = _benchmark_bars(args.benchmark)
-        benchmark_returns = engine_mod.align_benchmark_returns(bars, dates)
-        bench_dates = [b.timestamp for b in bars]
-        benchmark_end = max(bench_dates, default=None)
-        benchmark_start = min(bench_dates, default=None)
+    benchmark = _benchmark_bars(args.benchmark) if args.benchmark else None
     report = metrics.compute_report(
-        dates, values, fills, benchmark_returns, args.risk_free, benchmark_end, benchmark_start
+        dates, values, fills, risk_free_rate=args.risk_free,
+        **engine_mod.align_benchmark(benchmark, dates),
     )
     _write_report(Path(args.out), report)
     _print_summary(report)

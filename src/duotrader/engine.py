@@ -68,7 +68,7 @@ from .errors import (
     ParameterError,
     TrainingDivergedError,
 )
-from .marketdata import Bar, InstrumentMeta, SymbolBars, log_returns
+from .marketdata import InstrumentMeta, SymbolBars, log_returns
 from .portfolio_bl import BlConfig
 from .regime_hmm import HmmConfig
 from .risk_controls import RiskConfig
@@ -170,14 +170,13 @@ def order_fee(quantity: int, config: EngineConfig) -> float:
 
 
 def execute(
-    order: Order, bar: Bar, config: EngineConfig, cash_available: float
+    order: Order, price: float, day: date, config: EngineConfig, cash_available: float
 ) -> tuple[Fill | None, str | None]:
-    """Fill an order at the bar's open. Buys that exceed available cash are
-    scaled down to the largest affordable share count; a zero affordable
-    quantity drops the order. Returns (fill, diagnostic)."""
+    """Fill an order at ``price``, the open of ``day``. Buys that exceed
+    available cash are scaled down to the largest affordable share count; a
+    zero affordable quantity drops the order. Returns (fill, diagnostic)."""
     if order.quantity <= 0:
         return None, f"{order.symbol}: zero-quantity order rejected"
-    price = bar.open
     quantity = order.quantity
     diagnostic = None
     if order.side == "buy":
@@ -214,7 +213,7 @@ def execute(
             quantity=quantity,
             price=price,
             fee=order_fee(quantity, config),
-            timestamp=bar.timestamp,
+            timestamp=day,
             reason=order.reason,
         ),
         diagnostic,
@@ -225,27 +224,22 @@ def _symbol_seed(base: int, salt: str, symbol: str) -> int:
     return (base ^ zlib.crc32(f"{salt}:{symbol}".encode())) % 2**31
 
 
-def align_benchmark_returns(
-    benchmark_bars: Iterable[Bar] | None, curve_dates: list[date]
-) -> np.ndarray | None:
-    """Daily simple returns of the benchmark close, forward-filled onto the
-    equity-curve calendar."""
-    if benchmark_bars is None:
-        return None
-    closes_by_date = {b.timestamp: b.close for b in benchmark_bars}
-    ordered = sorted(closes_by_date)
-    if not ordered:
-        return None
-    aligned = []
-    idx = 0
-    last = closes_by_date[ordered[0]]
-    for day in curve_dates:
-        while idx < len(ordered) and ordered[idx] <= day:
-            last = closes_by_date[ordered[idx]]
-            idx += 1
-        aligned.append(last)
-    aligned = np.asarray(aligned, dtype=float)
-    return aligned[1:] / aligned[:-1] - 1.0
+def align_benchmark(benchmark: SymbolBars | None, dates: Sequence[date]) -> dict:
+    """The benchmark arguments of ``metrics.compute_report`` for an equity
+    curve on ``dates``: the benchmark's daily simple returns, with each date
+    taking its last close on or before that date (its first close before its
+    first bar), and the dates of its first and last bars. Empty without a
+    benchmark or with an empty one."""
+    if not benchmark:
+        return {}
+    ordinals = [day.toordinal() for day in dates]
+    rows = np.maximum(benchmark.days.searchsorted(ordinals, "right") - 1, 0)
+    closes = benchmark.close[rows]
+    return {
+        "benchmark_returns": closes[1:] / closes[:-1] - 1.0,
+        "benchmark_start": date.fromordinal(int(benchmark.days[0])),
+        "benchmark_end": date.fromordinal(int(benchmark.days[-1])),
+    }
 
 
 @dataclass
@@ -297,11 +291,12 @@ class _Run:
             self.latest_rows[symbol] = self.row_on(symbol, self.today)
         return self.latest_rows[symbol]
 
-    def bar_today(self, symbol: str) -> Bar | None:
+    def row_today(self, symbol: str) -> int | None:
+        """The symbol's row of today's bar; None without a bar today."""
         row = self.latest_row(symbol)
         if row is None or self.series[symbol].days[row] != self.today:
             return None
-        return self.series[symbol].bar(symbol, row)
+        return row
 
     def last_close(self, symbol: str) -> float | None:
         row = self.latest_row(symbol)
@@ -348,7 +343,7 @@ _Job = tuple[_Step, str, int]
 
 
 def run_backtest(
-    bars_by_symbol: Mapping[str, SymbolBars | Sequence[Bar]],
+    bars_by_symbol: Mapping[str, SymbolBars],
     meta: Mapping[str, InstrumentMeta],
     universe_config: UniverseConfig,
     hmm_config: HmmConfig,
@@ -357,19 +352,14 @@ def run_backtest(
     bl_config: BlConfig,
     risk_config: RiskConfig,
     engine_config: EngineConfig,
-    benchmark_bars: list[Bar] | None = None,
+    benchmark: SymbolBars | None = None,
 ) -> BacktestResult:
-    """Run the full warm-up / retrain / rebalance / risk loop over the data
-    and produce the equity curve, logs, and the performance report. A
-    symbol's history may be given as a timestamp-ordered Bar list, which is
-    converted to columns once."""
-    series = {
-        s: bars if isinstance(bars, SymbolBars) else SymbolBars.from_bars(bars)
-        for s, bars in bars_by_symbol.items()
-    }
+    """Run the full warm-up / retrain / rebalance / risk loop over each
+    symbol's bars and produce the equity curve, logs, and the performance
+    report, with the benchmark's returns when one is given."""
     start, end = engine_config.start_date, engine_config.end_date
     first_row, in_range = {}, []
-    for symbol, columns in series.items():
+    for symbol, columns in bars_by_symbol.items():
         days = columns.days
         lo = 0 if start is None else int(days.searchsorted(start.toordinal()))
         hi = days.size if end is None else int(days.searchsorted(end.toordinal(), "right"))
@@ -381,11 +371,11 @@ def run_backtest(
     calendar = [date.fromordinal(int(day)) for day in ordinals]
 
     run = _Run(
-        series, first_row, {int(day): i for i, day in enumerate(ordinals)},
+        bars_by_symbol, first_row, {int(day): i for i, day in enumerate(ordinals)},
         meta, universe_config, hmm_config, mlp_config, fusion_config, bl_config,
         risk_config, engine_config, engine_config.initial_equity,
     )
-    for s in sorted(series):
+    for s in sorted(bars_by_symbol):
         if s not in meta:
             run.diagnostics.append(f"{s}: no metadata, excluded from universe selection")
     plan = _plan_signals(run, calendar)
@@ -402,12 +392,9 @@ def run_backtest(
         _check_risk(run, day)
         run.equity_curve.append(EquityPoint(day, run.equity()))
 
-    curve_dates = [p.timestamp for p in run.equity_curve]
-    bench_dates = [b.timestamp for b in benchmark_bars or ()]
     report = metrics.compute_report(
-        curve_dates, [p.equity for p in run.equity_curve], run.fills,
-        align_benchmark_returns(benchmark_bars, curve_dates), engine_config.risk_free_rate,
-        max(bench_dates, default=None), min(bench_dates, default=None),
+        calendar, [p.equity for p in run.equity_curve], run.fills,
+        risk_free_rate=engine_config.risk_free_rate, **align_benchmark(benchmark, calendar),
     )
     return BacktestResult(
         equity_curve=run.equity_curve, fills=run.fills, insights=run.insights,
@@ -456,8 +443,8 @@ def _fill_orders(run: _Run, day: date) -> None:
     shares held."""
     still_pending: list[Order] = []
     for order in sorted(run.pending, key=lambda o: (o.side != "sell", o.symbol)):
-        bar = run.bar_today(order.symbol)
-        if bar is None:
+        row = run.row_today(order.symbol)
+        if row is None:
             still_pending.append(order)
             continue
         held = run.positions.get(order.symbol, 0)
@@ -465,7 +452,8 @@ def _fill_orders(run: _Run, day: date) -> None:
             if held <= 0:
                 continue
             order = replace(order, quantity=min(order.quantity, held))
-        fill, diag = execute(order, bar, run.engine, run.cash)
+        price = float(run.series[order.symbol].open[row])
+        fill, diag = execute(order, price, day, run.engine, run.cash)
         if diag:
             run.diagnostics.append(f"{day}: {diag}")
         if fill is None:
@@ -517,11 +505,12 @@ def _check_risk(run: _Run, day: date) -> None:
     """Step 5: advance each held position's risk state with today's close;
     a breach queues a liquidation."""
     for symbol in sorted(run.positions):
-        bar = run.bar_today(symbol)
+        row = run.row_today(symbol)
         risk_state = run.risk_states.get(symbol)
-        if bar is None or risk_state is None:
+        if row is None or risk_state is None:
             continue
-        risk_state, decision = risk_controls.update_and_check(risk_state, bar.close, run.risk)
+        close = float(run.series[symbol].close[row])
+        risk_state, decision = risk_controls.update_and_check(risk_state, close, run.risk)
         run.risk_states[symbol] = risk_state
         if decision.action == risk_controls.LIQUIDATE:
             _queue_liquidation(

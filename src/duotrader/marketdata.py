@@ -1,4 +1,4 @@
-"""Bar ingestion, feature extraction, and synthetic regime-switching data.
+"""Daily bar ingestion, feature extraction, and synthetic regime-switching data.
 
 All prices are daily closes in currency units. Ingestion keeps each
 symbol's history as columns (``SymbolBars``), not as one object per bar. It
@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    DataAlignmentError,
     DataOrderingError,
     DuotraderError,
     InsufficientDataError,
@@ -28,19 +29,6 @@ from .errors import (
 
 BAR_CSV_HEADER = ["symbol", "date", "open", "high", "low", "close", "volume"]
 META_CSV_HEADER = ["symbol", "sector", "shares_outstanding"]
-
-
-@dataclass(frozen=True)
-class Bar:
-    """One daily OHLCV observation for a symbol."""
-
-    symbol: str
-    timestamp: date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: int
 
 
 @dataclass(frozen=True)
@@ -56,8 +44,10 @@ class InstrumentMeta:
 class SymbolBars:
     """One symbol's daily history as columns, oldest first: ``days`` holds
     strictly increasing day ordinals (``date.toordinal``) and the other five
-    read-only float64 arrays hold that day's fields. A volume is a whole
-    number of shares."""
+    float64 arrays hold that day's fields. A volume is a whole number of
+    shares. Construction checks that the six columns share one length and
+    that the days strictly increase, and makes every column read-only; it
+    copies none of them."""
 
     days: np.ndarray
     open: np.ndarray
@@ -66,38 +56,17 @@ class SymbolBars:
     close: np.ndarray
     volume: np.ndarray
 
+    def __post_init__(self):
+        columns = (self.days, self.open, self.high, self.low, self.close, self.volume)
+        if any(column.shape != (self.days.size,) for column in columns):
+            raise DataAlignmentError("the columns of a SymbolBars must share one length")
+        if np.any(np.diff(self.days) <= 0):
+            raise DataOrderingError("bars must be in strictly increasing day order")
+        for column in columns:
+            column.flags.writeable = False
+
     def __len__(self) -> int:
         return self.days.size
-
-    @classmethod
-    def from_bars(cls, bars: Sequence[Bar]) -> SymbolBars:
-        """Columns of a Bar list, which must be in strictly increasing
-        timestamp order."""
-        days = np.array([b.timestamp.toordinal() for b in bars], dtype=np.int64)
-        if np.any(np.diff(days) <= 0):
-            raise DataOrderingError("bars must be in strictly increasing timestamp order")
-        fields = [
-            np.array([getattr(b, name) for b in bars], dtype=float)
-            for name in ("open", "high", "low", "close", "volume")
-        ]
-        return cls(*_read_only(days, *fields))
-
-    def to_bars(self, symbol: str) -> list[Bar]:
-        """Every row as a Bar of ``symbol``, oldest first."""
-        return [self.bar(symbol, row) for row in range(len(self))]
-
-    def bar(self, symbol: str, row: int) -> Bar:
-        return Bar(
-            symbol, date.fromordinal(int(self.days[row])), float(self.open[row]),
-            float(self.high[row]), float(self.low[row]), float(self.close[row]),
-            int(self.volume[row]),
-        )
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
 
 
 @dataclass
@@ -226,7 +195,7 @@ def _read_clean_columns(path: Path) -> dict[str, SymbolBars] | None:
     same_symbol = grouped_codes[1:] == grouped_codes[:-1]
     if np.any(np.diff(days)[same_symbol] <= 0):
         return None
-    columns = _read_only(days, *(c[order] for c in (open_, high, low, close, volume)))
+    columns = [days, *(c[order] for c in (open_, high, low, close, volume))]
     bounds = np.concatenate([[0], np.flatnonzero(~same_symbol) + 1, [days.size]])
     return {
         symbol: SymbolBars(*(c[bounds[code]:bounds[code + 1]] for c in columns))
@@ -282,7 +251,7 @@ def _read_rows(path: Path) -> IngestResult:
     for symbol, records in rows.items():
         days, *fields = zip(*records)
         arrays = [np.array(days, dtype=np.int64)] + [np.array(f, dtype=float) for f in fields]
-        columns[symbol] = SymbolBars(*_read_only(*arrays))
+        columns[symbol] = SymbolBars(*arrays)
     return IngestResult(columns, rejected, diagnostics)
 
 
@@ -328,28 +297,21 @@ def log_returns(closes: Sequence[float] | np.ndarray) -> np.ndarray:
     return np.diff(np.log(arr))
 
 
-def _next_weekday(day: date) -> date:
-    day = day + timedelta(days=1)
-    while day.weekday() >= 5:
-        day = day + timedelta(days=1)
-    return day
-
-
 def synth_regime_series(
     seed: int,
     n_bars: int,
     regimes: Sequence[tuple[float, float]],
     transition: Iterable[Iterable[float]],
-    symbol: str = "SYN",
     start_price: float = 100.0,
     start_date: date = date(2015, 1, 2),
-) -> tuple[list[Bar], np.ndarray]:
+) -> tuple[SymbolBars, np.ndarray]:
     """Generate a geometric price path driven by a hidden Markov regime chain.
 
     Each regime is a (daily drift, daily volatility) pair for the Gaussian log
-    return drawn while that regime is active. Returns the bar sequence and the
-    true per-bar regime labels. Pure function of its arguments: identical seed
-    gives a bit-identical series.
+    return drawn while that regime is active. Returns the bars and the true
+    per-bar regime labels. The first bar is on ``start_date``, whatever its
+    weekday, and each later bar on the next weekday. Pure function of its
+    arguments: identical seed gives a bit-identical series.
     """
     if n_bars < 1:
         raise ParameterError("n_bars must be >= 1")
@@ -378,13 +340,12 @@ def synth_regime_series(
     spans = rng.uniform(0.0, 0.002, size=(n_bars, 2))
     volumes = rng.integers(100_000, 2_000_000, size=n_bars)
 
-    bars: list[Bar] = []
-    day = start_date
-    for t in range(n_bars):
-        hi = max(opens[t], closes[t]) * (1.0 + spans[t, 0])
-        lo = min(opens[t], closes[t]) * (1.0 - spans[t, 1])
-        bars.append(
-            Bar(symbol, day, float(opens[t]), float(hi), float(lo), float(closes[t]), int(volumes[t]))
-        )
-        day = _next_weekday(day)
-    return bars, labels
+    highs = np.maximum(opens, closes) * (1.0 + spans[:, 0])
+    lows = np.minimum(opens, closes) * (1.0 - spans[:, 1])
+    # The first bar is on start_date; rolling a weekend start back to its
+    # Friday makes the next bar the Monday after it. datetime64[D] counts
+    # days from 1970-01-01.
+    days = np.busday_offset(start_date, np.arange(n_bars), roll="backward").astype(np.int64)
+    days += date(1970, 1, 1).toordinal()
+    days[0] = start_date.toordinal()
+    return SymbolBars(days, opens, highs, lows, closes, volumes.astype(float)), labels

@@ -28,7 +28,7 @@ is back-filled, so its returns before that bar are zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import date
 from typing import Iterable, Sequence
 
@@ -68,19 +68,7 @@ class MetricsReport:
     flags: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        payload = {
-            name: getattr(self, name)
-            for name in (
-                "total_return", "cagr", "sharpe", "sortino", "probabilistic_sharpe",
-                "max_drawdown", "annual_stdev", "annual_variance", "alpha", "beta",
-                "information_ratio", "tracking_error", "treynor", "win_rate",
-                "loss_rate", "average_win", "average_loss", "profit_loss_ratio",
-                "total_orders", "turnover", "total_fees", "start_equity",
-                "end_equity", "runtime_days",
-            )
-        }
-        payload["flags"] = list(self.flags)
-        return payload
+        return asdict(self)
 
 
 # --- standalone formula helpers -------------------------------------------

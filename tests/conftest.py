@@ -1,24 +1,47 @@
+from dataclasses import fields
 from datetime import date, timedelta
 
-from duotrader.marketdata import Bar
+import numpy as np
+
+from duotrader.marketdata import SymbolBars
 
 
-def make_bar(symbol="XYZ", day=date(2020, 1, 2), close=100.0, open_=None,
-             high=None, low=None, volume=1000):
-    open_ = close if open_ is None else open_
-    high = max(open_, close) if high is None else high
-    low = min(open_, close) if low is None else low
-    return Bar(symbol, day, open_, high, low, close, volume)
-
-
-def make_bars(symbol, closes, start=date(2020, 1, 2), volumes=None):
-    """One bar per close on consecutive weekdays."""
-    bars = []
+def make_bars(closes, start=date(2020, 1, 2), volumes=None):
+    """One bar per close on consecutive weekdays, each with its open, high
+    and low at its close."""
+    days = []
     day = start
-    for i, close in enumerate(closes):
-        volume = 1000 if volumes is None else volumes[i]
-        bars.append(make_bar(symbol, day, float(close), volume=volume))
+    for _ in closes:
+        days.append(day.toordinal())
         day = day + timedelta(days=1)
         while day.weekday() >= 5:
             day = day + timedelta(days=1)
-    return bars
+    closes = np.array(closes, dtype=float)
+    volumes = np.full(closes.size, 1000.0) if volumes is None else np.array(volumes, dtype=float)
+    return SymbolBars(np.array(days, dtype=np.int64), closes, closes, closes, closes, volumes)
+
+
+def take_rows(bars, rows):
+    """The bars of the rows that a slice, mask or index array selects."""
+    return SymbolBars(*(getattr(bars, column.name)[rows] for column in fields(SymbolBars)))
+
+
+def scale_prices(bars, factor, first=0):
+    """The bars with every price from row ``first`` on multiplied by
+    ``factor``."""
+    prices = []
+    for column in (bars.open, bars.high, bars.low, bars.close):
+        column = column.copy()
+        column[first:] *= factor
+        prices.append(column)
+    return SymbolBars(bars.days, *prices, bars.volume)
+
+
+def day_of(bars, row):
+    """The date of a row."""
+    return date.fromordinal(int(bars.days[row]))
+
+
+def closes_by_date(bars):
+    """Each bar's close keyed by its date."""
+    return {date.fromordinal(d): c for d, c in zip(bars.days.tolist(), bars.close.tolist())}

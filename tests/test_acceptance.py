@@ -36,6 +36,8 @@ from duotrader.risk_controls import (
 from duotrader.trend_net import MlpConfig
 from duotrader.universe import UniverseConfig
 
+from conftest import closes_by_date, take_rows
+
 
 def verdict(number: int, name: str, passed: bool, detail: str = "") -> None:
     status = "PASS" if passed else "FAIL"
@@ -58,14 +60,13 @@ def build_market(n_bars: int):
         symbol = f"SYN{i:02d}"
         sub_seed = (7 ^ zlib.crc32(f"synth:{symbol}".encode())) % 2**31
         bars, _ = synth_regime_series(
-            sub_seed, n_bars, REGIMES, TRANSITION,
-            symbol=symbol, start_price=50.0 + 7.0 * i,
+            sub_seed, n_bars, REGIMES, TRANSITION, start_price=50.0 + 7.0 * i,
         )
         bars_by_symbol[symbol] = bars
         meta[symbol] = InstrumentMeta(
             symbol, "Energy", 1_000_000 + (sub_seed % 1_000) * 250_000
         )
-    benchmark, _ = synth_regime_series(99, n_bars, REGIMES, TRANSITION, symbol="BMK")
+    benchmark, _ = synth_regime_series(99, n_bars, REGIMES, TRANSITION)
     return bars_by_symbol, meta, benchmark
 
 
@@ -80,7 +81,7 @@ def run_engine(bars_by_symbol, meta, benchmark):
         BlConfig(),
         RiskConfig(),
         EngineConfig(seed=7, warmup_bars=WARMUP),
-        benchmark_bars=benchmark,
+        benchmark=benchmark,
     )
 
 
@@ -118,7 +119,7 @@ def test_criterion_02_hmm_regime_recovery():
         7, 2001, [(0.002, 0.005), (-0.002, 0.005)],
         [[0.995, 0.005], [0.005, 0.995]],
     )
-    returns = log_returns([b.close for b in bars])
+    returns = log_returns(bars.close)
     true_labels = labels[1:]
     model = regime_hmm.fit(returns, HmmConfig(n_states=2, max_iterations=40, seed=7))
 
@@ -343,10 +344,10 @@ def test_criterion_09_engine_determinism_and_no_look_ahead(full_backtest):
 
     cutoff = curve[WARMUP + 250].timestamp
     truncated_data = {
-        s: [b for b in bars if b.timestamp <= cutoff]
+        s: take_rows(bars, bars.days <= cutoff.toordinal())
         for s, bars in bars_by_symbol.items()
     }
-    truncated_bench = [b for b in benchmark if b.timestamp <= cutoff]
+    truncated_bench = take_rows(benchmark, benchmark.days <= cutoff.toordinal())
     truncated = run_engine(truncated_data, meta, truncated_bench)
     expected = [f.to_dict() for f in result.fills if f.timestamp <= cutoff]
     look_ahead_ok = [f.to_dict() for f in truncated.fills] == expected
@@ -367,9 +368,7 @@ def test_criterion_09_engine_determinism_and_no_look_ahead(full_backtest):
 
 
 def _fifo_accounting_gap(result, bars_by_symbol, initial=100_000.0):
-    closes = {
-        s: {b.timestamp: b.close for b in bars} for s, bars in bars_by_symbol.items()
-    }
+    closes = {s: closes_by_date(bars) for s, bars in bars_by_symbol.items()}
     fills_by_date = {}
     for f in result.fills:
         fills_by_date.setdefault(f.timestamp, []).append(f)

@@ -107,11 +107,6 @@ class TestSynth:
             name: hashlib.sha256((data_dir / name).read_bytes()).hexdigest() for name in sha256
         } == sha256
 
-    def test_saturday_start_keeps_its_first_bar(self, tmp_path):
-        data_dir = run_synth(tmp_path, spec=self.SATURDAY_SPEC)
-        dates = [line.split(",")[1] for line in (data_dir / "bars.csv").read_text().splitlines()]
-        assert dates[1:4] == ["2016-01-02", "2016-01-04", "2016-01-05"]
-
     def test_invalid_transition_nonzero_exit(self, tmp_path, capsys):
         spec = dict(SYNTH_SPEC, transition=[[0.5, 0.2], [0.5, 0.5]])
         spec_path = write_json(tmp_path / "synth.json", spec)
@@ -399,3 +394,72 @@ class TestReport:
         fills.write_text("")
         code = main(["report", "--equity", str(equity), "--fills", str(fills)])
         assert code == 1
+
+    def write_report_inputs(self, tmp_path, equity_rows, fill_lines=()):
+        equity = tmp_path / "equity_curve.csv"
+        equity.write_text("date,equity\n" + "".join(row + "\n" for row in equity_rows))
+        fills = tmp_path / "fills.jsonl"
+        fills.write_text("".join(line + "\n" for line in fill_lines))
+        return equity, fills
+
+    @pytest.mark.parametrize("record", [
+        "[1, 2]",
+        '"fill"',
+        '{"symbol": "A", "side": "buy", "quantity": null, "price": 10.0, "fee": 1.0,'
+        ' "date": "2020-01-03"}',
+        '{"symbol": "A", "side": "buy", "quantity": 1e400, "price": 10.0, "fee": 1.0,'
+        ' "date": "2020-01-03"}',
+        '{"symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0, "date": 3}',
+    ], ids=["list", "string", "null-quantity", "infinite-quantity", "numeric-date"])
+    def test_malformed_fill_record_exit_1(self, tmp_path, capsys, record):
+        good = json.dumps({
+            "symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0,
+            "date": "2020-01-02",
+        })
+        equity, fills = self.write_report_inputs(
+            tmp_path, [f"2020-01-0{d},100000.0" for d in range(1, 6)], [good, record]
+        )
+        code = main(["report", "--equity", str(equity), "--fills", str(fills),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert f"{fills}:2: bad fill record" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_equity_exit_1(self, tmp_path, capsys, value):
+        rows = ["2020-01-01,100000.0", "2020-01-02,100010.0", f"2020-01-03,{value}"]
+        equity, fills = self.write_report_inputs(tmp_path, rows)
+        code = main(["report", "--equity", str(equity), "--fills", str(fills),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert f"{equity}:4: bad equity row: equity {float(value)} is not finite" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("second", ["2020-01-01", "2019-12-31"])
+    def test_dates_not_increasing_exit_1(self, tmp_path, capsys, second):
+        rows = ["2020-01-01,100000.0", f"{second},100010.0", "2020-01-03,100020.0"]
+        equity, fills = self.write_report_inputs(tmp_path, rows)
+        code = main(["report", "--equity", str(equity), "--fills", str(fills),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert f"{equity}:3: bad equity row: {second} not after 2020-01-01" in (
+            capsys.readouterr().err
+        )
+
+    def test_empty_benchmark_file_is_no_benchmark(self, tmp_path):
+        out_dir = self.make_run(tmp_path)
+        bench = tmp_path / "empty.csv"
+        bench.write_text("symbol,date,open,high,low,close,volume\n")
+        redo = tmp_path / "report2.json"
+        code = main([
+            "report",
+            "--equity", str(out_dir / "equity_curve.csv"),
+            "--fills", str(out_dir / "fills.jsonl"),
+            "--benchmark", str(bench),
+            "--out", str(redo),
+        ])
+        assert code == 0
+        assert redo.read_bytes() == (out_dir / "report.json").read_bytes()
+        assert "no-benchmark" in json.loads(redo.read_text())["flags"]

@@ -5,7 +5,6 @@ import os
 import time
 import zlib
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -29,7 +28,9 @@ from duotrader.risk_controls import RiskConfig
 from duotrader.trend_net import MlpConfig
 from duotrader.universe import UniverseConfig
 
-from conftest import make_bar, make_bars
+from conftest import closes_by_date, day_of, make_bars, scale_prices, take_rows
+
+DAY = date(2020, 1, 2)
 
 
 def synth_market(n_symbols=6, n_bars=320, seed=11, sector="Energy"):
@@ -39,9 +40,7 @@ def synth_market(n_symbols=6, n_bars=320, seed=11, sector="Energy"):
     for i in range(n_symbols):
         sym = f"S{i:02d}"
         sub = (seed ^ zlib.crc32(sym.encode())) % 2**31
-        bars, _ = synth_regime_series(
-            sub, n_bars, regimes, trans, symbol=sym, start_price=40 + 9 * i
-        )
+        bars, _ = synth_regime_series(sub, n_bars, regimes, trans, start_price=40 + 9 * i)
         bars_by_symbol[sym] = bars
         meta[sym] = InstrumentMeta(sym, sector, 2_000_000 + (sub % 500) * 100_000)
     return bars_by_symbol, meta
@@ -67,7 +66,7 @@ def small_run(bars_by_symbol, meta, **engine_kwargs):
 
 def fifo_accounting_gap(result, bars_by_symbol, initial=100_000.0):
     """Worst absolute violation of equity = initial + realized + unrealized - fees."""
-    closes = {s: {b.timestamp: b.close for b in bars} for s, bars in bars_by_symbol.items()}
+    closes = {s: closes_by_date(bars) for s, bars in bars_by_symbol.items()}
     fills_by_date = {}
     for f in result.fills:
         fills_by_date.setdefault(f.timestamp, []).append(f)
@@ -110,34 +109,30 @@ class TestExecute:
         assert order_fee(1000, EngineConfig()) == pytest.approx(5.0)
 
     def test_fill_at_open(self):
-        bar = make_bar("A", close=102.0, open_=101.0)
-        fill, diag = execute(Order("A", "buy", 10), bar, EngineConfig(), 10_000.0)
+        fill, diag = execute(Order("A", "buy", 10), 101.0, DAY, EngineConfig(), 10_000.0)
         assert fill.price == 101.0
+        assert fill.timestamp == DAY
         assert fill.fee == pytest.approx(1.0)
         assert diag is None
 
     def test_zero_quantity_rejected(self):
-        bar = make_bar("A", close=100.0)
-        fill, diag = execute(Order("A", "buy", 0), bar, EngineConfig(), 1e6)
+        fill, diag = execute(Order("A", "buy", 0), 100.0, DAY, EngineConfig(), 1e6)
         assert fill is None
         assert "zero-quantity" in diag
 
     def test_buy_scaled_to_cash(self):
-        bar = make_bar("A", close=100.0, open_=100.0)
-        fill, diag = execute(Order("A", "buy", 100), bar, EngineConfig(), 1_050.0)
+        fill, diag = execute(Order("A", "buy", 100), 100.0, DAY, EngineConfig(), 1_050.0)
         assert fill.quantity == 10  # 10*100 + 1.0 fee = 1001 <= 1050
         assert "scaled" in diag
         assert fill.quantity * fill.price + fill.fee <= 1_050.0
 
     def test_unaffordable_buy_dropped(self):
-        bar = make_bar("A", close=100.0, open_=100.0)
-        fill, diag = execute(Order("A", "buy", 10), bar, EngineConfig(), 50.0)
+        fill, diag = execute(Order("A", "buy", 10), 100.0, DAY, EngineConfig(), 50.0)
         assert fill is None
         assert "insufficient cash" in diag
 
     def test_sell_not_cash_constrained(self):
-        bar = make_bar("A", close=100.0, open_=99.0)
-        fill, _ = execute(Order("A", "sell", 500), bar, EngineConfig(), 0.0)
+        fill, _ = execute(Order("A", "sell", 500), 99.0, DAY, EngineConfig(), 0.0)
         assert fill.quantity == 500
         assert fill.fee == pytest.approx(2.5)
 
@@ -161,14 +156,13 @@ class TestExecute:
         self, price, per_share_fee, min_fee, cash, quantity
     ):
         config = EngineConfig(per_share_fee=per_share_fee, min_fee=min_fee)
-        bar = make_bar("A", close=price, open_=price)
         # oracle: the largest share count whose exact cost fits in cash
         expected = max(
             (q for q in range(1, quantity + 1)
              if q * price + order_fee(q, config) <= cash),
             default=0,
         )
-        fill, _ = execute(Order("A", "buy", quantity), bar, config, cash)
+        fill, _ = execute(Order("A", "buy", quantity), price, DAY, config, cash)
         if expected == 0:
             assert fill is None
         else:
@@ -176,9 +170,8 @@ class TestExecute:
             assert fill.quantity * fill.price + fill.fee <= cash
 
     def test_tiny_price_buy_is_prompt(self):
-        bar = make_bar("A", close=1e-9, open_=1e-9)
         start = time.perf_counter()
-        fill, diag = execute(Order("A", "buy", 10**14), bar, EngineConfig(), 100_000.0)
+        fill, diag = execute(Order("A", "buy", 10**14), 1e-9, DAY, EngineConfig(), 100_000.0)
         assert time.perf_counter() - start < 0.1
         assert "scaled" in diag
         # per-share fees dominate: q * (1e-9 + 0.005) <= 100000
@@ -219,7 +212,7 @@ class TestRunBacktest:
         full = small_run(bars_by_symbol, meta)
         cutoff = full.equity_curve[250].timestamp
         truncated_data = {
-            s: [b for b in bars if b.timestamp <= cutoff]
+            s: take_rows(bars, bars.days <= cutoff.toordinal())
             for s, bars in bars_by_symbol.items()
         }
         truncated = small_run(truncated_data, meta)
@@ -276,11 +269,7 @@ class TestRunBacktest:
         # prices of 1e160 make the trend network's squared loss overflow; the
         # symbol must go flat with a diagnostic while the others trade on
         bars_by_symbol, meta = synth_market(n_symbols=6)
-        bars_by_symbol["S02"] = [
-            replace(b, open=b.open * 1e160, high=b.high * 1e160,
-                    low=b.low * 1e160, close=b.close * 1e160)
-            for b in bars_by_symbol["S02"]
-        ]
+        bars_by_symbol["S02"] = scale_prices(bars_by_symbol["S02"], 1e160)
         result = small_run(bars_by_symbol, meta)
         assert len(result.equity_curve) == 320
         assert any("S02" in d and "fit skipped" in d for d in result.diagnostics)
@@ -310,7 +299,9 @@ class TestRunBacktest:
 
     def test_date_range_filters_calendar(self):
         bars_by_symbol, meta = synth_market(n_symbols=2, n_bars=80)
-        all_days = sorted({b.timestamp for bars in bars_by_symbol.values() for b in bars})
+        all_days = sorted({
+            date.fromordinal(day) for bars in bars_by_symbol.values() for day in bars.days.tolist()
+        })
         result = small_run(
             bars_by_symbol, meta, warmup_bars=500,
             start_date=all_days[10], end_date=all_days[50],
@@ -324,11 +315,12 @@ class TestRunBacktest:
         # bars, so the first refits would reach back before start_date if
         # the earlier history were not cut off.
         bars_by_symbol, meta = synth_market(n_symbols=4)
-        start = bars_by_symbol["S00"][150].timestamp
+        start = day_of(bars_by_symbol["S00"], 150)
         result = small_run(bars_by_symbol, meta, warmup_bars=30, start_date=start)
         assert result.fits
         in_range = {
-            s: [b for b in bars if b.timestamp >= start] for s, bars in bars_by_symbol.items()
+            s: take_rows(bars, bars.days >= start.toordinal())
+            for s, bars in bars_by_symbol.items()
         }
         lengths = assert_fits_match_direct(result, in_range)
         assert min(lengths.values()) == 31
@@ -342,9 +334,8 @@ def assert_fits_match_direct(result, bars_by_symbol, seed=3, window_bars=100):
     lengths = {}
     for record in result.fits:
         symbol, day = record["symbol"], date.fromisoformat(record["date"])
-        closes = np.array(
-            [b.close for b in bars_by_symbol[symbol] if b.timestamp <= day][-window_bars:]
-        )
+        bars = bars_by_symbol[symbol]
+        closes = bars.close[bars.days <= day.toordinal()][-window_bars:]
         lengths[(record["date"], symbol)] = closes.size
         if record["model"] == "hmm":
             config = HmmConfig(n_states=2, seed=eng._symbol_seed(seed, "hmm", symbol))
@@ -364,7 +355,7 @@ class TestBatchedRefit:
         # S03 lists 60 bars late, so its window is shorter than the others'
         # at the first two refits and the refit runs two batches per model
         bars_by_symbol, meta = synth_market(n_symbols=4)
-        bars_by_symbol["S03"] = bars_by_symbol["S03"][60:]
+        bars_by_symbol["S03"] = take_rows(bars_by_symbol["S03"], slice(60, None))
         result = small_run(bars_by_symbol, meta)
         lengths = assert_fits_match_direct(result, bars_by_symbol)
         first = min(day for day, _ in lengths)
@@ -373,11 +364,7 @@ class TestBatchedRefit:
 
     def test_failing_symbol_leaves_batch_unchanged(self):
         bars_by_symbol, meta = synth_market(n_symbols=6)
-        bars_by_symbol["S02"] = [
-            replace(b, open=b.open * 1e160, high=b.high * 1e160,
-                    low=b.low * 1e160, close=b.close * 1e160)
-            for b in bars_by_symbol["S02"]
-        ]
+        bars_by_symbol["S02"] = scale_prices(bars_by_symbol["S02"], 1e160)
         result = small_run(bars_by_symbol, meta)
         skipped = [d for d in result.diagnostics if "S02 net fit skipped" in d]
         assert skipped and all(d.endswith(": non-finite loss at step 1") for d in skipped)
@@ -393,12 +380,8 @@ def cadence_churn_run():
     250, so its network refits fail from then on. Returns the bars and the
     result."""
     bars_by_symbol, meta = synth_market(n_symbols=8, n_bars=360)
-    bars_by_symbol["S05"] = bars_by_symbol["S05"][60:]
-    bars_by_symbol["S07"] = bars_by_symbol["S07"][:250] + [
-        replace(b, open=b.open * 1e160, high=b.high * 1e160,
-                low=b.low * 1e160, close=b.close * 1e160)
-        for b in bars_by_symbol["S07"][250:]
-    ]
+    bars_by_symbol["S05"] = take_rows(bars_by_symbol["S05"], slice(60, None))
+    bars_by_symbol["S07"] = scale_prices(bars_by_symbol["S07"], 1e160, first=250)
     result = run_backtest(
         bars_by_symbol,
         meta,
@@ -538,9 +521,8 @@ class TestDataGap:
         # one symbol stops trading for > max_gap_bars while others keep the
         # calendar alive, then returns; the position must be force-closed
         closes = list(np.linspace(50, 55, 60))
-        steady = {f"K{i}": make_bars(f"K{i}", closes) for i in range(2)}
-        gappy_bars = make_bars("GAP", closes)
-        gappy = gappy_bars[:40] + gappy_bars[52:]
+        steady = {f"K{i}": make_bars(closes) for i in range(2)}
+        gappy = take_rows(make_bars(closes), np.r_[0:40, 52:60])
         bars_by_symbol = dict(steady, GAP=gappy)
         meta = {
             s: InstrumentMeta(s, "Energy", 1_000_000) for s in bars_by_symbol
@@ -576,11 +558,20 @@ class TestDataGap:
 
 class TestBenchmarkAlignment:
     def test_forward_fill(self):
-        bars = make_bars("BMK", [100.0, 102.0, 101.0])
-        dates = [b.timestamp for b in bars]
+        bars = make_bars([100.0, 102.0, 101.0])
+        dates = [day_of(bars, row) for row in range(3)]
         curve = [dates[0], dates[1], dates[1] + timedelta(days=1), dates[2]]
-        returns = eng.align_benchmark_returns(bars, curve)
-        assert returns == pytest.approx([0.02, 0.0, 101.0 / 102.0 - 1.0])
+        aligned = eng.align_benchmark(bars, curve)
+        assert aligned["benchmark_returns"] == pytest.approx([0.02, 0.0, 101.0 / 102.0 - 1.0])
+        assert (aligned["benchmark_start"], aligned["benchmark_end"]) == (dates[0], dates[2])
+
+    def test_back_fill_before_first_bar(self):
+        bars = make_bars([100.0, 102.0])
+        first = day_of(bars, 0)
+        curve = [first - timedelta(days=2), first - timedelta(days=1), first, day_of(bars, 1)]
+        returns = eng.align_benchmark(bars, curve)["benchmark_returns"]
+        assert returns == pytest.approx([0.0, 0.0, 0.02])
 
     def test_none_passthrough(self):
-        assert eng.align_benchmark_returns(None, [date(2020, 1, 2)]) is None
+        assert eng.align_benchmark(None, [date(2020, 1, 2)]) == {}
+        assert eng.align_benchmark(take_rows(make_bars([1.0]), slice(0)), [date(2020, 1, 2)]) == {}

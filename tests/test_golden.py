@@ -31,9 +31,7 @@ def golden_market(n_symbols=5, n_bars=504, seed=2024):
     for i in range(n_symbols):
         sym = f"E{i:02d}"
         sub = (seed ^ zlib.crc32(sym.encode())) % 2**31
-        bars, _ = synth_regime_series(
-            sub, n_bars, regimes, trans, symbol=sym, start_price=30 + 11 * i
-        )
+        bars, _ = synth_regime_series(sub, n_bars, regimes, trans, start_price=30 + 11 * i)
         bars_by_symbol[sym] = bars
         meta[sym] = InstrumentMeta(sym, "Energy", 3_000_000 + (sub % 700) * 50_000)
     return bars_by_symbol, meta

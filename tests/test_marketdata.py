@@ -4,7 +4,10 @@ from datetime import date
 import numpy as np
 import pytest
 
+from duotrader.alpha_fusion import FusionConfig
+from duotrader.engine import EngineConfig, run_backtest
 from duotrader.errors import (
+    DataAlignmentError,
     DataOrderingError,
     DuotraderError,
     InsufficientDataError,
@@ -19,6 +22,13 @@ from duotrader.marketdata import (
     log_returns,
     synth_regime_series,
 )
+from duotrader.portfolio_bl import BlConfig
+from duotrader.regime_hmm import HmmConfig
+from duotrader.risk_controls import RiskConfig
+from duotrader.trend_net import MlpConfig
+from duotrader.universe import UniverseConfig
+
+from conftest import take_rows
 
 
 HEADER = "symbol,date,open,high,low,close,volume\n"
@@ -269,25 +279,41 @@ class TestFastPathParity:
 
     def test_generated_market_takes_fast_path(self, tmp_path):
         rows = []
+        generated = {}
         for i, symbol in enumerate(["S02", "S00", "S01"]):
-            bars, _ = synth_regime_series(i, 40, [(0.0, 0.01)], [[1.0]], symbol=symbol)
+            bars, _ = synth_regime_series(i, 40, [(0.0, 0.01)], [[1.0]])
+            generated[symbol] = bars
             rows += [
-                f"{b.symbol},{b.timestamp},{b.open!r},{b.high!r},{b.low!r},{b.close!r},{b.volume}"
-                for b in bars
+                f"{symbol},{date.fromordinal(day)},{o!r},{h!r},{lo!r},{c!r},{int(v)}"
+                for day, o, h, lo, c, v in zip(*(column.tolist() for column in _columns(bars)))
             ]
         path = write_bars(tmp_path, rows)
         fast = marketdata._read_clean_columns(path)
         assert fast is not None and list(fast) == ["S02", "S00", "S01"]
+        for symbol, bars in generated.items():
+            assert all(np.array_equal(x, y) for x, y in zip(_columns(fast[symbol]), _columns(bars)))
+        # Each symbol's columns are slices of one array per field, not copies.
+        assert fast["S02"].close.base is fast["S01"].close.base is not None
         assert_same_ingest(ingest_csv(path), marketdata._read_rows(path))
 
-    def test_bar_round_trip(self):
-        bars, _ = synth_regime_series(4, 30, [(0.0, 0.01)], [[1.0]], symbol="RT")
-        assert SymbolBars.from_bars(bars).to_bars("RT") == bars
-
-    def test_from_bars_rejects_unordered(self):
+    def test_unordered_days_rejected(self):
+        # run_backtest takes only SymbolBars, whose construction refuses
+        # days that do not strictly increase.
         bars, _ = synth_regime_series(4, 3, [(0.0, 0.01)], [[1.0]])
         with pytest.raises(DataOrderingError):
-            SymbolBars.from_bars([bars[0], bars[2], bars[1]])
+            run_backtest(
+                {"S": take_rows(bars, [0, 2, 1])}, {}, UniverseConfig(), HmmConfig(),
+                MlpConfig(), FusionConfig(), BlConfig(), RiskConfig(), EngineConfig(),
+            )
+        with pytest.raises(DataOrderingError):
+            take_rows(bars, [0, 1, 1])
+
+    def test_columns_of_unequal_length_rejected(self):
+        bars, _ = synth_regime_series(4, 3, [(0.0, 0.01)], [[1.0]])
+        columns = _columns(bars)
+        columns[4] = columns[4][:2]
+        with pytest.raises(DataAlignmentError):
+            SymbolBars(*columns)
 
 
 class TestFeatures:
@@ -327,7 +353,7 @@ class TestSynthSeries:
     def test_determinism(self):
         a = synth_regime_series(7, 50, [(0.001, 0.01), (-0.001, 0.02)], [[0.9, 0.1], [0.2, 0.8]])
         b = synth_regime_series(7, 50, [(0.001, 0.01), (-0.001, 0.02)], [[0.9, 0.1], [0.2, 0.8]])
-        assert a[0] == b[0]
+        assert all(np.array_equal(x, y) for x, y in zip(_columns(a[0]), _columns(b[0])))
         assert np.array_equal(a[1], b[1])
 
     def test_per_regime_sample_means(self):
@@ -339,7 +365,7 @@ class TestSynthSeries:
             3, 2000, [(means[0], stdev), (means[1], stdev)],
             [[0.95, 0.05], [0.05, 0.95]],
         )
-        rets = log_returns([b.close for b in bars])
+        rets = log_returns(bars.close)
         for regime in (0, 1):
             mask = labels[1:] == regime
             n = mask.sum()
@@ -359,11 +385,20 @@ class TestSynthSeries:
 
     def test_bars_are_sane(self):
         bars, _ = synth_regime_series(9, 60, [(0.0005, 0.015)], [[1.0]])
-        for prev, cur in zip(bars, bars[1:]):
-            assert cur.timestamp > prev.timestamp
-            assert cur.timestamp.weekday() < 5
-            assert cur.open == prev.close
-        for bar in bars:
-            assert bar.low <= min(bar.open, bar.close)
-            assert max(bar.open, bar.close) <= bar.high
-            assert bar.volume >= 0
+        assert np.all(np.diff(bars.days) > 0)
+        assert all(date.fromordinal(day).weekday() < 5 for day in bars.days[1:].tolist())
+        assert np.array_equal(bars.open[1:], bars.close[:-1])
+        assert np.all(bars.low <= np.minimum(bars.open, bars.close))
+        assert np.all(np.maximum(bars.open, bars.close) <= bars.high)
+        assert np.all(bars.volume >= 0) and np.array_equal(bars.volume, np.trunc(bars.volume))
+
+    @pytest.mark.parametrize("start, second", [
+        (date(2016, 1, 1), date(2016, 1, 4)),   # Friday
+        (date(2016, 1, 2), date(2016, 1, 4)),   # Saturday
+        (date(2016, 1, 3), date(2016, 1, 4)),   # Sunday
+        (date(2016, 1, 4), date(2016, 1, 5)),   # Monday
+    ])
+    def test_first_bar_on_start_date(self, start, second):
+        bars, _ = synth_regime_series(9, 8, [(0.0005, 0.015)], [[1.0]], start_date=start)
+        assert bars.days[:2].tolist() == [start.toordinal(), second.toordinal()]
+        assert bars.days.dtype == np.int64 and not bars.days.flags.writeable

@@ -36,7 +36,7 @@ def regime_returns(seed, n_returns):
     bars, _ = synth_regime_series(
         seed, n_returns + 1, [(0.001, 0.008), (-0.0015, 0.02)], [[0.96, 0.04], [0.05, 0.95]]
     )
-    return log_returns([b.close for b in bars])
+    return log_returns(bars.close)
 
 
 def assert_same_model(got, want):
@@ -82,7 +82,7 @@ class TestFit:
             7, 2001, [(0.002, 0.005), (-0.002, 0.005)],
             [[0.995, 0.005], [0.005, 0.995]],
         )
-        returns = log_returns([b.close for b in bars])
+        returns = log_returns(bars.close)
         model = fit(returns, HmmConfig(n_states=2, max_iterations=40, seed=7))
         recovered = np.sort(model.mean_returns)
         for got, want in zip(recovered, (-0.002, 0.002)):
@@ -172,7 +172,7 @@ class TestPinnedNumerics:
         bars, _ = synth_regime_series(
             251, 252, [(0.001, 0.008), (-0.0015, 0.02)], [[0.96, 0.04], [0.05, 0.95]]
         )
-        returns = log_returns([b.close for b in bars])
+        returns = log_returns(bars.close)
         assert returns.size == 251
         model = fit(returns, HmmConfig(n_states=5, seed=17))
         assert model.diagnostics["iterations"] == 10

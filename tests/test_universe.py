@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from duotrader.errors import InsufficientDataError, ParameterError
-from duotrader.marketdata import InstrumentMeta, SymbolBars
+from duotrader.marketdata import InstrumentMeta
 from duotrader.universe import UniverseConfig, dollar_volume, select_universe
 
-from conftest import make_bars
+from conftest import day_of, make_bars
 
 AS_OF = date(2020, 6, 1)
 
 
 def candidate(symbol, sector, shares, closes, volumes=None):
-    bars = make_bars(symbol, closes, start=date(2020, 1, 2), volumes=volumes)
-    return symbol, (SymbolBars.from_bars(bars), InstrumentMeta(symbol, sector, shares))
+    bars = make_bars(closes, start=date(2020, 1, 2), volumes=volumes)
+    return symbol, (bars, InstrumentMeta(symbol, sector, shares))
 
 
 class TestDollarVolume:
@@ -76,24 +76,24 @@ class TestSelectUniverse:
 
     def test_symbols_without_history_skipped(self):
         symbol, payload = candidate("FUT", "Energy", 100, [10.0] * 5)
-        future_bars = make_bars("FUT", [10.0] * 5, start=date(2021, 1, 4))
-        candidates = {symbol: (SymbolBars.from_bars(future_bars), payload[1])}
+        future_bars = make_bars([10.0] * 5, start=date(2021, 1, 4))
+        candidates = {symbol: (future_bars, payload[1])}
         config = UniverseConfig(coarse_count=5, fine_count=5)
         assert select_universe(candidates, config, AS_OF) == []
 
     def test_bar_dated_as_of_is_used_and_later_bars_are_not(self):
         # AAA's cap overtakes BBB's on the third day; BBB's overtakes it
         # again on the fourth
-        aaa = make_bars("AAA", [10.0, 10.0, 30.0, 1.0, 1.0])
-        bbb = make_bars("BBB", [20.0, 20.0, 20.0, 50.0, 50.0])
+        aaa = make_bars([10.0, 10.0, 30.0, 1.0, 1.0])
+        bbb = make_bars([20.0, 20.0, 20.0, 50.0, 50.0])
         candidates = {
-            "AAA": (SymbolBars.from_bars(aaa), InstrumentMeta("AAA", "Energy", 100)),
-            "BBB": (SymbolBars.from_bars(bbb), InstrumentMeta("BBB", "Energy", 100)),
+            "AAA": (aaa, InstrumentMeta("AAA", "Energy", 100)),
+            "BBB": (bbb, InstrumentMeta("BBB", "Energy", 100)),
         }
         config = UniverseConfig(coarse_count=2, fine_count=1)
-        assert select_universe(candidates, config, aaa[1].timestamp) == ["BBB"]
-        assert select_universe(candidates, config, aaa[2].timestamp) == ["AAA"]
-        assert select_universe(candidates, config, aaa[3].timestamp) == ["BBB"]
+        assert select_universe(candidates, config, day_of(aaa, 1)) == ["BBB"]
+        assert select_universe(candidates, config, day_of(aaa, 2)) == ["AAA"]
+        assert select_universe(candidates, config, day_of(aaa, 3)) == ["BBB"]
 
     def test_fewer_matches_than_fine_count(self):
         candidates = dict([candidate("AAA", "Energy", 100, [10.0] * 40)])
