@@ -342,9 +342,8 @@ def synth_regime_series(
 
     highs = np.maximum(opens, closes) * (1.0 + spans[:, 0])
     lows = np.minimum(opens, closes) * (1.0 - spans[:, 1])
-    # The first bar is on start_date; rolling a weekend start back to its
-    # Friday makes the next bar the Monday after it. datetime64[D] counts
-    # days from 1970-01-01.
+    # Rolling a weekend start_date back to its Friday makes the second bar
+    # the Monday after it. datetime64[D] counts days from 1970-01-01.
     days = np.busday_offset(start_date, np.arange(n_bars), roll="backward").astype(np.int64)
     days += date(1970, 1, 1).toordinal()
     days[0] = start_date.toordinal()
