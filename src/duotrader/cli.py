@@ -48,12 +48,13 @@ def _parse_override(text: str) -> tuple[str, object]:
     return key, value
 
 
-def _json_line(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True)
+def _json(payload, indent: int | None = None) -> str:
+    """Strict JSON: a non-finite float raises instead of writing a bare NaN."""
+    return json.dumps(payload, sort_keys=True, indent=indent, allow_nan=False)
 
 
 def _write_report(path: Path, report: metrics.MetricsReport) -> None:
-    path.write_text(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+    path.write_text(_json(report.to_dict(), indent=2) + "\n")
 
 
 def _write_outputs(out_dir: Path, result: engine_mod.BacktestResult, resolved: dict) -> list[Path]:
@@ -75,7 +76,7 @@ def _write_outputs(out_dir: Path, result: engine_mod.BacktestResult, resolved: d
         ("fits.jsonl", result.fits),
     ):
         path = out_dir / name
-        path.write_text("".join(_json_line(r) + "\n" for r in records))
+        path.write_text("".join(_json(r) + "\n" for r in records))
         paths.append(path)
 
     report_path = out_dir / "report.json"
@@ -83,7 +84,7 @@ def _write_outputs(out_dir: Path, result: engine_mod.BacktestResult, resolved: d
     paths.append(report_path)
 
     config_path = out_dir / "resolved_config.json"
-    config_path.write_text(json.dumps(resolved, sort_keys=True, indent=2) + "\n")
+    config_path.write_text(_json(resolved, indent=2) + "\n")
     paths.append(config_path)
     return paths
 
@@ -261,6 +262,8 @@ def _read_equity_csv(path: Path) -> tuple[list[date], list[float]]:
             raise DuotraderError(f"{path}:{lineno}: bad equity row: {exc}") from exc
         if not math.isfinite(value):
             raise DuotraderError(f"{path}:{lineno}: bad equity row: equity {value} is not finite")
+        if value <= 0:
+            raise DuotraderError(f"{path}:{lineno}: bad equity row: equity {value} is not positive")
         if dates and day <= dates[-1]:
             raise DuotraderError(f"{path}:{lineno}: bad equity row: {day} not after {dates[-1]}")
         dates.append(day)
@@ -279,17 +282,26 @@ def _read_fills_jsonl(path: Path) -> list[engine_mod.Fill]:
             continue
         try:
             record = json.loads(line)
-            fills.append(
-                engine_mod.Fill(
-                    symbol=record["symbol"],
-                    side=record["side"],
-                    quantity=int(record["quantity"]),
-                    price=float(record["price"]),
-                    fee=float(record["fee"]),
-                    timestamp=date.fromisoformat(record["date"]),
-                    reason=record.get("reason", "rebalance"),
-                )
+            fill = engine_mod.Fill(
+                symbol=record["symbol"],
+                side=record["side"],
+                quantity=record["quantity"],
+                price=float(record["price"]),
+                fee=float(record["fee"]),
+                timestamp=date.fromisoformat(record["date"]),
+                reason=record.get("reason", "rebalance"),
             )
+            # Refuse what backtest cannot write, so the report never
+            # computes from an impossible fill.
+            if fill.side not in ("buy", "sell"):
+                raise ValueError(f"side {fill.side!r} is not buy or sell")
+            if type(fill.quantity) is not int or fill.quantity <= 0:
+                raise ValueError(f"quantity {fill.quantity!r} is not a positive integer")
+            if not (math.isfinite(fill.price) and fill.price > 0):
+                raise ValueError(f"price {fill.price} is not finite and positive")
+            if not (math.isfinite(fill.fee) and fill.fee >= 0):
+                raise ValueError(f"fee {fill.fee} is not finite and non-negative")
+            fills.append(fill)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DuotraderError(f"{path}:{lineno}: bad fill record: {exc}") from exc
     return fills

@@ -666,7 +666,7 @@ def _refit_chunk(run: _Run, jobs: list[_Job]):
 
     def train_nets(positions, data):
         seeds = [_symbol_seed(run.engine.seed, "mlp", symbols[p]) for p in positions]
-        models = [trend_net.init_model(replace(run.mlp, seed=sd)) for sd in seeds]
+        models = [trend_net.init_model(run.mlp, sd) for sd in seeds]
         return trend_net.train_batch(models, data, run.mlp, seeds)
 
     returns: dict[int, object] = {}

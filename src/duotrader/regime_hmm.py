@@ -4,8 +4,9 @@ Observations are univariate: every state k carries a mean return and a
 variance. Fitting is expectation-maximization with a scaled
 forward-backward pass, run for a bounded number of iterations; the M-step
 updates every live state at once. Every routine works on S series at once,
-with (S, T, K) emission, forward and backward arrays: ``fit_batch`` fits a
-batch and ``fit`` is a batch of one.
+with (S, T, K) emission, forward and backward arrays: ``fit_batch`` fits
+one model per series and ``forward_posterior`` filters each series under its
+own model.
 
 The directional forecast is the sign of the posterior-weighted one-step-ahead
 expected return: e = (posterior @ A) @ mean_returns.
@@ -30,7 +31,6 @@ class HmmConfig:
     n_states: int = 5
     max_iterations: int = 10
     convergence_tol: float = 1e-4
-    seed: int = 0
     variance_floor: float = 1e-12
 
     def __post_init__(self):
@@ -57,13 +57,6 @@ class HmmModel:
 class DirectionForecast:
     expected_return: float
     direction: str
-
-
-def _as_observations(returns: Sequence[float] | np.ndarray) -> np.ndarray:
-    obs = np.asarray(returns, dtype=float)
-    if obs.ndim != 1:
-        raise InvalidInputError(f"returns must be one-dimensional, got shape {obs.shape}")
-    return obs
 
 
 def _as_batch(returns: np.ndarray) -> np.ndarray:
@@ -229,12 +222,13 @@ def fit_batch(
 ) -> list[HmmModel | NumericalError]:
     """Fit one model per row of an (S, T) return array by batched EM.
 
-    Series s is initialized from ``seeds[s]`` (``config.seed`` is not used)
-    and stops on its own iteration: when its log-likelihood gain drops below
-    tolerance or the iteration cap is reached. Each series gets exactly the
-    model ``fit`` gives it alone. Returns one entry per series: its model, or
-    the NumericalError its fit ran into. Raises for the whole batch when the
-    series are too short.
+    Series s is initialized from ``seeds[s]`` and stops on its own
+    iteration: when its log-likelihood gain drops below tolerance or the
+    iteration cap is reached. Its recorded per-iteration log-likelihood path
+    is non-decreasing (standard EM guarantee). Each series gets exactly the
+    model it gets in a batch of one. Returns one entry per series: its model,
+    or the NumericalError its fit ran into. Raises for the whole batch when
+    the series are too short.
     """
     obs = _as_batch(returns)
     n_series, n_obs = obs.shape
@@ -308,16 +302,6 @@ def fit_batch(
     return results
 
 
-def fit(returns: Sequence[float] | np.ndarray, config: HmmConfig) -> HmmModel:
-    """Fit by EM until the log-likelihood gain drops below tolerance or the
-    iteration cap is reached. The recorded per-iteration log-likelihood path
-    is non-decreasing (standard EM guarantee). A batch of one series."""
-    (result,) = fit_batch(_as_observations(returns)[None], config, [config.seed])
-    if isinstance(result, NumericalError):
-        raise result
-    return result
-
-
 def _filter(models: Sequence[HmmModel], returns: np.ndarray):
     """Normalized forward probabilities P(state_t | returns_1..t) of S series
     under their own models: (S, T, K) alphas and one error (or None) per
@@ -337,33 +321,18 @@ def _filter(models: Sequence[HmmModel], returns: np.ndarray):
     return alphas, errors
 
 
-def _filter_one(model: HmmModel, returns: Sequence[float] | np.ndarray) -> np.ndarray:
-    alphas, (error,) = _filter([model], _as_observations(returns)[None])
-    if error is not None:
-        raise error
-    return alphas[0]
-
-
 def forward_posterior(
-    model: HmmModel | Sequence[HmmModel], returns: Sequence[float] | np.ndarray
-) -> np.ndarray | list[np.ndarray | NumericalError]:
-    """Filtered state distribution P(state_T | returns_1..T).
+    models: Sequence[HmmModel], returns: np.ndarray
+) -> list[np.ndarray | NumericalError]:
+    """Filtered state distributions P(state_T | returns_1..T) of S series.
 
-    With one ``HmmModel`` and a 1-D series, returns the (K,) posterior and
-    raises on failure. With a sequence of S models and an (S, T) array, runs
-    one batched forward pass and returns S entries, each that series' (K,)
-    posterior under its own model or the NumericalError it ran into. A
-    posterior is a copy: it keeps no (S, T, K) forward array alive.
+    Runs one batched forward pass of the (S, T) returns, row s under
+    ``models[s]``, and returns S entries: each series' (K,) posterior, or
+    the NumericalError it ran into. A posterior is a copy: it keeps no
+    (S, T, K) forward array alive.
     """
-    if isinstance(model, HmmModel):
-        return _filter_one(model, returns)[-1].copy()
-    alphas, errors = _filter(model, returns)
+    alphas, errors = _filter(models, returns)
     return [alphas[s, -1].copy() if error is None else error for s, error in enumerate(errors)]
-
-
-def filtered_states(model: HmmModel, returns: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Arg-max filtered state index for every time step."""
-    return np.argmax(_filter_one(model, returns), axis=1)
 
 
 def predict_direction(model: HmmModel, posterior: np.ndarray) -> DirectionForecast:

@@ -125,8 +125,8 @@ def load_config(
     if unknown:
         raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
 
-    # The engine derives every per-symbol model seed from the top-level seed,
-    # so a section seed would be accepted and change nothing.
+    # The engine derives every per-symbol model seed from the top-level seed;
+    # a section seed is refused with a pointer to it.
     for section in ("engine", "hmm", "mlp"):
         if isinstance(payload.get(section), dict) and "seed" in payload[section]:
             raise ConfigError(

@@ -42,7 +42,6 @@ class MlpConfig:
     learning_rate: float = 0.001
     epochs: int = 5
     batch_size: int = 16
-    seed: int = 0
 
     def __post_init__(self):
         if len(self.layer_sizes) < 2 or any(s < 1 for s in self.layer_sizes):
@@ -88,9 +87,9 @@ class TrendForecast:
     magnitude: float
 
 
-def init_model(config: MlpConfig) -> MlpModel:
+def init_model(config: MlpConfig, seed: int) -> MlpModel:
     """Seeded init: uniform +/-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(config.layer_sizes[:-1], config.layer_sizes[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -173,11 +172,6 @@ def _unflatten(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-def _lead(arrays) -> list[np.ndarray]:
-    """Views of single-network tensors as stacks of one."""
-    return [np.asarray(a)[None] for a in arrays]
-
-
 def forward(model: MlpModel, x: Sequence[float] | np.ndarray) -> float:
     """Scalar prediction for a single input vector."""
     x = np.asarray(x, dtype=float)
@@ -185,17 +179,10 @@ def forward(model: MlpModel, x: Sequence[float] | np.ndarray) -> float:
         raise InvalidInputError(f"expected input of shape ({model.input_size},)")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("input must be finite")
-    out, _ = _forward_stack(_lead(model.weights), _lead(model.biases), x[None, None, :])
-    return float(out[0, 0, 0])
-
-
-def gradients(model: MlpModel, inputs: np.ndarray, targets: np.ndarray):
-    """Analytic MSE gradients for a batch. Returns (loss, dW list, db list)."""
-    losses, grad_w, grad_b = _gradients_stack(
-        _lead(model.weights), _lead(model.biases),
-        np.asarray(inputs, dtype=float)[None], np.asarray(targets, dtype=float)[None],
+    out, _ = _forward_stack(
+        [w[None] for w in model.weights], [b[None] for b in model.biases], x[None, None, :]
     )
-    return float(losses[0]), [g[0] for g in grad_w], [g[0] for g in grad_b]
+    return float(out[0, 0, 0])
 
 
 def train_batch(
@@ -206,14 +193,15 @@ def train_batch(
 ) -> list[tuple[MlpModel, list[float]] | TrainingDivergedError]:
     """Train copies of S networks in lock-step; the arguments are untouched.
 
-    Network s trains on ``data[s]`` with its own shuffle seeded by
-    ``seeds[s]`` (``config.seed`` is not used), and gets exactly the model
-    and loss history ``train`` gives it alone. The training sets must have
-    one length, so that every network takes the same batches. Adam's
-    moments start at zero, so a model passed in with ``step > 0`` (no caller
-    does this) only keeps its weights and adds this call's updates to its
-    count. Returns one entry per network: (trained model, per-epoch loss
-    history), or the TrainingDivergedError raised when its loss became
+    Network s runs ``config.epochs`` passes of mini-batch Adam on
+    ``data[s]``, with its own shuffle seeded by ``seeds[s]``, and gets
+    exactly the model and loss history it gets in a stack of one. The
+    training sets must have one length, so that every network takes the same
+    batches. Adam's moments start at zero, so a model passed in with
+    ``step > 0`` (no caller does this) only keeps its weights and adds this
+    call's updates to its count. Returns one entry per network: (trained
+    model, per-epoch mean of the batch MSE losses, each evaluated before its
+    update), or the TrainingDivergedError raised when its loss became
     non-finite (its step counts this call's updates).
     """
     if not (len(models) == len(data) == len(seeds)):
@@ -291,19 +279,6 @@ def train_batch(
     return results
 
 
-def train(model: MlpModel, data: TrainingSet, config: MlpConfig) -> tuple[MlpModel, list[float]]:
-    """Train a copy of the model; the argument is left untouched.
-
-    Runs ``epochs`` passes of mini-batch Adam with a seeded shuffle. Returns
-    the trained model and the per-epoch mean of the batch MSE losses (each
-    batch loss evaluated before its update). A batch of one network.
-    """
-    (result,) = train_batch([model], [data], config, [config.seed])
-    if isinstance(result, TrainingDivergedError):
-        raise result
-    return result
-
-
 def predict_direction(model: MlpModel, recent_diffs: Sequence[float] | np.ndarray) -> TrendForecast:
     """Forecast the next close difference from the most recent window of diffs."""
     recent = np.asarray(recent_diffs, dtype=float)
@@ -316,18 +291,5 @@ def predict_direction(model: MlpModel, recent_diffs: Sequence[float] | np.ndarra
 
 
 def params_to_vector(model: MlpModel) -> np.ndarray:
-    """Flatten weights then biases, layer by layer (for gradient checks)."""
+    """Flatten weights then biases, layer by layer."""
     return np.concatenate([t.ravel() for t in model.weights + model.biases])
-
-
-def vector_to_params(model: MlpModel, vector: np.ndarray) -> None:
-    """Inverse of params_to_vector, writing into the model in place."""
-    offset = 0
-    for w in model.weights:
-        w[...] = vector[offset : offset + w.size].reshape(w.shape)
-        offset += w.size
-    for b in model.biases:
-        b[...] = vector[offset : offset + b.size].reshape(b.shape)
-        offset += b.size
-    if offset != vector.size:
-        raise InvalidInputError("parameter vector has the wrong length")

@@ -121,7 +121,7 @@ def test_criterion_02_hmm_regime_recovery():
     )
     returns = log_returns(bars.close)
     true_labels = labels[1:]
-    model = regime_hmm.fit(returns, HmmConfig(n_states=2, max_iterations=40, seed=7))
+    (model,) = regime_hmm.fit_batch(returns[None], HmmConfig(n_states=2, max_iterations=40), [7])
 
     means = model.mean_returns
     high, low = int(np.argmax(means)), int(np.argmin(means))
@@ -129,7 +129,8 @@ def test_criterion_02_hmm_regime_recovery():
         abs(means[high] - 0.002) / 0.002,
         abs(means[low] + 0.002) / 0.002,
     )
-    states = regime_hmm.filtered_states(model, returns)
+    alphas, _ = regime_hmm._filter([model], returns[None])
+    states = np.argmax(alphas[0], axis=1)
     mapped = np.where(states == high, 0, 1)
     accuracy = max((mapped == true_labels).mean(), (mapped != true_labels).mean())
     elapsed = time.perf_counter() - start
@@ -158,8 +159,8 @@ def test_criterion_03_em_monotonicity():
             )
         else:
             series = rng.standard_t(3, length) * 0.008
-        model = regime_hmm.fit(
-            series, HmmConfig(n_states=n_states, seed=int(rng.integers(1_000_000)))
+        (model,) = regime_hmm.fit_batch(
+            series[None], HmmConfig(n_states=n_states), [int(rng.integers(1_000_000))]
         )
         path = model.log_likelihood_path
         worst_drop = max(
@@ -178,31 +179,35 @@ def test_criterion_04_gradient_check():
     start = time.perf_counter()
     worst = 0.0
     for draw in range(10):
-        config = MlpConfig(seed=100 + draw)
+        config = MlpConfig()
         assert config.layer_sizes == (5, 10, 10, 10, 5, 1)
-        model = trend_net.init_model(config)
+        model = trend_net.init_model(config, 100 + draw)
         rng = np.random.default_rng(200 + draw)
-        inputs = rng.normal(0.0, 1.0, size=(8, 5))
-        targets = rng.normal(0.0, 1.0, size=8)
+        inputs = rng.normal(0.0, 1.0, size=(8, 5))[None]
+        targets = rng.normal(0.0, 1.0, size=8)[None]
 
-        _, grad_w, grad_b = trend_net.gradients(model, inputs, targets)
-        analytic = np.concatenate(
-            [g.ravel() for g in grad_w] + [g.ravel() for g in grad_b]
-        )
-
+        # The network's parameters as one (1, P) row, read through the
+        # layer views that train_batch uses.
         theta = trend_net.params_to_vector(model)
+        row = theta[None].copy()
+        views = trend_net._unflatten(row, [t.shape for t in model.weights + model.biases])
+        n_layers = len(model.weights)
+
+        def gradients():
+            return trend_net._gradients_stack(views[:n_layers], views[n_layers:], inputs, targets)
+
+        _, grad_w, grad_b = gradients()
+        analytic = np.concatenate([g.ravel() for g in grad_w + grad_b])
+
         numeric = np.empty_like(theta)
         step = 1e-5
         for i in range(theta.size):
-            bumped = theta.copy()
-            bumped[i] += step
-            trend_net.vector_to_params(model, bumped)
-            up, _, _ = trend_net.gradients(model, inputs, targets)
-            bumped[i] -= 2 * step
-            trend_net.vector_to_params(model, bumped)
-            down, _, _ = trend_net.gradients(model, inputs, targets)
+            row[0, i] += step
+            up = gradients()[0][0]
+            row[0, i] -= 2 * step
+            down = gradients()[0][0]
             numeric[i] = (up - down) / (2 * step)
-        trend_net.vector_to_params(model, theta)
+            row[0, i] = theta[i]
 
         rel = np.linalg.norm(analytic - numeric) / max(
             np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12
@@ -218,8 +223,8 @@ def test_criterion_05_network_learnability():
     rng = np.random.default_rng(42)
     inputs = rng.normal(0.0, 1.0, size=(2000, 5))
     data = trend_net.TrainingSet(inputs, inputs.mean(axis=1))
-    config = MlpConfig(seed=3)  # lr 0.001, 5 epochs
-    _, history = trend_net.train(trend_net.init_model(config), data, config)
+    config = MlpConfig()  # lr 0.001, 5 epochs
+    ((_, history),) = trend_net.train_batch([trend_net.init_model(config, 3)], [data], config, [3])
     ratio = history[-1] / history[0]
     elapsed = time.perf_counter() - start
     ok = ratio < 0.10 and elapsed < 10.0

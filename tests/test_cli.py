@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from duotrader.cli import main
+from duotrader.cli import _json, main
 
 SYNTH_SPEC = {
     "symbols": 4,
@@ -30,6 +30,13 @@ OUTPUT_FILES = [
     "equity_curve.csv", "fills.jsonl", "insights.jsonl",
     "risk_events.jsonl", "report.json", "fits.jsonl",
 ]
+
+
+def strict_loads(text: str):
+    """json.loads that refuses the NaN and Infinity literals."""
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def write_json(path: Path, payload: dict) -> Path:
@@ -119,6 +126,13 @@ class TestSynth:
         assert code == 2
 
 
+def test_json_refuses_non_finite():
+    # A non-finite value fails the write instead of becoming a bare NaN.
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            _json({"equity": value})
+
+
 class TestBacktest:
     def test_happy_path_writes_outputs(self, tmp_path):
         data_dir = run_synth(tmp_path)
@@ -129,6 +143,13 @@ class TestBacktest:
         for name in OUTPUT_FILES:
             assert (out_dir / name).exists(), name
         assert (out_dir / "resolved_config.json").exists()
+        # Every JSON and JSONL artifact is strict JSON: no NaN or Infinity.
+        artifacts = sorted(out_dir.glob("*.json*"))
+        assert len(artifacts) == 7
+        for path in artifacts:
+            text = path.read_text()
+            for doc in [text] if path.suffix == ".json" else text.splitlines():
+                strict_loads(doc)
         report = json.loads((out_dir / "report.json").read_text())
         assert report["start_equity"] == 100000.0
 
@@ -337,6 +358,8 @@ class TestBacktest:
         assert resolved["bl"]["risk_aversion"] == 2.5   # default preserved
         assert resolved["engine"]["warmup_bars"] == 80  # file value preserved
         assert resolved["hmm"]["n_states"] == 2
+        # Model seeds derive from the top-level seed; the sections list none.
+        assert "seed" not in resolved["hmm"] and "seed" not in resolved["mlp"]
 
 
 class TestReport:
@@ -410,7 +433,25 @@ class TestReport:
         '{"symbol": "A", "side": "buy", "quantity": 1e400, "price": 10.0, "fee": 1.0,'
         ' "date": "2020-01-03"}',
         '{"symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0, "date": 3}',
-    ], ids=["list", "string", "null-quantity", "infinite-quantity", "numeric-date"])
+        '{"symbol": "A", "side": "hold", "quantity": 5, "price": 10.0, "fee": 1.0,'
+        ' "date": "2020-01-03"}',
+        '{"symbol": "A", "side": "buy", "quantity": -5, "price": 10.0, "fee": 1.0,'
+        ' "date": "2020-01-03"}',
+        '{"symbol": "A", "side": "buy", "quantity": 2.7, "price": 10.0, "fee": 1.0,'
+        ' "date": "2020-01-03"}',
+        '{"symbol": "A", "side": "buy", "quantity": 5, "price": 0.0, "fee": 1.0,'
+        ' "date": "2020-01-03"}',
+        '{"symbol": "A", "side": "buy", "quantity": 5, "price": 1e400, "fee": 1.0,'
+        ' "date": "2020-01-03"}',
+        '{"symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": -1.0,'
+        ' "date": "2020-01-03"}',
+        '{"symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": NaN,'
+        ' "date": "2020-01-03"}',
+    ], ids=[
+        "list", "string", "null-quantity", "infinite-quantity", "numeric-date",
+        "hold-side", "negative-quantity", "fractional-quantity", "zero-price",
+        "infinite-price", "negative-fee", "nan-fee",
+    ])
     def test_malformed_fill_record_exit_1(self, tmp_path, capsys, record):
         good = json.dumps({
             "symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0,
@@ -433,6 +474,18 @@ class TestReport:
                      "--out", str(tmp_path / "r.json")])
         assert code == 1
         assert f"{equity}:4: bad equity row: equity {float(value)} is not finite" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("value", ["0.0", "-100.0"])
+    def test_non_positive_equity_exit_1(self, tmp_path, capsys, value):
+        rows = ["2020-01-01,100000.0", f"2020-01-02,{value}", "2020-01-03,100.0"]
+        equity, fills = self.write_report_inputs(tmp_path, rows)
+        code = main(["report", "--equity", str(equity), "--fills", str(fills),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert f"{equity}:3: bad equity row: equity {float(value)} is not positive" in (
             capsys.readouterr().err
         )
         assert not (tmp_path / "r.json").exists()

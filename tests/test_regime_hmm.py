@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,8 +13,7 @@ from duotrader.marketdata import log_returns, synth_regime_series
 from duotrader.regime_hmm import (
     HmmConfig,
     HmmModel,
-    filtered_states,
-    fit,
+    _filter,
     fit_batch,
     forward_posterior,
     predict_direction,
@@ -39,6 +37,19 @@ def regime_returns(seed, n_returns):
     return log_returns(bars.close)
 
 
+def fit_one(returns, config, seed=0):
+    """The model fit_batch gives one series in a batch of one."""
+    (model,) = fit_batch(np.asarray(returns, dtype=float)[None], config, [seed])
+    assert isinstance(model, HmmModel), model
+    return model
+
+
+def posterior_one(model, returns):
+    """forward_posterior of one series under one model: its posterior or error."""
+    (posterior,) = forward_posterior([model], np.asarray(returns, dtype=float)[None])
+    return posterior
+
+
 def assert_same_model(got, want):
     """Bit-for-bit equality of every fitted field."""
     assert np.array_equal(got.initial_probs, want.initial_probs)
@@ -57,7 +68,7 @@ class TestFit:
     def test_single_state_closed_form(self):
         rng = np.random.default_rng(0)
         returns = rng.normal(0.001, 0.02, 200)
-        model = fit(returns, HmmConfig(n_states=1, seed=4))
+        model = fit_one(returns, HmmConfig(n_states=1), 4)
         assert model.transition[0, 0] == pytest.approx(1.0)
         assert model.initial_probs == pytest.approx([1.0])
         # oracle: closed-form single-state maximum-likelihood statistics
@@ -69,8 +80,8 @@ class TestFit:
     def test_determinism(self):
         rng = np.random.default_rng(1)
         returns = rng.normal(0, 0.01, 150)
-        a = fit(returns, HmmConfig(n_states=3, seed=9))
-        b = fit(returns, HmmConfig(n_states=3, seed=9))
+        a = fit_one(returns, HmmConfig(n_states=3), 9)
+        b = fit_one(returns, HmmConfig(n_states=3), 9)
         assert np.array_equal(a.mean_returns, b.mean_returns)
         assert np.array_equal(a.transition, b.transition)
         assert np.array_equal(a.variances, b.variances)
@@ -83,17 +94,17 @@ class TestFit:
             [[0.995, 0.005], [0.005, 0.995]],
         )
         returns = log_returns(bars.close)
-        model = fit(returns, HmmConfig(n_states=2, max_iterations=40, seed=7))
+        model = fit_one(returns, HmmConfig(n_states=2, max_iterations=40), 7)
         recovered = np.sort(model.mean_returns)
         for got, want in zip(recovered, (-0.002, 0.002)):
             assert abs(got - want) / abs(want) < 0.20
 
     def test_too_short_sequence(self):
         with pytest.raises(InsufficientDataError):
-            fit(np.zeros(19), HmmConfig(n_states=2))
+            fit_one(np.zeros(19), HmmConfig(n_states=2))
 
     def test_constant_returns_floors_variance(self):
-        model = fit(np.full(40, 0.001), HmmConfig(n_states=1))
+        model = fit_one(np.full(40, 0.001), HmmConfig(n_states=1))
         assert model.variances[0] >= 1e-12
         assert model.diagnostics["variance_floored"]
 
@@ -101,7 +112,7 @@ class TestFit:
         # the outlier's state is occupied only at the last step, so its row
         # of expected outgoing transitions is empty
         returns = np.concatenate([np.zeros(50), [0.5]])
-        model = fit(returns, HmmConfig(n_states=2, seed=1))
+        model = fit_one(returns, HmmConfig(n_states=2), 1)
         assert np.all(np.isfinite(model.transition))
         assert model.transition.sum(axis=1) == pytest.approx([1.0, 1.0])
         assert model.mean_returns[1] == pytest.approx(0.5)
@@ -110,14 +121,14 @@ class TestFit:
         rng = np.random.default_rng(11)
         for trial in range(10):
             returns = rng.normal(0.0, 0.01, 120)
-            model = fit(returns, HmmConfig(n_states=int(rng.integers(1, 5)), seed=trial))
+            model = fit_one(returns, HmmConfig(n_states=int(rng.integers(1, 5))), trial)
             path = model.log_likelihood_path
             assert all(b - a >= -1e-8 for a, b in zip(path, path[1:]))
 
     def test_stochasticity_invariants(self):
         rng = np.random.default_rng(13)
         returns = rng.normal(0.0, 0.01, 200)
-        model = fit(returns, HmmConfig(n_states=4, seed=2))
+        model = fit_one(returns, HmmConfig(n_states=4), 2)
         assert model.initial_probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert model.transition.sum(axis=1) == pytest.approx(np.ones(4), abs=1e-9)
         assert model.mean_returns.shape == (4,)
@@ -132,9 +143,12 @@ class TestFit:
 
     def test_rejects_multivariate_input(self):
         with pytest.raises(InvalidInputError):
-            fit(np.zeros((60, 2)), HmmConfig(n_states=2))
+            fit_one(np.zeros((60, 2)), HmmConfig(n_states=2))
         with pytest.raises(InvalidInputError):
-            fit(np.zeros((60, 1)), HmmConfig(n_states=2))
+            fit_one(np.zeros((60, 1)), HmmConfig(n_states=2))
+        model = build_model([1.0], [[1.0]], [0.0], [1e-4])
+        with pytest.raises(InvalidInputError):
+            posterior_one(model, np.zeros((60, 1)))
 
 
 class TestPinnedNumerics:
@@ -174,7 +188,7 @@ class TestPinnedNumerics:
         )
         returns = log_returns(bars.close)
         assert returns.size == 251
-        model = fit(returns, HmmConfig(n_states=5, seed=17))
+        model = fit_one(returns, HmmConfig(n_states=5), 17)
         assert model.diagnostics["iterations"] == 10
         np.testing.assert_allclose(model.log_likelihood_path, self.PATH, rtol=1e-9, atol=0)
         np.testing.assert_allclose(model.mean_returns, self.MEANS, rtol=1e-9, atol=0)
@@ -189,10 +203,7 @@ class TestFitBatch:
         returns = np.stack([regime_returns(300 + s, 251) for s in range(12)])
         seeds = [11 * s + 1 for s in range(12)]
         batch = fit_batch(returns, self.CONFIG, seeds)
-        singles = [
-            fit(row, HmmConfig(n_states=3, max_iterations=60, seed=seed))
-            for row, seed in zip(returns, seeds)
-        ]
+        singles = [fit_one(row, self.CONFIG, seed) for row, seed in zip(returns, seeds)]
         # the series stop on different iterations, some at the cap
         iterations = {m.diagnostics["iterations"] for m in batch}
         assert len(iterations) > 2 and 60 in iterations
@@ -202,11 +213,10 @@ class TestFitBatch:
     def test_failing_series_isolated(self):
         config = HmmConfig(n_states=3, variance_floor=0.0)
         returns = np.stack([regime_returns(41, 120), np.zeros(120), regime_returns(42, 120)])
-        with pytest.raises(NumericalError) as alone:
-            fit(returns[1], replace(config, seed=2))
+        (alone,) = fit_batch(returns[1:2], config, [2])
         batch = fit_batch(returns, config, [1, 2, 3])
         assert isinstance(batch[1], NumericalError)
-        assert str(batch[1]) == str(alone.value)
+        assert str(batch[1]) == str(alone)
         for got, want in zip(batch[::2], fit_batch(returns[::2], config, [1, 3])):
             assert_same_model(got, want)
 
@@ -223,13 +233,13 @@ class TestFitBatch:
 class TestForwardPosterior:
     def test_single_state(self):
         model = build_model([1.0], [[1.0]], [0.0], [1e-4])
-        assert forward_posterior(model, [0.01, -0.02]) == pytest.approx([1.0])
+        assert posterior_one(model, [0.01, -0.02]) == pytest.approx([1.0])
 
     def test_well_separated_states(self):
         model = build_model(
             [0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [0.01, -0.01], [1e-8, 1e-8]
         )
-        posterior = forward_posterior(model, [0.01])
+        posterior = posterior_one(model, [0.01])
         # oracle: direct Bayes computation on the final step
         num = [0.5 * normal_pdf(0.01, m, 1e-8) for m in (0.01, -0.01)]
         expected = np.array(num) / sum(num)
@@ -240,7 +250,7 @@ class TestForwardPosterior:
         model = build_model(
             [0.25] * 4, np.full((4, 4), 0.25), [0.001] * 4, [1e-4] * 4
         )
-        posterior = forward_posterior(model, [0.01, 0.0, -0.005])
+        posterior = posterior_one(model, [0.01, 0.0, -0.005])
         assert posterior == pytest.approx([0.25] * 4, abs=1e-12)
 
     def test_length_one_equals_bayes_update(self):
@@ -252,29 +262,35 @@ class TestForwardPosterior:
         x = 0.004
         weights = [p * normal_pdf(x, m, v) for p, m, v in zip(pi, means, variances)]
         expected = np.array(weights) / sum(weights)
-        assert forward_posterior(model, [x]) == pytest.approx(expected, abs=1e-12)
+        assert posterior_one(model, [x]) == pytest.approx(expected, abs=1e-12)
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(23)
-        model = fit(rng.normal(0, 0.01, 150), HmmConfig(n_states=3, seed=1))
-        posterior = forward_posterior(model, rng.normal(0, 0.01, 50))
+        model = fit_one(rng.normal(0, 0.01, 150), HmmConfig(n_states=3), 1)
+        posterior = posterior_one(model, rng.normal(0, 0.01, 50))
         assert posterior.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_takes_only_a_batch(self):
+        model = build_model([1.0], [[1.0]], [0.0], [1e-4])
+        with pytest.raises(InvalidInputError):
+            forward_posterior(model, np.zeros(5))
 
     def test_empty_sequence(self):
         model = build_model([1.0], [[1.0]], [0.0], [1e-4])
         with pytest.raises(InsufficientDataError):
-            forward_posterior(model, [])
+            posterior_one(model, [])
 
     def test_collapse_reports_first_step(self):
         # the only state that can follow state 0 gives the second return a
         # density that underflows to zero
         model = build_model([1.0, 0.0], np.eye(2), [0.0, 1.0], [1e-8, 1e-8])
-        with pytest.raises(NumericalError, match="collapsed at t=1$"):
-            forward_posterior(model, [0.0, 1.0, 1.0])
+        error = posterior_one(model, [0.0, 1.0, 1.0])
+        assert isinstance(error, NumericalError)
+        assert str(error).endswith("collapsed at t=1")
 
     def test_batch_equals_per_model(self):
         returns = np.stack([regime_returns(500 + s, 90) for s in range(6)])
-        models = [fit(r, HmmConfig(n_states=3, seed=s)) for s, r in enumerate(returns)]
+        models = [fit_one(r, HmmConfig(n_states=3), s) for s, r in enumerate(returns)]
         nan_variance = build_model(
             [0.4, 0.3, 0.3], np.eye(3), [0.0, 0.01, -0.01], [1e-4, float("nan"), 1e-4]
         )
@@ -283,19 +299,19 @@ class TestForwardPosterior:
         batch = forward_posterior([broken.get(s, m) for s, m in enumerate(models)], returns)
         for s, (got, model, row) in enumerate(zip(batch, models, returns)):
             if s in broken:
-                with pytest.raises(NumericalError) as alone:
-                    forward_posterior(broken[s], row)
-                assert str(got) == str(alone.value)
+                alone = posterior_one(broken[s], row)
+                assert isinstance(alone, NumericalError)
+                assert str(got) == str(alone)
             else:
-                assert np.array_equal(got, forward_posterior(model, row))
+                assert np.array_equal(got, posterior_one(model, row))
 
     def test_posteriors_own_their_memory(self):
         # A view of the (S, T, K) forward array would keep all of it alive
         # for as long as the (K,) posterior is held.
         returns = np.stack([regime_returns(600 + s, 60) for s in range(3)])
-        models = [fit(r, HmmConfig(n_states=2, seed=s)) for s, r in enumerate(returns)]
+        models = [fit_one(r, HmmConfig(n_states=2), s) for s, r in enumerate(returns)]
         batch = forward_posterior(models, returns)
-        single = forward_posterior(models[0], returns[0])
+        single = posterior_one(models[0], returns[0])
         for posterior in [*batch, single]:
             assert posterior.shape == (2,)
             assert posterior.base is None and posterior.flags.owndata
@@ -304,8 +320,7 @@ class TestForwardPosterior:
     @pytest.mark.parametrize("bad", [0.0, -1e-4, float("nan")])
     def test_non_positive_variance_raises(self, bad):
         model = build_model([0.5, 0.5], np.eye(2), [0.0, 0.01], [1e-4, bad])
-        with pytest.raises(NumericalError):
-            forward_posterior(model, [0.01, -0.02])
+        assert isinstance(posterior_one(model, [0.01, -0.02]), NumericalError)
 
 
 class TestPredictDirection:
@@ -329,9 +344,9 @@ class TestPredictDirection:
 
     def test_label_permutation_invariance(self):
         rng = np.random.default_rng(31)
-        model = fit(rng.normal(0.0005, 0.01, 200), HmmConfig(n_states=3, seed=5))
+        model = fit_one(rng.normal(0.0005, 0.01, 200), HmmConfig(n_states=3), 5)
         returns = rng.normal(0.0005, 0.01, 40)
-        posterior = forward_posterior(model, returns)
+        posterior = posterior_one(model, returns)
         base = predict_direction(model, posterior)
 
         perm = np.array([2, 0, 1])
@@ -341,14 +356,14 @@ class TestPredictDirection:
             mean_returns=model.mean_returns[perm],
             variances=model.variances[perm],
         )
-        shuffled = predict_direction(permuted, forward_posterior(permuted, returns))
+        shuffled = predict_direction(permuted, posterior_one(permuted, returns))
         assert shuffled.expected_return == pytest.approx(base.expected_return, abs=1e-12)
         assert shuffled.direction == base.direction
 
     def test_scale_consistency(self):
         rng = np.random.default_rng(37)
-        model = fit(rng.normal(0.001, 0.01, 150), HmmConfig(n_states=2, seed=8))
-        posterior = forward_posterior(model, rng.normal(0, 0.01, 30))
+        model = fit_one(rng.normal(0.001, 0.01, 150), HmmConfig(n_states=2), 8)
+        posterior = posterior_one(model, rng.normal(0, 0.01, 30))
         base = predict_direction(model, posterior)
         for scale in (0.5, 3.0, 100.0):
             scaled = HmmModel(
@@ -364,8 +379,9 @@ class TestFilteredStates:
     def test_matches_posterior_argmax(self):
         rng = np.random.default_rng(41)
         returns = rng.normal(0, 0.01, 80)
-        model = fit(returns, HmmConfig(n_states=2, seed=6))
-        states = filtered_states(model, returns)
+        model = fit_one(returns, HmmConfig(n_states=2), 6)
+        alphas, errors = _filter([model], returns[None])
+        assert errors == [None]
+        states = np.argmax(alphas[0], axis=1)
         assert states.shape == (80,)
-        last = forward_posterior(model, returns)
-        assert states[-1] == np.argmax(last)
+        assert states[-1] == np.argmax(posterior_one(model, returns))

@@ -15,15 +15,14 @@ from duotrader.trend_net import (
     ADAM_EPS,
     MlpConfig,
     TrainingSet,
+    _gradients_stack,
+    _unflatten,
     build_training_set,
     forward,
-    gradients,
     init_model,
     params_to_vector,
     predict_direction,
-    train,
     train_batch,
-    vector_to_params,
 )
 
 
@@ -42,8 +41,28 @@ def random_walk_set(seed, n_closes=90, scale=1.0):
     return build_training_set(scale * (50.0 + np.cumsum(rng.normal(0, 1, n_closes))))
 
 
+def train_one(model, data, config, seed):
+    """train_batch on a stack of one network: (model, history) or the error."""
+    (result,) = train_batch([model], [data], config, [seed])
+    return result
+
+
+def param_row(model):
+    """The network's parameters as a (1, P) row, and its layer shapes."""
+    return params_to_vector(model)[None], [t.shape for t in model.weights + model.biases]
+
+
+def loss_and_gradient(row, shapes, x, y):
+    """MSE loss and flat analytic gradient of the network whose parameters
+    are the (1, P) row, read through the _unflatten views train_batch uses."""
+    n_layers = len(shapes) // 2
+    views = _unflatten(row, shapes)
+    losses, grad_w, grad_b = _gradients_stack(views[:n_layers], views[n_layers:], x[None], y[None])
+    return float(losses[0]), np.concatenate([g.ravel() for g in grad_w + grad_b])
+
+
 def zero_model(config=None):
-    model = init_model(config or MlpConfig(seed=0))
+    model = init_model(config or MlpConfig(), 0)
     for w in model.weights:
         w[...] = 0.0
     return model
@@ -91,24 +110,24 @@ class TestForward:
         assert forward(model, np.ones(5) * 7) == pytest.approx(3.5)
 
     def test_purity(self):
-        model = init_model(MlpConfig(seed=12))
+        model = init_model(MlpConfig(), 12)
         x = np.array([0.1, -0.2, 0.3, 0.0, -0.5])
         assert forward(model, x) == forward(model, x)
 
     def test_nonfinite_input(self):
-        model = init_model(MlpConfig(seed=1))
+        model = init_model(MlpConfig(), 1)
         with pytest.raises(InvalidInputError):
             forward(model, [1.0, np.nan, 0.0, 0.0, 0.0])
 
     def test_wrong_shape(self):
-        model = init_model(MlpConfig(seed=1))
+        model = init_model(MlpConfig(), 1)
         with pytest.raises(InvalidInputError):
             forward(model, [1.0, 2.0])
 
     def test_relu_zero_region_is_bias_path(self):
         # strongly negative first-layer pre-activations zero out layer 1, so
         # the output must equal the forward path fed from a zero hidden state
-        model = init_model(MlpConfig(seed=5))
+        model = init_model(MlpConfig(), 5)
         model.weights[0][...] = np.abs(model.weights[0])
         model.biases[0][...] = 0.0
         x = -np.ones(5) * 10.0
@@ -124,44 +143,35 @@ class TestForward:
 class TestGradients:
     def test_matches_finite_differences(self):
         for seed in (0, 1):
-            config = MlpConfig(seed=seed)
-            model = init_model(config)
+            row, shapes = param_row(init_model(MlpConfig(), seed))
             rng = np.random.default_rng(100 + seed)
             x = rng.normal(0, 1, size=(6, 5))
             y = rng.normal(0, 1, size=6)
-            _, grad_w, grad_b = gradients(model, x, y)
-            analytic = np.concatenate(
-                [g.ravel() for g in grad_w] + [g.ravel() for g in grad_b]
-            )
-            numeric = finite_difference_gradient(model, x, y)
+            _, analytic = loss_and_gradient(row, shapes, x, y)
+            numeric = finite_difference_gradient(row, shapes, x, y)
             rel = np.linalg.norm(analytic - numeric) / max(
                 np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12
             )
             assert rel < 1e-4
 
     def test_zero_residual_zero_gradient(self):
-        model = zero_model()
-        x = np.zeros((4, 5))
-        y = np.zeros(4)
-        loss, grad_w, grad_b = gradients(model, x, y)
+        row, shapes = param_row(zero_model())
+        loss, grad = loss_and_gradient(row, shapes, np.zeros((4, 5)), np.zeros(4))
         assert loss == 0.0
-        assert all(np.all(g == 0) for g in grad_w)
-        assert all(np.all(g == 0) for g in grad_b)
+        assert np.all(grad == 0)
 
 
-def finite_difference_gradient(model, x, y, step=1e-5):
-    theta = params_to_vector(model)
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        bumped = theta.copy()
-        bumped[i] += step
-        vector_to_params(model, bumped)
-        up, _, _ = gradients(model, x, y)
-        bumped[i] -= 2 * step
-        vector_to_params(model, bumped)
-        down, _, _ = gradients(model, x, y)
+def finite_difference_gradient(row, shapes, x, y, step=1e-5):
+    """Central differences of the loss, bumping the (1, P) row in place."""
+    grad = np.empty(row.shape[1])
+    for i in range(row.shape[1]):
+        saved = row[0, i]
+        row[0, i] += step
+        up, _ = loss_and_gradient(row, shapes, x, y)
+        row[0, i] -= 2 * step
+        down, _ = loss_and_gradient(row, shapes, x, y)
         grad[i] = (up - down) / (2 * step)
-    vector_to_params(model, theta)
+        row[0, i] = saved
     return grad
 
 
@@ -169,12 +179,12 @@ class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         # oracle: the first step of the Adam recurrence by hand, for a
         # linear (1, 1) network trained on one sample for one update
-        config = MlpConfig(layer_sizes=(1, 1), seed=0, epochs=1, batch_size=1)
-        model = init_model(config)
+        config = MlpConfig(layer_sizes=(1, 1), epochs=1, batch_size=1)
+        model = init_model(config, 0)
         x, y = 0.7, 2.0
         w, b = model.weights[0][0, 0], model.biases[0][0]
         residual = w * x + b - y
-        trained, _ = train(model, TrainingSet(np.array([[x]]), np.array([y])), config)
+        trained, _ = train_one(model, TrainingSet(np.array([[x]]), np.array([y])), config, 0)
         assert trained.step == 1
 
         moves = (
@@ -191,8 +201,8 @@ class TestAdam:
     def test_step_counter_advances(self):
         rng = np.random.default_rng(4)
         data = TrainingSet(rng.normal(0, 1, (40, 5)), rng.normal(0, 1, 40))
-        config = MlpConfig(seed=0, epochs=3, batch_size=16)
-        trained, _ = train(init_model(config), data, config)
+        config = MlpConfig(epochs=3, batch_size=16)
+        trained, _ = train_one(init_model(config, 0), data, config, 0)
         assert trained.step == config.epochs * math.ceil(len(data) / config.batch_size)
 
 
@@ -201,7 +211,7 @@ class TestTrain:
         model = zero_model()
         data = TrainingSet(np.zeros((32, 5)), np.zeros(32))
         before = params_to_vector(model).copy()
-        trained, history = train(model, data, MlpConfig(seed=0, epochs=5))
+        trained, history = train_one(model, data, MlpConfig(epochs=5), 0)
         assert history == [0.0] * 5
         assert np.array_equal(params_to_vector(trained), before)
 
@@ -209,22 +219,22 @@ class TestTrain:
         rng = np.random.default_rng(42)
         x = rng.normal(0, 1, size=(500, 5))
         data = TrainingSet(x, x.mean(axis=1))
-        config = MlpConfig(seed=3)
-        trained, history = train(init_model(config), data, config)
+        config = MlpConfig()
+        trained, history = train_one(init_model(config, 3), data, config, 3)
         assert history[-1] < history[0]
 
         def mse(model):
-            return gradients(model, data.inputs, data.targets)[0]
+            return loss_and_gradient(*param_row(model), data.inputs, data.targets)[0]
 
-        assert mse(trained) < mse(init_model(config))
+        assert mse(trained) < mse(init_model(config, 3))
 
     def test_determinism(self):
         rng = np.random.default_rng(8)
         x = rng.normal(0, 1, size=(64, 5))
         data = TrainingSet(x, rng.normal(0, 1, 64))
-        config = MlpConfig(seed=21, epochs=2)
-        a, hist_a = train(init_model(config), data, config)
-        b, hist_b = train(init_model(config), data, config)
+        config = MlpConfig(epochs=2)
+        a, hist_a = train_one(init_model(config, 21), data, config, 21)
+        b, hist_b = train_one(init_model(config, 21), data, config, 21)
         assert hist_a == hist_b
         assert np.array_equal(params_to_vector(a), params_to_vector(b))
 
@@ -233,52 +243,48 @@ class TestTrain:
         x = rng.normal(0, 1, size=(40, 5))
         y = rng.normal(0, 1, 40)
         data = TrainingSet(x.copy(), y.copy())
-        config = MlpConfig(seed=0, epochs=2)
-        train(init_model(config), data, config)
+        config = MlpConfig(epochs=2)
+        train_one(init_model(config, 0), data, config, 0)
         assert np.array_equal(data.inputs, x)
         assert np.array_equal(data.targets, y)
 
     def test_input_model_not_mutated(self):
         rng = np.random.default_rng(10)
         data = TrainingSet(rng.normal(0, 1, (40, 5)), rng.normal(0, 1, 40))
-        config = MlpConfig(seed=0, epochs=1)
-        model = init_model(config)
+        config = MlpConfig(epochs=1)
+        model = init_model(config, 0)
         before = params_to_vector(model).copy()
-        trained, _ = train(model, data, config)
+        trained, _ = train_one(model, data, config, 0)
         assert np.array_equal(params_to_vector(model), before)
         assert not np.array_equal(params_to_vector(trained), before)
 
     def test_empty_training_set(self):
         data = TrainingSet(np.zeros((0, 5)), np.zeros(0))
         with pytest.raises(InsufficientDataError):
-            train(init_model(MlpConfig(seed=0)), data, MlpConfig(seed=0))
+            train_one(init_model(MlpConfig(), 0), data, MlpConfig(), 0)
 
 
 class TestTrainBatch:
     CONFIG = MlpConfig(epochs=3, batch_size=16)
 
     def run_batch(self, data, seeds):
-        models = [init_model(MlpConfig(seed=seed)) for seed in seeds]
+        models = [init_model(self.CONFIG, seed) for seed in seeds]
         return train_batch(models, data, self.CONFIG, seeds)
-
-    def run_alone(self, data, seed):
-        config = MlpConfig(epochs=3, batch_size=16, seed=seed)
-        return train(init_model(config), data, config)
 
     def test_equals_per_model_train(self):
         # 83 samples: the last batch of each epoch is a short one
         data = [random_walk_set(s) for s in range(6)]
         seeds = [7 * s + 3 for s in range(6)]
         for got, d, seed in zip(self.run_batch(data, seeds), data, seeds):
-            assert_same_training(got, self.run_alone(d, seed))
+            assert_same_training(got, self.run_batch([d], [seed])[0])
 
     def test_diverging_network_isolated(self):
         data = [random_walk_set(1), random_walk_set(2, scale=1e160), random_walk_set(3)]
-        with pytest.raises(TrainingDivergedError) as alone:
-            self.run_alone(data[1], 20)
+        (alone,) = self.run_batch(data[1:2], [20])
+        assert isinstance(alone, TrainingDivergedError)
         batch = self.run_batch(data, [10, 20, 30])
         assert isinstance(batch[1], TrainingDivergedError)
-        assert str(batch[1]) == str(alone.value)
+        assert str(batch[1]) == str(alone)
         for got, want in zip(batch[::2], self.run_batch(data[::2], [10, 30])):
             assert_same_training(got, want)
 
@@ -305,8 +311,8 @@ class TestPredictDirection:
         # end-to-end oracle: monotone data must produce an up forecast
         closes = np.arange(1.0, 301.0)
         data = build_training_set(closes)
-        config = MlpConfig(seed=2)
-        trained, _ = train(init_model(config), data, config)
+        config = MlpConfig()
+        trained, _ = train_one(init_model(config, 2), data, config, 2)
         forecast = predict_direction(trained, np.diff(closes)[-5:])
         assert forecast.direction == "up"
         assert forecast.magnitude > 0
@@ -318,11 +324,12 @@ class TestPredictDirection:
 
 class TestSerialization:
     def test_param_vector_roundtrip(self):
-        model = init_model(MlpConfig(seed=7))
-        theta = params_to_vector(model)
-        other = init_model(MlpConfig(seed=8))
-        vector_to_params(other, theta)
-        assert np.array_equal(params_to_vector(other), theta)
+        # train_batch reads its layer tensors as _unflatten views of the
+        # params_to_vector row, so the two layouts must agree.
+        model = init_model(MlpConfig(), 7)
+        row, shapes = param_row(model)
+        for view, tensor in zip(_unflatten(row, shapes), model.weights + model.biases):
+            assert np.array_equal(view[0], tensor)
 
 
 class TestConfig:
