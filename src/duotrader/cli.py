@@ -163,18 +163,7 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     meta = ingest_meta_csv(config.data.meta)
     benchmark = _benchmark_bars(config.data.benchmark) if config.data.benchmark else None
 
-    result = engine_mod.run_backtest(
-        bars.bars_by_symbol,
-        meta,
-        config.universe,
-        config.hmm,
-        config.mlp,
-        config.fusion,
-        config.bl,
-        config.risk,
-        config.engine,
-        benchmark=benchmark,
-    )
+    result = engine_mod.run_backtest(bars.bars_by_symbol, meta, config, benchmark=benchmark)
 
     out_dir = Path(config.out_dir)
     paths = _write_outputs(out_dir, result, config.resolved())
@@ -271,7 +260,9 @@ def _read_equity_csv(path: Path) -> tuple[list[date], list[float]]:
     return dates, values
 
 
-def _read_fills_jsonl(path: Path) -> list[engine_mod.Fill]:
+def _read_fills_jsonl(path: Path, dates: list[date]) -> list[engine_mod.Fill]:
+    """The fills of a fills.jsonl, each dated within the span of the equity
+    curve's ``dates``."""
     try:
         text = path.read_text()
     except OSError as exc:
@@ -293,6 +284,12 @@ def _read_fills_jsonl(path: Path) -> list[engine_mod.Fill]:
             )
             # Refuse what backtest cannot write, so the report never
             # computes from an impossible fill.
+            if not (isinstance(fill.symbol, str) and fill.symbol):
+                raise ValueError(f"symbol {fill.symbol!r} is not a non-empty string")
+            if not isinstance(fill.reason, str):
+                raise ValueError(f"reason {fill.reason!r} is not a string")
+            if not (dates and dates[0] <= fill.timestamp <= dates[-1]):
+                raise ValueError(f"date {fill.timestamp} is outside the equity curve")
             if fill.side not in ("buy", "sell"):
                 raise ValueError(f"side {fill.side!r} is not buy or sell")
             if type(fill.quantity) is not int or fill.quantity <= 0:
@@ -309,7 +306,7 @@ def _read_fills_jsonl(path: Path) -> list[engine_mod.Fill]:
 
 def cmd_report(args: argparse.Namespace) -> int:
     dates, values = _read_equity_csv(Path(args.equity))
-    fills = _read_fills_jsonl(Path(args.fills))
+    fills = _read_fills_jsonl(Path(args.fills), dates)
     benchmark = _benchmark_bars(args.benchmark) if args.benchmark else None
     report = metrics.compute_report(
         dates, values, fills, risk_free_rate=args.risk_free,

@@ -5,7 +5,12 @@ columns). A symbol's rolling window on a day is a slice of its close column:
 its last ``window_bars`` closes on or before that day, none before
 ``start_date``.
 
-Phase 1, the plan (``_plan_signals``), depends on the data and the configs
+``run_backtest`` first builds the calendar (every day with an in-range bar)
+and one row table: for each symbol and calendar position, the row of the
+symbol's last in-range bar on or before that day, or -1 before its first. The
+plan and the book stages read a symbol's rows, windows and closes through it.
+
+Phase 1, the plan (``_plan_signals``), depends on the data and the config
 alone. It walks the calendar once: it re-selects the universe
 (``select_universe``) on the first trading day of each month and, past
 warm-up, notes every refit (on the retrain cadence: both models for every
@@ -40,9 +45,9 @@ The book stages read and change one ``_Run`` object and touch only the held
 symbols, the pending orders and, on rebalance days, the universe; both
 liquidation paths go through ``_queue_liquidation``. Orders always fill at
 the NEXT bar's open, so no decision ever uses a price that was not yet
-observable. The run is a pure function of data + configs: per-symbol model
-seeds are derived from the engine seed with a stable CRC, and every model
-call gives a series the same bits in any batch.
+observable. The run is a pure function of data + config: per-symbol model
+seeds are derived from the run's top-level seed with a stable CRC, and every
+model call gives a series the same bits in any batch.
 """
 
 from __future__ import annotations
@@ -55,12 +60,12 @@ import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import alpha_fusion, metrics, portfolio_bl, regime_hmm, risk_controls, trend_net
-from .alpha_fusion import FusionConfig, Insight
+from .alpha_fusion import Insight
 from .errors import (
     InsufficientDataError,
     InvalidInputError,
@@ -69,11 +74,10 @@ from .errors import (
     TrainingDivergedError,
 )
 from .marketdata import InstrumentMeta, SymbolBars, log_returns
-from .portfolio_bl import BlConfig
-from .regime_hmm import HmmConfig
-from .risk_controls import RiskConfig
-from .trend_net import MlpConfig
-from .universe import UniverseConfig, select_universe
+from .universe import select_universe
+
+if TYPE_CHECKING:  # runconfig imports this module for EngineConfig
+    from .runconfig import RunConfig
 
 REASON_REBALANCE = "rebalance"
 REASON_DATA_GAP = "data-gap"
@@ -103,7 +107,6 @@ class EngineConfig:
     per_share_fee: float = 0.005
     min_fee: float = 1.0
     max_gap_bars: int = 5
-    seed: int = 0
     risk_free_rate: float = 0.0
 
     def __post_init__(self):
@@ -113,6 +116,8 @@ class EngineConfig:
             raise ParameterError("cadences must be >= 1")
         if self.warmup_bars < 0 or self.window_bars < 2:
             raise ParameterError("invalid warmup_bars / window_bars")
+        if self.per_share_fee < 0 or self.min_fee < 0:
+            raise ParameterError("per_share_fee and min_fee must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -245,27 +250,21 @@ def align_benchmark(benchmark: SymbolBars | None, dates: Sequence[date]) -> dict
 @dataclass
 class _Run:
     """Everything one backtest reads and changes: the market columns, each
-    symbol's first row on or after the start date and the current day; the
-    seven configs and the instrument metadata; the book (cash, integer share
-    positions and the per-position risk states); the pending orders; and the
-    logs that become the BacktestResult."""
+    symbol's first row on or after the start date, the calendar-row table
+    and the current calendar position; the run config and the instrument
+    metadata; the book (cash, integer share positions and the per-position
+    risk states); the pending orders; and the logs that become the
+    BacktestResult."""
 
     series: Mapping[str, SymbolBars]
     first_row: Mapping[str, int]
-    calendar_index: Mapping[int, int]
+    rows: Mapping[str, np.ndarray]  # symbol -> row per calendar position, -1 before its first
     meta: Mapping[str, InstrumentMeta]
-    universe_config: UniverseConfig
-    hmm: HmmConfig
-    mlp: MlpConfig
-    fusion: FusionConfig
-    bl: BlConfig
-    risk: RiskConfig
-    engine: EngineConfig
+    config: RunConfig
     cash: float
+    today: int = 0  # calendar position of the current day
     positions: dict[str, int] = field(default_factory=dict)
     risk_states: dict[str, risk_controls.PositionRiskState] = field(default_factory=dict)
-    today: int = 0  # ordinal of the current day
-    latest_rows: dict[str, int | None] = field(default_factory=dict)
     pending: list[Order] = field(default_factory=list)
     equity_curve: list[EquityPoint] = field(default_factory=list)
     fills: list[Fill] = field(default_factory=list)
@@ -275,43 +274,29 @@ class _Run:
     fits: list[dict] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
 
-    def start_day(self, day: date) -> None:
-        self.today = day.toordinal()
-        self.latest_rows = {}
-
-    def row_on(self, symbol: str, day: int) -> int | None:
-        """Row of the symbol's last bar on or before the day ordinal and on
-        or after the start date; None before its first such bar."""
-        end = int(self.series[symbol].days.searchsorted(day, "right"))
-        return end - 1 if end > self.first_row[symbol] else None
-
-    def latest_row(self, symbol: str) -> int | None:
-        """``row_on`` today, looked up once per day."""
-        if symbol not in self.latest_rows:
-            self.latest_rows[symbol] = self.row_on(symbol, self.today)
-        return self.latest_rows[symbol]
-
     def row_today(self, symbol: str) -> int | None:
-        """The symbol's row of today's bar; None without a bar today."""
-        row = self.latest_row(symbol)
-        if row is None or self.series[symbol].days[row] != self.today:
+        """The symbol's row of today's bar; None without a bar today. A new
+        in-range bar is the only thing that moves a symbol's row."""
+        rows = self.rows[symbol]
+        row = rows[self.today]
+        if row < 0 or (self.today > 0 and rows[self.today - 1] == row):
             return None
-        return row
+        return int(row)
 
     def last_close(self, symbol: str) -> float | None:
-        row = self.latest_row(symbol)
-        return None if row is None else float(self.series[symbol].close[row])
+        row = self.rows[symbol][self.today]
+        return None if row < 0 else float(self.series[symbol].close[row])
 
     def closes(self, symbol: str, row: int) -> np.ndarray:
         """The symbol's last ``window_bars`` closes up to the row (a
         read-only slice)."""
-        lo = max(self.first_row[symbol], row + 1 - self.engine.window_bars)
+        lo = max(self.first_row[symbol], row + 1 - self.config.engine.window_bars)
         return self.series[symbol].close[lo:row + 1]
 
     def window(self, symbol: str) -> np.ndarray | None:
         """The symbol's window as of today, or None before its first bar."""
-        row = self.latest_row(symbol)
-        return None if row is None else self.closes(symbol, row)
+        row = int(self.rows[symbol][self.today])
+        return None if row < 0 else self.closes(symbol, row)
 
     def equity(self) -> float:
         """Cash plus every position marked at its last known close."""
@@ -345,19 +330,14 @@ _Job = tuple[_Step, str, int]
 def run_backtest(
     bars_by_symbol: Mapping[str, SymbolBars],
     meta: Mapping[str, InstrumentMeta],
-    universe_config: UniverseConfig,
-    hmm_config: HmmConfig,
-    mlp_config: MlpConfig,
-    fusion_config: FusionConfig,
-    bl_config: BlConfig,
-    risk_config: RiskConfig,
-    engine_config: EngineConfig,
+    config: RunConfig,
     benchmark: SymbolBars | None = None,
 ) -> BacktestResult:
     """Run the full warm-up / retrain / rebalance / risk loop over each
     symbol's bars and produce the equity curve, logs, and the performance
-    report, with the benchmark's returns when one is given."""
-    start, end = engine_config.start_date, engine_config.end_date
+    report, with the benchmark's returns when one is given. Only the
+    config's seed and module sections are read, not its data paths."""
+    start, end = config.engine.start_date, config.engine.end_date
     first_row, in_range = {}, []
     for symbol, columns in bars_by_symbol.items():
         days = columns.days
@@ -369,19 +349,20 @@ def run_backtest(
     if ordinals.size == 0:
         raise InsufficientDataError("no bars inside the configured date range")
     calendar = [date.fromordinal(int(day)) for day in ordinals]
+    rows = {}
+    for symbol, columns in bars_by_symbol.items():
+        table = columns.days.searchsorted(ordinals, "right") - 1
+        table[table < first_row[symbol]] = -1
+        rows[symbol] = table
 
-    run = _Run(
-        bars_by_symbol, first_row, {int(day): i for i, day in enumerate(ordinals)},
-        meta, universe_config, hmm_config, mlp_config, fusion_config, bl_config,
-        risk_config, engine_config, engine_config.initial_equity,
-    )
+    run = _Run(bars_by_symbol, first_row, rows, meta, config, config.engine.initial_equity)
     for s in sorted(bars_by_symbol):
         if s not in meta:
             run.diagnostics.append(f"{s}: no metadata, excluded from universe selection")
     plan = _plan_signals(run, calendar)
     for day_index, day in enumerate(calendar):
-        run.start_day(day)
-        _check_gaps(run, day, day_index)
+        run.today = day_index
+        _check_gaps(run, day)
         _fill_orders(run, day)
         step = plan.pop(day_index, None)
         if step is not None:
@@ -394,7 +375,7 @@ def run_backtest(
 
     report = metrics.compute_report(
         calendar, [p.equity for p in run.equity_curve], run.fills,
-        risk_free_rate=engine_config.risk_free_rate, **align_benchmark(benchmark, calendar),
+        risk_free_rate=config.engine.risk_free_rate, **align_benchmark(benchmark, calendar),
     )
     return BacktestResult(
         equity_curve=run.equity_curve, fills=run.fills, insights=run.insights,
@@ -421,17 +402,18 @@ def _queue_liquidation(
     return True
 
 
-def _check_gaps(run: _Run, day: date, day_index: int) -> None:
+def _check_gaps(run: _Run, day: date) -> None:
     """Step 1: count the trading days since each held symbol's last bar; a
     gap longer than ``max_gap_bars`` queues a liquidation. Fills happen only
-    on days with a bar, so a held symbol was held on every day it missed."""
+    on days with a bar, so a held symbol was held on every day it missed.
+    A symbol's rows never decrease, so the calendar position of its last
+    bar is where its current row first appears."""
     for symbol in sorted(run.positions):
-        row = run.latest_row(symbol)
-        last_day = int(run.series[symbol].days[row])
-        if last_day == run.today:
+        if run.row_today(symbol) is not None:
             continue
-        missed = day_index - run.calendar_index[last_day]
-        if missed > run.engine.max_gap_bars and _queue_liquidation(
+        rows = run.rows[symbol]
+        missed = run.today - int(rows.searchsorted(rows[run.today]))
+        if missed > run.config.engine.max_gap_bars and _queue_liquidation(
             run, day, symbol, REASON_DATA_GAP, run.last_close(symbol), 0.0
         ):
             run.diagnostics.append(f"{day}: {symbol} missing {missed} bars, force-liquidating")
@@ -453,7 +435,7 @@ def _fill_orders(run: _Run, day: date) -> None:
                 continue
             order = replace(order, quantity=min(order.quantity, held))
         price = float(run.series[order.symbol].open[row])
-        fill, diag = execute(order, price, day, run.engine, run.cash)
+        fill, diag = execute(order, price, day, run.config.engine, run.cash)
         if diag:
             run.diagnostics.append(f"{day}: {diag}")
         if fill is None:
@@ -463,7 +445,7 @@ def _fill_orders(run: _Run, day: date) -> None:
             run.positions[fill.symbol] = held + fill.quantity
             if held == 0:
                 run.risk_states[fill.symbol] = risk_controls.PositionRiskState.open_position(
-                    fill.symbol, fill.price, run.risk
+                    fill.symbol, fill.price, run.config.risk
                 )
         else:
             run.cash += fill.quantity * fill.price - fill.fee
@@ -510,7 +492,7 @@ def _check_risk(run: _Run, day: date) -> None:
         if row is None or risk_state is None:
             continue
         close = float(run.series[symbol].close[row])
-        risk_state, decision = risk_controls.update_and_check(risk_state, close, run.risk)
+        risk_state, decision = risk_controls.update_and_check(risk_state, close, run.config.risk)
         run.risk_states[symbol] = risk_state
         if decision.action == risk_controls.LIQUIDATE:
             _queue_liquidation(
@@ -522,7 +504,7 @@ def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
     """Phase 1: the universe, every refit and every rebalance forecast of
     the run, from the data alone. Returns the plan of each refit or
     rebalance day by its calendar index."""
-    engine = run.engine
+    engine = run.config.engine
     candidates = {s: (run.series[s], run.meta[s]) for s in sorted(run.series) if s in run.meta}
     steps: dict[int, _Step] = {}
     refits: list[_Job] = []
@@ -532,7 +514,7 @@ def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
     for day_index, day in enumerate(calendar):
         if (day.year, day.month) != month:
             month = (day.year, day.month)
-            universe = select_universe(candidates, run.universe_config, day)
+            universe = select_universe(candidates, run.config.universe, day)
         since_warmup = day_index - engine.warmup_bars
         if since_warmup < 0:
             continue
@@ -541,8 +523,7 @@ def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
         if not (refit or rebalance):
             continue
         step = steps[day_index] = _Step(day, universe, rebalance)
-        today = day.toordinal()
-        rows = {s: row for s in universe if (row := run.row_on(s, today)) is not None}
+        rows = {s: row for s in universe if (row := int(run.rows[s][day_index])) >= 0}
         if refit:
             for symbol, row in rows.items():
                 latest[symbol] = len(refits)
@@ -658,16 +639,17 @@ def _refit_chunk(run: _Run, jobs: list[_Job]):
     call per model. Returns each job's HMM outcome and network outcome (a
     model, a (model, loss history) pair, or an error), exactly those of a fit
     on that window alone."""
+    config = run.config
     symbols = [symbol for _, symbol, _ in jobs]
 
     def fit_hmms(positions, series):
-        seeds = [_symbol_seed(run.engine.seed, "hmm", symbols[p]) for p in positions]
-        return regime_hmm.fit_batch(np.stack(series), run.hmm, seeds)
+        seeds = [_symbol_seed(config.seed, "hmm", symbols[p]) for p in positions]
+        return regime_hmm.fit_batch(np.stack(series), config.hmm, seeds)
 
     def train_nets(positions, data):
-        seeds = [_symbol_seed(run.engine.seed, "mlp", symbols[p]) for p in positions]
-        models = [trend_net.init_model(run.mlp, sd) for sd in seeds]
-        return trend_net.train_batch(models, data, run.mlp, seeds)
+        seeds = [_symbol_seed(config.seed, "mlp", symbols[p]) for p in positions]
+        models = [trend_net.init_model(config.mlp, sd) for sd in seeds]
+        return trend_net.train_batch(models, data, config.mlp, seeds)
 
     returns: dict[int, object] = {}
     training: dict[int, object] = {}
@@ -680,7 +662,7 @@ def _refit_chunk(run: _Run, jobs: list[_Job]):
         except MODEL_ERRORS as exc:
             hmms[pos] = exc
         try:
-            training[pos] = trend_net.build_training_set(closes, run.mlp.input_size)
+            training[pos] = trend_net.build_training_set(closes, config.mlp.input_size)
         except MODEL_ERRORS as exc:
             nets[pos] = exc
     _batched(fit_hmms, returns, hmms)
@@ -736,7 +718,7 @@ def _forecast(run: _Run, uses: list[tuple[_Job, object, object]]) -> None:
                 posterior = (forecast.direction, forecast.expected_return)
             step.hmm[symbol] = posterior
 
-    diff_window = run.mlp.input_size
+    diff_window = run.config.mlp.input_size
     for (step, symbol, row), _, net in uses:
         closes = run.closes(symbol, row)
         if not isinstance(net, tuple) or closes.size <= diff_window:
@@ -762,7 +744,8 @@ def _generate_insights(run: _Run, step: _Step) -> list[Insight]:
             run.diagnostics.append(f"{day}: {symbol} net forecast failed: {nn_signal}")
             nn_signal = None
         insight = alpha_fusion.fuse(
-            hmm_signal, nn_signal, symbol, day, run.engine.rebalance_every, run.fusion
+            hmm_signal, nn_signal, symbol, day, run.config.engine.rebalance_every,
+            run.config.fusion,
         )
         if insight.diagnostic:
             run.diagnostics.append(f"{day}: {symbol}: {insight.diagnostic}")
@@ -776,7 +759,7 @@ def _build_targets(
     """Estimate the covariance over the universe, blend views, and optimize.
     Returns None (hold current book) when the universe is empty or data is
     too thin for a covariance estimate."""
-    bl_config, day, universe = run.bl, step.day, step.universe
+    bl_config, day, universe = run.config.bl, step.day, step.universe
     windows = {
         s: w for s in universe
         if (w := run.window(s)) is not None and w.size >= 2 and s in run.meta

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -81,14 +82,24 @@ def _coerce(name: str, value: Any) -> Any:
     return value
 
 
+def _finite(value: Any) -> bool:
+    """False for a NaN or infinite float, alone or in a list: ``json.loads``
+    parses the ``NaN`` and ``Infinity`` literals, and no field takes one."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return not isinstance(value, list) or all(_finite(v) for v in value)
+
+
 def _build_section(cls: type, payload: dict, path: str) -> Any:
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(payload) - names
     if unknown:
         raise ConfigError(f"unknown key(s) at {path}: {', '.join(sorted(unknown))}")
-    kwargs = {k: _coerce(k, v) for k, v in payload.items()}
+    bad = sorted(k for k, v in payload.items() if not _finite(v))
+    if bad:
+        raise ConfigError(f"non-finite value(s) at {path}: {', '.join(bad)}")
     try:
-        return cls(**kwargs)
+        return cls(**{k: _coerce(k, v) for k, v in payload.items()})
     except (ParameterError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid values at {path}: {exc}") from exc
 
@@ -147,6 +158,4 @@ def load_config(
         raise ConfigError(f"invalid top-level config: {exc}") from exc
     if not isinstance(config.seed, int) or isinstance(config.seed, bool):
         raise ConfigError("seed must be an integer")
-    # One global seed drives all per-symbol seed derivations in the engine.
-    config.engine.seed = config.seed
     return config

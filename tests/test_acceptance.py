@@ -33,6 +33,7 @@ from duotrader.risk_controls import (
     RiskConfig,
     update_and_check,
 )
+from duotrader.runconfig import RunConfig
 from duotrader.trend_net import MlpConfig
 from duotrader.universe import UniverseConfig
 
@@ -74,13 +75,16 @@ def run_engine(bars_by_symbol, meta, benchmark):
     return run_backtest(
         bars_by_symbol,
         meta,
-        UniverseConfig(),
-        HmmConfig(),       # 5 states, <= 10 EM iterations
-        MlpConfig(),       # 5 -> 10 -> 10 -> 10 -> 5 -> 1, lr 0.001, 5 epochs
-        FusionConfig(),
-        BlConfig(),
-        RiskConfig(),
-        EngineConfig(seed=7, warmup_bars=WARMUP),
+        RunConfig(
+            seed=7,
+            universe=UniverseConfig(),
+            hmm=HmmConfig(),       # 5 states, <= 10 EM iterations
+            mlp=MlpConfig(),       # 5 -> 10 -> 10 -> 10 -> 5 -> 1, lr 0.001, 5 epochs
+            fusion=FusionConfig(),
+            bl=BlConfig(),
+            risk=RiskConfig(),
+            engine=EngineConfig(warmup_bars=WARMUP),
+        ),
         benchmark=benchmark,
     )
 

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from duotrader.cli import _json, main
+from duotrader.errors import ConfigError
+from duotrader.runconfig import load_config
 
 SYNTH_SPEC = {
     "symbols": 4,
@@ -359,7 +361,48 @@ class TestBacktest:
         assert resolved["engine"]["warmup_bars"] == 80  # file value preserved
         assert resolved["hmm"]["n_states"] == 2
         # Model seeds derive from the top-level seed; the sections list none.
-        assert "seed" not in resolved["hmm"] and "seed" not in resolved["mlp"]
+        assert all("seed" not in resolved[section] for section in ("engine", "hmm", "mlp"))
+
+    def test_resolved_config_replays_the_run(self, tmp_path):
+        data_dir = run_synth(tmp_path)
+        out_dir, replay_dir = tmp_path / "out", tmp_path / "replay"
+        config = write_run_config(tmp_path, data_dir, out_dir)
+        assert main(["backtest", "--config", str(config), "--seed", "13"]) == 0
+        resolved = out_dir / "resolved_config.json"
+        assert main(["backtest", "--config", str(resolved), "--out-dir", str(replay_dir)]) == 0
+        for path in sorted(out_dir.iterdir()):
+            if path.name != "resolved_config.json":
+                assert path.read_bytes() == (replay_dir / path.name).read_bytes(), path.name
+
+    @pytest.mark.parametrize("key, value", [
+        ("bl.tau", float("nan")),
+        ("engine.per_share_fee", float("nan")),
+        ("hmm.convergence_tol", float("nan")),
+        ("engine.initial_equity", float("nan")),
+        ("engine.initial_equity", float("inf")),
+        ("mlp.layer_sizes", [5, float("-inf"), 1]),
+    ])
+    def test_non_finite_config_value_exit_2(self, tmp_path, capsys, key, value):
+        # json.loads reads the NaN and Infinity literals, from a file and
+        # from --set alike; no config field takes one.
+        section, field = key.split(".")
+        config = write_json(tmp_path / "run.json", {section: {field: value}})
+        assert main(["backtest", "--config", str(config)]) == 2
+        assert f"non-finite value(s) at {section}: {field}" in capsys.readouterr().err
+        config = write_json(tmp_path / "run.json", {})
+        override = f"{key}={json.dumps(value)}"
+        assert main(["backtest", "--config", str(config), "--set", override]) == 2
+        assert f"non-finite value(s) at {section}: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("engine.min_fee", -1), ("engine.per_share_fee", -0.01),
+    ])
+    def test_negative_fee_exit_2(self, tmp_path, capsys, key, value):
+        with pytest.raises(ConfigError, match="non-negative"):
+            load_config(None, {key: value})
+        config = write_json(tmp_path / "run.json", {})
+        assert main(["backtest", "--config", str(config), "--set", f"{key}={value}"]) == 2
+        assert "per_share_fee and min_fee must be non-negative" in capsys.readouterr().err
 
 
 class TestReport:
@@ -447,10 +490,21 @@ class TestReport:
         ' "date": "2020-01-03"}',
         '{"symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": NaN,'
         ' "date": "2020-01-03"}',
+        '{"symbol": 5, "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0,'
+        ' "date": "2020-01-03"}',
+        '{"symbol": "", "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0,'
+        ' "date": "2020-01-03"}',
+        '{"symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0,'
+        ' "date": "2020-01-03", "reason": ["x"]}',
+        '{"symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0,'
+        ' "date": "2031-01-02"}',
+        '{"symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0,'
+        ' "date": "2019-12-31"}',
     ], ids=[
         "list", "string", "null-quantity", "infinite-quantity", "numeric-date",
         "hold-side", "negative-quantity", "fractional-quantity", "zero-price",
-        "infinite-price", "negative-fee", "nan-fee",
+        "infinite-price", "negative-fee", "nan-fee", "numeric-symbol", "empty-symbol",
+        "list-reason", "date-after-curve", "date-before-curve",
     ])
     def test_malformed_fill_record_exit_1(self, tmp_path, capsys, record):
         good = json.dumps({

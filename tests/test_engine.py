@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from duotrader import engine as eng
-from duotrader.alpha_fusion import FusionConfig
 from duotrader.engine import (
     EngineConfig,
     Order,
@@ -25,6 +24,7 @@ from duotrader.marketdata import InstrumentMeta, log_returns, synth_regime_serie
 from duotrader.portfolio_bl import BlConfig
 from duotrader.regime_hmm import HmmConfig
 from duotrader.risk_controls import RiskConfig
+from duotrader.runconfig import RunConfig
 from duotrader.trend_net import MlpConfig
 from duotrader.universe import UniverseConfig
 
@@ -47,20 +47,19 @@ def synth_market(n_symbols=6, n_bars=320, seed=11, sector="Energy"):
 
 
 def small_run(bars_by_symbol, meta, **engine_kwargs):
-    defaults = dict(
-        seed=3, warmup_bars=120, retrain_every=21, rebalance_every=21, window_bars=100
-    )
+    defaults = dict(warmup_bars=120, retrain_every=21, rebalance_every=21, window_bars=100)
     defaults.update(engine_kwargs)
     return run_backtest(
         bars_by_symbol,
         meta,
-        UniverseConfig(fine_count=4),
-        HmmConfig(n_states=2),
-        MlpConfig(epochs=2),
-        FusionConfig(),
-        BlConfig(covariance_lookback=60),
-        RiskConfig(),
-        EngineConfig(**defaults),
+        RunConfig(
+            seed=3,
+            universe=UniverseConfig(fine_count=4),
+            hmm=HmmConfig(n_states=2),
+            mlp=MlpConfig(epochs=2),
+            bl=BlConfig(covariance_lookback=60),
+            engine=EngineConfig(**defaults),
+        ),
     )
 
 
@@ -248,10 +247,7 @@ class TestRunBacktest:
 
     def test_no_data_raises(self):
         with pytest.raises(InsufficientDataError):
-            run_backtest(
-                {}, {}, UniverseConfig(), HmmConfig(), MlpConfig(), FusionConfig(),
-                BlConfig(), RiskConfig(), EngineConfig(),
-            )
+            run_backtest({}, {}, RunConfig())
 
     def test_report_attached(self):
         bars_by_symbol, meta = synth_market()
@@ -389,14 +385,15 @@ def cadence_churn_run():
     result = run_backtest(
         bars_by_symbol,
         meta,
-        UniverseConfig(fine_count=4, coarse_count=4, liquidity_lookback=10),
-        HmmConfig(n_states=2),
-        MlpConfig(epochs=2),
-        FusionConfig(),
-        BlConfig(covariance_lookback=60),
-        RiskConfig(),
-        EngineConfig(
-            seed=3, warmup_bars=120, retrain_every=42, rebalance_every=10, window_bars=100
+        RunConfig(
+            seed=3,
+            universe=UniverseConfig(fine_count=4, coarse_count=4, liquidity_lookback=10),
+            hmm=HmmConfig(n_states=2),
+            mlp=MlpConfig(epochs=2),
+            bl=BlConfig(covariance_lookback=60),
+            engine=EngineConfig(
+                warmup_bars=120, retrain_every=42, rebalance_every=10, window_bars=100
+            ),
         ),
     )
     return bars_by_symbol, result
@@ -534,15 +531,16 @@ class TestDataGap:
         result = run_backtest(
             bars_by_symbol,
             meta,
-            UniverseConfig(fine_count=3),
-            HmmConfig(n_states=1),
-            MlpConfig(epochs=1),
-            FusionConfig(),
-            BlConfig(covariance_lookback=20),
-            RiskConfig(max_drawdown_per_security=0.99, trailing_fraction=0.99),
-            EngineConfig(
-                seed=1, warmup_bars=30, retrain_every=5, rebalance_every=5,
-                window_bars=30,
+            RunConfig(
+                seed=1,
+                universe=UniverseConfig(fine_count=3),
+                hmm=HmmConfig(n_states=1),
+                mlp=MlpConfig(epochs=1),
+                bl=BlConfig(covariance_lookback=20),
+                risk=RiskConfig(max_drawdown_per_security=0.99, trailing_fraction=0.99),
+                engine=EngineConfig(
+                    warmup_bars=30, retrain_every=5, rebalance_every=5, window_bars=30
+                ),
             ),
         )
         gap_events = [e for e in result.risk_events if e["reason"] == "data-gap"]

@@ -11,14 +11,9 @@ import hashlib
 import json
 import zlib
 
-from duotrader.alpha_fusion import FusionConfig
 from duotrader.engine import EngineConfig, run_backtest
 from duotrader.marketdata import InstrumentMeta, synth_regime_series
-from duotrader.portfolio_bl import BlConfig
-from duotrader.regime_hmm import HmmConfig
-from duotrader.risk_controls import RiskConfig
-from duotrader.trend_net import MlpConfig
-from duotrader.universe import UniverseConfig
+from duotrader.runconfig import RunConfig
 
 GOLDEN_FILLS_SHA256 = "e227110ae77ce01d36e6c75b892635c3b0cd98c17c2c37907ca9d199d65396d5"
 GOLDEN_FINAL_EQUITY = "99862.44534543942"
@@ -40,15 +35,7 @@ def golden_market(n_symbols=5, n_bars=504, seed=2024):
 def test_fill_log_and_final_equity_fingerprint():
     bars_by_symbol, meta = golden_market()
     result = run_backtest(
-        bars_by_symbol,
-        meta,
-        UniverseConfig(),
-        HmmConfig(),
-        MlpConfig(),
-        FusionConfig(),
-        BlConfig(),
-        RiskConfig(),
-        EngineConfig(seed=7, warmup_bars=252),
+        bars_by_symbol, meta, RunConfig(seed=7, engine=EngineConfig(warmup_bars=252))
     )
     fills_jsonl = "".join(
         json.dumps(fill.to_dict(), sort_keys=True) + "\n" for fill in result.fills

@@ -4,8 +4,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from duotrader.alpha_fusion import FusionConfig
-from duotrader.engine import EngineConfig, run_backtest
+from duotrader.engine import run_backtest
 from duotrader.errors import (
     DataAlignmentError,
     DataOrderingError,
@@ -22,11 +21,7 @@ from duotrader.marketdata import (
     log_returns,
     synth_regime_series,
 )
-from duotrader.portfolio_bl import BlConfig
-from duotrader.regime_hmm import HmmConfig
-from duotrader.risk_controls import RiskConfig
-from duotrader.trend_net import MlpConfig
-from duotrader.universe import UniverseConfig
+from duotrader.runconfig import RunConfig
 
 from conftest import take_rows
 
@@ -301,10 +296,7 @@ class TestFastPathParity:
         # days that do not strictly increase.
         bars, _ = synth_regime_series(4, 3, [(0.0, 0.01)], [[1.0]])
         with pytest.raises(DataOrderingError):
-            run_backtest(
-                {"S": take_rows(bars, [0, 2, 1])}, {}, UniverseConfig(), HmmConfig(),
-                MlpConfig(), FusionConfig(), BlConfig(), RiskConfig(), EngineConfig(),
-            )
+            run_backtest({"S": take_rows(bars, [0, 2, 1])}, {}, RunConfig())
         with pytest.raises(DataOrderingError):
             take_rows(bars, [0, 1, 1])
 

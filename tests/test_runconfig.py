@@ -27,7 +27,6 @@ def test_file_values_applied(tmp_path):
     assert config.seed == 11
     assert config.engine.warmup_bars == 100
     assert config.engine.start_date == date(2019, 1, 2)
-    assert config.engine.seed == 11  # derived from the global seed
     assert config.mlp.epochs == 3
     assert config.mlp.layer_sizes == (5, 10, 10, 10, 5, 1)
 
@@ -60,6 +59,14 @@ def test_invalid_section_value(tmp_path):
     path.write_text(json.dumps({"risk": {"trailing_fraction": 2.0}}))
     with pytest.raises(ConfigError, match="risk"):
         load_config(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("engine.start_date", "2020-13-45"), ("mlp.layer_sizes", ["a"]),
+])
+def test_uncoercible_value_rejected(key, value):
+    with pytest.raises(ConfigError, match=key.split(".")[0]):
+        load_config(None, {key: value})
 
 
 def test_engine_seed_rejected(tmp_path):
