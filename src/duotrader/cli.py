@@ -15,13 +15,13 @@ import argparse
 import json
 import math
 import sys
-import zlib
+from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
 
 from . import engine as engine_mod
 from . import metrics
-from .errors import ConfigError, DuotraderError
+from .errors import ConfigError, DuotraderError, ParameterError
 from .marketdata import (
     BAR_CSV_HEADER,
     META_CSV_HEADER,
@@ -30,7 +30,7 @@ from .marketdata import (
     ingest_meta_csv,
     synth_regime_series,
 )
-from .runconfig import load_config
+from .runconfig import decode, load_config, read_json
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -145,10 +145,7 @@ def _benchmark_bars(path: str) -> SymbolBars | None:
 
 
 def cmd_backtest(args: argparse.Namespace) -> int:
-    overrides: dict[str, object] = {}
-    for item in args.set or []:
-        key, value = _parse_override(item)
-        overrides[key] = value
+    overrides = dict(_parse_override(item) for item in args.set or [])
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.out_dir is not None:
@@ -173,44 +170,47 @@ def cmd_backtest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@dataclass
+class SynthSpec:
+    """The keys of a ``synth --spec`` file. ``symbols`` is a count or the
+    names; a count of n stands for the names SYN00 .. SYN<n-1>."""
+    symbols: int | list[str] = 5
+    n_bars: int = 504
+    regimes: list[tuple[float, float]] = field(default_factory=lambda: [(0.0003, 0.01)])
+    transition: list[list[float]] = field(default_factory=lambda: [[1.0]])
+    start_price: float = 100.0
+    start_date: date = date(2015, 1, 2)
+    sector: str = "Energy"
+
+    def __post_init__(self):
+        if isinstance(self.symbols, int):
+            if self.symbols < 1:
+                raise ParameterError(f"symbols must be a positive count, got {self.symbols}")
+            self.symbols = [f"SYN{i:02d}" for i in range(self.symbols)]
+        # A name that a CSV reader reads back changed, or twice, would make
+        # files that ingest refuses.
+        for key, names in (("symbols", self.symbols), ("sector", [self.sector])):
+            if not names or len(set(names)) < len(names) or not all(
+                name and name == name.strip() and not set(name) & set(',"\r\n') for name in names
+            ):
+                raise ParameterError(
+                    f"{key} must be distinct names, each non-empty and free of commas,"
+                    f" quotes, newlines and surrounding whitespace, got {names}"
+                )
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec_path = Path(args.spec)
-    try:
-        spec = json.loads(spec_path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read synth spec {spec_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{spec_path}: invalid JSON: {exc.msg}") from exc
-
-    allowed = {
-        "symbols", "n_bars", "regimes", "transition",
-        "start_price", "start_date", "sector",
-    }
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ConfigError(f"unknown synth spec key(s): {', '.join(sorted(unknown))}")
-
-    symbols = spec.get("symbols", 5)
-    if isinstance(symbols, int):
-        symbols = [f"SYN{i:02d}" for i in range(symbols)]
-    n_bars = int(spec.get("n_bars", 504))
-    regimes = [tuple(r) for r in spec.get("regimes", [[0.0003, 0.01]])]
-    transition = spec.get("transition", [[1.0]])
-    start_price = float(spec.get("start_price", 100.0))
-    start_date = date.fromisoformat(spec.get("start_date", "2015-01-02"))
-    sector = spec.get("sector", "Energy")
+    spec = decode(SynthSpec, read_json(args.spec))
     seed = args.seed if args.seed is not None else 0
-
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     bar_rows: list[str] = []
     label_rows: list[str] = []
     meta_rows: list[str] = []
-    for symbol in symbols:
-        sub_seed = (seed ^ zlib.crc32(f"synth:{symbol}".encode())) % 2**31
-        price = start_price * (1.0 + (sub_seed % 97) / 97.0)
+    for symbol in spec.symbols:
+        sub_seed = engine_mod.symbol_seed(seed, "synth", symbol)
+        price = spec.start_price * (1.0 + (sub_seed % 97) / 97.0)
         bars, labels = synth_regime_series(
-            sub_seed, n_bars, regimes, transition, start_price=price, start_date=start_date,
+            sub_seed, spec.n_bars, spec.regimes, spec.transition,
+            start_price=price, start_date=spec.start_date,
         )
         columns = (bars.open, bars.high, bars.low, bars.close, bars.volume, labels)
         for day, open_, high, low, close, volume, label in zip(
@@ -220,18 +220,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
             bar_rows.append(f"{symbol},{day},{open_!r},{high!r},{low!r},{close!r},{int(volume)}")
             label_rows.append(f"{symbol},{day},{label}")
         shares = 1_000_000 + (sub_seed % 1_000) * 250_000
-        meta_rows.append(f"{symbol},{sector},{shares}")
+        meta_rows.append(f"{symbol},{spec.sector},{shares}")
 
-    (out_dir / "bars.csv").write_text(
-        ",".join(BAR_CSV_HEADER) + "\n" + "\n".join(bar_rows) + "\n"
-    )
-    (out_dir / "meta.csv").write_text(
-        ",".join(META_CSV_HEADER) + "\n" + "\n".join(meta_rows) + "\n"
-    )
-    (out_dir / "regimes.csv").write_text(
-        "symbol,date,regime\n" + "\n".join(label_rows) + "\n"
-    )
-    print(f"wrote {len(symbols)} symbol(s) x {n_bars} bars to {out_dir}")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, header, rows in (
+        ("bars.csv", BAR_CSV_HEADER, bar_rows),
+        ("meta.csv", META_CSV_HEADER, meta_rows),
+        ("regimes.csv", ["symbol", "date", "regime"], label_rows),
+    ):
+        (out_dir / name).write_text(",".join(header) + "\n" + "\n".join(rows) + "\n")
+    print(f"wrote {len(spec.symbols)} symbol(s) x {spec.n_bars} bars to {out_dir}")
     return EXIT_OK
 
 

@@ -225,7 +225,8 @@ def execute(
     )
 
 
-def _symbol_seed(base: int, salt: str, symbol: str) -> int:
+def symbol_seed(base: int, salt: str, symbol: str) -> int:
+    """The seed of one symbol's ``salt`` stream ("hmm", "mlp" or "synth")."""
     return (base ^ zlib.crc32(f"{salt}:{symbol}".encode())) % 2**31
 
 
@@ -643,11 +644,11 @@ def _refit_chunk(run: _Run, jobs: list[_Job]):
     symbols = [symbol for _, symbol, _ in jobs]
 
     def fit_hmms(positions, series):
-        seeds = [_symbol_seed(config.seed, "hmm", symbols[p]) for p in positions]
+        seeds = [symbol_seed(config.seed, "hmm", symbols[p]) for p in positions]
         return regime_hmm.fit_batch(np.stack(series), config.hmm, seeds)
 
     def train_nets(positions, data):
-        seeds = [_symbol_seed(config.seed, "mlp", symbols[p]) for p in positions]
+        seeds = [symbol_seed(config.seed, "mlp", symbols[p]) for p in positions]
         models = [trend_net.init_model(config.mlp, sd) for sd in seeds]
         return trend_net.train_batch(models, data, config.mlp, seeds)
 

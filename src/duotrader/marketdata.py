@@ -315,6 +315,8 @@ def synth_regime_series(
     """
     if n_bars < 1:
         raise ParameterError("n_bars must be >= 1")
+    if not start_price > 0:
+        raise ParameterError("start_price must be > 0")
     means = np.array([m for m, _ in regimes], dtype=float)
     stds = np.array([s for _, s in regimes], dtype=float)
     if means.size == 0:

@@ -42,6 +42,10 @@ class BlConfig:
             raise ParameterError("risk_aversion and tau must be > 0")
         if not 0.0 < self.max_weight <= 1.0:
             raise ParameterError("max_weight must be in (0, 1]")
+        # A rebalance needs more returns than assets + 1 to estimate a
+        # covariance, so a shorter lookback would skip every rebalance.
+        if self.covariance_lookback < 3:
+            raise ParameterError("covariance_lookback must be >= 3")
 
 
 @dataclass

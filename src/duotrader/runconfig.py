@@ -1,7 +1,8 @@
 """One self-describing run configuration: every module config plus data
 paths and the global seed, loadable from a single JSON file with dotted-path
-overrides. Unknown keys are rejected so a typo cannot silently fall back to
-a default.
+overrides. ``decode`` builds it, or any other config dataclass, from parsed
+JSON by its declared field types, so a typo or a value of the wrong type
+fails the load instead of falling back to a default or breaking the run.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import types
+import typing
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -47,61 +50,95 @@ class RunConfig:
     def resolved(self) -> dict:
         """Fully expanded config (defaults + file + overrides) for the audit
         trail written next to every run's outputs."""
-        def encode(value: Any) -> Any:
-            if dataclasses.is_dataclass(value) and not isinstance(value, type):
-                return {
-                    f.name: encode(getattr(value, f.name))
-                    for f in dataclasses.fields(value)
-                }
-            if isinstance(value, date):
-                return value.isoformat()
-            if isinstance(value, tuple):
-                return list(value)
-            return value
-
-        return encode(self)
+        return json.loads(json.dumps(dataclasses.asdict(self), default=date.isoformat))
 
 
-_SECTION_TYPES = {
-    "data": DataConfig,
-    "universe": UniverseConfig,
-    "hmm": HmmConfig,
-    "mlp": MlpConfig,
-    "fusion": FusionConfig,
-    "bl": BlConfig,
-    "risk": RiskConfig,
-    "engine": EngineConfig,
-}
+class _NonFinite(Exception):
+    """A NaN or infinite float, which ``json.loads`` parses and no field takes."""
 
 
-def _coerce(name: str, value: Any) -> Any:
-    if name in ("start_date", "end_date") and isinstance(value, str):
+def _value(tp: Any, value: Any, path: str) -> Any:
+    """``value`` as the declared type ``tp``; TypeError or ValueError if it
+    is not one, _NonFinite or OverflowError if it is a float out of range."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _NonFinite
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if dataclasses.is_dataclass(tp):
+        return decode(tp, value, path)
+    if origin in (typing.Union, types.UnionType):
+        for member in args:
+            try:
+                return _value(member, value, path)
+            except (TypeError, ValueError):
+                pass
+    elif origin is list and type(value) is list:
+        return [_value(args[0], item, path) for item in value]
+    elif origin is tuple and type(value) is list:
+        if args[-1] is Ellipsis:
+            return tuple(_value(args[0], item, path) for item in value)
+        if len(args) == len(value):
+            return tuple(_value(a, item, path) for a, item in zip(args, value))
+    elif tp is float and type(value) in (int, float):
+        return float(value)
+    elif tp is date and type(value) is str:
         return date.fromisoformat(value)
-    if name == "layer_sizes" and isinstance(value, list):
-        return tuple(int(v) for v in value)
-    return value
+    elif type(value) is tp:
+        return value
+    raise TypeError
 
 
-def _finite(value: Any) -> bool:
-    """False for a NaN or infinite float, alone or in a list: ``json.loads``
-    parses the ``NaN`` and ``Infinity`` literals, and no field takes one."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return not isinstance(value, list) or all(_finite(v) for v in value)
-
-
-def _build_section(cls: type, payload: dict, path: str) -> Any:
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - names
+def decode(cls: type, payload: Any, path: str = "") -> Any:
+    """Build the config dataclass ``cls`` from parsed JSON, ``path`` naming
+    it in errors. A value must have its field's declared type (the README
+    states the rule); an unknown key, a wrong type and the class's own
+    ParameterError are each a ConfigError naming the key."""
+    where = path or "top level"
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    declared = {f.name: f.type for f in dataclasses.fields(cls)}  # as written
+    unknown = set(payload) - set(declared)
     if unknown:
-        raise ConfigError(f"unknown key(s) at {path}: {', '.join(sorted(unknown))}")
-    bad = sorted(k for k, v in payload.items() if not _finite(v))
-    if bad:
-        raise ConfigError(f"non-finite value(s) at {path}: {', '.join(bad)}")
+        raise ConfigError(f"unknown key(s) at {where}: {', '.join(sorted(unknown))}")
+    kwargs, nan_or_inf = {}, []
+    for key, value in payload.items():
+        try:
+            kwargs[key] = _value(hints[key], value, f"{path}.{key}".lstrip("."))
+        except (_NonFinite, OverflowError):
+            nan_or_inf.append(key)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"wrong type at {where}: {key} must be {declared[key]}, got {value!r}"
+            ) from None
+    if nan_or_inf:
+        raise ConfigError(f"non-finite value(s) at {where}: {', '.join(sorted(nan_or_inf))}")
     try:
-        return cls(**{k: _coerce(k, v) for k, v in payload.items()})
-    except (ParameterError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid values at {path}: {exc}") from exc
+        return cls(**kwargs)
+    except ParameterError as exc:
+        raise ConfigError(f"invalid values at {where}: {exc}") from exc
+
+
+def read_json(path: str | Path | None, overrides: dict[str, Any] | None = None) -> Any:
+    """The parsed JSON file at ``path`` (``{}`` for None) with each dotted
+    override (e.g. ``{"engine.warmup_bars": 10}``) set in it."""
+    payload: Any = {}
+    if path is not None:
+        try:
+            payload = json.loads(Path(path).read_text())
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    for dotted, value in (overrides or {}).items():
+        *parents, last = dotted.split(".")
+        node = payload
+        for part in parents:
+            if isinstance(node, dict):
+                node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"override path {dotted} crosses a non-object")
+        node[last] = value
+    return payload
 
 
 def load_config(
@@ -110,52 +147,13 @@ def load_config(
 ) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus dotted-path
     overrides (e.g. ``{"engine.warmup_bars": 10}``)."""
-    payload: dict[str, Any] = {}
-    if path is not None:
-        path = Path(path)
-        try:
-            payload = json.loads(path.read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError(f"{path}: top level must be a JSON object")
-
-    for dotted, value in (overrides or {}).items():
-        parts = dotted.split(".")
-        node = payload
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-            if not isinstance(node, dict):
-                raise ConfigError(f"override path {dotted} crosses a non-object")
-        node[parts[-1]] = value
-
-    top_names = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(payload) - top_names
-    if unknown:
-        raise ConfigError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
-
+    payload = read_json(path, overrides)
     # The engine derives every per-symbol model seed from the top-level seed;
     # a section seed is refused with a pointer to it.
+    sections = payload if isinstance(payload, dict) else {}
     for section in ("engine", "hmm", "mlp"):
-        if isinstance(payload.get(section), dict) and "seed" in payload[section]:
+        if isinstance(sections.get(section), dict) and "seed" in sections[section]:
             raise ConfigError(
                 f"set the top-level 'seed' key; {section}.seed is derived from it"
             )
-
-    kwargs: dict[str, Any] = {}
-    for key, value in payload.items():
-        if key in _SECTION_TYPES:
-            if not isinstance(value, dict):
-                raise ConfigError(f"section {key} must be a JSON object")
-            kwargs[key] = _build_section(_SECTION_TYPES[key], value, key)
-        else:
-            kwargs[key] = value
-    try:
-        config = RunConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid top-level config: {exc}") from exc
-    if not isinstance(config.seed, int) or isinstance(config.seed, bool):
-        raise ConfigError("seed must be an integer")
-    return config
+    return decode(RunConfig, payload)

@@ -46,6 +46,8 @@ class MlpConfig:
     def __post_init__(self):
         if len(self.layer_sizes) < 2 or any(s < 1 for s in self.layer_sizes):
             raise ParameterError("layer_sizes must be at least two positive sizes")
+        if self.layer_sizes[-1] != 1:
+            raise ParameterError(f"layer_sizes must end in 1, the forecast, got {self.layer_sizes}")
         if self.learning_rate <= 0:
             raise ParameterError("learning_rate must be > 0")
         if self.epochs < 1 or self.batch_size < 1:

@@ -405,6 +405,62 @@ class TestBacktest:
         assert "per_share_fee and min_fee must be non-negative" in capsys.readouterr().err
 
 
+# One wrong value for each declared type form, a section that is not an
+# object, and each value a run or the generator cannot use: every one exits
+# 2 before any file is written, with a message naming its key.
+@pytest.mark.parametrize("command, value, named", [
+    ("backtest", "hmm.n_states=2.5", "at hmm: n_states"),                # int
+    ("backtest", "universe.fine_count=2.5", "at universe: fine_count"),
+    ("backtest", "engine.warmup_bars=180.5", "at engine: warmup_bars"),
+    ("backtest", "seed=true", "at top level: seed"),                     # int refuses bool
+    ("backtest", 'bl.tau="0.1"', "at bl: tau"),                          # float
+    ("backtest", 'bl.long_only="no"', "at bl: long_only"),               # bool
+    ("backtest", "universe.sector=5", "at universe: sector"),            # str
+    ("backtest", "data.benchmark=5", "at data: benchmark"),              # str | None
+    ("backtest", 'engine.start_date="2020-13-45"', "at engine: start_date"),  # date | None
+    ("backtest", "engine.end_date=20200101", "at engine: end_date"),
+    ("backtest", "mlp.layer_sizes=[5,2.5,1]", "at mlp: layer_sizes"),    # tuple[int, ...]
+    ("backtest", "mlp.layer_sizes=5", "at mlp: layer_sizes"),
+    ("backtest", "hmm=3", "hmm must be a JSON object"),                  # section
+    ("backtest", "mlp.layer_sizes=[5,3]", "at mlp: layer_sizes"),        # ParameterError
+    ("backtest", "bl.covariance_lookback=0", "at bl: covariance_lookback"),
+    ("synth", {"n_bars": "abc"}, "at top level: n_bars"),
+    ("synth", {"n_bars": 50.7}, "at top level: n_bars"),
+    ("synth", {"symbols": 2.5}, "at top level: symbols"),                # int | list[str]
+    ("synth", {"symbols": ["A", 5]}, "at top level: symbols"),
+    ("synth", {"symbols": 0}, "at top level: symbols"),
+    ("synth", {"symbols": []}, "at top level: symbols"),
+    ("synth", {"symbols": ["A", "A"]}, "at top level: symbols"),
+    ("synth", {"symbols": ["A,B"]}, "at top level: symbols"),
+    ("synth", {"symbols": ['A"B']}, "at top level: symbols"),
+    ("synth", {"symbols": [" A"]}, "at top level: symbols"),
+    ("synth", {"symbols": ["A\nB"]}, "at top level: symbols"),
+    ("synth", {"sector": "Oil, Gas"}, "at top level: sector"),
+    ("synth", {"regimes": [[0.001]]}, "at top level: regimes"),         # tuple[float, float]
+    ("synth", {"transition": "x"}, "at top level: transition"),         # list[list[float]]
+    ("synth", {"start_date": "2015-02-30"}, "at top level: start_date"),  # date
+    ("synth", [], "top level must be a JSON object"),
+])
+def test_wrong_input_exit_2(tmp_path, capsys, command, value, named):
+    if command == "backtest":
+        config = write_json(tmp_path / "run.json", {"out_dir": str(tmp_path / "d")})
+        argv = ["backtest", "--config", str(config), "--set", value]
+    else:
+        spec = write_json(tmp_path / "synth.json", value)
+        argv = ["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "d")]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_synth_non_positive_start_price_exit_1(tmp_path, capsys):
+    # The generator's own value errors exit 1, as the invalid transition does.
+    spec = write_json(tmp_path / "synth.json", dict(SYNTH_SPEC, start_price=-5))
+    assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "d")]) == 1
+    assert "error: start_price must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "d" / "bars.csv").exists()
+
+
 class TestReport:
     def make_run(self, tmp_path):
         data_dir = run_synth(tmp_path)

@@ -334,14 +334,14 @@ def assert_fits_match_direct(result, bars_by_symbol, seed=3, window_bars=100):
         closes = bars.close[bars.days <= day.toordinal()][-window_bars:]
         lengths[(record["date"], symbol)] = closes.size
         if record["model"] == "hmm":
-            hmm_seed = eng._symbol_seed(seed, "hmm", symbol)
+            hmm_seed = eng.symbol_seed(seed, "hmm", symbol)
             (model,) = regime_hmm.fit_batch(
                 log_returns(closes)[None], HmmConfig(n_states=2), [hmm_seed]
             )
             assert record["log_likelihood_path"] == model.log_likelihood_path
             assert record["iterations"] == model.diagnostics["iterations"]
         else:
-            config, mlp_seed = MlpConfig(epochs=2), eng._symbol_seed(seed, "mlp", symbol)
+            config, mlp_seed = MlpConfig(epochs=2), eng.symbol_seed(seed, "mlp", symbol)
             data = trend_net.build_training_set(closes)
             ((_, history),) = trend_net.train_batch(
                 [trend_net.init_model(config, mlp_seed)], [data], config, [mlp_seed]

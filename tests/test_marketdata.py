@@ -375,6 +375,11 @@ class TestSynthSeries:
         with pytest.raises(ParameterError):
             synth_regime_series(1, 10, [(0.0, 0.0)], [[1.0]])
 
+    @pytest.mark.parametrize("start_price", [0.0, -5.0, float("nan")])
+    def test_non_positive_start_price(self, start_price):
+        with pytest.raises(ParameterError, match="start_price"):
+            synth_regime_series(1, 10, [(0.0, 0.01)], [[1.0]], start_price=start_price)
+
     def test_bars_are_sane(self):
         bars, _ = synth_regime_series(9, 60, [(0.0005, 0.015)], [[1.0]])
         assert np.all(np.diff(bars.days) > 0)

@@ -231,3 +231,10 @@ class TestConfig:
             BlConfig(tau=-1)
         with pytest.raises(ParameterError):
             BlConfig(max_weight=0.0)
+
+    @pytest.mark.parametrize("lookback", [0, 2])
+    def test_covariance_lookback_below_three(self, lookback):
+        # One asset needs three returns; a shorter lookback skips every rebalance.
+        with pytest.raises(ParameterError, match="covariance_lookback"):
+            BlConfig(covariance_lookback=lookback)
+        assert BlConfig(covariance_lookback=3).covariance_lookback == 3

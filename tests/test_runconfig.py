@@ -3,8 +3,9 @@ from datetime import date
 
 import pytest
 
+from duotrader.cli import _json
 from duotrader.errors import ConfigError
-from duotrader.runconfig import load_config
+from duotrader.runconfig import RunConfig, decode, load_config
 
 
 def test_defaults_without_file():
@@ -93,3 +94,27 @@ def test_resolved_is_json_serializable():
 def test_bool_seed_rejected():
     with pytest.raises(ConfigError):
         load_config(None, {"seed": True})
+
+
+QUICK_START = {
+    "data": {"bars": "data/bars.csv", "meta": "data/meta.csv"},
+    "out_dir": "out",
+    "universe": {"fine_count": 5},
+    "hmm": {"n_states": 3},
+    "engine": {"warmup_bars": 180, "window_bars": 150, "start_date": "2015-06-01"},
+}
+
+
+@pytest.mark.parametrize("payload", [{}, QUICK_START], ids=["defaults", "quick-start"])
+def test_resolved_config_decodes_to_the_config(tmp_path, payload):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(payload))
+    config = load_config(path)
+    # The text backtest writes as resolved_config.json.
+    assert decode(RunConfig, json.loads(_json(config.resolved(), indent=2))) == config
+
+
+def test_int_for_float_field_stored_as_float():
+    config = load_config(None, {"bl.tau": 1, "engine.initial_equity": 50000})
+    assert type(config.bl.tau) is float and config.bl.tau == 1.0
+    assert type(config.resolved()["engine"]["initial_equity"]) is float

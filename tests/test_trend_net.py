@@ -340,6 +340,9 @@ class TestConfig:
             MlpConfig(epochs=0)
         with pytest.raises(ParameterError):
             MlpConfig(layer_sizes=(5,))
+        # The output layer is the one forecast; a wider one cannot train.
+        with pytest.raises(ParameterError, match="end in 1"):
+            MlpConfig(layer_sizes=(5, 3))
 
     def test_default_architecture(self):
         assert MlpConfig().layer_sizes == (5, 10, 10, 10, 5, 1)
