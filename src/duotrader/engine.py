@@ -11,7 +11,9 @@ symbol's last in-range bar on or before that day, or -1 before its first. The
 plan and the book stages read a symbol's rows, windows and closes through it.
 
 Phase 1, the plan (``_plan_signals``), depends on the data and the config
-alone. It walks the calendar once: it re-selects the universe
+alone. It builds the candidate panel (``candidate_panel``: every symbol with
+metadata over its whole history, bars before ``start_date`` included) and
+walks the calendar once: it re-selects the universe from the panel
 (``select_universe``) on the first trading day of each month and, past
 warm-up, notes every refit (on the retrain cadence: both models for every
 universe symbol with a window) and every rebalance (on the rebalance
@@ -74,7 +76,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .marketdata import InstrumentMeta, SymbolBars, log_returns
-from .universe import select_universe
+from .universe import candidate_panel, select_universe
 
 if TYPE_CHECKING:  # runconfig imports this module for EngineConfig
     from .runconfig import RunConfig
@@ -506,7 +508,7 @@ def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
     the run, from the data alone. Returns the plan of each refit or
     rebalance day by its calendar index."""
     engine = run.config.engine
-    candidates = {s: (run.series[s], run.meta[s]) for s in sorted(run.series) if s in run.meta}
+    panel = candidate_panel(run.series, run.meta, run.config.universe.liquidity_lookback)
     steps: dict[int, _Step] = {}
     refits: list[_Job] = []
     users: list[list[_Job]] = []  # per refit, the forecasts made with its models
@@ -515,7 +517,7 @@ def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
     for day_index, day in enumerate(calendar):
         if (day.year, day.month) != month:
             month = (day.year, day.month)
-            universe = select_universe(candidates, run.config.universe, day)
+            universe = select_universe(panel, run.config.universe, day)
         since_warmup = day_index - engine.warmup_bars
         if since_warmup < 0:
             continue

@@ -264,6 +264,7 @@ def ingest_meta_csv(path: str | Path) -> dict[str, InstrumentMeta]:
         raise DuotraderError(f"cannot read metadata file {path}: {exc}") from exc
 
     meta: dict[str, InstrumentMeta] = {}
+    first_line: dict[str, int] = {}
     with handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -283,6 +284,10 @@ def ingest_meta_csv(path: str | Path) -> dict[str, InstrumentMeta]:
                 raise DuotraderError(f"{path}:{lineno}: invalid shares_outstanding: {exc}") from exc
             if not symbol or shares <= 0:
                 raise DuotraderError(f"{path}:{lineno}: invalid metadata row")
+            if symbol in first_line:
+                at = first_line[symbol]
+                raise DuotraderError(f"{path}:{lineno}: duplicate symbol {symbol} (first on line {at})")
+            first_line[symbol] = lineno
             meta[symbol] = InstrumentMeta(symbol, row[1].strip(), shares)
     return meta
 

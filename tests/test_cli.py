@@ -314,6 +314,20 @@ class TestBacktest:
         assert code == 1
         assert "meta.csv:2: invalid shares_outstanding" in capsys.readouterr().err
 
+    def test_duplicate_metadata_symbol_exit_1(self, tmp_path, capsys):
+        data_dir = run_synth(tmp_path)
+        meta = data_dir / "meta.csv"
+        text = meta.read_text()
+        lines = text.splitlines()
+        symbol = lines[1].split(",")[0]
+        meta.write_text(text + f"{symbol},Technology,5\n")
+        config = write_run_config(tmp_path, data_dir, tmp_path / "out")
+        code = main(["backtest", "--config", str(config)])
+        assert code == 1
+        duplicate = f"meta.csv:{len(lines) + 1}: duplicate symbol {symbol} (first on line 2)"
+        assert duplicate in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         config = write_json(tmp_path / "run.json", {"tpyo": 1})
         code = main(["backtest", "--config", str(config)])

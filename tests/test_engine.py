@@ -26,7 +26,7 @@ from duotrader.regime_hmm import HmmConfig
 from duotrader.risk_controls import RiskConfig
 from duotrader.runconfig import RunConfig
 from duotrader.trend_net import MlpConfig
-from duotrader.universe import UniverseConfig
+from duotrader.universe import UniverseConfig, candidate_panel, select_universe
 
 from conftest import closes_by_date, day_of, make_bars, scale_prices, take_rows
 
@@ -321,6 +321,35 @@ class TestRunBacktest:
         lengths = assert_fits_match_direct(result, in_range)
         assert min(lengths.values()) == 31
         assert max(lengths.values()) == 100
+
+    def test_universe_liquidity_reaches_before_start_date(self, monkeypatch):
+        # AAA trades heavily before start_date and BBB from it on. On the
+        # first day the 30-bar liquidity window holds 29 earlier bars, so
+        # AAA is the more liquid; counting only bars from start_date on
+        # would pick BBB.
+        closes = [10.0] * 60
+        bars_by_symbol = {
+            "AAA": make_bars(closes, volumes=[1e6] * 40 + [1.0] * 20),
+            "BBB": make_bars(closes, volumes=[1.0] * 40 + [1e6] * 20),
+        }
+        meta = {s: InstrumentMeta(s, "Energy", 100) for s in bars_by_symbol}
+        start = day_of(bars_by_symbol["AAA"], 40)
+        selections = []
+
+        def recording(panel, config, as_of):
+            selections.append((as_of, select_universe(panel, config, as_of)))
+            return selections[-1][1]
+
+        monkeypatch.setattr(eng, "select_universe", recording)
+        config = RunConfig(
+            universe=UniverseConfig(coarse_count=1, fine_count=1, liquidity_lookback=30),
+            engine=EngineConfig(start_date=start, warmup_bars=500),
+        )
+        run_backtest(bars_by_symbol, meta, config)
+        assert selections[0] == (start, ["AAA"])
+        in_range = {s: take_rows(bars, slice(40, None)) for s, bars in bars_by_symbol.items()}
+        masked = candidate_panel(in_range, meta, 30)
+        assert select_universe(masked, config.universe, start) == ["BBB"]
 
 
 def assert_fits_match_direct(result, bars_by_symbol, seed=3, window_bars=100):

@@ -164,6 +164,17 @@ class TestIngest:
         with pytest.raises(DuotraderError, match=r"meta\.csv:3: invalid shares_outstanding"):
             ingest_meta_csv(path)
 
+    def test_meta_duplicate_symbol_refused(self, tmp_path):
+        # The second row would otherwise silently replace the first one's
+        # sector and shares, which decide the candidate's universe stage.
+        path = tmp_path / "meta.csv"
+        path.write_text(
+            "symbol,sector,shares_outstanding\nS00,Energy,100\nS01,Energy,7\nS00,Technology,5\n"
+        )
+        duplicate = r"meta\.csv:4: duplicate symbol S00 \(first on line 2\)"
+        with pytest.raises(DuotraderError, match=duplicate):
+            ingest_meta_csv(path)
+
 
 def _columns(series: SymbolBars) -> list[np.ndarray]:
     return [series.days, series.open, series.high, series.low, series.close, series.volume]
