@@ -24,10 +24,11 @@ runs the refits and the rebalances' HMM posteriors as batched model calls
 over windows of one length, at most ``MODEL_CHUNK`` series per call. Each
 chunk's inputs are built from the window slices when the chunk runs, and its
 models are dropped once every rebalance that uses them has its forecasts.
-The refit chunks are independent of each other, so with several usable CPUs
-they run in forked worker processes (``_refit_outcomes``); the parent takes
-their outcomes back in chunk order and runs every posterior and forecast
-itself, so the plan is the same with any number of workers.
+The refit chunks are independent of each other, so ``_refit_outcomes`` runs
+them through ``workers.fork_map``, in forked worker processes when several
+CPUs are usable; the parent takes their outcomes back in chunk order and runs
+every posterior and forecast itself, so the plan is the same with any number
+of workers.
 
 Phase 2, the book loop, then runs per trading day, in order:
   1. ``_check_gaps``: a held symbol missing more than ``max_gap_bars`` bars
@@ -54,19 +55,14 @@ model call gives a series the same bits in any batch.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
-import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import alpha_fusion, metrics, portfolio_bl, regime_hmm, risk_controls, trend_net
+from . import alpha_fusion, metrics, portfolio_bl, regime_hmm, risk_controls, trend_net, workers
 from .alpha_fusion import Insight
 from .errors import (
     InsufficientDataError,
@@ -348,9 +344,10 @@ def run_backtest(
         hi = days.size if end is None else int(days.searchsorted(end.toordinal(), "right"))
         first_row[symbol] = lo
         in_range.append(days[lo:hi])
-    ordinals = np.unique(np.concatenate([np.empty(0, np.int64), *in_range]))
+    ordinals = np.sort(np.concatenate([np.empty(0, np.int64), *in_range]))
     if ordinals.size == 0:
         raise InsufficientDataError("no bars inside the configured date range")
+    ordinals = ordinals[np.concatenate([[True], ordinals[1:] != ordinals[:-1]])]
     calendar = [date.fromordinal(int(day)) for day in ordinals]
     rows = {}
     for symbol, columns in bars_by_symbol.items():
@@ -551,65 +548,17 @@ def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
     return steps
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def _refit_outcomes(
     run: _Run, refits: list[_Job], chunks: list[list[int]]
 ) -> Iterator[tuple[list[int], tuple[dict, dict]]]:
     """Each chunk of refit indices with its ``_refit_chunk`` outcomes, in
-    chunk order. With more than one usable CPU and chunk, the chunks run in
-    a pool of forked workers, one task per chunk: the workers inherit the run
-    and the refits, and only the outcomes (models, loss histories and model
-    errors) are pickled back. A worker that dies makes this raise
-    ``BrokenProcessPool``."""
-    workers = min(_usable_cpus(), len(chunks))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        for chunk in chunks:
-            yield chunk, _refit_chunk(run, [refits[i] for i in chunk])
-        return
-    # fork, not spawn: a forked worker shares the market columns instead of
-    # re-importing the package and unpickling them. The pool forks all its
-    # workers before it starts its own thread.
-    pool = ProcessPoolExecutor(
-        workers, multiprocessing.get_context("fork"),
-        initializer=_start_refit_worker, initargs=(run, refits, chunks, os.getpid()),
-    )
-    try:
-        yield from zip(chunks, pool.map(_refit_in_worker, range(len(chunks))))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    chunk order, as each is done, through ``workers.fork_map``: forked workers
+    inherit the run and the refits and send back only the outcomes (models,
+    loss histories and model errors)."""
+    def refit(k: int) -> tuple[dict, dict]:
+        return _refit_chunk(run, [refits[i] for i in chunks[k]])
 
-
-# What a refit worker was forked with: the run, its refits and the chunks.
-# Set by the worker initializer, so only ever in a worker process.
-_worker_plan: tuple[_Run, list[_Job], list[list[int]]] | None = None
-
-
-def _start_refit_worker(
-    run: _Run, refits: list[_Job], chunks: list[list[int]], parent: int
-) -> None:
-    """Refit worker initializer: keep the inherited plan, and exit once the
-    parent is gone (an idle worker would otherwise wait for tasks forever)."""
-    global _worker_plan
-    _worker_plan = (run, refits, chunks)
-
-    def exit_with_parent() -> None:
-        while os.getppid() == parent:  # re-parented once the parent is gone
-            time.sleep(0.5)
-        os._exit(1)
-
-    threading.Thread(target=exit_with_parent, daemon=True).start()
-
-
-def _refit_in_worker(index: int) -> tuple[dict, dict]:
-    run, refits, chunks = _worker_plan
-    return _refit_chunk(run, [refits[i] for i in chunks[index]])
+    return zip(chunks, workers.fork_map(refit, len(chunks)))
 
 
 def _length_chunks(run: _Run, jobs: list[_Job]) -> Iterable[list[int]]:

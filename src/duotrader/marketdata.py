@@ -10,7 +10,9 @@ timestamp ordering (a violation is fatal).
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -18,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import workers
 from .errors import (
     DataAlignmentError,
     DataOrderingError,
@@ -79,6 +82,10 @@ class IngestResult:
     diagnostics: list[str] = field(default_factory=list)
 
 
+# A bar CSV is parsed in min(usable CPUs, file bytes // INGEST_RANGE_BYTES)
+# byte ranges by forked workers when that makes two or more, else in-process.
+INGEST_RANGE_BYTES = 8 << 20
+
 # One CSV row as numpy's C parser reads it. Symbols and dates stay Python
 # strings (a fixed-width string field would silently truncate a long one).
 _ROW_DTYPE = np.dtype(
@@ -132,7 +139,8 @@ def ingest_csv(path: str | Path) -> IngestResult:
     file that this cannot show to be clean (a parse error, a blank field, a
     row that would be rejected, a quoted or padded symbol, an out-of-order
     timestamp) is read again row by row, which gives the same columns plus
-    the diagnostics.
+    the diagnostics. A large file is parsed by forked workers, one byte range
+    each (``_parse_file``); a range that fails sends it row by row.
     """
     path = Path(path)
     handle, reader = _open_bar_csv(path)
@@ -155,30 +163,76 @@ def _distinct(values: np.ndarray) -> tuple[list[str], np.ndarray]:
     return list(index), codes
 
 
+def _parse_rows(handle, skiprows: int):
+    """numpy's C parser over CSV rows: the distinct symbols and dates, each
+    row's codes into them (``_distinct``) and the five float columns; None if
+    a row does not parse."""
+    try:
+        table = np.loadtxt(
+            handle, dtype=_ROW_DTYPE, delimiter=",", skiprows=skiprows, comments=None, ndmin=1
+        )
+    except ValueError:
+        return None
+    fields = [table[name] for name in BAR_CSV_HEADER[2:]]
+    return (*_distinct(table["symbol"]), *_distinct(table["date"]), fields)
+
+
+def _merge_distinct(parts) -> tuple[list[str], np.ndarray]:
+    """``_distinct`` over consecutive ranges, from each range's own."""
+    index: dict[str, int] = {}
+    codes = [
+        np.array([index.setdefault(v, len(index)) for v in values], dtype=np.intp)[range_codes]
+        for values, range_codes in parts
+    ]
+    return list(index), np.concatenate(codes)
+
+
+def _parse_file(path: Path):
+    """``_parse_rows`` over the whole file: from one handle in this process,
+    or in forked workers, one byte range of whole lines each, when the file
+    holds ``INGEST_RANGE_BYTES`` for each of two or more usable CPUs."""
+    size = path.stat().st_size
+    count = min(workers.usable_cpus(), size // INGEST_RANGE_BYTES)
+    if count < 2:
+        with path.open() as handle:
+            return _parse_rows(handle, skiprows=1)
+    with path.open("rb") as raw:  # cut k: past the line holding byte size * k // count
+        cuts = [raw.seek(size * k // count) + len(raw.readline()) for k in range(1, count)]
+    cuts = [0, *cuts, size]
+
+    def parse_range(i: int):  # decoded as by path.open(); range 0 holds the header
+        with path.open("rb") as raw:
+            raw.seek(cuts[i])
+            text = io.TextIOWrapper(io.BytesIO(raw.read(cuts[i + 1] - cuts[i])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a range may hold no rows
+            return _parse_rows(text, skiprows=int(i == 0))
+
+    parts = list(workers.fork_map(parse_range, count))
+    if any(part is None for part in parts):
+        return None
+    symbols, dates = (_merge_distinct(part[k:k + 2] for part in parts) for k in (0, 2))
+    return (*symbols, *dates, [np.concatenate(f) for f in zip(*(part[4] for part in parts))])
+
+
 def _read_clean_columns(path: Path) -> dict[str, SymbolBars] | None:
     """The fast path of ``ingest_csv``: None unless every row parses and
     passes the row-by-row rules, with each symbol's timestamps increasing."""
     try:
-        with path.open() as handle:
-            table = np.loadtxt(
-                handle, dtype=_ROW_DTYPE, delimiter=",", skiprows=1, comments=None, ndmin=1
-            )
+        parsed = _parse_file(path)
     except OSError as exc:
         raise DuotraderError(f"cannot read bar file {path}: {exc}") from exc
-    except ValueError:
+    if parsed is None:
         return None
-
-    symbols, symbol_codes = _distinct(table["symbol"])
+    symbols, symbol_codes, dates, date_codes, (open_, high, low, close, volume) = parsed
     if any(not s or s != s.strip() or '"' in s for s in symbols):
         return None
-    dates, date_codes = _distinct(table["date"])
     try:
         ordinals = np.array([date.fromisoformat(d.strip()).toordinal() for d in dates])
     except ValueError:
         return None
     days = ordinals[date_codes]
 
-    open_, high, low, close, volume = (table[name] for name in BAR_CSV_HEADER[2:])
     volume = np.trunc(volume) + 0.0  # int(float(text)), with -0.0 as 0
     # low > 0 and the OHLC ordering make every price positive.
     clean = (

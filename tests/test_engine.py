@@ -19,7 +19,7 @@ from duotrader.engine import (
     run_backtest,
 )
 from duotrader.errors import InsufficientDataError, NumericalError, ParameterError
-from duotrader import regime_hmm, trend_net
+from duotrader import regime_hmm, trend_net, workers
 from duotrader.marketdata import InstrumentMeta, log_returns, synth_regime_series
 from duotrader.portfolio_bl import BlConfig
 from duotrader.regime_hmm import HmmConfig
@@ -492,7 +492,7 @@ class TestCadenceAndChurn:
 
     def test_chunk_boundaries_leave_the_run_unchanged(self, monkeypatch):
         # The spies count calls in this process only, so the refits stay here.
-        monkeypatch.setattr(eng, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         _, default = cadence_churn_run()
         widths = {"fit": [], "filter": []}
         fit_batch, forward_posterior = regime_hmm.fit_batch, regime_hmm.forward_posterior
@@ -518,9 +518,9 @@ class TestCadenceAndChurn:
         # Chunks of 3 give several refit tasks; S07's failing network refits
         # send TrainingDivergedError outcomes back from the workers.
         monkeypatch.setattr(eng, "MODEL_CHUNK", 3)
-        monkeypatch.setattr(eng, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         _, serial = cadence_churn_run()
-        monkeypatch.setattr(eng, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         _, pooled = cadence_churn_run()
         assert any("S07 net fit skipped: non-finite loss" in d for d in pooled.diagnostics)
         assert pooled == serial
@@ -535,7 +535,7 @@ class TestCadenceAndChurn:
             return fit_batch(*args)
 
         monkeypatch.setattr(eng, "MODEL_CHUNK", 3)
-        monkeypatch.setattr(eng, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         monkeypatch.setattr(eng.regime_hmm, "fit_batch", die_in_worker)
         # A hang ends the test process with a traceback instead of stalling.
         faulthandler.dump_traceback_later(120, exit=True)

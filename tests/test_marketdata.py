@@ -1,5 +1,8 @@
+import faulthandler
 import math
-from datetime import date
+import os
+from concurrent.futures.process import BrokenProcessPool
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from duotrader.errors import (
     InvalidInputError,
     ParameterError,
 )
-from duotrader import marketdata
+from duotrader import marketdata, workers
 from duotrader.marketdata import (
     SymbolBars,
     ingest_csv,
@@ -317,6 +320,154 @@ class TestFastPathParity:
         columns[4] = columns[4][:2]
         with pytest.raises(DataAlignmentError):
             SymbolBars(*columns)
+
+
+def day_major_rows(n_days, symbols):
+    """Clean rows, day by day with one row per symbol each day, so every
+    symbol's rows run through the whole file."""
+    rows = []
+    for d in range(n_days):
+        day = date(2020, 1, 2) + timedelta(days=d)
+        for i, symbol in enumerate(symbols):
+            close = 50.0 + i + d / 8
+            rows.append(f"{symbol},{day},{close - 0.25},{close + 1},{close - 1},{close},{1000 + d}")
+    return rows
+
+
+def csv_text(rows, sep="\n", end="\n"):
+    return HEADER + sep.join(rows) + end
+
+
+def with_field(rows, row, column, value):
+    """The rows with one field of row ``row`` replaced."""
+    fields = rows[row].split(",")
+    fields[column] = value
+    return rows[:row] + [",".join(fields)] + rows[row + 1:]
+
+
+SPLIT_SYMBOLS = ["XOM", "CVX", "COP"]
+SPLIT_ROWS = day_major_rows(30, SPLIT_SYMBOLS)
+LATE_ROWS = [
+    "LATE,2020-03-02,10.0,11.0,9.0,10.5,100",
+    "LATE,2020-03-03,10.5,11.0,10.0,10.75,200",
+]
+# Each case's text, whether the fast path keeps it, and the marker of what
+# the case must put after the last range start (None: nothing).
+SPLIT_CASES = {
+    "straddling-symbols": (csv_text(SPLIT_ROWS), True, None),
+    "first-in-last-range": (csv_text(SPLIT_ROWS + LATE_ROWS), True, "LATE"),
+    "parse-error-in-last-range": (csv_text(with_field(SPLIT_ROWS, -3, 5, "abc")), False, "abc"),
+    "rejected-row-in-last-range": (csv_text(with_field(SPLIT_ROWS, -3, 3, "9.5")), False, ",9.5,"),
+    "out-of-order-in-last-range": (
+        csv_text(SPLIT_ROWS + [SPLIT_ROWS[-6].replace("1028", "99")]), False, ",99\n",
+    ),
+    "crlf": (csv_text(SPLIT_ROWS).replace("\n", "\r\n"), True, None),
+    "blank-lines-at-cuts": (csv_text(SPLIT_ROWS, sep="\n\n"), True, None),
+    "no-trailing-newline": (csv_text(SPLIT_ROWS, end=""), True, None),
+    "more-ranges-than-lines": (csv_text(SPLIT_ROWS[:1]), True, None),
+}
+
+
+def split_into_ranges(monkeypatch, cpus, range_bytes=1):
+    """Make ``ingest_csv`` split a file of ``range_bytes`` per CPU into
+    ranges as if ``cpus`` CPUs were usable."""
+    monkeypatch.setattr(marketdata, "INGEST_RANGE_BYTES", range_bytes)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+
+
+def range_starts(data: bytes, count: int) -> list[int]:
+    """Where a split into ``count`` ranges starts each range after the
+    first: past the line that holds byte size * k // count."""
+    return [(data.find(b"\n", len(data) * k // count) + 1) or len(data) for k in range(1, count)]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every pool ``fork_map`` starts."""
+    started = []
+    pool = workers.ProcessPoolExecutor
+
+    def spy(max_workers, *args, **kwargs):
+        started.append(max_workers)
+        return pool(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(workers, "ProcessPoolExecutor", spy)
+    return started
+
+
+class TestSplitIngest:
+    """A bar CSV of at least ``INGEST_RANGE_BYTES`` per usable CPU, for two
+    or more CPUs, is parsed in forked workers, one byte range of whole lines
+    each; the outcome equals the one-range path's and the row reader's."""
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_cases_put_their_hazard_at_a_cut(self, cpus):
+        for name, (text, _, marker) in SPLIT_CASES.items():
+            data = text.encode()
+            starts = range_starts(data, cpus)
+            if marker is not None:
+                assert data.index(marker.encode()) >= starts[-1], name
+        straddling = SPLIT_CASES["straddling-symbols"][0].encode()
+        assert all(
+            s.encode() in straddling[:start] and s.encode() in straddling[start:]
+            for start in range_starts(straddling, cpus) for s in SPLIT_SYMBOLS
+        )
+        blank_lines = SPLIT_CASES["blank-lines-at-cuts"][0].encode()
+        starts = range_starts(blank_lines, cpus)
+        assert any(blank_lines[start:start + 1] == b"\n" for start in starts)
+        # A header and one row make fewer non-empty ranges than there are CPUs.
+        single = SPLIT_CASES["more-ranges-than-lines"][0].encode()
+        assert len(set(range_starts(single, cpus) + [len(single)])) < cpus
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("name", list(SPLIT_CASES))
+    def test_split_matches_one_range_and_rows(self, tmp_path, monkeypatch, pools, name, cpus):
+        text, expect_fast, _ = SPLIT_CASES[name]
+        path = tmp_path / "bars.csv"
+        path.write_bytes(text.encode())
+        one_range = _outcome(ingest_csv, path)
+        assert pools == []
+        split_into_ranges(monkeypatch, cpus)
+        fast = marketdata._read_clean_columns(path)
+        assert (fast is not None) == expect_fast
+        outcome = _outcome(ingest_csv, path)
+        assert pools == [cpus, cpus]
+        assert_same_outcome(outcome, one_range)
+        assert_same_outcome(outcome, _outcome(marketdata._read_rows, path))
+        if fast is not None:
+            assert_same_ingest(outcome, marketdata.IngestResult(fast))
+
+    def test_file_under_two_ranges_starts_no_pool(self, tmp_path, monkeypatch, pools):
+        path = tmp_path / "bars.csv"
+        path.write_text(csv_text(SPLIT_ROWS))
+        size = path.stat().st_size
+        split_into_ranges(monkeypatch, 3, range_bytes=size // 2 + 1)
+        assert list(ingest_csv(path).bars_by_symbol) == SPLIT_SYMBOLS
+        assert pools == []
+        split_into_ranges(monkeypatch, 3, range_bytes=size // 2)
+        assert list(ingest_csv(path).bars_by_symbol) == SPLIT_SYMBOLS
+        assert pools == [2]
+
+    def test_dead_ingest_worker_raises(self, tmp_path, monkeypatch):
+        test_pid = os.getpid()
+        parse_rows = marketdata._parse_rows
+
+        def die_in_worker(*args, **kwargs):
+            if os.getpid() != test_pid:
+                os._exit(1)
+            return parse_rows(*args, **kwargs)
+
+        path = tmp_path / "bars.csv"
+        path.write_text(csv_text(SPLIT_ROWS))
+        split_into_ranges(monkeypatch, 2)
+        monkeypatch.setattr(marketdata, "_parse_rows", die_in_worker)
+        # A hang ends the test process with a traceback instead of stalling.
+        faulthandler.dump_traceback_later(120, exit=True)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                ingest_csv(path)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
 
 
 class TestFeatures:
