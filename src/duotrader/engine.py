@@ -20,15 +20,16 @@ universe symbol with a window) and every rebalance (on the rebalance
 cadence). A rebalance forecasts each universe symbol with the models of its
 latest refit; a failed refit leaves the symbol without that model, and a
 symbol out of the universe at a refit keeps its older models. The plan then
-runs the refits and the rebalances' HMM posteriors as batched model calls
-over windows of one length, at most ``MODEL_CHUNK`` series per call. Each
-chunk's inputs are built from the window slices when the chunk runs, and its
-models are dropped once every rebalance that uses them has its forecasts.
-The refit chunks are independent of each other, so ``_refit_outcomes`` runs
-them through ``workers.fork_map``, in forked worker processes when several
-CPUs are usable; the parent takes their outcomes back in chunk order and runs
-every posterior and forecast itself, so the plan is the same with any number
-of workers.
+cuts the refits into tasks of one window length, at least one per usable CPU
+and at most ``MODEL_CHUNK`` refits each, and runs them through
+``workers.fork_map``, in forked worker processes when several CPUs are
+usable. A task fits both models of its refits as one batched call per
+model, then forecasts every rebalance that uses them: the HMM posteriors as
+batched calls over windows of one length, at most ``MODEL_CHUNK`` per call.
+Its inputs are built from the window slices when it runs, and only the fit
+logs and the forecast signals come back, never the models. The parent
+writes them into the plan in refit order, so the plan is the same with any
+number of workers.
 
 Phase 2, the book loop, then runs per trading day, in order:
   1. ``_check_gaps``: a held symbol missing more than ``max_gap_bars`` bars
@@ -58,7 +59,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field, replace
 from datetime import date
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -85,12 +86,13 @@ REASON_DATA_GAP = "data-gap"
 MODEL_ERRORS = (InsufficientDataError, InvalidInputError, NumericalError, TrainingDivergedError)
 
 # Most series in one batched refit or posterior call. Wider calls spread the
-# per-step Python overhead of the recursions over more series; the gain
-# levels off near 60, while a call's (series, time, state) arrays grow with
-# the width and count toward the run's peak memory. A refit chunk is also the
-# grain of the worker pool: one task per chunk, so a run with one chunk (or
-# one usable CPU) refits in-process.
-MODEL_CHUNK = 48
+# per-step Python overhead of the recursions over more series: pinned to one
+# CPU, fitting the 480 HMMs of the ``acceptance`` benchmark (251 returns each)
+# took 1.57 s in calls of 48 and 1.24 s in calls of 240. A call's (series,
+# time, state) arrays grow with the width and count toward the peak memory of
+# the process that runs it: that backtest, pinned, peaked at 49 MB with calls
+# of 48 and 59 MB with calls of 240, about 0.05 MB per series.
+MODEL_CHUNK = 240
 
 
 @dataclass
@@ -534,43 +536,47 @@ def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
                 if symbol in latest:
                     users[latest[symbol]].append((step, symbol, row))
 
+    # One task per chunk fits its refits and forecasts every rebalance that
+    # uses them; only the fit logs and the forecast pairs come back.
+    chunks = list(_length_chunks(run, refits, workers.usable_cpus()))
+    uses = [[use for i in chunk for use in users[i]] for chunk in chunks]
+
+    def fit_and_forecast(k: int) -> tuple[list, list]:
+        jobs = [refits[i] for i in chunks[k]]
+        hmms, nets = _refit_chunk(run, jobs)
+        logs = [
+            _fit_log(step.day, symbol, hmms[pos], nets[pos])
+            for pos, (step, symbol, _) in enumerate(jobs)
+        ]
+        models = [(hmms[pos], nets[pos]) for pos, i in enumerate(chunks[k]) for _ in users[i]]
+        return logs, _forecast(run, uses[k], models)
+
     logs: list[tuple[list[dict], list[str]]] = [([], [])] * len(refits)
-    for chunk, (hmms, nets) in _refit_outcomes(run, refits, list(_length_chunks(run, refits))):
-        for pos, i in enumerate(chunk):
-            step, symbol, _ = refits[i]
-            logs[i] = _fit_log(step.day, symbol, hmms[pos], nets[pos])
-        _forecast(run, [
-            (use, hmms[pos], nets[pos]) for pos, i in enumerate(chunk) for use in users[i]
-        ])
+    for k, (chunk_logs, signals) in enumerate(workers.fork_map(fit_and_forecast, len(chunks))):
+        for i, log in zip(chunks[k], chunk_logs):
+            logs[i] = log
+        for (step, symbol, _), (hmm, net) in zip(uses[k], signals):
+            if hmm is not None:
+                step.hmm[symbol] = hmm
+            if net is not None:
+                step.net[symbol] = net
     for (step, _, _), (records, notes) in zip(refits, logs):
         step.fits += records
         step.notes += notes
     return steps
 
 
-def _refit_outcomes(
-    run: _Run, refits: list[_Job], chunks: list[list[int]]
-) -> Iterator[tuple[list[int], tuple[dict, dict]]]:
-    """Each chunk of refit indices with its ``_refit_chunk`` outcomes, in
-    chunk order, as each is done, through ``workers.fork_map``: forked workers
-    inherit the run and the refits and send back only the outcomes (models,
-    loss histories and model errors)."""
-    def refit(k: int) -> tuple[dict, dict]:
-        return _refit_chunk(run, [refits[i] for i in chunks[k]])
-
-    return zip(chunks, workers.fork_map(refit, len(chunks)))
-
-
-def _length_chunks(run: _Run, jobs: list[_Job]) -> Iterable[list[int]]:
-    """The job indices grouped by window length (first-seen order) and cut
-    into runs of at most MODEL_CHUNK: the inputs of one batched model call
-    each."""
+def _length_chunks(run: _Run, jobs: list[_Job], parts: int = 1) -> Iterable[list[int]]:
+    """The job indices grouped by window length (first-seen order), each
+    group cut into at least ``parts`` near-equal runs of at most MODEL_CHUNK:
+    the inputs of one batched model call each."""
     groups: dict[int, list[int]] = {}
     for i, (_, symbol, row) in enumerate(jobs):
         groups.setdefault(run.closes(symbol, row).size, []).append(i)
     for group in groups.values():
-        for start in range(0, len(group), MODEL_CHUNK):
-            yield group[start:start + MODEL_CHUNK]
+        count = min(len(group), max(parts, -(-len(group) // MODEL_CHUNK)))
+        for k in range(count):
+            yield group[k * len(group) // count:(k + 1) * len(group) // count]
 
 
 def _batched(batch_call, inputs: dict[int, object], outcomes: dict[int, object]) -> None:
@@ -603,21 +609,25 @@ def _refit_chunk(run: _Run, jobs: list[_Job]):
         models = [trend_net.init_model(config.mlp, sd) for sd in seeds]
         return trend_net.train_batch(models, data, config.mlp, seeds)
 
+    # The training sets are built after the HMM fit, so that they are not
+    # alive during EM.
     returns: dict[int, object] = {}
     training: dict[int, object] = {}
     hmms: dict[int, object] = {}
     nets: dict[int, object] = {}
     for pos, (_, symbol, row) in enumerate(jobs):
-        closes = run.closes(symbol, row)
         try:
-            returns[pos] = log_returns(closes)
+            returns[pos] = log_returns(run.closes(symbol, row))
         except MODEL_ERRORS as exc:
             hmms[pos] = exc
+    _batched(fit_hmms, returns, hmms)
+    del returns
+    for pos, (_, symbol, row) in enumerate(jobs):
         try:
+            closes = run.closes(symbol, row)
             training[pos] = trend_net.build_training_set(closes, config.mlp.input_size)
         except MODEL_ERRORS as exc:
             nets[pos] = exc
-    _batched(fit_hmms, returns, hmms)
     _batched(train_nets, training, nets)
     return hmms, nets
 
@@ -641,45 +651,49 @@ def _fit_log(day: date, symbol: str, hmm, net) -> tuple[list[dict], list[str]]:
     return records, notes
 
 
-def _forecast(run: _Run, uses: list[tuple[_Job, object, object]]) -> None:
-    """Store each use's forecasts in its plan step, for a list of (job, HMM
-    outcome, network outcome): HMM posteriors in batched forward passes over
-    windows of one length, then one network forward pass per use."""
+def _forecast(run: _Run, uses: list[_Job], models: list[tuple[object, object]]) -> list[list]:
+    """The (HMM signal, network signal) pair of each use, given the (HMM
+    outcome, network outcome) of its refit: each signal a (direction, size)
+    pair, the error its forecast ran into, or None without a model or with
+    too short a window. HMM posteriors come from batched forward passes over
+    windows of one length, network forecasts from one forward pass per use."""
+    signals = [[None, None] for _ in uses]
     with_hmm = [
-        (job, hmm) for job, hmm, _ in uses
+        i for i, (job, (hmm, _)) in enumerate(zip(uses, models))
         if isinstance(hmm, regime_hmm.HmmModel) and run.closes(*job[1:]).size >= 2
     ]
 
     def filter_hmms(ids, series):
-        return regime_hmm.forward_posterior([with_hmm[i][1] for i in ids], np.stack(series))
+        return regime_hmm.forward_posterior([models[i][0] for i in ids], np.stack(series))
 
-    for chunk in _length_chunks(run, [job for job, _ in with_hmm]):
+    for chunk in _length_chunks(run, [uses[i] for i in with_hmm]):
+        chunk = [with_hmm[c] for c in chunk]
         returns: dict[int, object] = {}
         posteriors: dict[int, object] = {}
         for i in chunk:
             try:
-                returns[i] = log_returns(run.closes(*with_hmm[i][0][1:]))
+                returns[i] = log_returns(run.closes(*uses[i][1:]))
             except MODEL_ERRORS as exc:
                 posteriors[i] = exc
         _batched(filter_hmms, returns, posteriors)
         for i in chunk:
-            (step, symbol, _), model = with_hmm[i]
             posterior = posteriors[i]
             if isinstance(posterior, np.ndarray):
-                forecast = regime_hmm.predict_direction(model, posterior)
+                forecast = regime_hmm.predict_direction(models[i][0], posterior)
                 posterior = (forecast.direction, forecast.expected_return)
-            step.hmm[symbol] = posterior
+            signals[i][0] = posterior
 
     diff_window = run.config.mlp.input_size
-    for (step, symbol, row), _, net in uses:
+    for (_, symbol, row), (_, net), signal in zip(uses, models, signals):
         closes = run.closes(symbol, row)
         if not isinstance(net, tuple) or closes.size <= diff_window:
             continue
         try:
             trend = trend_net.predict_direction(net[0], np.diff(closes)[-diff_window:])
-            step.net[symbol] = (trend.direction, trend.magnitude)
+            signal[1] = (trend.direction, trend.magnitude)
         except MODEL_ERRORS as exc:
-            step.net[symbol] = exc
+            signal[1] = exc
+    return signals
 
 
 def _generate_insights(run: _Run, step: _Step) -> list[Insight]:

@@ -142,14 +142,15 @@ def _backward(b: np.ndarray, trans: np.ndarray, norms: np.ndarray) -> np.ndarray
 
 
 def _m_step(obs, alphas, betas, b, norms, trans, means, variances, floor):
-    """Re-estimate every series' parameters from one E-step (betas is
-    overwritten). Returns (pi, trans, means, variances, floored) with
-    floored (S,) marking series whose new variance hit the floor in some
-    live state."""
+    """Re-estimate every series' parameters from one E-step (alphas, betas
+    and b are overwritten: the M-step's (S, T, K) temporaries reuse them).
+    Returns (pi, trans, means, variances, floored) with floored (S,) marking
+    series whose new variance hit the floor in some live state."""
     # Expected transition counts, accumulated without materializing the
     # (T, K, K) tensor. With this scaling each xi_t is already a proper
     # posterior, so the sum is the expected count matrix.
-    weighted = b[:, 1:] * betas[:, 1:]
+    weighted = b[:, 1:]
+    weighted *= betas[:, 1:]
     weighted /= norms[:, 1:, None]
     xi_sum = trans * np.matmul(alphas[:, :-1].transpose(0, 2, 1), weighted)
     del weighted
@@ -177,8 +178,8 @@ def _m_step(obs, alphas, betas, b, norms, trans, means, variances, floor):
     live = ~(occupancy <= 1e-10)
     weights = np.where(live, occupancy, 1.0)
     new_means = np.matmul(obs[:, None, :], gammas)[:, 0] / weights
-    diff = obs[:, :, None] - new_means[:, None, :]
-    spread = gammas * diff
+    diff = np.subtract(obs[:, :, None], new_means[:, None, :], out=alphas)
+    spread = np.multiply(gammas, diff, out=b)
     spread *= diff
     new_vars = spread.sum(axis=1) / weights
     floored = np.any(live & (new_vars < floor), axis=1)

@@ -546,6 +546,94 @@ class TestCadenceAndChurn:
             faulthandler.cancel_dump_traceback_later()
 
 
+def record_calls(monkeypatch, log, module, name, fail=False):
+    """Replace module.name with a spy that appends "<name> <pid> <width>" to
+    the file ``log`` (forked workers inherit the spy and append too), then
+    calls the original or, with ``fail``, raises a NumericalError. The width
+    is the length of a batched call's first argument, else 0."""
+    real = getattr(module, name)
+
+    def spy(*args):
+        width = len(args[0]) if isinstance(args[0], (list, np.ndarray)) else 0
+        with log.open("a") as out:
+            out.write(f"{name} {os.getpid()} {width}\n")
+        if fail:
+            raise NumericalError("forward recursion collapsed at t=3")
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def logged_calls(log):
+    lines = log.read_text().splitlines()
+    return [(name, int(pid), int(width)) for name, pid, width in map(str.split, lines)]
+
+
+class TestRefitTasks:
+    """The refits are cut into at least one pool task per usable CPU, and each
+    task forecasts with its own models in the worker that fitted them."""
+
+    def test_tasks_per_cpu_of_at_most_model_chunk(self, monkeypatch, tmp_path):
+        counts, results = [], []
+        fork_map = workers.fork_map
+
+        def spy_fork_map(task, count):
+            counts.append(count)
+            return fork_map(task, count)
+
+        bars_by_symbol, meta = synth_market()
+        # Every window has one length, so the refits make one group.
+        for chunk in (eng.MODEL_CHUNK, 7):
+            monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+            monkeypatch.setattr(workers, "fork_map", spy_fork_map)
+            monkeypatch.setattr(eng, "MODEL_CHUNK", chunk)
+            log = tmp_path / f"fits-{chunk}"
+            record_calls(monkeypatch, log, eng.regime_hmm, "fit_batch")
+            results.append(small_run(bars_by_symbol, meta))
+            monkeypatch.undo()
+            widths = [width for _, _, width in logged_calls(log)]
+            refits = len({(r["date"], r["symbol"]) for r in results[-1].fits})
+            assert sum(widths) == refits and len(widths) == counts[-1]
+            assert counts[-1] == max(2, -(-refits // chunk))
+            assert max(widths) <= chunk and max(widths) - min(widths) <= 1
+        assert counts[0] == 2 < counts[1]
+        assert results[0] == results[1]
+
+    def test_forecasts_run_in_the_workers(self, monkeypatch, tmp_path):
+        log = tmp_path / "calls"
+        record_calls(monkeypatch, log, eng.regime_hmm, "forward_posterior")
+        record_calls(monkeypatch, log, eng.trend_net, "predict_direction")
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        result = small_run(*synth_market())
+        assert any(i.direction != "flat" for i in result.insights)
+        calls = logged_calls(log)
+        assert {name for name, _, _ in calls} == {"forward_posterior", "predict_direction"}
+        assert os.getpid() not in {pid for _, pid, _ in calls}
+
+    @pytest.mark.parametrize(
+        "module, name, note",
+        [
+            ("regime_hmm", "forward_posterior", "hmm forecast failed"),
+            ("trend_net", "predict_direction", "net forecast failed"),
+        ],
+    )
+    def test_forecast_error_in_a_worker_matches_serial(
+        self, monkeypatch, tmp_path, module, name, note
+    ):
+        runs = {}
+        for cpus in (1, 2):
+            log = tmp_path / f"calls-{cpus}"
+            record_calls(monkeypatch, log, getattr(eng, module), name, fail=True)
+            monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+            runs[cpus] = small_run(*synth_market())
+            pids = {pid for _, pid, _ in logged_calls(log)}
+            assert (os.getpid() in pids) == (cpus == 1)
+            monkeypatch.undo()
+        assert any(note in d for d in runs[2].diagnostics)
+        assert runs[2].diagnostics == runs[1].diagnostics
+        assert runs[2] == runs[1]
+
+
 class TestDataGap:
     def test_gap_forces_liquidation(self):
         # one symbol stops trading for > max_gap_bars while others keep the

@@ -13,7 +13,10 @@ from duotrader.marketdata import log_returns, synth_regime_series
 from duotrader.regime_hmm import (
     HmmConfig,
     HmmModel,
+    _backward,
     _filter,
+    _forward,
+    _m_step,
     fit_batch,
     forward_posterior,
     predict_direction,
@@ -62,6 +65,50 @@ def assert_same_model(got, want):
 
 def normal_pdf(x, mean, var):
     return math.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2 * math.pi * var)
+
+
+def reference_m_step(obs, alphas, betas, b, norms, trans, means, variances, floor):
+    """``_m_step`` as it was before its temporaries reused the E-step's
+    buffers, kept verbatim as the reference (it overwrites betas only)."""
+    # Expected transition counts, accumulated without materializing the
+    # (T, K, K) tensor. With this scaling each xi_t is already a proper
+    # posterior, so the sum is the expected count matrix.
+    weighted = b[:, 1:] * betas[:, 1:]
+    weighted /= norms[:, 1:, None]
+    xi_sum = trans * np.matmul(alphas[:, :-1].transpose(0, 2, 1), weighted)
+    del weighted
+
+    gammas = betas  # betas are not needed again
+    gammas *= alphas
+    gammas /= gammas.sum(axis=2, keepdims=True)
+
+    pi = gammas[:, 0] / gammas[:, 0].sum(axis=1, keepdims=True)
+    # A row whose source state is (almost) never occupied keeps its
+    # previous probabilities; the guarded denominator only avoids a
+    # division by zero in rows that np.where discards.
+    from_counts = gammas[:, :-1].sum(axis=1)
+    live_rows = from_counts > 1e-12
+    new_trans = np.where(
+        live_rows[:, :, None],
+        xi_sum / np.where(live_rows, from_counts, 1.0)[:, :, None],
+        trans,
+    )
+    new_trans = np.clip(new_trans, 0.0, None)
+    trans = new_trans / new_trans.sum(axis=2, keepdims=True)
+
+    # Dead states keep their previous mean and variance.
+    occupancy = gammas.sum(axis=1)
+    live = ~(occupancy <= 1e-10)
+    weights = np.where(live, occupancy, 1.0)
+    new_means = np.matmul(obs[:, None, :], gammas)[:, 0] / weights
+    diff = obs[:, :, None] - new_means[:, None, :]
+    spread = gammas * diff
+    spread *= diff
+    new_vars = spread.sum(axis=1) / weights
+    floored = np.any(live & (new_vars < floor), axis=1)
+    means = np.where(live, new_means, means)
+    variances = np.where(live, np.maximum(new_vars, floor), variances)
+    return pi, trans, means, variances, floored
 
 
 class TestFit:
@@ -194,6 +241,37 @@ class TestPinnedNumerics:
         np.testing.assert_allclose(model.mean_returns, self.MEANS, rtol=1e-9, atol=0)
         np.testing.assert_allclose(model.variances, self.VARIANCES, rtol=1e-9, atol=0)
         np.testing.assert_allclose(model.transition, self.TRANSITION, rtol=1e-9, atol=0)
+
+
+class TestMStep:
+    def test_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        n_states, floor = 4, 1e-12
+        for _ in range(6):
+            n_series, n_obs = int(rng.integers(2, 7)), int(rng.integers(30, 130))
+            obs = rng.normal(0.0, 0.01, size=(n_series, n_obs))
+            obs[0] = 0.003  # a constant series: its live states' variances floor
+            means = rng.normal(0.0, 0.01, size=(n_series, n_states))
+            means[:, -1] = 5.0  # far from every return: a dead state
+            variances = rng.uniform(1e-5, 4e-4, size=(n_series, n_states))
+            pi = rng.dirichlet(np.ones(n_states), size=n_series)
+            trans = rng.dirichlet(np.ones(n_states), size=(n_series, n_states))
+            alphas, norms, _, b, errors = _forward(obs, means, variances, pi, trans)
+            assert errors == [None] * n_series
+            betas = _backward(b, trans, norms)
+
+            def run(m_step):
+                return m_step(
+                    obs, alphas.copy(), betas.copy(), b.copy(), norms, trans, means, variances,
+                    floor,
+                )
+
+            expected, got = run(reference_m_step), run(_m_step)
+            assert expected[4][0] and not expected[4][1:].all()
+            assert np.all(expected[2][:, -1] == 5.0)  # the dead state kept its mean
+            for want, have in zip(expected, got):
+                assert have.dtype == want.dtype and have.shape == want.shape
+                assert have.tobytes() == want.tobytes()
 
 
 class TestFitBatch:
