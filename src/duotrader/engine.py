@@ -88,10 +88,10 @@ MODEL_ERRORS = (InsufficientDataError, InvalidInputError, NumericalError, Traini
 # Most series in one batched refit or posterior call. Wider calls spread the
 # per-step Python overhead of the recursions over more series: pinned to one
 # CPU, fitting the 480 HMMs of the ``acceptance`` benchmark (251 returns each)
-# took 1.57 s in calls of 48 and 1.24 s in calls of 240. A call's (series,
-# time, state) arrays grow with the width and count toward the peak memory of
-# the process that runs it: that backtest, pinned, peaked at 49 MB with calls
-# of 48 and 59 MB with calls of 240, about 0.05 MB per series.
+# took 1.08 s in calls of 48 and 0.74 s in calls of 240. A call's (time,
+# series, state) arrays grow with the width and count toward the peak memory of
+# the process that runs it: that backtest, pinned, peaked at 47 MB with calls
+# of 48 and 57 MB with calls of 240, about 0.05 MB per series.
 MODEL_CHUNK = 240
 
 

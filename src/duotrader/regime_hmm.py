@@ -4,9 +4,9 @@ Observations are univariate: every state k carries a mean return and a
 variance. Fitting is expectation-maximization with a scaled
 forward-backward pass, run for a bounded number of iterations; the M-step
 updates every live state at once. Every routine works on S series at once,
-with (S, T, K) emission, forward and backward arrays: ``fit_batch`` fits
-one model per series and ``forward_posterior`` filters each series under its
-own model.
+with time-major (T, S, K) emission, forward and backward arrays (each step
+reads and writes one contiguous block): ``fit_batch`` fits one model per
+series and ``forward_posterior`` filters each series under its own model.
 
 The directional forecast is the sign of the posterior-weighted one-step-ahead
 expected return: e = (posterior @ A) @ mean_returns.
@@ -66,17 +66,36 @@ def _as_batch(returns: np.ndarray) -> np.ndarray:
     return obs
 
 
+def _over_states(op, x: np.ndarray) -> np.ndarray:
+    """``op`` (np.add or np.maximum) over the last (state) axis as a chain of its
+    slices, without numpy's length-K loops; numpy sums below 8 states in that order."""
+    if op is np.add and x.shape[-1] >= 8:
+        return x.sum(axis=-1)
+    out = x[..., 0].copy()
+    for k in range(1, x.shape[-1]):
+        op(out, x[..., k], out=out)
+    return out
+
+
+def _over_time(x: np.ndarray) -> np.ndarray:
+    """(S, K) sums over time of (T, S, K) x, in numpy's order for (S, T, K) x:
+    sequential in time, but pairwise along each series' row with one state."""
+    if x.shape[2] == 1:
+        return np.ascontiguousarray(x[:, :, 0].T).sum(axis=1)[:, None]
+    return x.sum(axis=0)
+
+
 def _emission_log_probs(obs: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """(S, T, K) log density of every observation under every state's Gaussian."""
+    """(T, S, K) log density of every observation under every state's Gaussian."""
     sd = np.sqrt(variances)
     # Multiplying by the reciprocal, not dividing, reproduces the densities
     # of the earlier Cholesky-based version bit for bit, which keeps
-    # backtest fills unchanged. The in-place steps compute
-    # -0.5 * ((log 2pi + 2 log sd) + z * z) in one (S, T, K) buffer.
-    z = obs[:, :, None] - means[:, None, :]
-    z *= (1.0 / sd)[:, None, :]
+    # backtest fills unchanged. The in-place steps compute -0.5 * ((log 2pi
+    # + 2 log sd) + z * z) in one C-ordered (T, S, K) buffer, not like obs.T.
+    z = np.subtract(obs.T[:, :, None], means, order="C")
+    z *= 1.0 / sd
     z *= z
-    z += (LOG_2PI + 2.0 * np.log(sd))[:, None, :]
+    z += LOG_2PI + 2.0 * np.log(sd)
     z *= -0.5
     return z
 
@@ -85,8 +104,8 @@ def _forward(obs, means, variances, pi, trans):
     """Scaled forward pass over S series at once: obs (S, T); means,
     variances and pi (S, K); trans (S, K, K).
 
-    Returns (normalized alphas, norms, log-likelihoods, b, errors): b holds
-    the emission probabilities, shifted per time step before
+    Returns (normalized alphas, norms, log-likelihoods, b, errors), norms
+    (T, S): b holds the emission probabilities, shifted per time step before
     exponentiation; the shift cancels in the normalized recursion and is
     added back to the log-likelihood, so the result is exact even for
     extreme densities. errors[s] is the NumericalError series s ran into, or
@@ -106,25 +125,26 @@ def _forward(obs, means, variances, pi, trans):
         means = np.where(invalid[:, None], 0.0, means)
 
     b = _emission_log_probs(obs, means, variances)
-    shifts = b.max(axis=2)
+    shifts = _over_states(np.maximum, b)
     b -= shifts[:, :, None]
     np.exp(b, out=b)
     alphas = np.empty_like(b)
-    norms = np.empty((n_series, n_obs))
+    norms = np.empty((n_obs, n_series))
 
     # A collapsed series divides by a zero norm and turns NaN from there
     # on; it is reported at its first zero norm, and nothing it computes
     # reaches another series.
     with np.errstate(divide="ignore", invalid="ignore"):
-        a = pi * b[:, 0]
+        alpha = np.multiply(pi, b[0], out=alphas[0])
         for t in range(n_obs):
+            a = alphas[t]
             if t:
-                a = np.matmul(alpha[:, None, :], trans)[:, 0] * b[:, t]
-            norm = np.add.reduce(a, axis=1)
-            norms[:, t] = norm
-            alpha = alphas[:, t] = a / norm[:, None]
-        log_likelihood = np.log(norms).sum(axis=1) + shifts.sum(axis=1)
-    collapsed = norms <= 0
+                np.multiply(np.matmul(alpha[:, None, :], trans)[:, 0], b[t], out=a)
+            norm = norms[t] = _over_states(np.add, a)
+            alpha = np.divide(a, norm[:, None], out=a)
+        # Summed along contiguous rows: numpy's pairwise order (axis 0 is not).
+        log_likelihood = np.log(norms.T.copy()).sum(axis=1) + shifts.T.copy().sum(axis=1)
+    collapsed = (norms <= 0).T
     for s in np.flatnonzero(collapsed.any(axis=1)):
         if errors[s] is None:
             errors[s] = NumericalError(f"forward recursion collapsed at t={np.argmax(collapsed[s])}")
@@ -132,38 +152,42 @@ def _forward(obs, means, variances, pi, trans):
 
 
 def _backward(b: np.ndarray, trans: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Backward pass scaled by the forward norms (Rabiner-style), (S, T, K)."""
+    """Backward pass scaled by the forward norms (Rabiner-style), (T, S, K)."""
     betas = np.empty_like(b)
-    beta = betas[:, -1] = np.ones((b.shape[0], b.shape[2]))
-    for t in range(b.shape[1] - 2, -1, -1):
-        carried = (b[:, t + 1] * beta)[:, :, None]
-        beta = betas[:, t] = np.matmul(trans, carried)[:, :, 0] / norms[:, t + 1, None]
+    betas[-1] = 1.0
+    carried = np.empty((*b.shape[1:], 1))
+    for t in range(b.shape[0] - 2, -1, -1):
+        np.multiply(b[t + 1], betas[t + 1], out=carried[:, :, 0])
+        np.divide(np.matmul(trans, carried)[:, :, 0], norms[t + 1][:, None], out=betas[t])
     return betas
 
 
 def _m_step(obs, alphas, betas, b, norms, trans, means, variances, floor):
-    """Re-estimate every series' parameters from one E-step (alphas, betas
-    and b are overwritten: the M-step's (S, T, K) temporaries reuse them).
-    Returns (pi, trans, means, variances, floored) with floored (S,) marking
-    series whose new variance hit the floor in some live state."""
+    """Re-estimate every series' parameters from one (T, S, K) E-step
+    (alphas, betas and b are overwritten: the M-step's temporaries reuse
+    them). Returns (pi, trans, means, variances, floored) with floored (S,)
+    marking series whose new variance hit the floor in some live state. The
+    counts' gemm reads the strided rows in place: it gives the bits of
+    contiguous ones (a one-state dot does not, but its row normalizes to 1).
+    OpenBLAS's gemv does not below four states, so the means' reads a copy."""
     # Expected transition counts, accumulated without materializing the
     # (T, K, K) tensor. With this scaling each xi_t is already a proper
     # posterior, so the sum is the expected count matrix.
-    weighted = b[:, 1:]
-    weighted *= betas[:, 1:]
-    weighted /= norms[:, 1:, None]
-    xi_sum = trans * np.matmul(alphas[:, :-1].transpose(0, 2, 1), weighted)
+    weighted = b[1:]
+    weighted *= betas[1:]
+    weighted /= norms[1:, :, None]
+    xi_sum = trans * np.matmul(alphas[:-1].transpose(1, 2, 0), weighted.transpose(1, 0, 2))
     del weighted
 
     gammas = betas  # betas are not needed again
     gammas *= alphas
-    gammas /= gammas.sum(axis=2, keepdims=True)
+    gammas /= _over_states(np.add, gammas)[:, :, None]
 
-    pi = gammas[:, 0] / gammas[:, 0].sum(axis=1, keepdims=True)
+    pi = gammas[0] / gammas[0].sum(axis=1, keepdims=True)
     # A row whose source state is (almost) never occupied keeps its
     # previous probabilities; the guarded denominator only avoids a
     # division by zero in rows that np.where discards.
-    from_counts = gammas[:, :-1].sum(axis=1)
+    from_counts = _over_time(gammas[:-1])
     live_rows = from_counts > 1e-12
     new_trans = np.where(
         live_rows[:, :, None],
@@ -174,48 +198,47 @@ def _m_step(obs, alphas, betas, b, norms, trans, means, variances, floor):
     trans = new_trans / new_trans.sum(axis=2, keepdims=True)
 
     # Dead states keep their previous mean and variance.
-    occupancy = gammas.sum(axis=1)
+    occupancy = _over_time(gammas)
     live = ~(occupancy <= 1e-10)
     weights = np.where(live, occupancy, 1.0)
-    new_means = np.matmul(obs[:, None, :], gammas)[:, 0] / weights
-    diff = np.subtract(obs[:, :, None], new_means[:, None, :], out=alphas)
+    gammas_by_series = alphas.reshape(*obs.shape, -1)  # alphas are not needed again
+    np.copyto(gammas_by_series, gammas.transpose(1, 0, 2))
+    new_means = np.matmul(obs[:, None, :], gammas_by_series)[:, 0] / weights
+    diff = np.subtract(obs.T[:, :, None], new_means, out=alphas)
     spread = np.multiply(gammas, diff, out=b)
     spread *= diff
-    new_vars = spread.sum(axis=1) / weights
+    new_vars = _over_time(spread) / weights
     floored = np.any(live & (new_vars < floor), axis=1)
     means = np.where(live, new_means, means)
     variances = np.where(live, np.maximum(new_vars, floor), variances)
     return pi, trans, means, variances, floored
 
 
-def _initial_parameters(obs: np.ndarray, config: HmmConfig, seed: int):
-    """Deterministic seeded initialization of one series.
+def _initial_parameters(obs: np.ndarray, config: HmmConfig, seeds: Sequence[int]):
+    """Deterministic seeded initialization of the S series of obs (S, T).
 
-    Means come from a quantile split of the observations (sorted, cut into
-    n_states buckets), every state starts from the pooled variance, pi is
-    uniform, and the transition matrix puts 0.8 on self-transitions. A tiny
-    seeded jitter separates duplicate bucket means so EM cannot lock states
-    together on heavily discretized data.
+    Means come from a quantile split of each series (sorted, cut into
+    n_states buckets), every state starts from the series' pooled variance,
+    pi is uniform, and the transition matrix puts 0.8 on self-transitions. A
+    tiny jitter, seeded by ``seeds[s]``, separates duplicate bucket means so
+    EM cannot lock states together on heavily discretized data.
     """
-    n_states = config.n_states
-    order = np.argsort(obs, kind="stable")
-    means = np.array([obs[idx].mean() for idx in np.array_split(order, n_states)])
+    n_series, n_states = obs.shape[0], config.n_states
+    ordered = np.take_along_axis(obs, np.argsort(obs, axis=1, kind="stable"), axis=1)
+    buckets = np.array_split(ordered, n_states, axis=1)
+    means = np.stack([bucket.mean(axis=1) for bucket in buckets], axis=1)
 
-    centered = obs - obs.mean()
-    pooled = max((centered @ centered) / obs.size, config.variance_floor)
-    variances = np.full(n_states, pooled)
+    centered = obs - obs.mean(axis=1, keepdims=True)
+    pooled = np.matmul(centered[:, None, :], centered[:, :, None])[:, 0, 0] / obs.shape[1]
+    pooled = np.maximum(pooled, config.variance_floor)
+    variances = np.repeat(pooled[:, None], n_states, axis=1)
+    for row, seed, scale in zip(means, seeds, 1e-6 * (np.sqrt(pooled) + 1e-12)):
+        row += np.random.default_rng(seed).normal(0.0, scale, size=n_states)
 
-    rng = np.random.default_rng(seed)
-    means = means + rng.normal(0.0, 1e-6 * (np.sqrt(pooled) + 1e-12), size=n_states)
-
-    pi = np.full(n_states, 1.0 / n_states)
-    if n_states == 1:
-        trans = np.ones((1, 1))
-    else:
-        off = 0.2 / (n_states - 1)
-        trans = np.full((n_states, n_states), off)
-        np.fill_diagonal(trans, 0.8)
-    return pi, trans, means, variances
+    pi = np.full((n_series, n_states), 1.0 / n_states)
+    trans = np.full((n_states, n_states), 0.2 / max(n_states - 1, 1))
+    np.fill_diagonal(trans, 0.8 if n_states > 1 else 1.0)
+    return pi, np.repeat(trans[None], n_series, axis=0), means, variances
 
 
 def fit_batch(
@@ -243,8 +266,7 @@ def fit_batch(
     if n_series == 0:
         return []
 
-    initial = [_initial_parameters(row, config, seed) for row, seed in zip(obs, seeds)]
-    pi, trans, means, variances = (np.stack(p) for p in zip(*initial))
+    pi, trans, means, variances = _initial_parameters(obs, config, seeds)
     paths: list[list[float]] = [[] for _ in range(n_series)]
     floored = np.zeros(n_series, dtype=bool)
     converged = np.zeros(n_series, dtype=bool)
@@ -281,10 +303,11 @@ def fit_batch(
                 },
             )
         if len(keep) < rows.size:
-            # One array at a time, so that only one old copy is alive at once.
-            alphas = alphas[keep]
-            b = b[keep]
-            rows, x, norms, log_likelihood = rows[keep], x[keep], norms[keep], log_likelihood[keep]
+            # One array at a time, so that only one old copy is alive at once;
+            # np.take keeps them time-major in memory, alphas[:, keep] would not.
+            alphas = np.take(alphas, keep, axis=1)
+            b = np.take(b, keep, axis=1)
+            rows, x, norms, log_likelihood = rows[keep], x[keep], norms[:, keep], log_likelihood[keep]
             pi, trans, means, variances = pi[keep], trans[keep], means[keep], variances[keep]
         if not rows.size:
             break
@@ -293,7 +316,7 @@ def fit_batch(
         pi, trans, means, variances, floored_now = _m_step(
             x, alphas, betas, b, norms, trans, means, variances, config.variance_floor
         )
-        # Free this pass's (S, T, K) arrays before the next pass makes its own.
+        # Free this pass's (T, S, K) arrays before the next pass makes its own.
         del alphas, betas, b
         iteration += 1
         floored[rows] |= floored_now
@@ -305,8 +328,8 @@ def fit_batch(
 
 def _filter(models: Sequence[HmmModel], returns: np.ndarray):
     """Normalized forward probabilities P(state_t | returns_1..t) of S series
-    under their own models: (S, T, K) alphas and one error (or None) per
-    series."""
+    under their own models: (S, T, K) alphas (a transposed view of the
+    time-major forward array) and one error (or None) per series."""
     obs = _as_batch(returns)
     if obs.shape[1] == 0:
         raise InsufficientDataError("filtering needs at least one return")
@@ -319,7 +342,7 @@ def _filter(models: Sequence[HmmModel], returns: np.ndarray):
         np.stack([m.initial_probs for m in models]),
         np.stack([m.transition for m in models]),
     )
-    return alphas, errors
+    return alphas.transpose(1, 0, 2), errors
 
 
 def forward_posterior(
@@ -330,7 +353,7 @@ def forward_posterior(
     Runs one batched forward pass of the (S, T) returns, row s under
     ``models[s]``, and returns S entries: each series' (K,) posterior, or
     the NumericalError it ran into. A posterior is a copy: it keeps no
-    (S, T, K) forward array alive.
+    forward array alive.
     """
     alphas, errors = _filter(models, returns)
     return [alphas[s, -1].copy() if error is None else error for s, error in enumerate(errors)]

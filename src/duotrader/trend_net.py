@@ -102,7 +102,8 @@ def init_model(config: MlpConfig, seed: int) -> MlpModel:
 
 def build_training_set(closes: Sequence[float] | np.ndarray, window: int = 5) -> TrainingSet:
     """Each sample is ``window`` consecutive close differences; the target is
-    the difference that immediately follows."""
+    the difference that immediately follows. Both are read-only views of the
+    differences: the only copy is the one train_batch stacks."""
     closes = np.asarray(closes, dtype=float)
     needed = window + 2
     if closes.size < needed:
@@ -110,9 +111,9 @@ def build_training_set(closes: Sequence[float] | np.ndarray, window: int = 5) ->
             f"need at least {needed} closes for one sample, got {closes.size}"
         )
     diffs = np.diff(closes)
-    inputs = np.lib.stride_tricks.sliding_window_view(diffs, window)[:-1].copy()
-    targets = diffs[window:].copy()
-    return TrainingSet(inputs, targets)
+    diffs.flags.writeable = False
+    inputs = np.lib.stride_tricks.sliding_window_view(diffs, window)[:-1]
+    return TrainingSet(inputs, diffs[window:])
 
 
 def _forward_stack(weights, biases, x: np.ndarray):
@@ -151,16 +152,19 @@ def _gradients_stack(weights, biases, inputs: np.ndarray, targets: np.ndarray):
     return losses, grad_w, grad_b
 
 
-def _adam_update(params, grads, m, v, step: int, learning_rate: float) -> None:
+def _adam_update(params, grads, m, v, step: int, learning_rate: float, scratch) -> None:
     """Adam update at ``step`` (counted from 1) of the (S, P) parameters and
-    their moments, in place, from the (S, P) gradients."""
+    their moments, in place, from the (S, P) gradients, through the two (S, P)
+    arrays of ``scratch`` in the order of ``lr * (m / c1) / (sqrt(v / c2) + eps)``."""
+    step_size, denom = scratch
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grads
+    m += np.multiply(1.0 - ADAM_BETA1, grads, out=step_size)
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grads * grads
-    corr1 = 1.0 - ADAM_BETA1**step
-    corr2 = 1.0 - ADAM_BETA2**step
-    params -= learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+    v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grads, out=step_size), grads, out=step_size)
+    np.multiply(learning_rate, np.divide(m, 1.0 - ADAM_BETA1**step, out=step_size), out=step_size)
+    np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**step, out=denom), out=denom)
+    denom += ADAM_EPS
+    params -= np.divide(step_size, denom, out=step_size)
 
 
 def _unflatten(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -223,6 +227,7 @@ def train_batch(
     # update of whole arrays; the layer tensors are views into the rows.
     params = np.stack([params_to_vector(m) for m in models])
     ms, vs = np.zeros_like(params), np.zeros_like(params)
+    scratch = np.empty((2, *params.shape))
     tensors = _unflatten(params, shapes)
     step = 0
     inputs = np.stack([d.inputs for d in data])
@@ -255,6 +260,7 @@ def train_batch(
                     rows = [rows[pos] for pos in keep]
                     rngs = [rngs[pos] for pos in keep]
                     params, ms, vs, grads = params[keep], ms[keep], vs[keep], grads[keep]
+                    scratch = scratch[:, : keep.size]
                     tensors = _unflatten(params, shapes)
                     inputs, targets, order = inputs[keep], targets[keep], order[keep]
                     losses = losses[keep]
@@ -262,7 +268,7 @@ def train_batch(
                     if not rows:
                         return results
                 step += 1
-                _adam_update(params, grads, ms, vs, step, config.learning_rate)
+                _adam_update(params, grads, ms, vs, step, config.learning_rate, scratch)
                 batch_losses.append(losses)
             # One row per network, so each mean sums its losses in the
             # same order as a mean over one network's list.

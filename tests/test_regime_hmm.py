@@ -11,11 +11,14 @@ from duotrader.errors import (
 )
 from duotrader.marketdata import log_returns, synth_regime_series
 from duotrader.regime_hmm import (
+    LOG_2PI,
+    MIN_SAMPLES_PER_STATE,
     HmmConfig,
     HmmModel,
     _backward,
     _filter,
     _forward,
+    _initial_parameters,
     _m_step,
     fit_batch,
     forward_posterior,
@@ -109,6 +112,133 @@ def reference_m_step(obs, alphas, betas, b, norms, trans, means, variances, floo
     means = np.where(live, new_means, means)
     variances = np.where(live, np.maximum(new_vars, floor), variances)
     return pi, trans, means, variances, floored
+
+
+# The series-major (S, T, K) E-step and the per-series initialization as
+# they were before the time-major layout, kept verbatim as the reference
+# (only their names and the calls between them changed).
+
+
+def reference_emission_log_probs(obs, means, variances):
+    """(S, T, K) log density of every observation under every state's Gaussian."""
+    sd = np.sqrt(variances)
+    # Multiplying by the reciprocal, not dividing, reproduces the densities
+    # of the earlier Cholesky-based version bit for bit, which keeps
+    # backtest fills unchanged. The in-place steps compute
+    # -0.5 * ((log 2pi + 2 log sd) + z * z) in one (S, T, K) buffer.
+    z = obs[:, :, None] - means[:, None, :]
+    z *= (1.0 / sd)[:, None, :]
+    z *= z
+    z += (LOG_2PI + 2.0 * np.log(sd))[:, None, :]
+    z *= -0.5
+    return z
+
+
+def reference_forward(obs, means, variances, pi, trans):
+    """Scaled forward pass over S series at once: obs (S, T); means,
+    variances and pi (S, K); trans (S, K, K)."""
+    n_series, n_obs = obs.shape
+    errors = [None] * n_series
+    invalid = ~np.all(variances > 0, axis=1)
+    for s in np.flatnonzero(invalid):
+        errors[s] = NumericalError(f"state variances must be positive, got {variances[s]}")
+    if invalid.any():
+        # Harmless stand-ins keep the failed series from raising warnings
+        # while the rest of the batch is computed.
+        variances = np.where(invalid[:, None], 1.0, variances)
+        means = np.where(invalid[:, None], 0.0, means)
+
+    b = reference_emission_log_probs(obs, means, variances)
+    shifts = b.max(axis=2)
+    b -= shifts[:, :, None]
+    np.exp(b, out=b)
+    alphas = np.empty_like(b)
+    norms = np.empty((n_series, n_obs))
+
+    # A collapsed series divides by a zero norm and turns NaN from there
+    # on; it is reported at its first zero norm, and nothing it computes
+    # reaches another series.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = pi * b[:, 0]
+        for t in range(n_obs):
+            if t:
+                a = np.matmul(alpha[:, None, :], trans)[:, 0] * b[:, t]
+            norm = np.add.reduce(a, axis=1)
+            norms[:, t] = norm
+            alpha = alphas[:, t] = a / norm[:, None]
+        log_likelihood = np.log(norms).sum(axis=1) + shifts.sum(axis=1)
+    collapsed = norms <= 0
+    for s in np.flatnonzero(collapsed.any(axis=1)):
+        if errors[s] is None:
+            errors[s] = NumericalError(f"forward recursion collapsed at t={np.argmax(collapsed[s])}")
+    return alphas, norms, log_likelihood, b, errors
+
+
+def reference_backward(b, trans, norms):
+    """Backward pass scaled by the forward norms (Rabiner-style), (S, T, K)."""
+    betas = np.empty_like(b)
+    beta = betas[:, -1] = np.ones((b.shape[0], b.shape[2]))
+    for t in range(b.shape[1] - 2, -1, -1):
+        carried = (b[:, t + 1] * beta)[:, :, None]
+        beta = betas[:, t] = np.matmul(trans, carried)[:, :, 0] / norms[:, t + 1, None]
+    return betas
+
+
+def reference_initial_parameters(obs, config, seed):
+    """Deterministic seeded initialization of one series."""
+    n_states = config.n_states
+    order = np.argsort(obs, kind="stable")
+    means = np.array([obs[idx].mean() for idx in np.array_split(order, n_states)])
+
+    centered = obs - obs.mean()
+    pooled = max((centered @ centered) / obs.size, config.variance_floor)
+    variances = np.full(n_states, pooled)
+
+    rng = np.random.default_rng(seed)
+    means = means + rng.normal(0.0, 1e-6 * (np.sqrt(pooled) + 1e-12), size=n_states)
+
+    pi = np.full(n_states, 1.0 / n_states)
+    if n_states == 1:
+        trans = np.ones((1, 1))
+    else:
+        off = 0.2 / (n_states - 1)
+        trans = np.full((n_states, n_states), off)
+        np.fill_diagonal(trans, 0.8)
+    return pi, trans, means, variances
+
+
+def by_series(x):
+    """A C-contiguous series-major copy of a time-major (T, S, ...) array."""
+    return np.ascontiguousarray(np.swapaxes(x, 0, 1))
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def hazard_batch(rng, n_series, n_states, n_obs):
+    """Random returns and parameters of a batch; from 4 series up it holds
+    every case the E-step and M-step handle apart: a constant series (its
+    live states' variances floor), a series with a non-positive variance, a
+    series whose forward recursion collapses and, with 2 states or more, a
+    dead state far from every return."""
+    obs = rng.normal(0.0, 0.01, size=(n_series, n_obs))
+    means = rng.normal(0.0, 0.01, size=(n_series, n_states))
+    variances = rng.uniform(1e-5, 4e-4, size=(n_series, n_states))
+    pi = rng.dirichlet(np.ones(n_states), size=n_series)
+    trans = rng.dirichlet(np.ones(n_states), size=(n_series, n_states))
+    if n_states > 1:
+        means[:, -1] = 5.0
+    if n_series >= 4:
+        obs[0] = 0.003
+        variances[1, 0] = -1e-4 if n_states == 1 else 0.0
+        if n_states > 1:
+            # Held in state 0 (mean 0) by the identity transitions, the
+            # series meets a return of 1.0 its state gives zero density.
+            pi[2], trans[2], obs[2], obs[2, 5] = np.eye(n_states)[0], np.eye(n_states), 0.0, 1.0
+            means[2, :2], variances[2] = (0.0, 1.0), 1e-8
+    return obs, means, variances, pi, trans
 
 
 class TestFit:
@@ -245,33 +375,89 @@ class TestPinnedNumerics:
 
 class TestMStep:
     def test_matches_reference_bit_for_bit(self):
+        # The reference reads series-major copies of the time-major buffers,
+        # so each of its BLAS calls has the contiguous operands of a batch of
+        # one; fewer than four states exercise the small products that
+        # OpenBLAS computes otherwise over strided rows.
         rng = np.random.default_rng(23)
-        n_states, floor = 4, 1e-12
-        for _ in range(6):
-            n_series, n_obs = int(rng.integers(2, 7)), int(rng.integers(30, 130))
-            obs = rng.normal(0.0, 0.01, size=(n_series, n_obs))
-            obs[0] = 0.003  # a constant series: its live states' variances floor
-            means = rng.normal(0.0, 0.01, size=(n_series, n_states))
+        floor = 1e-12
+        for n_states in (4, 1, 2, 3):
+            for _ in range(6):
+                self.check_one(rng, n_states, floor)
+
+    @staticmethod
+    def check_one(rng, n_states, floor):
+        n_series, n_obs = int(rng.integers(2, 7)), int(rng.integers(30, 130))
+        obs = rng.normal(0.0, 0.01, size=(n_series, n_obs))
+        obs[0] = 0.003  # a constant series: its live states' variances floor
+        means = rng.normal(0.0, 0.01, size=(n_series, n_states))
+        if n_states > 1:
             means[:, -1] = 5.0  # far from every return: a dead state
-            variances = rng.uniform(1e-5, 4e-4, size=(n_series, n_states))
-            pi = rng.dirichlet(np.ones(n_states), size=n_series)
-            trans = rng.dirichlet(np.ones(n_states), size=(n_series, n_states))
-            alphas, norms, _, b, errors = _forward(obs, means, variances, pi, trans)
-            assert errors == [None] * n_series
-            betas = _backward(b, trans, norms)
+        variances = rng.uniform(1e-5, 4e-4, size=(n_series, n_states))
+        pi = rng.dirichlet(np.ones(n_states), size=n_series)
+        trans = rng.dirichlet(np.ones(n_states), size=(n_series, n_states))
+        alphas, norms, _, b, errors = _forward(obs, means, variances, pi, trans)
+        assert errors == [None] * n_series
+        betas = _backward(b, trans, norms)
 
-            def run(m_step):
-                return m_step(
-                    obs, alphas.copy(), betas.copy(), b.copy(), norms, trans, means, variances,
-                    floor,
-                )
-
-            expected, got = run(reference_m_step), run(_m_step)
-            assert expected[4][0] and not expected[4][1:].all()
+        expected = reference_m_step(
+            obs, by_series(alphas), by_series(betas), by_series(b), by_series(norms),
+            trans, means, variances, floor,
+        )
+        got = _m_step(obs, alphas.copy(), betas.copy(), b.copy(), norms, trans, means, variances, floor)
+        assert expected[4][0] and not expected[4][1:].all()
+        if n_states > 1:
             assert np.all(expected[2][:, -1] == 5.0)  # the dead state kept its mean
-            for want, have in zip(expected, got):
-                assert have.dtype == want.dtype and have.shape == want.shape
-                assert have.tobytes() == want.tobytes()
+        for want, have in zip(expected, got):
+            assert_same_bytes(have, want)
+
+
+class TestTimeMajorEStep:
+    """The time-major E-step and the batched initialization give the bits of
+    the series-major references, transposed, on every kind of series."""
+
+    CASES = [(1, 1), (1, 5), (7, 1), (7, 2), (7, 5), (7, 9), (240, 5)]
+
+    @pytest.mark.parametrize("n_series,n_states", CASES)
+    def test_forward_backward_match_reference(self, n_series, n_states):
+        rng = np.random.default_rng(1000 * n_series + n_states)
+        batch = hazard_batch(rng, n_series, n_states, int(rng.integers(20, 120)))
+        alphas, norms, log_likelihood, b, errors = _forward(*batch)
+        assert alphas.flags.c_contiguous and b.flags.c_contiguous  # time-major in memory
+        want = reference_forward(*batch)
+        assert [str(e) for e in errors] == [str(e) for e in want[4]]
+        if n_series >= 4:
+            assert "must be positive" in str(errors[1])
+            assert (n_states > 1) == ("collapsed at t=5" in str(errors[2]))
+        for have, ref in zip((alphas, norms, log_likelihood, b), want):
+            assert_same_bytes(by_series(have) if have.ndim > 1 else have, ref)
+        # _filter's (S, T, K) view of the same forward pass.
+        obs, means, variances, pi, trans = batch
+        models = [build_model(*p) for p in zip(pi, trans, means, variances)]
+        filtered, _ = _filter(models, obs)
+        assert filtered.base is not None  # a view, not a copy
+        assert_same_bytes(np.ascontiguousarray(filtered), want[0])
+
+        betas = _backward(b, trans, norms)
+        assert betas.flags.c_contiguous
+        assert_same_bytes(by_series(betas), reference_backward(want[3], trans, want[1]))
+
+    @pytest.mark.parametrize("n_series,n_states", CASES)
+    def test_initial_parameters_match_reference(self, n_series, n_states):
+        rng = np.random.default_rng(2000 * n_series + n_states)
+        config = HmmConfig(n_states=n_states)
+        n_obs = MIN_SAMPLES_PER_STATE * n_states + int(rng.integers(0, 40))
+        obs = rng.normal(0.0, 0.01, size=(n_series, n_obs))
+        obs[:, ::3] = np.round(obs[:, ::3], 3)  # ties for the stable sort
+        if n_series > 1:
+            obs[1] = 0.002  # a constant series: its pooled variance floors
+        seeds = [int(seed) for seed in rng.integers(0, 2**31, size=n_series)]
+        got = _initial_parameters(obs, config, seeds)
+        want = [np.stack(p) for p in zip(*(
+            reference_initial_parameters(row, config, seed) for row, seed in zip(obs, seeds)
+        ))]
+        for have, ref in zip(got, want):
+            assert_same_bytes(have, ref)
 
 
 class TestFitBatch:

@@ -15,6 +15,7 @@ from duotrader.trend_net import (
     ADAM_EPS,
     MlpConfig,
     TrainingSet,
+    _adam_update,
     _gradients_stack,
     _unflatten,
     build_training_set,
@@ -61,6 +62,28 @@ def loss_and_gradient(row, shapes, x, y):
     return float(losses[0]), np.concatenate([g.ravel() for g in grad_w + grad_b])
 
 
+def reference_adam_update(params, grads, m, v, step, learning_rate):
+    """``_adam_update`` as it was before it ran in scratch arrays, kept
+    verbatim as the reference."""
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    corr1 = 1.0 - ADAM_BETA1**step
+    corr2 = 1.0 - ADAM_BETA2**step
+    params -= learning_rate * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+
+
+def reference_training_set(closes, window=5):
+    """``build_training_set`` as it was when it copied its samples, kept
+    verbatim as the reference."""
+    closes = np.asarray(closes, dtype=float)
+    diffs = np.diff(closes)
+    inputs = np.lib.stride_tricks.sliding_window_view(diffs, window)[:-1].copy()
+    targets = diffs[window:].copy()
+    return TrainingSet(inputs, targets)
+
+
 def zero_model(config=None):
     model = init_model(config or MlpConfig(), 0)
     for w in model.weights:
@@ -87,6 +110,21 @@ class TestTrainingSet:
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):
             build_training_set([1.0] * 6)
+
+    def test_read_only_views_with_the_copied_values(self):
+        rng = np.random.default_rng(5)
+        for n_closes, window in ((7, 5), (40, 5), (253, 5), (30, 3)):
+            closes = 50.0 + np.cumsum(rng.normal(0, 1, n_closes))
+            data = build_training_set(closes, window)
+            want = reference_training_set(closes, window)
+            for got, ref in ((data.inputs, want.inputs), (data.targets, want.targets)):
+                assert not got.flags.writeable
+                assert got.dtype == ref.dtype and got.shape == ref.shape
+                assert np.ascontiguousarray(got).tobytes() == ref.tobytes()
+            # Views of the differences, not copies.
+            assert not (data.inputs.flags.owndata or data.targets.flags.owndata)
+            with pytest.raises(ValueError):
+                data.inputs[0, 0] = 1.0
 
     def test_windows_precede_target(self):
         rng = np.random.default_rng(3)
@@ -197,6 +235,21 @@ class TestAdam:
             expected = -config.learning_rate * m_hat / (math.sqrt(v_hat) + ADAM_EPS)
             assert moved == pytest.approx(expected, abs=1e-15)
             assert moved == pytest.approx(-0.001 * np.sign(g), abs=1e-9)
+
+    def test_update_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        for n_networks, n_params in ((1, 1), (3, 341), (240, 341)):
+            state = [rng.normal(0.0, 1.0, size=(n_networks, n_params)) for _ in range(3)]
+            state[2] = np.abs(state[2])  # v, the second moments
+            want = [x.copy() for x in state]
+            scratch = np.full((2, n_networks, n_params), np.nan)
+            for step in (1, 2, 3):
+                grads = rng.normal(0.0, 10.0 ** (step - 2), size=(n_networks, n_params))
+                params, m, v = state
+                _adam_update(params, grads, m, v, step, 0.001, scratch)
+                reference_adam_update(want[0], grads, want[1], want[2], step, 0.001)
+                for got, ref in zip(state, want):
+                    assert got.tobytes() == ref.tobytes()
 
     def test_step_counter_advances(self):
         rng = np.random.default_rng(4)
