@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from datetime import date
@@ -94,35 +96,26 @@ _ROW_DTYPE = np.dtype(
 )
 
 
-def _parse_float(text: str, default: float | None = None) -> float | None:
-    text = text.strip()
-    if not text:
-        return default
-    return float(text)
-
-
 def _parse_price(text: str, default: float | None, name: str) -> float:
     """A finite positive price; a blank field gives ``default``."""
-    value = _parse_float(text, default)
+    text = text.strip()
+    value = float(text) if text else default
     if value is None or not math.isfinite(value) or value <= 0:
         raise ValueError(f"invalid {name}")
     return value
 
 
-def _open_bar_csv(path: Path):
-    """Open a bar CSV and check its header; returns the open handle and a
-    csv reader positioned after the header."""
+def _open_csv(path: Path, header: list[str], kind: str):
+    """Open a CSV and check its header: the handle, and a csv reader past the header."""
     try:
         handle = path.open(newline="")
     except OSError as exc:
-        raise DuotraderError(f"cannot read bar file {path}: {exc}") from exc
+        raise DuotraderError(f"cannot read {kind} file {path}: {exc}") from exc
     reader = csv.reader(handle)
-    header = next(reader, None)
-    if header is None or [h.strip().lower() for h in header] != BAR_CSV_HEADER:
+    found = next(reader, None)
+    if found is None or [h.strip().lower() for h in found] != header:
         handle.close()
-        raise DuotraderError(
-            f"{path}: expected header {','.join(BAR_CSV_HEADER)}, got {header}"
-        )
+        raise DuotraderError(f"{path}: expected header {','.join(header)}, got {found}")
     return handle, reader
 
 
@@ -130,27 +123,75 @@ def ingest_csv(path: str | Path) -> IngestResult:
     """Load a bar CSV (header: symbol,date,open,high,low,close,volume).
 
     Rows without a valid positive close, open, high and low, or with a
-    non-finite volume, are skipped and counted. A row whose optional
-    open/high/low/volume fields are blank inherits the close (volume
-    defaults to 0); a volume is truncated to whole shares. Non-monotonic
-    timestamps within a symbol are fatal.
+    non-finite volume, are skipped and counted, each with a diagnostic that
+    names its line. A row whose optional open/high/low/volume fields are
+    blank inherits the close (volume defaults to 0); a volume is truncated
+    to whole shares. Non-monotonic timestamps within a symbol are fatal.
+    One line is one row, even inside a quoted field that spans lines.
 
-    The file is first read by numpy's C parser and checked column-wise; a
-    file that this cannot show to be clean (a parse error, a blank field, a
-    row that would be rejected, a quoted or padded symbol, an out-of-order
-    timestamp) is read again row by row, which gives the same columns plus
-    the diagnostics. A large file is parsed by forked workers, one byte range
-    each (``_parse_file``); a range that fails sends it row by row.
+    Each byte range of whole lines (``_read_ranges``) goes through numpy's
+    C parser and column-wise checks, or, if it holds a line they cannot
+    vouch for, the row reader (``_read_range``). The ranges are then grouped
+    by symbol and order-checked once (``_merge``).
     """
     path = Path(path)
-    handle, reader = _open_bar_csv(path)
-    with handle:
-        if not any(reader):
-            return IngestResult({})
-    columns = _read_clean_columns(path)
-    if columns is not None:
-        return IngestResult(columns)
-    return _read_rows(path)
+    handle, _ = _open_csv(path, BAR_CSV_HEADER, "bar")
+    handle.close()
+    try:
+        parts = _read_ranges(path)
+    except OSError as exc:
+        raise DuotraderError(f"cannot read bar file {path}: {exc}") from exc
+    return _merge(path, parts)
+
+
+@dataclass
+class _Range:
+    """A byte range of a bar CSV: distinct symbols; each kept row's code, day,
+    five fields and line (from 0); the line count; a (line, message) per rejected row."""
+
+    symbols: list[str]
+    codes: np.ndarray
+    days: np.ndarray
+    fields: list[np.ndarray]
+    lines: Sequence[int]
+    line_count: int
+    diagnostics: list[tuple[int, str]]
+
+
+def _read_ranges(path: Path) -> list[_Range]:
+    """``_read_range`` over the whole file, in ranges as ``INGEST_RANGE_BYTES`` sets out."""
+    size = path.stat().st_size
+    count = min(workers.usable_cpus(), size // INGEST_RANGE_BYTES)
+    if count < 2:
+        with path.open() as text:
+            return [_read_range(text, skip=1)]
+    with path.open("rb") as raw:  # cut k: past the line holding byte size * k // count
+        cuts = [raw.seek(size * k // count) + len(raw.readline()) for k in range(1, count)]
+    cuts = [0, *cuts, size]
+
+    def read_range(i: int) -> _Range:  # decoded as by path.open(); range 0 holds the header
+        with path.open("rb") as raw:
+            raw.seek(cuts[i])
+            text = io.TextIOWrapper(io.BytesIO(raw.read(cuts[i + 1] - cuts[i])))
+        return _read_range(text, skip=int(i == 0))
+
+    return list(workers.fork_map(read_range, count))
+
+
+def _read_range(text, skip: int) -> _Range:
+    """The lines of a fresh ``text`` after its first ``skip``: by
+    ``_parse_columns``, or by the row reader if that raises."""
+    pulled = itertools.count()  # zip draws one more than the lines it passes on
+    try:
+        columns = _parse_columns(map(operator.itemgetter(1), zip(pulled, text)), skip)
+    except ValueError:
+        return _read_lines(text, skip)
+    line_count = next(pulled) - 1
+    lines: Sequence[int] = range(skip, line_count)
+    if columns[2].size != len(lines):  # np.loadtxt skipped blank lines
+        text.seek(0)
+        lines = [k for k, line in enumerate(text) if k >= skip and line.strip()]
+    return _Range(*columns, lines, line_count, [])
 
 
 def _distinct(values: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -163,76 +204,21 @@ def _distinct(values: np.ndarray) -> tuple[list[str], np.ndarray]:
     return list(index), codes
 
 
-def _parse_rows(handle, skiprows: int):
-    """numpy's C parser over CSV rows: the distinct symbols and dates, each
-    row's codes into them (``_distinct``) and the five float columns; None if
-    a row does not parse."""
-    try:
+def _parse_columns(lines: Iterable[str], skip: int):
+    """``_Range``'s first four fields, by numpy's C parser and the row reader's rules
+    column-wise. ValueError if a line does not parse or the row reader would treat it apart."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a range may hold no rows
         table = np.loadtxt(
-            handle, dtype=_ROW_DTYPE, delimiter=",", skiprows=skiprows, comments=None, ndmin=1
+            lines, dtype=_ROW_DTYPE, delimiter=",", skiprows=skip, comments=None, ndmin=1
         )
-    except ValueError:
-        return None
-    fields = [table[name] for name in BAR_CSV_HEADER[2:]]
-    return (*_distinct(table["symbol"]), *_distinct(table["date"]), fields)
-
-
-def _merge_distinct(parts) -> tuple[list[str], np.ndarray]:
-    """``_distinct`` over consecutive ranges, from each range's own."""
-    index: dict[str, int] = {}
-    codes = [
-        np.array([index.setdefault(v, len(index)) for v in values], dtype=np.intp)[range_codes]
-        for values, range_codes in parts
-    ]
-    return list(index), np.concatenate(codes)
-
-
-def _parse_file(path: Path):
-    """``_parse_rows`` over the whole file: from one handle in this process,
-    or in forked workers, one byte range of whole lines each, when the file
-    holds ``INGEST_RANGE_BYTES`` for each of two or more usable CPUs."""
-    size = path.stat().st_size
-    count = min(workers.usable_cpus(), size // INGEST_RANGE_BYTES)
-    if count < 2:
-        with path.open() as handle:
-            return _parse_rows(handle, skiprows=1)
-    with path.open("rb") as raw:  # cut k: past the line holding byte size * k // count
-        cuts = [raw.seek(size * k // count) + len(raw.readline()) for k in range(1, count)]
-    cuts = [0, *cuts, size]
-
-    def parse_range(i: int):  # decoded as by path.open(); range 0 holds the header
-        with path.open("rb") as raw:
-            raw.seek(cuts[i])
-            text = io.TextIOWrapper(io.BytesIO(raw.read(cuts[i + 1] - cuts[i])))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a range may hold no rows
-            return _parse_rows(text, skiprows=int(i == 0))
-
-    parts = list(workers.fork_map(parse_range, count))
-    if any(part is None for part in parts):
-        return None
-    symbols, dates = (_merge_distinct(part[k:k + 2] for part in parts) for k in (0, 2))
-    return (*symbols, *dates, [np.concatenate(f) for f in zip(*(part[4] for part in parts))])
-
-
-def _read_clean_columns(path: Path) -> dict[str, SymbolBars] | None:
-    """The fast path of ``ingest_csv``: None unless every row parses and
-    passes the row-by-row rules, with each symbol's timestamps increasing."""
-    try:
-        parsed = _parse_file(path)
-    except OSError as exc:
-        raise DuotraderError(f"cannot read bar file {path}: {exc}") from exc
-    if parsed is None:
-        return None
-    symbols, symbol_codes, dates, date_codes, (open_, high, low, close, volume) = parsed
+    symbols, codes = _distinct(table["symbol"])
     if any(not s or s != s.strip() or '"' in s for s in symbols):
-        return None
-    try:
-        ordinals = np.array([date.fromisoformat(d.strip()).toordinal() for d in dates])
-    except ValueError:
-        return None
-    days = ordinals[date_codes]
-
+        raise ValueError("a blank, padded or quoted symbol")
+    dates, date_codes = _distinct(table["date"])
+    open_, high, low, close, volume = (table[name] for name in BAR_CSV_HEADER[2:])
+    ordinals = [date.fromisoformat(d.strip()).toordinal() for d in dates]
+    days = np.array(ordinals, dtype=np.int64)[date_codes]
     volume = np.trunc(volume) + 0.0  # int(float(text)), with -0.0 as 0
     # low > 0 and the OHLC ordering make every price positive.
     clean = (
@@ -241,91 +227,104 @@ def _read_clean_columns(path: Path) -> dict[str, SymbolBars] | None:
         & (low <= np.minimum(open_, close)) & (np.maximum(open_, close) <= high)
     )
     if not clean.all():
-        return None
+        raise ValueError("a row to reject")
+    return symbols, codes, days, [open_, high, low, close, volume]
 
-    # Group the rows by symbol, keeping file order within each symbol.
-    order = np.argsort(symbol_codes, kind="stable")
-    grouped_codes, days = symbol_codes[order], days[order]
+
+def _read_lines(text, skip: int) -> _Range:
+    """The row reader: every line of ``text`` after its first ``skip``, from
+    the start, read as one CSV row on its own, with each rejected row named."""
+    text.seek(0)
+    index: dict[str, int] = {}
+    codes, records, lines, diagnostics = [], [], [], []
+    line_count = skip
+    for lineno, line in enumerate(itertools.islice(text, skip, None), start=skip):
+        line_count = lineno + 1
+        row = next(csv.reader((line,)))
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(BAR_CSV_HEADER):
+            diagnostics.append((lineno, "wrong field count"))
+            continue
+        symbol = row[0].strip()
+        try:
+            ts = date.fromisoformat(row[1].strip())
+            close = _parse_price(row[5], None, "close")
+            open_ = _parse_price(row[2], close, "open")
+            high = _parse_price(row[3], close, "high")
+            low = _parse_price(row[4], close, "low")
+            vol_text = row[6].strip()
+            volume = int(float(vol_text)) if vol_text else 0
+        except (ValueError, OverflowError) as exc:
+            diagnostics.append((lineno, str(exc)))
+            continue
+        if not symbol:
+            diagnostics.append((lineno, "empty symbol"))
+            continue
+        if volume < 0 or low > min(open_, close) or max(open_, close) > high:
+            diagnostics.append((lineno, "inconsistent OHLCV fields"))
+            continue
+        codes.append(index.setdefault(symbol, len(index)))
+        records.append((ts.toordinal(), open_, high, low, close, volume))
+        lines.append(lineno)
+    table = np.array(records, dtype=float).reshape(-1, 6)
+    return _Range(
+        list(index), np.array(codes, dtype=np.intp), table[:, 0].astype(np.int64),
+        list(table[:, 1:].T), lines, line_count, diagnostics,
+    )
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The ranges' arrays as one, with no copy of a file read as one range."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _merge(path: Path, parts: list[_Range]) -> IngestResult:
+    """The ranges of one file, in file order, as one ``IngestResult``: the
+    rows grouped by symbol with one stable sort, keeping file order within
+    each symbol, and the timestamp order checked once."""
+    # The first range's codes are the file's; later ranges' symbols are renumbered.
+    index = {symbol: code for code, symbol in enumerate(parts[0].symbols)}
+    codes = _joined([parts[0].codes] + [
+        np.array([index.setdefault(s, len(index)) for s in part.symbols], dtype=np.intp)[part.codes]
+        for part in parts[1:]
+    ])
+    symbols = list(index)
+    first_lines = np.cumsum([1] + [part.line_count for part in parts])
+    diagnostics = [
+        f"{path}:{first + lineno}: {message}"
+        for part, first in zip(parts, first_lines) for lineno, message in part.diagnostics
+    ]
+    order = np.argsort(codes, kind="stable")
+    grouped_codes = codes[order]
+    days = _joined([part.days for part in parts])[order]
     same_symbol = grouped_codes[1:] == grouped_codes[:-1]
-    if np.any(np.diff(days)[same_symbol] <= 0):
-        return None
-    columns = [days, *(c[order] for c in (open_, high, low, close, volume))]
+    late = np.flatnonzero(same_symbol & (np.diff(days) <= 0)) + 1
+    if late.size:
+        at = late[np.argmin(order[late])]  # the first offending row in file order
+        first_rows = np.cumsum([0] + [part.days.size for part in parts])
+        i = np.searchsorted(first_rows, order[at], side="right") - 1
+        lineno = first_lines[i] + parts[i].lines[order[at] - first_rows[i]]
+        raise DataOrderingError(
+            f"{path}:{lineno}: {symbols[grouped_codes[at]]} timestamp "
+            f"{date.fromordinal(days[at])} not after {date.fromordinal(days[at - 1])}"
+        )
+    columns = [days, *(_joined(f)[order] for f in zip(*(part.fields for part in parts)))]
     bounds = np.concatenate([[0], np.flatnonzero(~same_symbol) + 1, [days.size]])
-    return {
+    bars = {
         symbol: SymbolBars(*(c[bounds[code]:bounds[code + 1]] for c in columns))
         for code, symbol in enumerate(symbols)
     }
-
-
-def _read_rows(path: Path) -> IngestResult:
-    """The row-by-row reader of ``ingest_csv``, which also accounts for
-    every rejected row."""
-    rows: dict[str, list[tuple]] = {}
-    rejected = 0
-    diagnostics: list[str] = []
-    handle, reader = _open_bar_csv(path)
-    with handle:
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(BAR_CSV_HEADER):
-                rejected += 1
-                diagnostics.append(f"{path}:{lineno}: wrong field count")
-                continue
-            symbol = row[0].strip()
-            try:
-                ts = date.fromisoformat(row[1].strip())
-                close = _parse_price(row[5], None, "close")
-                open_ = _parse_price(row[2], close, "open")
-                high = _parse_price(row[3], close, "high")
-                low = _parse_price(row[4], close, "low")
-                vol_text = row[6].strip()
-                volume = int(float(vol_text)) if vol_text else 0
-            except (ValueError, OverflowError) as exc:
-                rejected += 1
-                diagnostics.append(f"{path}:{lineno}: {exc}")
-                continue
-            if not symbol:
-                rejected += 1
-                diagnostics.append(f"{path}:{lineno}: empty symbol")
-                continue
-            if volume < 0 or low > min(open_, close) or max(open_, close) > high:
-                rejected += 1
-                diagnostics.append(f"{path}:{lineno}: inconsistent OHLCV fields")
-                continue
-            prior = rows.setdefault(symbol, [])
-            day = ts.toordinal()
-            if prior and day <= prior[-1][0]:
-                raise DataOrderingError(
-                    f"{path}:{lineno}: {symbol} timestamp {ts} not after "
-                    f"{date.fromordinal(prior[-1][0])}"
-                )
-            prior.append((day, open_, high, low, close, volume))
-    columns = {}
-    for symbol, records in rows.items():
-        days, *fields = zip(*records)
-        arrays = [np.array(days, dtype=np.int64)] + [np.array(f, dtype=float) for f in fields]
-        columns[symbol] = SymbolBars(*arrays)
-    return IngestResult(columns, rejected, diagnostics)
+    return IngestResult(bars, len(diagnostics), diagnostics)
 
 
 def ingest_meta_csv(path: str | Path) -> dict[str, InstrumentMeta]:
     """Load instrument metadata (header: symbol,sector,shares_outstanding)."""
     path = Path(path)
-    try:
-        handle = path.open(newline="")
-    except OSError as exc:
-        raise DuotraderError(f"cannot read metadata file {path}: {exc}") from exc
-
+    handle, reader = _open_csv(path, META_CSV_HEADER, "metadata")
     meta: dict[str, InstrumentMeta] = {}
     first_line: dict[str, int] = {}
     with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != META_CSV_HEADER:
-            raise DuotraderError(
-                f"{path}: expected header {','.join(META_CSV_HEADER)}, got {header}"
-            )
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue

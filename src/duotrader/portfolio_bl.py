@@ -74,10 +74,7 @@ class TargetPortfolio:
     weights: dict[str, float]
 
 
-def estimate_covariance(
-    windows: Mapping[str, Sequence[float] | np.ndarray],
-    trading_days: int = TRADING_DAYS,
-) -> np.ndarray:
+def estimate_covariance(windows: Mapping[str, Sequence[float] | np.ndarray]) -> np.ndarray:
     """Annualized sample covariance of aligned per-symbol return windows,
     with a ridge on the diagonal so downstream solves stay well posed."""
     if not windows:
@@ -94,7 +91,7 @@ def estimate_covariance(
     matrix = np.column_stack(arrays)
     centered = matrix - matrix.mean(axis=0)
     cov = centered.T @ centered / (length - 1)
-    cov = 0.5 * (cov + cov.T) * trading_days
+    cov = 0.5 * (cov + cov.T) * TRADING_DAYS
     return cov + COVARIANCE_RIDGE * np.eye(n_assets)
 
 

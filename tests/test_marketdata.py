@@ -1,4 +1,5 @@
 import faulthandler
+import hashlib
 import math
 import os
 from concurrent.futures.process import BrokenProcessPool
@@ -18,6 +19,8 @@ from duotrader.errors import (
 )
 from duotrader import marketdata, workers
 from duotrader.marketdata import (
+    BAR_CSV_HEADER,
+    IngestResult,
     SymbolBars,
     ingest_csv,
     ingest_meta_csv,
@@ -192,6 +195,101 @@ def assert_same_ingest(a, b):
     assert a.diagnostics == b.diagnostics
 
 
+def _parse_float(text: str, default: float | None = None) -> float | None:
+    text = text.strip()
+    if not text:
+        return default
+    return float(text)
+
+
+def _parse_price(text: str, default: float | None, name: str) -> float:
+    """A finite positive price; a blank field gives ``default``."""
+    value = _parse_float(text, default)
+    if value is None or not math.isfinite(value) or value <= 0:
+        raise ValueError(f"invalid {name}")
+    return value
+
+
+def reference_read_rows(path):
+    """The whole-file row reader that ``ingest_csv`` replaced, with its price
+    parser above, as they were but for opening the file: the reference for
+    every outcome. It numbers csv
+    records, not lines, so it reads a quoted field that spans lines as one
+    row (see ``test_quoted_field_spanning_lines``)."""
+    rows: dict[str, list[tuple]] = {}
+    rejected = 0
+    diagnostics: list[str] = []
+    handle, reader = marketdata._open_csv(path, BAR_CSV_HEADER, "bar")
+    with handle:
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(BAR_CSV_HEADER):
+                rejected += 1
+                diagnostics.append(f"{path}:{lineno}: wrong field count")
+                continue
+            symbol = row[0].strip()
+            try:
+                ts = date.fromisoformat(row[1].strip())
+                close = _parse_price(row[5], None, "close")
+                open_ = _parse_price(row[2], close, "open")
+                high = _parse_price(row[3], close, "high")
+                low = _parse_price(row[4], close, "low")
+                vol_text = row[6].strip()
+                volume = int(float(vol_text)) if vol_text else 0
+            except (ValueError, OverflowError) as exc:
+                rejected += 1
+                diagnostics.append(f"{path}:{lineno}: {exc}")
+                continue
+            if not symbol:
+                rejected += 1
+                diagnostics.append(f"{path}:{lineno}: empty symbol")
+                continue
+            if volume < 0 or low > min(open_, close) or max(open_, close) > high:
+                rejected += 1
+                diagnostics.append(f"{path}:{lineno}: inconsistent OHLCV fields")
+                continue
+            prior = rows.setdefault(symbol, [])
+            day = ts.toordinal()
+            if prior and day <= prior[-1][0]:
+                raise DataOrderingError(
+                    f"{path}:{lineno}: {symbol} timestamp {ts} not after "
+                    f"{date.fromordinal(prior[-1][0])}"
+                )
+            prior.append((day, open_, high, low, close, volume))
+    columns = {}
+    for symbol, records in rows.items():
+        days, *fields = zip(*records)
+        arrays = [np.array(days, dtype=np.int64)] + [np.array(f, dtype=float) for f in fields]
+        columns[symbol] = SymbolBars(*arrays)
+    return IngestResult(columns, rejected, diagnostics)
+
+
+@pytest.fixture
+def row_reads(monkeypatch, tmp_path):
+    """Spy on the row reader: returns a function that takes the text of
+    every range read row by row so far, in worker processes too, as bytes."""
+    log = tmp_path / "row-reads"
+    log.mkdir()
+    read_lines = marketdata._read_lines
+
+    def spy(text, skip):
+        text.buffer.seek(0)
+        data = text.buffer.read()
+        (log / hashlib.sha256(data).hexdigest()).write_bytes(data)
+        return read_lines(text, skip)
+
+    def take():
+        paths = list(log.iterdir())
+        reads = sorted(p.read_bytes() for p in paths)
+        for p in paths:
+            p.unlink()
+        return reads
+
+    monkeypatch.setattr(marketdata, "_read_lines", spy)
+    return take
+
+
 GOOD_ROWS = [
     "CVX,2020-01-02,110.0,111.5,109.0,111.0,2000",
     "CVX,2020-01-03,111.0,112.0,110.5,111.25,2500.7",
@@ -223,70 +321,92 @@ def assert_same_outcome(a, b):
 
 
 XOM_ROW = "XOM,2020-01-02,70.0,71.0,69.5,70.5,100"
+XOM_LATER = XOM_ROW.replace("-02,", "-06,")
 
 
 class TestFastPathParity:
-    """``ingest_csv`` reads a file with numpy's C parser and falls back to
-    the row-by-row reader unless the file is provably clean; either way the
-    outcome equals the row-by-row reader's."""
+    """``ingest_csv`` reads a file with numpy's C parser and reads it row by
+    row only if it cannot show it to be clean; either way the outcome equals
+    the reference row reader's."""
 
     @pytest.mark.parametrize(
-        "rows, newline, expect_fast",
+        "rows, newline, row_read",
         [
-            pytest.param([XOM_ROW.replace("XOM", LONG_SYMBOL)], "\n", True, id="long-symbol"),
-            pytest.param([XOM_ROW.replace("XOM", '"XOM"')], "\n", False, id="quoted-symbol"),
-            pytest.param([XOM_ROW.replace("XOM", " XOM ")], "\n", False, id="padded-symbol"),
-            pytest.param(["XOM,2020-01-02,,,,70.5,"], "\n", False, id="blank-optionals"),
-            pytest.param([XOM_ROW.replace("2020-01-02", "")], "\n", False, id="blank-date"),
-            pytest.param([XOM_ROW.replace("2020-01-02", "NaT")], "\n", False, id="nat-date"),
+            pytest.param([XOM_ROW.replace("XOM", LONG_SYMBOL)], "\n", False, id="long-symbol"),
+            pytest.param([XOM_ROW.replace("XOM", '"XOM"')], "\n", True, id="quoted-symbol"),
+            pytest.param([XOM_ROW.replace("XOM", " XOM ")], "\n", True, id="padded-symbol"),
+            pytest.param(["XOM,2020-01-02,,,,70.5,"], "\n", True, id="blank-optionals"),
+            pytest.param([XOM_ROW.replace("2020-01-02", "")], "\n", True, id="blank-date"),
+            pytest.param([XOM_ROW.replace("2020-01-02", "NaT")], "\n", True, id="nat-date"),
             pytest.param(
                 [XOM_ROW.replace("2020-01-02", "20150102")], "\n",
-                _iso_date_accepted("20150102"), id="basic-format-date",
+                not _iso_date_accepted("20150102"), id="basic-format-date",
             ),
-            pytest.param([XOM_ROW.replace("2020-01-02", "2015-01")], "\n", False,
+            pytest.param([XOM_ROW.replace("2020-01-02", "2015-01")], "\n", True,
                          id="year-month-date"),
-            pytest.param([XOM_ROW], "\r\n", True, id="crlf"),
-            pytest.param(
-                [XOM_ROW.replace("-02,", "-06,"), XOM_ROW], "\n", False,
-                id="out-of-order",
-            ),
-            pytest.param([XOM_ROW.replace(",100", ",1e400")], "\n", False,
+            pytest.param([XOM_ROW], "\r\n", False, id="crlf"),
+            pytest.param([XOM_LATER, XOM_ROW], "\n", False, id="out-of-order"),
+            pytest.param([XOM_LATER, "", XOM_ROW], "\r\n", False,
+                         id="blank-line-then-out-of-order"),
+            pytest.param([XOM_ROW.replace(",70.5,", ",abc,"), XOM_LATER, XOM_ROW], "\n", True,
+                         id="rejected-row-then-out-of-order"),
+            pytest.param([XOM_LATER, XOM_ROW, GOOD_ROWS[0]], "\n", False,
+                         id="out-of-order-in-two-symbols"),
+            pytest.param([XOM_ROW.replace(",100", ",1e400")], "\n", True,
                          id="infinite-volume"),
-            pytest.param([XOM_ROW + ",7"], "\n", False, id="extra-field"),
-            pytest.param([XOM_ROW, ""], "\n", True, id="blank-line"),
+            pytest.param([XOM_ROW + ",7"], "\n", True, id="extra-field"),
+            pytest.param([XOM_ROW, ""], "\n", False, id="blank-line"),
         ],
     )
-    def test_hazard(self, tmp_path, rows, newline, expect_fast):
+    def test_hazard(self, tmp_path, row_reads, rows, newline, row_read):
         path = tmp_path / "bars.csv"
         text = HEADER + "".join(r + "\n" for r in GOOD_ROWS + rows)
         path.write_bytes(text.replace("\n", newline).encode())
-        fast = marketdata._read_clean_columns(path)
-        assert (fast is not None) == expect_fast
         outcome = _outcome(ingest_csv, path)
-        assert_same_outcome(outcome, _outcome(marketdata._read_rows, path))
-        if fast is not None:
-            assert_same_ingest(outcome, marketdata.IngestResult(fast))
+        assert row_reads() == ([path.read_bytes()] if row_read else [])
+        assert_same_outcome(outcome, _outcome(reference_read_rows, path))
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     @pytest.mark.parametrize("column", ["open", "low"])
-    def test_non_positive_price_rejected(self, tmp_path, column, value):
+    def test_non_positive_price_rejected(self, tmp_path, row_reads, column, value):
         # The low goes with a non-positive open, so the OHLC order still
         # holds; the open is checked first.
         open_ = value if column == "open" else "70.0"
         path = write_bars(tmp_path, [*GOOD_ROWS, f"XOM,2020-01-02,{open_},71.0,{value},70.5,100"])
-        assert marketdata._read_clean_columns(path) is None
         result = ingest_csv(path)
-        assert_same_ingest(result, marketdata._read_rows(path))
+        assert row_reads() == [path.read_bytes()]
+        assert_same_ingest(result, reference_read_rows(path))
         assert result.rejected_rows == 1
         assert result.diagnostics == [f"{path}:4: invalid {column}"]
 
     def test_out_of_order_error_names_line(self, tmp_path):
-        path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW.replace("-02,", "-06,"), XOM_ROW])
+        path = write_bars(tmp_path, [*GOOD_ROWS, XOM_LATER, XOM_ROW])
         with pytest.raises(DataOrderingError) as error:
             ingest_csv(path)
         assert str(error.value) == f"{path}:5: XOM timestamp 2020-01-02 not after 2020-01-06"
 
-    def test_generated_market_takes_fast_path(self, tmp_path):
+    def test_quoted_field_spanning_lines(self, tmp_path):
+        # One line is one row: lines 3 and 4 are rejected on their own, and
+        # the bad open is named on its own line, 5. The reference reader
+        # reads lines 3-4 as one csv record, keeps it and names line 4.
+        path = write_bars(tmp_path, [
+            GOOD_ROWS[0],
+            'CVX,"2020-01-03',
+            '",111.0,112.0,110.5,111.25,2500',
+            "XOM,2020-01-02,-1,71.0,69.5,70.5,100",
+        ])
+        result = ingest_csv(path)
+        assert result.rejected_rows == 3
+        assert result.diagnostics == [
+            f"{path}:3: wrong field count", f"{path}:4: wrong field count",
+            f"{path}:5: invalid open",
+        ]
+        assert len(result.bars_by_symbol["CVX"]) == 1
+        reference = reference_read_rows(path)
+        assert reference.diagnostics == [f"{path}:4: invalid open"]
+        assert len(reference.bars_by_symbol["CVX"]) == 2
+
+    def test_generated_market_takes_fast_path(self, tmp_path, row_reads):
         rows = []
         generated = {}
         for i, symbol in enumerate(["S02", "S00", "S01"]):
@@ -297,13 +417,15 @@ class TestFastPathParity:
                 for day, o, h, lo, c, v in zip(*(column.tolist() for column in _columns(bars)))
             ]
         path = write_bars(tmp_path, rows)
-        fast = marketdata._read_clean_columns(path)
-        assert fast is not None and list(fast) == ["S02", "S00", "S01"]
+        result = ingest_csv(path)
+        assert row_reads() == []
+        assert list(result.bars_by_symbol) == ["S02", "S00", "S01"]
+        ingested = result.bars_by_symbol
         for symbol, bars in generated.items():
-            assert all(np.array_equal(x, y) for x, y in zip(_columns(fast[symbol]), _columns(bars)))
+            assert all(np.array_equal(x, y) for x, y in zip(_columns(ingested[symbol]), _columns(bars)))
         # Each symbol's columns are slices of one array per field, not copies.
-        assert fast["S02"].close.base is fast["S01"].close.base is not None
-        assert_same_ingest(ingest_csv(path), marketdata._read_rows(path))
+        assert ingested["S02"].close.base is ingested["S01"].close.base is not None
+        assert_same_ingest(result, reference_read_rows(path))
 
     def test_unordered_days_rejected(self):
         # run_backtest takes only SymbolBars, whose construction refuses
@@ -351,20 +473,32 @@ LATE_ROWS = [
     "LATE,2020-03-02,10.0,11.0,9.0,10.5,100",
     "LATE,2020-03-03,10.5,11.0,10.0,10.75,200",
 ]
-# Each case's text, whether the fast path keeps it, and the marker of what
-# the case must put after the last range start (None: nothing).
+OUT_OF_ORDER_ROW = SPLIT_ROWS[-6].replace("1028", "99")  # XOM's day 28 after its day 29
+# Each case's text; the marker of what the case must put after the last
+# range start (None: nothing); and the markers of its dirty rows, each of
+# which sends the range that holds it to the row reader.
 SPLIT_CASES = {
-    "straddling-symbols": (csv_text(SPLIT_ROWS), True, None),
-    "first-in-last-range": (csv_text(SPLIT_ROWS + LATE_ROWS), True, "LATE"),
-    "parse-error-in-last-range": (csv_text(with_field(SPLIT_ROWS, -3, 5, "abc")), False, "abc"),
-    "rejected-row-in-last-range": (csv_text(with_field(SPLIT_ROWS, -3, 3, "9.5")), False, ",9.5,"),
-    "out-of-order-in-last-range": (
-        csv_text(SPLIT_ROWS + [SPLIT_ROWS[-6].replace("1028", "99")]), False, ",99\n",
+    "straddling-symbols": (csv_text(SPLIT_ROWS), None, []),
+    "first-in-last-range": (csv_text(SPLIT_ROWS + LATE_ROWS), "LATE", []),
+    "parse-error-in-last-range": (csv_text(with_field(SPLIT_ROWS, -3, 5, "abc")), "abc", ["abc"]),
+    "rejected-row-in-last-range": (
+        csv_text(with_field(SPLIT_ROWS, -3, 3, "9.5")), ",9.5,", [",9.5,"],
     ),
-    "crlf": (csv_text(SPLIT_ROWS).replace("\n", "\r\n"), True, None),
-    "blank-lines-at-cuts": (csv_text(SPLIT_ROWS, sep="\n\n"), True, None),
-    "no-trailing-newline": (csv_text(SPLIT_ROWS, end=""), True, None),
-    "more-ranges-than-lines": (csv_text(SPLIT_ROWS[:1]), True, None),
+    "out-of-order-in-last-range": (csv_text(SPLIT_ROWS + [OUT_OF_ORDER_ROW]), ",99\n", []),
+    "crlf": (csv_text(SPLIT_ROWS).replace("\n", "\r\n"), None, []),
+    "blank-lines-at-cuts": (csv_text(SPLIT_ROWS, sep="\n\n"), None, []),
+    "blank-lines-then-out-of-order": (
+        csv_text(SPLIT_ROWS + [OUT_OF_ORDER_ROW], sep="\n\n"), ",99\n", [],
+    ),
+    "dirty-range-then-out-of-order": (
+        csv_text(with_field(SPLIT_ROWS, 1, 5, "abc") + [OUT_OF_ORDER_ROW]), ",99\n", ["abc"],
+    ),
+    "dirty-first-range-clean-last-range": (
+        csv_text(with_field(with_field(SPLIT_ROWS, 1, 3, "9.5"), 4, 6, "")), None,
+        [",9.5,", "\nCVX,2020-01-03,50.875,52.125,50.125,51.125,\n"],
+    ),
+    "no-trailing-newline": (csv_text(SPLIT_ROWS, end=""), None, []),
+    "more-ranges-than-lines": (csv_text(SPLIT_ROWS[:1]), None, []),
 }
 
 
@@ -379,6 +513,14 @@ def range_starts(data: bytes, count: int) -> list[int]:
     """Where a split into ``count`` ranges starts each range after the
     first: past the line that holds byte size * k // count."""
     return [(data.find(b"\n", len(data) * k // count) + 1) or len(data) for k in range(1, count)]
+
+
+def dirty_ranges(text: str, count: int, dirt: list[str]) -> list[bytes]:
+    """The ranges of a split into ``count`` that hold a dirty row, sorted."""
+    data = text.encode()
+    cuts = [0, *range_starts(data, count), len(data)]
+    ranges = [data[a:b] for a, b in zip(cuts, cuts[1:])]
+    return sorted(r for r in ranges if any(d.encode() in r for d in dirt))
 
 
 @pytest.fixture
@@ -398,15 +540,17 @@ def pools(monkeypatch):
 class TestSplitIngest:
     """A bar CSV of at least ``INGEST_RANGE_BYTES`` per usable CPU, for two
     or more CPUs, is parsed in forked workers, one byte range of whole lines
-    each; the outcome equals the one-range path's and the row reader's."""
+    each; only a range with a dirty row is read row by row, and the outcome
+    equals the one-range path's and the reference row reader's."""
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_cases_put_their_hazard_at_a_cut(self, cpus):
-        for name, (text, _, marker) in SPLIT_CASES.items():
+        for name, (text, marker, dirt) in SPLIT_CASES.items():
             data = text.encode()
             starts = range_starts(data, cpus)
             if marker is not None:
                 assert data.index(marker.encode()) >= starts[-1], name
+            assert all(data.count(d.encode()) == 1 for d in dirt), name
         straddling = SPLIT_CASES["straddling-symbols"][0].encode()
         assert all(
             s.encode() in straddling[:start] and s.encode() in straddling[start:]
@@ -415,27 +559,30 @@ class TestSplitIngest:
         blank_lines = SPLIT_CASES["blank-lines-at-cuts"][0].encode()
         starts = range_starts(blank_lines, cpus)
         assert any(blank_lines[start:start + 1] == b"\n" for start in starts)
+        # Every range but the first is clean; the first holds both dirty rows.
+        text, _, dirt = SPLIT_CASES["dirty-first-range-clean-last-range"]
+        assert dirty_ranges(text, cpus, dirt) == [text.encode()[:range_starts(text.encode(), cpus)[0]]]
         # A header and one row make fewer non-empty ranges than there are CPUs.
         single = SPLIT_CASES["more-ranges-than-lines"][0].encode()
         assert len(set(range_starts(single, cpus) + [len(single)])) < cpus
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("name", list(SPLIT_CASES))
-    def test_split_matches_one_range_and_rows(self, tmp_path, monkeypatch, pools, name, cpus):
-        text, expect_fast, _ = SPLIT_CASES[name]
+    def test_split_matches_one_range_and_rows(
+        self, tmp_path, monkeypatch, pools, row_reads, name, cpus
+    ):
+        text, _, dirt = SPLIT_CASES[name]
         path = tmp_path / "bars.csv"
         path.write_bytes(text.encode())
         one_range = _outcome(ingest_csv, path)
         assert pools == []
+        assert row_reads() == dirty_ranges(text, 1, dirt)
         split_into_ranges(monkeypatch, cpus)
-        fast = marketdata._read_clean_columns(path)
-        assert (fast is not None) == expect_fast
         outcome = _outcome(ingest_csv, path)
-        assert pools == [cpus, cpus]
+        assert pools == [cpus]
+        assert row_reads() == dirty_ranges(text, cpus, dirt)
         assert_same_outcome(outcome, one_range)
-        assert_same_outcome(outcome, _outcome(marketdata._read_rows, path))
-        if fast is not None:
-            assert_same_ingest(outcome, marketdata.IngestResult(fast))
+        assert_same_outcome(outcome, _outcome(reference_read_rows, path))
 
     def test_file_under_two_ranges_starts_no_pool(self, tmp_path, monkeypatch, pools):
         path = tmp_path / "bars.csv"
@@ -450,17 +597,17 @@ class TestSplitIngest:
 
     def test_dead_ingest_worker_raises(self, tmp_path, monkeypatch):
         test_pid = os.getpid()
-        parse_rows = marketdata._parse_rows
+        read_range = marketdata._read_range
 
         def die_in_worker(*args, **kwargs):
             if os.getpid() != test_pid:
                 os._exit(1)
-            return parse_rows(*args, **kwargs)
+            return read_range(*args, **kwargs)
 
         path = tmp_path / "bars.csv"
         path.write_text(csv_text(SPLIT_ROWS))
         split_into_ranges(monkeypatch, 2)
-        monkeypatch.setattr(marketdata, "_parse_rows", die_in_worker)
+        monkeypatch.setattr(marketdata, "_read_range", die_in_worker)
         # A hang ends the test process with a traceback instead of stalling.
         faulthandler.dump_traceback_later(120, exit=True)
         try:
