@@ -4,8 +4,6 @@ UP = "up"
 DOWN = "down"
 FLAT = "flat"
 
-DIRECTIONS = (UP, DOWN, FLAT)
-
 
 def sign_direction(value: float) -> str:
     """Map a signed forecast to a direction label. Exact zero is flat."""

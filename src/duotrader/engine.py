@@ -23,13 +23,15 @@ symbol out of the universe at a refit keeps its older models. The plan then
 cuts the refits into tasks of one window length, at least one per usable CPU
 and at most ``MODEL_CHUNK`` refits each, and runs them through
 ``workers.fork_map``, in forked worker processes when several CPUs are
-usable. A task fits both models of its refits as one batched call per
-model, then forecasts every rebalance that uses them: the HMM posteriors as
-batched calls over windows of one length, at most ``MODEL_CHUNK`` per call.
-Its inputs are built from the window slices when it runs, and only the fit
-logs and the forecast signals come back, never the models. The parent
-writes them into the plan in refit order, so the plan is the same with any
-number of workers.
+usable. Each refit and each forecast is a job that carries its window, a
+read-only slice of the close column taken when the plan notes it, so the
+model helpers are functions of jobs and the config alone. A task fits both
+models of its refits as one batched call per model, then forecasts every
+rebalance that uses them: the HMM posteriors as batched calls over windows
+of one length, at most ``MODEL_CHUNK`` per call. Each model's forecast is
+already the (direction, size) pair that fusion reads. Only the fit logs and
+the forecasts come back, never the models. The parent writes them into the
+plan in refit order, so the plan is the same with any number of workers.
 
 Phase 2, the book loop, then runs per trading day, in order:
   1. ``_check_gaps``: a held symbol missing more than ``max_gap_bars`` bars
@@ -311,21 +313,21 @@ class _Run:
 class _Step:
     """The plan for one refit or rebalance day: the day and its universe; a
     refit's fit records and fit diagnostics; and, on a rebalance day, each
-    universe symbol's HMM and network forecast: its (direction, size)
-    signal, or the error the forecast ran into. A symbol without a model, or
-    with too short a window, has no forecast."""
+    universe symbol's HMM and network forecast: the model's (direction,
+    size) forecast, the error the forecast ran into, or None without a model
+    or with too short a window."""
 
     day: date
     universe: list[str]
     rebalance: bool
     fits: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    hmm: dict[str, tuple | Exception] = field(default_factory=dict)
-    net: dict[str, tuple | Exception] = field(default_factory=dict)
+    hmm: dict[str, tuple | Exception | None] = field(default_factory=dict)
+    net: dict[str, tuple | Exception | None] = field(default_factory=dict)
 
 
-# One symbol's window on a plan day: (plan step, symbol, window row).
-_Job = tuple[_Step, str, int]
+# One symbol's window on a plan day: (plan step, symbol, read-only closes).
+_Job = tuple[_Step, str, np.ndarray]
 
 
 def run_backtest(
@@ -525,110 +527,102 @@ def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
         if not (refit or rebalance):
             continue
         step = steps[day_index] = _Step(day, universe, rebalance)
-        rows = {s: row for s in universe if (row := int(run.rows[s][day_index])) >= 0}
+        windows = {
+            s: run.closes(s, row) for s in universe if (row := int(run.rows[s][day_index])) >= 0
+        }
         if refit:
-            for symbol, row in rows.items():
+            for symbol, closes in windows.items():
                 latest[symbol] = len(refits)
-                refits.append((step, symbol, row))
+                refits.append((step, symbol, closes))
                 users.append([])
         if rebalance:
-            for symbol, row in rows.items():
+            for symbol, closes in windows.items():
                 if symbol in latest:
-                    users[latest[symbol]].append((step, symbol, row))
+                    users[latest[symbol]].append((step, symbol, closes))
 
     # One task per chunk fits its refits and forecasts every rebalance that
     # uses them; only the fit logs and the forecast pairs come back.
-    chunks = list(_length_chunks(run, refits, workers.usable_cpus()))
+    chunks = list(_length_chunks(refits, workers.usable_cpus()))
     uses = [[use for i in chunk for use in users[i]] for chunk in chunks]
 
     def fit_and_forecast(k: int) -> tuple[list, list]:
         jobs = [refits[i] for i in chunks[k]]
-        hmms, nets = _refit_chunk(run, jobs)
+        hmms, nets = _refit_chunk(run.config, jobs)
         logs = [
             _fit_log(step.day, symbol, hmms[pos], nets[pos])
             for pos, (step, symbol, _) in enumerate(jobs)
         ]
         models = [(hmms[pos], nets[pos]) for pos, i in enumerate(chunks[k]) for _ in users[i]]
-        return logs, _forecast(run, uses[k], models)
+        return logs, _forecast(run.config, uses[k], models)
 
     logs: list[tuple[list[dict], list[str]]] = [([], [])] * len(refits)
     for k, (chunk_logs, signals) in enumerate(workers.fork_map(fit_and_forecast, len(chunks))):
         for i, log in zip(chunks[k], chunk_logs):
             logs[i] = log
-        for (step, symbol, _), (hmm, net) in zip(uses[k], signals):
-            if hmm is not None:
-                step.hmm[symbol] = hmm
-            if net is not None:
-                step.net[symbol] = net
+        for (step, symbol, _), signal in zip(uses[k], signals):
+            step.hmm[symbol], step.net[symbol] = signal
     for (step, _, _), (records, notes) in zip(refits, logs):
         step.fits += records
         step.notes += notes
     return steps
 
 
-def _length_chunks(run: _Run, jobs: list[_Job], parts: int = 1) -> Iterable[list[int]]:
+def _length_chunks(jobs: list[_Job], parts: int = 1) -> Iterable[list[int]]:
     """The job indices grouped by window length (first-seen order), each
     group cut into at least ``parts`` near-equal runs of at most MODEL_CHUNK:
     the inputs of one batched model call each."""
     groups: dict[int, list[int]] = {}
-    for i, (_, symbol, row) in enumerate(jobs):
-        groups.setdefault(run.closes(symbol, row).size, []).append(i)
+    for i, (_, _, closes) in enumerate(jobs):
+        groups.setdefault(closes.size, []).append(i)
     for group in groups.values():
         count = min(len(group), max(parts, -(-len(group) // MODEL_CHUNK)))
         for k in range(count):
             yield group[k * len(group) // count:(k + 1) * len(group) // count]
 
 
-def _batched(batch_call, inputs: dict[int, object], outcomes: dict[int, object]) -> None:
-    """Run one batched model call on ``inputs`` (job -> prepared input) and
-    store each job's outcome: its result, or the error it ran into. An error
-    raised for the whole batch becomes every job's."""
+def _batched(call, prepare, ids: Iterable[int], outcomes: dict[int, object]) -> None:
+    """Prepare each id's input, run one batched model ``call`` on the ids
+    whose input was prepared (ids, inputs), and store each id's outcome: its
+    result, or the error its input or the whole batch ran into."""
+    inputs: dict[int, object] = {}
+    for i in ids:
+        try:
+            inputs[i] = prepare(i)
+        except MODEL_ERRORS as exc:
+            outcomes[i] = exc
     if not inputs:
         return
     try:
-        results = batch_call(list(inputs), list(inputs.values()))
+        results = call(list(inputs), list(inputs.values()))
     except MODEL_ERRORS as exc:
         results = [exc] * len(inputs)
     outcomes.update(zip(inputs, results))
 
 
-def _refit_chunk(run: _Run, jobs: list[_Job]):
+def _refit_chunk(config: RunConfig, jobs: list[_Job]):
     """Fit both models on each job's window, all of one length: one batched
     call per model. Returns each job's HMM outcome and network outcome (a
     model, a (model, loss history) pair, or an error), exactly those of a fit
     on that window alone."""
-    config = run.config
-    symbols = [symbol for _, symbol, _ in jobs]
 
     def fit_hmms(positions, series):
-        seeds = [symbol_seed(config.seed, "hmm", symbols[p]) for p in positions]
+        seeds = [symbol_seed(config.seed, "hmm", jobs[p][1]) for p in positions]
         return regime_hmm.fit_batch(np.stack(series), config.hmm, seeds)
 
     def train_nets(positions, data):
-        seeds = [symbol_seed(config.seed, "mlp", symbols[p]) for p in positions]
+        seeds = [symbol_seed(config.seed, "mlp", jobs[p][1]) for p in positions]
         models = [trend_net.init_model(config.mlp, sd) for sd in seeds]
         return trend_net.train_batch(models, data, config.mlp, seeds)
 
     # The training sets are built after the HMM fit, so that they are not
     # alive during EM.
-    returns: dict[int, object] = {}
-    training: dict[int, object] = {}
     hmms: dict[int, object] = {}
     nets: dict[int, object] = {}
-    for pos, (_, symbol, row) in enumerate(jobs):
-        try:
-            returns[pos] = log_returns(run.closes(symbol, row))
-        except MODEL_ERRORS as exc:
-            hmms[pos] = exc
-    _batched(fit_hmms, returns, hmms)
-    del returns
-    for pos, (_, symbol, row) in enumerate(jobs):
-        try:
-            closes = run.closes(symbol, row)
-            training[pos] = trend_net.build_training_set(closes, config.mlp.input_size)
-        except MODEL_ERRORS as exc:
-            nets[pos] = exc
-    _batched(train_nets, training, nets)
+    _batched(fit_hmms, lambda p: log_returns(jobs[p][2]), range(len(jobs)), hmms)
+    _batched(
+        train_nets, lambda p: trend_net.build_training_set(jobs[p][2], config.mlp.input_size),
+        range(len(jobs)), nets,
+    )
     return hmms, nets
 
 
@@ -651,46 +645,38 @@ def _fit_log(day: date, symbol: str, hmm, net) -> tuple[list[dict], list[str]]:
     return records, notes
 
 
-def _forecast(run: _Run, uses: list[_Job], models: list[tuple[object, object]]) -> list[list]:
+def _forecast(config: RunConfig, uses: list[_Job], models: list[tuple]) -> list[list]:
     """The (HMM signal, network signal) pair of each use, given the (HMM
-    outcome, network outcome) of its refit: each signal a (direction, size)
-    pair, the error its forecast ran into, or None without a model or with
-    too short a window. HMM posteriors come from batched forward passes over
-    windows of one length, network forecasts from one forward pass per use."""
+    outcome, network outcome) of its refit: each signal the model's forecast
+    (fusion's (direction, size) pair), the error its forecast ran into, or
+    None without a model or with too short a window. HMM posteriors come from
+    batched forward passes over windows of one length, network forecasts
+    from one forward pass per use."""
     signals = [[None, None] for _ in uses]
     with_hmm = [
-        i for i, (job, (hmm, _)) in enumerate(zip(uses, models))
-        if isinstance(hmm, regime_hmm.HmmModel) and run.closes(*job[1:]).size >= 2
+        i for i, ((_, _, closes), (hmm, _)) in enumerate(zip(uses, models))
+        if isinstance(hmm, regime_hmm.HmmModel) and closes.size >= 2
     ]
 
     def filter_hmms(ids, series):
         return regime_hmm.forward_posterior([models[i][0] for i in ids], np.stack(series))
 
-    for chunk in _length_chunks(run, [uses[i] for i in with_hmm]):
-        chunk = [with_hmm[c] for c in chunk]
-        returns: dict[int, object] = {}
+    for chunk in _length_chunks([uses[i] for i in with_hmm]):
         posteriors: dict[int, object] = {}
-        for i in chunk:
-            try:
-                returns[i] = log_returns(run.closes(*uses[i][1:]))
-            except MODEL_ERRORS as exc:
-                posteriors[i] = exc
-        _batched(filter_hmms, returns, posteriors)
-        for i in chunk:
+        ids = [with_hmm[c] for c in chunk]
+        _batched(filter_hmms, lambda i: log_returns(uses[i][2]), ids, posteriors)
+        for i in ids:
             posterior = posteriors[i]
             if isinstance(posterior, np.ndarray):
-                forecast = regime_hmm.predict_direction(models[i][0], posterior)
-                posterior = (forecast.direction, forecast.expected_return)
+                posterior = regime_hmm.predict_direction(models[i][0], posterior)
             signals[i][0] = posterior
 
-    diff_window = run.config.mlp.input_size
-    for (_, symbol, row), (_, net), signal in zip(uses, models, signals):
-        closes = run.closes(symbol, row)
-        if not isinstance(net, tuple) or closes.size <= diff_window:
+    n_inputs = config.mlp.input_size
+    for (_, _, closes), (_, net), signal in zip(uses, models, signals):
+        if not isinstance(net, tuple) or closes.size <= n_inputs:
             continue
         try:
-            trend = trend_net.predict_direction(net[0], np.diff(closes)[-diff_window:])
-            signal[1] = (trend.direction, trend.magnitude)
+            signal[1] = trend_net.predict_direction(net[0], np.diff(closes)[-n_inputs:])
         except MODEL_ERRORS as exc:
             signal[1] = exc
     return signals

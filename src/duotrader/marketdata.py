@@ -105,18 +105,23 @@ def _parse_price(text: str, default: float | None, name: str) -> float:
     return value
 
 
+def _cells(line: str) -> list[str] | None:
+    """One physical line read as one CSV row on its own; None if it is blank."""
+    row = next(csv.reader((line,)))
+    return row if any(cell.strip() for cell in row) else None
+
+
 def _open_csv(path: Path, header: list[str], kind: str):
-    """Open a CSV and check its header: the handle, and a csv reader past the header."""
+    """Open a CSV and check its header: the handle, past the header."""
     try:
         handle = path.open(newline="")
     except OSError as exc:
         raise DuotraderError(f"cannot read {kind} file {path}: {exc}") from exc
-    reader = csv.reader(handle)
-    found = next(reader, None)
+    found = next(csv.reader(handle), None)
     if found is None or [h.strip().lower() for h in found] != header:
         handle.close()
         raise DuotraderError(f"{path}: expected header {','.join(header)}, got {found}")
-    return handle, reader
+    return handle
 
 
 def ingest_csv(path: str | Path) -> IngestResult:
@@ -135,8 +140,7 @@ def ingest_csv(path: str | Path) -> IngestResult:
     by symbol and order-checked once (``_merge``).
     """
     path = Path(path)
-    handle, _ = _open_csv(path, BAR_CSV_HEADER, "bar")
-    handle.close()
+    _open_csv(path, BAR_CSV_HEADER, "bar").close()
     try:
         parts = _read_ranges(path)
     except OSError as exc:
@@ -240,8 +244,8 @@ def _read_lines(text, skip: int) -> _Range:
     line_count = skip
     for lineno, line in enumerate(itertools.islice(text, skip, None), start=skip):
         line_count = lineno + 1
-        row = next(csv.reader((line,)))
-        if not row or all(not cell.strip() for cell in row):
+        row = _cells(line)
+        if row is None:
             continue
         if len(row) != len(BAR_CSV_HEADER):
             diagnostics.append((lineno, "wrong field count"))
@@ -319,14 +323,14 @@ def _merge(path: Path, parts: list[_Range]) -> IngestResult:
 
 
 def ingest_meta_csv(path: str | Path) -> dict[str, InstrumentMeta]:
-    """Load instrument metadata (header: symbol,sector,shares_outstanding)."""
+    """Load instrument metadata (header: symbol,sector,shares_outstanding).
+    One line is one row, as in ``ingest_csv``."""
     path = Path(path)
-    handle, reader = _open_csv(path, META_CSV_HEADER, "metadata")
     meta: dict[str, InstrumentMeta] = {}
     first_line: dict[str, int] = {}
-    with handle:
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+    with _open_csv(path, META_CSV_HEADER, "metadata") as handle:
+        for lineno, row in enumerate(map(_cells, handle), start=2):
+            if row is None:
                 continue
             if len(row) != 3:
                 raise DuotraderError(f"{path}:{lineno}: wrong field count")

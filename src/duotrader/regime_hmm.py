@@ -15,7 +15,7 @@ expected return: e = (posterior @ A) @ mean_returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,10 +53,11 @@ class HmmModel:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class DirectionForecast:
-    expected_return: float
+class DirectionForecast(NamedTuple):
+    """The one-step-ahead expected return's sign and value, as fusion reads them."""
+
     direction: str
+    expected_return: float
 
 
 def _as_batch(returns: np.ndarray) -> np.ndarray:
@@ -363,4 +364,4 @@ def predict_direction(model: HmmModel, posterior: np.ndarray) -> DirectionForeca
     """One-step-ahead expected return under the filtered posterior, and its sign."""
     posterior = np.asarray(posterior, dtype=float)
     expected = float((posterior @ model.transition) @ model.mean_returns)
-    return DirectionForecast(expected, sign_direction(expected))
+    return DirectionForecast(sign_direction(expected), expected)

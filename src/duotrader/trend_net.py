@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,11 +60,10 @@ class MlpConfig:
 
 @dataclass
 class MlpModel:
-    """Layer parameters and the number of Adam updates behind them."""
+    """Layer parameters."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    step: int = 0
 
     @property
     def input_size(self) -> int:
@@ -82,9 +81,9 @@ class TrainingSet:
         return self.inputs.shape[0]
 
 
-@dataclass(frozen=True)
-class TrendForecast:
-    predicted_diff: float
+class TrendForecast(NamedTuple):
+    """The predicted close difference's sign and size, as fusion reads them."""
+
     direction: str
     magnitude: float
 
@@ -203,12 +202,10 @@ def train_batch(
     ``data[s]``, with its own shuffle seeded by ``seeds[s]``, and gets
     exactly the model and loss history it gets in a stack of one. The
     training sets must have one length, so that every network takes the same
-    batches. Adam's moments start at zero, so a model passed in with
-    ``step > 0`` (no caller does this) only keeps its weights and adds this
-    call's updates to its count. Returns one entry per network: (trained
-    model, per-epoch mean of the batch MSE losses, each evaluated before its
-    update), or the TrainingDivergedError raised when its loss became
-    non-finite (its step counts this call's updates).
+    batches. Adam's moments start at zero. Returns one entry per network:
+    (trained model, per-epoch mean of the batch MSE losses, each evaluated
+    before its update), or the TrainingDivergedError naming the update at
+    which its loss first became non-finite.
     """
     if not (len(models) == len(data) == len(seeds)):
         raise ParameterError("need one training set and one seed per model")
@@ -229,62 +226,46 @@ def train_batch(
     ms, vs = np.zeros_like(params), np.zeros_like(params)
     scratch = np.empty((2, *params.shape))
     tensors = _unflatten(params, shapes)
-    step = 0
     inputs = np.stack([d.inputs for d in data])
     targets = np.stack([d.targets for d in data])
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    rows = list(range(len(models)))  # networks still training, in stack order
+    picked = np.arange(len(models))[:, None]
     results: list = [None] * len(models)
-    histories: list[list[float]] = [[] for _ in models]
+    epoch_losses = []
+    step = 0
 
-    # Overflow surfaces as a non-finite batch loss, raised as divergence.
+    # A diverged network stays in the stack: its row goes non-finite, which
+    # no other network reads, and overflow is no error (its loss shows it).
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.epochs):
             order = np.stack([rng.permutation(n) for rng in rngs])
             batch_losses = []
             for start in range(0, n, config.batch_size):
                 idx = order[:, start : start + config.batch_size]
-                picked = np.arange(len(rows))[:, None]
                 losses, grad_w, grad_b = _gradients_stack(
                     tensors[:n_layers], tensors[n_layers:],
                     inputs[picked, idx], targets[picked, idx],
                 )
-                grads = np.concatenate([g.reshape(len(rows), -1) for g in grad_w + grad_b], axis=1)
-                diverged = ~np.isfinite(losses)
-                if diverged.any():
-                    keep = np.flatnonzero(~diverged)
-                    for pos in np.flatnonzero(diverged):
-                        results[rows[pos]] = TrainingDivergedError(
-                            f"non-finite loss at step {step + 1}"
-                        )
-                    rows = [rows[pos] for pos in keep]
-                    rngs = [rngs[pos] for pos in keep]
-                    params, ms, vs, grads = params[keep], ms[keep], vs[keep], grads[keep]
-                    scratch = scratch[:, : keep.size]
-                    tensors = _unflatten(params, shapes)
-                    inputs, targets, order = inputs[keep], targets[keep], order[keep]
-                    losses = losses[keep]
-                    batch_losses = [b[keep] for b in batch_losses]
-                    if not rows:
-                        return results
+                grads = np.concatenate([g.reshape(len(models), -1) for g in grad_w + grad_b], axis=1)
                 step += 1
+                for s in np.flatnonzero(~np.isfinite(losses)):
+                    results[s] = results[s] or TrainingDivergedError(
+                        f"non-finite loss at step {step}"
+                    )
                 _adam_update(params, grads, ms, vs, step, config.learning_rate, scratch)
                 batch_losses.append(losses)
             # One row per network, so each mean sums its losses in the
             # same order as a mean over one network's list.
-            for row, mean in zip(rows, np.stack(batch_losses, axis=1).mean(axis=1)):
-                histories[row].append(float(mean))
+            epoch_losses.append(np.stack(batch_losses, axis=1).mean(axis=1))
 
-    for pos, row in enumerate(rows):
-        results[row] = (
-            MlpModel(
-                weights=[t[pos] for t in tensors[:n_layers]],
-                biases=[t[pos] for t in tensors[n_layers:]],
-                step=models[row].step + step,
-            ),
-            histories[row],
+    histories = np.stack(epoch_losses, axis=1)
+    return [
+        result or (
+            MlpModel([t[s] for t in tensors[:n_layers]], [t[s] for t in tensors[n_layers:]]),
+            histories[s].tolist(),
         )
-    return results
+        for s, result in enumerate(results)
+    ]
 
 
 def predict_direction(model: MlpModel, recent_diffs: Sequence[float] | np.ndarray) -> TrendForecast:
@@ -295,7 +276,7 @@ def predict_direction(model: MlpModel, recent_diffs: Sequence[float] | np.ndarra
             f"need exactly {model.input_size} recent close differences"
         )
     pred = forward(model, recent)
-    return TrendForecast(pred, sign_direction(pred), abs(pred))
+    return TrendForecast(sign_direction(pred), abs(pred))
 
 
 def params_to_vector(model: MlpModel) -> np.ndarray:

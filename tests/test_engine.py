@@ -18,7 +18,8 @@ from duotrader.engine import (
     order_fee,
     run_backtest,
 )
-from duotrader.errors import InsufficientDataError, NumericalError, ParameterError
+from duotrader.alpha_fusion import fuse
+from duotrader.errors import InsufficientDataError, InvalidInputError, NumericalError, ParameterError
 from duotrader import regime_hmm, trend_net, workers
 from duotrader.marketdata import InstrumentMeta, log_returns, synth_regime_series
 from duotrader.portfolio_bl import BlConfig
@@ -632,6 +633,107 @@ class TestRefitTasks:
         assert any(note in d for d in runs[2].diagnostics)
         assert runs[2].diagnostics == runs[1].diagnostics
         assert runs[2] == runs[1]
+
+
+PLAN_CONFIG = RunConfig(seed=3, hmm=HmmConfig(n_states=2), mlp=MlpConfig(epochs=2))
+
+
+def plan_job(closes, symbol="S00"):
+    """A plan job as _forecast reads it: no step, a symbol and its closes."""
+    closes = np.array(closes, dtype=float)
+    closes.flags.writeable = False
+    return (None, symbol, closes)
+
+
+class TestPlanHelpers:
+    """The plan's model helpers are functions of jobs and the config."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        """Jobs of three symbols' 100-bar windows and their refit outcomes."""
+        bars_by_symbol, _ = synth_market(n_symbols=3)
+        jobs = [plan_job(bars.close[100:200], s) for s, bars in bars_by_symbol.items()]
+        hmms, nets = eng._refit_chunk(PLAN_CONFIG, jobs)
+        return jobs, [(hmms[i], nets[i]) for i in range(len(jobs))]
+
+    def test_one_close_gives_no_hmm_signal(self, fitted):
+        jobs, models = fitted
+        assert eng._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-1:])], models[:1]) == [[None, None]]
+
+    def test_window_of_input_size_gives_no_network_signal(self, fitted):
+        jobs, models = fitted
+        n_inputs = PLAN_CONFIG.mlp.input_size
+        for size in (2, n_inputs):
+            ((hmm, net),) = eng._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-size:])], models[:1])
+            assert isinstance(hmm, regime_hmm.DirectionForecast) and net is None
+        ((_, net),) = eng._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-n_inputs - 1:])], models[:1])
+        assert isinstance(net, trend_net.TrendForecast)
+
+    def test_failing_forecasts_give_their_errors(self, fitted):
+        # A NaN close fails the HMM's returns and the network's inputs; the
+        # other use in the same batched filter still forecasts.
+        jobs, models = fitted
+        closes = jobs[0][2].copy()
+        closes[-1] = np.nan
+        bad, good = eng._forecast(PLAN_CONFIG, [plan_job(closes), jobs[1]], models[:2])
+        for signal in bad:
+            assert isinstance(signal, InvalidInputError)
+        assert "finite positive closes" in str(bad[0]) and "must be finite" in str(bad[1])
+        assert isinstance(good[0], regime_hmm.DirectionForecast)
+        assert isinstance(good[1], trend_net.TrendForecast)
+
+    def test_forecasts_are_fusions_pairs(self, fitted):
+        # Each signal is what the model's predict_direction returns, and fuse
+        # reads it as it reads the plain (direction, size) tuple.
+        jobs, models = fitted
+        directions = set()
+        signals = eng._forecast(PLAN_CONFIG, jobs, models)
+        for (_, symbol, closes), (hmm, net), (hmm_model, (net_model, _)) in zip(jobs, signals, models):
+            (posterior,) = regime_hmm.forward_posterior([hmm_model], log_returns(closes)[None])
+            assert hmm == regime_hmm.predict_direction(hmm_model, posterior)
+            assert net == trend_net.predict_direction(net_model, np.diff(closes)[-5:])
+            assert tuple(hmm) == (hmm.direction, hmm.expected_return)
+            assert tuple(net) == (net.direction, net.magnitude)
+            insight = fuse(hmm, net, symbol, DAY, 21)
+            assert insight == fuse(tuple(hmm), tuple(net), symbol, DAY, 21)
+            directions.add(insight.direction)
+        assert directions - {"flat"}
+
+    def test_batched_prepare_error_lands_on_its_own_id(self):
+        calls, outcomes = [], {}
+
+        def prepare(i):
+            if i == 1:
+                raise InvalidInputError("bad input")
+            return 10 * i
+
+        def call(ids, inputs):
+            calls.append((ids, inputs))
+            return [x + 1 for x in inputs]
+
+        eng._batched(call, prepare, [0, 1, 2], outcomes)
+        assert calls == [([0, 2], [0, 20])]
+        assert (outcomes[0], outcomes[2], str(outcomes[1])) == (1, 21, "bad input")
+
+    def test_batched_batch_error_lands_on_every_prepared_id(self):
+        error, outcomes = NumericalError("batch failed"), {}
+
+        def prepare(i):
+            if i == 2:
+                raise InsufficientDataError("short window")
+            return i
+
+        def call(ids, inputs):
+            raise error
+
+        eng._batched(call, prepare, [0, 1, 2], outcomes)
+        assert outcomes[0] is error and outcomes[1] is error
+        assert isinstance(outcomes[2], InsufficientDataError)
+
+    def test_batched_makes_no_call_without_inputs(self):
+        outcomes = {}
+        eng._batched(pytest.fail, lambda i: log_returns([1.0]), [0], outcomes)
+        assert isinstance(outcomes[0], InsufficientDataError)
 
 
 class TestDataGap:

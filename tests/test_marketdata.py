@@ -1,3 +1,4 @@
+import csv
 import faulthandler
 import hashlib
 import math
@@ -182,6 +183,25 @@ class TestIngest:
             ingest_meta_csv(path)
 
 
+    def test_meta_line_is_one_row(self, tmp_path):
+        # A quoted field may not carry a row onto the next line: the file is
+        # refused at the line that opens it, as a bar CSV's row would be.
+        path = tmp_path / "meta_q.csv"
+        path.write_text('symbol,sector,shares_outstanding\nXOM,"Ener\ngy",100\nCVX,Energy,abc\n')
+        with pytest.raises(DuotraderError, match=r"meta_q\.csv:2: wrong field count$"):
+            ingest_meta_csv(path)
+
+    def test_meta_lines_counted_past_blank_and_crlf_lines(self, tmp_path):
+        path = tmp_path / "meta.csv"
+        path.write_bytes(b"symbol,sector,shares_outstanding\r\nCVX,Energy,100\r\n\r\n ,\r\nXOM,Energy,x\r\n")
+        with pytest.raises(DuotraderError, match=r"meta\.csv:5: invalid shares_outstanding"):
+            ingest_meta_csv(path)
+        path.write_bytes(b"symbol,sector,shares_outstanding\r\nCVX,Energy,100\r\n\r\nXOM,Oil & Gas,7\r\n")
+        meta = ingest_meta_csv(path)
+        assert [(m.symbol, m.sector, m.shares_outstanding) for m in meta.values()] == [
+            ("CVX", "Energy", 100), ("XOM", "Oil & Gas", 7)
+        ]
+
 def _columns(series: SymbolBars) -> list[np.ndarray]:
     return [series.days, series.open, series.high, series.low, series.close, series.volume]
 
@@ -219,9 +239,8 @@ def reference_read_rows(path):
     rows: dict[str, list[tuple]] = {}
     rejected = 0
     diagnostics: list[str] = []
-    handle, reader = marketdata._open_csv(path, BAR_CSV_HEADER, "bar")
-    with handle:
-        for lineno, row in enumerate(reader, start=2):
+    with marketdata._open_csv(path, BAR_CSV_HEADER, "bar") as handle:
+        for lineno, row in enumerate(csv.reader(handle), start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(BAR_CSV_HEADER):
