@@ -26,12 +26,12 @@ and at most ``MODEL_CHUNK`` refits each, and runs them through
 usable. Each refit and each forecast is a job that carries its window, a
 read-only slice of the close column taken when the plan notes it, so the
 model helpers are functions of jobs and the config alone. A task fits both
-models of its refits as one batched call per model, then forecasts every
-rebalance that uses them: the HMM posteriors as batched calls over windows
-of one length, at most ``MODEL_CHUNK`` per call. Each model's forecast is
-already the (direction, size) pair that fusion reads. Only the fit logs and
-the forecasts come back, never the models. The parent writes them into the
-plan in refit order, so the plan is the same with any number of workers.
+models of its refits, then forecasts every rebalance that uses them, each as
+batched calls per model over windows of one length, at most ``MODEL_CHUNK``
+per call. Each model's forecast is the (direction, size) pair fusion reads.
+Only the fit logs and the forecasts come back, never the models. The parent
+writes them into the plan in refit order, so the plan is the same with any
+number of workers.
 
 Phase 2, the book loop, then runs per trading day, in order:
   1. ``_check_gaps``: a held symbol missing more than ``max_gap_bars`` bars
@@ -313,17 +313,14 @@ class _Run:
 class _Step:
     """The plan for one refit or rebalance day: the day and its universe; a
     refit's fit records and fit diagnostics; and, on a rebalance day, each
-    universe symbol's HMM and network forecast: the model's (direction,
-    size) forecast, the error the forecast ran into, or None without a model
-    or with too short a window."""
+    universe symbol's (HMM signal, network signal) pair from ``_forecast``."""
 
     day: date
     universe: list[str]
     rebalance: bool
     fits: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    hmm: dict[str, tuple | Exception | None] = field(default_factory=dict)
-    net: dict[str, tuple | Exception | None] = field(default_factory=dict)
+    signals: dict[str, list] = field(default_factory=dict)
 
 
 # One symbol's window on a plan day: (plan step, symbol, read-only closes).
@@ -547,12 +544,11 @@ def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
 
     def fit_and_forecast(k: int) -> tuple[list, list]:
         jobs = [refits[i] for i in chunks[k]]
-        hmms, nets = _refit_chunk(run.config, jobs)
+        outcomes = _refit_chunk(run.config, jobs)
         logs = [
-            _fit_log(step.day, symbol, hmms[pos], nets[pos])
-            for pos, (step, symbol, _) in enumerate(jobs)
+            _fit_log(step.day, symbol, *pair) for (step, symbol, _), pair in zip(jobs, outcomes)
         ]
-        models = [(hmms[pos], nets[pos]) for pos, i in enumerate(chunks[k]) for _ in users[i]]
+        models = [outcome for outcome, i in zip(outcomes, chunks[k]) for _ in users[i]]
         return logs, _forecast(run.config, uses[k], models)
 
     logs: list[tuple[list[dict], list[str]]] = [([], [])] * len(refits)
@@ -560,7 +556,7 @@ def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
         for i, log in zip(chunks[k], chunk_logs):
             logs[i] = log
         for (step, symbol, _), signal in zip(uses[k], signals):
-            step.hmm[symbol], step.net[symbol] = signal
+            step.signals[symbol] = signal
     for (step, _, _), (records, notes) in zip(refits, logs):
         step.fits += records
         step.notes += notes
@@ -601,7 +597,7 @@ def _batched(call, prepare, ids: Iterable[int], outcomes: dict[int, object]) -> 
 
 def _refit_chunk(config: RunConfig, jobs: list[_Job]):
     """Fit both models on each job's window, all of one length: one batched
-    call per model. Returns each job's HMM outcome and network outcome (a
+    call per model. Returns each job's (HMM outcome, network outcome) pair (a
     model, a (model, loss history) pair, or an error), exactly those of a fit
     on that window alone."""
 
@@ -623,7 +619,7 @@ def _refit_chunk(config: RunConfig, jobs: list[_Job]):
         train_nets, lambda p: trend_net.build_training_set(jobs[p][2], config.mlp.input_size),
         range(len(jobs)), nets,
     )
-    return hmms, nets
+    return [(hmms[p], nets[p]) for p in range(len(jobs))]
 
 
 def _fit_log(day: date, symbol: str, hmm, net) -> tuple[list[dict], list[str]]:
@@ -649,37 +645,23 @@ def _forecast(config: RunConfig, uses: list[_Job], models: list[tuple]) -> list[
     """The (HMM signal, network signal) pair of each use, given the (HMM
     outcome, network outcome) of its refit: each signal the model's forecast
     (fusion's (direction, size) pair), the error its forecast ran into, or
-    None without a model or with too short a window. HMM posteriors come from
-    batched forward passes over windows of one length, network forecasts
-    from one forward pass per use."""
-    signals = [[None, None] for _ in uses]
-    with_hmm = [
-        i for i, ((_, _, closes), (hmm, _)) in enumerate(zip(uses, models))
-        if isinstance(hmm, regime_hmm.HmmModel) and closes.size >= 2
-    ]
-
-    def filter_hmms(ids, series):
-        return regime_hmm.forward_posterior([models[i][0] for i in ids], np.stack(series))
-
-    for chunk in _length_chunks([uses[i] for i in with_hmm]):
-        posteriors: dict[int, object] = {}
-        ids = [with_hmm[c] for c in chunk]
-        _batched(filter_hmms, lambda i: log_returns(uses[i][2]), ids, posteriors)
-        for i in ids:
-            posterior = posteriors[i]
-            if isinstance(posterior, np.ndarray):
-                posterior = regime_hmm.predict_direction(models[i][0], posterior)
-            signals[i][0] = posterior
-
+    None without a model or with too short a window. Each model forecasts in
+    batched calls over windows of one length, at most MODEL_CHUNK each."""
     n_inputs = config.mlp.input_size
-    for (_, _, closes), (_, net), signal in zip(uses, models, signals):
-        if not isinstance(net, tuple) or closes.size <= n_inputs:
-            continue
-        try:
-            signal[1] = trend_net.predict_direction(net[0], np.diff(closes)[-n_inputs:])
-        except MODEL_ERRORS as exc:
-            signal[1] = exc
-    return signals
+    hmms, nets = {}, {}
+    for chunk in _length_chunks(uses):
+        size = uses[chunk[0]][2].size
+        _batched(
+            lambda ids, series: regime_hmm.forecast([models[i][0] for i in ids], np.stack(series)),
+            lambda i: log_returns(uses[i][2]),
+            [i for i in chunk if size >= 2 and isinstance(models[i][0], regime_hmm.HmmModel)], hmms,
+        )
+        _batched(
+            lambda ids, rows: trend_net.forecast([models[i][1][0] for i in ids], np.stack(rows)),
+            lambda i: np.diff(uses[i][2][-n_inputs - 1:]),
+            [i for i in chunk if size > n_inputs and isinstance(models[i][1], tuple)], nets,
+        )
+    return [[hmms.get(i), nets.get(i)] for i in range(len(uses))]
 
 
 def _generate_insights(run: _Run, step: _Step) -> list[Insight]:
@@ -688,13 +670,11 @@ def _generate_insights(run: _Run, step: _Step) -> list[Insight]:
     forecast failed is flat."""
     day, insights = step.day, []
     for symbol in step.universe:
-        hmm_signal, nn_signal = step.hmm.get(symbol), step.net.get(symbol)
-        if isinstance(hmm_signal, Exception):
-            run.diagnostics.append(f"{day}: {symbol} hmm forecast failed: {hmm_signal}")
-            hmm_signal = None
-        if isinstance(nn_signal, Exception):
-            run.diagnostics.append(f"{day}: {symbol} net forecast failed: {nn_signal}")
-            nn_signal = None
+        signals = step.signals.get(symbol, (None, None))
+        for name, signal in zip(("hmm", "net"), signals):
+            if isinstance(signal, Exception):
+                run.diagnostics.append(f"{day}: {symbol} {name} forecast failed: {signal}")
+        hmm_signal, nn_signal = (None if isinstance(s, Exception) else s for s in signals)
         insight = alpha_fusion.fuse(
             hmm_signal, nn_signal, symbol, day, run.config.engine.rebalance_every,
             run.config.fusion,

@@ -6,7 +6,7 @@ forward-backward pass, run for a bounded number of iterations; the M-step
 updates every live state at once. Every routine works on S series at once,
 with time-major (T, S, K) emission, forward and backward arrays (each step
 reads and writes one contiguous block): ``fit_batch`` fits one model per
-series and ``forward_posterior`` filters each series under its own model.
+series and ``forecast`` filters each series under its own model.
 
 The directional forecast is the sign of the posterior-weighted one-step-ahead
 expected return: e = (posterior @ A) @ mean_returns.
@@ -346,22 +346,22 @@ def _filter(models: Sequence[HmmModel], returns: np.ndarray):
     return alphas.transpose(1, 0, 2), errors
 
 
-def forward_posterior(
+def forecast(
     models: Sequence[HmmModel], returns: np.ndarray
-) -> list[np.ndarray | NumericalError]:
-    """Filtered state distributions P(state_T | returns_1..T) of S series.
+) -> list[DirectionForecast | NumericalError]:
+    """One-step-ahead expected returns of S series, and their signs.
 
     Runs one batched forward pass of the (S, T) returns, row s under
-    ``models[s]``, and returns S entries: each series' (K,) posterior, or
-    the NumericalError it ran into. A posterior is a copy: it keeps no
-    forward array alive.
+    ``models[s]``, then each series' e = (posterior_T @ A) @ mean_returns as
+    stacked matmuls (one BLAS call per series, so a series gets the same bits
+    in any batch). Returns S entries: each series' forecast, or the
+    NumericalError its filter ran into.
     """
     alphas, errors = _filter(models, returns)
-    return [alphas[s, -1].copy() if error is None else error for s, error in enumerate(errors)]
-
-
-def predict_direction(model: HmmModel, posterior: np.ndarray) -> DirectionForecast:
-    """One-step-ahead expected return under the filtered posterior, and its sign."""
-    posterior = np.asarray(posterior, dtype=float)
-    expected = float((posterior @ model.transition) @ model.mean_returns)
-    return DirectionForecast(sign_direction(expected), expected)
+    transitions = np.stack([m.transition for m in models])
+    means = np.stack([m.mean_returns for m in models])[:, :, None]
+    expected = np.matmul(np.matmul(alphas[:, -1, None, :], transitions), means)[:, 0, 0].tolist()
+    return [
+        DirectionForecast(sign_direction(e), e) if error is None else error
+        for e, error in zip(expected, errors)
+    ]

@@ -9,8 +9,8 @@ reconstructible as last close + prediction.
 Everything is implemented directly on numpy arrays: forward, backprop, and
 the Adam recurrence, so gradients can be checked against finite differences.
 Each routine works on a stack of networks with a leading network axis;
-``train_batch`` trains a stack in lock-step and a single network is a stack
-of one.
+``train_batch`` trains a stack in lock-step, ``forecast`` runs each network
+of a stack on its own input row, and a single network is a stack of one.
 """
 
 from __future__ import annotations
@@ -177,19 +177,6 @@ def _unflatten(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-def forward(model: MlpModel, x: Sequence[float] | np.ndarray) -> float:
-    """Scalar prediction for a single input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.input_size,):
-        raise InvalidInputError(f"expected input of shape ({model.input_size},)")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("input must be finite")
-    out, _ = _forward_stack(
-        [w[None] for w in model.weights], [b[None] for b in model.biases], x[None, None, :]
-    )
-    return float(out[0, 0, 0])
-
-
 def train_batch(
     models: Sequence[MlpModel],
     data: Sequence[TrainingSet],
@@ -268,15 +255,28 @@ def train_batch(
     ]
 
 
-def predict_direction(model: MlpModel, recent_diffs: Sequence[float] | np.ndarray) -> TrendForecast:
-    """Forecast the next close difference from the most recent window of diffs."""
-    recent = np.asarray(recent_diffs, dtype=float)
-    if recent.shape != (model.input_size,):
-        raise InsufficientDataError(
-            f"need exactly {model.input_size} recent close differences"
-        )
-    pred = forward(model, recent)
-    return TrendForecast(sign_direction(pred), abs(pred))
+def forecast(
+    models: Sequence[MlpModel], inputs: np.ndarray
+) -> list[TrendForecast | InvalidInputError]:
+    """Forecast the next close difference of S networks, each from its row of
+    the (S, input_size) recent close differences.
+
+    One stacked forward pass in which each network's row is its own batch of
+    one, so a network gets the same bits in any stack. Returns S entries:
+    each network's forecast, or an InvalidInputError for a non-finite row.
+    """
+    x = np.asarray(inputs, dtype=float)
+    if x.shape != (len(models), models[0].input_size):
+        raise InvalidInputError(f"expected inputs of shape ({len(models)}, {models[0].input_size})")
+    finite = np.isfinite(x).all(axis=1)
+    tensors = [np.stack(t) for t in zip(*(m.weights + m.biases for m in models))]
+    n_layers = len(models[0].weights)
+    x = np.where(finite[:, None], x, 0.0)[:, None, :]
+    out, _ = _forward_stack(tensors[:n_layers], tensors[n_layers:], x)
+    return [
+        TrendForecast(sign_direction(p), abs(p)) if ok else InvalidInputError("input must be finite")
+        for p, ok in zip(out[:, 0, 0].tolist(), finite)
+    ]
 
 
 def params_to_vector(model: MlpModel) -> np.ndarray:

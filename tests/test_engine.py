@@ -277,17 +277,15 @@ class TestRunBacktest:
         assert s02 and all(i.direction == "flat" for i in s02)
 
     @pytest.mark.parametrize(
-        "module, name, note",
-        [
-            ("regime_hmm", "forward_posterior", "hmm forecast failed"),
-            ("trend_net", "predict_direction", "net forecast failed"),
-        ],
+        "module, note",
+        [("regime_hmm", "hmm forecast failed"), ("trend_net", "net forecast failed")],
+        ids=["hmm", "net"],
     )
-    def test_forecast_failure_gives_flat_insight(self, monkeypatch, module, name, note):
+    def test_forecast_failure_gives_flat_insight(self, monkeypatch, module, note):
         def broken(*args):
             raise NumericalError("forward recursion collapsed at t=3")
 
-        monkeypatch.setattr(getattr(eng, module), name, broken)
+        monkeypatch.setattr(getattr(eng, module), "forecast", broken)
         bars_by_symbol, meta = synth_market()
         result = small_run(bars_by_symbol, meta)
         assert result.insights
@@ -495,8 +493,10 @@ class TestCadenceAndChurn:
         # The spies count calls in this process only, so the refits stay here.
         monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         _, default = cadence_churn_run()
-        widths = {"fit": [], "filter": []}
-        fit_batch, forward_posterior = regime_hmm.fit_batch, regime_hmm.forward_posterior
+        widths = {"fit": [], "filter": [], "net": []}
+        fit_batch, hmm_forecast, net_forecast = (
+            regime_hmm.fit_batch, regime_hmm.forecast, trend_net.forecast
+        )
 
         def spy_fit(returns, *args):
             widths["fit"].append(len(returns))
@@ -504,14 +504,19 @@ class TestCadenceAndChurn:
 
         def spy_filter(models, returns):
             widths["filter"].append(len(models))
-            return forward_posterior(models, returns)
+            return hmm_forecast(models, returns)
+
+        def spy_net(models, inputs):
+            widths["net"].append(len(models))
+            return net_forecast(models, inputs)
 
         monkeypatch.setattr(eng, "MODEL_CHUNK", 3)
         monkeypatch.setattr(eng.regime_hmm, "fit_batch", spy_fit)
-        monkeypatch.setattr(eng.regime_hmm, "forward_posterior", spy_filter)
+        monkeypatch.setattr(eng.regime_hmm, "forecast", spy_filter)
+        monkeypatch.setattr(eng.trend_net, "forecast", spy_net)
         _, chunked = cadence_churn_run()
         # Each refit day has four windows, so chunks of 3 cut across days.
-        assert max(widths["fit"]) == max(widths["filter"]) == 3
+        assert max(widths["fit"]) == max(widths["filter"]) == max(widths["net"]) == 3
         assert len(widths["fit"]) > len({r["date"] for r in default.fits})
         assert chunked == default
 
@@ -548,16 +553,17 @@ class TestCadenceAndChurn:
 
 
 def record_calls(monkeypatch, log, module, name, fail=False):
-    """Replace module.name with a spy that appends "<name> <pid> <width>" to
-    the file ``log`` (forked workers inherit the spy and append too), then
-    calls the original or, with ``fail``, raises a NumericalError. The width
-    is the length of a batched call's first argument, else 0."""
+    """Replace module.name with a spy that appends "<module>.<name> <pid>
+    <width>" to the file ``log`` (forked workers inherit the spy and append
+    too), then calls the original or, with ``fail``, raises a NumericalError.
+    The width is the length of a batched call's first argument, else 0."""
     real = getattr(module, name)
+    label = f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
 
     def spy(*args):
         width = len(args[0]) if isinstance(args[0], (list, np.ndarray)) else 0
         with log.open("a") as out:
-            out.write(f"{name} {os.getpid()} {width}\n")
+            out.write(f"{label} {os.getpid()} {width}\n")
         if fail:
             raise NumericalError("forward recursion collapsed at t=3")
         return real(*args)
@@ -602,29 +608,25 @@ class TestRefitTasks:
 
     def test_forecasts_run_in_the_workers(self, monkeypatch, tmp_path):
         log = tmp_path / "calls"
-        record_calls(monkeypatch, log, eng.regime_hmm, "forward_posterior")
-        record_calls(monkeypatch, log, eng.trend_net, "predict_direction")
+        record_calls(monkeypatch, log, eng.regime_hmm, "forecast")
+        record_calls(monkeypatch, log, eng.trend_net, "forecast")
         monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         result = small_run(*synth_market())
         assert any(i.direction != "flat" for i in result.insights)
         calls = logged_calls(log)
-        assert {name for name, _, _ in calls} == {"forward_posterior", "predict_direction"}
+        assert {name for name, _, _ in calls} == {"regime_hmm.forecast", "trend_net.forecast"}
         assert os.getpid() not in {pid for _, pid, _ in calls}
 
     @pytest.mark.parametrize(
-        "module, name, note",
-        [
-            ("regime_hmm", "forward_posterior", "hmm forecast failed"),
-            ("trend_net", "predict_direction", "net forecast failed"),
-        ],
+        "module, note",
+        [("regime_hmm", "hmm forecast failed"), ("trend_net", "net forecast failed")],
+        ids=["hmm", "net"],
     )
-    def test_forecast_error_in_a_worker_matches_serial(
-        self, monkeypatch, tmp_path, module, name, note
-    ):
+    def test_forecast_error_in_a_worker_matches_serial(self, monkeypatch, tmp_path, module, note):
         runs = {}
         for cpus in (1, 2):
             log = tmp_path / f"calls-{cpus}"
-            record_calls(monkeypatch, log, getattr(eng, module), name, fail=True)
+            record_calls(monkeypatch, log, getattr(eng, module), "forecast", fail=True)
             monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
             runs[cpus] = small_run(*synth_market())
             pids = {pid for _, pid, _ in logged_calls(log)}
@@ -653,8 +655,7 @@ class TestPlanHelpers:
         """Jobs of three symbols' 100-bar windows and their refit outcomes."""
         bars_by_symbol, _ = synth_market(n_symbols=3)
         jobs = [plan_job(bars.close[100:200], s) for s, bars in bars_by_symbol.items()]
-        hmms, nets = eng._refit_chunk(PLAN_CONFIG, jobs)
-        return jobs, [(hmms[i], nets[i]) for i in range(len(jobs))]
+        return jobs, eng._refit_chunk(PLAN_CONFIG, jobs)
 
     def test_one_close_gives_no_hmm_signal(self, fitted):
         jobs, models = fitted
@@ -683,15 +684,14 @@ class TestPlanHelpers:
         assert isinstance(good[1], trend_net.TrendForecast)
 
     def test_forecasts_are_fusions_pairs(self, fitted):
-        # Each signal is what the model's predict_direction returns, and fuse
-        # reads it as it reads the plain (direction, size) tuple.
+        # Each signal is what the model's forecast returns for that window
+        # alone, and fuse reads it as it reads the plain (direction, size) tuple.
         jobs, models = fitted
         directions = set()
         signals = eng._forecast(PLAN_CONFIG, jobs, models)
         for (_, symbol, closes), (hmm, net), (hmm_model, (net_model, _)) in zip(jobs, signals, models):
-            (posterior,) = regime_hmm.forward_posterior([hmm_model], log_returns(closes)[None])
-            assert hmm == regime_hmm.predict_direction(hmm_model, posterior)
-            assert net == trend_net.predict_direction(net_model, np.diff(closes)[-5:])
+            assert [hmm] == regime_hmm.forecast([hmm_model], log_returns(closes)[None])
+            assert [net] == trend_net.forecast([net_model], np.diff(closes)[None, -5:])
             assert tuple(hmm) == (hmm.direction, hmm.expected_return)
             assert tuple(net) == (net.direction, net.magnitude)
             insight = fuse(hmm, net, symbol, DAY, 21)

@@ -1,8 +1,12 @@
 import math
+from typing import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from duotrader import regime_hmm
+from duotrader.directions import sign_direction
 from duotrader.errors import (
     InsufficientDataError,
     InvalidInputError,
@@ -13,6 +17,7 @@ from duotrader.marketdata import log_returns, synth_regime_series
 from duotrader.regime_hmm import (
     LOG_2PI,
     MIN_SAMPLES_PER_STATE,
+    DirectionForecast,
     HmmConfig,
     HmmModel,
     _backward,
@@ -21,8 +26,7 @@ from duotrader.regime_hmm import (
     _initial_parameters,
     _m_step,
     fit_batch,
-    forward_posterior,
-    predict_direction,
+    forecast,
 )
 
 
@@ -51,9 +55,61 @@ def fit_one(returns, config, seed=0):
 
 
 def posterior_one(model, returns):
-    """forward_posterior of one series under one model: its posterior or error."""
-    (posterior,) = forward_posterior([model], np.asarray(returns, dtype=float)[None])
+    """The filtered posterior of one series under one model, or its error."""
+    (posterior,) = reference_forward_posterior([model], np.asarray(returns, dtype=float)[None])
     return posterior
+
+
+def forecast_from(model, posterior):
+    """forecast's batched expected-return step on a hand-made posterior: the
+    filter is replaced by one whose last step is that posterior."""
+    filtered = np.asarray(posterior, dtype=float)[None, None, :]
+    with mock.patch.object(regime_hmm, "_filter", return_value=(filtered, [None])):
+        (result,) = forecast([model], np.zeros((1, 1)))
+    return result
+
+
+# forward_posterior and predict_direction as they were before forecast
+# replaced them, kept verbatim as the reference.
+
+
+def reference_forward_posterior(
+    models: Sequence[HmmModel], returns: np.ndarray
+) -> list[np.ndarray | NumericalError]:
+    """Filtered state distributions P(state_T | returns_1..T) of S series.
+
+    Runs one batched forward pass of the (S, T) returns, row s under
+    ``models[s]``, and returns S entries: each series' (K,) posterior, or
+    the NumericalError it ran into. A posterior is a copy: it keeps no
+    forward array alive.
+    """
+    alphas, errors = _filter(models, returns)
+    return [alphas[s, -1].copy() if error is None else error for s, error in enumerate(errors)]
+
+
+def reference_predict_direction(model: HmmModel, posterior: np.ndarray) -> DirectionForecast:
+    """One-step-ahead expected return under the filtered posterior, and its sign."""
+    posterior = np.asarray(posterior, dtype=float)
+    expected = float((posterior @ model.transition) @ model.mean_returns)
+    return DirectionForecast(sign_direction(expected), expected)
+
+
+def reference_forecast(models, returns):
+    """The old per-model path: one batched filter, then one predict_direction per series."""
+    return [
+        reference_predict_direction(m, p) if isinstance(p, np.ndarray) else p
+        for m, p in zip(models, reference_forward_posterior(models, returns))
+    ]
+
+
+def assert_same_forecasts(got, want):
+    """Bit-for-bit equal forecasts, and errors of one type and text."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and str(g) == str(w)
+        if isinstance(w, DirectionForecast):
+            assert type(g.expected_return) is float and g.direction == w.direction
+            assert g.expected_return.hex() == w.expected_return.hex()
 
 
 def assert_same_model(got, want):
@@ -495,6 +551,8 @@ class TestFitBatch:
 
 
 class TestForwardPosterior:
+    """The filtered posterior behind forecast, and forecast's errors."""
+
     def test_single_state(self):
         model = build_model([1.0], [[1.0]], [0.0], [1e-4])
         assert posterior_one(model, [0.01, -0.02]) == pytest.approx([1.0])
@@ -537,7 +595,7 @@ class TestForwardPosterior:
     def test_takes_only_a_batch(self):
         model = build_model([1.0], [[1.0]], [0.0], [1e-4])
         with pytest.raises(InvalidInputError):
-            forward_posterior(model, np.zeros(5))
+            forecast([model], np.zeros(5))
 
     def test_empty_sequence(self):
         model = build_model([1.0], [[1.0]], [0.0], [1e-4])
@@ -560,49 +618,52 @@ class TestForwardPosterior:
         )
         collapsing = build_model([1.0, 0.0, 0.0], np.eye(3), [1.0, 0.0, 0.0], [1e-8] * 3)
         broken = {1: nan_variance, 4: collapsing}
-        batch = forward_posterior([broken.get(s, m) for s, m in enumerate(models)], returns)
+        batch = forecast([broken.get(s, m) for s, m in enumerate(models)], returns)
         for s, (got, model, row) in enumerate(zip(batch, models, returns)):
             if s in broken:
-                alone = posterior_one(broken[s], row)
+                (alone,) = forecast([broken[s]], row[None])
                 assert isinstance(alone, NumericalError)
                 assert str(got) == str(alone)
             else:
-                assert np.array_equal(got, posterior_one(model, row))
+                assert got == forecast([model], row[None])[0]
 
     def test_posteriors_own_their_memory(self):
-        # A view of the (S, T, K) forward array would keep all of it alive
-        # for as long as the (K,) posterior is held.
+        # A forecast holds plain floats, so it keeps no forward array alive.
         returns = np.stack([regime_returns(600 + s, 60) for s in range(3)])
         models = [fit_one(r, HmmConfig(n_states=2), s) for s, r in enumerate(returns)]
-        batch = forward_posterior(models, returns)
-        single = posterior_one(models[0], returns[0])
-        for posterior in [*batch, single]:
-            assert posterior.shape == (2,)
-            assert posterior.base is None and posterior.flags.owndata
-        assert np.array_equal(batch[0], single)
+        batch = forecast(models, returns)
+        (single,) = forecast(models[:1], returns[:1])
+        for result in [*batch, single]:
+            assert isinstance(result, DirectionForecast)
+            assert type(result.expected_return) is float
+        assert batch[0] == single
 
     @pytest.mark.parametrize("bad", [0.0, -1e-4, float("nan")])
     def test_non_positive_variance_raises(self, bad):
         model = build_model([0.5, 0.5], np.eye(2), [0.0, 0.01], [1e-4, bad])
         assert isinstance(posterior_one(model, [0.01, -0.02]), NumericalError)
+        (error,) = forecast([model], np.array([[0.01, -0.02]]))
+        assert isinstance(error, NumericalError) and "must be positive" in str(error)
 
 
 class TestPredictDirection:
+    """The expected-return rule of forecast's batched step, on hand-made posteriors."""
+
     def test_identity_transition_up(self):
         model = build_model([1, 0], np.eye(2), [0.01, -0.01], [1e-4, 1e-4])
-        forecast = predict_direction(model, np.array([1.0, 0.0]))
+        forecast = forecast_from(model, np.array([1.0, 0.0]))
         assert forecast.expected_return == pytest.approx(0.01)
         assert forecast.direction == "up"
 
     def test_identity_transition_down(self):
         model = build_model([0, 1], np.eye(2), [0.01, -0.01], [1e-4, 1e-4])
-        forecast = predict_direction(model, np.array([0.0, 1.0]))
+        forecast = forecast_from(model, np.array([0.0, 1.0]))
         assert forecast.expected_return == pytest.approx(-0.01)
         assert forecast.direction == "down"
 
     def test_zero_means_flat(self):
         model = build_model([0.5, 0.5], np.eye(2), [0.0, 0.0], [1e-4, 1e-4])
-        forecast = predict_direction(model, np.array([0.5, 0.5]))
+        forecast = forecast_from(model, np.array([0.5, 0.5]))
         assert forecast.expected_return == 0.0
         assert forecast.direction == "flat"
 
@@ -611,7 +672,7 @@ class TestPredictDirection:
         model = fit_one(rng.normal(0.0005, 0.01, 200), HmmConfig(n_states=3), 5)
         returns = rng.normal(0.0005, 0.01, 40)
         posterior = posterior_one(model, returns)
-        base = predict_direction(model, posterior)
+        base = forecast_from(model, posterior)
 
         perm = np.array([2, 0, 1])
         permuted = HmmModel(
@@ -620,7 +681,7 @@ class TestPredictDirection:
             mean_returns=model.mean_returns[perm],
             variances=model.variances[perm],
         )
-        shuffled = predict_direction(permuted, posterior_one(permuted, returns))
+        shuffled = forecast_from(permuted, posterior_one(permuted, returns))
         assert shuffled.expected_return == pytest.approx(base.expected_return, abs=1e-12)
         assert shuffled.direction == base.direction
 
@@ -628,7 +689,7 @@ class TestPredictDirection:
         rng = np.random.default_rng(37)
         model = fit_one(rng.normal(0.001, 0.01, 150), HmmConfig(n_states=2), 8)
         posterior = posterior_one(model, rng.normal(0, 0.01, 30))
-        base = predict_direction(model, posterior)
+        base = forecast_from(model, posterior)
         for scale in (0.5, 3.0, 100.0):
             scaled = HmmModel(
                 initial_probs=model.initial_probs,
@@ -636,7 +697,43 @@ class TestPredictDirection:
                 mean_returns=model.mean_returns * scale,
                 variances=model.variances,
             )
-            assert predict_direction(scaled, posterior).direction == base.direction
+            assert forecast_from(scaled, posterior).direction == base.direction
+
+
+class TestForecast:
+    """forecast gives each series the bits of the per-model path it replaced:
+    one batched filter, then predict_direction on the series' posterior."""
+
+    @pytest.mark.parametrize("n_states", [1, 2, 3, 5, 9])
+    @pytest.mark.parametrize("n_series", [1, 7, 240])
+    def test_matches_reference_bit_for_bit(self, n_series, n_states):
+        # Below four states OpenBLAS's gemv gave strided operands other bits.
+        rng = np.random.default_rng(2000 * n_series + n_states)
+        obs, means, variances, pi, trans = hazard_batch(rng, n_series, n_states, 60)
+        if n_series >= 4:
+            obs[3, 20] = np.nan
+        models = [build_model(*p) for p in zip(pi, trans, means, variances)]
+        got = forecast(models, obs)
+        assert_same_forecasts(got, reference_forecast(models, obs))
+        if n_series >= 4:
+            # A non-positive variance and a collapse err; a NaN window, which
+            # log_returns never passes on, filters to a NaN (flat) forecast.
+            assert "must be positive" in str(got[1])
+            assert (n_states > 1) == ("collapsed at t=5" in str(got[2]))
+            assert got[3].direction == "flat" and math.isnan(got[3].expected_return)
+
+    @pytest.mark.parametrize("n_states", [2, 5])
+    def test_fitted_models_match_reference(self, n_states):
+        returns = np.stack([regime_returns(700 + s, 120) for s in range(24)])
+        models = fit_batch(returns[:, :100], HmmConfig(n_states=n_states), list(range(24)))
+        assert all(isinstance(m, HmmModel) for m in models)
+        windows = returns[:, -60:]
+        assert_same_forecasts(forecast(models, windows), reference_forecast(models, windows))
+
+    def test_one_model_per_series(self):
+        model = build_model([1.0], [[1.0]], [0.0], [1e-4])
+        with pytest.raises(ParameterError):
+            forecast([model, model], np.zeros((1, 5)))
 
 
 class TestFilteredStates:

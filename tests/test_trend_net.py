@@ -1,8 +1,10 @@
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
 
+from duotrader.directions import sign_direction
 from duotrader.errors import (
     InsufficientDataError,
     InvalidInputError,
@@ -14,15 +16,17 @@ from duotrader.trend_net import (
     ADAM_BETA2,
     ADAM_EPS,
     MlpConfig,
+    MlpModel,
     TrainingSet,
+    TrendForecast,
     _adam_update,
+    _forward_stack,
     _gradients_stack,
     _unflatten,
     build_training_set,
-    forward,
+    forecast,
     init_model,
     params_to_vector,
-    predict_direction,
     train_batch,
 )
 
@@ -83,6 +87,50 @@ def reference_training_set(closes, window=5):
     return TrainingSet(inputs, targets)
 
 
+# forward and predict_direction as they were before forecast replaced them,
+# kept verbatim as the reference.
+
+
+def reference_forward(model: MlpModel, x: Sequence[float] | np.ndarray) -> float:
+    """Scalar prediction for a single input vector."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.input_size,):
+        raise InvalidInputError(f"expected input of shape ({model.input_size},)")
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("input must be finite")
+    out, _ = _forward_stack(
+        [w[None] for w in model.weights], [b[None] for b in model.biases], x[None, None, :]
+    )
+    return float(out[0, 0, 0])
+
+
+def reference_predict_direction(
+    model: MlpModel, recent_diffs: Sequence[float] | np.ndarray
+) -> TrendForecast:
+    """Forecast the next close difference from the most recent window of diffs."""
+    recent = np.asarray(recent_diffs, dtype=float)
+    if recent.shape != (model.input_size,):
+        raise InsufficientDataError(
+            f"need exactly {model.input_size} recent close differences"
+        )
+    pred = reference_forward(model, recent)
+    return TrendForecast(sign_direction(pred), abs(pred))
+
+
+def forecast_one(model, x):
+    """forecast of one network on one input row: its forecast, or its error raised."""
+    (result,) = forecast([model], np.asarray(x, dtype=float)[None])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def predict_one(model, x):
+    """The signed prediction behind forecast_one."""
+    result = forecast_one(model, x)
+    return -result.magnitude if result.direction == "down" else result.magnitude
+
+
 def zero_model(config=None):
     model = init_model(config or MlpConfig(), 0)
     for w in model.weights:
@@ -136,30 +184,32 @@ class TestTrainingSet:
 
 
 class TestForward:
+    """The stacked forward pass behind forecast, one network and one row at a time."""
+
     def test_zero_network(self):
         model = zero_model()
-        assert forward(model, [1.0, -2.0, 3.0, 0.5, 9.0]) == 0.0
+        assert predict_one(model, [1.0, -2.0, 3.0, 0.5, 9.0]) == 0.0
 
     def test_final_bias_passthrough(self):
         model = zero_model()
         model.biases[-1][0] = 3.5
-        assert forward(model, np.zeros(5)) == pytest.approx(3.5)
-        assert forward(model, np.ones(5) * 7) == pytest.approx(3.5)
+        assert predict_one(model, np.zeros(5)) == pytest.approx(3.5)
+        assert predict_one(model, np.ones(5) * 7) == pytest.approx(3.5)
 
     def test_purity(self):
         model = init_model(MlpConfig(), 12)
         x = np.array([0.1, -0.2, 0.3, 0.0, -0.5])
-        assert forward(model, x) == forward(model, x)
+        assert predict_one(model, x) == predict_one(model, x)
 
     def test_nonfinite_input(self):
         model = init_model(MlpConfig(), 1)
         with pytest.raises(InvalidInputError):
-            forward(model, [1.0, np.nan, 0.0, 0.0, 0.0])
+            predict_one(model, [1.0, np.nan, 0.0, 0.0, 0.0])
 
     def test_wrong_shape(self):
         model = init_model(MlpConfig(), 1)
         with pytest.raises(InvalidInputError):
-            forward(model, [1.0, 2.0])
+            predict_one(model, [1.0, 2.0])
 
     def test_relu_zero_region_is_bias_path(self):
         # strongly negative first-layer pre-activations zero out layer 1, so
@@ -174,7 +224,7 @@ class TestForward:
         for i in range(1, len(model.weights)):
             z = a @ model.weights[i] + model.biases[i]
             a = z if i == len(model.weights) - 1 else np.maximum(z, 0.0)
-        assert forward(model, x) == pytest.approx(float(a[0]), abs=1e-12)
+        assert predict_one(model, x) == pytest.approx(float(a[0]), abs=1e-12)
 
 
 class TestGradients:
@@ -360,15 +410,17 @@ class TestTrainBatch:
 
 
 class TestPredictDirection:
+    """forecast's direction and magnitude for one network."""
+
     def test_zero_network_flat(self):
-        forecast = predict_direction(zero_model(), np.ones(5))
+        forecast = forecast_one(zero_model(), np.ones(5))
         assert forecast.direction == "flat"
         assert forecast.magnitude == 0.0
 
     def test_positive_bias_up(self):
         model = zero_model()
         model.biases[-1][0] = 1.0
-        assert predict_direction(model, -np.ones(5) * 50).direction == "up"
+        assert forecast_one(model, -np.ones(5) * 50).direction == "up"
 
     def test_trained_on_rising_series_predicts_up(self):
         # end-to-end oracle: monotone data must produce an up forecast
@@ -376,13 +428,73 @@ class TestPredictDirection:
         data = build_training_set(closes)
         config = MlpConfig()
         trained, _ = train_one(init_model(config, 2), data, config, 2)
-        forecast = predict_direction(trained, np.diff(closes)[-5:])
+        forecast = forecast_one(trained, np.diff(closes)[-5:])
         assert forecast.direction == "up"
         assert forecast.magnitude > 0
 
     def test_wrong_history_length(self):
-        with pytest.raises(InsufficientDataError):
-            predict_direction(zero_model(), np.ones(4))
+        with pytest.raises(InvalidInputError):
+            forecast_one(zero_model(), np.ones(4))
+
+
+class TestForecast:
+    """forecast gives each network the bits of the per-network path it
+    replaced: predict_direction, one forward pass per input row."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        """240 trained networks and each one's latest five close differences."""
+        config = MlpConfig(epochs=2)
+        data = [random_walk_set(900 + s, n_closes=60) for s in range(240)]
+        seeds = list(range(240))
+        models = [init_model(config, sd) for sd in seeds]
+        results = train_batch(models, data, config, seeds)
+        inputs = np.stack([d.targets[-5:] for d in data])
+        return [model for model, _ in results], inputs
+
+    @pytest.mark.parametrize("n_networks", [1, 7, 240])
+    def test_matches_reference_bit_for_bit(self, trained, n_networks):
+        models, inputs = trained
+        models, inputs = models[:n_networks], inputs[:n_networks].copy()
+        if n_networks > 1:
+            inputs[3, 2] = np.nan
+            inputs[-1, 0] = np.inf
+        got = forecast(models, inputs)
+        for s, (result, model, row) in enumerate(zip(got, models, inputs)):
+            if n_networks > 1 and s in (3, n_networks - 1):
+                assert isinstance(result, InvalidInputError)
+                assert str(result) == "input must be finite"
+                with pytest.raises(InvalidInputError, match="input must be finite"):
+                    reference_predict_direction(model, row)
+                continue
+            want = reference_predict_direction(model, row)
+            assert type(result) is TrendForecast and type(result.magnitude) is float
+            assert result.direction == want.direction
+            assert result.magnitude.hex() == want.magnitude.hex()
+
+    def test_one_network_on_many_rows(self, trained):
+        # A model serves every rebalance until its next refit: stacked with
+        # itself, it gives each row the bits it gives that row alone.
+        models, inputs = trained
+        got = forecast([models[0]] * 7, inputs[:7])
+        assert got == [reference_predict_direction(models[0], row) for row in inputs[:7]]
+
+    def test_one_by_one_network(self):
+        # The (1, 1) network of TestAdam: a linear map of one difference.
+        config = MlpConfig(layer_sizes=(1, 1), epochs=1, batch_size=1)
+        models = [init_model(config, seed) for seed in range(3)]
+        inputs = np.array([[0.7], [-2.0], [0.0]])
+        got = forecast(models, inputs)
+        assert got == [reference_predict_direction(m, row) for m, row in zip(models, inputs)]
+        for model, row, result in zip(models, inputs, got):
+            pred = model.weights[0][0, 0] * row[0] + model.biases[0][0]
+            assert result.magnitude == pytest.approx(abs(pred), abs=1e-15)
+
+    def test_input_shape(self):
+        models = [zero_model(), zero_model()]
+        for bad in (np.ones((2, 4)), np.ones((1, 5)), np.ones(5), np.ones((3, 5))):
+            with pytest.raises(InvalidInputError):
+                forecast(models, bad)
 
 
 class TestSerialization:
