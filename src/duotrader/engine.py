@@ -31,29 +31,33 @@ batched calls per model over windows of one length, at most ``MODEL_CHUNK``
 per call. Each model's forecast is the (direction, size) pair fusion reads.
 Only the fit logs and the forecasts come back, never the models. The parent
 writes them into the plan in refit order, so the plan is the same with any
-number of workers.
+number of workers. It then finishes each rebalance: it fuses the forecasts
+into insights (``_generate_insights``) and blends them as views into target
+weights (``_build_targets``), leaving out, with a note, a symbol whose window
+holds a close that log returns refuse. The plan never sees the book.
 
 Phase 2, the book loop, then runs per trading day, in order:
   1. ``_check_gaps``: a held symbol missing more than ``max_gap_bars`` bars
      is liquidated
   2. ``_fill_orders``: fill orders queued on the prior day at today's open
      (sells before buys)
-  3. on a refit day, record the plan's fit records and fit diagnostics
-  4. ``_rebalance``: on a rebalance day, fuse the plan's forecasts into
-     insights (``_generate_insights``), blend views into target weights
-     (``_build_targets``), and queue the orders that move holdings to target
+  3. on a plan day, record the plan's notes (fit, forecast and target)
+  4. ``_rebalance``: queue the orders that move holdings to the plan's
+     target weights, if it has any
   5. ``_check_risk``: run the risk overlays on today's closes; breaches
      queue a liquidation
   6. ``_Run.equity``: append the equity point (cash + positions at last
      known closes)
 
 The book stages read and change one ``_Run`` object and touch only the held
-symbols, the pending orders and, on rebalance days, the universe; both
-liquidation paths go through ``_queue_liquidation``. Orders always fill at
-the NEXT bar's open, so no decision ever uses a price that was not yet
-observable. The run is a pure function of data + config: per-symbol model
-seeds are derived from the run's top-level seed with a stable CRC, and every
-model call gives a series the same bits in any batch.
+symbols, the pending orders and, on rebalance days, the target symbols, so
+the book is a function of the calendar, the open and close columns, the
+plan's weights and the config. Both liquidation paths go through
+``_queue_liquidation``. Orders always fill at the NEXT bar's open, so no
+decision ever uses a price that was not yet observable. The run is a pure
+function of data + config: per-symbol model seeds are derived from the run's
+top-level seed with a stable CRC, and every model call gives a series the
+same bits in any batch.
 """
 
 from __future__ import annotations
@@ -252,17 +256,13 @@ def align_benchmark(benchmark: SymbolBars | None, dates: Sequence[date]) -> dict
 
 @dataclass
 class _Run:
-    """Everything one backtest reads and changes: the market columns, each
-    symbol's first row on or after the start date, the calendar-row table
-    and the current calendar position; the run config and the instrument
-    metadata; the book (cash, integer share positions and the per-position
-    risk states); the pending orders; and the logs that become the
-    BacktestResult."""
+    """Everything the book loop reads and changes: the market columns, the
+    calendar-row table and the current calendar position; the run config;
+    the book (cash, integer share positions and the per-position risk
+    states); the pending orders; and the book's logs."""
 
     series: Mapping[str, SymbolBars]
-    first_row: Mapping[str, int]
     rows: Mapping[str, np.ndarray]  # symbol -> row per calendar position, -1 before its first
-    meta: Mapping[str, InstrumentMeta]
     config: RunConfig
     cash: float
     today: int = 0  # calendar position of the current day
@@ -271,10 +271,7 @@ class _Run:
     pending: list[Order] = field(default_factory=list)
     equity_curve: list[EquityPoint] = field(default_factory=list)
     fills: list[Fill] = field(default_factory=list)
-    insights: list[Insight] = field(default_factory=list)
     risk_events: list[dict] = field(default_factory=list)
-    allocations: list[dict] = field(default_factory=list)
-    fits: list[dict] = field(default_factory=list)
     diagnostics: list[str] = field(default_factory=list)
 
     def row_today(self, symbol: str) -> int | None:
@@ -290,17 +287,6 @@ class _Run:
         row = self.rows[symbol][self.today]
         return None if row < 0 else float(self.series[symbol].close[row])
 
-    def closes(self, symbol: str, row: int) -> np.ndarray:
-        """The symbol's last ``window_bars`` closes up to the row (a
-        read-only slice)."""
-        lo = max(self.first_row[symbol], row + 1 - self.config.engine.window_bars)
-        return self.series[symbol].close[lo:row + 1]
-
-    def window(self, symbol: str) -> np.ndarray | None:
-        """The symbol's window as of today, or None before its first bar."""
-        row = int(self.rows[symbol][self.today])
-        return None if row < 0 else self.closes(symbol, row)
-
     def equity(self) -> float:
         """Cash plus every position marked at its last known close."""
         value = self.cash
@@ -311,16 +297,22 @@ class _Run:
 
 @dataclass
 class _Step:
-    """The plan for one refit or rebalance day: the day and its universe; a
-    refit's fit records and fit diagnostics; and, on a rebalance day, each
-    universe symbol's (HMM signal, network signal) pair from ``_forecast``."""
+    """The plan for one refit or rebalance day: the day, its universe and
+    their windows; a refit's fit records; on a rebalance day, each universe
+    symbol's (HMM signal, network signal) pair from ``_forecast``, the
+    insights, the allocation record and the target weights (None holds the
+    book, {} is all cash); and the day's notes: fits, forecasts, targets."""
 
     day: date
     universe: list[str]
     rebalance: bool
+    windows: dict[str, np.ndarray] = field(default_factory=dict)
     fits: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     signals: dict[str, list] = field(default_factory=dict)
+    insights: list[Insight] = field(default_factory=list)
+    allocation: dict | None = None
+    weights: dict[str, float] | None = None
 
 
 # One symbol's window on a plan day: (plan step, symbol, read-only closes).
@@ -356,31 +348,32 @@ def run_backtest(
         table[table < first_row[symbol]] = -1
         rows[symbol] = table
 
-    run = _Run(bars_by_symbol, first_row, rows, meta, config, config.engine.initial_equity)
+    run = _Run(bars_by_symbol, rows, config, config.engine.initial_equity)
     for s in sorted(bars_by_symbol):
         if s not in meta:
             run.diagnostics.append(f"{s}: no metadata, excluded from universe selection")
-    plan = _plan_signals(run, calendar)
+    plan = _plan_signals(bars_by_symbol, first_row, rows, meta, config, calendar)
     for day_index, day in enumerate(calendar):
         run.today = day_index
         _check_gaps(run, day)
         _fill_orders(run, day)
-        step = plan.pop(day_index, None)
+        step = plan.get(day_index)
         if step is not None:
-            run.fits.extend(step.fits)
             run.diagnostics.extend(step.notes)
-            if step.rebalance:
-                _rebalance(run, step)
+            _rebalance(run, step.weights)
         _check_risk(run, day)
         run.equity_curve.append(EquityPoint(day, run.equity()))
 
+    steps = plan.values()
     report = metrics.compute_report(
         calendar, [p.equity for p in run.equity_curve], run.fills,
         risk_free_rate=config.engine.risk_free_rate, **align_benchmark(benchmark, calendar),
     )
     return BacktestResult(
-        equity_curve=run.equity_curve, fills=run.fills, insights=run.insights,
-        risk_events=run.risk_events, allocations=run.allocations, fits=run.fits,
+        equity_curve=run.equity_curve, fills=run.fills, risk_events=run.risk_events,
+        insights=[insight for step in steps for insight in step.insights],
+        allocations=[step.allocation for step in steps if step.allocation is not None],
+        fits=[record for step in steps for record in step.fits],
         diagnostics=run.diagnostics, report=report, final_cash=run.cash,
         final_positions=dict(run.positions),
     )
@@ -459,24 +452,22 @@ def _fill_orders(run: _Run, day: date) -> None:
     run.pending = still_pending
 
 
-def _rebalance(run: _Run, step: _Step) -> None:
-    """Step 4: insights -> Black-Litterman targets -> the orders that move
-    each holding to its target share count. Replaces pending rebalance
-    orders; a symbol with a pending liquidation is left alone."""
-    insights = _generate_insights(run, step)
-    run.insights.extend(insights)
-    targets = _build_targets(run, step, insights)
-    if targets is None:
+def _rebalance(run: _Run, weights: Mapping[str, float] | None) -> None:
+    """Step 4: queue the orders that move each holding to its target share
+    count, the target weight of today's equity at the last close; None
+    holds the book. Replaces pending rebalance orders; a symbol with a
+    pending liquidation is left alone."""
+    if weights is None:
         return
     run.pending = [o for o in run.pending if o.reason != REASON_REBALANCE]
     equity_now = run.equity()
-    for symbol in sorted(set(targets.weights) | set(run.positions)):
+    for symbol in sorted(set(weights) | set(run.positions)):
         if any(o.symbol == symbol for o in run.pending):
             continue  # pending liquidation wins
         price = run.last_close(symbol)
         if price is None or price <= 0:
             continue
-        goal = int(targets.weights.get(symbol, 0.0) * equity_now // price)
+        goal = int(weights.get(symbol, 0.0) * equity_now // price)
         delta = goal - run.positions.get(symbol, 0)
         if delta > 0:
             run.pending.append(Order(symbol, "buy", delta))
@@ -501,12 +492,15 @@ def _check_risk(run: _Run, day: date) -> None:
             )
 
 
-def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
-    """Phase 1: the universe, every refit and every rebalance forecast of
-    the run, from the data alone. Returns the plan of each refit or
-    rebalance day by its calendar index."""
-    engine = run.config.engine
-    panel = candidate_panel(run.series, run.meta, run.config.universe.liquidity_lookback)
+def _plan_signals(
+    series: Mapping[str, SymbolBars], first_row: Mapping[str, int], rows: Mapping[str, np.ndarray],
+    meta: Mapping[str, InstrumentMeta], config: RunConfig, calendar: list[date],
+) -> dict[int, _Step]:
+    """Phase 1: the universe, every refit, every rebalance's forecasts,
+    insights and target weights of the run, from the data alone. Returns
+    the plan of each refit or rebalance day by its calendar index."""
+    engine = config.engine
+    panel = candidate_panel(series, meta, config.universe.liquidity_lookback)
     steps: dict[int, _Step] = {}
     refits: list[_Job] = []
     users: list[list[_Job]] = []  # per refit, the forecasts made with its models
@@ -515,7 +509,7 @@ def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
     for day_index, day in enumerate(calendar):
         if (day.year, day.month) != month:
             month = (day.year, day.month)
-            universe = select_universe(panel, run.config.universe, day)
+            universe = select_universe(panel, config.universe, day)
         since_warmup = day_index - engine.warmup_bars
         if since_warmup < 0:
             continue
@@ -524,16 +518,17 @@ def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
         if not (refit or rebalance):
             continue
         step = steps[day_index] = _Step(day, universe, rebalance)
-        windows = {
-            s: run.closes(s, row) for s in universe if (row := int(run.rows[s][day_index])) >= 0
-        }
+        for s in universe:
+            if (row := int(rows[s][day_index])) >= 0:
+                lo = max(first_row[s], row + 1 - engine.window_bars)
+                step.windows[s] = series[s].close[lo:row + 1]
         if refit:
-            for symbol, closes in windows.items():
+            for symbol, closes in step.windows.items():
                 latest[symbol] = len(refits)
                 refits.append((step, symbol, closes))
                 users.append([])
         if rebalance:
-            for symbol, closes in windows.items():
+            for symbol, closes in step.windows.items():
                 if symbol in latest:
                     users[latest[symbol]].append((step, symbol, closes))
 
@@ -544,12 +539,12 @@ def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
 
     def fit_and_forecast(k: int) -> tuple[list, list]:
         jobs = [refits[i] for i in chunks[k]]
-        outcomes = _refit_chunk(run.config, jobs)
+        outcomes = _refit_chunk(config, jobs)
         logs = [
             _fit_log(step.day, symbol, *pair) for (step, symbol, _), pair in zip(jobs, outcomes)
         ]
         models = [outcome for outcome, i in zip(outcomes, chunks[k]) for _ in users[i]]
-        return logs, _forecast(run.config, uses[k], models)
+        return logs, _forecast(config, uses[k], models)
 
     logs: list[tuple[list[dict], list[str]]] = [([], [])] * len(refits)
     for k, (chunk_logs, signals) in enumerate(workers.fork_map(fit_and_forecast, len(chunks))):
@@ -560,6 +555,10 @@ def _plan_signals(run: _Run, calendar: list[date]) -> dict[int, _Step]:
     for (step, _, _), (records, notes) in zip(refits, logs):
         step.fits += records
         step.notes += notes
+    for step in steps.values():
+        if step.rebalance:
+            _generate_insights(step, config)
+            _build_targets(step, meta, config.bl)
     return steps
 
 
@@ -664,67 +663,66 @@ def _forecast(config: RunConfig, uses: list[_Job], models: list[tuple]) -> list[
     return [[hmms.get(i), nets.get(i)] for i in range(len(uses))]
 
 
-def _generate_insights(run: _Run, step: _Step) -> list[Insight]:
-    """One fused insight per universe symbol from the plan's forecasts, for
+def _generate_insights(step: _Step, config: RunConfig) -> None:
+    """One fused insight per universe symbol from the step's forecasts, for
     a period of one rebalance interval; a symbol without a model or whose
     forecast failed is flat."""
-    day, insights = step.day, []
+    day = step.day
     for symbol in step.universe:
         signals = step.signals.get(symbol, (None, None))
         for name, signal in zip(("hmm", "net"), signals):
             if isinstance(signal, Exception):
-                run.diagnostics.append(f"{day}: {symbol} {name} forecast failed: {signal}")
+                step.notes.append(f"{day}: {symbol} {name} forecast failed: {signal}")
         hmm_signal, nn_signal = (None if isinstance(s, Exception) else s for s in signals)
         insight = alpha_fusion.fuse(
-            hmm_signal, nn_signal, symbol, day, run.config.engine.rebalance_every,
-            run.config.fusion,
+            hmm_signal, nn_signal, symbol, day, config.engine.rebalance_every, config.fusion
         )
         if insight.diagnostic:
-            run.diagnostics.append(f"{day}: {symbol}: {insight.diagnostic}")
-        insights.append(insight)
-    return insights
+            step.notes.append(f"{day}: {symbol}: {insight.diagnostic}")
+        step.insights.append(insight)
 
 
 def _build_targets(
-    run: _Run, step: _Step, insights: list[Insight]
-) -> portfolio_bl.TargetPortfolio | None:
-    """Estimate the covariance over the universe, blend views, and optimize.
-    Returns None (hold current book) when the universe is empty or data is
-    too thin for a covariance estimate."""
-    bl_config, day, universe = run.config.bl, step.day, step.universe
-    windows = {
-        s: w for s in universe
-        if (w := run.window(s)) is not None and w.size >= 2 and s in run.meta
-    }
-    usable = list(windows)
+    step: _Step, meta: Mapping[str, InstrumentMeta], bl_config: portfolio_bl.BlConfig
+) -> None:
+    """Estimate the covariance over the universe, blend the step's insights
+    as views, and optimize into the step's weights and allocation record. A
+    symbol whose window has a close that log returns refuse is left out.
+    Weights stay None (hold the book) when the data is too thin for a
+    covariance estimate, and are {} (all cash) without usable symbols."""
+    day, returns = step.day, {}
+    for s, window in step.windows.items():
+        if window.size < 2:
+            continue
+        try:
+            returns[s] = log_returns(window)
+        except InvalidInputError as exc:
+            step.notes.append(f"{day}: {s} left out of the allocation: {exc}")
+    usable = list(returns)
     if not usable:
-        if universe:
-            run.diagnostics.append(f"{day}: rebalance skipped, no usable symbols")
-        return portfolio_bl.TargetPortfolio({})  # empty universe -> all cash
+        if step.universe:
+            step.notes.append(f"{day}: rebalance skipped, no usable symbols")
+        step.weights = {}  # nothing to allocate -> all cash
+        return
 
-    lengths = [windows[s].size - 1 for s in usable]
-    depth = min(min(lengths), bl_config.covariance_lookback)
+    depth = min(min(r.size for r in returns.values()), bl_config.covariance_lookback)
     if depth < len(usable) + 2:
-        run.diagnostics.append(
+        step.notes.append(
             f"{day}: rebalance skipped, only {depth} aligned returns for {len(usable)} assets"
         )
-        return None
+        return
 
-    return_windows = {s: log_returns(windows[s])[-depth:] for s in usable}
-    sigma = portfolio_bl.estimate_covariance(return_windows)
-    caps = np.array([run.meta[s].shares_outstanding * run.last_close(s) for s in usable])
+    sigma = portfolio_bl.estimate_covariance({s: r[-depth:] for s, r in returns.items()})
+    caps = np.array([meta[s].shares_outstanding * step.windows[s][-1] for s in usable])
     market_weights = caps / caps.sum()
     pi = portfolio_bl.equilibrium_returns(sigma, market_weights, bl_config.risk_aversion)
-    views = portfolio_bl.build_views(insights, usable, sigma, bl_config)
+    views = portfolio_bl.build_views(step.insights, usable, sigma, bl_config)
     mu = portfolio_bl.posterior_returns(pi, sigma, bl_config.tau, views)
-    targets = portfolio_bl.optimize_weights(mu, sigma, bl_config, usable)
-    run.allocations.append(
-        {
-            "date": day.isoformat(),
-            "symbols": list(usable),
-            "weights": {s: targets.weights[s] for s in usable},
-            "posterior_returns": {s: float(m) for s, m in zip(usable, mu)},
-            "active_views": int(len(views)),
-        }
-    )
-    return targets
+    step.weights = portfolio_bl.optimize_weights(mu, sigma, bl_config, usable).weights
+    step.allocation = {
+        "date": day.isoformat(),
+        "symbols": usable,
+        "weights": dict(step.weights),
+        "posterior_returns": {s: float(m) for s, m in zip(usable, mu)},
+        "active_views": int(len(views)),
+    }

@@ -21,7 +21,7 @@ from duotrader.engine import (
 from duotrader.alpha_fusion import fuse
 from duotrader.errors import InsufficientDataError, InvalidInputError, NumericalError, ParameterError
 from duotrader import regime_hmm, trend_net, workers
-from duotrader.marketdata import InstrumentMeta, log_returns, synth_regime_series
+from duotrader.marketdata import InstrumentMeta, SymbolBars, log_returns, synth_regime_series
 from duotrader.portfolio_bl import BlConfig
 from duotrader.regime_hmm import HmmConfig
 from duotrader.risk_controls import RiskConfig
@@ -349,6 +349,46 @@ class TestRunBacktest:
         in_range = {s: take_rows(bars, slice(40, None)) for s, bars in bars_by_symbol.items()}
         masked = candidate_panel(in_range, meta, 30)
         assert select_universe(masked, config.universe, start) == ["BBB"]
+
+    def test_pinned_diagnostics(self):
+        # No artifact carries the diagnostics, so their order and wording are
+        # pinned here: a note on a symbol without metadata, a dropped buy
+        # (a $200 minimum fee on $1,000), and S02's failed network fits once
+        # its prices jump by 1e160.
+        bars_by_symbol, meta = synth_market(n_symbols=7)
+        bars_by_symbol["S02"] = scale_prices(bars_by_symbol["S02"], 1e160, first=200)
+        del meta["S06"]
+        result = small_run(bars_by_symbol, meta, initial_equity=1000.0, min_fee=200.0)
+        for note in ("S06: no metadata", "buy dropped", "S02 net fit skipped", "S02: missing"):
+            assert any(note in d for d in result.diagnostics)
+        assert jsonl_sha256(result.diagnostics) == (
+            "fdc46aa7966baf771e6fd70fcd93d36deb4aa8cc7445f0a5fbfabc446ec12e57"
+        )
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_close_leaves_symbol_out_of_allocation(self, bad):
+        # Every window that holds S02's bad close at row 100 leaves S02 out
+        # of the allocation with a note; the run goes on and S02 comes back
+        # once the window has moved past that row.
+        bars_by_symbol, meta = synth_market()
+        bars = bars_by_symbol["S02"]
+        close = bars.close.copy()
+        close[100] = bad
+        bars_by_symbol["S02"] = SymbolBars(
+            bars.days, bars.open, bars.high, bars.low, close, bars.volume
+        )
+        result = small_run(bars_by_symbol, meta)
+        assert len(result.equity_curve) == 320 and result.fills
+        note = "S02 left out of the allocation"
+        left_out = {d.split(":")[0] for d in result.diagnostics if note in d}
+        tainted = {day_of(bars, row).isoformat() for row in range(100, 200)}
+        assert left_out
+        for allocation in result.allocations:
+            day = allocation["date"]
+            assert ("S02" in allocation["symbols"]) == (day not in left_out)
+            if day in left_out:
+                assert day in tainted
+        assert any("S02" in a["symbols"] for a in result.allocations)
 
 
 def assert_fits_match_direct(result, bars_by_symbol, seed=3, window_bars=100):
