@@ -37,24 +37,24 @@ weights (``_build_targets``), leaving out, with a note, a symbol whose window
 holds a close that log returns refuse. The plan never sees the book.
 
 Phase 2, the book loop, then runs per trading day, in order:
-  1. ``_check_gaps``: a held symbol missing more than ``max_gap_bars`` bars
-     is liquidated
-  2. ``_fill_orders``: fill orders queued on the prior day at today's open
+  1. ``_fill_orders``: fill orders queued on the prior day at today's open
      (sells before buys)
-  3. on a plan day, record the plan's notes (fit, forecast and target)
-  4. ``_rebalance``: queue the orders that move holdings to the plan's
+  2. on a plan day, record the plan's notes (fit, forecast and target)
+  3. ``_rebalance``: queue the orders that move holdings to the plan's
      target weights, if it has any
-  5. ``_check_risk``: run the risk overlays on today's closes; breaches
-     queue a liquidation
-  6. ``_Run.equity``: append the equity point (cash + positions at last
+  4. ``_check_positions``: at the close, run the risk overlays on each held
+     symbol with a bar today and liquidate one missing more than
+     ``max_gap_bars`` bars
+  5. ``_Run.equity``: append the equity point (cash + positions at last
      known closes)
 
 The book stages read and change one ``_Run`` object and touch only the held
-symbols, the pending orders and, on rebalance days, the target symbols, so
-the book is a function of the calendar, the open and close columns, the
-plan's weights and the config. Both liquidation paths go through
-``_queue_liquidation``. Orders always fill at the NEXT bar's open, so no
-decision ever uses a price that was not yet observable. The run is a pure
+symbols, the pending orders (at most one per symbol) and, on rebalance days,
+the target symbols, so the book is a function of the calendar, the open and
+close columns, the plan's weights and the config. Both liquidation paths go
+through ``_queue_liquidation``. Orders always fill at the NEXT bar's open, so
+no decision ever uses a price that was not yet observable, and every price
+the book reads must be positive and finite. The run is a pure
 function of data + config: per-symbol model seeds are derived from the run's
 top-level seed with a stable CRC, and every model call gives a series the
 same bits in any batch.
@@ -259,7 +259,7 @@ class _Run:
     """Everything the book loop reads and changes: the market columns, the
     calendar-row table and the current calendar position; the run config;
     the book (cash, integer share positions and the per-position risk
-    states); the pending orders; and the book's logs."""
+    states); the pending order of each symbol; and the book's logs."""
 
     series: Mapping[str, SymbolBars]
     rows: Mapping[str, np.ndarray]  # symbol -> row per calendar position, -1 before its first
@@ -268,7 +268,7 @@ class _Run:
     today: int = 0  # calendar position of the current day
     positions: dict[str, int] = field(default_factory=dict)
     risk_states: dict[str, risk_controls.PositionRiskState] = field(default_factory=dict)
-    pending: list[Order] = field(default_factory=list)
+    pending: dict[str, Order] = field(default_factory=dict)
     equity_curve: list[EquityPoint] = field(default_factory=list)
     fills: list[Fill] = field(default_factory=list)
     risk_events: list[dict] = field(default_factory=list)
@@ -283,9 +283,20 @@ class _Run:
             return None
         return int(row)
 
+    def price(self, symbol: str, column: str, row: int) -> float:
+        """The symbol's ``column`` ("open" or "close") price at ``row``."""
+        bars = self.series[symbol]
+        value = float(getattr(bars, column)[row])
+        if not 0.0 < value < np.inf:
+            raise InvalidInputError(
+                f"{date.fromordinal(int(bars.days[row]))}: {symbol} {column}"
+                f" must be a positive price, got {value}"
+            )
+        return value
+
     def last_close(self, symbol: str) -> float | None:
         row = self.rows[symbol][self.today]
-        return None if row < 0 else float(self.series[symbol].close[row])
+        return None if row < 0 else self.price(symbol, "close", int(row))
 
     def equity(self) -> float:
         """Cash plus every position marked at its last known close."""
@@ -355,13 +366,12 @@ def run_backtest(
     plan = _plan_signals(bars_by_symbol, first_row, rows, meta, config, calendar)
     for day_index, day in enumerate(calendar):
         run.today = day_index
-        _check_gaps(run, day)
         _fill_orders(run, day)
         step = plan.get(day_index)
         if step is not None:
             run.diagnostics.extend(step.notes)
             _rebalance(run, step.weights)
-        _check_risk(run, day)
+        _check_positions(run, day)
         run.equity_curve.append(EquityPoint(day, run.equity()))
 
     steps = plan.values()
@@ -382,13 +392,13 @@ def run_backtest(
 def _queue_liquidation(
     run: _Run, day: date, symbol: str, reason: str, close: float, stop_level: float
 ) -> bool:
-    """Replace the symbol's pending orders with a sell of the whole position
+    """Replace the symbol's pending order with a sell of the whole position
     and log the risk event. Does nothing, and returns False, when a
     liquidation of the symbol is already pending."""
-    if any(o.symbol == symbol and o.reason != REASON_REBALANCE for o in run.pending):
+    pending = run.pending.get(symbol)
+    if pending is not None and pending.reason != REASON_REBALANCE:
         return False
-    run.pending = [o for o in run.pending if o.symbol != symbol]
-    run.pending.append(Order(symbol, "sell", run.positions[symbol], reason))
+    run.pending[symbol] = Order(symbol, "sell", run.positions[symbol], reason)
     run.risk_events.append({
         "date": day.isoformat(), "symbol": symbol, "reason": reason,
         "close": close, "stop_level": stop_level,
@@ -396,39 +406,21 @@ def _queue_liquidation(
     return True
 
 
-def _check_gaps(run: _Run, day: date) -> None:
-    """Step 1: count the trading days since each held symbol's last bar; a
-    gap longer than ``max_gap_bars`` queues a liquidation. Fills happen only
-    on days with a bar, so a held symbol was held on every day it missed.
-    A symbol's rows never decrease, so the calendar position of its last
-    bar is where its current row first appears."""
-    for symbol in sorted(run.positions):
-        if run.row_today(symbol) is not None:
-            continue
-        rows = run.rows[symbol]
-        missed = run.today - int(rows.searchsorted(rows[run.today]))
-        if missed > run.config.engine.max_gap_bars and _queue_liquidation(
-            run, day, symbol, REASON_DATA_GAP, run.last_close(symbol), 0.0
-        ):
-            run.diagnostics.append(f"{day}: {symbol} missing {missed} bars, force-liquidating")
-
-
 def _fill_orders(run: _Run, day: date) -> None:
-    """Step 2: fill pending orders at today's open, sells first. An order
+    """Step 1: fill pending orders at today's open, sells first. An order
     for a symbol without a bar today stays pending; a sell is capped at the
     shares held."""
-    still_pending: list[Order] = []
-    for order in sorted(run.pending, key=lambda o: (o.side != "sell", o.symbol)):
+    for order in sorted(run.pending.values(), key=lambda o: (o.side != "sell", o.symbol)):
         row = run.row_today(order.symbol)
         if row is None:
-            still_pending.append(order)
             continue
+        del run.pending[order.symbol]
         held = run.positions.get(order.symbol, 0)
         if order.side == "sell":
             if held <= 0:
                 continue
             order = replace(order, quantity=min(order.quantity, held))
-        price = float(run.series[order.symbol].open[row])
+        price = run.price(order.symbol, "open", row)
         fill, diag = execute(order, price, day, run.config.engine, run.cash)
         if diag:
             run.diagnostics.append(f"{day}: {diag}")
@@ -449,47 +441,53 @@ def _fill_orders(run: _Run, day: date) -> None:
                 run.positions.pop(fill.symbol, None)
                 run.risk_states.pop(fill.symbol, None)
         run.fills.append(fill)
-    run.pending = still_pending
 
 
 def _rebalance(run: _Run, weights: Mapping[str, float] | None) -> None:
-    """Step 4: queue the orders that move each holding to its target share
+    """Step 3: queue the orders that move each holding to its target share
     count, the target weight of today's equity at the last close; None
     holds the book. Replaces pending rebalance orders; a symbol with a
     pending liquidation is left alone."""
     if weights is None:
         return
-    run.pending = [o for o in run.pending if o.reason != REASON_REBALANCE]
+    run.pending = {s: o for s, o in run.pending.items() if o.reason != REASON_REBALANCE}
     equity_now = run.equity()
     for symbol in sorted(set(weights) | set(run.positions)):
-        if any(o.symbol == symbol for o in run.pending):
-            continue  # pending liquidation wins
-        price = run.last_close(symbol)
-        if price is None or price <= 0:
-            continue
+        if symbol in run.pending or (price := run.last_close(symbol)) is None:
+            continue  # a pending liquidation wins; no bar yet, no price
         goal = int(weights.get(symbol, 0.0) * equity_now // price)
         delta = goal - run.positions.get(symbol, 0)
-        if delta > 0:
-            run.pending.append(Order(symbol, "buy", delta))
-        elif delta < 0:
-            run.pending.append(Order(symbol, "sell", -delta))
+        if delta != 0:
+            run.pending[symbol] = Order(symbol, "buy" if delta > 0 else "sell", abs(delta))
 
 
-def _check_risk(run: _Run, day: date) -> None:
-    """Step 5: advance each held position's risk state with today's close;
-    a breach queues a liquidation."""
+def _check_positions(run: _Run, day: date) -> None:
+    """Step 4: at the close, advance each held position with a bar today
+    through the risk overlays, and count the trading days since the last bar
+    of each without one; a breach, or a gap longer than ``max_gap_bars``,
+    queues a liquidation. Fills happen only on days with a bar, so a held
+    symbol was held on every day it missed, and a liquidation for a gap
+    cannot fill before the close. A symbol's rows never decrease, so the
+    calendar position of its last bar is where its current row first
+    appears."""
     for symbol in sorted(run.positions):
         row = run.row_today(symbol)
-        risk_state = run.risk_states.get(symbol)
-        if row is None or risk_state is None:
-            continue
-        close = float(run.series[symbol].close[row])
-        risk_state, decision = risk_controls.update_and_check(risk_state, close, run.config.risk)
-        run.risk_states[symbol] = risk_state
-        if decision.action == risk_controls.LIQUIDATE:
-            _queue_liquidation(
-                run, day, symbol, decision.reason, decision.close, decision.stop_level
+        if row is not None:
+            risk_state, decision = risk_controls.update_and_check(
+                run.risk_states[symbol], run.price(symbol, "close", row), run.config.risk
             )
+            run.risk_states[symbol] = risk_state
+            if decision.action == risk_controls.LIQUIDATE:
+                _queue_liquidation(
+                    run, day, symbol, decision.reason, decision.close, decision.stop_level
+                )
+            continue
+        rows = run.rows[symbol]
+        missed = run.today - int(rows.searchsorted(rows[run.today]))
+        if missed > run.config.engine.max_gap_bars and _queue_liquidation(
+            run, day, symbol, REASON_DATA_GAP, run.last_close(symbol), 0.0
+        ):
+            run.diagnostics.append(f"{day}: {symbol} missing {missed} bars, force-liquidating")
 
 
 def _plan_signals(

@@ -20,6 +20,8 @@ from duotrader.engine import EngineConfig, run_backtest
 from duotrader.marketdata import SymbolBars
 from duotrader.runconfig import RunConfig
 
+from conftest import take_rows
+
 FIRST_DAY = date(2020, 1, 2).toordinal()
 
 
@@ -48,7 +50,7 @@ class Book(NamedTuple):
 books = st.builds(
     Book,
     symbols=st.lists(
-        st.tuples(st.sampled_from([0.0, 0.05, 0.3]), st.sampled_from([-2, -1, 0, 2, 4])),
+        st.tuples(st.sampled_from([0.0, 0.05, 0.3]), st.sampled_from([-6, -2, -1, 0, 2, 4, 6])),
         min_size=2, max_size=6,
     ),
     n_days=st.integers(40, 300),
@@ -161,6 +163,26 @@ def test_book_loop_under_drawn_weights(book):
         assert abs(point.equity - equity) <= 1e-9 * max(1.0, magnitude)
     assert states[-1][0] == result.final_cash
     assert {s: q for s, q in states[-1][1].items() if q} == result.final_positions
+
+
+@BOOK_SETTINGS
+@given(books, st.data())
+def test_truncated_run_is_a_prefix_of_the_full_run(book, data):
+    # No look-ahead: the run on the bars up to a calendar position, with the
+    # plan steps up to it, is the full run up to that day.
+    bars_by_symbol, engine, plan = market(book)
+    full = run_book(bars_by_symbol, engine, plan)
+    cut = data.draw(st.integers(1, len(full.equity_curve) - 1), label="cut")
+    last = full.equity_curve[cut].timestamp
+    truncated = run_book(
+        {s: take_rows(bars, bars.days <= last.toordinal()) for s, bars in bars_by_symbol.items()},
+        engine, {i: step for i, step in plan.items() if i <= cut},
+    )
+    assert truncated.equity_curve == full.equity_curve[:cut + 1]
+    assert truncated.fills == [f for f in full.fills if f.timestamp <= last]
+    assert truncated.risk_events == [
+        e for e in full.risk_events if e["date"] <= last.isoformat()
+    ]
 
 
 @pytest.mark.xfail(

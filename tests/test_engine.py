@@ -2,9 +2,12 @@ import faulthandler
 import hashlib
 import json
 import os
+import random
+import re
 import time
 import zlib
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -21,7 +24,9 @@ from duotrader.engine import (
 from duotrader.alpha_fusion import fuse
 from duotrader.errors import InsufficientDataError, InvalidInputError, NumericalError, ParameterError
 from duotrader import regime_hmm, trend_net, workers
-from duotrader.marketdata import InstrumentMeta, SymbolBars, log_returns, synth_regime_series
+from duotrader.marketdata import (
+    InstrumentMeta, SymbolBars, ingest_csv, log_returns, synth_regime_series,
+)
 from duotrader.portfolio_bl import BlConfig
 from duotrader.regime_hmm import HmmConfig
 from duotrader.risk_controls import RiskConfig
@@ -389,6 +394,92 @@ class TestRunBacktest:
             if day in left_out:
                 assert day in tainted
         assert any("S02" in a["symbols"] for a in result.allocations)
+
+    def test_rebalance_without_usable_symbols_goes_to_cash(self):
+        # Without warm-up, the first rebalance's windows hold one close each.
+        bars_by_symbol, meta = synth_market()
+        result = small_run(bars_by_symbol, meta, warmup_bars=0)
+        assert "2015-01-02: rebalance skipped, no usable symbols" in result.diagnostics
+
+    def test_rebalance_on_too_few_returns_holds_the_book(self):
+        # Windows of at most 4 closes give at most 3 returns, too few for a
+        # covariance over 4 assets, so every rebalance holds the empty book.
+        bars_by_symbol, meta = synth_market()
+        result = small_run(bars_by_symbol, meta, warmup_bars=2, window_bars=4)
+        days = [result.equity_curve[i].timestamp for i in range(2, 320, 21)]
+        assert [d for d in result.diagnostics if "aligned returns" in d] == [
+            f"{day}: rebalance skipped, only {3 if k else 2} aligned returns for 4 assets"
+            for k, day in enumerate(days)
+        ]
+        assert len(days) == 16
+        assert result.fills == []
+        assert {p.equity for p in result.equity_curve} == {100_000.0}
+
+
+class TestUnusablePrice:
+    """A price the book reads for a symbol it holds or trades must be
+    positive and finite; any other ends the run with an error that names the
+    symbol, the column and the day."""
+
+    @pytest.fixture(scope="class")
+    def s02_days(self):
+        """The day of S02's first buy fill (an open the book reads) and of
+        the next rebalance, at whose close S02 is still held."""
+        result = small_run(*synth_market())
+        bought, sold = [f for f in result.fills if f.symbol == "S02"][:2]
+        rebalance = min(
+            day for a in result.allocations
+            if (day := date.fromisoformat(a["date"])) > bought.timestamp
+        )
+        assert (bought.side, sold.side) == ("buy", "sell") and sold.timestamp > rebalance
+        return {"open": bought.timestamp, "close": rebalance}
+
+    @pytest.mark.parametrize("column", ["close", "open"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_price_ends_the_run(self, s02_days, column, bad):
+        bars_by_symbol, meta = synth_market()
+        bars, day = bars_by_symbol["S02"], s02_days[column]
+        prices = getattr(bars, column).copy()
+        prices[bars.days == day.toordinal()] = bad
+        bars_by_symbol["S02"] = replace(bars, **{column: prices})
+        message = f"{day}: S02 {column} must be a positive price, got {bad}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            small_run(bars_by_symbol, meta)
+
+
+class TestBarCsvRowOrder:
+    def test_row_order_leaves_the_run_unchanged(self, tmp_path):
+        # One market written as a bar CSV in four row orders, each symbol's
+        # own rows kept in date order: ingested, each gives the same run.
+        bars_by_symbol, meta = synth_market()
+        rows = {
+            s: [
+                ",".join([s, date.fromordinal(int(d)).isoformat()] + [repr(float(x)) for x in bar])
+                for d, *bar in zip(b.days, b.open, b.high, b.low, b.close, b.volume)
+            ]
+            for s, b in bars_by_symbol.items()
+        }
+        symbols = sorted(rows)
+        symbol_major = [s for s in symbols for _ in rows[s]]
+        orders = {
+            "symbol-major": symbol_major,
+            "date-major": [
+                s for _, s in sorted((d, s) for s, b in bars_by_symbol.items() for d in b.days)
+            ],
+            "reversed-symbol": [s for s in reversed(symbols) for _ in rows[s]],
+            "interleaved": random.Random(5).sample(symbol_major, len(symbol_major)),
+        }
+        results = []
+        for name, order in orders.items():
+            taken = {s: iter(lines) for s, lines in rows.items()}
+            path = tmp_path / f"{name}.csv"
+            path.write_text(
+                "symbol,date,open,high,low,close,volume\n"
+                + "".join(next(taken[s]) + "\n" for s in order)
+            )
+            results.append(small_run(ingest_csv(path).bars_by_symbol, meta))
+        assert results[0].fills
+        assert all(result == results[0] for result in results[1:])
 
 
 def assert_fits_match_direct(result, bars_by_symbol, seed=3, window_bars=100):
@@ -815,6 +906,24 @@ class TestDataGap:
         assert len(gap_events) == 1
         assert len(liquidating) == 1 and "GAP missing 6 bars" in liquidating[0]
         assert len(gap_fills) == 1
+
+    def test_same_day_risk_events_in_symbol_order(self, monkeypatch):
+        # Both symbols are bought at the second open. S1's last bar is the
+        # third, so at the ninth close it has missed 6 > max_gap_bars bars;
+        # at that close S0 falls 10 % from its peak, past its 5 % maximum
+        # drawdown. The close-of-day stage logs both in symbol order.
+        bars_by_symbol = {"S0": make_bars([10.0] * 8 + [9.0] * 4), "S1": make_bars([10.0] * 3)}
+        day = day_of(bars_by_symbol["S0"], 0)
+        step = eng._Step(day, ["S0", "S1"], True, weights={"S0": 0.45, "S1": 0.45})
+        monkeypatch.setattr(eng, "_plan_signals", lambda *args: {0: step})
+        result = run_backtest(bars_by_symbol, {}, RunConfig())
+        assert [(f.symbol, f.side) for f in result.fills] == [
+            ("S0", "buy"), ("S1", "buy"), ("S0", "sell"),
+        ]
+        ninth = day_of(bars_by_symbol["S0"], 8).isoformat()
+        assert [(e["date"], e["symbol"], e["reason"]) for e in result.risk_events] == [
+            (ninth, "S0", "max-drawdown"), (ninth, "S1", "data-gap"),
+        ]
 
 
 class TestBenchmarkAlignment:
