@@ -23,18 +23,18 @@ symbol out of the universe at a refit keeps its older models. The plan then
 cuts the refits into tasks of one window length, at least one per usable CPU
 and at most ``MODEL_CHUNK`` refits each, and runs them through
 ``workers.fork_map``, in forked worker processes when several CPUs are
-usable. Each refit and each forecast is a job that carries its window, a
-read-only slice of the close column taken when the plan notes it, so the
-model helpers are functions of jobs and the config alone. A task fits both
-models of its refits, then forecasts every rebalance that uses them, each as
-batched calls per model over windows of one length, at most ``MODEL_CHUNK``
-per call. Each model's forecast is the (direction, size) pair fusion reads.
-Only the fit logs and the forecasts come back, never the models. The parent
-writes them into the plan in refit order, so the plan is the same with any
-number of workers. It then finishes each rebalance: it fuses the forecasts
-into insights (``_generate_insights``) and blends them as views into target
-weights (``_build_targets``), leaving out, with a note, a symbol whose window
-holds a close that log returns refuse. The plan never sees the book.
+usable. Each refit and each forecast is a job that carries its window:
+read-only slices of the symbol's close column and of its log-return column
+(computed once), so the model helpers are functions of jobs and the config
+alone. A task fits both models of its refits, then forecasts every rebalance
+that uses them, each as batched calls per model over windows of one length,
+at most ``MODEL_CHUNK`` per call. Each model's forecast is the (direction,
+size) pair fusion reads. Only the fit logs and the forecasts come back, never
+the models. The parent writes them into the plan in refit order, so the plan
+is the same with any number of workers. It then finishes each rebalance: it
+fuses the forecasts into insights (``_generate_insights``) and blends them as
+views into target weights (``_build_targets``), leaving out, with a note, a
+symbol whose window has a non-finite return. The plan never sees the book.
 
 Phase 2, the book loop, then runs per trading day, in order:
   1. ``_fill_orders``: fill orders queued on the prior day at today's open
@@ -78,7 +78,7 @@ from .errors import (
     ParameterError,
     TrainingDivergedError,
 )
-from .marketdata import InstrumentMeta, SymbolBars, log_returns
+from .marketdata import InstrumentMeta, SymbolBars
 from .universe import candidate_panel, select_universe
 
 if TYPE_CHECKING:  # runconfig imports this module for EngineConfig
@@ -124,6 +124,8 @@ class EngineConfig:
             raise ParameterError("invalid warmup_bars / window_bars")
         if self.per_share_fee < 0 or self.min_fee < 0:
             raise ParameterError("per_share_fee and min_fee must be non-negative")
+        if self.max_gap_bars < 0:
+            raise ParameterError("max_gap_bars must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -309,15 +311,15 @@ class _Run:
 @dataclass
 class _Step:
     """The plan for one refit or rebalance day: the day, its universe and
-    their windows; a refit's fit records; on a rebalance day, each universe
-    symbol's (HMM signal, network signal) pair from ``_forecast``, the
-    insights, the allocation record and the target weights (None holds the
-    book, {} is all cash); and the day's notes: fits, forecasts, targets."""
+    their (closes, log returns) windows; a refit's fit records; on a
+    rebalance day, each universe symbol's (HMM signal, network signal) pair
+    from ``_forecast``, the insights, the allocation record and the target
+    weights (None holds the book, {} is all cash); and the day's notes."""
 
     day: date
     universe: list[str]
     rebalance: bool
-    windows: dict[str, np.ndarray] = field(default_factory=dict)
+    windows: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
     fits: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     signals: dict[str, list] = field(default_factory=dict)
@@ -326,8 +328,8 @@ class _Step:
     weights: dict[str, float] | None = None
 
 
-# One symbol's window on a plan day: (plan step, symbol, read-only closes).
-_Job = tuple[_Step, str, np.ndarray]
+# One symbol's window on a plan day: (plan step, symbol, closes, log returns).
+_Job = tuple[_Step, str, np.ndarray, np.ndarray]
 
 
 def run_backtest(
@@ -503,6 +505,7 @@ def _plan_signals(
     refits: list[_Job] = []
     users: list[list[_Job]] = []  # per refit, the forecasts made with its models
     latest: dict[str, int] = {}  # symbol -> index of its latest refit
+    columns: dict[str, np.ndarray] = {}  # symbol -> log returns of its whole close column
     month = universe = None
     for day_index, day in enumerate(calendar):
         if (day.year, day.month) != month:
@@ -518,17 +521,21 @@ def _plan_signals(
         step = steps[day_index] = _Step(day, universe, rebalance)
         for s in universe:
             if (row := int(rows[s][day_index])) >= 0:
+                if s not in columns:  # a bad close's returns are non-finite: the users report it
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        columns[s] = np.diff(np.log(series[s].close))
+                    columns[s].flags.writeable = False
                 lo = max(first_row[s], row + 1 - engine.window_bars)
-                step.windows[s] = series[s].close[lo:row + 1]
+                step.windows[s] = (series[s].close[lo:row + 1], columns[s][lo:row])
         if refit:
-            for symbol, closes in step.windows.items():
+            for symbol, window in step.windows.items():
                 latest[symbol] = len(refits)
-                refits.append((step, symbol, closes))
+                refits.append((step, symbol, *window))
                 users.append([])
         if rebalance:
-            for symbol, closes in step.windows.items():
+            for symbol, window in step.windows.items():
                 if symbol in latest:
-                    users[latest[symbol]].append((step, symbol, closes))
+                    users[latest[symbol]].append((step, symbol, *window))
 
     # One task per chunk fits its refits and forecasts every rebalance that
     # uses them; only the fit logs and the forecast pairs come back.
@@ -539,7 +546,7 @@ def _plan_signals(
         jobs = [refits[i] for i in chunks[k]]
         outcomes = _refit_chunk(config, jobs)
         logs = [
-            _fit_log(step.day, symbol, *pair) for (step, symbol, _), pair in zip(jobs, outcomes)
+            _fit_log(step.day, symbol, *pair) for (step, symbol, *_), pair in zip(jobs, outcomes)
         ]
         models = [outcome for outcome, i in zip(outcomes, chunks[k]) for _ in users[i]]
         return logs, _forecast(config, uses[k], models)
@@ -548,9 +555,9 @@ def _plan_signals(
     for k, (chunk_logs, signals) in enumerate(workers.fork_map(fit_and_forecast, len(chunks))):
         for i, log in zip(chunks[k], chunk_logs):
             logs[i] = log
-        for (step, symbol, _), signal in zip(uses[k], signals):
+        for (step, symbol, *_), signal in zip(uses[k], signals):
             step.signals[symbol] = signal
-    for (step, _, _), (records, notes) in zip(refits, logs):
+    for (step, *_), (records, notes) in zip(refits, logs):
         step.fits += records
         step.notes += notes
     for step in steps.values():
@@ -565,7 +572,7 @@ def _length_chunks(jobs: list[_Job], parts: int = 1) -> Iterable[list[int]]:
     group cut into at least ``parts`` near-equal runs of at most MODEL_CHUNK:
     the inputs of one batched model call each."""
     groups: dict[int, list[int]] = {}
-    for i, (_, _, closes) in enumerate(jobs):
+    for i, (_, _, closes, _) in enumerate(jobs):
         groups.setdefault(closes.size, []).append(i)
     for group in groups.values():
         count = min(len(group), max(parts, -(-len(group) // MODEL_CHUNK)))
@@ -573,56 +580,44 @@ def _length_chunks(jobs: list[_Job], parts: int = 1) -> Iterable[list[int]]:
             yield group[k * len(group) // count:(k + 1) * len(group) // count]
 
 
-def _batched(call, prepare, ids: Iterable[int], outcomes: dict[int, object]) -> None:
-    """Prepare each id's input, run one batched model ``call`` on the ids
-    whose input was prepared (ids, inputs), and store each id's outcome: its
-    result, or the error its input or the whole batch ran into."""
-    inputs: dict[int, object] = {}
-    for i in ids:
-        try:
-            inputs[i] = prepare(i)
-        except MODEL_ERRORS as exc:
-            outcomes[i] = exc
-    if not inputs:
+def _batched(call, ids: list[int], outcomes: dict[int, object]) -> None:
+    """Run one batched model ``call`` on the ids (it builds their inputs), if
+    any, and store each id's outcome: its result, or the whole batch's error."""
+    if not ids:
         return
     try:
-        results = call(list(inputs), list(inputs.values()))
+        results = call(ids)
     except MODEL_ERRORS as exc:
-        results = [exc] * len(inputs)
-    outcomes.update(zip(inputs, results))
+        results = [exc] * len(ids)
+    outcomes.update(zip(ids, results))
 
 
 def _refit_chunk(config: RunConfig, jobs: list[_Job]):
     """Fit both models on each job's window, all of one length: one batched
     call per model. Returns each job's (HMM outcome, network outcome) pair (a
     model, a (model, loss history) pair, or an error), exactly those of a fit
-    on that window alone."""
+    on that window alone. The networks' training sets are built after the
+    HMM fit, so that they are not alive during EM."""
 
-    def fit_hmms(positions, series):
+    def fit_hmms(positions):
         seeds = [symbol_seed(config.seed, "hmm", jobs[p][1]) for p in positions]
-        return regime_hmm.fit_batch(np.stack(series), config.hmm, seeds)
+        return regime_hmm.fit_batch(np.stack([jobs[p][3] for p in positions]), config.hmm, seeds)
 
-    def train_nets(positions, data):
+    def train_nets(positions):
+        data = [trend_net.build_training_set(jobs[p][2], config.mlp.input_size) for p in positions]
         seeds = [symbol_seed(config.seed, "mlp", jobs[p][1]) for p in positions]
         models = [trend_net.init_model(config.mlp, sd) for sd in seeds]
         return trend_net.train_batch(models, data, config.mlp, seeds)
 
-    # The training sets are built after the HMM fit, so that they are not
-    # alive during EM.
-    hmms: dict[int, object] = {}
-    nets: dict[int, object] = {}
-    _batched(fit_hmms, lambda p: log_returns(jobs[p][2]), range(len(jobs)), hmms)
-    _batched(
-        train_nets, lambda p: trend_net.build_training_set(jobs[p][2], config.mlp.input_size),
-        range(len(jobs)), nets,
-    )
-    return [(hmms[p], nets[p]) for p in range(len(jobs))]
+    ids, hmms, nets = list(range(len(jobs))), {}, {}
+    _batched(fit_hmms, ids, hmms)
+    _batched(train_nets, ids, nets)
+    return [(hmms[p], nets[p]) for p in ids]
 
 
 def _fit_log(day: date, symbol: str, hmm, net) -> tuple[list[dict], list[str]]:
     """The fit records and fit diagnostics of one symbol's refit."""
-    records, notes = [], []
-    stamp = day.isoformat()
+    records, notes, stamp = [], [], day.isoformat()
     if isinstance(hmm, regime_hmm.HmmModel):
         records.append({
             "date": stamp, "symbol": symbol, "model": "hmm",
@@ -644,20 +639,21 @@ def _forecast(config: RunConfig, uses: list[_Job], models: list[tuple]) -> list[
     (fusion's (direction, size) pair), the error its forecast ran into, or
     None without a model or with too short a window. Each model forecasts in
     batched calls over windows of one length, at most MODEL_CHUNK each."""
-    n_inputs = config.mlp.input_size
-    hmms, nets = {}, {}
+    n_inputs, hmms, nets = config.mlp.input_size, {}, {}
+
+    def hmm_forecast(ids):
+        return regime_hmm.forecast([models[i][0] for i in ids], np.stack([uses[i][3] for i in ids]))
+
+    def net_forecast(ids):
+        closes = np.stack([uses[i][2][-n_inputs - 1:] for i in ids])
+        return trend_net.forecast([models[i][1][0] for i in ids], np.diff(closes, axis=1))
+
     for chunk in _length_chunks(uses):
         size = uses[chunk[0]][2].size
-        _batched(
-            lambda ids, series: regime_hmm.forecast([models[i][0] for i in ids], np.stack(series)),
-            lambda i: log_returns(uses[i][2]),
-            [i for i in chunk if size >= 2 and isinstance(models[i][0], regime_hmm.HmmModel)], hmms,
-        )
-        _batched(
-            lambda ids, rows: trend_net.forecast([models[i][1][0] for i in ids], np.stack(rows)),
-            lambda i: np.diff(uses[i][2][-n_inputs - 1:]),
-            [i for i in chunk if size > n_inputs and isinstance(models[i][1], tuple)], nets,
-        )
+        with_hmm = [i for i in chunk if size >= 2 and isinstance(models[i][0], regime_hmm.HmmModel)]
+        with_net = [i for i in chunk if size > n_inputs and isinstance(models[i][1], tuple)]
+        _batched(hmm_forecast, with_hmm, hmms)
+        _batched(net_forecast, with_net, nets)
     return [[hmms.get(i), nets.get(i)] for i in range(len(uses))]
 
 
@@ -685,17 +681,17 @@ def _build_targets(
 ) -> None:
     """Estimate the covariance over the universe, blend the step's insights
     as views, and optimize into the step's weights and allocation record. A
-    symbol whose window has a close that log returns refuse is left out.
+    symbol whose window has a non-finite return is left out.
     Weights stay None (hold the book) when the data is too thin for a
     covariance estimate, and are {} (all cash) without usable symbols."""
     day, returns = step.day, {}
-    for s, window in step.windows.items():
-        if window.size < 2:
-            continue
-        try:
-            returns[s] = log_returns(window)
-        except InvalidInputError as exc:
-            step.notes.append(f"{day}: {s} left out of the allocation: {exc}")
+    for s, (_, window) in step.windows.items():
+        if not np.isfinite(window).all():
+            step.notes.append(
+                f"{day}: {s} left out of the allocation: log returns require finite positive closes"
+            )
+        elif window.size:
+            returns[s] = window
     usable = list(returns)
     if not usable:
         if step.universe:
@@ -711,7 +707,7 @@ def _build_targets(
         return
 
     sigma = portfolio_bl.estimate_covariance({s: r[-depth:] for s, r in returns.items()})
-    caps = np.array([meta[s].shares_outstanding * step.windows[s][-1] for s in usable])
+    caps = np.array([meta[s].shares_outstanding * step.windows[s][0][-1] for s in usable])
     market_weights = caps / caps.sum()
     pi = portfolio_bl.equilibrium_returns(sigma, market_weights, bl_config.risk_aversion)
     views = portfolio_bl.build_views(step.insights, usable, sigma, bl_config)

@@ -6,7 +6,8 @@ forward-backward pass, run for a bounded number of iterations; the M-step
 updates every live state at once. Every routine works on S series at once,
 with time-major (T, S, K) emission, forward and backward arrays (each step
 reads and writes one contiguous block): ``fit_batch`` fits one model per
-series and ``forecast`` filters each series under its own model.
+series and ``forecast`` filters each series under its own model. Both give
+a series with a non-finite return (from a bad close) its own InvalidInputError.
 
 The directional forecast is the sign of the posterior-weighted one-step-ahead
 expected return: e = (posterior @ A) @ mean_returns.
@@ -38,6 +39,8 @@ class HmmConfig:
             raise ParameterError("n_states must be >= 1")
         if self.max_iterations < 1:
             raise ParameterError("max_iterations must be >= 1")
+        if self.convergence_tol < 0 or self.variance_floor < 0:
+            raise ParameterError("convergence_tol and variance_floor must be non-negative")
 
 
 @dataclass
@@ -60,11 +63,15 @@ class DirectionForecast(NamedTuple):
     expected_return: float
 
 
-def _as_batch(returns: np.ndarray) -> np.ndarray:
+def _as_batch(returns: np.ndarray) -> tuple[np.ndarray, list[InvalidInputError | None]]:
+    """(S, T) float returns, and each series' non-finite-return error or None."""
     obs = np.asarray(returns, dtype=float)
     if obs.ndim != 2:
         raise InvalidInputError(f"batched returns must be (series, time), got shape {obs.shape}")
-    return obs
+    return obs, [
+        None if ok else InvalidInputError("log returns require finite positive closes")
+        for ok in np.isfinite(obs).all(axis=1).tolist()
+    ]
 
 
 def _over_states(op, x: np.ndarray) -> np.ndarray:
@@ -244,7 +251,7 @@ def _initial_parameters(obs: np.ndarray, config: HmmConfig, seeds: Sequence[int]
 
 def fit_batch(
     returns: np.ndarray, config: HmmConfig, seeds: Sequence[int]
-) -> list[HmmModel | NumericalError]:
+) -> list[HmmModel | InvalidInputError | NumericalError]:
     """Fit one model per row of an (S, T) return array by batched EM.
 
     Series s is initialized from ``seeds[s]`` and stops on its own
@@ -252,10 +259,10 @@ def fit_batch(
     iteration cap is reached. Its recorded per-iteration log-likelihood path
     is non-decreasing (standard EM guarantee). Each series gets exactly the
     model it gets in a batch of one. Returns one entry per series: its model,
-    or the NumericalError its fit ran into. Raises for the whole batch when
-    the series are too short.
+    or the error its fit ran into. Raises for the whole batch when the
+    series are too short.
     """
-    obs = _as_batch(returns)
+    obs, results = _as_batch(returns)
     n_series, n_obs = obs.shape
     if n_obs < MIN_SAMPLES_PER_STATE * config.n_states:
         raise InsufficientDataError(
@@ -264,10 +271,8 @@ def fit_batch(
         )
     if len(seeds) != n_series:
         raise ParameterError(f"need one seed per series, got {len(seeds)} for {n_series}")
-    if n_series == 0:
-        return []
-
-    pi, trans, means, variances = _initial_parameters(obs, config, seeds)
+    rows = np.flatnonzero([error is None for error in results])  # open fits, in batch order
+    pi, trans, means, variances = _initial_parameters(obs[rows], config, [seeds[r] for r in rows])
     paths: list[list[float]] = [[] for _ in range(n_series)]
     floored = np.zeros(n_series, dtype=bool)
     converged = np.zeros(n_series, dtype=bool)
@@ -275,8 +280,6 @@ def fit_batch(
     # of its final parameters (after the last M-step).
     finished = np.zeros(n_series, dtype=bool)
     prev_ll = np.full(n_series, -np.inf)
-    results: list[HmmModel | NumericalError | None] = [None] * n_series
-    rows = np.arange(n_series)  # series with an open fit, in batch order
     iteration = 0
 
     while rows.size:
@@ -331,33 +334,37 @@ def _filter(models: Sequence[HmmModel], returns: np.ndarray):
     """Normalized forward probabilities P(state_t | returns_1..t) of S series
     under their own models: (S, T, K) alphas (a transposed view of the
     time-major forward array) and one error (or None) per series."""
-    obs = _as_batch(returns)
+    obs, bad = _as_batch(returns)
     if obs.shape[1] == 0:
         raise InsufficientDataError("filtering needs at least one return")
     if len(models) != obs.shape[0]:
         raise ParameterError(f"need one model per series, got {len(models)} for {obs.shape[0]}")
+    if not models:
+        return np.empty((0, obs.shape[1], 0)), []
     alphas, _, _, _, errors = _forward(
-        obs,
+        np.where([[error is None] for error in bad], obs, 0.0),  # no warnings from bad series
         np.stack([m.mean_returns for m in models]),
         np.stack([m.variances for m in models]),
         np.stack([m.initial_probs for m in models]),
         np.stack([m.transition for m in models]),
     )
-    return alphas.transpose(1, 0, 2), errors
+    return alphas.transpose(1, 0, 2), [own or error for own, error in zip(bad, errors)]
 
 
 def forecast(
     models: Sequence[HmmModel], returns: np.ndarray
-) -> list[DirectionForecast | NumericalError]:
+) -> list[DirectionForecast | InvalidInputError | NumericalError]:
     """One-step-ahead expected returns of S series, and their signs.
 
     Runs one batched forward pass of the (S, T) returns, row s under
     ``models[s]``, then each series' e = (posterior_T @ A) @ mean_returns as
     stacked matmuls (one BLAS call per series, so a series gets the same bits
-    in any batch). Returns S entries: each series' forecast, or the
-    NumericalError its filter ran into.
+    in any batch). Returns S entries: each series' forecast, or the error
+    its filter ran into.
     """
     alphas, errors = _filter(models, returns)
+    if not models:
+        return []
     transitions = np.stack([m.transition for m in models])
     means = np.stack([m.mean_returns for m in models])[:, :, None]
     expected = np.matmul(np.matmul(alphas[:, -1, None, :], transitions), means)[:, 0, 0].tolist()

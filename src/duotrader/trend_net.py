@@ -266,8 +266,10 @@ def forecast(
     each network's forecast, or an InvalidInputError for a non-finite row.
     """
     x = np.asarray(inputs, dtype=float)
-    if x.shape != (len(models), models[0].input_size):
-        raise InvalidInputError(f"expected inputs of shape ({len(models)}, {models[0].input_size})")
+    if not models and x.size == 0:
+        return []
+    if not models or x.shape != (len(models), models[0].input_size):
+        raise InvalidInputError(f"expected one row of input_size inputs per model, got {x.shape}")
     finite = np.isfinite(x).all(axis=1)
     tensors = [np.stack(t) for t in zip(*(m.weights + m.biases for m in models))]
     n_layers = len(models[0].weights)

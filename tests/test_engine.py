@@ -772,10 +772,13 @@ PLAN_CONFIG = RunConfig(seed=3, hmm=HmmConfig(n_states=2), mlp=MlpConfig(epochs=
 
 
 def plan_job(closes, symbol="S00"):
-    """A plan job as _forecast reads it: no step, a symbol and its closes."""
+    """A plan job as _forecast reads it: no step, a symbol, its closes and
+    their log returns (non-finite for a bad close, as the plan's are)."""
     closes = np.array(closes, dtype=float)
-    closes.flags.writeable = False
-    return (None, symbol, closes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        returns = np.diff(np.log(closes))
+    closes.flags.writeable = returns.flags.writeable = False
+    return (None, symbol, closes, returns)
 
 
 class TestPlanHelpers:
@@ -820,7 +823,7 @@ class TestPlanHelpers:
         jobs, models = fitted
         directions = set()
         signals = eng._forecast(PLAN_CONFIG, jobs, models)
-        for (_, symbol, closes), (hmm, net), (hmm_model, (net_model, _)) in zip(jobs, signals, models):
+        for (_, symbol, closes, _), (hmm, net), (hmm_model, (net_model, _)) in zip(jobs, signals, models):
             assert [hmm] == regime_hmm.forecast([hmm_model], log_returns(closes)[None])
             assert [net] == trend_net.forecast([net_model], np.diff(closes)[None, -5:])
             assert tuple(hmm) == (hmm.direction, hmm.expected_return)
@@ -830,41 +833,60 @@ class TestPlanHelpers:
             directions.add(insight.direction)
         assert directions - {"flat"}
 
-    def test_batched_prepare_error_lands_on_its_own_id(self):
-        calls, outcomes = [], {}
+    def test_batched_results_land_on_their_ids(self):
+        calls, outcomes = [], {5: "kept"}
 
-        def prepare(i):
-            if i == 1:
-                raise InvalidInputError("bad input")
-            return 10 * i
+        def call(ids):
+            calls.append(ids)
+            return [10 * i for i in ids]
 
-        def call(ids, inputs):
-            calls.append((ids, inputs))
-            return [x + 1 for x in inputs]
+        eng._batched(call, [0, 2], outcomes)
+        assert calls == [[0, 2]]
+        assert outcomes == {5: "kept", 0: 0, 2: 20}
 
-        eng._batched(call, prepare, [0, 1, 2], outcomes)
-        assert calls == [([0, 2], [0, 20])]
-        assert (outcomes[0], outcomes[2], str(outcomes[1])) == (1, 21, "bad input")
-
-    def test_batched_batch_error_lands_on_every_prepared_id(self):
+    def test_batched_batch_error_lands_on_every_id(self):
         error, outcomes = NumericalError("batch failed"), {}
 
-        def prepare(i):
-            if i == 2:
-                raise InsufficientDataError("short window")
-            return i
-
-        def call(ids, inputs):
+        def call(ids):
             raise error
 
-        eng._batched(call, prepare, [0, 1, 2], outcomes)
-        assert outcomes[0] is error and outcomes[1] is error
-        assert isinstance(outcomes[2], InsufficientDataError)
+        eng._batched(call, [0, 1, 2], outcomes)
+        assert outcomes == {0: error, 1: error, 2: error}
 
-    def test_batched_makes_no_call_without_inputs(self):
+    def test_batched_makes_no_call_without_ids(self):
         outcomes = {}
-        eng._batched(pytest.fail, lambda i: log_returns([1.0]), [0], outcomes)
-        assert isinstance(outcomes[0], InsufficientDataError)
+        eng._batched(pytest.fail, [], outcomes)
+        assert outcomes == {}
+
+
+class TestReturnColumns:
+    """The plan slices each symbol's one log-return column; every slice has
+    the bytes of log_returns on its window's closes, on the CPU running this."""
+
+    def test_column_slices_are_window_returns(self):
+        column = 50.0 * np.exp(np.cumsum(np.random.default_rng(23).normal(0, 0.02, 300)))
+        returns = np.diff(np.log(column))
+        for lo in range(40):
+            for n in (2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 100, 251, 252):
+                want = log_returns(column[lo:lo + n])
+                assert returns[lo:lo + n - 1].tobytes() == want.tobytes(), (lo, n)
+
+    def test_plan_windows_carry_their_returns(self, monkeypatch):
+        plans, plan_signals = [], eng._plan_signals
+
+        def spy(*args):
+            plans.append(plan_signals(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(eng, "_plan_signals", spy)
+        bars_by_symbol, meta = synth_market()
+        bars_by_symbol["S03"] = take_rows(bars_by_symbol["S03"], slice(60, None))
+        small_run(bars_by_symbol, meta)
+        windows = [window for step in plans[0].values() for window in step.windows.values()]
+        assert len({closes.size for closes, _ in windows}) > 1
+        for closes, returns in windows:
+            assert not returns.flags.writeable
+            assert returns.tobytes() == log_returns(closes).tobytes()
 
 
 class TestDataGap:

@@ -550,6 +550,52 @@ class TestFitBatch:
         assert fit_batch(np.zeros((0, 60)), self.CONFIG, []) == []
 
 
+class TestNonFiniteSeries:
+    """A series with a NaN or infinite return is that series' own error, in
+    the fit and in the forecast, without a warning (pytest makes every
+    RuntimeWarning an error); the other series get the bits they get in a
+    batch without it."""
+
+    CONFIG = HmmConfig(n_states=3)
+    BAD = {1: np.nan, 3: np.inf, 4: -np.inf}
+
+    @pytest.fixture(scope="class")
+    def batches(self):
+        clean = np.stack([regime_returns(800 + s, 120) for s in range(6)])
+        dirty = clean.copy()
+        for s, value in self.BAD.items():
+            dirty[s, 100] = value
+        return clean, dirty, [s for s in range(6) if s not in self.BAD]
+
+    def assert_bad_series_errors(self, results):
+        for s in self.BAD:
+            assert isinstance(results[s], InvalidInputError)
+            assert str(results[s]) == "log returns require finite positive closes"
+
+    def test_fit_batch(self, batches):
+        clean, dirty, good = batches
+        got = fit_batch(dirty, self.CONFIG, list(range(6)))
+        self.assert_bad_series_errors(got)
+        for s, want in zip(good, fit_batch(clean[good], self.CONFIG, good)):
+            assert_same_model(got[s], want)
+            assert got[s].log_likelihood_path == want.log_likelihood_path
+            assert got[s].diagnostics == want.diagnostics
+
+    def test_forecast(self, batches):
+        clean, dirty, good = batches
+        models = fit_batch(clean[:, :80], self.CONFIG, list(range(6)))
+        got = forecast(models, dirty[:, -60:])
+        self.assert_bad_series_errors(got)
+        want = forecast([models[s] for s in good], clean[good, -60:])
+        assert all(isinstance(w, DirectionForecast) for w in want)
+        assert_same_forecasts([got[s] for s in good], want)
+
+    def test_whole_batch_bad(self, batches):
+        _, dirty, _ = batches
+        bad = list(self.BAD)
+        self.assert_bad_series_errors(dict(zip(bad, fit_batch(dirty[bad], self.CONFIG, bad))))
+
+
 class TestForwardPosterior:
     """The filtered posterior behind forecast, and forecast's errors."""
 
@@ -716,11 +762,12 @@ class TestForecast:
         got = forecast(models, obs)
         assert_same_forecasts(got, reference_forecast(models, obs))
         if n_series >= 4:
-            # A non-positive variance and a collapse err; a NaN window, which
-            # log_returns never passes on, filters to a NaN (flat) forecast.
+            # A non-positive variance and a collapse err, and so does a NaN
+            # window, as that series' own error.
             assert "must be positive" in str(got[1])
             assert (n_states > 1) == ("collapsed at t=5" in str(got[2]))
-            assert got[3].direction == "flat" and math.isnan(got[3].expected_return)
+            assert isinstance(got[3], InvalidInputError)
+            assert str(got[3]) == "log returns require finite positive closes"
 
     @pytest.mark.parametrize("n_states", [2, 5])
     def test_fitted_models_match_reference(self, n_states):
@@ -734,6 +781,11 @@ class TestForecast:
         model = build_model([1.0], [[1.0]], [0.0], [1e-4])
         with pytest.raises(ParameterError):
             forecast([model, model], np.zeros((1, 5)))
+
+    def test_empty_batch(self):
+        assert forecast([], np.empty((0, 10))) == []
+        with pytest.raises(InsufficientDataError):
+            forecast([], np.empty((0, 0)))
 
 
 class TestFilteredStates:

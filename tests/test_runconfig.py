@@ -63,6 +63,18 @@ def test_invalid_section_value(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
+    ("engine.max_gap_bars", -3), ("hmm.variance_floor", -1.0), ("hmm.convergence_tol", -5.0),
+])
+def test_negative_limit_rejected(key, value):
+    # A negative gap limit would act as 0 and a negative tolerance never
+    # converges; zero is a legal value of each.
+    section, field = key.split(".")
+    with pytest.raises(ConfigError, match=f"invalid values at {section}: .*{field}"):
+        load_config(None, {key: value})
+    assert getattr(getattr(load_config(None, {key: 0}), section), field) == 0
+
+
+@pytest.mark.parametrize("key, value", [
     ("engine.start_date", "2020-13-45"), ("mlp.layer_sizes", ["a"]),
 ])
 def test_uncoercible_value_rejected(key, value):

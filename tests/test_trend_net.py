@@ -496,6 +496,13 @@ class TestForecast:
             with pytest.raises(InvalidInputError):
                 forecast(models, bad)
 
+    def test_empty_batch(self):
+        # As train_batch does for no networks; rows without networks err.
+        assert forecast([], np.empty((0, 5))) == []
+        assert train_batch([], [], MlpConfig(), []) == []
+        with pytest.raises(InvalidInputError):
+            forecast([], np.ones((1, 5)))
+
 
 class TestSerialization:
     def test_param_vector_roundtrip(self):
