@@ -14,7 +14,11 @@ import io
 import itertools
 import math
 import operator
+import os
+import sys
+import tempfile
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -87,6 +91,10 @@ class IngestResult:
 # A bar CSV is parsed in min(usable CPUs, file bytes // INGEST_RANGE_BYTES)
 # byte ranges by forked workers when that makes two or more, else in-process.
 INGEST_RANGE_BYTES = 8 << 20
+# A bar CSV of at least INGEST_CACHE_BYTES is parsed once per content from
+# its second ingest on (``_cached``); a smaller one is parsed every time.
+INGEST_CACHE_BYTES = 8 << 20
+_CACHE_COLUMNS = ("days", *BAR_CSV_HEADER[2:])
 
 # One CSV row as numpy's C parser reads it. Symbols and dates stay Python
 # strings (a fixed-width string field would silently truncate a long one).
@@ -137,15 +145,154 @@ def ingest_csv(path: str | Path) -> IngestResult:
     Each byte range of whole lines (``_read_ranges``) goes through numpy's
     C parser and column-wise checks, or, if it holds a line they cannot
     vouch for, the row reader (``_read_range``). The ranges are then grouped
-    by symbol and order-checked once (``_merge``).
+    by symbol and order-checked once (``_merge``). A file of at least
+    ``INGEST_CACHE_BYTES`` is parsed once per content from its second
+    ingest on (``_cached``).
     """
     path = Path(path)
     _open_csv(path, BAR_CSV_HEADER, "bar").close()
     try:
-        parts = _read_ranges(path)
+        if path.stat().st_size < INGEST_CACHE_BYTES:
+            grouped = _merge(path, _read_ranges(path))
+        else:
+            grouped = _cached(path)
     except OSError as exc:
         raise DuotraderError(f"cannot read bar file {path}: {exc}") from exc
-    return _merge(path, parts)
+    return grouped.result(path)
+
+
+@dataclass
+class _Grouped:
+    """A bar file's kept rows grouped by symbol, symbols in order of first
+    appearance: symbol i's rows are ``bounds[i]:bounds[i + 1]`` of each of
+    the six columns (day ordinals, then open, high, low, close and volume).
+    ``rejected`` holds a (line, message) per rejected row, lines from 1."""
+
+    symbols: list[str]
+    bounds: np.ndarray
+    columns: list[np.ndarray]
+    rejected: list[tuple[int, str]]
+
+    def result(self, path: Path) -> IngestResult:
+        """Each symbol's ``SymbolBars`` of views into the columns, and the
+        diagnostics naming ``path``."""
+        bars = {
+            symbol: SymbolBars(*(c[self.bounds[i]:self.bounds[i + 1]] for c in self.columns))
+            for i, symbol in enumerate(self.symbols)
+        }
+        diagnostics = [f"{path}:{line}: {message}" for line, message in self.rejected]
+        return IngestResult(bars, len(diagnostics), diagnostics)
+
+
+def _cached(path: Path) -> _Grouped:
+    """``_merge`` of the file's ranges, parsed at most once per content from
+    the file's second ingest on.
+
+    A hidden sibling file records the file's ``_stamp`` as of its last parse.
+    A file under another stamp (new, edited or replaced) is parsed and only
+    its stamp recorded, so a one-off ingest pays for no hash and no write of
+    its columns. A file under the recorded stamp has been ingested before:
+    its key (``_cache_key``) is taken, and if the record holds columns under
+    that key they are loaded; otherwise the parse is recorded with the key
+    and its columns. Nothing is recorded if the stamp moved during the hash
+    or the parse, or if the parse raises."""
+    cache = path.with_name(f".{path.name}.ingest.npz")
+    stamp = _stamp(path)
+    kept = _load(cache, stamp)
+    key = "" if kept is None else _cache_key(path)
+    if kept is not None and kept[0] == key:
+        return kept[1]
+    grouped = _merge(path, _read_ranges(path))
+    if _stamp(path) == stamp:
+        _store(cache, stamp, key, grouped)
+    return grouped
+
+
+def _stamp(path: Path) -> tuple[int, int, int]:
+    """The file's inode, size and mtime: any of them moves when the file is
+    replaced or written."""
+    st = path.stat()
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _cache_key(path: Path) -> str:
+    """sha256 of this module's source, numpy's and Python's versions and the
+    file's bytes, read 1 MiB at a time."""
+    # Imported here: OpenSSL's libcrypto adds about 3.6 MB to the resident
+    # memory of a process that loads it, and only this needs it.
+    import hashlib
+
+    digest = hashlib.sha256(Path(__file__).read_bytes())
+    digest.update(f"\0{np.__version__}\0{sys.version}\0".encode())
+    with path.open("rb") as raw:
+        while block := raw.read(1 << 20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _load(cache: Path, stamp: tuple[int, int, int]) -> tuple[str, _Grouped | None] | None:
+    """The key and the grouped columns that ``_store`` kept in ``cache``
+    under ``stamp`` (no key and None for a record of the stamp alone); None
+    if the file is missing or unreadable, under another stamp, or not of
+    ``_store``'s shapes and dtypes."""
+    try:
+        with cache.open("rb") as raw, np.lib.npyio.NpzFile(raw, allow_pickle=False) as kept:
+            stamped, key = kept["stamp"], kept["key"]
+            if stamped.tolist() != list(stamp) or key.dtype.kind != "U" or key.ndim:
+                return None
+            key = key.item()
+            if not key:
+                return key, None
+            symbols, bounds, lines, messages = (
+                kept[name] for name in ("symbols", "bounds", "lines", "messages")
+            )
+            columns = [kept[name] for name in _CACHE_COLUMNS]
+    # A corrupt zip flag or method field raises RuntimeError or NotImplementedError.
+    except (OSError, EOFError, KeyError, ValueError, RuntimeError, zipfile.BadZipFile):
+        return None
+    rows = columns[0].size
+    if not (
+        symbols.dtype.kind == messages.dtype.kind == "U" and symbols.ndim == messages.ndim == 1
+        and bounds.dtype == np.intp and lines.dtype == columns[0].dtype == np.int64
+        and all(c.dtype == np.float64 for c in columns[1:])
+        and all(c.shape == (rows,) for c in columns)
+        and bounds.shape == (symbols.size + 1,) and lines.shape == messages.shape
+        and bounds[0] == 0 and bounds[-1] == rows and np.all(np.diff(bounds) > 0)
+    ):
+        return None
+    grouped = _Grouped(
+        symbols.tolist(), bounds, columns, list(zip(lines.tolist(), messages.tolist()))
+    )
+    return key, grouped
+
+
+def _store(cache: Path, stamp: tuple[int, int, int], key: str, grouped: _Grouped) -> None:
+    """Record ``stamp`` in ``cache``, with ``key`` and ``grouped`` unless the
+    key is empty: written to a temporary file in its directory and renamed
+    over it. Nothing is recorded if that fails, or if a string would not
+    survive numpy's str arrays, which drop trailing NULs."""
+    lines, messages = zip(*grouped.rejected) if grouped.rejected else ((), ())
+    if any(s.endswith("\0") for s in (*grouped.symbols, *messages)):
+        return
+    arrays = dict(stamp=np.array(stamp, dtype=np.int64), key=np.array(key))
+    if key:
+        arrays.update(
+            zip(_CACHE_COLUMNS, grouped.columns), bounds=grouped.bounds,
+            symbols=np.array(grouped.symbols, dtype=str),
+            lines=np.array(lines, dtype=np.int64), messages=np.array(messages, dtype=str),
+        )
+    try:
+        tmp = tempfile.NamedTemporaryFile(dir=cache.parent, prefix=f"{cache.name}.", delete=False)
+    except OSError:  # the directory cannot be written
+        return
+    try:
+        with tmp:
+            np.savez(tmp, **arrays)
+        os.replace(tmp.name, cache)
+    except OSError:  # the record only saves a later parse
+        pass
+    finally:
+        Path(tmp.name).unlink(missing_ok=True)  # gone once renamed
 
 
 @dataclass
@@ -283,10 +430,10 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _merge(path: Path, parts: list[_Range]) -> IngestResult:
-    """The ranges of one file, in file order, as one ``IngestResult``: the
-    rows grouped by symbol with one stable sort, keeping file order within
-    each symbol, and the timestamp order checked once."""
+def _merge(path: Path, parts: list[_Range]) -> _Grouped:
+    """The ranges of one file, in file order, as one ``_Grouped``: the rows
+    grouped by symbol with one stable sort, keeping file order within each
+    symbol, and the timestamp order checked once."""
     # The first range's codes are the file's; later ranges' symbols are renumbered.
     index = {symbol: code for code, symbol in enumerate(parts[0].symbols)}
     codes = _joined([parts[0].codes] + [
@@ -295,8 +442,8 @@ def _merge(path: Path, parts: list[_Range]) -> IngestResult:
     ])
     symbols = list(index)
     first_lines = np.cumsum([1] + [part.line_count for part in parts])
-    diagnostics = [
-        f"{path}:{first + lineno}: {message}"
+    rejected = [
+        (first + lineno, message)
         for part, first in zip(parts, first_lines) for lineno, message in part.diagnostics
     ]
     order = np.argsort(codes, kind="stable")
@@ -314,12 +461,8 @@ def _merge(path: Path, parts: list[_Range]) -> IngestResult:
             f"{date.fromordinal(days[at])} not after {date.fromordinal(days[at - 1])}"
         )
     columns = [days, *(_joined(f)[order] for f in zip(*(part.fields for part in parts)))]
-    bounds = np.concatenate([[0], np.flatnonzero(~same_symbol) + 1, [days.size]])
-    bars = {
-        symbol: SymbolBars(*(c[bounds[code]:bounds[code + 1]] for c in columns))
-        for code, symbol in enumerate(symbols)
-    }
-    return IngestResult(bars, len(diagnostics), diagnostics)
+    bounds = np.searchsorted(grouped_codes, np.arange(len(symbols) + 1))
+    return _Grouped(symbols, bounds, columns, rejected)
 
 
 def ingest_meta_csv(path: str | Path) -> dict[str, InstrumentMeta]:

@@ -2,8 +2,24 @@ from dataclasses import fields
 from datetime import date, timedelta
 
 import numpy as np
+import pytest
 
+from duotrader import workers
 from duotrader.marketdata import SymbolBars
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker count of every pool ``fork_map`` starts."""
+    started = []
+    pool = workers.ProcessPoolExecutor
+
+    def spy(max_workers, *args, **kwargs):
+        started.append(max_workers)
+        return pool(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(workers, "ProcessPoolExecutor", spy)
+    return started
 
 
 def make_bars(closes, start=date(2020, 1, 2), volumes=None):

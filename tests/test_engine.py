@@ -23,7 +23,7 @@ from duotrader.engine import (
 )
 from duotrader.alpha_fusion import fuse
 from duotrader.errors import InsufficientDataError, InvalidInputError, NumericalError, ParameterError
-from duotrader import regime_hmm, trend_net, workers
+from duotrader import marketdata, regime_hmm, trend_net, workers
 from duotrader.marketdata import (
     InstrumentMeta, SymbolBars, ingest_csv, log_returns, synth_regime_series,
 )
@@ -447,18 +447,26 @@ class TestUnusablePrice:
             small_run(bars_by_symbol, meta)
 
 
+BAR_CSV_HEADER_LINE = "symbol,date,open,high,low,close,volume\n"
+
+
+def bar_csv_rows(bars_by_symbol):
+    """Each symbol's bars as bar CSV lines, oldest first."""
+    return {
+        s: [
+            ",".join([s, date.fromordinal(int(d)).isoformat()] + [repr(float(x)) for x in bar])
+            for d, *bar in zip(b.days, b.open, b.high, b.low, b.close, b.volume)
+        ]
+        for s, b in bars_by_symbol.items()
+    }
+
+
 class TestBarCsvRowOrder:
     def test_row_order_leaves_the_run_unchanged(self, tmp_path):
         # One market written as a bar CSV in four row orders, each symbol's
         # own rows kept in date order: ingested, each gives the same run.
         bars_by_symbol, meta = synth_market()
-        rows = {
-            s: [
-                ",".join([s, date.fromordinal(int(d)).isoformat()] + [repr(float(x)) for x in bar])
-                for d, *bar in zip(b.days, b.open, b.high, b.low, b.close, b.volume)
-            ]
-            for s, b in bars_by_symbol.items()
-        }
+        rows = bar_csv_rows(bars_by_symbol)
         symbols = sorted(rows)
         symbol_major = [s for s in symbols for _ in rows[s]]
         orders = {
@@ -473,10 +481,7 @@ class TestBarCsvRowOrder:
         for name, order in orders.items():
             taken = {s: iter(lines) for s, lines in rows.items()}
             path = tmp_path / f"{name}.csv"
-            path.write_text(
-                "symbol,date,open,high,low,close,volume\n"
-                + "".join(next(taken[s]) + "\n" for s in order)
-            )
+            path.write_text(BAR_CSV_HEADER_LINE + "".join(next(taken[s]) + "\n" for s in order))
             results.append(small_run(ingest_csv(path).bars_by_symbol, meta))
         assert results[0].fills
         assert all(result == results[0] for result in results[1:])
@@ -766,6 +771,27 @@ class TestRefitTasks:
         assert any(note in d for d in runs[2].diagnostics)
         assert runs[2].diagnostics == runs[1].diagnostics
         assert runs[2] == runs[1]
+
+
+class TestWorkerCount:
+    def test_worker_count_leaves_the_run_unchanged(self, tmp_path, monkeypatch, pools):
+        # A whole run from the bar CSV: with 2 or 3 usable CPUs, its ingest
+        # parses one byte range per worker and its refits run in as many
+        # workers; with 1, both run in this process.
+        bars_by_symbol, meta = synth_market()
+        path = tmp_path / "bars.csv"
+        path.write_text(
+            BAR_CSV_HEADER_LINE
+            + "".join(line + "\n" for lines in bar_csv_rows(bars_by_symbol).values() for line in lines)
+        )
+        monkeypatch.setattr(marketdata, "INGEST_RANGE_BYTES", 1)
+        results = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+            results.append(small_run(ingest_csv(path).bars_by_symbol, meta))
+        assert pools == [2, 2, 3, 3]
+        assert results[0].fills
+        assert results[1] == results[0] and results[2] == results[0]
 
 
 PLAN_CONFIG = RunConfig(seed=3, hmm=HmmConfig(n_states=2), mlp=MlpConfig(epochs=2))

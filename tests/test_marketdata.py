@@ -5,6 +5,7 @@ import math
 import os
 from concurrent.futures.process import BrokenProcessPool
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -523,7 +524,8 @@ SPLIT_CASES = {
 
 def split_into_ranges(monkeypatch, cpus, range_bytes=1):
     """Make ``ingest_csv`` split a file of ``range_bytes`` per CPU into
-    ranges as if ``cpus`` CPUs were usable."""
+    ranges as if ``cpus`` CPUs were usable. The cache threshold is a
+    constant of its own, so these small files are still parsed every time."""
     monkeypatch.setattr(marketdata, "INGEST_RANGE_BYTES", range_bytes)
     monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
 
@@ -540,20 +542,6 @@ def dirty_ranges(text: str, count: int, dirt: list[str]) -> list[bytes]:
     cuts = [0, *range_starts(data, count), len(data)]
     ranges = [data[a:b] for a, b in zip(cuts, cuts[1:])]
     return sorted(r for r in ranges if any(d.encode() in r for d in dirt))
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """The worker count of every pool ``fork_map`` starts."""
-    started = []
-    pool = workers.ProcessPoolExecutor
-
-    def spy(max_workers, *args, **kwargs):
-        started.append(max_workers)
-        return pool(max_workers, *args, **kwargs)
-
-    monkeypatch.setattr(workers, "ProcessPoolExecutor", spy)
-    return started
 
 
 class TestSplitIngest:
@@ -602,6 +590,7 @@ class TestSplitIngest:
         assert row_reads() == dirty_ranges(text, cpus, dirt)
         assert_same_outcome(outcome, one_range)
         assert_same_outcome(outcome, _outcome(reference_read_rows, path))
+        assert not cache_of(path).exists()  # both ingests parsed the file
 
     def test_file_under_two_ranges_starts_no_pool(self, tmp_path, monkeypatch, pools):
         path = tmp_path / "bars.csv"
@@ -613,6 +602,7 @@ class TestSplitIngest:
         split_into_ranges(monkeypatch, 3, range_bytes=size // 2)
         assert list(ingest_csv(path).bars_by_symbol) == SPLIT_SYMBOLS
         assert pools == [2]
+        assert not cache_of(path).exists()  # both ingests parsed the file
 
     def test_dead_ingest_worker_raises(self, tmp_path, monkeypatch):
         test_pid = os.getpid()
@@ -634,6 +624,265 @@ class TestSplitIngest:
                 ingest_csv(path)
         finally:
             faulthandler.cancel_dump_traceback_later()
+
+
+def cache_of(path):
+    return path.with_name(f".{path.name}.ingest.npz")
+
+
+def kept_columns(path):
+    """Whether the file's cache record holds grouped columns, not only the
+    file's stamp."""
+    with np.load(cache_of(path)) as kept:
+        return "days" in kept.files
+
+
+def cache_every_file(monkeypatch, min_bytes=0):
+    """Make ``ingest_csv`` cache a file of at least ``min_bytes``."""
+    monkeypatch.setattr(marketdata, "INGEST_CACHE_BYTES", min_bytes)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths of every parse ``ingest_csv`` has started, in order."""
+    started = []
+    read_ranges = marketdata._read_ranges
+
+    def spy(path):
+        started.append(path)
+        return read_ranges(path)
+
+    monkeypatch.setattr(marketdata, "_read_ranges", spy)
+    return started
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """The paths of every cache key ``ingest_csv`` has taken, in order."""
+    taken = []
+    cache_key = marketdata._cache_key
+
+    def spy(path):
+        taken.append(path)
+        return cache_key(path)
+
+    monkeypatch.setattr(marketdata, "_cache_key", spy)
+    return taken
+
+
+def spoil(kind, cache, tmp_path, monkeypatch):
+    """Make the cache record ``cache``, which holds columns, one that
+    ``_load`` must refuse or whose key must not match."""
+    if kind == "truncated":
+        cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2])
+    elif kind == "garbage":
+        cache.write_bytes(bytes(range(256)) * 40)
+    elif kind == "code-stamp":
+        monkeypatch.setattr(np, "__version__", "0.0.0")
+    elif kind == "python-version":
+        monkeypatch.setattr(marketdata.sys, "version", "0.0.0")
+    else:
+        with np.load(cache) as kept:
+            arrays = dict(kept)
+        if kind == "foreign-key":  # another file's columns under this file's stamp
+            other = write_bars(tmp_path, [XOM_ROW], name="other.csv")
+            for _ in range(2):
+                ingest_csv(other)
+            with np.load(cache_of(other)) as kept:
+                arrays = {**kept, "stamp": arrays["stamp"]}
+        elif kind == "other-stamp":
+            arrays["stamp"] = arrays["stamp"] + 1
+        elif kind == "dtype":
+            arrays["close"] = arrays["close"].astype(np.float32)
+        elif kind == "shape":
+            arrays["bounds"] = arrays["bounds"][:-1]
+        elif kind == "bounds":
+            arrays["bounds"] = arrays["bounds"][::-1].copy()
+        np.savez(cache, **arrays)
+
+
+class TestIngestCache:
+    """A bar CSV of at least ``INGEST_CACHE_BYTES`` is parsed once per
+    content from its second ingest on: the first ingest records only the
+    file's stamp, the second (under the same stamp) also keeps the grouped
+    columns under a key of its bytes and the ingest code, and later ingests
+    load them and give the parse's outcome."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("name", list(SPLIT_CASES))
+    def test_cold_warm_and_rows_agree(
+        self, tmp_path, monkeypatch, pools, row_reads, parses, name, cpus
+    ):
+        text, _, dirt = SPLIT_CASES[name]
+        path = tmp_path / "bars.csv"
+        path.write_bytes(text.encode())
+        cache_every_file(monkeypatch)
+        split_into_ranges(monkeypatch, cpus)
+        cold = _outcome(ingest_csv, path)
+        failed = isinstance(cold, DataOrderingError)
+        assert cache_of(path).exists() != failed
+        kept = _outcome(ingest_csv, path)
+        assert pools == ([cpus] * 2 if cpus > 1 else [])
+        assert row_reads() == dirty_ranges(text, cpus, dirt)
+        assert cache_of(path).exists() != failed
+        warm = _outcome(ingest_csv, path)
+        assert len(parses) == 2 + failed
+        if not failed:
+            assert kept_columns(path)
+            assert pools == ([cpus] * 2 if cpus > 1 else []) and row_reads() == []
+        assert_same_outcome(kept, cold)
+        assert_same_outcome(warm, cold)
+        assert_same_outcome(warm, _outcome(reference_read_rows, path))
+
+    def test_one_off_ingest_takes_no_key(self, tmp_path, monkeypatch, parses, hashes):
+        cache_every_file(monkeypatch)
+        path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
+        ingest_csv(path)
+        assert (len(parses), len(hashes)) == (1, 0)
+        assert not kept_columns(path)
+        ingest_csv(path)
+        assert (len(parses), len(hashes)) == (2, 1)
+        assert kept_columns(path)
+        ingest_csv(path)
+        assert (len(parses), len(hashes)) == (2, 2)
+        # A new mtime is a new file: parsed, with only its stamp recorded.
+        os.utime(path, ns=(path.stat().st_atime_ns, path.stat().st_mtime_ns + 10**9))
+        assert_same_ingest(ingest_csv(path), reference_read_rows(path))
+        assert (len(parses), len(hashes)) == (3, 2)
+        assert not kept_columns(path)
+
+    def test_same_size_edit_with_old_mtime_is_parsed_again(self, tmp_path, monkeypatch, parses):
+        cache_every_file(monkeypatch)
+        path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
+        for _ in range(2):
+            ingest_csv(path)
+        assert kept_columns(path)
+        before = path.stat()
+        path.write_bytes(path.read_bytes().replace(b",111.25,", b",111.75,"))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert marketdata._stamp(path) == (before.st_ino, before.st_size, before.st_mtime_ns)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        edited = ingest_csv(path)
+        assert len(parses) == 3
+        assert edited.bars_by_symbol["CVX"].close.tolist() == [111.0, 111.75]
+        assert_same_ingest(edited, reference_read_rows(path))
+
+    @pytest.mark.parametrize("when", ["hash", "parse"])
+    def test_file_replaced_during_its_ingest_keeps_nothing(
+        self, tmp_path, monkeypatch, parses, when
+    ):
+        # A new file renamed over the CSV after the stamp is taken: the
+        # ingest that read the new bytes records nothing under the old
+        # stamp, and the next one parses the file in place.
+        cache_every_file(monkeypatch)
+        path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
+        ingest_csv(path)
+        recorded = cache_of(path).read_bytes()
+        fresh = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW, XOM_LATER], name="fresh.csv")
+        seam = {"hash": "_cache_key", "parse": "_read_ranges"}[when]
+        call = getattr(marketdata, seam)
+
+        def replace_then_call(p):
+            fresh.replace(path)
+            return call(p)
+
+        monkeypatch.setattr(marketdata, seam, replace_then_call)
+        ingest_csv(path)
+        monkeypatch.setattr(marketdata, seam, call)
+        assert cache_of(path).read_bytes() == recorded
+        for _ in range(3):
+            assert_same_ingest(ingest_csv(path), reference_read_rows(path))
+        assert ingest_csv(path).bars_by_symbol["XOM"].close.tolist() == [70.5, 70.5]
+        assert len(parses) == 4
+
+    @pytest.mark.parametrize(
+        "kind, parsed",
+        [("truncated", 2), ("garbage", 2), ("other-stamp", 2), ("dtype", 2), ("shape", 2),
+         ("bounds", 2), ("foreign-key", 1), ("code-stamp", 1), ("python-version", 1)],
+    )
+    def test_refused_cache_is_parsed_over_and_replaced(
+        self, tmp_path, monkeypatch, parses, kind, parsed
+    ):
+        # A record that cannot be read or is under another stamp counts as a
+        # new file's (parsed, then parsed and kept); one under this stamp and
+        # another key is parsed and kept at once.
+        cache_every_file(monkeypatch)
+        path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW.replace(",70.5,", ",abc,"), XOM_LATER])
+        cold = ingest_csv(path)
+        assert_same_ingest(ingest_csv(path), cold)
+        cache = cache_of(path)
+        spoil(kind, cache, tmp_path, monkeypatch)
+        spoiled = cache.read_bytes()
+        before = len(parses)
+        assert_same_ingest(ingest_csv(path), cold)
+        assert cache.read_bytes() != spoiled
+        for _ in range(parsed):
+            assert_same_ingest(ingest_csv(path), cold)
+        assert len(parses) == before + parsed
+        assert kept_columns(path)
+
+    @pytest.mark.parametrize(
+        "case", ["read-only-directory", "cache-path-is-a-directory", "nul-in-symbol"]
+    )
+    def test_unkept_cache_leaves_no_file(self, tmp_path, monkeypatch, parses, case):
+        cache_every_file(monkeypatch)
+        symbol = "XOM\0" if case == "nul-in-symbol" else "XOM"
+        path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW.replace("XOM", symbol)])
+        entries = {path.name}
+        if case == "cache-path-is-a-directory":
+            cache_of(path).mkdir()
+            entries.add(cache_of(path).name)
+        elif case == "read-only-directory":
+            tmp_path.chmod(0o555)
+            if os.access(tmp_path, os.W_OK):  # root writes anyway: refuse as the OS would
+                def refuse(*args, **kwargs):
+                    raise PermissionError(13, "Permission denied")
+
+                monkeypatch.setattr(marketdata.tempfile, "NamedTemporaryFile", refuse)
+        try:
+            results = [ingest_csv(path) for _ in range(3)]
+        finally:
+            tmp_path.chmod(0o755)
+        assert len(parses) == 3
+        assert {p.name for p in tmp_path.iterdir()} == entries
+        assert list(results[0].bars_by_symbol) == ["CVX", symbol]
+        for result in results:
+            assert_same_ingest(result, reference_read_rows(path))
+
+    def test_failed_parse_and_small_file_leave_no_file(self, tmp_path, monkeypatch):
+        path = write_bars(tmp_path, [*GOOD_ROWS, XOM_LATER, XOM_ROW])
+        cache_every_file(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(DataOrderingError):
+                ingest_csv(path)
+            assert not cache_of(path).exists()
+        path = write_bars(tmp_path, GOOD_ROWS)
+        cache_every_file(monkeypatch, path.stat().st_size + 1)
+        for _ in range(2):
+            ingest_csv(path)
+        assert not cache_of(path).exists()
+        cache_every_file(monkeypatch, path.stat().st_size)
+        ingest_csv(path)
+        assert cache_of(path).exists()
+
+    def test_file_without_a_kept_row_loads_warm(self, tmp_path, monkeypatch, parses):
+        cache_every_file(monkeypatch)
+        path = write_bars(tmp_path, [XOM_ROW.replace(",70.5,", ",abc,"), XOM_ROW + ",7"])
+        results = [ingest_csv(path) for _ in range(3)]
+        assert len(parses) == 2
+        assert results[0].bars_by_symbol == {} and results[0].rejected_rows == 2
+        for result in results[1:]:
+            assert_same_ingest(result, results[0])
+        assert_same_ingest(results[2], reference_read_rows(path))
+
+    def test_warm_diagnostics_name_the_path_as_passed(self, tmp_path, monkeypatch, parses):
+        cache_every_file(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW.replace(",70.0,", ",-1,")])
+        for name in ("bars.csv", path, "bars.csv", path):
+            assert ingest_csv(name).diagnostics == [f"{name}:4: invalid open"]
+        assert parses == [Path("bars.csv"), path]
 
 
 class TestFeatures:
