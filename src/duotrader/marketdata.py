@@ -204,7 +204,7 @@ def _cached(path: Path) -> _Grouped:
         return kept[1]
     grouped = _merge(path, _read_ranges(path))
     if _stamp(path) == stamp:
-        _store(cache, stamp, key, grouped)
+        _store(cache, stamp, key, grouped, path.stat().st_mode & 0o666)
     return grouped
 
 
@@ -266,11 +266,14 @@ def _load(cache: Path, stamp: tuple[int, int, int]) -> tuple[str, _Grouped | Non
     return key, grouped
 
 
-def _store(cache: Path, stamp: tuple[int, int, int], key: str, grouped: _Grouped) -> None:
+def _store(
+    cache: Path, stamp: tuple[int, int, int], key: str, grouped: _Grouped, mode: int
+) -> None:
     """Record ``stamp`` in ``cache``, with ``key`` and ``grouped`` unless the
-    key is empty: written to a temporary file in its directory and renamed
-    over it. Nothing is recorded if that fails, or if a string would not
-    survive numpy's str arrays, which drop trailing NULs."""
+    key is empty: written to a temporary file in its directory, given the
+    permission bits ``mode`` (the CSV's, so whoever can read the CSV can read
+    its record) and renamed over it. Nothing is recorded if that fails, or if
+    a string would not survive numpy's str arrays, which drop trailing NULs."""
     lines, messages = zip(*grouped.rejected) if grouped.rejected else ((), ())
     if any(s.endswith("\0") for s in (*grouped.symbols, *messages)):
         return
@@ -288,6 +291,7 @@ def _store(cache: Path, stamp: tuple[int, int, int], key: str, grouped: _Grouped
     try:
         with tmp:
             np.savez(tmp, **arrays)
+        os.chmod(tmp.name, mode)
         os.replace(tmp.name, cache)
     except OSError:  # the record only saves a later parse
         pass

@@ -8,9 +8,11 @@ with time-major (T, S, K) emission, forward and backward arrays (each step
 reads and writes one contiguous block): ``fit_batch`` fits one model per
 series and ``forecast`` filters each series under its own model. Both give
 a series with a non-finite return (from a bad close) its own InvalidInputError.
+A series gets the same bits in any batch and under any BLAS: products are
+two-operand ``np.einsum`` calls, and no sum's order depends on the batch.
 
 The directional forecast is the sign of the posterior-weighted one-step-ahead
-expected return: e = (posterior @ A) @ mean_returns.
+expected return: e = sum_j (sum_i posterior_i A_ij) mean_returns_j.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ def _as_batch(returns: np.ndarray) -> tuple[np.ndarray, list[InvalidInputError |
 
 def _over_states(op, x: np.ndarray) -> np.ndarray:
     """``op`` (np.add or np.maximum) over the last (state) axis as a chain of its
-    slices, without numpy's length-K loops; numpy sums below 8 states in that order."""
+    slices: on (T, S, K) arrays numpy's own length-K loops are slower below 8
+    states, and from 8 on its sum is faster than the chain."""
     if op is np.add and x.shape[-1] >= 8:
         return x.sum(axis=-1)
     out = x[..., 0].copy()
@@ -86,24 +89,21 @@ def _over_states(op, x: np.ndarray) -> np.ndarray:
 
 
 def _over_time(x: np.ndarray) -> np.ndarray:
-    """(S, K) sums over time of (T, S, K) x, in numpy's order for (S, T, K) x:
-    sequential in time, but pairwise along each series' row with one state."""
+    """(S, K) sums over time of (T, S, K) x, in an order the batch does not
+    change: row by row in time, but with one state (where numpy sums a batch of
+    one pairwise) pairwise along a contiguous copy of each series' row."""
     if x.shape[2] == 1:
         return np.ascontiguousarray(x[:, :, 0].T).sum(axis=1)[:, None]
     return x.sum(axis=0)
 
 
 def _emission_log_probs(obs: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """(T, S, K) log density of every observation under every state's Gaussian."""
-    sd = np.sqrt(variances)
-    # Multiplying by the reciprocal, not dividing, reproduces the densities
-    # of the earlier Cholesky-based version bit for bit, which keeps
-    # backtest fills unchanged. The in-place steps compute -0.5 * ((log 2pi
-    # + 2 log sd) + z * z) in one C-ordered (T, S, K) buffer, not like obs.T.
+    """(T, S, K) log density of every observation under every state's Gaussian,
+    -0.5 * (log 2pi + log var + (x - mean)^2 / var), in one C-ordered buffer."""
     z = np.subtract(obs.T[:, :, None], means, order="C")
-    z *= 1.0 / sd
     z *= z
-    z += LOG_2PI + 2.0 * np.log(sd)
+    z /= variances
+    z += LOG_2PI + np.log(variances)
     z *= -0.5
     return z
 
@@ -117,9 +117,7 @@ def _forward(obs, means, variances, pi, trans):
     exponentiation; the shift cancels in the normalized recursion and is
     added back to the log-likelihood, so the result is exact even for
     extreme densities. errors[s] is the NumericalError series s ran into, or
-    None; the other outputs of a failed series are meaningless. Every array
-    op acts on each series separately (matmul runs one BLAS call per
-    series), so a series gets the same bits in any batch.
+    None; the other outputs of a failed series are meaningless.
     """
     n_series, n_obs = obs.shape
     errors: list[NumericalError | None] = [None] * n_series
@@ -147,10 +145,10 @@ def _forward(obs, means, variances, pi, trans):
         for t in range(n_obs):
             a = alphas[t]
             if t:
-                np.multiply(np.matmul(alpha[:, None, :], trans)[:, 0], b[t], out=a)
-            norm = norms[t] = _over_states(np.add, a)
+                np.multiply(np.einsum("si,sij->sj", alpha, trans), b[t], out=a)
+            norm = norms[t] = np.einsum("sk->s", a)  # one call, where a chain makes K
             alpha = np.divide(a, norm[:, None], out=a)
-        # Summed along contiguous rows: numpy's pairwise order (axis 0 is not).
+        # Summed pairwise along contiguous rows, as a batch of one would be.
         log_likelihood = np.log(norms.T.copy()).sum(axis=1) + shifts.T.copy().sum(axis=1)
     collapsed = (norms <= 0).T
     for s in np.flatnonzero(collapsed.any(axis=1)):
@@ -163,10 +161,10 @@ def _backward(b: np.ndarray, trans: np.ndarray, norms: np.ndarray) -> np.ndarray
     """Backward pass scaled by the forward norms (Rabiner-style), (T, S, K)."""
     betas = np.empty_like(b)
     betas[-1] = 1.0
-    carried = np.empty((*b.shape[1:], 1))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a collapsed series' zero norms
+        scaled = b[1:] / norms[1:, :, None]
     for t in range(b.shape[0] - 2, -1, -1):
-        np.multiply(b[t + 1], betas[t + 1], out=carried[:, :, 0])
-        np.divide(np.matmul(trans, carried)[:, :, 0], norms[t + 1][:, None], out=betas[t])
+        np.einsum("sij,sj->si", trans, scaled[t] * betas[t + 1], out=betas[t])
     return betas
 
 
@@ -174,18 +172,17 @@ def _m_step(obs, alphas, betas, b, norms, trans, means, variances, floor):
     """Re-estimate every series' parameters from one (T, S, K) E-step
     (alphas, betas and b are overwritten: the M-step's temporaries reuse
     them). Returns (pi, trans, means, variances, floored) with floored (S,)
-    marking series whose new variance hit the floor in some live state. The
-    counts' gemm reads the strided rows in place: it gives the bits of
-    contiguous ones (a one-state dot does not, but its row normalizes to 1).
-    OpenBLAS's gemv does not below four states, so the means' reads a copy."""
+    marking series whose new variance hit the floor in some live state."""
     # Expected transition counts, accumulated without materializing the
     # (T, K, K) tensor. With this scaling each xi_t is already a proper
-    # posterior, so the sum is the expected count matrix.
+    # posterior, so the sum is the expected count matrix; time-last copies
+    # let einsum sum along a contiguous axis, several times faster.
     weighted = b[1:]
     weighted *= betas[1:]
     weighted /= norms[1:, :, None]
-    xi_sum = trans * np.matmul(alphas[:-1].transpose(1, 2, 0), weighted.transpose(1, 0, 2))
-    del weighted
+    time_last = (alphas[:-1].transpose(1, 2, 0).copy(), weighted.transpose(1, 2, 0).copy())
+    xi_sum = trans * np.einsum("sit,sjt->sij", *time_last)
+    del weighted, time_last
 
     gammas = betas  # betas are not needed again
     gammas *= alphas
@@ -209,9 +206,8 @@ def _m_step(obs, alphas, betas, b, norms, trans, means, variances, floor):
     occupancy = _over_time(gammas)
     live = ~(occupancy <= 1e-10)
     weights = np.where(live, occupancy, 1.0)
-    gammas_by_series = alphas.reshape(*obs.shape, -1)  # alphas are not needed again
-    np.copyto(gammas_by_series, gammas.transpose(1, 0, 2))
-    new_means = np.matmul(obs[:, None, :], gammas_by_series)[:, 0] / weights
+    weighted_obs = np.multiply(gammas, obs.T[:, :, None], out=alphas)  # alphas are not needed again
+    new_means = _over_time(weighted_obs) / weights
     diff = np.subtract(obs.T[:, :, None], new_means, out=alphas)
     spread = np.multiply(gammas, diff, out=b)
     spread *= diff
@@ -237,7 +233,7 @@ def _initial_parameters(obs: np.ndarray, config: HmmConfig, seeds: Sequence[int]
     means = np.stack([bucket.mean(axis=1) for bucket in buckets], axis=1)
 
     centered = obs - obs.mean(axis=1, keepdims=True)
-    pooled = np.matmul(centered[:, None, :], centered[:, :, None])[:, 0, 0] / obs.shape[1]
+    pooled = np.einsum("st,st->s", centered, centered) / obs.shape[1]
     pooled = np.maximum(pooled, config.variance_floor)
     variances = np.repeat(pooled[:, None], n_states, axis=1)
     for row, seed, scale in zip(means, seeds, 1e-6 * (np.sqrt(pooled) + 1e-12)):
@@ -357,17 +353,17 @@ def forecast(
     """One-step-ahead expected returns of S series, and their signs.
 
     Runs one batched forward pass of the (S, T) returns, row s under
-    ``models[s]``, then each series' e = (posterior_T @ A) @ mean_returns as
-    stacked matmuls (one BLAS call per series, so a series gets the same bits
-    in any batch). Returns S entries: each series' forecast, or the error
-    its filter ran into.
+    ``models[s]``, then takes each series' expected return under its last
+    posterior. Returns S entries: each series' forecast, or the error its
+    filter ran into.
     """
     alphas, errors = _filter(models, returns)
     if not models:
         return []
     transitions = np.stack([m.transition for m in models])
-    means = np.stack([m.mean_returns for m in models])[:, :, None]
-    expected = np.matmul(np.matmul(alphas[:, -1, None, :], transitions), means)[:, 0, 0].tolist()
+    means = np.stack([m.mean_returns for m in models])
+    predicted = np.einsum("si,sij->sj", alphas[:, -1], transitions)
+    expected = np.einsum("sj,sj->s", predicted, means).tolist()
     return [
         DirectionForecast(sign_direction(e), e) if error is None else error
         for e, error in zip(expected, errors)

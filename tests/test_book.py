@@ -198,3 +198,20 @@ def test_cash_never_negative_under_drawn_weights(book):
     result = run_book(bars_by_symbol, engine, plan)
     states = replay(result, bars_by_symbol, engine.initial_equity)
     assert min(cash for cash, *_ in states) >= 0.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND CHANGES.md:3: order sizing ignores the fee schedule, so a fill "
+    "can pay a fee above its notional and no diagnostic says so",
+)
+@settings(BOOK_SETTINGS, phases=[Phase.explicit, Phase.generate])
+@given(books)
+@example(CENT_BOOK)
+def test_no_fee_above_notional_without_a_diagnostic(book):
+    bars_by_symbol, engine, plan = market(book)
+    result = run_book(bars_by_symbol, engine, plan)
+    for fill in result.fills:
+        if fill.fee > fill.quantity * fill.price:
+            prefix = f"{fill.timestamp.isoformat()}: {fill.symbol}: "
+            assert any(d.startswith(prefix) and "fee" in d for d in result.diagnostics), fill

@@ -3,6 +3,7 @@ import faulthandler
 import hashlib
 import math
 import os
+import stat
 from concurrent.futures.process import BrokenProcessPool
 from datetime import date, timedelta
 from pathlib import Path
@@ -849,6 +850,17 @@ class TestIngestCache:
         assert list(results[0].bars_by_symbol) == ["CVX", symbol]
         for result in results:
             assert_same_ingest(result, reference_read_rows(path))
+
+    @pytest.mark.parametrize("mode", [0o644, 0o600], ids=oct)
+    def test_record_takes_the_csv_permission_bits(self, tmp_path, monkeypatch, mode):
+        # Whoever can read the CSV can read its record, and no one else can.
+        cache_every_file(monkeypatch)
+        path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
+        path.chmod(mode)
+        for _ in range(2):  # the stamp alone, then the kept columns
+            ingest_csv(path)
+            assert stat.S_IMODE(cache_of(path).stat().st_mode) == mode
+        assert kept_columns(path)
 
     def test_failed_parse_and_small_file_leave_no_file(self, tmp_path, monkeypatch):
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_LATER, XOM_ROW])

@@ -1,9 +1,10 @@
 import math
-from typing import Sequence
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duotrader import regime_hmm
 from duotrader.directions import sign_direction
@@ -56,8 +57,8 @@ def fit_one(returns, config, seed=0):
 
 def posterior_one(model, returns):
     """The filtered posterior of one series under one model, or its error."""
-    (posterior,) = reference_forward_posterior([model], np.asarray(returns, dtype=float)[None])
-    return posterior
+    alphas, (error,) = _filter([model], np.asarray(returns, dtype=float)[None])
+    return alphas[0, -1] if error is None else error
 
 
 def forecast_from(model, posterior):
@@ -67,39 +68,6 @@ def forecast_from(model, posterior):
     with mock.patch.object(regime_hmm, "_filter", return_value=(filtered, [None])):
         (result,) = forecast([model], np.zeros((1, 1)))
     return result
-
-
-# forward_posterior and predict_direction as they were before forecast
-# replaced them, kept verbatim as the reference.
-
-
-def reference_forward_posterior(
-    models: Sequence[HmmModel], returns: np.ndarray
-) -> list[np.ndarray | NumericalError]:
-    """Filtered state distributions P(state_T | returns_1..T) of S series.
-
-    Runs one batched forward pass of the (S, T) returns, row s under
-    ``models[s]``, and returns S entries: each series' (K,) posterior, or
-    the NumericalError it ran into. A posterior is a copy: it keeps no
-    forward array alive.
-    """
-    alphas, errors = _filter(models, returns)
-    return [alphas[s, -1].copy() if error is None else error for s, error in enumerate(errors)]
-
-
-def reference_predict_direction(model: HmmModel, posterior: np.ndarray) -> DirectionForecast:
-    """One-step-ahead expected return under the filtered posterior, and its sign."""
-    posterior = np.asarray(posterior, dtype=float)
-    expected = float((posterior @ model.transition) @ model.mean_returns)
-    return DirectionForecast(sign_direction(expected), expected)
-
-
-def reference_forecast(models, returns):
-    """The old per-model path: one batched filter, then one predict_direction per series."""
-    return [
-        reference_predict_direction(m, p) if isinstance(p, np.ndarray) else p
-        for m, p in zip(models, reference_forward_posterior(models, returns))
-    ]
 
 
 def assert_same_forecasts(got, want):
@@ -122,122 +90,72 @@ def assert_same_model(got, want):
     assert got.diagnostics == want.diagnostics
 
 
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
 def normal_pdf(x, mean, var):
     return math.exp(-0.5 * (x - mean) ** 2 / var) / math.sqrt(2 * math.pi * var)
 
 
-def reference_m_step(obs, alphas, betas, b, norms, trans, means, variances, floor):
-    """``_m_step`` as it was before its temporaries reused the E-step's
-    buffers, kept verbatim as the reference (it overwrites betas only)."""
-    # Expected transition counts, accumulated without materializing the
-    # (T, K, K) tensor. With this scaling each xi_t is already a proper
-    # posterior, so the sum is the expected count matrix.
-    weighted = b[:, 1:] * betas[:, 1:]
-    weighted /= norms[:, 1:, None]
-    xi_sum = trans * np.matmul(alphas[:, :-1].transpose(0, 2, 1), weighted)
-    del weighted
-
-    gammas = betas  # betas are not needed again
-    gammas *= alphas
-    gammas /= gammas.sum(axis=2, keepdims=True)
-
-    pi = gammas[:, 0] / gammas[:, 0].sum(axis=1, keepdims=True)
-    # A row whose source state is (almost) never occupied keeps its
-    # previous probabilities; the guarded denominator only avoids a
-    # division by zero in rows that np.where discards.
-    from_counts = gammas[:, :-1].sum(axis=1)
-    live_rows = from_counts > 1e-12
-    new_trans = np.where(
-        live_rows[:, :, None],
-        xi_sum / np.where(live_rows, from_counts, 1.0)[:, :, None],
-        trans,
-    )
-    new_trans = np.clip(new_trans, 0.0, None)
-    trans = new_trans / new_trans.sum(axis=2, keepdims=True)
-
-    # Dead states keep their previous mean and variance.
-    occupancy = gammas.sum(axis=1)
-    live = ~(occupancy <= 1e-10)
-    weights = np.where(live, occupancy, 1.0)
-    new_means = np.matmul(obs[:, None, :], gammas)[:, 0] / weights
-    diff = obs[:, :, None] - new_means[:, None, :]
-    spread = gammas * diff
-    spread *= diff
-    new_vars = spread.sum(axis=1) / weights
-    floored = np.any(live & (new_vars < floor), axis=1)
-    means = np.where(live, new_means, means)
-    variances = np.where(live, np.maximum(new_vars, floor), variances)
-    return pi, trans, means, variances, floored
+# Plain-math references, one series at a time: the scaled forward-backward
+# pass and the EM re-estimates as written in Rabiner (Proc. IEEE 1989), with
+# no batch, no buffer reuse and no chosen summation order. The batched code
+# matches them to rtol 1e-12; its bits are pinned only against itself, by
+# TestBatchInvariance.
 
 
-# The series-major (S, T, K) E-step and the per-series initialization as
-# they were before the time-major layout, kept verbatim as the reference
-# (only their names and the calls between them changed).
-
-
-def reference_emission_log_probs(obs, means, variances):
-    """(S, T, K) log density of every observation under every state's Gaussian."""
-    sd = np.sqrt(variances)
-    # Multiplying by the reciprocal, not dividing, reproduces the densities
-    # of the earlier Cholesky-based version bit for bit, which keeps
-    # backtest fills unchanged. The in-place steps compute
-    # -0.5 * ((log 2pi + 2 log sd) + z * z) in one (S, T, K) buffer.
-    z = obs[:, :, None] - means[:, None, :]
-    z *= (1.0 / sd)[:, None, :]
-    z *= z
-    z += (LOG_2PI + 2.0 * np.log(sd))[:, None, :]
-    z *= -0.5
-    return z
-
-
-def reference_forward(obs, means, variances, pi, trans):
-    """Scaled forward pass over S series at once: obs (S, T); means,
-    variances and pi (S, K); trans (S, K, K)."""
-    n_series, n_obs = obs.shape
-    errors = [None] * n_series
-    invalid = ~np.all(variances > 0, axis=1)
-    for s in np.flatnonzero(invalid):
-        errors[s] = NumericalError(f"state variances must be positive, got {variances[s]}")
-    if invalid.any():
-        # Harmless stand-ins keep the failed series from raising warnings
-        # while the rest of the batch is computed.
-        variances = np.where(invalid[:, None], 1.0, variances)
-        means = np.where(invalid[:, None], 0.0, means)
-
-    b = reference_emission_log_probs(obs, means, variances)
-    shifts = b.max(axis=2)
-    b -= shifts[:, :, None]
-    np.exp(b, out=b)
-    alphas = np.empty_like(b)
-    norms = np.empty((n_series, n_obs))
-
-    # A collapsed series divides by a zero norm and turns NaN from there
-    # on; it is reported at its first zero norm, and nothing it computes
-    # reaches another series.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = pi * b[:, 0]
-        for t in range(n_obs):
-            if t:
-                a = np.matmul(alpha[:, None, :], trans)[:, 0] * b[:, t]
-            norm = np.add.reduce(a, axis=1)
-            norms[:, t] = norm
-            alpha = alphas[:, t] = a / norm[:, None]
-        log_likelihood = np.log(norms).sum(axis=1) + shifts.sum(axis=1)
-    collapsed = norms <= 0
-    for s in np.flatnonzero(collapsed.any(axis=1)):
-        if errors[s] is None:
-            errors[s] = NumericalError(f"forward recursion collapsed at t={np.argmax(collapsed[s])}")
-    return alphas, norms, log_likelihood, b, errors
+def reference_forward(x, means, variances, pi, trans):
+    """(alphas (T, K), norms (T,), log-likelihood, b (T, K)) of one series."""
+    log_b = -0.5 * (LOG_2PI + np.log(variances) + (x[:, None] - means) ** 2 / variances)
+    shifts = log_b.max(axis=1)
+    b = np.exp(log_b - shifts[:, None])
+    alphas, norms = np.empty_like(b), np.empty(x.size)
+    for t in range(x.size):
+        a = (pi if t == 0 else alphas[t - 1] @ trans) * b[t]
+        norms[t] = a.sum()
+        alphas[t] = a / norms[t]
+    return alphas, norms, np.log(norms).sum() + shifts.sum(), b
 
 
 def reference_backward(b, trans, norms):
-    """Backward pass scaled by the forward norms (Rabiner-style), (S, T, K)."""
-    betas = np.empty_like(b)
-    beta = betas[:, -1] = np.ones((b.shape[0], b.shape[2]))
-    for t in range(b.shape[1] - 2, -1, -1):
-        carried = (b[:, t + 1] * beta)[:, :, None]
-        beta = betas[:, t] = np.matmul(trans, carried)[:, :, 0] / norms[:, t + 1, None]
+    """(T, K) backward variables of one series, scaled by its forward norms."""
+    betas = np.ones_like(b)
+    for t in range(b.shape[0] - 2, -1, -1):
+        betas[t] = trans @ (b[t + 1] * betas[t + 1]) / norms[t + 1]
     return betas
+
+
+def reference_m_step(x, alphas, betas, b, norms, trans, means, variances, floor):
+    """One series' (pi, trans, means, variances, floored) re-estimate."""
+    gammas = alphas * betas
+    gammas /= gammas.sum(axis=1, keepdims=True)
+    xi = trans * sum(
+        np.outer(alphas[t], b[t + 1] * betas[t + 1] / norms[t + 1]) for t in range(x.size - 1)
+    )
+    from_counts = gammas[:-1].sum(axis=0)
+    live_rows = from_counts > 1e-12
+    new_trans = np.where(
+        live_rows[:, None], xi / np.where(live_rows, from_counts, 1.0)[:, None], trans
+    )
+    new_trans = np.clip(new_trans, 0.0, None)
+    occupancy = gammas.sum(axis=0)
+    live = occupancy > 1e-10
+    weights = np.where(live, occupancy, 1.0)
+    new_means = x @ gammas / weights
+    new_vars = (gammas * (x[:, None] - new_means) ** 2).sum(axis=0) / weights
+    return (
+        gammas[0] / gammas[0].sum(),
+        new_trans / new_trans.sum(axis=1, keepdims=True),
+        np.where(live, new_means, means),
+        np.where(live, np.maximum(new_vars, floor), variances),
+        np.any(live & (new_vars < floor)),
+    )
 
 
 def reference_initial_parameters(obs, config, seed):
@@ -263,14 +181,12 @@ def reference_initial_parameters(obs, config, seed):
     return pi, trans, means, variances
 
 
-def by_series(x):
-    """A C-contiguous series-major copy of a time-major (T, S, ...) array."""
-    return np.ascontiguousarray(np.swapaxes(x, 0, 1))
-
-
-def assert_same_bytes(got, want):
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+def reference_expected_return(model, x):
+    """One series' expected next return under its last filtered posterior."""
+    alphas, *_ = reference_forward(
+        x, model.mean_returns, model.variances, model.initial_probs, model.transition
+    )
+    return alphas[-1] @ model.transition @ model.mean_returns
 
 
 def hazard_batch(rng, n_series, n_states, n_obs):
@@ -430,47 +346,33 @@ class TestPinnedNumerics:
 
 
 class TestMStep:
-    def test_matches_reference_bit_for_bit(self):
-        # The reference reads series-major copies of the time-major buffers,
-        # so each of its BLAS calls has the contiguous operands of a batch of
-        # one; fewer than four states exercise the small products that
-        # OpenBLAS computes otherwise over strided rows.
+    def test_matches_reference(self):
         rng = np.random.default_rng(23)
-        floor = 1e-12
-        for n_states in (4, 1, 2, 3):
-            for _ in range(6):
-                self.check_one(rng, n_states, floor)
-
-    @staticmethod
-    def check_one(rng, n_states, floor):
-        n_series, n_obs = int(rng.integers(2, 7)), int(rng.integers(30, 130))
-        obs = rng.normal(0.0, 0.01, size=(n_series, n_obs))
-        obs[0] = 0.003  # a constant series: its live states' variances floor
-        means = rng.normal(0.0, 0.01, size=(n_series, n_states))
-        if n_states > 1:
-            means[:, -1] = 5.0  # far from every return: a dead state
-        variances = rng.uniform(1e-5, 4e-4, size=(n_series, n_states))
-        pi = rng.dirichlet(np.ones(n_states), size=n_series)
-        trans = rng.dirichlet(np.ones(n_states), size=(n_series, n_states))
-        alphas, norms, _, b, errors = _forward(obs, means, variances, pi, trans)
-        assert errors == [None] * n_series
-        betas = _backward(b, trans, norms)
-
-        expected = reference_m_step(
-            obs, by_series(alphas), by_series(betas), by_series(b), by_series(norms),
-            trans, means, variances, floor,
-        )
-        got = _m_step(obs, alphas.copy(), betas.copy(), b.copy(), norms, trans, means, variances, floor)
-        assert expected[4][0] and not expected[4][1:].all()
-        if n_states > 1:
-            assert np.all(expected[2][:, -1] == 5.0)  # the dead state kept its mean
-        for want, have in zip(expected, got):
-            assert_same_bytes(have, want)
+        for _ in range(6):
+            n_series, n_obs = int(rng.integers(4, 7)), int(rng.integers(30, 130))
+            ok = [0, *range(3, n_series)]  # the constant series, and none that fails
+            batch = hazard_batch(rng, n_series, 4, n_obs)
+            obs, means, variances, pi, trans = (a[ok] for a in batch)
+            alphas, norms, _, b, errors = _forward(obs, means, variances, pi, trans)
+            assert errors == [None] * len(ok)
+            betas = _backward(b, trans, norms)
+            got = _m_step(
+                obs, alphas.copy(), betas.copy(), b.copy(), norms, trans, means, variances, 1e-12
+            )
+            assert got[4][0] and not got[4][1:].all()
+            assert np.all(got[2][:, -1] == 5.0)  # the dead state kept its mean
+            for s in range(len(ok)):
+                want = reference_m_step(
+                    obs[s], alphas[:, s], betas[:, s], b[:, s], norms[:, s],
+                    trans[s], means[s], variances[s], 1e-12,
+                )
+                for have, ref in zip(got, want):
+                    assert_close(have[s], ref)
 
 
 class TestTimeMajorEStep:
-    """The time-major E-step and the batched initialization give the bits of
-    the series-major references, transposed, on every kind of series."""
+    """The time-major E-step and the batched initialization match the
+    per-series formulas to rtol 1e-12 on every kind of series."""
 
     CASES = [(1, 1), (1, 5), (7, 1), (7, 2), (7, 5), (7, 9), (240, 5)]
 
@@ -480,23 +382,22 @@ class TestTimeMajorEStep:
         batch = hazard_batch(rng, n_series, n_states, int(rng.integers(20, 120)))
         alphas, norms, log_likelihood, b, errors = _forward(*batch)
         assert alphas.flags.c_contiguous and b.flags.c_contiguous  # time-major in memory
-        want = reference_forward(*batch)
-        assert [str(e) for e in errors] == [str(e) for e in want[4]]
         if n_series >= 4:
             assert "must be positive" in str(errors[1])
             assert (n_states > 1) == ("collapsed at t=5" in str(errors[2]))
-        for have, ref in zip((alphas, norms, log_likelihood, b), want):
-            assert_same_bytes(by_series(have) if have.ndim > 1 else have, ref)
-        # _filter's (S, T, K) view of the same forward pass.
         obs, means, variances, pi, trans = batch
+        betas = _backward(b, trans, norms)
+        assert betas.flags.c_contiguous
+        for s in np.flatnonzero([error is None for error in errors]):
+            want = reference_forward(obs[s], means[s], variances[s], pi[s], trans[s])
+            for have, ref in zip((alphas[:, s], norms[:, s], log_likelihood[s], b[:, s]), want):
+                assert_close(have, ref)
+            assert_close(betas[:, s], reference_backward(b[:, s], trans[s], norms[:, s]))
+        # _filter's (S, T, K) view of the same forward pass.
         models = [build_model(*p) for p in zip(pi, trans, means, variances)]
         filtered, _ = _filter(models, obs)
         assert filtered.base is not None  # a view, not a copy
-        assert_same_bytes(np.ascontiguousarray(filtered), want[0])
-
-        betas = _backward(b, trans, norms)
-        assert betas.flags.c_contiguous
-        assert_same_bytes(by_series(betas), reference_backward(want[3], trans, want[1]))
+        assert np.array_equal(filtered, alphas.transpose(1, 0, 2), equal_nan=True)
 
     @pytest.mark.parametrize("n_series,n_states", CASES)
     def test_initial_parameters_match_reference(self, n_series, n_states):
@@ -509,11 +410,58 @@ class TestTimeMajorEStep:
             obs[1] = 0.002  # a constant series: its pooled variance floors
         seeds = [int(seed) for seed in rng.integers(0, 2**31, size=n_series)]
         got = _initial_parameters(obs, config, seeds)
-        want = [np.stack(p) for p in zip(*(
-            reference_initial_parameters(row, config, seed) for row, seed in zip(obs, seeds)
-        ))]
-        for have, ref in zip(got, want):
-            assert_same_bytes(have, ref)
+        for s, (row, seed) in enumerate(zip(obs, seeds)):
+            for have, ref in zip(got, reference_initial_parameters(row, config, seed)):
+                assert_close(have[s], ref)
+
+
+class TestBatchInvariance:
+    """A series gets the same bytes at any position of a batch as in a fresh
+    contiguous batch of one, from every batched routine: so the bits of a
+    fit or a forecast depend neither on which symbols share its batch nor on
+    the number of worker processes that split the batches."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 9), st.integers(0, 30), st.integers(0, 2**32 - 1))
+    def test_series_bits_do_not_depend_on_the_batch(self, n_series, n_states, extra, seed):
+        rng = np.random.default_rng(seed)
+        batch = hazard_batch(rng, n_series, n_states, MIN_SAMPLES_PER_STATE * n_states + extra)
+        obs, means, variances, pi, trans = batch
+        config = HmmConfig(n_states=n_states, max_iterations=3)
+        seeds = [int(s) for s in rng.integers(0, 2**31, size=n_series)]
+        models = [build_model(*p) for p in zip(pi, trans, means, variances)]
+
+        alphas, norms, log_likelihood, b, errors = _forward(*batch)
+        betas = _backward(b, trans, norms)
+        ok = [s for s, error in enumerate(errors) if error is None]  # the series EM steps
+        m_step = _m_step(
+            obs[ok], alphas[:, ok], betas[:, ok], b[:, ok], norms[:, ok],
+            trans[ok], means[ok], variances[ok], 1e-12,
+        )
+        initial = _initial_parameters(obs, config, seeds)
+        fits = fit_batch(obs, config, seeds)
+        forecasts = forecast(models, obs)
+
+        for s in range(n_series):
+            x, mu, var, p0, tr = (np.ascontiguousarray(a[s:s + 1]) for a in batch)
+            alone = _forward(x, mu, var, p0, tr)
+            assert str(alone[4][0]) == str(errors[s])
+            betas_alone = _backward(alone[3], tr, alone[1])
+            batched = (alphas, norms, log_likelihood, b, betas)
+            for have, own in zip(batched, (*alone[:4], betas_alone)):
+                assert_same_bytes(np.take(have, [s], axis=min(have.ndim - 1, 1)), own)
+            if s in ok:
+                own = _m_step(x, alone[0], betas_alone, alone[3], alone[1], tr, mu, var, 1e-12)
+                for have, want in zip(m_step, own):
+                    assert_same_bytes(have[ok.index(s)], want[0])
+            for have, want in zip(initial, _initial_parameters(x, config, seeds[s:s + 1])):
+                assert_same_bytes(have[s], want[0])
+            (fit,) = fit_batch(x, config, seeds[s:s + 1])
+            if isinstance(fit, HmmModel):
+                assert_same_model(fits[s], fit)
+            else:
+                assert type(fits[s]) is type(fit) and str(fits[s]) == str(fit)
+            assert_same_forecasts(forecasts[s:s + 1], forecast(models[s:s + 1], x))
 
 
 class TestFitBatch:
@@ -747,20 +695,29 @@ class TestPredictDirection:
 
 
 class TestForecast:
-    """forecast gives each series the bits of the per-model path it replaced:
-    one batched filter, then predict_direction on the series' posterior."""
+    """forecast gives each series the bits of its forecast alone, and the
+    plain math's expected return to rtol 1e-12."""
+
+    @staticmethod
+    def check(models, obs):
+        got = forecast(models, obs)
+        assert_same_forecasts(got, [
+            forecast([model], np.ascontiguousarray(row[None]))[0] for model, row in zip(models, obs)
+        ])
+        for result, model, row in zip(got, models, obs):
+            if isinstance(result, DirectionForecast):
+                assert_close(result.expected_return, reference_expected_return(model, row))
+                assert result.direction == sign_direction(result.expected_return)
+        return got
 
     @pytest.mark.parametrize("n_states", [1, 2, 3, 5, 9])
     @pytest.mark.parametrize("n_series", [1, 7, 240])
     def test_matches_reference_bit_for_bit(self, n_series, n_states):
-        # Below four states OpenBLAS's gemv gave strided operands other bits.
         rng = np.random.default_rng(2000 * n_series + n_states)
         obs, means, variances, pi, trans = hazard_batch(rng, n_series, n_states, 60)
         if n_series >= 4:
             obs[3, 20] = np.nan
-        models = [build_model(*p) for p in zip(pi, trans, means, variances)]
-        got = forecast(models, obs)
-        assert_same_forecasts(got, reference_forecast(models, obs))
+        got = self.check([build_model(*p) for p in zip(pi, trans, means, variances)], obs)
         if n_series >= 4:
             # A non-positive variance and a collapse err, and so does a NaN
             # window, as that series' own error.
@@ -774,8 +731,8 @@ class TestForecast:
         returns = np.stack([regime_returns(700 + s, 120) for s in range(24)])
         models = fit_batch(returns[:, :100], HmmConfig(n_states=n_states), list(range(24)))
         assert all(isinstance(m, HmmModel) for m in models)
-        windows = returns[:, -60:]
-        assert_same_forecasts(forecast(models, windows), reference_forecast(models, windows))
+        got = self.check(models, returns[:, -60:])
+        assert all(isinstance(result, DirectionForecast) for result in got)
 
     def test_one_model_per_series(self):
         model = build_model([1.0], [[1.0]], [0.0], [1e-4])
