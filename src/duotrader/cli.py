@@ -20,7 +20,7 @@ from datetime import date
 from pathlib import Path
 
 from . import engine as engine_mod
-from . import metrics
+from . import metrics, plan
 from .errors import ConfigError, DuotraderError, ParameterError
 from .marketdata import (
     BAR_CSV_HEADER,
@@ -206,7 +206,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     label_rows: list[str] = []
     meta_rows: list[str] = []
     for symbol in spec.symbols:
-        sub_seed = engine_mod.symbol_seed(seed, "synth", symbol)
+        sub_seed = plan.symbol_seed(seed, "synth", symbol)
         price = spec.start_price * (1.0 + (sub_seed % 97) / 97.0)
         bars, labels = synth_regime_series(
             sub_seed, spec.n_bars, spec.regimes, spec.transition,

@@ -229,7 +229,9 @@ def compute_report(
     bench_ann_mean = float(np.mean(bench)) * TRADING_DAYS
     bench_var = float(np.var(bench, ddof=1)) if n > 1 else 0.0
     if bench_var > 0:
-        beta = float(np.cov(returns, bench, ddof=1)[0, 1]) / bench_var
+        # Elementwise, not np.cov's BLAS product: the same bits on any CPU.
+        covariance = float(np.sum((returns - returns.mean()) * (bench - bench.mean()))) / (n - 1)
+        beta = covariance / bench_var
         alpha = ann_mean - (risk_free_rate + beta * (bench_ann_mean - risk_free_rate))
         treynor = (ann_mean - risk_free_rate) / beta if beta != 0 else 0.0
         if beta == 0:

@@ -8,6 +8,7 @@ engine's job; this module only decides.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import InvalidInputError, ParameterError
@@ -39,8 +40,8 @@ class PositionRiskState:
 
     @classmethod
     def open_position(cls, symbol: str, entry_price: float, config: RiskConfig) -> "PositionRiskState":
-        if entry_price <= 0:
-            raise InvalidInputError("entry price must be positive")
+        if not 0.0 < entry_price < math.inf:
+            raise InvalidInputError(f"entry price must be a positive price, got {entry_price}")
         return cls(
             symbol=symbol,
             entry_price=entry_price,
@@ -67,7 +68,7 @@ def update_and_check(
     Liquidation reasons: drawdown from peak exceeding the per-security cap
     (checked first), else close at or below the trailing stop.
     """
-    if close <= 0 or not close == close:
+    if not 0.0 < close < math.inf:
         raise InvalidInputError(f"close must be a positive price, got {close}")
     peak = max(state.peak_price, close)
     stop = max(state.trailing_stop, peak * (1.0 - config.trailing_fraction))

@@ -1,12 +1,13 @@
 """Properties of the book loop under drawn target weights.
 
-The plan is replaced by drawn steps that carry target weights (None holds
-the book, {} is all cash), so no model runs: the book loop is then a
-function of the calendar, the open and close columns, the weights and the
-configs, and every fill, position and equity point can be replayed from
-them alone.
+``engine.run_book`` trades a plan whose steps are drawn and carry target
+weights (None holds the book, {} is all cash), so no model runs: the book
+loop is then a function of the calendar, the open and close columns, the
+weights and the configs, and every fill, position and equity point can be
+replayed from them alone.
 """
 
+from dataclasses import replace
 from datetime import date
 from typing import NamedTuple
 
@@ -15,9 +16,9 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from duotrader import engine as eng
-from duotrader.engine import EngineConfig, run_backtest
+from duotrader.engine import EngineConfig, run_book
 from duotrader.marketdata import SymbolBars
+from duotrader.plan import Step, build_plan
 from duotrader.runconfig import RunConfig
 
 from conftest import take_rows
@@ -97,16 +98,17 @@ def market(book: Book):
     return bars_by_symbol, engine, plan
 
 
-def run_book(bars_by_symbol, engine, plan):
-    """The backtest with its plan replaced by steps carrying the drawn
+def trade(bars_by_symbol, engine, plan):
+    """The book run on the market's plan (its calendar and row table; no
+    metadata, so no universe and no step) with steps carrying the drawn
     weights."""
+    config = RunConfig(engine=engine)
     steps = {
-        i: eng._Step(day, sorted(bars_by_symbol), True, weights=weights)
+        i: Step(day, sorted(bars_by_symbol), True, weights=weights)
         for i, (day, weights) in plan.items()
     }
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(eng, "_plan_signals", lambda *args: steps)
-        return run_backtest(bars_by_symbol, {}, RunConfig(engine=engine))
+    drawn = replace(build_plan(bars_by_symbol, {}, config), steps=steps)
+    return run_book(bars_by_symbol, drawn, config)
 
 
 def replay(result, bars_by_symbol, initial):
@@ -149,7 +151,7 @@ CENT_BOOK = Book([(0.0, -2), (0.0, -2)], 40, 0, 0.005, 1.0, 0, 1, 0.9)
 @example(CENT_BOOK)
 def test_book_loop_under_drawn_weights(book):
     bars_by_symbol, engine, plan = market(book)
-    result = run_book(bars_by_symbol, engine, plan)
+    result = trade(bars_by_symbol, engine, plan)
     first_step_day = min((day for day, _ in plan.values()), default=date.max)
     for fill in result.fills:
         bars = bars_by_symbol[fill.symbol]
@@ -161,8 +163,8 @@ def test_book_loop_under_drawn_weights(book):
     for (_, positions, equity, magnitude), point in zip(states, result.equity_curve):
         assert all(q >= 0 for q in positions.values())
         assert abs(point.equity - equity) <= 1e-9 * max(1.0, magnitude)
-    assert states[-1][0] == result.final_cash
-    assert {s: q for s, q in states[-1][1].items() if q} == result.final_positions
+    assert states[-1][0] == result.cash
+    assert {s: q for s, q in states[-1][1].items() if q} == result.positions
 
 
 @BOOK_SETTINGS
@@ -171,10 +173,10 @@ def test_truncated_run_is_a_prefix_of_the_full_run(book, data):
     # No look-ahead: the run on the bars up to a calendar position, with the
     # plan steps up to it, is the full run up to that day.
     bars_by_symbol, engine, plan = market(book)
-    full = run_book(bars_by_symbol, engine, plan)
+    full = trade(bars_by_symbol, engine, plan)
     cut = data.draw(st.integers(1, len(full.equity_curve) - 1), label="cut")
     last = full.equity_curve[cut].timestamp
-    truncated = run_book(
+    truncated = trade(
         {s: take_rows(bars, bars.days <= last.toordinal()) for s, bars in bars_by_symbol.items()},
         engine, {i: step for i, step in plan.items() if i <= cut},
     )
@@ -195,7 +197,7 @@ def test_truncated_run_is_a_prefix_of_the_full_run(book, data):
 @example(CENT_BOOK)
 def test_cash_never_negative_under_drawn_weights(book):
     bars_by_symbol, engine, plan = market(book)
-    result = run_book(bars_by_symbol, engine, plan)
+    result = trade(bars_by_symbol, engine, plan)
     states = replay(result, bars_by_symbol, engine.initial_equity)
     assert min(cash for cash, *_ in states) >= 0.0
 
@@ -210,7 +212,7 @@ def test_cash_never_negative_under_drawn_weights(book):
 @example(CENT_BOOK)
 def test_no_fee_above_notional_without_a_diagnostic(book):
     bars_by_symbol, engine, plan = market(book)
-    result = run_book(bars_by_symbol, engine, plan)
+    result = trade(bars_by_symbol, engine, plan)
     for fill in result.fills:
         if fill.fee > fill.quantity * fill.price:
             prefix = f"{fill.timestamp.isoformat()}: {fill.symbol}: "

@@ -24,6 +24,7 @@ from duotrader.engine import (
 from duotrader.alpha_fusion import fuse
 from duotrader.errors import InsufficientDataError, InvalidInputError, NumericalError, ParameterError
 from duotrader import marketdata, regime_hmm, trend_net, workers
+from duotrader import plan as plan_mod
 from duotrader.marketdata import (
     InstrumentMeta, SymbolBars, ingest_csv, log_returns, synth_regime_series,
 )
@@ -52,21 +53,21 @@ def synth_market(n_symbols=6, n_bars=320, seed=11, sector="Energy"):
     return bars_by_symbol, meta
 
 
-def small_run(bars_by_symbol, meta, **engine_kwargs):
+def small_config(**engine_kwargs):
     defaults = dict(warmup_bars=120, retrain_every=21, rebalance_every=21, window_bars=100)
     defaults.update(engine_kwargs)
-    return run_backtest(
-        bars_by_symbol,
-        meta,
-        RunConfig(
-            seed=3,
-            universe=UniverseConfig(fine_count=4),
-            hmm=HmmConfig(n_states=2),
-            mlp=MlpConfig(epochs=2),
-            bl=BlConfig(covariance_lookback=60),
-            engine=EngineConfig(**defaults),
-        ),
+    return RunConfig(
+        seed=3,
+        universe=UniverseConfig(fine_count=4),
+        hmm=HmmConfig(n_states=2),
+        mlp=MlpConfig(epochs=2),
+        bl=BlConfig(covariance_lookback=60),
+        engine=EngineConfig(**defaults),
     )
+
+
+def small_run(bars_by_symbol, meta, **engine_kwargs):
+    return run_backtest(bars_by_symbol, meta, small_config(**engine_kwargs))
 
 
 def fifo_accounting_gap(result, bars_by_symbol, initial=100_000.0):
@@ -290,7 +291,7 @@ class TestRunBacktest:
         def broken(*args):
             raise NumericalError("forward recursion collapsed at t=3")
 
-        monkeypatch.setattr(getattr(eng, module), "forecast", broken)
+        monkeypatch.setattr(getattr(plan_mod, module), "forecast", broken)
         bars_by_symbol, meta = synth_market()
         result = small_run(bars_by_symbol, meta)
         assert result.insights
@@ -344,7 +345,7 @@ class TestRunBacktest:
             selections.append((as_of, select_universe(panel, config, as_of)))
             return selections[-1][1]
 
-        monkeypatch.setattr(eng, "select_universe", recording)
+        monkeypatch.setattr(plan_mod, "select_universe", recording)
         config = RunConfig(
             universe=UniverseConfig(coarse_count=1, fine_count=1, liquidity_lookback=30),
             engine=EngineConfig(start_date=start, warmup_bars=500),
@@ -498,14 +499,14 @@ def assert_fits_match_direct(result, bars_by_symbol, seed=3, window_bars=100):
         closes = bars.close[bars.days <= day.toordinal()][-window_bars:]
         lengths[(record["date"], symbol)] = closes.size
         if record["model"] == "hmm":
-            hmm_seed = eng.symbol_seed(seed, "hmm", symbol)
+            hmm_seed = plan_mod.symbol_seed(seed, "hmm", symbol)
             (model,) = regime_hmm.fit_batch(
                 log_returns(closes)[None], HmmConfig(n_states=2), [hmm_seed]
             )
             assert record["log_likelihood_path"] == model.log_likelihood_path
             assert record["iterations"] == model.diagnostics["iterations"]
         else:
-            config, mlp_seed = MlpConfig(epochs=2), eng.symbol_seed(seed, "mlp", symbol)
+            config, mlp_seed = MlpConfig(epochs=2), plan_mod.symbol_seed(seed, "mlp", symbol)
             data = trend_net.build_training_set(closes)
             ((_, history),) = trend_net.train_batch(
                 [trend_net.init_model(config, mlp_seed)], [data], config, [mlp_seed]
@@ -646,10 +647,10 @@ class TestCadenceAndChurn:
             widths["net"].append(len(models))
             return net_forecast(models, inputs)
 
-        monkeypatch.setattr(eng, "MODEL_CHUNK", 3)
-        monkeypatch.setattr(eng.regime_hmm, "fit_batch", spy_fit)
-        monkeypatch.setattr(eng.regime_hmm, "forecast", spy_filter)
-        monkeypatch.setattr(eng.trend_net, "forecast", spy_net)
+        monkeypatch.setattr(plan_mod, "MODEL_CHUNK", 3)
+        monkeypatch.setattr(regime_hmm, "fit_batch", spy_fit)
+        monkeypatch.setattr(regime_hmm, "forecast", spy_filter)
+        monkeypatch.setattr(trend_net, "forecast", spy_net)
         _, chunked = cadence_churn_run()
         # Each refit day has four windows, so chunks of 3 cut across days.
         assert max(widths["fit"]) == max(widths["filter"]) == max(widths["net"]) == 3
@@ -659,7 +660,7 @@ class TestCadenceAndChurn:
     def test_pooled_refits_equal_serial(self, monkeypatch):
         # Chunks of 3 give several refit tasks; S07's failing network refits
         # send TrainingDivergedError outcomes back from the workers.
-        monkeypatch.setattr(eng, "MODEL_CHUNK", 3)
+        monkeypatch.setattr(plan_mod, "MODEL_CHUNK", 3)
         monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
         _, serial = cadence_churn_run()
         monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
@@ -676,9 +677,9 @@ class TestCadenceAndChurn:
                 os._exit(1)
             return fit_batch(*args)
 
-        monkeypatch.setattr(eng, "MODEL_CHUNK", 3)
+        monkeypatch.setattr(plan_mod, "MODEL_CHUNK", 3)
         monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(eng.regime_hmm, "fit_batch", die_in_worker)
+        monkeypatch.setattr(regime_hmm, "fit_batch", die_in_worker)
         # A hang ends the test process with a traceback instead of stalling.
         faulthandler.dump_traceback_later(120, exit=True)
         try:
@@ -726,12 +727,12 @@ class TestRefitTasks:
 
         bars_by_symbol, meta = synth_market()
         # Every window has one length, so the refits make one group.
-        for chunk in (eng.MODEL_CHUNK, 7):
+        for chunk in (plan_mod.MODEL_CHUNK, 7):
             monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
             monkeypatch.setattr(workers, "fork_map", spy_fork_map)
-            monkeypatch.setattr(eng, "MODEL_CHUNK", chunk)
+            monkeypatch.setattr(plan_mod, "MODEL_CHUNK", chunk)
             log = tmp_path / f"fits-{chunk}"
-            record_calls(monkeypatch, log, eng.regime_hmm, "fit_batch")
+            record_calls(monkeypatch, log, regime_hmm, "fit_batch")
             results.append(small_run(bars_by_symbol, meta))
             monkeypatch.undo()
             widths = [width for _, _, width in logged_calls(log)]
@@ -744,8 +745,8 @@ class TestRefitTasks:
 
     def test_forecasts_run_in_the_workers(self, monkeypatch, tmp_path):
         log = tmp_path / "calls"
-        record_calls(monkeypatch, log, eng.regime_hmm, "forecast")
-        record_calls(monkeypatch, log, eng.trend_net, "forecast")
+        record_calls(monkeypatch, log, regime_hmm, "forecast")
+        record_calls(monkeypatch, log, trend_net, "forecast")
         monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
         result = small_run(*synth_market())
         assert any(i.direction != "flat" for i in result.insights)
@@ -762,7 +763,7 @@ class TestRefitTasks:
         runs = {}
         for cpus in (1, 2):
             log = tmp_path / f"calls-{cpus}"
-            record_calls(monkeypatch, log, getattr(eng, module), "forecast", fail=True)
+            record_calls(monkeypatch, log, getattr(plan_mod, module), "forecast", fail=True)
             monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
             runs[cpus] = small_run(*synth_market())
             pids = {pid for _, pid, _ in logged_calls(log)}
@@ -815,19 +816,19 @@ class TestPlanHelpers:
         """Jobs of three symbols' 100-bar windows and their refit outcomes."""
         bars_by_symbol, _ = synth_market(n_symbols=3)
         jobs = [plan_job(bars.close[100:200], s) for s, bars in bars_by_symbol.items()]
-        return jobs, eng._refit_chunk(PLAN_CONFIG, jobs)
+        return jobs, plan_mod._refit_chunk(PLAN_CONFIG, jobs)
 
     def test_one_close_gives_no_hmm_signal(self, fitted):
         jobs, models = fitted
-        assert eng._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-1:])], models[:1]) == [[None, None]]
+        assert plan_mod._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-1:])], models[:1]) == [[None, None]]
 
     def test_window_of_input_size_gives_no_network_signal(self, fitted):
         jobs, models = fitted
         n_inputs = PLAN_CONFIG.mlp.input_size
         for size in (2, n_inputs):
-            ((hmm, net),) = eng._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-size:])], models[:1])
+            ((hmm, net),) = plan_mod._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-size:])], models[:1])
             assert isinstance(hmm, regime_hmm.DirectionForecast) and net is None
-        ((_, net),) = eng._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-n_inputs - 1:])], models[:1])
+        ((_, net),) = plan_mod._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-n_inputs - 1:])], models[:1])
         assert isinstance(net, trend_net.TrendForecast)
 
     def test_failing_forecasts_give_their_errors(self, fitted):
@@ -836,7 +837,7 @@ class TestPlanHelpers:
         jobs, models = fitted
         closes = jobs[0][2].copy()
         closes[-1] = np.nan
-        bad, good = eng._forecast(PLAN_CONFIG, [plan_job(closes), jobs[1]], models[:2])
+        bad, good = plan_mod._forecast(PLAN_CONFIG, [plan_job(closes), jobs[1]], models[:2])
         for signal in bad:
             assert isinstance(signal, InvalidInputError)
         assert "finite positive closes" in str(bad[0]) and "must be finite" in str(bad[1])
@@ -848,7 +849,7 @@ class TestPlanHelpers:
         # alone, and fuse reads it as it reads the plain (direction, size) tuple.
         jobs, models = fitted
         directions = set()
-        signals = eng._forecast(PLAN_CONFIG, jobs, models)
+        signals = plan_mod._forecast(PLAN_CONFIG, jobs, models)
         for (_, symbol, closes, _), (hmm, net), (hmm_model, (net_model, _)) in zip(jobs, signals, models):
             assert [hmm] == regime_hmm.forecast([hmm_model], log_returns(closes)[None])
             assert [net] == trend_net.forecast([net_model], np.diff(closes)[None, -5:])
@@ -866,7 +867,7 @@ class TestPlanHelpers:
             calls.append(ids)
             return [10 * i for i in ids]
 
-        eng._batched(call, [0, 2], outcomes)
+        plan_mod._batched(call, [0, 2], outcomes)
         assert calls == [[0, 2]]
         assert outcomes == {5: "kept", 0: 0, 2: 20}
 
@@ -876,12 +877,12 @@ class TestPlanHelpers:
         def call(ids):
             raise error
 
-        eng._batched(call, [0, 1, 2], outcomes)
+        plan_mod._batched(call, [0, 1, 2], outcomes)
         assert outcomes == {0: error, 1: error, 2: error}
 
     def test_batched_makes_no_call_without_ids(self):
         outcomes = {}
-        eng._batched(pytest.fail, [], outcomes)
+        plan_mod._batched(pytest.fail, [], outcomes)
         assert outcomes == {}
 
 
@@ -897,18 +898,11 @@ class TestReturnColumns:
                 want = log_returns(column[lo:lo + n])
                 assert returns[lo:lo + n - 1].tobytes() == want.tobytes(), (lo, n)
 
-    def test_plan_windows_carry_their_returns(self, monkeypatch):
-        plans, plan_signals = [], eng._plan_signals
-
-        def spy(*args):
-            plans.append(plan_signals(*args))
-            return plans[-1]
-
-        monkeypatch.setattr(eng, "_plan_signals", spy)
+    def test_plan_windows_carry_their_returns(self):
         bars_by_symbol, meta = synth_market()
         bars_by_symbol["S03"] = take_rows(bars_by_symbol["S03"], slice(60, None))
-        small_run(bars_by_symbol, meta)
-        windows = [window for step in plans[0].values() for window in step.windows.values()]
+        plan = plan_mod.build_plan(bars_by_symbol, meta, small_config())
+        windows = [window for step in plan.steps.values() for window in step.windows.values()]
         assert len({closes.size for closes, _ in windows}) > 1
         for closes, returns in windows:
             assert not returns.flags.writeable
@@ -955,21 +949,22 @@ class TestDataGap:
         assert len(liquidating) == 1 and "GAP missing 6 bars" in liquidating[0]
         assert len(gap_fills) == 1
 
-    def test_same_day_risk_events_in_symbol_order(self, monkeypatch):
+    def test_same_day_risk_events_in_symbol_order(self):
         # Both symbols are bought at the second open. S1's last bar is the
         # third, so at the ninth close it has missed 6 > max_gap_bars bars;
         # at that close S0 falls 10 % from its peak, past its 5 % maximum
         # drawdown. The close-of-day stage logs both in symbol order.
         bars_by_symbol = {"S0": make_bars([10.0] * 8 + [9.0] * 4), "S1": make_bars([10.0] * 3)}
         day = day_of(bars_by_symbol["S0"], 0)
-        step = eng._Step(day, ["S0", "S1"], True, weights={"S0": 0.45, "S1": 0.45})
-        monkeypatch.setattr(eng, "_plan_signals", lambda *args: {0: step})
-        result = run_backtest(bars_by_symbol, {}, RunConfig())
-        assert [(f.symbol, f.side) for f in result.fills] == [
+        step = plan_mod.Step(day, ["S0", "S1"], True, weights={"S0": 0.45, "S1": 0.45})
+        config = RunConfig()  # its warm-up outlasts the calendar: the plan has no step
+        plan = replace(plan_mod.build_plan(bars_by_symbol, {}, config), steps={0: step})
+        book = eng.run_book(bars_by_symbol, plan, config)
+        assert [(f.symbol, f.side) for f in book.fills] == [
             ("S0", "buy"), ("S1", "buy"), ("S0", "sell"),
         ]
         ninth = day_of(bars_by_symbol["S0"], 8).isoformat()
-        assert [(e["date"], e["symbol"], e["reason"]) for e in result.risk_events] == [
+        assert [(e["date"], e["symbol"], e["reason"]) for e in book.risk_events] == [
             (ninth, "S0", "max-drawdown"), (ninth, "S1", "data-gap"),
         ]
 

@@ -205,6 +205,20 @@ class TestComputeReport:
         assert report.end_equity == 107_300.0
         assert report.runtime_days == 9
 
+    def test_beta_matches_an_elementwise_reference(self):
+        # Each centred product summed exactly by math.fsum, then divided by
+        # n - 1 and by the benchmark's variance: no BLAS product on either side.
+        rng = np.random.default_rng(31)
+        equity = 1e5 * np.exp(np.cumsum(rng.normal(0.0004, 0.01, 401)))
+        r = equity[1:] / equity[:-1] - 1.0
+        bench = 0.6 * r + rng.normal(0.0, 0.008, r.size)
+        report = compute_report(days(equity.size), equity, [], bench)
+        n = r.size
+        r_mean, b_mean = math.fsum(r) / n, math.fsum(bench) / n
+        covariance = math.fsum((x - r_mean) * (y - b_mean) for x, y in zip(r, bench)) / (n - 1)
+        variance = math.fsum((y - b_mean) ** 2 for y in bench) / (n - 1)
+        assert report.beta == pytest.approx(covariance / variance, rel=1e-12)
+
     def test_benchmark_self_beta_one(self):
         rng = np.random.default_rng(20)
         equity = 1e5 * np.exp(np.cumsum(rng.normal(0.0005, 0.01, 120)))

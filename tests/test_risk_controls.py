@@ -68,6 +68,15 @@ class TestUpdateAndCheck:
         with pytest.raises(InvalidInputError):
             update_and_check(open_at(), -5.0, RiskConfig())
 
+    @pytest.mark.parametrize("close", [float("inf"), float("nan"), -float("inf")])
+    def test_non_finite_close_is_refused(self, close):
+        # An infinite close would raise the peak and the stop to inf, so every
+        # later close would liquidate.
+        state = open_at()
+        with pytest.raises(InvalidInputError, match="positive price"):
+            update_and_check(state, close, RiskConfig())
+        assert update_and_check(state, 101.0, RiskConfig())[1].action == HOLD
+
     def test_new_high_never_liquidates(self):
         config = RiskConfig()
         state = open_at(100.0, config)
@@ -141,6 +150,11 @@ class TestSetup:
     def test_invalid_entry(self):
         with pytest.raises(InvalidInputError):
             PositionRiskState.open_position("CVX", 0.0, RiskConfig())
+
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_non_finite_entry_is_refused(self, entry):
+        with pytest.raises(InvalidInputError, match="positive price"):
+            PositionRiskState.open_position("CVX", entry, RiskConfig())
 
     def test_config_bounds(self):
         with pytest.raises(ParameterError):
