@@ -307,7 +307,7 @@ def _queue_liquidation(
 def _fill_orders(book: Book, day: date) -> None:
     """Step 1: fill pending orders at today's open, sells first. An order
     for a symbol without a bar today stays pending; a sell is capped at the
-    shares held."""
+    shares held. A fill whose fee exceeds its notional gets a diagnostic."""
     for order in sorted(book.pending.values(), key=lambda o: (o.side != "sell", o.symbol)):
         row = book.row_today(order.symbol)
         if row is None:
@@ -324,15 +324,20 @@ def _fill_orders(book: Book, day: date) -> None:
             book.diagnostics.append(f"{day}: {diag}")
         if fill is None:
             continue
+        notional = fill.quantity * fill.price
+        if fill.fee > notional:
+            book.diagnostics.append(
+                f"{day}: {fill.symbol}: fee {fill.fee:g} exceeds notional {notional:g}"
+            )
         if fill.side == "buy":
-            book.cash -= fill.quantity * fill.price + fill.fee
+            book.cash -= notional + fill.fee
             book.positions[fill.symbol] = held + fill.quantity
             if held == 0:
                 book.risk_states[fill.symbol] = risk_controls.PositionRiskState.open_position(
                     fill.symbol, fill.price, book.config.risk
                 )
         else:
-            book.cash += fill.quantity * fill.price - fill.fee
+            book.cash += notional - fill.fee
             if held > fill.quantity:
                 book.positions[fill.symbol] = held - fill.quantity
             else:

@@ -342,7 +342,7 @@ def _build_targets(
     pi = portfolio_bl.equilibrium_returns(sigma, market_weights, bl_config.risk_aversion)
     views = portfolio_bl.build_views(step.insights, usable, sigma, bl_config)
     mu = portfolio_bl.posterior_returns(pi, sigma, bl_config.tau, views)
-    step.weights = portfolio_bl.optimize_weights(mu, sigma, bl_config, usable).weights
+    step.weights = portfolio_bl.optimize_weights(mu, sigma, bl_config, usable)
     step.allocation = {
         "date": day.isoformat(),
         "symbols": usable,

@@ -34,7 +34,6 @@ class BlConfig:
     risk_aversion: float = 2.5
     tau: float = 0.05
     covariance_lookback: int = 252
-    long_only: bool = True
     max_weight: float = 0.20
 
     def __post_init__(self):
@@ -65,13 +64,6 @@ class ViewSet:
 
     def __len__(self) -> int:
         return self.view_returns.size
-
-
-@dataclass
-class TargetPortfolio:
-    """Per-symbol fractions of equity. Anything not allocated stays in cash."""
-
-    weights: dict[str, float]
 
 
 def estimate_covariance(windows: Mapping[str, Sequence[float] | np.ndarray]) -> np.ndarray:
@@ -168,18 +160,17 @@ def optimize_weights(
     sigma: np.ndarray,
     config: BlConfig,
     symbols: Sequence[str],
-) -> TargetPortfolio:
-    """Unconstrained mean-variance solution w = (delta Sigma)^-1 mu, projected
-    onto the constraint set when long-only: clamp to [0, max_weight], then
-    scale down proportionally if the clamped weights sum past 1."""
+) -> dict[str, float]:
+    """Each symbol's fraction of equity (the rest stays in cash): the
+    mean-variance solution w = (delta Sigma)^-1 mu clamped to [0, max_weight],
+    then scaled down proportionally if the clamped weights sum past 1."""
     mu = np.asarray(mu, dtype=float)
     try:
         raw = np.linalg.solve(config.risk_aversion * sigma, mu)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"mean-variance solve failed: {exc}") from exc
-    if config.long_only:
-        raw = np.clip(raw, 0.0, config.max_weight)
-        total = raw.sum()
-        if total > 1.0:
-            raw = raw / total
-    return TargetPortfolio({s: float(w) for s, w in zip(symbols, raw)})
+    weights = np.clip(raw, 0.0, config.max_weight)
+    total = weights.sum()
+    if total > 1.0:
+        weights = weights / total
+    return {s: float(w) for s, w in zip(symbols, weights)}

@@ -78,10 +78,9 @@ def _as_batch(returns: np.ndarray) -> tuple[np.ndarray, list[InvalidInputError |
 
 def _over_states(op, x: np.ndarray) -> np.ndarray:
     """``op`` (np.add or np.maximum) over the last (state) axis as a chain of its
-    slices: on (T, S, K) arrays numpy's own length-K loops are slower below 8
-    states, and from 8 on its sum is faster than the chain."""
-    if op is np.add and x.shape[-1] >= 8:
-        return x.sum(axis=-1)
+    slices: on (T, S, K) arrays numpy's own length-K loops are slower at the
+    few states a regime model has, and the chain's order is the same in any
+    batch."""
     out = x[..., 0].copy()
     for k in range(1, x.shape[-1]):
         op(out, x[..., k], out=out)

@@ -58,6 +58,40 @@ def day_of(bars, row):
     return date.fromordinal(int(bars.days[row]))
 
 
-def closes_by_date(bars):
-    """Each bar's close keyed by its date."""
-    return {date.fromordinal(d): c for d, c in zip(bars.days.tolist(), bars.close.tolist())}
+def fifo_accounting_gap(result, bars_by_symbol, initial=100_000.0):
+    """Worst absolute violation of equity = initial + realized + unrealized - fees."""
+    closes = {
+        s: {date.fromordinal(d): c for d, c in zip(bars.days.tolist(), bars.close.tolist())}
+        for s, bars in bars_by_symbol.items()
+    }
+    fills_by_date = {}
+    for f in result.fills:
+        fills_by_date.setdefault(f.timestamp, []).append(f)
+    lots: dict[str, list[list[float]]] = {}
+    realized = fees = 0.0
+    last_close: dict[str, float] = {}
+    worst = 0.0
+    for point in result.equity_curve:
+        for symbol, table in closes.items():
+            if point.timestamp in table:
+                last_close[symbol] = table[point.timestamp]
+        for f in fills_by_date.get(point.timestamp, []):
+            fees += f.fee
+            if f.side == "buy":
+                lots.setdefault(f.symbol, []).append([f.quantity, f.price])
+            else:
+                remaining = f.quantity
+                while remaining > 0:
+                    lot = lots[f.symbol][0]
+                    taken = min(remaining, lot[0])
+                    realized += taken * (f.price - lot[1])
+                    lot[0] -= taken
+                    remaining -= taken
+                    if lot[0] == 0:
+                        lots[f.symbol].pop(0)
+        unrealized = sum(
+            qty * (last_close[s] - px) for s, ls in lots.items() for qty, px in ls
+        )
+        identity = initial + realized + unrealized - fees
+        worst = max(worst, abs(identity - point.equity))
+    return worst

@@ -37,7 +37,7 @@ from duotrader.runconfig import RunConfig
 from duotrader.trend_net import MlpConfig
 from duotrader.universe import UniverseConfig
 
-from conftest import closes_by_date, take_rows
+from conftest import fifo_accounting_gap, take_rows
 
 
 def verdict(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -272,11 +272,9 @@ def test_criterion_07_black_litterman_identities():
     # equilibrium round trip recovers the market weights
     weights = rng.uniform(0.1, 0.4, 4)
     weights /= weights.sum()
-    config = BlConfig(long_only=False)
+    config = BlConfig(max_weight=1.0)
     prior = equilibrium_returns(sigma4, weights, config.risk_aversion)
-    recovered = np.array(
-        list(optimize_weights(prior, sigma4, config, list("ABCD")).weights.values())
-    )
+    recovered = np.array(list(optimize_weights(prior, sigma4, config, list("ABCD")).values()))
     round_trip_err = float(np.max(np.abs(recovered - weights)))
 
     # two-asset posterior vs an independent inverse-based dense solve
@@ -361,7 +359,7 @@ def test_criterion_09_engine_determinism_and_no_look_ahead(full_backtest):
     expected = [f.to_dict() for f in result.fills if f.timestamp <= cutoff]
     look_ahead_ok = [f.to_dict() for f in truncated.fills] == expected
 
-    accounting_gap = _fifo_accounting_gap(result, bars_by_symbol)
+    accounting_gap = fifo_accounting_gap(result, bars_by_symbol)
     accounting_ok = accounting_gap < 1e-6
 
     ok = (
@@ -374,39 +372,6 @@ def test_criterion_09_engine_determinism_and_no_look_ahead(full_backtest):
         f"accounting gap={accounting_gap:.1e} "
         f"determinism={determinism_ok} truncation={look_ahead_ok}",
     )
-
-
-def _fifo_accounting_gap(result, bars_by_symbol, initial=100_000.0):
-    closes = {s: closes_by_date(bars) for s, bars in bars_by_symbol.items()}
-    fills_by_date = {}
-    for f in result.fills:
-        fills_by_date.setdefault(f.timestamp, []).append(f)
-    lots, last_close = {}, {}
-    realized = fees = 0.0
-    worst = 0.0
-    for point in result.equity_curve:
-        for symbol, table in closes.items():
-            if point.timestamp in table:
-                last_close[symbol] = table[point.timestamp]
-        for f in fills_by_date.get(point.timestamp, []):
-            fees += f.fee
-            if f.side == "buy":
-                lots.setdefault(f.symbol, []).append([f.quantity, f.price])
-            else:
-                remaining = f.quantity
-                while remaining > 0:
-                    lot = lots[f.symbol][0]
-                    taken = min(remaining, lot[0])
-                    realized += taken * (f.price - lot[1])
-                    lot[0] -= taken
-                    remaining -= taken
-                    if lot[0] == 0:
-                        lots[f.symbol].pop(0)
-        unrealized = sum(
-            qty * (last_close[s] - px) for s, ls in lots.items() for qty, px in ls
-        )
-        worst = max(worst, abs(initial + realized + unrealized - fees - point.equity))
-    return worst
 
 
 def test_criterion_10_end_to_end_report_validity(full_backtest):

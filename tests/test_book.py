@@ -202,11 +202,6 @@ def test_cash_never_negative_under_drawn_weights(book):
     assert min(cash for cash, *_ in states) >= 0.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="FOUND CHANGES.md:3: order sizing ignores the fee schedule, so a fill "
-    "can pay a fee above its notional and no diagnostic says so",
-)
 @settings(BOOK_SETTINGS, phases=[Phase.explicit, Phase.generate])
 @given(books)
 @example(CENT_BOOK)

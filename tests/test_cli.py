@@ -428,7 +428,7 @@ class TestBacktest:
     ("backtest", "engine.warmup_bars=180.5", "at engine: warmup_bars"),
     ("backtest", "seed=true", "at top level: seed"),                     # int refuses bool
     ("backtest", 'bl.tau="0.1"', "at bl: tau"),                          # float
-    ("backtest", 'bl.long_only="no"', "at bl: long_only"),               # bool
+    ("backtest", "bl.long_only=true", "at bl: long_only"),               # removed key
     ("backtest", "universe.sector=5", "at universe: sector"),            # str
     ("backtest", "data.benchmark=5", "at data: benchmark"),              # str | None
     ("backtest", 'engine.start_date="2020-13-45"', "at engine: start_date"),  # date | None

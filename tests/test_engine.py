@@ -35,7 +35,7 @@ from duotrader.runconfig import RunConfig
 from duotrader.trend_net import MlpConfig
 from duotrader.universe import UniverseConfig, candidate_panel, select_universe
 
-from conftest import closes_by_date, day_of, make_bars, scale_prices, take_rows
+from conftest import day_of, fifo_accounting_gap, make_bars, scale_prices, take_rows
 
 DAY = date(2020, 1, 2)
 
@@ -68,42 +68,6 @@ def small_config(**engine_kwargs):
 
 def small_run(bars_by_symbol, meta, **engine_kwargs):
     return run_backtest(bars_by_symbol, meta, small_config(**engine_kwargs))
-
-
-def fifo_accounting_gap(result, bars_by_symbol, initial=100_000.0):
-    """Worst absolute violation of equity = initial + realized + unrealized - fees."""
-    closes = {s: closes_by_date(bars) for s, bars in bars_by_symbol.items()}
-    fills_by_date = {}
-    for f in result.fills:
-        fills_by_date.setdefault(f.timestamp, []).append(f)
-    lots: dict[str, list[list[float]]] = {}
-    realized = fees = 0.0
-    last_close: dict[str, float] = {}
-    worst = 0.0
-    for point in result.equity_curve:
-        for symbol, table in closes.items():
-            if point.timestamp in table:
-                last_close[symbol] = table[point.timestamp]
-        for f in fills_by_date.get(point.timestamp, []):
-            fees += f.fee
-            if f.side == "buy":
-                lots.setdefault(f.symbol, []).append([f.quantity, f.price])
-            else:
-                remaining = f.quantity
-                while remaining > 0:
-                    lot = lots[f.symbol][0]
-                    taken = min(remaining, lot[0])
-                    realized += taken * (f.price - lot[1])
-                    lot[0] -= taken
-                    remaining -= taken
-                    if lot[0] == 0:
-                        lots[f.symbol].pop(0)
-        unrealized = sum(
-            qty * (last_close[s] - px) for s, ls in lots.items() for qty, px in ls
-        )
-        identity = initial + realized + unrealized - fees
-        worst = max(worst, abs(identity - point.equity))
-    return worst
 
 
 class TestExecute:
@@ -358,17 +322,18 @@ class TestRunBacktest:
 
     def test_pinned_diagnostics(self):
         # No artifact carries the diagnostics, so their order and wording are
-        # pinned here: a note on a symbol without metadata, a dropped buy
-        # (a $200 minimum fee on $1,000), and S02's failed network fits once
-        # its prices jump by 1e160.
+        # pinned here: a note on a symbol without metadata, a dropped buy and
+        # fills whose fee exceeds their notional (a $200 minimum fee on
+        # $1,000), and S02's failed network fits once its prices jump by 1e160.
         bars_by_symbol, meta = synth_market(n_symbols=7)
         bars_by_symbol["S02"] = scale_prices(bars_by_symbol["S02"], 1e160, first=200)
         del meta["S06"]
         result = small_run(bars_by_symbol, meta, initial_equity=1000.0, min_fee=200.0)
-        for note in ("S06: no metadata", "buy dropped", "S02 net fit skipped", "S02: missing"):
+        for note in ("S06: no metadata", "buy dropped", "exceeds notional", "S02 net fit skipped",
+                     "S02: missing"):
             assert any(note in d for d in result.diagnostics)
         assert jsonl_sha256(result.diagnostics) == (
-            "fdc46aa7966baf771e6fd70fcd93d36deb4aa8cc7445f0a5fbfabc446ec12e57"
+            "7a55a61ee23a9a2f9e4b5a79bb5babfe9b3bf31337c2d87ee3c408934708a841"
         )
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])

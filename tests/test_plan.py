@@ -91,6 +91,19 @@ def test_reference_plan_trades():
     assert any(step.fits for step in plan.steps.values())
     assert any(step.weights for step in plan.steps.values())
     assert any(i.direction != "flat" for step in plan.steps.values() for i in step.insights)
+    # Every rebalance's weights are its allocation record's (none without a
+    # record), in [0, max_weight] and summing to at most 1 (to rounding of
+    # the scaled sum): weights the long-only book can trade.
+    cap = plan_config(PLAN_ENGINE).bl.max_weight
+    for step in plan.steps.values():
+        if not step.rebalance:
+            continue
+        if step.allocation is None:
+            assert not step.weights
+            continue
+        assert step.weights == step.allocation["weights"]
+        assert all(0.0 <= w <= cap for w in step.weights.values())
+        assert sum(step.weights.values()) <= 1.0 + 1e-12
 
 
 @settings(max_examples=8, derandomize=True, database=None, deadline=None)

@@ -179,15 +179,17 @@ class TestOptimizeWeights:
         sigma = a @ a.T + 0.01 * np.eye(5)
         w_mkt = rng.uniform(0.1, 0.3, 5)
         w_mkt /= w_mkt.sum()
-        config = BlConfig(long_only=False)
+        # Market weights are positive, at most the cap and sum to 1, so the
+        # projection leaves them (to rounding).
+        config = BlConfig(max_weight=1.0)
         pi = equilibrium_returns(sigma, w_mkt, config.risk_aversion)
         result = optimize_weights(pi, sigma, config, list("ABCDE"))
-        assert np.array(list(result.weights.values())) == pytest.approx(w_mkt, abs=1e-9)
+        assert np.array(list(result.values())) == pytest.approx(w_mkt, abs=1e-9)
 
     def test_zero_mu_all_cash(self):
         config = BlConfig()
         result = optimize_weights(np.zeros(3), np.eye(3) * 0.04, config, ["A", "B", "C"])
-        assert all(w == 0.0 for w in result.weights.values())
+        assert all(w == 0.0 for w in result.values())
 
     def test_negative_weight_clamped(self):
         # oracle: hand projection of the closed-form solution
@@ -196,8 +198,8 @@ class TestOptimizeWeights:
         mu = np.array([0.02, -0.01])
         config = BlConfig(risk_aversion=2.5, max_weight=0.20)
         result = optimize_weights(mu, sigma, config, ["A", "B"])
-        assert result.weights["A"] == pytest.approx(0.20)
-        assert result.weights["B"] == 0.0
+        assert result["A"] == pytest.approx(0.20)
+        assert result["B"] == 0.0
 
     def test_long_only_invariants_randomized(self):
         rng = np.random.default_rng(7)
@@ -208,7 +210,7 @@ class TestOptimizeWeights:
             sigma = a @ a.T + 0.01 * np.eye(n)
             mu = rng.normal(0, 0.1, n)
             result = optimize_weights(mu, sigma, config, [f"S{i}" for i in range(n)])
-            weights = np.array(list(result.weights.values()))
+            weights = np.array(list(result.values()))
             assert np.all(weights >= 0.0)
             assert np.all(weights <= config.max_weight + 1e-9)
             assert weights.sum() <= 1.0 + 1e-9
@@ -218,7 +220,7 @@ class TestOptimizeWeights:
         mu = np.full(4, 0.02)  # unconstrained weight 0.8 each
         config = BlConfig(max_weight=0.5)
         result = optimize_weights(mu, sigma, config, list("ABCD"))
-        weights = np.array(list(result.weights.values()))
+        weights = np.array(list(result.values()))
         assert weights.sum() == pytest.approx(1.0)
         assert np.all(weights <= config.max_weight + 1e-9)
 
