@@ -340,13 +340,13 @@ def _build_targets(
     caps = np.array([meta[s].shares_outstanding * step.windows[s][0][-1] for s in usable])
     market_weights = caps / caps.sum()
     pi = portfolio_bl.equilibrium_returns(sigma, market_weights, bl_config.risk_aversion)
-    views = portfolio_bl.build_views(step.insights, usable, sigma, bl_config)
-    mu = portfolio_bl.posterior_returns(pi, sigma, bl_config.tau, views)
+    q, precision = portfolio_bl.build_views(step.insights, usable, sigma)
+    mu = portfolio_bl.posterior_returns(pi, sigma, q, precision)
     step.weights = portfolio_bl.optimize_weights(mu, sigma, bl_config, usable)
     step.allocation = {
         "date": day.isoformat(),
         "symbols": usable,
         "weights": dict(step.weights),
         "posterior_returns": {s: float(m) for s, m in zip(usable, mu)},
-        "active_views": int(len(views)),
+        "active_views": int(np.count_nonzero(precision)),
     }

@@ -5,8 +5,12 @@ equilibrium returns from market-cap weights, a posterior blend of equilibrium
 and the active (non-flat) insights, then the unconstrained mean-variance
 solution projected onto the long-only / per-asset-cap constraint set.
 
-All solves are dense (the universe is at most a few dozen assets); a small
-ridge keeps the covariance invertible when return series are collinear.
+Each view is absolute, on one symbol, so views are two per-symbol arrays: the
+view return and its precision. There is no tau: under the proportional rule
+Omega_ii = tau Sigma_ii / confidence it cancels out of the posterior mean
+(He & Litterman, "The Intuition Behind Black-Litterman Model Portfolios",
+1999). All solves are dense (the universe is at most a few dozen assets); a
+small ridge keeps the covariance invertible when return series are collinear.
 """
 
 from __future__ import annotations
@@ -32,38 +36,18 @@ TRADING_DAYS = 252
 @dataclass
 class BlConfig:
     risk_aversion: float = 2.5
-    tau: float = 0.05
     covariance_lookback: int = 252
     max_weight: float = 0.20
 
     def __post_init__(self):
-        if self.risk_aversion <= 0 or self.tau <= 0:
-            raise ParameterError("risk_aversion and tau must be > 0")
+        if self.risk_aversion <= 0:
+            raise ParameterError("risk_aversion must be > 0")
         if not 0.0 < self.max_weight <= 1.0:
             raise ParameterError("max_weight must be in (0, 1]")
         # A rebalance needs more returns than assets + 1 to estimate a
         # covariance, so a shorter lookback would skip every rebalance.
         if self.covariance_lookback < 3:
             raise ParameterError("covariance_lookback must be >= 3")
-
-
-@dataclass
-class ViewSet:
-    """One row per active insight: one-hot pick matrix, expected view returns,
-    and the diagonal of the view-uncertainty matrix."""
-
-    pick: np.ndarray        # (V, N)
-    view_returns: np.ndarray  # (V,)
-    omega_diag: np.ndarray    # (V,)
-
-    @classmethod
-    def empty(cls, n_assets: int) -> "ViewSet":
-        return cls(
-            np.zeros((0, n_assets)), np.zeros(0), np.zeros(0)
-        )
-
-    def __len__(self) -> int:
-        return self.view_returns.size
 
 
 def estimate_covariance(windows: Mapping[str, Sequence[float] | np.ndarray]) -> np.ndarray:
@@ -101,55 +85,44 @@ def equilibrium_returns(
 
 
 def build_views(
-    insights: Sequence[Insight],
-    symbols: Sequence[str],
-    sigma: np.ndarray,
-    config: BlConfig,
-) -> ViewSet:
-    """One absolute view per non-flat insight on a universe symbol.
-
-    View return is the signed insight magnitude; uncertainty follows the
-    proportional rule Omega_ii = tau * (P Sigma P^T)_ii / confidence, so a
-    more confident insight is weighted more heavily in the blend.
+    insights: Sequence[Insight], symbols: Sequence[str], sigma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One absolute view per non-flat insight on a universe symbol, as two
+    (N,) arrays: the view return q (the signed insight magnitude) and its
+    precision confidence / Sigma_ii, so a more confident insight weighs more
+    in the blend. Both are 0 for a symbol without a view. The plan issues at
+    most one insight per symbol.
     """
     index = {s: i for i, s in enumerate(symbols)}
-    rows, returns, omegas = [], [], []
+    q, precision = np.zeros(len(symbols)), np.zeros(len(symbols))
     for insight in insights:
         if insight.direction not in (UP, DOWN) or insight.symbol not in index:
             continue
-        row = np.zeros(len(symbols))
-        row[index[insight.symbol]] = 1.0
-        rows.append(row)
-        signed = insight.magnitude if insight.direction == UP else -insight.magnitude
-        returns.append(signed)
-        var = float(row @ sigma @ row)
-        omegas.append(config.tau * max(var, COVARIANCE_RIDGE) / insight.confidence)
-    if not rows:
-        return ViewSet.empty(len(symbols))
-    return ViewSet(np.vstack(rows), np.array(returns), np.array(omegas))
+        i = index[insight.symbol]
+        q[i] = insight.magnitude if insight.direction == UP else -insight.magnitude
+        precision[i] = insight.confidence / max(float(sigma[i, i]), COVARIANCE_RIDGE)
+    return q, precision
 
 
 def posterior_returns(
-    pi: np.ndarray, sigma: np.ndarray, tau: float, views: ViewSet
+    pi: np.ndarray, sigma: np.ndarray, q: np.ndarray, precision: np.ndarray
 ) -> np.ndarray:
-    """Blend equilibrium returns with views:
+    """Blend equilibrium returns with per-symbol views:
 
-        mu = [(tau Sigma)^-1 + P^T Omega^-1 P]^-1 [(tau Sigma)^-1 pi + P^T Omega^-1 q]
+        mu = [Sigma^-1 + diag(precision)]^-1 [Sigma^-1 pi + precision * q]
 
-    With no views the formula degenerates to the prior, which is returned
-    exactly (no solve is performed).
+    With no views (every precision 0) the formula degenerates to the prior,
+    which is returned exactly (no solve is performed).
     """
     pi = np.asarray(pi, dtype=float)
-    if len(views) == 0:
+    if not np.all(np.isfinite(precision) & (precision >= 0)):
+        raise ParameterError("view precisions must be finite and >= 0")
+    if not precision.any():
         return pi.copy()
-    if np.any(views.omega_diag <= 0):
-        raise ParameterError("view uncertainties must be positive")
-    n = pi.size
     try:
-        prior_precision = np.linalg.solve(tau * sigma, np.eye(n))
-        inv_omega = 1.0 / views.omega_diag
-        system = prior_precision + views.pick.T @ (inv_omega[:, None] * views.pick)
-        rhs = prior_precision @ pi + views.pick.T @ (inv_omega * views.view_returns)
+        prior_precision = np.linalg.solve(sigma, np.eye(pi.size))
+        system = prior_precision + np.diag(precision)
+        rhs = prior_precision @ pi + precision * q
         return np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"posterior blend solve failed: {exc}") from exc

@@ -21,7 +21,6 @@ from duotrader.marketdata import InstrumentMeta, log_returns, synth_regime_serie
 from duotrader.metrics import cagr, compute_report, profit_loss_ratio, total_return
 from duotrader.portfolio_bl import (
     BlConfig,
-    ViewSet,
     equilibrium_returns,
     optimize_weights,
     posterior_returns,
@@ -265,7 +264,7 @@ def test_criterion_07_black_litterman_identities():
     sigma4 = factor @ factor.T + 0.01 * np.eye(4)
     prior4 = rng.normal(0, 0.05, 4)
     identity_ok = (
-        posterior_returns(prior4, sigma4, 0.05, ViewSet.empty(4)).tobytes()
+        posterior_returns(prior4, sigma4, np.zeros(4), np.zeros(4)).tobytes()
         == prior4.tobytes()
     )
 
@@ -281,10 +280,9 @@ def test_criterion_07_black_litterman_identities():
     sigma = np.array([[0.0400, 0.0120], [0.0120, 0.0625]])
     tau, q, omega = 0.05, 0.08, 0.02
     prior2 = np.array([0.040, 0.055])
-    views = ViewSet(np.array([[1.0, 0.0]]), np.array([q]), np.array([omega]))
-    produced = posterior_returns(prior2, sigma, tau, views)
+    pick = np.array([[1.0, 0.0]])
+    produced = posterior_returns(prior2, sigma, pick[0] * q, pick[0] * (tau / omega))
     inv_ts = np.linalg.inv(tau * sigma)
-    pick = views.pick
     dense = np.linalg.inv(inv_ts + pick.T @ pick / omega) @ (
         inv_ts @ prior2 + pick.T @ np.array([q]) / omega
     )

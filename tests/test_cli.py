@@ -389,7 +389,7 @@ class TestBacktest:
                 assert path.read_bytes() == (replay_dir / path.name).read_bytes(), path.name
 
     @pytest.mark.parametrize("key, value", [
-        ("bl.tau", float("nan")),
+        ("bl.risk_aversion", float("nan")),
         ("engine.per_share_fee", float("nan")),
         ("hmm.convergence_tol", float("nan")),
         ("engine.initial_equity", float("nan")),
@@ -427,7 +427,7 @@ class TestBacktest:
     ("backtest", "universe.fine_count=2.5", "at universe: fine_count"),
     ("backtest", "engine.warmup_bars=180.5", "at engine: warmup_bars"),
     ("backtest", "seed=true", "at top level: seed"),                     # int refuses bool
-    ("backtest", 'bl.tau="0.1"', "at bl: tau"),                          # float
+    ("backtest", 'bl.risk_aversion="0.1"', "at bl: risk_aversion"),      # float
     ("backtest", "bl.long_only=true", "at bl: long_only"),               # removed key
     ("backtest", "universe.sector=5", "at universe: sector"),            # str
     ("backtest", "data.benchmark=5", "at data: benchmark"),              # str | None
@@ -454,6 +454,7 @@ class TestBacktest:
     ("synth", {"transition": "x"}, "at top level: transition"),         # list[list[float]]
     ("synth", {"start_date": "2015-02-30"}, "at top level: start_date"),  # date
     ("synth", [], "top level must be a JSON object"),
+    ("backtest", "bl.tau=0.05", "at bl: tau"),                           # removed key
 ])
 def test_wrong_input_exit_2(tmp_path, capsys, command, value, named):
     if command == "backtest":

@@ -10,10 +10,12 @@ import zlib
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duotrader import engine as eng
+from duotrader import portfolio_bl
 from duotrader.engine import EngineConfig
 from duotrader.marketdata import InstrumentMeta, synth_regime_series
 from duotrader.plan import build_plan
@@ -118,3 +120,24 @@ def test_engine_holds_no_plan_names():
     for name in ("MODEL_CHUNK", "MODEL_ERRORS", "symbol_seed", "select_universe",
                  "candidate_panel", "regime_hmm", "trend_net", "portfolio_bl"):
         assert not hasattr(eng, name), name
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a view return is the HMM's daily expected return, while Sigma and so pi "
+    "are annualized: every up view pulls its posterior down toward a daily return"))
+def test_an_up_view_lifts_its_posterior(monkeypatch):
+    # Each symbol's up regime drifts 0.001 a day, about 0.25 a year, far above
+    # every equilibrium return here (at most 0.1), so each of the plan's up
+    # views must lift its symbol's posterior.
+    blends, blend = [], portfolio_bl.posterior_returns
+
+    def spy(pi, sigma, q, precision):
+        mu = blend(pi, sigma, q, precision)
+        blends.append((pi, q, mu))
+        return mu
+
+    monkeypatch.setattr(portfolio_bl, "posterior_returns", spy)
+    build_plan(*MARKET, plan_config(PLAN_ENGINE))
+    ups = [(pi[i], mu[i]) for pi, q, mu in blends for i in np.flatnonzero(q > 0)]
+    assert ups
+    assert all(mu > pi for pi, mu in ups)

@@ -12,7 +12,6 @@ from duotrader.errors import (
 from duotrader.portfolio_bl import (
     COVARIANCE_RIDGE,
     BlConfig,
-    ViewSet,
     build_views,
     equilibrium_returns,
     estimate_covariance,
@@ -92,25 +91,22 @@ class TestEquilibriumReturns:
 class TestBuildViews:
     def test_one_hot_rows_and_signs(self):
         sigma = np.eye(3) * 0.04
-        config = BlConfig()
-        views = build_views(
+        q, precision = build_views(
             [insight("A", "up", 0.03), insight("C", "down", 0.01), insight("B", "flat")],
-            ["A", "B", "C"], sigma, config,
+            ["A", "B", "C"], sigma,
         )
-        assert len(views) == 2
-        assert views.pick[0] == pytest.approx([1, 0, 0])
-        assert views.pick[1] == pytest.approx([0, 0, 1])
-        assert views.view_returns == pytest.approx([0.03, -0.01])
+        assert q == pytest.approx([0.03, 0.0, -0.01])
+        assert precision == pytest.approx([0.5 / 0.04, 0.0, 0.5 / 0.04])
 
     def test_omega_proportional_rule(self):
+        # precision = tau / Omega_ii = confidence / Sigma_ii
         sigma = np.diag([0.04, 0.09])
-        config = BlConfig(tau=0.05)
-        views = build_views([insight("B", "up", 0.02, confidence=0.5)], ["A", "B"], sigma, config)
-        assert views.omega_diag[0] == pytest.approx(0.05 * 0.09 / 0.5)
+        _, precision = build_views([insight("B", "up", 0.02, confidence=0.5)], ["A", "B"], sigma)
+        assert precision[1] == pytest.approx(0.5 / 0.09)
 
     def test_unknown_symbols_skipped(self):
-        views = build_views([insight("ZZZ", "up")], ["A", "B"], np.eye(2), BlConfig())
-        assert len(views) == 0
+        q, precision = build_views([insight("ZZZ", "up")], ["A", "B"], np.eye(2))
+        assert not q.any() and not precision.any()
 
 
 class TestPosteriorReturns:
@@ -119,15 +115,14 @@ class TestPosteriorReturns:
         a = rng.normal(0, 1, (4, 4))
         sigma = a @ a.T + np.eye(4)
         pi = rng.normal(0, 0.05, 4)
-        out = posterior_returns(pi, sigma, 0.05, ViewSet.empty(4))
+        out = posterior_returns(pi, sigma, np.zeros(4), np.zeros(4))
         assert out.tobytes() == pi.tobytes()  # bit-for-bit
 
     def test_small_omega_limit_pins_view(self):
         # oracle: as Omega -> 0 the posterior honors the view exactly
         sigma = np.array([[0.04, 0.01], [0.01, 0.09]])
         pi = np.array([0.03, 0.05])
-        views = ViewSet(np.array([[0.0, 1.0]]), np.array([0.11]), np.array([1e-10]))
-        out = posterior_returns(pi, sigma, 0.05, views)
+        out = posterior_returns(pi, sigma, np.array([0.0, 0.11]), np.array([0.0, 0.05 / 1e-10]))
         assert out[1] == pytest.approx(0.11, abs=1e-6)
 
     def test_two_asset_case_matches_scalar_algebra(self):
@@ -136,7 +131,6 @@ class TestPosteriorReturns:
         tau = 0.05
         pi = np.array([0.040, 0.055])
         q, omega = 0.080, 0.020
-        views = ViewSet(np.array([[1.0, 0.0]]), np.array([q]), np.array([omega]))
 
         ts = tau * sigma
         det = ts[0, 0] * ts[1, 1] - ts[0, 1] * ts[1, 0]
@@ -150,26 +144,50 @@ class TestPosteriorReturns:
         )
         expected = inv_sys @ rhs
 
-        out = posterior_returns(pi, sigma, tau, views)
+        out = posterior_returns(pi, sigma, np.array([q, 0.0]), np.array([tau / omega, 0.0]))
         assert out == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_bits_as_the_pick_matrix_form(self, seed):
+        # oracle: the general form with a (V, N) pick matrix of one-hot rows,
+        # [Sigma^-1 + P^T diag(p) P] mu = Sigma^-1 pi + P^T (p q), solved as
+        # the module solves. Products with one-hot rows are exact, so the
+        # bits agree on any BLAS kernel.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        a = rng.normal(0, 0.1, (n, n))
+        sigma = a @ a.T + 0.01 * np.eye(n)
+        pi = rng.normal(0, 0.1, n)
+        viewed = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        q, precision = np.zeros(n), np.zeros(n)
+        q[viewed] = rng.normal(0, 0.01, viewed.size)
+        precision[viewed] = rng.uniform(0.5, 50.0, viewed.size)
+
+        pick = np.eye(n)[viewed]
+        p, qv = precision[viewed], q[viewed]
+        inv_sigma = np.linalg.solve(sigma, np.eye(n))
+        dense = np.linalg.solve(
+            inv_sigma + pick.T @ np.diag(p) @ pick, inv_sigma @ pi + pick.T @ (p * qv)
+        )
+        assert np.array_equal(posterior_returns(pi, sigma, q, precision), dense)
 
     def test_single_view_interpolates(self):
         sigma = np.diag([0.04, 0.09])
         pi = np.array([0.02, 0.03])
-        q = 0.10
+        q = np.array([0.0, 0.10])
         previous = None
         for omega in (1e-8, 1e-4, 1e-2, 1.0, 100.0):
-            views = ViewSet(np.array([[0.0, 1.0]]), np.array([q]), np.array([omega]))
-            out = posterior_returns(pi, sigma, 0.05, views)
-            assert pi[1] < out[1] < q
+            out = posterior_returns(pi, sigma, q, np.array([0.0, 0.05 / omega]))
+            assert pi[1] < out[1] < q[1]
             if previous is not None:
                 assert out[1] < previous  # larger omega pulls back toward prior
             previous = out[1]
 
     def test_invalid_omega(self):
-        views = ViewSet(np.array([[1.0, 0.0]]), np.array([0.1]), np.array([0.0]))
-        with pytest.raises(ParameterError):
-            posterior_returns(np.zeros(2), np.eye(2), 0.05, views)
+        # a precision of inf is a view with Omega = 0
+        for bad in (-1.0, np.inf, np.nan):
+            with pytest.raises(ParameterError):
+                posterior_returns(np.zeros(2), np.eye(2), np.array([0.1, 0.0]), np.array([bad, 0.0]))
 
 
 class TestOptimizeWeights:
@@ -230,7 +248,7 @@ class TestConfig:
         with pytest.raises(ParameterError):
             BlConfig(risk_aversion=0)
         with pytest.raises(ParameterError):
-            BlConfig(tau=-1)
+            BlConfig(risk_aversion=-1)
         with pytest.raises(ParameterError):
             BlConfig(max_weight=0.0)
 

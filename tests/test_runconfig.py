@@ -127,6 +127,6 @@ def test_resolved_config_decodes_to_the_config(tmp_path, payload):
 
 
 def test_int_for_float_field_stored_as_float():
-    config = load_config(None, {"bl.tau": 1, "engine.initial_equity": 50000})
-    assert type(config.bl.tau) is float and config.bl.tau == 1.0
+    config = load_config(None, {"bl.risk_aversion": 1, "engine.initial_equity": 50000})
+    assert type(config.bl.risk_aversion) is float and config.bl.risk_aversion == 1.0
     assert type(config.resolved()["engine"]["initial_equity"]) is float
