@@ -57,10 +57,11 @@ MODEL_ERRORS = (InsufficientDataError, InvalidInputError, NumericalError, Traini
 # Most series in one batched refit or posterior call. Wider calls spread the
 # per-step Python overhead of the recursions over more series: pinned to one
 # CPU, fitting the 480 HMMs of the ``acceptance`` benchmark (251 returns each)
-# took 1.08 s in calls of 48 and 0.74 s in calls of 240. A call's (time,
-# series, state) arrays grow with the width and count toward the peak memory of
-# the process that runs it: that backtest, pinned, peaked at 47 MB with calls
-# of 48 and 57 MB with calls of 240, about 0.05 MB per series.
+# took 0.87 s in calls of 48 and 0.51 s in calls of 240 (medians of 6
+# alternating runs). A call's (time, state, series) arrays grow with the width
+# and count toward the peak memory of the process that runs it: that
+# backtest, pinned, peaked at 48 MB with calls of 48 and 60 MB with calls of
+# 240, about 0.06 MB per series.
 MODEL_CHUNK = 240
 
 

@@ -3,13 +3,16 @@
 Observations are univariate: every state k carries a mean return and a
 variance. Fitting is expectation-maximization with a scaled
 forward-backward pass, run for a bounded number of iterations; the M-step
-updates every live state at once. Every routine works on S series at once,
-with time-major (T, S, K) emission, forward and backward arrays (each step
-reads and writes one contiguous block): ``fit_batch`` fits one model per
-series and ``forecast`` filters each series under its own model. Both give
-a series with a non-finite return (from a bad close) its own InvalidInputError.
-A series gets the same bits in any batch and under any BLAS: products are
-two-operand ``np.einsum`` calls, and no sum's order depends on the batch.
+updates every live state at once. Every routine works on S series at once.
+Parameters are (S, K) and (S, K, K); the emission, forward and backward
+arrays are series-last (T, K, S), so every elementwise op and every sum over
+states runs along contiguous rows of S series. ``fit_batch`` fits one model
+per series, in arrays it allocates once per call and reuses every EM
+iteration, and ``forecast`` filters each series under its own model. Both
+give a series with a non-finite return (from a bad close) its own
+InvalidInputError. A series gets the same bits in any batch and under any
+BLAS: products are two-operand ``np.einsum`` calls or elementwise, and no
+sum's order depends on the batch.
 
 The directional forecast is the sign of the posterior-weighted one-step-ahead
 expected return: e = sum_j (sum_i posterior_i A_ij) mean_returns_j.
@@ -17,6 +20,7 @@ expected return: e = sum_j (sum_i posterior_i A_ij) mean_returns_j.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -76,49 +80,121 @@ def _as_batch(returns: np.ndarray) -> tuple[np.ndarray, list[InvalidInputError |
     ]
 
 
-def _over_states(op, x: np.ndarray) -> np.ndarray:
-    """``op`` (np.add or np.maximum) over the last (state) axis as a chain of its
-    slices: on (T, S, K) arrays numpy's own length-K loops are slower at the
-    few states a regime model has, and the chain's order is the same in any
-    batch."""
-    out = x[..., 0].copy()
-    for k in range(1, x.shape[-1]):
-        op(out, x[..., k], out=out)
+class _Buffers:
+    """The (T, K, S) arrays of a forward-backward pass and an M-step, and the
+    M-step's two (S, K, T - 1) time-last copies: C-ordered views of flat
+    storage allocated once for ``n_series`` series. EM rewrites them every
+    iteration; ``keep`` narrows them when series leave the batch. The copy of
+    the alphas (``past``) lives in the storage of ``scaled``, which only the
+    backward pass reads."""
+
+    def __init__(self, n_obs: int, n_states: int, n_series: int):
+        self._dims = n_obs, n_states
+        big = n_obs * n_states * n_series
+        self._flat = {name: np.empty(big) for name in ("b", "alphas", "betas", "scaled", "future")}
+        self._flat.update(norms=np.empty(n_obs * n_series), shifts=np.empty(n_obs * n_series))
+        self._view(n_series)
+
+    def _view(self, n_series: int):
+        n_obs, n_states = self._dims
+        series_last, time_last = (n_obs, n_states, n_series), (n_series, n_states, n_obs - 1)
+        for name, store, shape in (
+            ("b", "b", series_last),
+            ("alphas", "alphas", series_last),
+            ("betas", "betas", series_last),
+            ("scaled", "scaled", (n_obs - 1, n_states, n_series)),
+            ("past", "scaled", time_last),
+            ("future", "future", time_last),
+            ("norms", "norms", (n_obs, n_series)),
+            ("shifts", "shifts", (n_obs, n_series)),
+        ):
+            setattr(self, name, self._flat[store][:math.prod(shape)].reshape(shape))
+
+    def keep(self, positions: Sequence[int]):
+        """Narrow the batch to the series at ``positions`` (ascending): their
+        forward arrays (b, alphas, norms) move into the storage of arrays that
+        are written before they are read again (scaled, betas, shifts)."""
+        forward = self.b, self.alphas, self.norms
+        flat = self._flat
+        for name, spare in (("b", "scaled"), ("alphas", "betas"), ("norms", "shifts")):
+            flat[name], flat[spare] = flat[spare], flat[name]
+        self._view(len(positions))
+        for old, new in zip(forward, (self.b, self.alphas, self.norms)):
+            np.take(old, positions, axis=-1, out=new, mode="clip")  # "clip": no buffered copy
+
+
+def _over_states(op, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``op`` (np.add or np.maximum) over the state axis of (T, K, S) x into
+    (T, S) out, as a chain of its state slices, k = 0, 1, ..., K - 1: each op
+    reads contiguous rows of S series, and the chain's order is the same in
+    any batch."""
+    np.copyto(out, x[:, 0])
+    for k in range(1, x.shape[1]):
+        op(out, x[:, k], out=out)
     return out
 
 
+def _state_sum(padded: np.ndarray, lanes: np.ndarray):
+    """A function that writes to ``out`` the sum of the K state rows of
+    ``padded`` in two interleaved lanes, (x0 + x2 + x4 + ...) + (x1 + x3 +
+    ...), each lane added left to right.
+
+    That is the order in which numpy's einsum sums a contiguous axis of fewer
+    than 8 elements (the two lanes of its baseline SIMD loop), and the order
+    the pinned fits and forecasts were recorded in. Spelled out as
+    elementwise adds over rows of S series, it holds in any batch, at any K
+    and under any dispatch target. ``padded`` holds the K rows and, for odd
+    K, a zero row (x + 0 is x), so the lanes add row pair by row pair,
+    (x0, x1) + (x2, x3) + ..., into ``lanes`` (2, ...): ceil(K / 2) adds in
+    all. The operands are bound once per pass; only ``out`` changes from step
+    to step.
+    """
+    pairs = list(padded.reshape(-1, 2, *padded.shape[1:]))
+    adds = [(pairs[0], pairs[1]), *((lanes, pair) for pair in pairs[2:])] if len(pairs) > 1 else []
+    first, second = lanes if adds else pairs[0]
+
+    def state_sum(out: np.ndarray) -> np.ndarray:
+        for x, y in adds:
+            np.add(x, y, out=lanes)
+        return np.add(first, second, out=out)
+
+    return state_sum
+
+
 def _over_time(x: np.ndarray) -> np.ndarray:
-    """(S, K) sums over time of (T, S, K) x, in an order the batch does not
-    change: row by row in time, but with one state (where numpy sums a batch of
-    one pairwise) pairwise along a contiguous copy of each series' row."""
-    if x.shape[2] == 1:
-        return np.ascontiguousarray(x[:, :, 0].T).sum(axis=1)[:, None]
-    return x.sum(axis=0)
+    """C-ordered (S, K) sums over time of (T, K, S) x, in an order the batch
+    does not change: row by row in time, but with one state (where numpy sums
+    a batch of one pairwise) pairwise along a contiguous copy of each series'
+    row."""
+    if x.shape[1] == 1:
+        return np.ascontiguousarray(x[:, 0].T).sum(axis=1)[:, None]
+    return np.ascontiguousarray(x.sum(axis=0).T)
 
 
-def _emission_log_probs(obs: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """(T, S, K) log density of every observation under every state's Gaussian,
-    -0.5 * (log 2pi + log var + (x - mean)^2 / var), in one C-ordered buffer."""
-    z = np.subtract(obs.T[:, :, None], means, order="C")
+def _emission_log_probs(obs, means, variances, out: np.ndarray) -> np.ndarray:
+    """Into (T, K, S) out, the log density of every observation of obs (S, T)
+    under every state's Gaussian, -0.5 * (log 2pi + log var + (x - mean)^2 / var)."""
+    z = np.subtract(obs.T[:, None, :], means.T, out=out)
     z *= z
-    z /= variances
-    z += LOG_2PI + np.log(variances)
+    z /= variances.T
+    z += (LOG_2PI + np.log(variances)).T
     z *= -0.5
     return z
 
 
-def _forward(obs, means, variances, pi, trans):
+def _forward(obs, means, variances, pi, trans, buffers: _Buffers):
     """Scaled forward pass over S series at once: obs (S, T); means,
-    variances and pi (S, K); trans (S, K, K).
+    variances and pi (S, K); trans (S, K, K). Writes buffers.b, .alphas (the
+    normalized alphas), .norms (T, S) and .shifts at the width of obs.
 
-    Returns (normalized alphas, norms, log-likelihoods, b, errors), norms
-    (T, S): b holds the emission probabilities, shifted per time step before
-    exponentiation; the shift cancels in the normalized recursion and is
-    added back to the log-likelihood, so the result is exact even for
-    extreme densities. errors[s] is the NumericalError series s ran into, or
-    None; the other outputs of a failed series are meaningless.
+    Returns (log-likelihoods, errors). b holds the emission probabilities,
+    shifted per time step before exponentiation; the shift cancels in the
+    normalized recursion and is added back to the log-likelihood, so the
+    result is exact even for extreme densities. errors[s] is the
+    NumericalError series s ran into, or None; the other outputs of a failed
+    series are meaningless.
     """
-    n_series, n_obs = obs.shape
+    n_series, n_states = pi.shape
     errors: list[NumericalError | None] = [None] * n_series
     invalid = ~np.all(variances > 0, axis=1)
     for s in np.flatnonzero(invalid):
@@ -129,65 +205,83 @@ def _forward(obs, means, variances, pi, trans):
         variances = np.where(invalid[:, None], 1.0, variances)
         means = np.where(invalid[:, None], 0.0, means)
 
-    b = _emission_log_probs(obs, means, variances)
-    shifts = _over_states(np.maximum, b)
-    b -= shifts[:, :, None]
+    b, alphas, norms = buffers.b, buffers.alphas, buffers.norms
+    _emission_log_probs(obs, means, variances, out=b)
+    shifts = _over_states(np.maximum, b, out=buffers.shifts)
+    b -= shifts[:, None, :]
     np.exp(b, out=b)
-    alphas = np.empty_like(b)
-    norms = np.empty((n_obs, n_series))
+    into = trans.transpose(1, 2, 0).copy()  # [i, j, s]: from state i into state j
+    padded = np.zeros((n_states + n_states % 2, n_series))
+    a = padded[:n_states]  # alpha_t-1 A, times b_t, before its norm
+    state_sum = _state_sum(padded, np.empty((2, n_series)))
 
     # A collapsed series divides by a zero norm and turns NaN from there
     # on; it is reported at its first zero norm, and nothing it computes
     # reaches another series.
     with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = np.multiply(pi, b[0], out=alphas[0])
-        for t in range(n_obs):
-            a = alphas[t]
-            if t:
-                np.multiply(np.einsum("si,sij->sj", alpha, trans), b[t], out=a)
-            norm = norms[t] = np.einsum("sk->s", a)  # one call, where a chain makes K
-            alpha = np.divide(a, norm[:, None], out=a)
+        np.multiply(pi.T, b[0], out=a)
+        alpha = None
+        for alpha_t, b_t, norm in zip(alphas, b, norms):
+            if alpha is not None:
+                np.einsum("is,ijs->js", alpha, into, out=a)
+                np.multiply(a, b_t, out=a)
+            alpha = np.divide(a, state_sum(norm), out=alpha_t)
         # Summed pairwise along contiguous rows, as a batch of one would be.
         log_likelihood = np.log(norms.T.copy()).sum(axis=1) + shifts.T.copy().sum(axis=1)
     collapsed = (norms <= 0).T
     for s in np.flatnonzero(collapsed.any(axis=1)):
         if errors[s] is None:
             errors[s] = NumericalError(f"forward recursion collapsed at t={np.argmax(collapsed[s])}")
-    return alphas, norms, log_likelihood, b, errors
+    return log_likelihood, errors
 
 
-def _backward(b: np.ndarray, trans: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """Backward pass scaled by the forward norms (Rabiner-style), (T, S, K)."""
-    betas = np.empty_like(b)
+def _backward(buffers: _Buffers, trans: np.ndarray) -> np.ndarray:
+    """Backward pass (Rabiner-style) scaled by the forward norms, into
+    buffers.betas (T, K, S): beta_t,i = sum_j A_ij b_t+1,j beta_t+1,j / n_t+1,
+    the sum over j in ``_state_sum``'s order. Reads buffers.b and .norms."""
+    b, betas, scaled = buffers.b, buffers.betas, buffers.scaled
     betas[-1] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):  # a collapsed series' zero norms
-        scaled = b[1:] / norms[1:, :, None]
+        np.divide(b[1:], buffers.norms[1:, None, :], out=scaled)
+    n_states = b.shape[1]
+    into = trans.transpose(2, 1, 0).copy()  # [j, i, s]: from state i into state j
+    padded = np.zeros((n_states + n_states % 2, *b.shape[1:]))
+    products = padded[:n_states]  # [j, i, s]: A_ij times step_j
+    state_sum = _state_sum(padded, np.empty((2, *b.shape[1:])))
+    step = np.empty(b.shape[1:])
+    step_by_target = step[:, None, :]
     for t in range(b.shape[0] - 2, -1, -1):
-        np.einsum("sij,sj->si", trans, scaled[t] * betas[t + 1], out=betas[t])
+        np.multiply(scaled[t], betas[t + 1], out=step)
+        np.multiply(into, step_by_target, out=products)
+        state_sum(betas[t])
     return betas
 
 
-def _m_step(obs, alphas, betas, b, norms, trans, means, variances, floor):
-    """Re-estimate every series' parameters from one (T, S, K) E-step
-    (alphas, betas and b are overwritten: the M-step's temporaries reuse
-    them). Returns (pi, trans, means, variances, floored) with floored (S,)
-    marking series whose new variance hit the floor in some live state."""
+def _m_step(obs, buffers: _Buffers, trans, means, variances, floor):
+    """Re-estimate every series' parameters from one E-step's buffers
+    (alphas, betas, b and norms, at the width of obs (S, T)); alphas, betas
+    and b are overwritten, as the M-step's temporaries reuse them. Returns
+    (pi, trans, means, variances, floored) with floored (S,) marking series
+    whose new variance hit the floor in some live state."""
+    alphas, betas, b, norms = buffers.alphas, buffers.betas, buffers.b, buffers.norms
     # Expected transition counts, accumulated without materializing the
     # (T, K, K) tensor. With this scaling each xi_t is already a proper
     # posterior, so the sum is the expected count matrix; time-last copies
     # let einsum sum along a contiguous axis, several times faster.
     weighted = b[1:]
     weighted *= betas[1:]
-    weighted /= norms[1:, :, None]
-    time_last = (alphas[:-1].transpose(1, 2, 0).copy(), weighted.transpose(1, 2, 0).copy())
-    xi_sum = trans * np.einsum("sit,sjt->sij", *time_last)
-    del weighted, time_last
+    weighted /= norms[1:, None, :]
+    past, future = buffers.past, buffers.future
+    np.copyto(past, alphas[:-1].transpose(2, 1, 0))
+    np.copyto(future, weighted.transpose(2, 1, 0))
+    xi_sum = trans * np.einsum("sit,sjt->sij", past, future)
 
     gammas = betas  # betas are not needed again
     gammas *= alphas
-    gammas /= _over_states(np.add, gammas)[:, :, None]
+    gammas /= _over_states(np.add, gammas, out=buffers.shifts)[:, None, :]
 
-    pi = gammas[0] / gammas[0].sum(axis=1, keepdims=True)
+    first = np.ascontiguousarray(gammas[0].T)
+    pi = first / first.sum(axis=1, keepdims=True)
     # A row whose source state is (almost) never occupied keeps its
     # previous probabilities; the guarded denominator only avoids a
     # division by zero in rows that np.where discards.
@@ -205,9 +299,9 @@ def _m_step(obs, alphas, betas, b, norms, trans, means, variances, floor):
     occupancy = _over_time(gammas)
     live = ~(occupancy <= 1e-10)
     weights = np.where(live, occupancy, 1.0)
-    weighted_obs = np.multiply(gammas, obs.T[:, :, None], out=alphas)  # alphas are not needed again
+    weighted_obs = np.multiply(gammas, obs.T[:, None, :], out=alphas)  # alphas are not needed again
     new_means = _over_time(weighted_obs) / weights
-    diff = np.subtract(obs.T[:, :, None], new_means, out=alphas)
+    diff = np.subtract(obs.T[:, None, :], new_means.T, out=alphas)
     spread = np.multiply(gammas, diff, out=b)
     spread *= diff
     new_vars = _over_time(spread) / weights
@@ -267,7 +361,8 @@ def fit_batch(
     if len(seeds) != n_series:
         raise ParameterError(f"need one seed per series, got {len(seeds)} for {n_series}")
     rows = np.flatnonzero([error is None for error in results])  # open fits, in batch order
-    pi, trans, means, variances = _initial_parameters(obs[rows], config, [seeds[r] for r in rows])
+    x = obs[rows]
+    pi, trans, means, variances = _initial_parameters(x, config, [seeds[r] for r in rows])
     paths: list[list[float]] = [[] for _ in range(n_series)]
     floored = np.zeros(n_series, dtype=bool)
     converged = np.zeros(n_series, dtype=bool)
@@ -277,9 +372,9 @@ def fit_batch(
     prev_ll = np.full(n_series, -np.inf)
     iteration = 0
 
+    buffers = _Buffers(n_obs, config.n_states, rows.size)
     while rows.size:
-        x = obs[rows]
-        alphas, norms, log_likelihood, b, errors = _forward(x, means, variances, pi, trans)
+        log_likelihood, errors = _forward(x, means, variances, pi, trans, buffers)
         keep = []
         for pos, row in enumerate(rows):
             if errors[pos] is not None:
@@ -301,22 +396,17 @@ def fit_batch(
                     "variance_floored": bool(floored[row]),
                 },
             )
-        if len(keep) < rows.size:
-            # One array at a time, so that only one old copy is alive at once;
-            # np.take keeps them time-major in memory, alphas[:, keep] would not.
-            alphas = np.take(alphas, keep, axis=1)
-            b = np.take(b, keep, axis=1)
-            rows, x, norms, log_likelihood = rows[keep], x[keep], norms[:, keep], log_likelihood[keep]
-            pi, trans, means, variances = pi[keep], trans[keep], means[keep], variances[keep]
-        if not rows.size:
+        if not keep:
             break
+        if len(keep) < rows.size:
+            buffers.keep(keep)
+            rows, x, log_likelihood = rows[keep], x[keep], log_likelihood[keep]
+            pi, trans, means, variances = pi[keep], trans[keep], means[keep], variances[keep]
 
-        betas = _backward(b, trans, norms)
+        _backward(buffers, trans)
         pi, trans, means, variances, floored_now = _m_step(
-            x, alphas, betas, b, norms, trans, means, variances, config.variance_floor
+            x, buffers, trans, means, variances, config.variance_floor
         )
-        # Free this pass's (T, S, K) arrays before the next pass makes its own.
-        del alphas, betas, b
         iteration += 1
         floored[rows] |= floored_now
         converged[rows] = log_likelihood - prev_ll[rows] < config.convergence_tol
@@ -328,7 +418,7 @@ def fit_batch(
 def _filter(models: Sequence[HmmModel], returns: np.ndarray):
     """Normalized forward probabilities P(state_t | returns_1..t) of S series
     under their own models: (S, T, K) alphas (a transposed view of the
-    time-major forward array) and one error (or None) per series."""
+    series-last (T, K, S) forward array) and one error (or None) per series."""
     obs, bad = _as_batch(returns)
     if obs.shape[1] == 0:
         raise InsufficientDataError("filtering needs at least one return")
@@ -336,14 +426,17 @@ def _filter(models: Sequence[HmmModel], returns: np.ndarray):
         raise ParameterError(f"need one model per series, got {len(models)} for {obs.shape[0]}")
     if not models:
         return np.empty((0, obs.shape[1], 0)), []
-    alphas, _, _, _, errors = _forward(
+    pi = np.stack([m.initial_probs for m in models])
+    buffers = _Buffers(obs.shape[1], pi.shape[1], obs.shape[0])
+    _, errors = _forward(
         np.where([[error is None] for error in bad], obs, 0.0),  # no warnings from bad series
         np.stack([m.mean_returns for m in models]),
         np.stack([m.variances for m in models]),
-        np.stack([m.initial_probs for m in models]),
+        pi,
         np.stack([m.transition for m in models]),
+        buffers,
     )
-    return alphas.transpose(1, 0, 2), [own or error for own, error in zip(bad, errors)]
+    return buffers.alphas.transpose(2, 0, 1), [own or error for own, error in zip(bad, errors)]
 
 
 def forecast(

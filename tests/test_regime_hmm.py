@@ -1,3 +1,4 @@
+import copy
 import math
 from unittest import mock
 
@@ -22,6 +23,7 @@ from duotrader.regime_hmm import (
     HmmConfig,
     HmmModel,
     _backward,
+    _Buffers,
     _filter,
     _forward,
     _initial_parameters,
@@ -53,6 +55,12 @@ def fit_one(returns, config, seed=0):
     (model,) = fit_batch(np.asarray(returns, dtype=float)[None], config, [seed])
     assert isinstance(model, HmmModel), model
     return model
+
+
+def forward_pass(obs, means, variances, pi, trans):
+    """_forward on fresh buffers of the batch's width: (buffers, log-likelihoods, errors)."""
+    buffers = _Buffers(obs.shape[1], pi.shape[1], obs.shape[0])
+    return (buffers, *_forward(obs, means, variances, pi, trans, buffers))
 
 
 def posterior_one(model, returns):
@@ -353,17 +361,19 @@ class TestMStep:
             ok = [0, *range(3, n_series)]  # the constant series, and none that fails
             batch = hazard_batch(rng, n_series, 4, n_obs)
             obs, means, variances, pi, trans = (a[ok] for a in batch)
-            alphas, norms, _, b, errors = _forward(obs, means, variances, pi, trans)
+            buffers, _, errors = forward_pass(obs, means, variances, pi, trans)
             assert errors == [None] * len(ok)
-            betas = _backward(b, trans, norms)
-            got = _m_step(
-                obs, alphas.copy(), betas.copy(), b.copy(), norms, trans, means, variances, 1e-12
+            _backward(buffers, trans)
+            # Copies: the M-step overwrites its buffers.
+            alphas, betas, b, norms = (
+                a.copy() for a in (buffers.alphas, buffers.betas, buffers.b, buffers.norms)
             )
+            got = _m_step(obs, buffers, trans, means, variances, 1e-12)
             assert got[4][0] and not got[4][1:].all()
             assert np.all(got[2][:, -1] == 5.0)  # the dead state kept its mean
             for s in range(len(ok)):
                 want = reference_m_step(
-                    obs[s], alphas[:, s], betas[:, s], b[:, s], norms[:, s],
+                    obs[s], alphas[:, :, s], betas[:, :, s], b[:, :, s], norms[:, s],
                     trans[s], means[s], variances[s], 1e-12,
                 )
                 for have, ref in zip(got, want):
@@ -371,8 +381,9 @@ class TestMStep:
 
 
 class TestTimeMajorEStep:
-    """The time-major E-step and the batched initialization match the
-    per-series formulas to rtol 1e-12 on every kind of series."""
+    """The E-step on series-last (T, K, S) arrays and the batched
+    initialization match the per-series formulas to rtol 1e-12 on every kind
+    of series."""
 
     CASES = [(1, 1), (1, 5), (7, 1), (7, 2), (7, 5), (7, 9), (240, 5)]
 
@@ -380,24 +391,28 @@ class TestTimeMajorEStep:
     def test_forward_backward_match_reference(self, n_series, n_states):
         rng = np.random.default_rng(1000 * n_series + n_states)
         batch = hazard_batch(rng, n_series, n_states, int(rng.integers(20, 120)))
-        alphas, norms, log_likelihood, b, errors = _forward(*batch)
-        assert alphas.flags.c_contiguous and b.flags.c_contiguous  # time-major in memory
+        buffers, log_likelihood, errors = forward_pass(*batch)
+        alphas, norms, b = buffers.alphas, buffers.norms, buffers.b
+        n_obs = batch[0].shape[1]
+        assert alphas.shape == b.shape == (n_obs, n_states, n_series)  # series last
+        assert norms.shape == (n_obs, n_series)
+        assert alphas.flags.c_contiguous and b.flags.c_contiguous
         if n_series >= 4:
             assert "must be positive" in str(errors[1])
             assert (n_states > 1) == ("collapsed at t=5" in str(errors[2]))
         obs, means, variances, pi, trans = batch
-        betas = _backward(b, trans, norms)
-        assert betas.flags.c_contiguous
+        betas = _backward(buffers, trans)
+        assert betas.shape == alphas.shape and betas.flags.c_contiguous
         for s in np.flatnonzero([error is None for error in errors]):
             want = reference_forward(obs[s], means[s], variances[s], pi[s], trans[s])
-            for have, ref in zip((alphas[:, s], norms[:, s], log_likelihood[s], b[:, s]), want):
+            for have, ref in zip((alphas[:, :, s], norms[:, s], log_likelihood[s], b[:, :, s]), want):
                 assert_close(have, ref)
-            assert_close(betas[:, s], reference_backward(b[:, s], trans[s], norms[:, s]))
+            assert_close(betas[:, :, s], reference_backward(b[:, :, s], trans[s], norms[:, s]))
         # _filter's (S, T, K) view of the same forward pass.
         models = [build_model(*p) for p in zip(pi, trans, means, variances)]
         filtered, _ = _filter(models, obs)
         assert filtered.base is not None  # a view, not a copy
-        assert np.array_equal(filtered, alphas.transpose(1, 0, 2), equal_nan=True)
+        assert np.array_equal(filtered, alphas.transpose(2, 0, 1), equal_nan=True)
 
     @pytest.mark.parametrize("n_series,n_states", CASES)
     def test_initial_parameters_match_reference(self, n_series, n_states):
@@ -431,27 +446,31 @@ class TestBatchInvariance:
         seeds = [int(s) for s in rng.integers(0, 2**31, size=n_series)]
         models = [build_model(*p) for p in zip(pi, trans, means, variances)]
 
-        alphas, norms, log_likelihood, b, errors = _forward(*batch)
-        betas = _backward(b, trans, norms)
-        ok = [s for s, error in enumerate(errors) if error is None]  # the series EM steps
-        m_step = _m_step(
-            obs[ok], alphas[:, ok], betas[:, ok], b[:, ok], norms[:, ok],
-            trans[ok], means[ok], variances[ok], 1e-12,
+        buffers, log_likelihood, errors = forward_pass(*batch)
+        _backward(buffers, trans)
+        # Copies: narrowing the batch and the M-step overwrite the buffers.
+        alphas, norms, b, betas = (
+            a.copy() for a in (buffers.alphas, buffers.norms, buffers.b, buffers.betas)
         )
+        ok = [s for s, error in enumerate(errors) if error is None]  # the series EM steps
+        # The series that fail leave the batch, as in fit_batch.
+        buffers.keep(ok)
+        _backward(buffers, trans[ok])
+        m_step = _m_step(obs[ok], buffers, trans[ok], means[ok], variances[ok], 1e-12)
         initial = _initial_parameters(obs, config, seeds)
         fits = fit_batch(obs, config, seeds)
         forecasts = forecast(models, obs)
 
         for s in range(n_series):
             x, mu, var, p0, tr = (np.ascontiguousarray(a[s:s + 1]) for a in batch)
-            alone = _forward(x, mu, var, p0, tr)
-            assert str(alone[4][0]) == str(errors[s])
-            betas_alone = _backward(alone[3], tr, alone[1])
+            alone, ll_alone, (error_alone,) = forward_pass(x, mu, var, p0, tr)
+            assert str(error_alone) == str(errors[s])
+            betas_alone = _backward(alone, tr)
             batched = (alphas, norms, log_likelihood, b, betas)
-            for have, own in zip(batched, (*alone[:4], betas_alone)):
-                assert_same_bytes(np.take(have, [s], axis=min(have.ndim - 1, 1)), own)
+            for have, own in zip(batched, (alone.alphas, alone.norms, ll_alone, alone.b, betas_alone)):
+                assert_same_bytes(np.take(have, [s], axis=-1), own)  # series are the last axis
             if s in ok:
-                own = _m_step(x, alone[0], betas_alone, alone[3], alone[1], tr, mu, var, 1e-12)
+                own = _m_step(x, alone, tr, mu, var, 1e-12)
                 for have, want in zip(m_step, own):
                     assert_same_bytes(have[ok.index(s)], want[0])
             for have, want in zip(initial, _initial_parameters(x, config, seeds[s:s + 1])):
@@ -462,6 +481,75 @@ class TestBatchInvariance:
             else:
                 assert type(fits[s]) is type(fit) and str(fits[s]) == str(fit)
             assert_same_forecasts(forecasts[s:s + 1], forecast(models[s:s + 1], x))
+
+
+def two_lanes(terms):
+    """(x0 + x2 + x4 + ...) + (x1 + x3 + ...) in Python floats, each lane
+    left to right from 0."""
+    return sum(terms[0::2]) + sum(terms[1::2])
+
+
+class TestStateSumOrder:
+    """The forward norms and the backward betas sum over states in two
+    interleaved lanes at every number of states, whatever order numpy's own
+    reductions use. Every other operation is recomputed here one IEEE float
+    at a time: the forward product sum_i alpha_i A_ij left to right, and the
+    products and quotients of the recursions."""
+
+    @pytest.mark.parametrize("n_states", range(1, 10))
+    @pytest.mark.parametrize("n_series", [1, 7])
+    def test_norms_and_betas_add_in_two_lanes(self, n_series, n_states):
+        rng = np.random.default_rng(3000 * n_series + n_states)
+        obs, means, variances, pi, trans = hazard_batch(rng, n_series, n_states, 40)
+        buffers, _, errors = forward_pass(obs, means, variances, pi, trans)
+        betas = _backward(buffers, trans)
+        alphas, norms, b = buffers.alphas.tolist(), buffers.norms.tolist(), buffers.b.tolist()
+        betas, trans = betas.tolist(), trans.tolist()
+        states = range(n_states)
+        for s in np.flatnonzero([error is None for error in errors]):
+            for t in range(obs.shape[1]):
+                a = [
+                    (sum(alphas[t - 1][i][s] * trans[s][i][j] for i in states) if t else pi[s, j])
+                    * b[t][j][s]
+                    for j in states
+                ]
+                assert norms[t][s] == two_lanes(a)
+                assert [alphas[t][k][s] for k in states] == [x / norms[t][s] for x in a]
+            for t in range(obs.shape[1] - 1):
+                step = [b[t + 1][j][s] / norms[t + 1][s] * betas[t + 1][j][s] for j in states]
+                for i in states:
+                    assert betas[t][i][s] == two_lanes([trans[s][i][j] * step[j] for j in states])
+
+
+class TestBuffers:
+    def test_models_own_their_memory(self):
+        """Models share no memory with the buffers fit_batch reuses or with
+        a later call's models, and a later call leaves them as they were."""
+        returns = np.stack([regime_returns(900 + s, 120) for s in range(6)])
+        config = HmmConfig(n_states=3)
+        made = []
+
+        def spy(*shape):
+            made.append(_Buffers(*shape))
+            return made[-1]
+
+        fields = ("initial_probs", "transition", "mean_returns", "variances")
+        with mock.patch.object(regime_hmm, "_Buffers", side_effect=spy):
+            first = fit_batch(returns, config, list(range(6)))
+            assert len(made) == 1
+            kept = copy.deepcopy(first)
+            forecasts = forecast(first, returns[:, -60:])
+            second = fit_batch(returns[::-1].copy(), config, list(range(6)))
+        assert len(made) == 3  # one per fit_batch and one per forecast
+        storage = [flat for buffers in made for flat in buffers._flat.values()]
+        later = [getattr(model, name) for model in second for name in fields]
+        for model, want in zip(first, kept):
+            for name in fields:
+                array = getattr(model, name)
+                assert not any(np.shares_memory(array, other) for other in storage + later)
+                assert_same_bytes(array, getattr(want, name))
+            assert_same_model(model, want)
+        assert_same_forecasts(forecast(first, returns[:, -60:]), forecasts)
 
 
 class TestFitBatch:
