@@ -11,6 +11,7 @@ the Adam recurrence, so gradients can be checked against finite differences.
 Each routine works on a stack of networks with a leading network axis;
 ``train_batch`` trains a stack in lock-step, ``forecast`` runs each network
 of a stack on its own input row, and a single network is a stack of one.
+Both run ``_Pass``, one forward/backward routine on batch-major buffers.
 """
 
 from __future__ import annotations
@@ -115,40 +116,63 @@ def build_training_set(closes: Sequence[float] | np.ndarray, window: int = 5) ->
     return TrainingSet(inputs, diffs[window:])
 
 
-def _forward_stack(weights, biases, x: np.ndarray):
-    """Forward pass of S networks at once, caching activations for backprop.
-    weights[i] is (S, fan_in, fan_out), biases[i] (S, fan_out) and x
-    (S, B, fan_in). Hidden layers ReLU, output linear. Returns (predictions
-    (S, B, 1), activations per layer)."""
-    activations = [x]
-    a = x
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = np.matmul(a, w) + b[:, None, :]
-        a = z if i == last else np.maximum(z, 0.0)
-        activations.append(a)
-    return a, activations
+class _Pass:
+    """Forward and backward passes of S networks, each on its own batch of B
+    rows, in buffers allocated once. The tensors are the stacked weights
+    (S, fan_in, fan_out) then biases (S, fan_out) of every layer.
 
+    Each layer's output, overwritten by its delta in the backward pass, is
+    an (S, B, width) view of batch-major (B, S, width) storage: a network's
+    (B, width) slice is one BLAS operand (row stride S * width), the bias
+    add, ReLU and mask run along contiguous rows, and the bias gradient adds
+    the B rows in order, as over a C-ordered array. Layers narrower than 4,
+    the output among them, stay C-ordered: numpy adds the output's
+    contiguous batch axis pairwise (its bias gradient and the loss), and
+    OpenBLAS's vector products change paths for strided vectors and leading
+    dimensions below 4. One BLAS call per network: the same bits in any stack.
+    """
 
-def _gradients_stack(weights, biases, inputs: np.ndarray, targets: np.ndarray):
-    """Analytic MSE gradients of S networks, each on its own (B, fan_in)
-    batch. Returns (losses (S,), dW list, db list), each with the leading
-    network axis. matmul runs one BLAS call per network, so a network gets
-    the same bits in any stack."""
-    out, activations = _forward_stack(weights, biases, inputs)
-    residual = out[:, :, 0] - targets
-    losses = np.mean(residual**2, axis=1)
-    n = inputs.shape[1]
+    def __init__(self, weights, batch: int):
+        def storage(width, dtype=float):
+            if width < 4:
+                return np.empty((len(weights[0]), batch, width), dtype)
+            return np.empty((batch, len(weights[0]), width), dtype).transpose(1, 0, 2)
 
-    delta = (2.0 / n) * residual[:, :, None]
-    grad_w = [np.empty(0)] * len(weights)
-    grad_b = [np.empty(0)] * len(biases)
-    for i in range(len(weights) - 1, -1, -1):
-        grad_w[i] = np.matmul(activations[i].transpose(0, 2, 1), delta)
-        grad_b[i] = delta.sum(axis=1)
-        if i > 0:
-            delta = np.matmul(delta, weights[i].transpose(0, 2, 1)) * (activations[i] > 0.0)
-    return losses, grad_w, grad_b
+        self.outputs = [storage(w.shape[2]) for w in weights]
+        self.masks = [storage(w.shape[2], bool) for w in weights[:-1]]
+        self.squares = np.empty((len(weights[0]), batch))
+
+    def forward(self, tensors, x: np.ndarray) -> np.ndarray:
+        """Each layer's output for the (S, B, fan_in) inputs x, ReLU on the
+        hidden layers; returns the (S, B, 1) predictions."""
+        n_layers = len(self.outputs)
+        a = x
+        for i, out in enumerate(self.outputs):
+            a = np.matmul(a, tensors[i], out=out)
+            a += tensors[n_layers + i][:, None, :]
+            if i < n_layers - 1:
+                np.maximum(a, 0.0, out=a)
+        return a
+
+    def gradients(self, tensors, x, targets, grads, losses) -> None:
+        """MSE of each network on its batch, (S, B, fan_in) inputs x and
+        (S, B) targets, into the (S,) losses, and its analytic gradient into
+        grads, views laid out as the tensors."""
+        n_layers, n = len(self.outputs), x.shape[1]
+        residual = self.forward(tensors, x)[:, :, 0]
+        residual -= targets
+        np.add.reduce(np.square(residual, out=self.squares), axis=1, out=losses)
+        losses /= n
+        delta = self.outputs[-1]
+        delta *= 2.0 / n
+        for i in range(n_layers - 1, -1, -1):
+            a = self.outputs[i - 1] if i else x
+            np.matmul(a.transpose(0, 2, 1), delta, out=grads[i])
+            np.add.reduce(delta, axis=1, out=grads[n_layers + i])
+            if i:
+                mask = np.greater(a, 0.0, out=self.masks[i - 1])
+                delta = np.matmul(delta, tensors[i].transpose(0, 2, 1), out=a)
+                delta *= mask
 
 
 def _adam_update(params, grads, m, v, step: int, learning_rate: float, scratch) -> None:
@@ -189,10 +213,11 @@ def train_batch(
     ``data[s]``, with its own shuffle seeded by ``seeds[s]``, and gets
     exactly the model and loss history it gets in a stack of one. The
     training sets must have one length, so that every network takes the same
-    batches. Adam's moments start at zero. Returns one entry per network:
-    (trained model, per-epoch mean of the batch MSE losses, each evaluated
-    before its update), or the TrainingDivergedError naming the update at
-    which its loss first became non-finite.
+    batches. Adam's moments start at zero. Every array is allocated once
+    per call, a batch's buffers once per batch length. Returns one entry per
+    network: (trained model, per-epoch mean of the batch MSE losses, each
+    evaluated before its update), or the TrainingDivergedError naming the
+    update at which its loss first became non-finite.
     """
     if not (len(models) == len(data) == len(seeds)):
         raise ParameterError("need one training set and one seed per model")
@@ -206,46 +231,51 @@ def train_batch(
 
     n_layers = len(models[0].weights)
     shapes = [t.shape for t in models[0].weights + models[0].biases]
-    # Parameters and Adam moments (from zero) of network s are row s of an
-    # (S, P) array in the params_to_vector layout, so one Adam step is one
-    # update of whole arrays; the layer tensors are views into the rows.
+    # Parameters, gradients and Adam moments (from zero) of network s are row
+    # s of an (S, P) array in the params_to_vector layout, so one Adam step is
+    # one update of whole arrays; the layer tensors are views into the rows.
     params = np.stack([params_to_vector(m) for m in models])
-    ms, vs = np.zeros_like(params), np.zeros_like(params)
+    grads, ms, vs = np.empty_like(params), np.zeros_like(params), np.zeros_like(params)
     scratch = np.empty((2, *params.shape))
-    tensors = _unflatten(params, shapes)
-    inputs = np.stack([d.inputs for d in data])
-    targets = np.stack([d.targets for d in data])
+    tensors, grad_tensors = _unflatten(params, shapes), _unflatten(grads, shapes)
+    # Network s's samples start at row s * n of one flat array. Each batch
+    # length keeps the inputs and targets one np.take gathers, and a _Pass.
+    flat_inputs = np.concatenate([d.inputs for d in data], dtype=float)
+    flat_targets = np.concatenate([d.targets for d in data], dtype=float)
+    offsets = np.arange(0, len(models) * n, n)[:, None]
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    picked = np.arange(len(models))[:, None]
+    starts = range(0, n, config.batch_size)
+    batches = {
+        size: (np.empty((len(models), size, flat_inputs.shape[1])), np.empty((len(models), size)),
+               _Pass(tensors[:n_layers], size))
+        for size in {min(config.batch_size, n), n % config.batch_size} - {0}
+    }
+    losses = np.empty((len(models), len(starts)))
+    histories = np.empty((len(models), config.epochs))
     results: list = [None] * len(models)
-    epoch_losses = []
-    step = 0
 
     # A diverged network stays in the stack: its row goes non-finite, which
     # no other network reads, and overflow is no error (its loss shows it).
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.epochs):
+        for epoch in range(config.epochs):
             order = np.stack([rng.permutation(n) for rng in rngs])
-            batch_losses = []
-            for start in range(0, n, config.batch_size):
+            order += offsets
+            for k, start in enumerate(starts):
                 idx = order[:, start : start + config.batch_size]
-                losses, grad_w, grad_b = _gradients_stack(
-                    tensors[:n_layers], tensors[n_layers:],
-                    inputs[picked, idx], targets[picked, idx],
-                )
-                grads = np.concatenate([g.reshape(len(models), -1) for g in grad_w + grad_b], axis=1)
-                step += 1
-                for s in np.flatnonzero(~np.isfinite(losses)):
-                    results[s] = results[s] or TrainingDivergedError(
-                        f"non-finite loss at step {step}"
-                    )
+                x, y, step_pass = batches[idx.shape[1]]
+                np.take(flat_inputs, idx, axis=0, out=x, mode="clip")
+                np.take(flat_targets, idx, out=y, mode="clip")
+                step_pass.gradients(tensors, x, y, grad_tensors, losses[:, k])
+                step = epoch * len(starts) + k + 1
                 _adam_update(params, grads, ms, vs, step, config.learning_rate, scratch)
-                batch_losses.append(losses)
+            diverged = ~np.isfinite(losses)
+            for s in np.flatnonzero(diverged.any(axis=1)):
+                first = epoch * len(starts) + int(diverged[s].argmax()) + 1
+                results[s] = results[s] or TrainingDivergedError(f"non-finite loss at step {first}")
             # One row per network, so each mean sums its losses in the
             # same order as a mean over one network's list.
-            epoch_losses.append(np.stack(batch_losses, axis=1).mean(axis=1))
+            np.mean(losses, axis=1, out=histories[:, epoch])
 
-    histories = np.stack(epoch_losses, axis=1)
     return [
         result or (
             MlpModel([t[s] for t in tensors[:n_layers]], [t[s] for t in tensors[n_layers:]]),
@@ -272,9 +302,8 @@ def forecast(
         raise InvalidInputError(f"expected one row of input_size inputs per model, got {x.shape}")
     finite = np.isfinite(x).all(axis=1)
     tensors = [np.stack(t) for t in zip(*(m.weights + m.biases for m in models))]
-    n_layers = len(models[0].weights)
     x = np.where(finite[:, None], x, 0.0)[:, None, :]
-    out, _ = _forward_stack(tensors[:n_layers], tensors[n_layers:], x)
+    out = _Pass(tensors[: len(models[0].weights)], 1).forward(tensors, x)
     return [
         TrendForecast(sign_direction(p), abs(p)) if ok else InvalidInputError("input must be finite")
         for p, ok in zip(out[:, 0, 0].tolist(), finite)

@@ -189,26 +189,29 @@ def test_criterion_04_gradient_check():
         inputs = rng.normal(0.0, 1.0, size=(8, 5))[None]
         targets = rng.normal(0.0, 1.0, size=8)[None]
 
-        # The network's parameters as one (1, P) row, read through the
-        # layer views that train_batch uses.
+        # The network's parameters and gradient as (1, P) rows, read and
+        # written through the layer views and the pass that train_batch uses.
         theta = trend_net.params_to_vector(model)
-        row = theta[None].copy()
-        views = trend_net._unflatten(row, [t.shape for t in model.weights + model.biases])
-        n_layers = len(model.weights)
+        row, grad_row, losses = theta[None].copy(), np.empty((1, theta.size)), np.empty(1)
+        shapes = [t.shape for t in model.weights + model.biases]
+        views = trend_net._unflatten(row, shapes)
+        grads = trend_net._unflatten(grad_row, shapes)
+        step_pass = trend_net._Pass(views[: len(model.weights)], inputs.shape[1])
 
-        def gradients():
-            return trend_net._gradients_stack(views[:n_layers], views[n_layers:], inputs, targets)
+        def loss():
+            step_pass.gradients(views, inputs, targets, grads, losses)
+            return losses[0]
 
-        _, grad_w, grad_b = gradients()
-        analytic = np.concatenate([g.ravel() for g in grad_w + grad_b])
+        loss()
+        analytic = grad_row[0].copy()
 
         numeric = np.empty_like(theta)
         step = 1e-5
         for i in range(theta.size):
             row[0, i] += step
-            up = gradients()[0][0]
+            up = loss()
             row[0, i] -= 2 * step
-            down = gradients()[0][0]
+            down = loss()
             numeric[i] = (up - down) / (2 * step)
             row[0, i] = theta[i]
 

@@ -3,6 +3,8 @@ from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duotrader.directions import sign_direction
 from duotrader.errors import (
@@ -15,13 +17,13 @@ from duotrader.trend_net import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    LAYER_SIZES,
     MlpConfig,
     MlpModel,
     TrainingSet,
     TrendForecast,
+    _Pass,
     _adam_update,
-    _forward_stack,
-    _gradients_stack,
     _unflatten,
     build_training_set,
     forecast,
@@ -58,11 +60,14 @@ def param_row(model):
 
 def loss_and_gradient(row, shapes, x, y):
     """MSE loss and flat analytic gradient of the network whose parameters
-    are the (1, P) row, read through the _unflatten views train_batch uses."""
-    n_layers = len(shapes) // 2
+    are the (1, P) row, read and written through the _unflatten views
+    train_batch uses."""
+    grad_row, losses = np.empty_like(row), np.empty(1)
     views = _unflatten(row, shapes)
-    losses, grad_w, grad_b = _gradients_stack(views[:n_layers], views[n_layers:], x[None], y[None])
-    return float(losses[0]), np.concatenate([g.ravel() for g in grad_w + grad_b])
+    _Pass(views[: len(shapes) // 2], len(x)).gradients(
+        views, x[None], y[None], _unflatten(grad_row, shapes), losses
+    )
+    return float(losses[0]), grad_row[0]
 
 
 def reference_adam_update(params, grads, m, v, step, learning_rate):
@@ -87,8 +92,127 @@ def reference_training_set(closes, window=5):
     return TrainingSet(inputs, targets)
 
 
+# The stacked forward and gradient routines and train_batch as they were
+# before training ran in buffers allocated once per call, kept verbatim as the
+# reference.
+
+
+def reference_forward_stack(weights, biases, x: np.ndarray):
+    """Forward pass of S networks at once, caching activations for backprop.
+    weights[i] is (S, fan_in, fan_out), biases[i] (S, fan_out) and x
+    (S, B, fan_in). Hidden layers ReLU, output linear. Returns (predictions
+    (S, B, 1), activations per layer)."""
+    activations = [x]
+    a = x
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = np.matmul(a, w) + b[:, None, :]
+        a = z if i == last else np.maximum(z, 0.0)
+        activations.append(a)
+    return a, activations
+
+
+def reference_gradients_stack(weights, biases, inputs: np.ndarray, targets: np.ndarray):
+    """Analytic MSE gradients of S networks, each on its own (B, fan_in)
+    batch. Returns (losses (S,), dW list, db list), each with the leading
+    network axis. matmul runs one BLAS call per network, so a network gets
+    the same bits in any stack."""
+    out, activations = reference_forward_stack(weights, biases, inputs)
+    residual = out[:, :, 0] - targets
+    losses = np.mean(residual**2, axis=1)
+    n = inputs.shape[1]
+
+    delta = (2.0 / n) * residual[:, :, None]
+    grad_w = [np.empty(0)] * len(weights)
+    grad_b = [np.empty(0)] * len(biases)
+    for i in range(len(weights) - 1, -1, -1):
+        grad_w[i] = np.matmul(activations[i].transpose(0, 2, 1), delta)
+        grad_b[i] = delta.sum(axis=1)
+        if i > 0:
+            delta = np.matmul(delta, weights[i].transpose(0, 2, 1)) * (activations[i] > 0.0)
+    return losses, grad_w, grad_b
+
+
+def reference_train_batch(
+    models: Sequence[MlpModel],
+    data: Sequence[TrainingSet],
+    config: MlpConfig,
+    seeds: Sequence[int],
+) -> list[tuple[MlpModel, list[float]] | TrainingDivergedError]:
+    """Train copies of S networks in lock-step; the arguments are untouched.
+
+    Network s runs ``config.epochs`` passes of mini-batch Adam on
+    ``data[s]``, with its own shuffle seeded by ``seeds[s]``, and gets
+    exactly the model and loss history it gets in a stack of one. The
+    training sets must have one length, so that every network takes the same
+    batches. Adam's moments start at zero. Returns one entry per network:
+    (trained model, per-epoch mean of the batch MSE losses, each evaluated
+    before its update), or the TrainingDivergedError naming the update at
+    which its loss first became non-finite.
+    """
+    if not (len(models) == len(data) == len(seeds)):
+        raise ParameterError("need one training set and one seed per model")
+    if not models:
+        return []
+    if len({len(d) for d in data}) != 1:
+        raise ParameterError("lock-step training needs training sets of one length")
+    n = len(data[0])
+    if n == 0:
+        raise InsufficientDataError("training set is empty")
+
+    n_layers = len(models[0].weights)
+    shapes = [t.shape for t in models[0].weights + models[0].biases]
+    # Parameters and Adam moments (from zero) of network s are row s of an
+    # (S, P) array in the params_to_vector layout, so one Adam step is one
+    # update of whole arrays; the layer tensors are views into the rows.
+    params = np.stack([params_to_vector(m) for m in models])
+    ms, vs = np.zeros_like(params), np.zeros_like(params)
+    scratch = np.empty((2, *params.shape))
+    tensors = _unflatten(params, shapes)
+    inputs = np.stack([d.inputs for d in data])
+    targets = np.stack([d.targets for d in data])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    picked = np.arange(len(models))[:, None]
+    results: list = [None] * len(models)
+    epoch_losses = []
+    step = 0
+
+    # A diverged network stays in the stack: its row goes non-finite, which
+    # no other network reads, and overflow is no error (its loss shows it).
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.epochs):
+            order = np.stack([rng.permutation(n) for rng in rngs])
+            batch_losses = []
+            for start in range(0, n, config.batch_size):
+                idx = order[:, start : start + config.batch_size]
+                losses, grad_w, grad_b = reference_gradients_stack(
+                    tensors[:n_layers], tensors[n_layers:],
+                    inputs[picked, idx], targets[picked, idx],
+                )
+                grads = np.concatenate([g.reshape(len(models), -1) for g in grad_w + grad_b], axis=1)
+                step += 1
+                for s in np.flatnonzero(~np.isfinite(losses)):
+                    results[s] = results[s] or TrainingDivergedError(
+                        f"non-finite loss at step {step}"
+                    )
+                _adam_update(params, grads, ms, vs, step, config.learning_rate, scratch)
+                batch_losses.append(losses)
+            # One row per network, so each mean sums its losses in the
+            # same order as a mean over one network's list.
+            epoch_losses.append(np.stack(batch_losses, axis=1).mean(axis=1))
+
+    histories = np.stack(epoch_losses, axis=1)
+    return [
+        result or (
+            MlpModel([t[s] for t in tensors[:n_layers]], [t[s] for t in tensors[n_layers:]]),
+            histories[s].tolist(),
+        )
+        for s, result in enumerate(results)
+    ]
+
+
 # forward and predict_direction as they were before forecast replaced them,
-# kept verbatim as the reference.
+# kept as the reference; the forward pass is one plain 2-D product per layer.
 
 
 def reference_forward(model: MlpModel, x: Sequence[float] | np.ndarray) -> float:
@@ -98,10 +222,12 @@ def reference_forward(model: MlpModel, x: Sequence[float] | np.ndarray) -> float
         raise InvalidInputError(f"expected input of shape ({model.input_size},)")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("input must be finite")
-    out, _ = _forward_stack(
-        [w[None] for w in model.weights], [b[None] for b in model.biases], x[None, None, :]
-    )
-    return float(out[0, 0, 0])
+    a = x[None]
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w + b
+        a = z if i == last else np.maximum(z, 0.0)
+    return float(a[0, 0])
 
 
 def reference_predict_direction(
@@ -400,6 +526,43 @@ class TestTrainBatch:
             assert str(self.run_batch([data[s]], [seeds[s]])[0]) == str(batch[s])
         for s in (0, 2):
             assert_same_training(batch[s], self.run_batch([data[s]], [seeds[s]])[0])
+
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 40),
+        st.sampled_from([1, 3, 16]),
+        st.integers(1, 2),
+        st.sampled_from([(1, 1), (5, 3, 1), LAYER_SIZES]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference_bit_for_bit(self, n_networks, n, batch_size, epochs, sizes, seed):
+        # Short last batches, batches longer than the set, and one network
+        # whose 1e200 target overflows its loss at the update that first
+        # draws it.
+        config = MlpConfig(layer_sizes=sizes, epochs=epochs, batch_size=batch_size)
+        rng = np.random.default_rng(seed)
+        window = sizes[0]
+        data = [
+            build_training_set(np.cumsum(rng.normal(0, 1, n + window + 1)), window)
+            for _ in range(n_networks)
+        ]
+        huge = int(rng.integers(n_networks))
+        targets = data[huge].targets.copy()
+        targets[rng.integers(n)] = 1e200
+        data[huge] = TrainingSet(data[huge].inputs, targets)
+        seeds = rng.integers(0, 2**32, n_networks).tolist()
+        models = [init_model(config, sd) for sd in seeds]
+        got = train_batch(models, data, config, seeds)
+        want = reference_train_batch(models, data, config, seeds)
+        assert isinstance(want[huge], TrainingDivergedError)
+        for result, ref in zip(got, want):
+            if isinstance(ref, TrainingDivergedError):
+                assert type(result) is TrainingDivergedError and str(result) == str(ref)
+                continue
+            (model, history), (ref_model, ref_history) = result, ref
+            assert params_to_vector(model).tobytes() == params_to_vector(ref_model).tobytes()
+            assert [h.hex() for h in history] == [h.hex() for h in ref_history]
 
     def test_lock_step_preconditions(self):
         with pytest.raises(ParameterError):
