@@ -9,6 +9,7 @@ timestamp ordering (a violation is fatal).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -19,6 +20,7 @@ import sys
 import tempfile
 import warnings
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -153,12 +155,10 @@ def ingest_csv(path: str | Path) -> IngestResult:
     _open_csv(path, BAR_CSV_HEADER, "bar").close()
     try:
         if path.stat().st_size < INGEST_CACHE_BYTES:
-            grouped = _merge(path, _read_ranges(path))
-        else:
-            grouped = _cached(path)
+            return _merge(path, _read_ranges(path)).result(path)
+        return _cached(path)
     except OSError as exc:
         raise DuotraderError(f"cannot read bar file {path}: {exc}") from exc
-    return grouped.result(path)
 
 
 @dataclass
@@ -184,28 +184,45 @@ class _Grouped:
         return IngestResult(bars, len(diagnostics), diagnostics)
 
 
-def _cached(path: Path) -> _Grouped:
-    """``_merge`` of the file's ranges, parsed at most once per content from
-    the file's second ingest on.
+def _cached(path: Path) -> IngestResult:
+    """The ``IngestResult`` of the file's ranges (``_merge``), parsed at most
+    once per content from the file's second ingest on.
 
     A hidden sibling file records the file's ``_stamp`` as of its last parse.
     A file under another stamp (new, edited or replaced) is parsed and only
     its stamp recorded, so a one-off ingest pays for no hash and no write of
-    its columns. A file under the recorded stamp has been ingested before:
-    its key (``_cache_key``) is taken, and if the record holds columns under
-    that key they are loaded; otherwise the parse is recorded with the key
-    and its columns. Nothing is recorded if the stamp moved during the hash
-    or the parse, or if the parse raises."""
+    its columns. A file under the recorded stamp has been ingested before,
+    and its key (``_cache_key``) is taken:
+    - under a record of the stamp alone, first; the file is then parsed and
+      the parse recorded with the key and its columns;
+    - under a record with columns, on a second thread while this one loads
+      them and builds their result (``_load``). The thread is joined before
+      the keys are compared, so none is alive when this returns or when a
+      parse forks its workers. Equal keys return the loaded result; other
+      keys drop it, and the parse is recorded as above. Columns that
+      ``_load`` refuses count as no record.
+    Nothing is recorded if the stamp moved during the hash or the parse, or
+    if the parse raises."""
     cache = path.with_name(f".{path.name}.ingest.npz")
     stamp = _stamp(path)
-    kept = _load(cache, stamp)
-    key = "" if kept is None else _cache_key(path)
-    if kept is not None and kept[0] == key:
-        return kept[1]
+    key = ""
+    with contextlib.ExitStack() as stack:
+        record, recorded = _open_record(cache, stamp, stack)
+        if recorded == "":
+            key = _cache_key(path)
+        elif recorded is not None:
+            with ThreadPoolExecutor(1) as pool:  # leaving the block joins its thread
+                hashing = pool.submit(_cache_key, path)
+                kept = _load(record, path)
+                key = hashing.result()
+            if kept is None:  # refused columns: as if there were no record
+                key = ""
+            elif key == recorded:
+                return kept
     grouped = _merge(path, _read_ranges(path))
     if _stamp(path) == stamp:
         _store(cache, stamp, key, grouped, path.stat().st_mode & 0o666)
-    return grouped
+    return grouped.result(path)
 
 
 def _stamp(path: Path) -> tuple[int, int, int]:
@@ -230,25 +247,38 @@ def _cache_key(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _load(cache: Path, stamp: tuple[int, int, int]) -> tuple[str, _Grouped | None] | None:
-    """The key and the grouped columns that ``_store`` kept in ``cache``
-    under ``stamp`` (no key and None for a record of the stamp alone); None
-    if the file is missing or unreadable, under another stamp, or not of
-    ``_store``'s shapes and dtypes."""
+# What reading a damaged record raises: a corrupt zip flag or method field
+# raises RuntimeError or NotImplementedError.
+_RECORD_ERRORS = (OSError, EOFError, KeyError, ValueError, RuntimeError, zipfile.BadZipFile)
+
+
+def _open_record(
+    cache: Path, stamp: tuple[int, int, int], stack: contextlib.ExitStack
+) -> tuple[np.lib.npyio.NpzFile | None, str | None]:
+    """The record that ``_store`` kept in ``cache``, open on ``stack``, and
+    its key ("" for a record of the stamp alone); (None, None) if the file is
+    missing or unreadable, or holds another stamp."""
     try:
-        with cache.open("rb") as raw, np.lib.npyio.NpzFile(raw, allow_pickle=False) as kept:
-            stamped, key = kept["stamp"], kept["key"]
-            if stamped.tolist() != list(stamp) or key.dtype.kind != "U" or key.ndim:
-                return None
-            key = key.item()
-            if not key:
-                return key, None
-            symbols, bounds, lines, messages = (
-                kept[name] for name in ("symbols", "bounds", "lines", "messages")
-            )
-            columns = [kept[name] for name in _CACHE_COLUMNS]
-    # A corrupt zip flag or method field raises RuntimeError or NotImplementedError.
-    except (OSError, EOFError, KeyError, ValueError, RuntimeError, zipfile.BadZipFile):
+        raw = stack.enter_context(cache.open("rb"))
+        record = stack.enter_context(np.lib.npyio.NpzFile(raw, allow_pickle=False))
+        stamped, key = record["stamp"], record["key"]
+    except _RECORD_ERRORS:
+        return None, None
+    if stamped.tolist() != list(stamp) or key.dtype.kind != "U" or key.ndim:
+        return None, None
+    return record, key.item()
+
+
+def _load(record: np.lib.npyio.NpzFile, path: Path) -> IngestResult | None:
+    """The ``IngestResult`` of the grouped columns in the open ``record``,
+    with diagnostics naming ``path``; None if they are unreadable, not of
+    ``_store``'s shapes and dtypes, or refused by ``SymbolBars``."""
+    try:
+        symbols, bounds, lines, messages = (
+            record[name] for name in ("symbols", "bounds", "lines", "messages")
+        )
+        columns = [record[name] for name in _CACHE_COLUMNS]
+    except _RECORD_ERRORS:
         return None
     rows = columns[0].size
     if not (
@@ -263,7 +293,10 @@ def _load(cache: Path, stamp: tuple[int, int, int]) -> tuple[str, _Grouped | Non
     grouped = _Grouped(
         symbols.tolist(), bounds, columns, list(zip(lines.tolist(), messages.tolist()))
     )
-    return key, grouped
+    try:
+        return grouped.result(path)
+    except DataOrderingError:  # days no parse would keep
+        return None
 
 
 def _store(
@@ -314,7 +347,10 @@ class _Range:
 
 
 def _read_ranges(path: Path) -> list[_Range]:
-    """``_read_range`` over the whole file, in ranges as ``INGEST_RANGE_BYTES`` sets out."""
+    """``_read_range`` over the whole file, in ranges as ``INGEST_RANGE_BYTES``
+    sets out. Each of two or more ranges is read through a handle of its own
+    (``_ByteRange``) and decoded as by ``path.open()``; range 0 holds the
+    header."""
     size = path.stat().st_size
     count = min(workers.usable_cpus(), size // INGEST_RANGE_BYTES)
     if count < 2:
@@ -324,13 +360,39 @@ def _read_ranges(path: Path) -> list[_Range]:
         cuts = [raw.seek(size * k // count) + len(raw.readline()) for k in range(1, count)]
     cuts = [0, *cuts, size]
 
-    def read_range(i: int) -> _Range:  # decoded as by path.open(); range 0 holds the header
-        with path.open("rb") as raw:
-            raw.seek(cuts[i])
-            text = io.TextIOWrapper(io.BytesIO(raw.read(cuts[i + 1] - cuts[i])))
-        return _read_range(text, skip=int(i == 0))
+    def read_range(i: int) -> _Range:
+        with path.open("rb", buffering=0) as raw, io.TextIOWrapper(
+            io.BufferedReader(_ByteRange(raw, cuts[i], cuts[i + 1]), 1 << 20)
+        ) as text:
+            return _read_range(text, skip=int(i == 0))
 
     return list(workers.fork_map(read_range, count))
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes ``start:end`` of an unbuffered binary file as a seekable stream
+    of their own: its position 0 is byte ``start``, and it ends at byte
+    ``end`` however long the file is."""
+
+    def __init__(self, raw: io.RawIOBase, start: int, end: int):
+        super().__init__()
+        self._raw, self._start, self._size, self._at = raw, start, end - start, 0
+
+    def readable(self) -> bool:
+        return True
+
+    def seekable(self) -> bool:
+        return True
+
+    def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
+        self._at = max(0, (0, self._at, self._size)[whence] + offset)
+        return self._at
+
+    def readinto(self, buffer) -> int:
+        self._raw.seek(self._start + self._at)
+        count = self._raw.readinto(memoryview(buffer)[: max(0, self._size - self._at)])
+        self._at += count
+        return count
 
 
 def _read_range(text, skip: int) -> _Range:

@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import stat
+import threading
 from concurrent.futures.process import BrokenProcessPool
 from datetime import date, timedelta
 from pathlib import Path
@@ -671,6 +672,36 @@ def hashes(monkeypatch):
     return taken
 
 
+@pytest.fixture
+def threads_at_parse(monkeypatch):
+    """The threads, beyond those alive when the test started, that were alive
+    as each parse ``ingest_csv`` started, one list per parse: ``_read_ranges``
+    may fork its workers, and a fork beside a live thread is unsafe."""
+    before = set(threading.enumerate())
+    seen = []
+    read_ranges = marketdata._read_ranges
+
+    def spy(path):
+        seen.append(sorted(t.name for t in set(threading.enumerate()) - before))
+        return read_ranges(path)
+
+    monkeypatch.setattr(marketdata, "_read_ranges", spy)
+    return seen
+
+
+def key_threads(monkeypatch):
+    """The thread of every cache key ``ingest_csv`` takes from now on, in order."""
+    taken = []
+    cache_key = marketdata._cache_key
+
+    def spy(path):
+        taken.append(threading.current_thread())
+        return cache_key(path)
+
+    monkeypatch.setattr(marketdata, "_cache_key", spy)
+    return taken
+
+
 def spoil(kind, cache, tmp_path, monkeypatch):
     """Make the cache record ``cache``, which holds columns, one that
     ``_load`` must refuse or whose key must not match."""
@@ -699,6 +730,8 @@ def spoil(kind, cache, tmp_path, monkeypatch):
             arrays["bounds"] = arrays["bounds"][:-1]
         elif kind == "bounds":
             arrays["bounds"] = arrays["bounds"][::-1].copy()
+        elif kind == "days":  # under this file's key, days a parse never keeps
+            arrays["days"] = arrays["days"][::-1].copy()
         np.savez(cache, **arrays)
 
 
@@ -707,7 +740,8 @@ class TestIngestCache:
     content from its second ingest on: the first ingest records only the
     file's stamp, the second (under the same stamp) also keeps the grouped
     columns under a key of its bytes and the ingest code, and later ingests
-    load them and give the parse's outcome."""
+    load them, while a second thread takes the key, and give the parse's
+    outcome."""
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("name", list(SPLIT_CASES))
@@ -800,7 +834,8 @@ class TestIngestCache:
     @pytest.mark.parametrize(
         "kind, parsed",
         [("truncated", 2), ("garbage", 2), ("other-stamp", 2), ("dtype", 2), ("shape", 2),
-         ("bounds", 2), ("foreign-key", 1), ("code-stamp", 1), ("python-version", 1)],
+         ("bounds", 2), ("days", 2), ("foreign-key", 1), ("code-stamp", 1),
+         ("python-version", 1)],
     )
     def test_refused_cache_is_parsed_over_and_replaced(
         self, tmp_path, monkeypatch, parses, kind, parsed
@@ -895,6 +930,78 @@ class TestIngestCache:
         for name in ("bars.csv", path, "bars.csv", path):
             assert ingest_csv(name).diagnostics == [f"{name}:4: invalid open"]
         assert parses == [Path("bars.csv"), path]
+
+    def test_warm_key_is_taken_on_a_second_thread(self, tmp_path, monkeypatch, parses):
+        cache_every_file(monkeypatch)
+        path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW.replace(",70.0,", ",-1,"), XOM_LATER])
+        taken = key_threads(monkeypatch)
+        caller = threading.current_thread()
+        outcomes = [_outcome(ingest_csv, path) for _ in range(3)]
+        assert len(parses) == 2 and kept_columns(path)
+        # The stamp alone: the key on the caller's thread, then the parse;
+        # the kept columns: the key on another thread while they load.
+        assert taken[0] is caller and taken[1] is not caller
+        assert len(taken) == 2 and not taken[1].is_alive()
+        for outcome in outcomes:
+            assert_same_outcome(outcome, _outcome(reference_read_rows, path))
+
+    @pytest.mark.parametrize(
+        "case", ["first", "stamp-only", "refused", "same-stamp-edit", "replaced-during-hash"]
+    )
+    def test_no_thread_is_alive_when_a_parse_starts(
+        self, tmp_path, monkeypatch, threads_at_parse, case
+    ):
+        cache_every_file(monkeypatch)
+        path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
+        ingests = {"first": 1, "stamp-only": 2}.get(case, 3)
+        for _ in range(ingests - 1):
+            ingest_csv(path)
+        if case == "refused":  # stamp and key kept, columns refused
+            spoil("dtype", cache_of(path), tmp_path, monkeypatch)
+        elif case == "same-stamp-edit":
+            before = path.stat()
+            path.write_bytes(path.read_bytes().replace(b",111.25,", b",111.75,"))
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        elif case == "replaced-during-hash":  # on the key's own thread
+            fresh = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW, XOM_LATER], name="fresh.csv")
+            cache_key = marketdata._cache_key
+
+            def replace_then_hash(p):
+                fresh.replace(path)
+                return cache_key(p)
+
+            monkeypatch.setattr(marketdata, "_cache_key", replace_then_hash)
+        taken = key_threads(monkeypatch)
+        caller = threading.current_thread()
+        outcome = ingest_csv(path)
+        assert threads_at_parse == [[]] * ingests
+        # No key, the key on the caller's thread, or on another beside a load.
+        assert [t is caller for t in taken] == {1: [], 2: [True], 3: [False]}[ingests]
+        assert not any(t.is_alive() for t in taken if t is not caller)
+        assert_same_ingest(outcome, reference_read_rows(path))
+
+    def test_key_error_on_its_thread_reaches_the_caller(self, tmp_path, monkeypatch, parses):
+        cache_every_file(monkeypatch)
+        path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
+        for _ in range(2):
+            ingest_csv(path)
+        recorded = cache_of(path).read_bytes()
+        raised_on = []
+
+        def refuse(p):
+            raised_on.append(threading.current_thread())
+            raise PermissionError(13, "Permission denied", str(p))
+
+        monkeypatch.setattr(marketdata, "_cache_key", refuse)
+        with pytest.raises(DuotraderError) as error:
+            ingest_csv(path)
+        assert str(error.value) == (
+            f"cannot read bar file {path}: [Errno 13] Permission denied: '{path}'"
+        )
+        assert isinstance(error.value.__cause__, PermissionError)
+        assert len(raised_on) == 1 and raised_on[0] is not threading.current_thread()
+        assert len(parses) == 2
+        assert cache_of(path).read_bytes() == recorded
 
 
 class TestFeatures:
