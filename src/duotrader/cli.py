@@ -304,6 +304,10 @@ def _read_fills_jsonl(path: Path, dates: list[date]) -> list[engine_mod.Fill]:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    try:
+        metrics.check_risk_free_rate(args.risk_free, "--risk-free")
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
     dates, values = _read_equity_csv(Path(args.equity))
     fills = _read_fills_jsonl(Path(args.fills), dates)
     benchmark = _benchmark_bars(args.benchmark) if args.benchmark else None

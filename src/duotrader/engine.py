@@ -68,6 +68,7 @@ class EngineConfig:
             raise ParameterError("per_share_fee and min_fee must be non-negative")
         if self.max_gap_bars < 0:
             raise ParameterError("max_gap_bars must be non-negative")
+        metrics.check_risk_free_rate(self.risk_free_rate)
 
 
 @dataclass(frozen=True)

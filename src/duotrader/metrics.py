@@ -34,9 +34,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataAlignmentError, InsufficientDataError
+from .errors import DataAlignmentError, InsufficientDataError, ParameterError
 
 TRADING_DAYS = 252
+
+
+def check_risk_free_rate(rate: float, name: str = "risk_free_rate") -> None:
+    """Refuse an annual risk-free rate that is not finite or exceeds 1 (100 %)
+    in magnitude: the report could not hold the ratios it gives."""
+    if not (math.isfinite(rate) and abs(rate) <= 1.0):
+        raise ParameterError(f"{name} must be finite and within [-1, 1], got {rate}")
 
 
 @dataclass

@@ -21,13 +21,15 @@ cut into tasks of one window length, at least one per usable CPU and at most
 workers when several CPUs are usable). Each job carries its window: read-only
 slices of the symbol's close and log-return columns (computed once), so the
 model helpers are functions of jobs and the config alone. A task fits both
-models of its refits, then forecasts every rebalance that uses them, in
-batched calls per model over windows of one length; only the fit logs and the
-forecasts (fusion's (direction, size) pairs) come back, in refit order, so
-the plan is the same with any number of workers. Each rebalance then fuses
-its forecasts into insights (``_generate_insights``) and blends them as views
-into target weights (``_build_targets``), leaving out, with a note, a symbol
-whose window has a non-finite return. Model seeds derive from the run's seed
+models of its refits (one batched call per model, each returning one stack
+of models), then forecasts every rebalance that uses them, in batched calls
+per model over windows of one length that gather each use's row from the
+stack; only the fit logs and the forecasts (fusion's (direction, size)
+pairs) come back, in refit order, so the plan is the same with any number
+of workers. Each rebalance then fuses its forecasts into insights
+(``_generate_insights``) and blends them as views into target weights
+(``_build_targets``), leaving out, with a note, a symbol whose window has a
+non-finite return. Model seeds derive from the run's seed
 with a stable CRC and every model call gives a series the same bits in any
 batch, so the plan is a pure function of data + config.
 """
@@ -175,12 +177,14 @@ def build_plan(
 
     def fit_and_forecast(k: int) -> tuple[list, list]:
         jobs = [refits[i] for i in chunks[k]]
-        outcomes = _refit_chunk(config, jobs)
+        fitted = _refit_chunk(config, jobs)
+        (_, hmms), (_, nets) = fitted
         logs = [
-            _fit_log(step.day, symbol, *pair) for (step, symbol, *_), pair in zip(jobs, outcomes)
+            _fit_log(step.day, symbol, hmm, net)
+            for (step, symbol, *_), hmm, net in zip(jobs, hmms, nets)
         ]
-        models = [outcome for outcome, i in zip(outcomes, chunks[k]) for _ in users[i]]
-        return logs, _forecast(config, uses[k], models)
+        rows = [row for row, i in enumerate(chunks[k]) for _ in users[i]]
+        return logs, _forecast(config, uses[k], rows, fitted)
 
     logs: list[tuple[list[dict], list[str]]] = [([], [])] * len(refits)
     for k, (chunk_logs, signals) in enumerate(workers.fork_map(fit_and_forecast, len(chunks))):
@@ -211,24 +215,25 @@ def _length_chunks(jobs: list[_Job], parts: int = 1) -> Iterable[list[int]]:
             yield group[k * len(group) // count:(k + 1) * len(group) // count]
 
 
-def _batched(call, ids: list[int], outcomes: dict[int, object]) -> None:
+def _batched(call, ids: list[int]) -> tuple:
     """Run one batched model ``call`` on the ids (it builds their inputs), if
-    any, and store each id's outcome: its result, or the whole batch's error."""
+    any: its (stack or None, one outcome per id), or, when the whole batch
+    fails, (None, that error for every id)."""
     if not ids:
-        return
+        return None, []
     try:
-        results = call(ids)
+        return call(ids)
     except MODEL_ERRORS as exc:
-        results = [exc] * len(ids)
-    outcomes.update(zip(ids, results))
+        return None, [exc] * len(ids)
 
 
 def _refit_chunk(config: RunConfig, jobs: list[_Job]):
     """Fit both models on each job's window, all of one length: one batched
-    call per model. Returns each job's (HMM outcome, network outcome) pair (a
-    model, a (model, loss history) pair, or an error), exactly those of a fit
-    on that window alone. The networks' training sets are built after the
-    HMM fit, so that they are not alive during EM."""
+    call per model. Returns one (stack, outcomes) pair per model kind, HMM
+    then network: row p of the stack and outcome p (a fit record, a loss
+    history or an error) are job p's, exactly those of a fit on its window
+    alone. The training sets are built after the HMM fit, so that they are
+    not alive during EM."""
 
     def fit_hmms(positions):
         seeds = [symbol_seed(config.seed, "hmm", jobs[p][1]) for p in positions]
@@ -237,54 +242,53 @@ def _refit_chunk(config: RunConfig, jobs: list[_Job]):
     def train_nets(positions):
         data = [trend_net.build_training_set(jobs[p][2], config.mlp.input_size) for p in positions]
         seeds = [symbol_seed(config.seed, "mlp", jobs[p][1]) for p in positions]
-        models = [trend_net.init_model(config.mlp, sd) for sd in seeds]
-        return trend_net.train_batch(models, data, config.mlp, seeds)
+        params = trend_net.init_params(config.mlp, seeds)
+        return trend_net.train_batch(params, data, config.mlp, seeds)
 
-    ids, hmms, nets = list(range(len(jobs))), {}, {}
-    _batched(fit_hmms, ids, hmms)
-    _batched(train_nets, ids, nets)
-    return [(hmms[p], nets[p]) for p in ids]
+    ids = list(range(len(jobs)))
+    return _batched(fit_hmms, ids), _batched(train_nets, ids)
 
 
 def _fit_log(day: date, symbol: str, hmm, net) -> tuple[list[dict], list[str]]:
-    """The fit records and fit diagnostics of one symbol's refit."""
+    """The fit records and fit diagnostics of one symbol's refit, from its
+    two outcomes (a fit record or loss history, or an error)."""
     records, notes, stamp = [], [], day.isoformat()
-    if isinstance(hmm, regime_hmm.HmmModel):
-        records.append({
-            "date": stamp, "symbol": symbol, "model": "hmm",
-            **hmm.diagnostics,
-            "log_likelihood_path": hmm.log_likelihood_path,
-        })
-    else:
+    if isinstance(hmm, Exception):
         notes.append(f"{day}: {symbol} hmm fit skipped: {hmm}")
-    if isinstance(net, tuple):
-        records.append({"date": stamp, "symbol": symbol, "model": "mlp", "loss_history": net[1]})
     else:
+        records.append({"date": stamp, "symbol": symbol, "model": "hmm", **hmm})
+    if isinstance(net, Exception):
         notes.append(f"{day}: {symbol} net fit skipped: {net}")
+    else:
+        records.append({"date": stamp, "symbol": symbol, "model": "mlp", "loss_history": net})
     return records, notes
 
 
-def _forecast(config: RunConfig, uses: list[_Job], models: list[tuple]) -> list[list]:
-    """The (HMM signal, network signal) pair of each use, given the (HMM
-    outcome, network outcome) of its refit: each signal the model's forecast
-    (fusion's (direction, size) pair), the error its forecast ran into, or
-    None without a model or with too short a window. Each model forecasts in
-    batched calls over windows of one length, at most MODEL_CHUNK each."""
+def _forecast(config: RunConfig, uses: list[_Job], rows: list[int], fitted) -> list[list]:
+    """The (HMM signal, network signal) pair of each use, given
+    ``_refit_chunk``'s (stack, outcomes) pair per model kind and the row of
+    each use's refit in them: each signal the model's forecast (fusion's
+    (direction, size) pair), the error its forecast ran into, or None without
+    a model or with too short a window. Each model forecasts in batched calls
+    over windows of one length, at most MODEL_CHUNK each."""
+    (hmm_stack, _), (net_stack, _) = fitted
+    hmm_ok, net_ok = ([not isinstance(fits[r], Exception) for r in rows] for _, fits in fitted)
     n_inputs, hmms, nets = config.mlp.input_size, {}, {}
 
     def hmm_forecast(ids):
-        return regime_hmm.forecast([models[i][0] for i in ids], np.stack([uses[i][3] for i in ids]))
+        returns = np.stack([uses[i][3] for i in ids])
+        return None, regime_hmm.forecast(hmm_stack, [rows[i] for i in ids], returns)
 
     def net_forecast(ids):
-        closes = np.stack([uses[i][2][-n_inputs - 1:] for i in ids])
-        return trend_net.forecast([models[i][1][0] for i in ids], np.diff(closes, axis=1))
+        diffs = np.diff(np.stack([uses[i][2][-n_inputs - 1:] for i in ids]), axis=1)
+        return None, trend_net.forecast(net_stack, [rows[i] for i in ids], diffs, config.mlp)
 
     for chunk in _length_chunks(uses):
         size = uses[chunk[0]][2].size
-        with_hmm = [i for i in chunk if size >= 2 and isinstance(models[i][0], regime_hmm.HmmModel)]
-        with_net = [i for i in chunk if size > n_inputs and isinstance(models[i][1], tuple)]
-        _batched(hmm_forecast, with_hmm, hmms)
-        _batched(net_forecast, with_net, nets)
+        with_hmm = [i for i in chunk if size >= 2 and hmm_ok[i]]
+        with_net = [i for i in chunk if size > n_inputs and net_ok[i]]
+        hmms.update(zip(with_hmm, _batched(hmm_forecast, with_hmm)[1]))
+        nets.update(zip(with_net, _batched(net_forecast, with_net)[1]))
     return [[hmms.get(i), nets.get(i)] for i in range(len(uses))]
 
 

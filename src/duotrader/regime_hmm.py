@@ -8,11 +8,12 @@ Parameters are (S, K) and (S, K, K); the emission, forward and backward
 arrays are series-last (T, K, S), so every elementwise op and every sum over
 states runs along contiguous rows of S series. ``fit_batch`` fits one model
 per series, in arrays it allocates once per call and reuses every EM
-iteration, and ``forecast`` filters each series under its own model. Both
-give a series with a non-finite return (from a bad close) its own
-InvalidInputError. A series gets the same bits in any batch and under any
-BLAS: products are two-operand ``np.einsum`` calls or elementwise, and no
-sum's order depends on the batch.
+iteration, and returns them as one stack (``HmmModel``, row s series s's);
+``forecast`` gathers a row of the stack for each series it filters, so one
+model can serve several windows. Both give a series with a non-finite
+return (from a bad close) its own InvalidInputError. A series gets the same
+bits in any batch and under any BLAS: products are two-operand
+``np.einsum`` calls or elementwise, and no sum's order depends on the batch.
 
 The directional forecast is the sign of the posterior-weighted one-step-ahead
 expected return: e = sum_j (sum_i posterior_i A_ij) mean_returns_j.
@@ -21,7 +22,7 @@ expected return: e = sum_j (sum_i posterior_i A_ij) mean_returns_j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -49,17 +50,14 @@ class HmmConfig:
             raise ParameterError("convergence_tol and variance_floor must be non-negative")
 
 
-@dataclass
-class HmmModel:
-    """Fitted model: state distribution, transitions, and Gaussian emissions."""
+class HmmModel(NamedTuple):
+    """Fitted models of S series, stacked: row s of each array is series s's
+    state distribution, transitions or Gaussian emissions."""
 
-    initial_probs: np.ndarray      # (K,)
-    transition: np.ndarray         # (K, K), row-stochastic
-    mean_returns: np.ndarray       # (K,)
-    variances: np.ndarray          # (K,)
-    # One log-likelihood per EM iteration; the last is the final parameters'.
-    log_likelihood_path: list[float] = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
+    initial_probs: np.ndarray      # (S, K)
+    transition: np.ndarray         # (S, K, K), row-stochastic
+    mean_returns: np.ndarray       # (S, K)
+    variances: np.ndarray          # (S, K)
 
 
 class DirectionForecast(NamedTuple):
@@ -149,7 +147,7 @@ def _state_sum(padded: np.ndarray, lanes: np.ndarray):
     all. The operands are bound once per pass; only ``out`` changes from step
     to step.
     """
-    pairs = list(padded.reshape(-1, 2, *padded.shape[1:]))
+    pairs = list(padded.reshape(len(padded) // 2, 2, *padded.shape[1:]))
     adds = [(pairs[0], pairs[1]), *((lanes, pair) for pair in pairs[2:])] if len(pairs) > 1 else []
     first, second = lanes if adds else pairs[0]
 
@@ -340,18 +338,20 @@ def _initial_parameters(obs: np.ndarray, config: HmmConfig, seeds: Sequence[int]
 
 def fit_batch(
     returns: np.ndarray, config: HmmConfig, seeds: Sequence[int]
-) -> list[HmmModel | InvalidInputError | NumericalError]:
+) -> tuple[HmmModel, list[dict | InvalidInputError | NumericalError]]:
     """Fit one model per row of an (S, T) return array by batched EM.
 
     Series s is initialized from ``seeds[s]`` and stops on its own
     iteration: when its log-likelihood gain drops below tolerance or the
     iteration cap is reached. Its recorded per-iteration log-likelihood path
     is non-decreasing (standard EM guarantee). Each series gets exactly the
-    model it gets in a batch of one. Returns one entry per series: its model,
-    or the error its fit ran into. Raises for the whole batch when the
-    series are too short.
+    model it gets in a batch of one. Returns the stacked models, row s
+    series s's (NaN for a failed fit), and one outcome per series: its fit
+    record (iterations, converged, variance_floored and the log-likelihood
+    of every EM iteration, the last the final parameters'), or the error its
+    fit ran into. Raises for the whole batch when the series are too short.
     """
-    obs, results = _as_batch(returns)
+    obs, outcomes = _as_batch(returns)
     n_series, n_obs = obs.shape
     if n_obs < MIN_SAMPLES_PER_STATE * config.n_states:
         raise InsufficientDataError(
@@ -360,9 +360,11 @@ def fit_batch(
         )
     if len(seeds) != n_series:
         raise ParameterError(f"need one seed per series, got {len(seeds)} for {n_series}")
-    rows = np.flatnonzero([error is None for error in results])  # open fits, in batch order
+    rows = np.flatnonzero([error is None for error in outcomes])  # open fits, in batch order
     x = obs[rows]
-    pi, trans, means, variances = _initial_parameters(x, config, [seeds[r] for r in rows])
+    initial = _initial_parameters(x, config, [seeds[r] for r in rows])
+    models = HmmModel(*(np.full((n_series, *p.shape[1:]), np.nan) for p in initial))
+    pi, trans, means, variances = initial
     paths: list[list[float]] = [[] for _ in range(n_series)]
     floored = np.zeros(n_series, dtype=bool)
     converged = np.zeros(n_series, dtype=bool)
@@ -378,24 +380,20 @@ def fit_batch(
         keep = []
         for pos, row in enumerate(rows):
             if errors[pos] is not None:
-                results[row] = errors[pos]
+                outcomes[row] = errors[pos]
                 continue
             paths[row].append(float(log_likelihood[pos]))
             if not finished[row]:
                 keep.append(pos)
                 continue
-            results[row] = HmmModel(
-                initial_probs=pi[pos],
-                transition=trans[pos],
-                mean_returns=means[pos],
-                variances=variances[pos],
-                log_likelihood_path=paths[row],
-                diagnostics={
-                    "iterations": len(paths[row]) - 1,
-                    "converged": bool(converged[row]),
-                    "variance_floored": bool(floored[row]),
-                },
-            )
+            for stack, fitted in zip(models, (pi, trans, means, variances)):
+                stack[row] = fitted[pos]
+            outcomes[row] = {
+                "iterations": len(paths[row]) - 1,
+                "converged": bool(converged[row]),
+                "variance_floored": bool(floored[row]),
+                "log_likelihood_path": paths[row],
+            }
         if not keep:
             break
         if len(keep) < rows.size:
@@ -412,50 +410,43 @@ def fit_batch(
         converged[rows] = log_likelihood - prev_ll[rows] < config.convergence_tol
         prev_ll[rows] = log_likelihood
         finished[rows] = converged[rows] | (iteration == config.max_iterations)
-    return results
+    return models, outcomes
 
 
-def _filter(models: Sequence[HmmModel], returns: np.ndarray):
-    """Normalized forward probabilities P(state_t | returns_1..t) of S series
-    under their own models: (S, T, K) alphas (a transposed view of the
-    series-last (T, K, S) forward array) and one error (or None) per series."""
+def _filter(models: HmmModel, returns: np.ndarray):
+    """Normalized forward probabilities P(state_t | returns_1..t) of S series,
+    row s of the (S, T) returns under row s of the stacked models: (S, T, K)
+    alphas (a transposed view of the series-last (T, K, S) forward array) and
+    one error (or None) per series."""
     obs, bad = _as_batch(returns)
     if obs.shape[1] == 0:
         raise InsufficientDataError("filtering needs at least one return")
-    if len(models) != obs.shape[0]:
-        raise ParameterError(f"need one model per series, got {len(models)} for {obs.shape[0]}")
-    if not models:
-        return np.empty((0, obs.shape[1], 0)), []
-    pi = np.stack([m.initial_probs for m in models])
+    pi, trans, means, variances = models
+    if len(pi) != obs.shape[0]:
+        raise ParameterError(f"need one model per series, got {len(pi)} for {obs.shape[0]}")
     buffers = _Buffers(obs.shape[1], pi.shape[1], obs.shape[0])
-    _, errors = _forward(
-        np.where([[error is None] for error in bad], obs, 0.0),  # no warnings from bad series
-        np.stack([m.mean_returns for m in models]),
-        np.stack([m.variances for m in models]),
-        pi,
-        np.stack([m.transition for m in models]),
-        buffers,
+    _, errors = _forward(  # bad series run on zeros, which raise no warnings
+        np.where(np.isfinite(obs).all(axis=1, keepdims=True), obs, 0.0),
+        means, variances, pi, trans, buffers,
     )
     return buffers.alphas.transpose(2, 0, 1), [own or error for own, error in zip(bad, errors)]
 
 
 def forecast(
-    models: Sequence[HmmModel], returns: np.ndarray
+    models: HmmModel, rows: Sequence[int], returns: np.ndarray
 ) -> list[DirectionForecast | InvalidInputError | NumericalError]:
     """One-step-ahead expected returns of S series, and their signs.
 
-    Runs one batched forward pass of the (S, T) returns, row s under
-    ``models[s]``, then takes each series' expected return under its last
-    posterior. Returns S entries: each series' forecast, or the error its
-    filter ran into.
+    Gathers row ``rows[s]`` of the stacked models for series s of the (S, T)
+    returns (a row may serve several series), runs one batched forward pass,
+    then takes each series' expected return under its last posterior.
+    Returns S entries: each series' forecast, or the error its filter ran
+    into.
     """
-    alphas, errors = _filter(models, returns)
-    if not models:
-        return []
-    transitions = np.stack([m.transition for m in models])
-    means = np.stack([m.mean_returns for m in models])
-    predicted = np.einsum("si,sij->sj", alphas[:, -1], transitions)
-    expected = np.einsum("sj,sj->s", predicted, means).tolist()
+    gathered = HmmModel(*(np.take(p, rows, axis=0) for p in models))
+    alphas, errors = _filter(gathered, returns)
+    predicted = np.einsum("si,sij->sj", alphas[:, -1], gathered.transition)
+    expected = np.einsum("sj,sj->s", predicted, gathered.mean_returns).tolist()
     return [
         DirectionForecast(sign_direction(e), e) if error is None else error
         for e, error in zip(expected, errors)

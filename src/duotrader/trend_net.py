@@ -8,10 +8,11 @@ reconstructible as last close + prediction.
 
 Everything is implemented directly on numpy arrays: forward, backprop, and
 the Adam recurrence, so gradients can be checked against finite differences.
-Each routine works on a stack of networks with a leading network axis;
-``train_batch`` trains a stack in lock-step, ``forecast`` runs each network
-of a stack on its own input row, and a single network is a stack of one.
-Both run ``_Pass``, one forward/backward routine on batch-major buffers.
+A network is one row of parameters (every weight matrix, then every bias,
+flattened): ``init_params`` draws a stack of rows, ``train_batch`` trains a
+stack in lock-step, ``forecast`` gathers a row for each input row (a network
+may serve several), and a single network is a stack of one. Both run
+``_Pass``, one forward/backward routine on batch-major buffers.
 """
 
 from __future__ import annotations
@@ -58,17 +59,12 @@ class MlpConfig:
     def input_size(self) -> int:
         return self.layer_sizes[0]
 
-
-@dataclass
-class MlpModel:
-    """Layer parameters."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
     @property
-    def input_size(self) -> int:
-        return self.weights[0].shape[0]
+    def shapes(self) -> list[tuple[int, ...]]:
+        """The layer tensors of a parameter row, in order: every
+        (fan_in, fan_out) weight matrix, then every bias."""
+        layers = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        return layers + [(fan_out,) for _, fan_out in layers]
 
 
 @dataclass(frozen=True)
@@ -89,15 +85,19 @@ class TrendForecast(NamedTuple):
     magnitude: float
 
 
-def init_model(config: MlpConfig, seed: int) -> MlpModel:
-    """Seeded init: uniform +/-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
-    rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(config.layer_sizes[:-1], config.layer_sizes[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(weights, biases)
+def init_params(config: MlpConfig, seeds: Sequence[int]) -> np.ndarray:
+    """The (S, P) parameter rows of S networks, row s seeded by ``seeds[s]``:
+    uniform +/-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
+    shapes = config.shapes
+    params = np.zeros((len(seeds), sum(math.prod(shape) for shape in shapes)))
+    weights = _unflatten(params, shapes)[: len(shapes) // 2]
+    for s, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        for w in weights:
+            fan_in, fan_out = w.shape[1:]
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            w[s] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    return params
 
 
 def build_training_set(closes: Sequence[float] | np.ndarray, window: int = 5) -> TrainingSet:
@@ -191,8 +191,8 @@ def _adam_update(params, grads, m, v, step: int, learning_rate: float, scratch) 
 
 
 def _unflatten(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Views of the rows of an (S, P) array as (S, *shape) tensors, in the
-    layout of params_to_vector."""
+    """Views of the rows of an (S, P) array as (S, *shape) tensors, one per
+    shape, laid out one after another in each row."""
     views, offset = [], 0
     for shape in shapes:
         size = math.prod(shape)
@@ -202,39 +202,41 @@ def _unflatten(flat: np.ndarray, shapes) -> list[np.ndarray]:
 
 
 def train_batch(
-    models: Sequence[MlpModel],
+    params: np.ndarray,
     data: Sequence[TrainingSet],
     config: MlpConfig,
     seeds: Sequence[int],
-) -> list[tuple[MlpModel, list[float]] | TrainingDivergedError]:
-    """Train copies of S networks in lock-step; the arguments are untouched.
+) -> tuple[np.ndarray, list[list[float] | TrainingDivergedError]]:
+    """Train a copy of the (S, P) parameter rows of S networks in lock-step;
+    the arguments are untouched.
 
     Network s runs ``config.epochs`` passes of mini-batch Adam on
     ``data[s]``, with its own shuffle seeded by ``seeds[s]``, and gets
-    exactly the model and loss history it gets in a stack of one. The
+    exactly the parameters and loss history it gets in a stack of one. The
     training sets must have one length, so that every network takes the same
     batches. Adam's moments start at zero. Every array is allocated once
-    per call, a batch's buffers once per batch length. Returns one entry per
-    network: (trained model, per-epoch mean of the batch MSE losses, each
-    evaluated before its update), or the TrainingDivergedError naming the
-    update at which its loss first became non-finite.
+    per call, a batch's buffers once per batch length. Returns the trained
+    rows and one outcome per network: its per-epoch mean of the batch MSE
+    losses, each evaluated before its update, or the TrainingDivergedError
+    naming the update at which its loss first became non-finite (its row is
+    then non-finite).
     """
-    if not (len(models) == len(data) == len(seeds)):
-        raise ParameterError("need one training set and one seed per model")
-    if not models:
-        return []
+    params = np.array(params, dtype=float)
+    if not (len(params) == len(data) == len(seeds)):
+        raise ParameterError("need one training set and one seed per network")
+    if not data:
+        return params, []
     if len({len(d) for d in data}) != 1:
         raise ParameterError("lock-step training needs training sets of one length")
     n = len(data[0])
     if n == 0:
         raise InsufficientDataError("training set is empty")
 
-    n_layers = len(models[0].weights)
-    shapes = [t.shape for t in models[0].weights + models[0].biases]
-    # Parameters, gradients and Adam moments (from zero) of network s are row
-    # s of an (S, P) array in the params_to_vector layout, so one Adam step is
-    # one update of whole arrays; the layer tensors are views into the rows.
-    params = np.stack([params_to_vector(m) for m in models])
+    shapes = config.shapes
+    n_layers = len(shapes) // 2
+    # Gradients and Adam moments (from zero) of network s are row s of (S, P)
+    # arrays laid out as the parameters, so one Adam step is one update of
+    # whole arrays; the layer tensors are views into the rows.
     grads, ms, vs = np.empty_like(params), np.zeros_like(params), np.zeros_like(params)
     scratch = np.empty((2, *params.shape))
     tensors, grad_tensors = _unflatten(params, shapes), _unflatten(grads, shapes)
@@ -242,17 +244,17 @@ def train_batch(
     # length keeps the inputs and targets one np.take gathers, and a _Pass.
     flat_inputs = np.concatenate([d.inputs for d in data], dtype=float)
     flat_targets = np.concatenate([d.targets for d in data], dtype=float)
-    offsets = np.arange(0, len(models) * n, n)[:, None]
+    offsets = np.arange(0, len(data) * n, n)[:, None]
     rngs = [np.random.default_rng(seed) for seed in seeds]
     starts = range(0, n, config.batch_size)
     batches = {
-        size: (np.empty((len(models), size, flat_inputs.shape[1])), np.empty((len(models), size)),
+        size: (np.empty((len(data), size, flat_inputs.shape[1])), np.empty((len(data), size)),
                _Pass(tensors[:n_layers], size))
         for size in {min(config.batch_size, n), n % config.batch_size} - {0}
     }
-    losses = np.empty((len(models), len(starts)))
-    histories = np.empty((len(models), config.epochs))
-    results: list = [None] * len(models)
+    losses = np.empty((len(data), len(starts)))
+    histories = np.empty((len(data), config.epochs))
+    results: list = [None] * len(data)
 
     # A diverged network stays in the stack: its row goes non-finite, which
     # no other network reads, and overflow is no error (its loss shows it).
@@ -276,40 +278,30 @@ def train_batch(
             # same order as a mean over one network's list.
             np.mean(losses, axis=1, out=histories[:, epoch])
 
-    return [
-        result or (
-            MlpModel([t[s] for t in tensors[:n_layers]], [t[s] for t in tensors[n_layers:]]),
-            histories[s].tolist(),
-        )
-        for s, result in enumerate(results)
-    ]
+    return params, [result or histories[s].tolist() for s, result in enumerate(results)]
 
 
 def forecast(
-    models: Sequence[MlpModel], inputs: np.ndarray
+    params: np.ndarray, rows: Sequence[int], inputs: np.ndarray, config: MlpConfig
 ) -> list[TrendForecast | InvalidInputError]:
-    """Forecast the next close difference of S networks, each from its row of
-    the (S, input_size) recent close differences.
+    """Forecast the next close difference of S input rows: row s of the
+    (S, input_size) recent close differences through the network of
+    parameter row ``rows[s]`` of the (N, P) stack (a network may serve
+    several input rows).
 
-    One stacked forward pass in which each network's row is its own batch of
-    one, so a network gets the same bits in any stack. Returns S entries:
-    each network's forecast, or an InvalidInputError for a non-finite row.
+    One stacked forward pass over the gathered rows, in which each input row
+    is its own batch of one, so a network gets the same bits in any stack.
+    Returns S entries: each row's forecast, or an InvalidInputError for a
+    non-finite row.
     """
     x = np.asarray(inputs, dtype=float)
-    if not models and x.size == 0:
-        return []
-    if not models or x.shape != (len(models), models[0].input_size):
-        raise InvalidInputError(f"expected one row of input_size inputs per model, got {x.shape}")
+    if x.shape != (len(rows), config.input_size):
+        raise InvalidInputError(f"expected one row of input_size inputs per row, got {x.shape}")
     finite = np.isfinite(x).all(axis=1)
-    tensors = [np.stack(t) for t in zip(*(m.weights + m.biases for m in models))]
+    tensors = _unflatten(np.take(params, rows, axis=0), config.shapes)
     x = np.where(finite[:, None], x, 0.0)[:, None, :]
-    out = _Pass(tensors[: len(models[0].weights)], 1).forward(tensors, x)
+    out = _Pass(tensors[: len(tensors) // 2], 1).forward(tensors, x)
     return [
         TrendForecast(sign_direction(p), abs(p)) if ok else InvalidInputError("input must be finite")
         for p, ok in zip(out[:, 0, 0].tolist(), finite)
     ]
-
-
-def params_to_vector(model: MlpModel) -> np.ndarray:
-    """Flatten weights then biases, layer by layer."""
-    return np.concatenate([t.ravel() for t in model.weights + model.biases])

@@ -124,15 +124,15 @@ def test_criterion_02_hmm_regime_recovery():
     )
     returns = log_returns(bars.close)
     true_labels = labels[1:]
-    (model,) = regime_hmm.fit_batch(returns[None], HmmConfig(n_states=2, max_iterations=40), [7])
+    models, _ = regime_hmm.fit_batch(returns[None], HmmConfig(n_states=2, max_iterations=40), [7])
 
-    means = model.mean_returns
+    means = models.mean_returns[0]
     high, low = int(np.argmax(means)), int(np.argmin(means))
     rel_errors = (
         abs(means[high] - 0.002) / 0.002,
         abs(means[low] + 0.002) / 0.002,
     )
-    alphas, _ = regime_hmm._filter([model], returns[None])
+    alphas, _ = regime_hmm._filter(models, returns[None])
     states = np.argmax(alphas[0], axis=1)
     mapped = np.where(states == high, 0, 1)
     accuracy = max((mapped == true_labels).mean(), (mapped != true_labels).mean())
@@ -162,10 +162,10 @@ def test_criterion_03_em_monotonicity():
             )
         else:
             series = rng.standard_t(3, length) * 0.008
-        (model,) = regime_hmm.fit_batch(
+        _, (record,) = regime_hmm.fit_batch(
             series[None], HmmConfig(n_states=n_states), [int(rng.integers(1_000_000))]
         )
-        path = model.log_likelihood_path
+        path = record["log_likelihood_path"]
         worst_drop = max(
             worst_drop, max((a - b for a, b in zip(path, path[1:])), default=0.0)
         )
@@ -184,19 +184,17 @@ def test_criterion_04_gradient_check():
     for draw in range(10):
         config = MlpConfig()
         assert config.layer_sizes == (5, 10, 10, 10, 5, 1)
-        model = trend_net.init_model(config, 100 + draw)
+        theta = trend_net.init_params(config, [100 + draw])[0]
         rng = np.random.default_rng(200 + draw)
         inputs = rng.normal(0.0, 1.0, size=(8, 5))[None]
         targets = rng.normal(0.0, 1.0, size=8)[None]
 
         # The network's parameters and gradient as (1, P) rows, read and
         # written through the layer views and the pass that train_batch uses.
-        theta = trend_net.params_to_vector(model)
         row, grad_row, losses = theta[None].copy(), np.empty((1, theta.size)), np.empty(1)
-        shapes = [t.shape for t in model.weights + model.biases]
-        views = trend_net._unflatten(row, shapes)
-        grads = trend_net._unflatten(grad_row, shapes)
-        step_pass = trend_net._Pass(views[: len(model.weights)], inputs.shape[1])
+        views = trend_net._unflatten(row, config.shapes)
+        grads = trend_net._unflatten(grad_row, config.shapes)
+        step_pass = trend_net._Pass(views[: len(views) // 2], inputs.shape[1])
 
         def loss():
             step_pass.gradients(views, inputs, targets, grads, losses)
@@ -230,7 +228,7 @@ def test_criterion_05_network_learnability():
     inputs = rng.normal(0.0, 1.0, size=(2000, 5))
     data = trend_net.TrainingSet(inputs, inputs.mean(axis=1))
     config = MlpConfig()  # lr 0.001, 5 epochs
-    ((_, history),) = trend_net.train_batch([trend_net.init_model(config, 3)], [data], config, [3])
+    _, (history,) = trend_net.train_batch(trend_net.init_params(config, [3]), [data], config, [3])
     ratio = history[-1] / history[0]
     elapsed = time.perf_counter() - start
     ok = ratio < 0.10 and elapsed < 10.0

@@ -408,6 +408,15 @@ class TestBacktest:
         assert main(["backtest", "--config", str(config), "--set", override]) == 2
         assert f"non-finite value(s) at {section}: {field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["1e308", "-1.5"])
+    def test_unreportable_risk_free_rate_exit_2(self, tmp_path, capsys, rate):
+        # A rate whose ratios the report cannot hold is refused before the run.
+        out_dir = tmp_path / "out"
+        config = write_run_config(tmp_path, run_synth(tmp_path), out_dir)
+        assert main(["backtest", "--config", str(config), "--set", f"engine.risk_free_rate={rate}"]) == 2
+        assert "at engine: risk_free_rate must be finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("engine.min_fee", -1), ("engine.per_share_fee", -0.01),
     ])
@@ -539,6 +548,15 @@ class TestReport:
         fills.write_text("".join(line + "\n" for line in fill_lines))
         return equity, fills
 
+    def refused(self, tmp_path, capsys, equity_rows, fill_lines=(), flags=()):
+        """report's exit code and error text on those inputs; it must write no report."""
+        equity, fills = self.write_report_inputs(tmp_path, equity_rows, fill_lines)
+        out = tmp_path / "r.json"
+        code = main(["report", "--equity", str(equity), "--fills", str(fills), *flags,
+                     "--out", str(out)])
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
     @pytest.mark.parametrize("record", [
         "[1, 2]",
         '"fill"',
@@ -582,49 +600,36 @@ class TestReport:
             "symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0,
             "date": "2020-01-02",
         })
-        equity, fills = self.write_report_inputs(
-            tmp_path, [f"2020-01-0{d},100000.0" for d in range(1, 6)], [good, record]
-        )
-        code = main(["report", "--equity", str(equity), "--fills", str(fills),
-                     "--out", str(tmp_path / "r.json")])
-        assert code == 1
-        assert f"{fills}:2: bad fill record" in capsys.readouterr().err
-        assert not (tmp_path / "r.json").exists()
+        equity_rows = [f"2020-01-0{d},100000.0" for d in range(1, 6)]
+        code, err = self.refused(tmp_path, capsys, equity_rows, [good, record])
+        assert code == 1 and f"{tmp_path / 'fills.jsonl'}:2: bad fill record" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_equity_exit_1(self, tmp_path, capsys, value):
         rows = ["2020-01-01,100000.0", "2020-01-02,100010.0", f"2020-01-03,{value}"]
-        equity, fills = self.write_report_inputs(tmp_path, rows)
-        code = main(["report", "--equity", str(equity), "--fills", str(fills),
-                     "--out", str(tmp_path / "r.json")])
-        assert code == 1
-        assert f"{equity}:4: bad equity row: equity {float(value)} is not finite" in (
-            capsys.readouterr().err
-        )
-        assert not (tmp_path / "r.json").exists()
+        code, err = self.refused(tmp_path, capsys, rows)
+        equity = tmp_path / "equity_curve.csv"
+        assert code == 1 and f"{equity}:4: bad equity row: equity {float(value)} is not finite" in err
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "1e308", "-1.01"])
+    def test_unreportable_risk_free_rate_exit_2(self, tmp_path, capsys, rate):
+        rows = ["2020-01-01,100.0", "2020-01-02,101.0"]
+        code, err = self.refused(tmp_path, capsys, rows, flags=["--risk-free", rate])
+        assert code == 2 and "config error: --risk-free must be finite" in err
 
     @pytest.mark.parametrize("value", ["0.0", "-100.0"])
     def test_non_positive_equity_exit_1(self, tmp_path, capsys, value):
         rows = ["2020-01-01,100000.0", f"2020-01-02,{value}", "2020-01-03,100.0"]
-        equity, fills = self.write_report_inputs(tmp_path, rows)
-        code = main(["report", "--equity", str(equity), "--fills", str(fills),
-                     "--out", str(tmp_path / "r.json")])
-        assert code == 1
-        assert f"{equity}:3: bad equity row: equity {float(value)} is not positive" in (
-            capsys.readouterr().err
-        )
-        assert not (tmp_path / "r.json").exists()
+        code, err = self.refused(tmp_path, capsys, rows)
+        equity = tmp_path / "equity_curve.csv"
+        assert code == 1 and f"{equity}:3: bad equity row: equity {float(value)} is not positive" in err
 
     @pytest.mark.parametrize("second", ["2020-01-01", "2019-12-31"])
     def test_dates_not_increasing_exit_1(self, tmp_path, capsys, second):
         rows = ["2020-01-01,100000.0", f"{second},100010.0", "2020-01-03,100020.0"]
-        equity, fills = self.write_report_inputs(tmp_path, rows)
-        code = main(["report", "--equity", str(equity), "--fills", str(fills),
-                     "--out", str(tmp_path / "r.json")])
-        assert code == 1
-        assert f"{equity}:3: bad equity row: {second} not after 2020-01-01" in (
-            capsys.readouterr().err
-        )
+        code, err = self.refused(tmp_path, capsys, rows)
+        equity = tmp_path / "equity_curve.csv"
+        assert code == 1 and f"{equity}:3: bad equity row: {second} not after 2020-01-01" in err
 
     def test_empty_benchmark_file_is_no_benchmark(self, tmp_path):
         out_dir = self.make_run(tmp_path)

@@ -465,17 +465,15 @@ def assert_fits_match_direct(result, bars_by_symbol, seed=3, window_bars=100):
         lengths[(record["date"], symbol)] = closes.size
         if record["model"] == "hmm":
             hmm_seed = plan_mod.symbol_seed(seed, "hmm", symbol)
-            (model,) = regime_hmm.fit_batch(
+            _, (fit,) = regime_hmm.fit_batch(
                 log_returns(closes)[None], HmmConfig(n_states=2), [hmm_seed]
             )
-            assert record["log_likelihood_path"] == model.log_likelihood_path
-            assert record["iterations"] == model.diagnostics["iterations"]
+            assert record == {"date": record["date"], "symbol": symbol, "model": "hmm", **fit}
         else:
             config, mlp_seed = MlpConfig(epochs=2), plan_mod.symbol_seed(seed, "mlp", symbol)
             data = trend_net.build_training_set(closes)
-            ((_, history),) = trend_net.train_batch(
-                [trend_net.init_model(config, mlp_seed)], [data], config, [mlp_seed]
-            )
+            params = trend_net.init_params(config, [mlp_seed])
+            _, (history,) = trend_net.train_batch(params, [data], config, [mlp_seed])
             assert record["loss_history"] == history
     return lengths
 
@@ -604,13 +602,13 @@ class TestCadenceAndChurn:
             widths["fit"].append(len(returns))
             return fit_batch(returns, *args)
 
-        def spy_filter(models, returns):
-            widths["filter"].append(len(models))
-            return hmm_forecast(models, returns)
+        def spy_filter(models, rows, returns):
+            widths["filter"].append(len(rows))
+            return hmm_forecast(models, rows, returns)
 
-        def spy_net(models, inputs):
-            widths["net"].append(len(models))
-            return net_forecast(models, inputs)
+        def spy_net(params, rows, inputs, config):
+            widths["net"].append(len(rows))
+            return net_forecast(params, rows, inputs, config)
 
         monkeypatch.setattr(plan_mod, "MODEL_CHUNK", 3)
         monkeypatch.setattr(regime_hmm, "fit_batch", spy_fit)
@@ -778,22 +776,23 @@ class TestPlanHelpers:
 
     @pytest.fixture(scope="class")
     def fitted(self):
-        """Jobs of three symbols' 100-bar windows and their refit outcomes."""
+        """Jobs of three symbols' 100-bar windows and their refit's (stack,
+        outcomes) pair per model kind."""
         bars_by_symbol, _ = synth_market(n_symbols=3)
         jobs = [plan_job(bars.close[100:200], s) for s, bars in bars_by_symbol.items()]
         return jobs, plan_mod._refit_chunk(PLAN_CONFIG, jobs)
 
     def test_one_close_gives_no_hmm_signal(self, fitted):
         jobs, models = fitted
-        assert plan_mod._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-1:])], models[:1]) == [[None, None]]
+        assert plan_mod._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-1:])], [0], models) == [[None, None]]
 
     def test_window_of_input_size_gives_no_network_signal(self, fitted):
         jobs, models = fitted
         n_inputs = PLAN_CONFIG.mlp.input_size
         for size in (2, n_inputs):
-            ((hmm, net),) = plan_mod._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-size:])], models[:1])
+            ((hmm, net),) = plan_mod._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-size:])], [0], models)
             assert isinstance(hmm, regime_hmm.DirectionForecast) and net is None
-        ((_, net),) = plan_mod._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-n_inputs - 1:])], models[:1])
+        ((_, net),) = plan_mod._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-n_inputs - 1:])], [0], models)
         assert isinstance(net, trend_net.TrendForecast)
 
     def test_failing_forecasts_give_their_errors(self, fitted):
@@ -802,7 +801,7 @@ class TestPlanHelpers:
         jobs, models = fitted
         closes = jobs[0][2].copy()
         closes[-1] = np.nan
-        bad, good = plan_mod._forecast(PLAN_CONFIG, [plan_job(closes), jobs[1]], models[:2])
+        bad, good = plan_mod._forecast(PLAN_CONFIG, [plan_job(closes), jobs[1]], [0, 1], models)
         for signal in bad:
             assert isinstance(signal, InvalidInputError)
         assert "finite positive closes" in str(bad[0]) and "must be finite" in str(bad[1])
@@ -811,13 +810,17 @@ class TestPlanHelpers:
 
     def test_forecasts_are_fusions_pairs(self, fitted):
         # Each signal is what the model's forecast returns for that window
-        # alone, and fuse reads it as it reads the plain (direction, size) tuple.
+        # alone, whichever refit row it uses (out of order, with repeats),
+        # and fuse reads it as it reads the plain (direction, size) tuple.
         jobs, models = fitted
-        directions = set()
-        signals = plan_mod._forecast(PLAN_CONFIG, jobs, models)
-        for (_, symbol, closes, _), (hmm, net), (hmm_model, (net_model, _)) in zip(jobs, signals, models):
-            assert [hmm] == regime_hmm.forecast([hmm_model], log_returns(closes)[None])
-            assert [net] == trend_net.forecast([net_model], np.diff(closes)[None, -5:])
+        (hmm_stack, _), (net_stack, _) = models
+        directions, rows = set(), [2, 0, 0, 1]
+        signals = plan_mod._forecast(PLAN_CONFIG, [jobs[r] for r in rows], rows, models)
+        for r, (hmm, net) in zip(rows, signals):
+            _, symbol, closes, _ = jobs[r]
+            assert [hmm] == regime_hmm.forecast(hmm_stack, [r], log_returns(closes)[None])
+            diffs = np.diff(closes)[None, -5:]
+            assert [net] == trend_net.forecast(net_stack, [r], diffs, PLAN_CONFIG.mlp)
             assert tuple(hmm) == (hmm.direction, hmm.expected_return)
             assert tuple(net) == (net.direction, net.magnitude)
             insight = fuse(hmm, net, symbol, DAY, 21)
@@ -826,29 +829,25 @@ class TestPlanHelpers:
         assert directions - {"flat"}
 
     def test_batched_results_land_on_their_ids(self):
-        calls, outcomes = [], {5: "kept"}
+        calls = []
 
         def call(ids):
             calls.append(ids)
-            return [10 * i for i in ids]
+            return "stack", [10 * i for i in ids]
 
-        plan_mod._batched(call, [0, 2], outcomes)
+        assert plan_mod._batched(call, [0, 2]) == ("stack", [0, 20])
         assert calls == [[0, 2]]
-        assert outcomes == {5: "kept", 0: 0, 2: 20}
 
     def test_batched_batch_error_lands_on_every_id(self):
-        error, outcomes = NumericalError("batch failed"), {}
+        error = NumericalError("batch failed")
 
         def call(ids):
             raise error
 
-        plan_mod._batched(call, [0, 1, 2], outcomes)
-        assert outcomes == {0: error, 1: error, 2: error}
+        assert plan_mod._batched(call, [0, 1, 2]) == (None, [error, error, error])
 
     def test_batched_makes_no_call_without_ids(self):
-        outcomes = {}
-        plan_mod._batched(pytest.fail, [], outcomes)
-        assert outcomes == {}
+        assert plan_mod._batched(pytest.fail, []) == (None, [])
 
 
 class TestReturnColumns:

@@ -34,13 +34,19 @@ from duotrader.regime_hmm import (
 
 
 def build_model(pi, trans, means, variances):
-    """Hand-assembled model."""
-    return HmmModel(
-        initial_probs=np.asarray(pi, dtype=float),
-        transition=np.asarray(trans, dtype=float),
-        mean_returns=np.asarray(means, dtype=float),
-        variances=np.asarray(variances, dtype=float),
-    )
+    """Hand-assembled model row: one series' (K,) and (K, K) parameters."""
+    return HmmModel(*(np.asarray(p, dtype=float) for p in (pi, trans, means, variances)))
+
+
+def stack(rows):
+    """The stacked models whose row s is ``rows[s]``."""
+    return HmmModel(*(np.stack(p) for p in zip(*rows)))
+
+
+def row(models, s):
+    """Row s of stacked models, as a view; ``stack([row(models, s)])`` is a
+    fresh stack of one."""
+    return HmmModel(*(p[s] for p in models))
 
 
 def regime_returns(seed, n_returns):
@@ -51,10 +57,10 @@ def regime_returns(seed, n_returns):
 
 
 def fit_one(returns, config, seed=0):
-    """The model fit_batch gives one series in a batch of one."""
-    (model,) = fit_batch(np.asarray(returns, dtype=float)[None], config, [seed])
-    assert isinstance(model, HmmModel), model
-    return model
+    """The model row and fit record fit_batch gives one series in a batch of one."""
+    models, (record,) = fit_batch(np.asarray(returns, dtype=float)[None], config, [seed])
+    assert isinstance(record, dict), record
+    return row(models, 0), record
 
 
 def forward_pass(obs, means, variances, pi, trans):
@@ -65,7 +71,7 @@ def forward_pass(obs, means, variances, pi, trans):
 
 def posterior_one(model, returns):
     """The filtered posterior of one series under one model, or its error."""
-    alphas, (error,) = _filter([model], np.asarray(returns, dtype=float)[None])
+    alphas, (error,) = _filter(stack([model]), np.asarray(returns, dtype=float)[None])
     return alphas[0, -1] if error is None else error
 
 
@@ -74,7 +80,7 @@ def forecast_from(model, posterior):
     filter is replaced by one whose last step is that posterior."""
     filtered = np.asarray(posterior, dtype=float)[None, None, :]
     with mock.patch.object(regime_hmm, "_filter", return_value=(filtered, [None])):
-        (result,) = forecast([model], np.zeros((1, 1)))
+        (result,) = forecast(stack([model]), [0], np.zeros((1, 1)))
     return result
 
 
@@ -88,14 +94,16 @@ def assert_same_forecasts(got, want):
             assert g.expected_return.hex() == w.expected_return.hex()
 
 
-def assert_same_model(got, want):
-    """Bit-for-bit equality of every fitted field."""
-    assert np.array_equal(got.initial_probs, want.initial_probs)
-    assert np.array_equal(got.transition, want.transition)
-    assert np.array_equal(got.mean_returns, want.mean_returns)
-    assert np.array_equal(got.variances, want.variances)
-    assert got.log_likelihood_path == want.log_likelihood_path
-    assert got.diagnostics == want.diagnostics
+def assert_same_fit(got, s, want, w=0):
+    """Series s of one fit_batch result and series w of another: equal fit
+    records and the same bytes in every stacked parameter, or errors of one
+    type and text."""
+    if isinstance(want[1][w], Exception):
+        assert type(got[1][s]) is type(want[1][w]) and str(got[1][s]) == str(want[1][w])
+        return
+    assert got[1][s] == want[1][w]
+    for have, ref in zip(got[0], want[0]):
+        assert_same_bytes(have[s], ref[w])
 
 
 def assert_same_bytes(got, want):
@@ -225,7 +233,7 @@ class TestFit:
     def test_single_state_closed_form(self):
         rng = np.random.default_rng(0)
         returns = rng.normal(0.001, 0.02, 200)
-        model = fit_one(returns, HmmConfig(n_states=1), 4)
+        model, _ = fit_one(returns, HmmConfig(n_states=1), 4)
         assert model.transition[0, 0] == pytest.approx(1.0)
         assert model.initial_probs == pytest.approx([1.0])
         # oracle: closed-form single-state maximum-likelihood statistics
@@ -237,12 +245,11 @@ class TestFit:
     def test_determinism(self):
         rng = np.random.default_rng(1)
         returns = rng.normal(0, 0.01, 150)
-        a = fit_one(returns, HmmConfig(n_states=3), 9)
-        b = fit_one(returns, HmmConfig(n_states=3), 9)
+        (a, a_record), (b, b_record) = (fit_one(returns, HmmConfig(n_states=3), 9) for _ in "ab")
         assert np.array_equal(a.mean_returns, b.mean_returns)
         assert np.array_equal(a.transition, b.transition)
         assert np.array_equal(a.variances, b.variances)
-        assert a.log_likelihood_path == b.log_likelihood_path
+        assert a_record == b_record
 
     def test_two_regime_recovery(self):
         # oracle: the synthetic generator's known drifts
@@ -251,7 +258,7 @@ class TestFit:
             [[0.995, 0.005], [0.005, 0.995]],
         )
         returns = log_returns(bars.close)
-        model = fit_one(returns, HmmConfig(n_states=2, max_iterations=40), 7)
+        model, _ = fit_one(returns, HmmConfig(n_states=2, max_iterations=40), 7)
         recovered = np.sort(model.mean_returns)
         for got, want in zip(recovered, (-0.002, 0.002)):
             assert abs(got - want) / abs(want) < 0.20
@@ -261,15 +268,15 @@ class TestFit:
             fit_one(np.zeros(19), HmmConfig(n_states=2))
 
     def test_constant_returns_floors_variance(self):
-        model = fit_one(np.full(40, 0.001), HmmConfig(n_states=1))
+        model, record = fit_one(np.full(40, 0.001), HmmConfig(n_states=1))
         assert model.variances[0] >= 1e-12
-        assert model.diagnostics["variance_floored"]
+        assert record["variance_floored"]
 
     def test_unvisited_source_state_keeps_finite_row(self):
         # the outlier's state is occupied only at the last step, so its row
         # of expected outgoing transitions is empty
         returns = np.concatenate([np.zeros(50), [0.5]])
-        model = fit_one(returns, HmmConfig(n_states=2), 1)
+        model, _ = fit_one(returns, HmmConfig(n_states=2), 1)
         assert np.all(np.isfinite(model.transition))
         assert model.transition.sum(axis=1) == pytest.approx([1.0, 1.0])
         assert model.mean_returns[1] == pytest.approx(0.5)
@@ -278,14 +285,14 @@ class TestFit:
         rng = np.random.default_rng(11)
         for trial in range(10):
             returns = rng.normal(0.0, 0.01, 120)
-            model = fit_one(returns, HmmConfig(n_states=int(rng.integers(1, 5))), trial)
-            path = model.log_likelihood_path
+            _, record = fit_one(returns, HmmConfig(n_states=int(rng.integers(1, 5))), trial)
+            path = record["log_likelihood_path"]
             assert all(b - a >= -1e-8 for a, b in zip(path, path[1:]))
 
     def test_stochasticity_invariants(self):
         rng = np.random.default_rng(13)
         returns = rng.normal(0.0, 0.01, 200)
-        model = fit_one(returns, HmmConfig(n_states=4), 2)
+        model, _ = fit_one(returns, HmmConfig(n_states=4), 2)
         assert model.initial_probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert model.transition.sum(axis=1) == pytest.approx(np.ones(4), abs=1e-9)
         assert model.mean_returns.shape == (4,)
@@ -345,9 +352,9 @@ class TestPinnedNumerics:
         )
         returns = log_returns(bars.close)
         assert returns.size == 251
-        model = fit_one(returns, HmmConfig(n_states=5), 17)
-        assert model.diagnostics["iterations"] == 10
-        np.testing.assert_allclose(model.log_likelihood_path, self.PATH, rtol=1e-9, atol=0)
+        model, record = fit_one(returns, HmmConfig(n_states=5), 17)
+        assert record["iterations"] == 10
+        np.testing.assert_allclose(record["log_likelihood_path"], self.PATH, rtol=1e-9, atol=0)
         np.testing.assert_allclose(model.mean_returns, self.MEANS, rtol=1e-9, atol=0)
         np.testing.assert_allclose(model.variances, self.VARIANCES, rtol=1e-9, atol=0)
         np.testing.assert_allclose(model.transition, self.TRANSITION, rtol=1e-9, atol=0)
@@ -409,8 +416,7 @@ class TestTimeMajorEStep:
                 assert_close(have, ref)
             assert_close(betas[:, :, s], reference_backward(b[:, :, s], trans[s], norms[:, s]))
         # _filter's (S, T, K) view of the same forward pass.
-        models = [build_model(*p) for p in zip(pi, trans, means, variances)]
-        filtered, _ = _filter(models, obs)
+        filtered, _ = _filter(HmmModel(pi, trans, means, variances), obs)
         assert filtered.base is not None  # a view, not a copy
         assert np.array_equal(filtered, alphas.transpose(2, 0, 1), equal_nan=True)
 
@@ -434,7 +440,9 @@ class TestBatchInvariance:
     """A series gets the same bytes at any position of a batch as in a fresh
     contiguous batch of one, from every batched routine: so the bits of a
     fit or a forecast depend neither on which symbols share its batch nor on
-    the number of worker processes that split the batches."""
+    the number of worker processes that split the batches. A forecast
+    gathers its model rows out of order and with repeats, and each gathered
+    row gives the bits of that model in a stack of one."""
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(st.integers(1, 12), st.integers(1, 9), st.integers(0, 30), st.integers(0, 2**32 - 1))
@@ -444,7 +452,10 @@ class TestBatchInvariance:
         obs, means, variances, pi, trans = batch
         config = HmmConfig(n_states=n_states, max_iterations=3)
         seeds = [int(s) for s in rng.integers(0, 2**31, size=n_series)]
-        models = [build_model(*p) for p in zip(pi, trans, means, variances)]
+        models = HmmModel(pi, trans, means, variances)
+        # Each series under its own model, then random rows and windows.
+        extra = rng.integers(n_series, size=(2, n_series))
+        rows, windows = [*range(n_series), *extra[0]], obs[[*range(n_series), *extra[1]]]
 
         buffers, log_likelihood, errors = forward_pass(*batch)
         _backward(buffers, trans)
@@ -459,7 +470,7 @@ class TestBatchInvariance:
         m_step = _m_step(obs[ok], buffers, trans[ok], means[ok], variances[ok], 1e-12)
         initial = _initial_parameters(obs, config, seeds)
         fits = fit_batch(obs, config, seeds)
-        forecasts = forecast(models, obs)
+        forecasts = forecast(models, rows, windows)
 
         for s in range(n_series):
             x, mu, var, p0, tr = (np.ascontiguousarray(a[s:s + 1]) for a in batch)
@@ -475,12 +486,9 @@ class TestBatchInvariance:
                     assert_same_bytes(have[ok.index(s)], want[0])
             for have, want in zip(initial, _initial_parameters(x, config, seeds[s:s + 1])):
                 assert_same_bytes(have[s], want[0])
-            (fit,) = fit_batch(x, config, seeds[s:s + 1])
-            if isinstance(fit, HmmModel):
-                assert_same_model(fits[s], fit)
-            else:
-                assert type(fits[s]) is type(fit) and str(fits[s]) == str(fit)
-            assert_same_forecasts(forecasts[s:s + 1], forecast(models[s:s + 1], x))
+            assert_same_fit(fits, s, fit_batch(x, config, seeds[s:s + 1]))
+        for got, r, window in zip(forecasts, rows, windows):
+            assert_same_forecasts([got], forecast(stack([row(models, r)]), [0], window[None]))
 
 
 def two_lanes(terms):
@@ -533,23 +541,19 @@ class TestBuffers:
             made.append(_Buffers(*shape))
             return made[-1]
 
-        fields = ("initial_probs", "transition", "mean_returns", "variances")
         with mock.patch.object(regime_hmm, "_Buffers", side_effect=spy):
-            first = fit_batch(returns, config, list(range(6)))
+            first, records = fit_batch(returns, config, list(range(6)))
             assert len(made) == 1
-            kept = copy.deepcopy(first)
-            forecasts = forecast(first, returns[:, -60:])
-            second = fit_batch(returns[::-1].copy(), config, list(range(6)))
+            kept = copy.deepcopy((first, records))
+            forecasts = forecast(first, range(6), returns[:, -60:])
+            second, _ = fit_batch(returns[::-1].copy(), config, list(range(6)))
         assert len(made) == 3  # one per fit_batch and one per forecast
         storage = [flat for buffers in made for flat in buffers._flat.values()]
-        later = [getattr(model, name) for model in second for name in fields]
-        for model, want in zip(first, kept):
-            for name in fields:
-                array = getattr(model, name)
-                assert not any(np.shares_memory(array, other) for other in storage + later)
-                assert_same_bytes(array, getattr(want, name))
-            assert_same_model(model, want)
-        assert_same_forecasts(forecast(first, returns[:, -60:]), forecasts)
+        for array, want in zip(first, kept[0]):
+            assert not any(np.shares_memory(array, other) for other in storage + list(second))
+            assert_same_bytes(array, want)
+        assert records == kept[1]
+        assert_same_forecasts(forecast(first, range(6), returns[:, -60:]), forecasts)
 
 
 class TestFitBatch:
@@ -559,22 +563,22 @@ class TestFitBatch:
         returns = np.stack([regime_returns(300 + s, 251) for s in range(12)])
         seeds = [11 * s + 1 for s in range(12)]
         batch = fit_batch(returns, self.CONFIG, seeds)
-        singles = [fit_one(row, self.CONFIG, seed) for row, seed in zip(returns, seeds)]
         # the series stop on different iterations, some at the cap
-        iterations = {m.diagnostics["iterations"] for m in batch}
+        iterations = {record["iterations"] for record in batch[1]}
         assert len(iterations) > 2 and 60 in iterations
-        for got, want in zip(batch, singles):
-            assert_same_model(got, want)
+        for s, seed in enumerate(seeds):
+            assert_same_fit(batch, s, fit_batch(returns[s:s + 1], self.CONFIG, [seed]))
 
     def test_failing_series_isolated(self):
         config = HmmConfig(n_states=3, variance_floor=0.0)
         returns = np.stack([regime_returns(41, 120), np.zeros(120), regime_returns(42, 120)])
-        (alone,) = fit_batch(returns[1:2], config, [2])
         batch = fit_batch(returns, config, [1, 2, 3])
-        assert isinstance(batch[1], NumericalError)
-        assert str(batch[1]) == str(alone)
-        for got, want in zip(batch[::2], fit_batch(returns[::2], config, [1, 3])):
-            assert_same_model(got, want)
+        assert isinstance(batch[1][1], NumericalError)
+        assert_same_fit(batch, 1, fit_batch(returns[1:2], config, [2]))
+        assert all(np.isnan(p[1]).all() for p in batch[0])  # a failed fit's row is NaN
+        pair = fit_batch(returns[::2], config, [1, 3])
+        for s, w in ((0, 0), (2, 1)):
+            assert_same_fit(batch, s, pair, w)
 
     def test_whole_batch_errors(self):
         with pytest.raises(InsufficientDataError):
@@ -583,7 +587,8 @@ class TestFitBatch:
             fit_batch(np.zeros(60), self.CONFIG, [0])
         with pytest.raises(ParameterError):
             fit_batch(np.zeros((2, 60)), self.CONFIG, [0])
-        assert fit_batch(np.zeros((0, 60)), self.CONFIG, []) == []
+        models, records = fit_batch(np.zeros((0, 60)), self.CONFIG, [])
+        assert records == [] and models.transition.shape == (0, 3, 3)
 
 
 class TestNonFiniteSeries:
@@ -611,25 +616,24 @@ class TestNonFiniteSeries:
     def test_fit_batch(self, batches):
         clean, dirty, good = batches
         got = fit_batch(dirty, self.CONFIG, list(range(6)))
-        self.assert_bad_series_errors(got)
-        for s, want in zip(good, fit_batch(clean[good], self.CONFIG, good)):
-            assert_same_model(got[s], want)
-            assert got[s].log_likelihood_path == want.log_likelihood_path
-            assert got[s].diagnostics == want.diagnostics
+        self.assert_bad_series_errors(got[1])
+        want = fit_batch(clean[good], self.CONFIG, good)
+        for w, s in enumerate(good):
+            assert_same_fit(got, s, want, w)
 
     def test_forecast(self, batches):
         clean, dirty, good = batches
-        models = fit_batch(clean[:, :80], self.CONFIG, list(range(6)))
-        got = forecast(models, dirty[:, -60:])
+        models, _ = fit_batch(clean[:, :80], self.CONFIG, list(range(6)))
+        got = forecast(models, range(6), dirty[:, -60:])
         self.assert_bad_series_errors(got)
-        want = forecast([models[s] for s in good], clean[good, -60:])
+        want = forecast(models, good, clean[good, -60:])
         assert all(isinstance(w, DirectionForecast) for w in want)
         assert_same_forecasts([got[s] for s in good], want)
 
     def test_whole_batch_bad(self, batches):
         _, dirty, _ = batches
         bad = list(self.BAD)
-        self.assert_bad_series_errors(dict(zip(bad, fit_batch(dirty[bad], self.CONFIG, bad))))
+        self.assert_bad_series_errors(dict(zip(bad, fit_batch(dirty[bad], self.CONFIG, bad)[1])))
 
 
 class TestForwardPosterior:
@@ -670,14 +674,14 @@ class TestForwardPosterior:
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(23)
-        model = fit_one(rng.normal(0, 0.01, 150), HmmConfig(n_states=3), 1)
+        model, _ = fit_one(rng.normal(0, 0.01, 150), HmmConfig(n_states=3), 1)
         posterior = posterior_one(model, rng.normal(0, 0.01, 50))
         assert posterior.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_takes_only_a_batch(self):
         model = build_model([1.0], [[1.0]], [0.0], [1e-4])
         with pytest.raises(InvalidInputError):
-            forecast([model], np.zeros(5))
+            forecast(stack([model]), [0], np.zeros(5))
 
     def test_empty_sequence(self):
         model = build_model([1.0], [[1.0]], [0.0], [1e-4])
@@ -694,27 +698,27 @@ class TestForwardPosterior:
 
     def test_batch_equals_per_model(self):
         returns = np.stack([regime_returns(500 + s, 90) for s in range(6)])
-        models = [fit_one(r, HmmConfig(n_states=3), s) for s, r in enumerate(returns)]
+        models = [fit_one(r, HmmConfig(n_states=3), s)[0] for s, r in enumerate(returns)]
         nan_variance = build_model(
             [0.4, 0.3, 0.3], np.eye(3), [0.0, 0.01, -0.01], [1e-4, float("nan"), 1e-4]
         )
         collapsing = build_model([1.0, 0.0, 0.0], np.eye(3), [1.0, 0.0, 0.0], [1e-8] * 3)
         broken = {1: nan_variance, 4: collapsing}
-        batch = forecast([broken.get(s, m) for s, m in enumerate(models)], returns)
-        for s, (got, model, row) in enumerate(zip(batch, models, returns)):
+        batch = forecast(stack([broken.get(s, m) for s, m in enumerate(models)]), range(6), returns)
+        for s, (got, model, window) in enumerate(zip(batch, models, returns)):
             if s in broken:
-                (alone,) = forecast([broken[s]], row[None])
-                assert isinstance(alone, NumericalError)
-                assert str(got) == str(alone)
+                (single,) = forecast(stack([broken[s]]), [0], window[None])
+                assert isinstance(single, NumericalError)
+                assert str(got) == str(single)
             else:
-                assert got == forecast([model], row[None])[0]
+                assert got == forecast(stack([model]), [0], window[None])[0]
 
     def test_posteriors_own_their_memory(self):
         # A forecast holds plain floats, so it keeps no forward array alive.
         returns = np.stack([regime_returns(600 + s, 60) for s in range(3)])
-        models = [fit_one(r, HmmConfig(n_states=2), s) for s, r in enumerate(returns)]
-        batch = forecast(models, returns)
-        (single,) = forecast(models[:1], returns[:1])
+        models = stack([fit_one(r, HmmConfig(n_states=2), s)[0] for s, r in enumerate(returns)])
+        batch = forecast(models, range(3), returns)
+        (single,) = forecast(models, [0], returns[:1])
         for result in [*batch, single]:
             assert isinstance(result, DirectionForecast)
             assert type(result.expected_return) is float
@@ -724,7 +728,7 @@ class TestForwardPosterior:
     def test_non_positive_variance_raises(self, bad):
         model = build_model([0.5, 0.5], np.eye(2), [0.0, 0.01], [1e-4, bad])
         assert isinstance(posterior_one(model, [0.01, -0.02]), NumericalError)
-        (error,) = forecast([model], np.array([[0.01, -0.02]]))
+        (error,) = forecast(stack([model]), [0], np.array([[0.01, -0.02]]))
         assert isinstance(error, NumericalError) and "must be positive" in str(error)
 
 
@@ -751,7 +755,7 @@ class TestPredictDirection:
 
     def test_label_permutation_invariance(self):
         rng = np.random.default_rng(31)
-        model = fit_one(rng.normal(0.0005, 0.01, 200), HmmConfig(n_states=3), 5)
+        model, _ = fit_one(rng.normal(0.0005, 0.01, 200), HmmConfig(n_states=3), 5)
         returns = rng.normal(0.0005, 0.01, 40)
         posterior = posterior_one(model, returns)
         base = forecast_from(model, posterior)
@@ -769,7 +773,7 @@ class TestPredictDirection:
 
     def test_scale_consistency(self):
         rng = np.random.default_rng(37)
-        model = fit_one(rng.normal(0.001, 0.01, 150), HmmConfig(n_states=2), 8)
+        model, _ = fit_one(rng.normal(0.001, 0.01, 150), HmmConfig(n_states=2), 8)
         posterior = posterior_one(model, rng.normal(0, 0.01, 30))
         base = forecast_from(model, posterior)
         for scale in (0.5, 3.0, 100.0):
@@ -783,18 +787,17 @@ class TestPredictDirection:
 
 
 class TestForecast:
-    """forecast gives each series the bits of its forecast alone, and the
-    plain math's expected return to rtol 1e-12."""
+    """forecast gives each series, whichever model row it gathers, the bits
+    of that model's forecast in a stack of one, and the plain math's
+    expected return to rtol 1e-12."""
 
     @staticmethod
-    def check(models, obs):
-        got = forecast(models, obs)
-        assert_same_forecasts(got, [
-            forecast([model], np.ascontiguousarray(row[None]))[0] for model, row in zip(models, obs)
-        ])
-        for result, model, row in zip(got, models, obs):
+    def check(models, rows, obs):
+        got = forecast(models, rows, obs)
+        for result, r, x in zip(got, rows, obs):
+            assert_same_forecasts([result], forecast(stack([row(models, r)]), [0], x[None].copy()))
             if isinstance(result, DirectionForecast):
-                assert_close(result.expected_return, reference_expected_return(model, row))
+                assert_close(result.expected_return, reference_expected_return(row(models, r), x))
                 assert result.direction == sign_direction(result.expected_return)
         return got
 
@@ -805,7 +808,9 @@ class TestForecast:
         obs, means, variances, pi, trans = hazard_batch(rng, n_series, n_states, 60)
         if n_series >= 4:
             obs[3, 20] = np.nan
-        got = self.check([build_model(*p) for p in zip(pi, trans, means, variances)], obs)
+        # Every series backwards, then some again: rows out of order, with repeats.
+        rows = [*range(n_series - 1, -1, -1), *range(0, n_series, 3)]
+        got = dict(zip(rows, self.check(HmmModel(pi, trans, means, variances), rows, obs[rows])))
         if n_series >= 4:
             # A non-positive variance and a collapse err, and so does a NaN
             # window, as that series' own error.
@@ -817,28 +822,30 @@ class TestForecast:
     @pytest.mark.parametrize("n_states", [2, 5])
     def test_fitted_models_match_reference(self, n_states):
         returns = np.stack([regime_returns(700 + s, 120) for s in range(24)])
-        models = fit_batch(returns[:, :100], HmmConfig(n_states=n_states), list(range(24)))
-        assert all(isinstance(m, HmmModel) for m in models)
-        got = self.check(models, returns[:, -60:])
+        models, records = fit_batch(returns[:, :100], HmmConfig(n_states=n_states), list(range(24)))
+        assert all(isinstance(record, dict) for record in records)
+        rows = [*range(23, -1, -1), 3, 3, 17]
+        got = self.check(models, rows, returns[rows, -60:])
         assert all(isinstance(result, DirectionForecast) for result in got)
 
     def test_one_model_per_series(self):
         model = build_model([1.0], [[1.0]], [0.0], [1e-4])
         with pytest.raises(ParameterError):
-            forecast([model, model], np.zeros((1, 5)))
+            forecast(stack([model]), [0, 0], np.zeros((1, 5)))
 
     def test_empty_batch(self):
-        assert forecast([], np.empty((0, 10))) == []
+        models = stack([build_model([1.0], [[1.0]], [0.0], [1e-4])])
+        assert forecast(models, [], np.empty((0, 10))) == []
         with pytest.raises(InsufficientDataError):
-            forecast([], np.empty((0, 0)))
+            forecast(models, [], np.empty((0, 0)))
 
 
 class TestFilteredStates:
     def test_matches_posterior_argmax(self):
         rng = np.random.default_rng(41)
         returns = rng.normal(0, 0.01, 80)
-        model = fit_one(returns, HmmConfig(n_states=2), 6)
-        alphas, errors = _filter([model], returns[None])
+        model, _ = fit_one(returns, HmmConfig(n_states=2), 6)
+        alphas, errors = _filter(stack([model]), returns[None])
         assert errors == [None]
         states = np.argmax(alphas[0], axis=1)
         assert states.shape == (80,)
