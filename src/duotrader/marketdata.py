@@ -1,4 +1,4 @@
-"""Daily bar ingestion, feature extraction, and synthetic regime-switching data.
+"""Daily bar ingestion and synthetic regime-switching data.
 
 All prices are daily closes in currency units. Ingestion keeps each
 symbol's history as columns (``SymbolBars``), not as one object per bar. It
@@ -33,8 +33,6 @@ from .errors import (
     DataAlignmentError,
     DataOrderingError,
     DuotraderError,
-    InsufficientDataError,
-    InvalidInputError,
     ParameterError,
 )
 
@@ -93,9 +91,6 @@ class IngestResult:
 # A bar CSV is parsed in min(usable CPUs, file bytes // INGEST_RANGE_BYTES)
 # byte ranges by forked workers when that makes two or more, else in-process.
 INGEST_RANGE_BYTES = 8 << 20
-# A bar CSV of at least INGEST_CACHE_BYTES is parsed once per content from
-# its second ingest on (``_cached``); a smaller one is parsed every time.
-INGEST_CACHE_BYTES = 8 << 20
 _CACHE_COLUMNS = ("days", *BAR_CSV_HEADER[2:])
 
 # One CSV row as numpy's C parser reads it. Symbols and dates stay Python
@@ -147,15 +142,12 @@ def ingest_csv(path: str | Path) -> IngestResult:
     Each byte range of whole lines (``_read_ranges``) goes through numpy's
     C parser and column-wise checks, or, if it holds a line they cannot
     vouch for, the row reader (``_read_range``). The ranges are then grouped
-    by symbol and order-checked once (``_merge``). A file of at least
-    ``INGEST_CACHE_BYTES`` is parsed once per content from its second
-    ingest on (``_cached``).
+    by symbol and order-checked once (``_merge``). Whatever its size, a
+    file is parsed once per content from its second ingest on (``_cached``).
     """
     path = Path(path)
     _open_csv(path, BAR_CSV_HEADER, "bar").close()
     try:
-        if path.stat().st_size < INGEST_CACHE_BYTES:
-            return _merge(path, _read_ranges(path)).result(path)
         return _cached(path)
     except OSError as exc:
         raise DuotraderError(f"cannot read bar file {path}: {exc}") from exc
@@ -556,16 +548,6 @@ def ingest_meta_csv(path: str | Path) -> dict[str, InstrumentMeta]:
             first_line[symbol] = lineno
             meta[symbol] = InstrumentMeta(symbol, row[1].strip(), shares)
     return meta
-
-
-def log_returns(closes: Sequence[float] | np.ndarray) -> np.ndarray:
-    """ln(c[i+1] / c[i]) for consecutive closes. Requires positive prices."""
-    arr = np.asarray(closes, dtype=float)
-    if arr.size < 2:
-        raise InsufficientDataError(f"need at least 2 closes, got {arr.size}")
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0):
-        raise InvalidInputError("log returns require finite positive closes")
-    return np.diff(np.log(arr))
 
 
 def synth_regime_series(

@@ -269,8 +269,9 @@ def _forecast(config: RunConfig, uses: list[_Job], rows: list[int], fitted) -> l
     ``_refit_chunk``'s (stack, outcomes) pair per model kind and the row of
     each use's refit in them: each signal the model's forecast (fusion's
     (direction, size) pair), the error its forecast ran into, or None without
-    a model or with too short a window. Each model forecasts in batched calls
-    over windows of one length, at most MODEL_CHUNK each."""
+    a model. A use's window is never shorter than its refit's, so a model
+    that fitted has the closes it needs to forecast. Each model forecasts in
+    batched calls over windows of one length, at most MODEL_CHUNK each."""
     (hmm_stack, _), (net_stack, _) = fitted
     hmm_ok, net_ok = ([not isinstance(fits[r], Exception) for r in rows] for _, fits in fitted)
     n_inputs, hmms, nets = config.mlp.input_size, {}, {}
@@ -284,9 +285,8 @@ def _forecast(config: RunConfig, uses: list[_Job], rows: list[int], fitted) -> l
         return None, trend_net.forecast(net_stack, [rows[i] for i in ids], diffs, config.mlp)
 
     for chunk in _length_chunks(uses):
-        size = uses[chunk[0]][2].size
-        with_hmm = [i for i in chunk if size >= 2 and hmm_ok[i]]
-        with_net = [i for i in chunk if size > n_inputs and net_ok[i]]
+        with_hmm = [i for i in chunk if hmm_ok[i]]
+        with_net = [i for i in chunk if net_ok[i]]
         hmms.update(zip(with_hmm, _batched(hmm_forecast, with_hmm)[1]))
         nets.update(zip(with_net, _batched(net_forecast, with_net)[1]))
     return [[hmms.get(i), nets.get(i)] for i in range(len(uses))]

@@ -28,9 +28,9 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
+from .metrics import TRADING_DAYS
 
 COVARIANCE_RIDGE = 1e-8
-TRADING_DAYS = 252
 
 
 @dataclass

@@ -22,6 +22,14 @@ def pools(monkeypatch):
     return started
 
 
+def fresh_copy(path, data):
+    """``path`` with ``data`` written to it as a new file (a new inode), so
+    that its next ingest parses it rather than loading its record."""
+    fresh = path.with_name(f"{path.name}.fresh")
+    fresh.write_bytes(data)
+    return fresh.replace(path)
+
+
 def make_bars(closes, start=date(2020, 1, 2), volumes=None):
     """One bar per close on consecutive weekdays, each with its open, high
     and low at its close."""
@@ -35,6 +43,11 @@ def make_bars(closes, start=date(2020, 1, 2), volumes=None):
     closes = np.array(closes, dtype=float)
     volumes = np.full(closes.size, 1000.0) if volumes is None else np.array(volumes, dtype=float)
     return SymbolBars(np.array(days, dtype=np.int64), closes, closes, closes, closes, volumes)
+
+
+def log_returns(closes):
+    """ln(c[i+1] / c[i]) for consecutive closes, as the plan computes them."""
+    return np.diff(np.log(np.asarray(closes, dtype=float)))
 
 
 def take_rows(bars, rows):

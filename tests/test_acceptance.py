@@ -17,7 +17,7 @@ from duotrader import regime_hmm, trend_net
 from duotrader.alpha_fusion import FusionConfig, fuse
 from duotrader.directions import DOWN, FLAT, UP
 from duotrader.engine import EngineConfig, run_backtest
-from duotrader.marketdata import InstrumentMeta, log_returns, synth_regime_series
+from duotrader.marketdata import InstrumentMeta, synth_regime_series
 from duotrader.metrics import cagr, compute_report, profit_loss_ratio, total_return
 from duotrader.portfolio_bl import (
     BlConfig,
@@ -36,7 +36,7 @@ from duotrader.runconfig import RunConfig
 from duotrader.trend_net import MlpConfig
 from duotrader.universe import UniverseConfig
 
-from conftest import fifo_accounting_gap, take_rows
+from conftest import fifo_accounting_gap, log_returns, take_rows
 
 
 def verdict(number: int, name: str, passed: bool, detail: str = "") -> None:

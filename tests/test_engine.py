@@ -26,7 +26,7 @@ from duotrader.errors import InsufficientDataError, InvalidInputError, Numerical
 from duotrader import marketdata, regime_hmm, trend_net, workers
 from duotrader import plan as plan_mod
 from duotrader.marketdata import (
-    InstrumentMeta, SymbolBars, ingest_csv, log_returns, synth_regime_series,
+    InstrumentMeta, SymbolBars, ingest_csv, synth_regime_series,
 )
 from duotrader.portfolio_bl import BlConfig
 from duotrader.regime_hmm import HmmConfig
@@ -35,7 +35,9 @@ from duotrader.runconfig import RunConfig
 from duotrader.trend_net import MlpConfig
 from duotrader.universe import UniverseConfig, candidate_panel, select_universe
 
-from conftest import day_of, fifo_accounting_gap, make_bars, scale_prices, take_rows
+from conftest import (
+    day_of, fifo_accounting_gap, fresh_copy, log_returns, make_bars, scale_prices, take_rows,
+)
 
 DAY = date(2020, 1, 2)
 
@@ -741,17 +743,18 @@ class TestWorkerCount:
     def test_worker_count_leaves_the_run_unchanged(self, tmp_path, monkeypatch, pools):
         # A whole run from the bar CSV: with 2 or 3 usable CPUs, its ingest
         # parses one byte range per worker and its refits run in as many
-        # workers; with 1, both run in this process.
+        # workers; with 1, both run in this process. Each run ingests a fresh
+        # copy of the file, so that each parses it.
         bars_by_symbol, meta = synth_market()
-        path = tmp_path / "bars.csv"
-        path.write_text(
+        data = (
             BAR_CSV_HEADER_LINE
             + "".join(line + "\n" for lines in bar_csv_rows(bars_by_symbol).values() for line in lines)
-        )
+        ).encode()
         monkeypatch.setattr(marketdata, "INGEST_RANGE_BYTES", 1)
         results = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+            path = fresh_copy(tmp_path / "bars.csv", data)
             results.append(small_run(ingest_csv(path).bars_by_symbol, meta))
         assert pools == [2, 2, 3, 3]
         assert results[0].fills
@@ -782,18 +785,41 @@ class TestPlanHelpers:
         jobs = [plan_job(bars.close[100:200], s) for s, bars in bars_by_symbol.items()]
         return jobs, plan_mod._refit_chunk(PLAN_CONFIG, jobs)
 
-    def test_one_close_gives_no_hmm_signal(self, fitted):
-        jobs, models = fitted
-        assert plan_mod._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-1:])], [0], models) == [[None, None]]
+    def test_no_use_has_a_shorter_window_than_its_refit(self, monkeypatch):
+        # After a start_date and a late listing, windows grow from one plan
+        # day to the next, and a model forecasts on later, longer windows than
+        # the one it was fitted on; never on a shorter one, so a model that
+        # fitted has the closes its forecast needs.
+        bars_by_symbol, meta = synth_market()
+        bars_by_symbol["S03"] = take_rows(bars_by_symbol["S03"], slice(150, None))
+        config = small_config(
+            start_date=day_of(bars_by_symbol["S00"], 40), retrain_every=63, rebalance_every=21
+        )
+        calls = []
+        refit_chunk, forecast = plan_mod._refit_chunk, plan_mod._forecast
 
-    def test_window_of_input_size_gives_no_network_signal(self, fitted):
-        jobs, models = fitted
-        n_inputs = PLAN_CONFIG.mlp.input_size
-        for size in (2, n_inputs):
-            ((hmm, net),) = plan_mod._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-size:])], [0], models)
-            assert isinstance(hmm, regime_hmm.DirectionForecast) and net is None
-        ((_, net),) = plan_mod._forecast(PLAN_CONFIG, [plan_job(jobs[0][2][-n_inputs - 1:])], [0], models)
-        assert isinstance(net, trend_net.TrendForecast)
+        def spy_refit(config, jobs):
+            calls.append(jobs)
+            return refit_chunk(config, jobs)
+
+        def spy_forecast(config, uses, rows, fitted):
+            calls.append((uses, rows, fitted))
+            return forecast(config, uses, rows, fitted)
+
+        monkeypatch.setattr(plan_mod, "_refit_chunk", spy_refit)
+        monkeypatch.setattr(plan_mod, "_forecast", spy_forecast)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+        plan_mod.build_plan(bars_by_symbol, meta, config)
+        grown = set()  # (symbol, whether its HMM fit failed) of uses on longer windows
+        for jobs, (uses, rows, ((_, hmm_fits), _)) in zip(calls[::2], calls[1::2]):
+            for (step, symbol, closes, _), r in zip(uses, rows):
+                refit_step, refit_symbol, refit_closes, _ = jobs[r]
+                assert symbol == refit_symbol and step.day >= refit_step.day
+                assert closes.size >= refit_closes.size
+                if closes.size > refit_closes.size:
+                    grown.add((symbol, isinstance(hmm_fits[r], Exception)))
+        # S03's first refit is too short for an HMM; a later one fits it.
+        assert {("S03", True), ("S03", False)} <= grown
 
     def test_failing_forecasts_give_their_errors(self, fitted):
         # A NaN close fails the HMM's returns and the network's inputs; the

@@ -17,8 +17,6 @@ from duotrader.errors import (
     DataAlignmentError,
     DataOrderingError,
     DuotraderError,
-    InsufficientDataError,
-    InvalidInputError,
     ParameterError,
 )
 from duotrader import marketdata, workers
@@ -28,12 +26,11 @@ from duotrader.marketdata import (
     SymbolBars,
     ingest_csv,
     ingest_meta_csv,
-    log_returns,
     synth_regime_series,
 )
 from duotrader.runconfig import RunConfig
 
-from conftest import take_rows
+from conftest import fresh_copy, log_returns, take_rows
 
 
 HEADER = "symbol,date,open,high,low,close,volume\n"
@@ -526,8 +523,7 @@ SPLIT_CASES = {
 
 def split_into_ranges(monkeypatch, cpus, range_bytes=1):
     """Make ``ingest_csv`` split a file of ``range_bytes`` per CPU into
-    ranges as if ``cpus`` CPUs were usable. The cache threshold is a
-    constant of its own, so these small files are still parsed every time."""
+    ranges as if ``cpus`` CPUs were usable."""
     monkeypatch.setattr(marketdata, "INGEST_RANGE_BYTES", range_bytes)
     monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
 
@@ -578,33 +574,31 @@ class TestSplitIngest:
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("name", list(SPLIT_CASES))
     def test_split_matches_one_range_and_rows(
-        self, tmp_path, monkeypatch, pools, row_reads, name, cpus
+        self, tmp_path, monkeypatch, pools, row_reads, parses, name, cpus
     ):
         text, _, dirt = SPLIT_CASES[name]
-        path = tmp_path / "bars.csv"
-        path.write_bytes(text.encode())
+        path = fresh_copy(tmp_path / "bars.csv", text.encode())
         one_range = _outcome(ingest_csv, path)
         assert pools == []
         assert row_reads() == dirty_ranges(text, 1, dirt)
         split_into_ranges(monkeypatch, cpus)
-        outcome = _outcome(ingest_csv, path)
+        outcome = _outcome(ingest_csv, fresh_copy(path, text.encode()))
         assert pools == [cpus]
         assert row_reads() == dirty_ranges(text, cpus, dirt)
         assert_same_outcome(outcome, one_range)
         assert_same_outcome(outcome, _outcome(reference_read_rows, path))
-        assert not cache_of(path).exists()  # both ingests parsed the file
+        assert parses == [path, path]  # both ingests parsed the file
 
-    def test_file_under_two_ranges_starts_no_pool(self, tmp_path, monkeypatch, pools):
-        path = tmp_path / "bars.csv"
-        path.write_text(csv_text(SPLIT_ROWS))
-        size = path.stat().st_size
-        split_into_ranges(monkeypatch, 3, range_bytes=size // 2 + 1)
+    def test_file_under_two_ranges_starts_no_pool(self, tmp_path, monkeypatch, pools, parses):
+        data = csv_text(SPLIT_ROWS).encode()
+        path = fresh_copy(tmp_path / "bars.csv", data)
+        split_into_ranges(monkeypatch, 3, range_bytes=len(data) // 2 + 1)
         assert list(ingest_csv(path).bars_by_symbol) == SPLIT_SYMBOLS
         assert pools == []
-        split_into_ranges(monkeypatch, 3, range_bytes=size // 2)
-        assert list(ingest_csv(path).bars_by_symbol) == SPLIT_SYMBOLS
+        split_into_ranges(monkeypatch, 3, range_bytes=len(data) // 2)
+        assert list(ingest_csv(fresh_copy(path, data)).bars_by_symbol) == SPLIT_SYMBOLS
         assert pools == [2]
-        assert not cache_of(path).exists()  # both ingests parsed the file
+        assert parses == [path, path]  # both ingests parsed the file
 
     def test_dead_ingest_worker_raises(self, tmp_path, monkeypatch):
         test_pid = os.getpid()
@@ -637,11 +631,6 @@ def kept_columns(path):
     file's stamp."""
     with np.load(cache_of(path)) as kept:
         return "days" in kept.files
-
-
-def cache_every_file(monkeypatch, min_bytes=0):
-    """Make ``ingest_csv`` cache a file of at least ``min_bytes``."""
-    monkeypatch.setattr(marketdata, "INGEST_CACHE_BYTES", min_bytes)
 
 
 @pytest.fixture
@@ -736,8 +725,8 @@ def spoil(kind, cache, tmp_path, monkeypatch):
 
 
 class TestIngestCache:
-    """A bar CSV of at least ``INGEST_CACHE_BYTES`` is parsed once per
-    content from its second ingest on: the first ingest records only the
+    """A bar CSV, whatever its size, is parsed once per content from its
+    second ingest on: the first ingest records only the
     file's stamp, the second (under the same stamp) also keeps the grouped
     columns under a key of its bytes and the ingest code, and later ingests
     load them, while a second thread takes the key, and give the parse's
@@ -751,7 +740,6 @@ class TestIngestCache:
         text, _, dirt = SPLIT_CASES[name]
         path = tmp_path / "bars.csv"
         path.write_bytes(text.encode())
-        cache_every_file(monkeypatch)
         split_into_ranges(monkeypatch, cpus)
         cold = _outcome(ingest_csv, path)
         failed = isinstance(cold, DataOrderingError)
@@ -769,8 +757,7 @@ class TestIngestCache:
         assert_same_outcome(warm, cold)
         assert_same_outcome(warm, _outcome(reference_read_rows, path))
 
-    def test_one_off_ingest_takes_no_key(self, tmp_path, monkeypatch, parses, hashes):
-        cache_every_file(monkeypatch)
+    def test_one_off_ingest_takes_no_key(self, tmp_path, parses, hashes):
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
         ingest_csv(path)
         assert (len(parses), len(hashes)) == (1, 0)
@@ -786,8 +773,7 @@ class TestIngestCache:
         assert (len(parses), len(hashes)) == (3, 2)
         assert not kept_columns(path)
 
-    def test_same_size_edit_with_old_mtime_is_parsed_again(self, tmp_path, monkeypatch, parses):
-        cache_every_file(monkeypatch)
+    def test_same_size_edit_with_old_mtime_is_parsed_again(self, tmp_path, parses):
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
         for _ in range(2):
             ingest_csv(path)
@@ -810,7 +796,6 @@ class TestIngestCache:
         # A new file renamed over the CSV after the stamp is taken: the
         # ingest that read the new bytes records nothing under the old
         # stamp, and the next one parses the file in place.
-        cache_every_file(monkeypatch)
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
         ingest_csv(path)
         recorded = cache_of(path).read_bytes()
@@ -843,7 +828,6 @@ class TestIngestCache:
         # A record that cannot be read or is under another stamp counts as a
         # new file's (parsed, then parsed and kept); one under this stamp and
         # another key is parsed and kept at once.
-        cache_every_file(monkeypatch)
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW.replace(",70.5,", ",abc,"), XOM_LATER])
         cold = ingest_csv(path)
         assert_same_ingest(ingest_csv(path), cold)
@@ -862,7 +846,6 @@ class TestIngestCache:
         "case", ["read-only-directory", "cache-path-is-a-directory", "nul-in-symbol"]
     )
     def test_unkept_cache_leaves_no_file(self, tmp_path, monkeypatch, parses, case):
-        cache_every_file(monkeypatch)
         symbol = "XOM\0" if case == "nul-in-symbol" else "XOM"
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW.replace("XOM", symbol)])
         entries = {path.name}
@@ -887,9 +870,8 @@ class TestIngestCache:
             assert_same_ingest(result, reference_read_rows(path))
 
     @pytest.mark.parametrize("mode", [0o644, 0o600], ids=oct)
-    def test_record_takes_the_csv_permission_bits(self, tmp_path, monkeypatch, mode):
+    def test_record_takes_the_csv_permission_bits(self, tmp_path, mode):
         # Whoever can read the CSV can read its record, and no one else can.
-        cache_every_file(monkeypatch)
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
         path.chmod(mode)
         for _ in range(2):  # the stamp alone, then the kept columns
@@ -897,24 +879,14 @@ class TestIngestCache:
             assert stat.S_IMODE(cache_of(path).stat().st_mode) == mode
         assert kept_columns(path)
 
-    def test_failed_parse_and_small_file_leave_no_file(self, tmp_path, monkeypatch):
+    def test_failed_parse_leaves_no_file(self, tmp_path):
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_LATER, XOM_ROW])
-        cache_every_file(monkeypatch)
         for _ in range(2):
             with pytest.raises(DataOrderingError):
                 ingest_csv(path)
             assert not cache_of(path).exists()
-        path = write_bars(tmp_path, GOOD_ROWS)
-        cache_every_file(monkeypatch, path.stat().st_size + 1)
-        for _ in range(2):
-            ingest_csv(path)
-        assert not cache_of(path).exists()
-        cache_every_file(monkeypatch, path.stat().st_size)
-        ingest_csv(path)
-        assert cache_of(path).exists()
 
-    def test_file_without_a_kept_row_loads_warm(self, tmp_path, monkeypatch, parses):
-        cache_every_file(monkeypatch)
+    def test_file_without_a_kept_row_loads_warm(self, tmp_path, parses):
         path = write_bars(tmp_path, [XOM_ROW.replace(",70.5,", ",abc,"), XOM_ROW + ",7"])
         results = [ingest_csv(path) for _ in range(3)]
         assert len(parses) == 2
@@ -924,7 +896,6 @@ class TestIngestCache:
         assert_same_ingest(results[2], reference_read_rows(path))
 
     def test_warm_diagnostics_name_the_path_as_passed(self, tmp_path, monkeypatch, parses):
-        cache_every_file(monkeypatch)
         monkeypatch.chdir(tmp_path)
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW.replace(",70.0,", ",-1,")])
         for name in ("bars.csv", path, "bars.csv", path):
@@ -932,7 +903,6 @@ class TestIngestCache:
         assert parses == [Path("bars.csv"), path]
 
     def test_warm_key_is_taken_on_a_second_thread(self, tmp_path, monkeypatch, parses):
-        cache_every_file(monkeypatch)
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW.replace(",70.0,", ",-1,"), XOM_LATER])
         taken = key_threads(monkeypatch)
         caller = threading.current_thread()
@@ -951,7 +921,6 @@ class TestIngestCache:
     def test_no_thread_is_alive_when_a_parse_starts(
         self, tmp_path, monkeypatch, threads_at_parse, case
     ):
-        cache_every_file(monkeypatch)
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
         ingests = {"first": 1, "stamp-only": 2}.get(case, 3)
         for _ in range(ingests - 1):
@@ -981,7 +950,6 @@ class TestIngestCache:
         assert_same_ingest(outcome, reference_read_rows(path))
 
     def test_key_error_on_its_thread_reaches_the_caller(self, tmp_path, monkeypatch, parses):
-        cache_every_file(monkeypatch)
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
         for _ in range(2):
             ingest_csv(path)
@@ -1002,34 +970,6 @@ class TestIngestCache:
         assert len(raised_on) == 1 and raised_on[0] is not threading.current_thread()
         assert len(parses) == 2
         assert cache_of(path).read_bytes() == recorded
-
-
-class TestFeatures:
-    def test_log_return_equal_prices(self):
-        assert log_returns([100, 100]) == pytest.approx([0.0])
-
-    def test_log_return_value(self):
-        # oracle: direct evaluation of the natural logarithm
-        assert log_returns([100, 110])[0] == pytest.approx(math.log(110 / 100), abs=1e-12)
-        assert log_returns([100, 110])[0] == pytest.approx(0.0953102, abs=1e-6)
-
-    def test_log_return_symmetry(self):
-        out = log_returns([100, 110, 100])
-        assert out[0] == pytest.approx(-out[1], abs=1e-15)
-
-    def test_log_return_errors(self):
-        with pytest.raises(InsufficientDataError):
-            log_returns([100])
-        with pytest.raises(InvalidInputError):
-            log_returns([100, 0.0])
-        with pytest.raises(InvalidInputError):
-            log_returns([100, -3])
-
-    def test_log_return_reconstruction(self):
-        rng = np.random.default_rng(5)
-        closes = 50 * np.exp(np.cumsum(rng.normal(0, 0.02, 300)))
-        rebuilt = np.exp(np.cumsum(log_returns(closes)))
-        assert np.allclose(rebuilt, closes[1:] / closes[0], rtol=1e-12)
 
 
 class TestSynthSeries:

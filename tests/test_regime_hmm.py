@@ -15,7 +15,7 @@ from duotrader.errors import (
     NumericalError,
     ParameterError,
 )
-from duotrader.marketdata import log_returns, synth_regime_series
+from duotrader.marketdata import synth_regime_series
 from duotrader.regime_hmm import (
     LOG_2PI,
     MIN_SAMPLES_PER_STATE,
@@ -31,6 +31,8 @@ from duotrader.regime_hmm import (
     fit_batch,
     forecast,
 )
+
+from conftest import log_returns
 
 
 def build_model(pi, trans, means, variances):
