@@ -7,7 +7,7 @@ updates every live state at once. Every routine works on S series at once.
 Parameters are (S, K) and (S, K, K); the emission, forward and backward
 arrays are series-last (T, K, S), so every elementwise op and every sum over
 states runs along contiguous rows of S series. ``fit_batch`` fits one model
-per series, in arrays it allocates once per call and reuses every EM
+per series, in arrays it allocates once per batch width and reuses every EM
 iteration, and returns them as one stack (``HmmModel``, row s series s's);
 ``forecast`` gathers a row of the stack for each series it filters, so one
 model can serve several windows. Both give a series with a non-finite
@@ -21,7 +21,6 @@ expected return: e = sum_j (sum_i posterior_i A_ij) mean_returns_j.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -80,45 +79,17 @@ def _as_batch(returns: np.ndarray) -> tuple[np.ndarray, list[InvalidInputError |
 
 class _Buffers:
     """The (T, K, S) arrays of a forward-backward pass and an M-step, and the
-    M-step's two (S, K, T - 1) time-last copies: C-ordered views of flat
-    storage allocated once for ``n_series`` series. EM rewrites them every
-    iteration; ``keep`` narrows them when series leave the batch. The copy of
-    the alphas (``past``) lives in the storage of ``scaled``, which only the
-    backward pass reads."""
+    M-step's two (S, K, T - 1) time-last copies, allocated once for
+    ``n_series`` series. EM rewrites them every iteration. The copy of the
+    alphas (``past``) is a view of ``scaled``, which only the backward pass
+    reads."""
 
     def __init__(self, n_obs: int, n_states: int, n_series: int):
-        self._dims = n_obs, n_states
-        big = n_obs * n_states * n_series
-        self._flat = {name: np.empty(big) for name in ("b", "alphas", "betas", "scaled", "future")}
-        self._flat.update(norms=np.empty(n_obs * n_series), shifts=np.empty(n_obs * n_series))
-        self._view(n_series)
-
-    def _view(self, n_series: int):
-        n_obs, n_states = self._dims
-        series_last, time_last = (n_obs, n_states, n_series), (n_series, n_states, n_obs - 1)
-        for name, store, shape in (
-            ("b", "b", series_last),
-            ("alphas", "alphas", series_last),
-            ("betas", "betas", series_last),
-            ("scaled", "scaled", (n_obs - 1, n_states, n_series)),
-            ("past", "scaled", time_last),
-            ("future", "future", time_last),
-            ("norms", "norms", (n_obs, n_series)),
-            ("shifts", "shifts", (n_obs, n_series)),
-        ):
-            setattr(self, name, self._flat[store][:math.prod(shape)].reshape(shape))
-
-    def keep(self, positions: Sequence[int]):
-        """Narrow the batch to the series at ``positions`` (ascending): their
-        forward arrays (b, alphas, norms) move into the storage of arrays that
-        are written before they are read again (scaled, betas, shifts)."""
-        forward = self.b, self.alphas, self.norms
-        flat = self._flat
-        for name, spare in (("b", "scaled"), ("alphas", "betas"), ("norms", "shifts")):
-            flat[name], flat[spare] = flat[spare], flat[name]
-        self._view(len(positions))
-        for old, new in zip(forward, (self.b, self.alphas, self.norms)):
-            np.take(old, positions, axis=-1, out=new, mode="clip")  # "clip": no buffered copy
+        self.b, self.alphas, self.betas = (np.empty((n_obs, n_states, n_series)) for _ in range(3))
+        self.scaled = np.empty((n_obs - 1, n_states, n_series))
+        self.past = self.scaled.reshape(n_series, n_states, n_obs - 1)
+        self.future = np.empty((n_series, n_states, n_obs - 1))
+        self.norms, self.shifts = np.empty((n_obs, n_series)), np.empty((n_obs, n_series))
 
 
 def _over_states(op, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -397,7 +368,12 @@ def fit_batch(
         if not keep:
             break
         if len(keep) < rows.size:
-            buffers.keep(keep)
+            # The series left keep their forward arrays, which the backward
+            # pass and the M-step read, in buffers of the new width.
+            narrow = _Buffers(n_obs, config.n_states, len(keep))
+            for name in ("b", "alphas", "norms"):  # "clip": no buffered copy
+                np.take(getattr(buffers, name), keep, axis=-1, out=getattr(narrow, name), mode="clip")
+            buffers = narrow
             rows, x, log_likelihood = rows[keep], x[keep], log_likelihood[keep]
             pi, trans, means, variances = pi[keep], trans[keep], means[keep], variances[keep]
 

@@ -461,15 +461,12 @@ class TestBatchInvariance:
 
         buffers, log_likelihood, errors = forward_pass(*batch)
         _backward(buffers, trans)
-        # Copies: narrowing the batch and the M-step overwrite the buffers.
-        alphas, norms, b, betas = (
-            a.copy() for a in (buffers.alphas, buffers.norms, buffers.b, buffers.betas)
-        )
         ok = [s for s, error in enumerate(errors) if error is None]  # the series EM steps
-        # The series that fail leave the batch, as in fit_batch.
-        buffers.keep(ok)
-        _backward(buffers, trans[ok])
-        m_step = _m_step(obs[ok], buffers, trans[ok], means[ok], variances[ok], 1e-12)
+        # The series that fail leave the batch, as in fit_batch; the M-step
+        # runs on buffers of the series left, so it overwrites none of the above.
+        kept = forward_pass(*(a[ok] for a in batch))[0]
+        _backward(kept, trans[ok])
+        m_step = _m_step(obs[ok], kept, trans[ok], means[ok], variances[ok], 1e-12)
         initial = _initial_parameters(obs, config, seeds)
         fits = fit_batch(obs, config, seeds)
         forecasts = forecast(models, rows, windows)
@@ -479,7 +476,7 @@ class TestBatchInvariance:
             alone, ll_alone, (error_alone,) = forward_pass(x, mu, var, p0, tr)
             assert str(error_alone) == str(errors[s])
             betas_alone = _backward(alone, tr)
-            batched = (alphas, norms, log_likelihood, b, betas)
+            batched = (buffers.alphas, buffers.norms, log_likelihood, buffers.b, buffers.betas)
             for have, own in zip(batched, (alone.alphas, alone.norms, ll_alone, alone.b, betas_alone)):
                 assert_same_bytes(np.take(have, [s], axis=-1), own)  # series are the last axis
             if s in ok:
@@ -550,7 +547,7 @@ class TestBuffers:
             forecasts = forecast(first, range(6), returns[:, -60:])
             second, _ = fit_batch(returns[::-1].copy(), config, list(range(6)))
         assert len(made) == 3  # one per fit_batch and one per forecast
-        storage = [flat for buffers in made for flat in buffers._flat.values()]
+        storage = [array for buffers in made for array in vars(buffers).values()]
         for array, want in zip(first, kept[0]):
             assert not any(np.shares_memory(array, other) for other in storage + list(second))
             assert_same_bytes(array, want)
@@ -572,12 +569,23 @@ class TestFitBatch:
             assert_same_fit(batch, s, fit_batch(returns[s:s + 1], self.CONFIG, [seed]))
 
     def test_failing_series_isolated(self):
-        config = HmmConfig(n_states=3, variance_floor=0.0)
-        returns = np.stack([regime_returns(41, 120), np.zeros(120), regime_returns(42, 120)])
-        batch = fit_batch(returns, config, [1, 2, 3])
-        assert isinstance(batch[1][1], NumericalError)
-        assert_same_fit(batch, 1, fit_batch(returns[1:2], config, [2]))
-        assert all(np.isnan(p[1]).all() for p in batch[0])  # a failed fit's row is NaN
+        """One series fails on the first forward pass, one mid-EM while the
+        others run on: each failed series leaves the batch with its
+        batch-of-one error, and the others keep their batch-of-one bits."""
+        config = HmmConfig(n_states=3, max_iterations=60, variance_floor=0.0)
+        sparse = np.zeros(120)
+        sparse[::12] = regime_returns(43, 120)[::12]  # 10 nonzero returns
+        # Its first five forward passes succeed; a state's variance hits 0 on the sixth.
+        _, record = fit_one(sparse, HmmConfig(n_states=3, max_iterations=4, variance_floor=0.0), 4)
+        assert record["iterations"] == 4
+        returns = np.stack([regime_returns(41, 120), np.zeros(120), regime_returns(42, 120), sparse])
+        batch = fit_batch(returns, config, [1, 2, 3, 4])
+        assert [batch[1][s]["iterations"] for s in (0, 2)] == [60, 60]  # they outlast it
+        for s in range(4):
+            assert_same_fit(batch, s, fit_batch(returns[s:s + 1], config, [s + 1]))
+        for s in (1, 3):
+            assert isinstance(batch[1][s], NumericalError)
+            assert all(np.isnan(p[s]).all() for p in batch[0])  # a failed fit's row is NaN
         pair = fit_batch(returns[::2], config, [1, 3])
         for s, w in ((0, 0), (2, 1)):
             assert_same_fit(batch, s, pair, w)

@@ -67,6 +67,21 @@ class TestUpdateAndCheck:
         assert decision.action == LIQUIDATE
         assert decision.reason == REASON_TRAILING_STOP
 
+    def test_drawdown_at_the_cap_holds(self):
+        # (100 - 95) / 100 is exactly 0.05 in doubles, and the cap must be exceeded.
+        config = RiskConfig(max_drawdown_per_security=0.05)
+        state, decision = update_and_check(open_at(100.0, config), 95.0, config)
+        assert decision.drawdown == 0.05
+        assert decision.action == HOLD
+
+    def test_close_at_the_stop_liquidates(self):
+        # 100 * (1 - 0.02) is exactly 98.0 in doubles, and a close at the stop fires.
+        config = RiskConfig(max_drawdown_per_security=0.5, trailing_fraction=0.02)
+        state, decision = update_and_check(open_at(100.0, config), 98.0, config)
+        assert decision.stop_level == 98.0
+        assert decision.action == LIQUIDATE
+        assert decision.reason == REASON_TRAILING_STOP
+
     def test_drawdown_takes_precedence_when_both_fire(self):
         config = RiskConfig(max_drawdown_per_security=0.05, trailing_fraction=0.06)
         state = open_at(100.0, config)
