@@ -261,12 +261,12 @@ def _read_equity_csv(path: Path) -> tuple[list[date], list[float]]:
 
 def _read_fills_jsonl(path: Path, dates: list[date]) -> list[engine_mod.Fill]:
     """The fills of a fills.jsonl, each dated within the span of the equity
-    curve's ``dates``."""
+    curve's ``dates`` and each sell within the shares the fills before it hold."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise DuotraderError(f"cannot read fills {path}: {exc}") from exc
-    fills = []
+    fills, held = [], {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -279,7 +279,7 @@ def _read_fills_jsonl(path: Path, dates: list[date]) -> list[engine_mod.Fill]:
                 price=float(record["price"]),
                 fee=float(record["fee"]),
                 timestamp=date.fromisoformat(record["date"]),
-                reason=record.get("reason", "rebalance"),
+                reason=record["reason"],
             )
             # Refuse what backtest cannot write, so the report never
             # computes from an impossible fill.
@@ -297,6 +297,12 @@ def _read_fills_jsonl(path: Path, dates: list[date]) -> list[engine_mod.Fill]:
                 raise ValueError(f"price {fill.price} is not finite and positive")
             if not (math.isfinite(fill.fee) and fill.fee >= 0):
                 raise ValueError(f"fee {fill.fee} is not finite and non-negative")
+            shares = held.get(fill.symbol, 0)
+            if fill.side == "sell" and fill.quantity > shares:
+                raise ValueError(
+                    f"sell of {fill.quantity} exceeds the {shares} shares of {fill.symbol} held"
+                )
+            held[fill.symbol] = shares + (fill.quantity if fill.side == "buy" else -fill.quantity)
             fills.append(fill)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DuotraderError(f"{path}:{lineno}: bad fill record: {exc}") from exc

@@ -118,7 +118,6 @@ class BacktestResult:
     diagnostics: list[str]
     report: metrics.MetricsReport
     final_cash: float
-    final_positions: dict[str, int]
 
 
 def order_fee(quantity: int, config: EngineConfig) -> float:
@@ -267,7 +266,6 @@ def run_backtest(
         allocations=[step.allocation for step in steps if step.allocation is not None],
         fits=[record for step in steps for record in step.fits],
         diagnostics=book.diagnostics, report=report, final_cash=book.cash,
-        final_positions=dict(book.positions),
     )
 
 

@@ -145,15 +145,6 @@ def load_config(
     path: str | Path | None,
     overrides: dict[str, Any] | None = None,
 ) -> RunConfig:
-    """Build a RunConfig from an optional JSON file plus dotted-path
-    overrides (e.g. ``{"engine.warmup_bars": 10}``)."""
-    payload = read_json(path, overrides)
-    # The engine derives every per-symbol model seed from the top-level seed;
-    # a section seed is refused with a pointer to it.
-    sections = payload if isinstance(payload, dict) else {}
-    for section in ("engine", "hmm", "mlp"):
-        if isinstance(sections.get(section), dict) and "seed" in sections[section]:
-            raise ConfigError(
-                f"set the top-level 'seed' key; {section}.seed is derived from it"
-            )
-    return decode(RunConfig, payload)
+    """Build a RunConfig from an optional JSON file plus dotted-path overrides
+    (e.g. ``{"engine.warmup_bars": 10}``), refusing unknown keys such as ``engine.seed``."""
+    return decode(RunConfig, read_json(path, overrides))

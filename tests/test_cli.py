@@ -342,14 +342,14 @@ class TestBacktest:
 
     @pytest.mark.parametrize("section", ["engine", "hmm", "mlp"])
     def test_engine_seed_key_rejected(self, tmp_path, capsys, section):
-        # Per-symbol seeds derive from the top-level seed; a section seed
-        # would change nothing, so it is refused from a file and from --set.
+        # Per-symbol seeds derive from the top-level seed, so no section has
+        # a seed field; one is refused as unknown from a file and from --set.
         config = write_json(tmp_path / "run.json", {section: {"seed": 4}})
         assert main(["backtest", "--config", str(config)]) == 2
-        assert f"{section}.seed" in capsys.readouterr().err
+        assert f"unknown key(s) at {section}: seed" in capsys.readouterr().err
         config = write_json(tmp_path / "run.json", {})
         assert main(["backtest", "--config", str(config), "--set", f"{section}.seed=4"]) == 2
-        assert f"{section}.seed" in capsys.readouterr().err
+        assert f"unknown key(s) at {section}: seed" in capsys.readouterr().err
 
     def test_dotted_override_applies(self, tmp_path):
         data_dir = run_synth(tmp_path)
@@ -363,6 +363,11 @@ class TestBacktest:
         resolved = json.loads((out_dir / "resolved_config.json").read_text())
         assert resolved["engine"]["warmup_bars"] == 9999
         assert (out_dir / "fills.jsonl").read_text() == ""  # warm-up never ends
+
+    def test_override_through_a_value_exit_2(self, tmp_path, capsys):
+        config = write_json(tmp_path / "run.json", {"engine": {"warmup_bars": 5}})
+        assert main(["backtest", "--config", str(config), "--set", "engine.warmup_bars.x=1"]) == 2
+        assert "override path engine.warmup_bars.x crosses a non-object" in capsys.readouterr().err
 
     def test_resolved_config_records_defaults_and_overrides(self, tmp_path):
         data_dir = run_synth(tmp_path)
@@ -429,8 +434,9 @@ class TestBacktest:
 
 
 # One wrong value for each declared type form, a section that is not an
-# object, and each value a run or the generator cannot use: every one exits
-# 2 before any file is written, with a message naming its key.
+# object, each value a run or the generator cannot use, and an override
+# without "=": every one exits 2 before any file is written, with a message
+# naming its key.
 @pytest.mark.parametrize("command, value, named", [
     ("backtest", "hmm.n_states=2.5", "at hmm: n_states"),                # int
     ("backtest", "universe.fine_count=2.5", "at universe: fine_count"),
@@ -464,6 +470,7 @@ class TestBacktest:
     ("synth", {"start_date": "2015-02-30"}, "at top level: start_date"),  # date
     ("synth", [], "top level must be a JSON object"),
     ("backtest", "bl.tau=0.05", "at bl: tau"),                           # removed key
+    ("backtest", "foo", "override must look like section.key=value, got 'foo'"),
 ])
 def test_wrong_input_exit_2(tmp_path, capsys, command, value, named):
     if command == "backtest":
@@ -483,6 +490,17 @@ def test_synth_non_positive_start_price_exit_1(tmp_path, capsys):
     assert main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "d")]) == 1
     assert "error: start_price must be > 0" in capsys.readouterr().err
     assert not (tmp_path / "d" / "bars.csv").exists()
+
+
+def fill_line(**fields) -> str:
+    """A fills.jsonl record that buys 5 A on 2020-01-03, with each of ``fields``
+    given as the JSON text of its value, or dropped when None."""
+    record = {
+        "symbol": '"A"', "side": '"buy"', "quantity": "5", "price": "10.0", "fee": "1.0",
+        "date": '"2020-01-03"', "reason": '"rebalance"', **fields,
+    }
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in record.items()
+                           if value is not None) + "}"
 
 
 class TestReport:
@@ -557,52 +575,50 @@ class TestReport:
         assert not out.exists()
         return code, capsys.readouterr().err
 
-    @pytest.mark.parametrize("record", [
-        "[1, 2]",
-        '"fill"',
-        '{"symbol": "A", "side": "buy", "quantity": null, "price": 10.0, "fee": 1.0,'
-        ' "date": "2020-01-03"}',
-        '{"symbol": "A", "side": "buy", "quantity": 1e400, "price": 10.0, "fee": 1.0,'
-        ' "date": "2020-01-03"}',
-        '{"symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0, "date": 3}',
-        '{"symbol": "A", "side": "hold", "quantity": 5, "price": 10.0, "fee": 1.0,'
-        ' "date": "2020-01-03"}',
-        '{"symbol": "A", "side": "buy", "quantity": -5, "price": 10.0, "fee": 1.0,'
-        ' "date": "2020-01-03"}',
-        '{"symbol": "A", "side": "buy", "quantity": 2.7, "price": 10.0, "fee": 1.0,'
-        ' "date": "2020-01-03"}',
-        '{"symbol": "A", "side": "buy", "quantity": 5, "price": 0.0, "fee": 1.0,'
-        ' "date": "2020-01-03"}',
-        '{"symbol": "A", "side": "buy", "quantity": 5, "price": 1e400, "fee": 1.0,'
-        ' "date": "2020-01-03"}',
-        '{"symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": -1.0,'
-        ' "date": "2020-01-03"}',
-        '{"symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": NaN,'
-        ' "date": "2020-01-03"}',
-        '{"symbol": 5, "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0,'
-        ' "date": "2020-01-03"}',
-        '{"symbol": "", "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0,'
-        ' "date": "2020-01-03"}',
-        '{"symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0,'
-        ' "date": "2020-01-03", "reason": ["x"]}',
-        '{"symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0,'
-        ' "date": "2031-01-02"}',
-        '{"symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0,'
-        ' "date": "2019-12-31"}',
-    ], ids=[
-        "list", "string", "null-quantity", "infinite-quantity", "numeric-date",
-        "hold-side", "negative-quantity", "fractional-quantity", "zero-price",
-        "infinite-price", "negative-fee", "nan-fee", "numeric-symbol", "empty-symbol",
-        "list-reason", "date-after-curve", "date-before-curve",
+    @pytest.mark.parametrize("record, defect", [
+        pytest.param("[1, 2]", "indices must be integers", id="list"),
+        pytest.param('"fill"', "indices must be integers", id="string"),
+        pytest.param(fill_line(quantity="null"), "quantity None is not a positive integer",
+                     id="null-quantity"),
+        pytest.param(fill_line(quantity="1e400"), "quantity inf is not a positive integer",
+                     id="infinite-quantity"),
+        pytest.param(fill_line(date="3"), "fromisoformat: argument must be str",
+                     id="numeric-date"),
+        pytest.param(fill_line(side='"hold"'), "side 'hold' is not buy or sell", id="hold-side"),
+        pytest.param(fill_line(quantity="-5"), "quantity -5 is not a positive integer",
+                     id="negative-quantity"),
+        pytest.param(fill_line(quantity="2.7"), "quantity 2.7 is not a positive integer",
+                     id="fractional-quantity"),
+        pytest.param(fill_line(price="0.0"), "price 0.0 is not finite and positive",
+                     id="zero-price"),
+        pytest.param(fill_line(price="1e400"), "price inf is not finite and positive",
+                     id="infinite-price"),
+        pytest.param(fill_line(fee="-1.0"), "fee -1.0 is not finite and non-negative",
+                     id="negative-fee"),
+        pytest.param(fill_line(fee="NaN"), "fee nan is not finite and non-negative",
+                     id="nan-fee"),
+        pytest.param(fill_line(symbol="5"), "symbol 5 is not a non-empty string",
+                     id="numeric-symbol"),
+        pytest.param(fill_line(symbol='""'), "symbol '' is not a non-empty string",
+                     id="empty-symbol"),
+        pytest.param(fill_line(reason='["x"]'), "reason ['x'] is not a string", id="list-reason"),
+        pytest.param(fill_line(reason=None), "'reason'", id="missing-reason"),
+        pytest.param(fill_line(date='"2031-01-02"'), "date 2031-01-02 is outside the equity curve",
+                     id="date-after-curve"),
+        pytest.param(fill_line(date='"2019-12-31"'), "date 2019-12-31 is outside the equity curve",
+                     id="date-before-curve"),
+        pytest.param(fill_line(side='"sell"', quantity="8"),
+                     "sell of 8 exceeds the 5 shares of A held", id="sell-beyond-holdings"),
+        pytest.param(fill_line(symbol='"B"', side='"sell"', quantity="3"),
+                     "sell of 3 exceeds the 0 shares of B held", id="sell-without-position"),
     ])
-    def test_malformed_fill_record_exit_1(self, tmp_path, capsys, record):
-        good = json.dumps({
-            "symbol": "A", "side": "buy", "quantity": 5, "price": 10.0, "fee": 1.0,
-            "date": "2020-01-02",
-        })
+    def test_malformed_fill_record_exit_1(self, tmp_path, capsys, record, defect):
+        # Line 1 buys 5 A; line 2 is refused for its own defect alone.
+        good = fill_line(date='"2020-01-02"')
         equity_rows = [f"2020-01-0{d},100000.0" for d in range(1, 6)]
         code, err = self.refused(tmp_path, capsys, equity_rows, [good, record])
-        assert code == 1 and f"{tmp_path / 'fills.jsonl'}:2: bad fill record" in err
+        assert code == 1 and f"{tmp_path / 'fills.jsonl'}:2: bad fill record: " in err
+        assert defect in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_equity_exit_1(self, tmp_path, capsys, value):

@@ -375,6 +375,10 @@ class TestFastPathParity:
                          id="infinite-volume"),
             pytest.param([XOM_ROW + ",7"], "\n", True, id="extra-field"),
             pytest.param([XOM_ROW, ""], "\n", False, id="blank-line"),
+            pytest.param([XOM_ROW.replace("XOM", "")], "\n", True, id="empty-symbol"),
+            pytest.param([XOM_ROW.replace("XOM", "   ")], "\n", True, id="blank-symbol"),
+            pytest.param([XOM_ROW.replace("XOM", '"XOM"'), "", XOM_LATER], "\n", True,
+                         id="blank-line-in-row-read"),
         ],
     )
     def test_hazard(self, tmp_path, row_reads, rows, newline, row_read):

@@ -229,6 +229,15 @@ class TestComputeReport:
         assert report.alpha == pytest.approx(0.0, abs=1e-9)
         assert "information-ratio-undefined" in report.flags  # zero active risk
 
+    def test_flat_equity_treynor_undefined(self):
+        # Zero returns against a varying benchmark: the covariance, and so
+        # beta, is exactly 0, which leaves the Treynor ratio undefined.
+        equity = [100.0] * 6
+        report = compute_report(days(6), equity, [], [0.01, -0.02, 0.005, 0.0, 0.015])
+        assert report.beta == 0.0 and report.treynor == 0.0
+        assert "treynor-undefined" in report.flags
+        assert "beta-undefined" not in report.flags
+
     def test_benchmark_ending_early_flagged(self):
         dates = days(6)
         equity = [100.0, 101.0, 99.0, 102.0, 103.0, 104.0]
