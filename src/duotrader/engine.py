@@ -15,7 +15,7 @@ The book loop trades the plan's weights per day of its calendar, in order:
 
 The stages read and change one ``Book`` and touch only the held symbols, the
 pending orders (at most one per symbol) and, on rebalance days, the target
-symbols, so the book is a function of the plan's calendar, row table and
+symbols, so the book is a function of the plan's calendar, row tables and
 weights, the open and close columns and the config. Both liquidation paths
 go through ``_queue_liquidation``. Orders always fill at the NEXT bar's open,
 so no decision uses a price that was not yet observable, and every price the
@@ -196,7 +196,7 @@ def align_benchmark(benchmark: SymbolBars | None, dates: Sequence[date]) -> dict
 @dataclass
 class Book:
     """Everything the book loop reads and changes: the market columns, the
-    plan's row table and the current calendar position; the run config; the
+    plan's row tables and the current calendar position; the run config; the
     holdings (cash, integer share positions and the per-position risk
     states); the pending order of each symbol; and the book's logs."""
 

@@ -1,11 +1,13 @@
 """The plan of a backtest: every decision that the data and the config alone
 determine, made before the book (``engine.run_book``) trades its weights.
 
-``build_plan`` first builds the calendar (every day with an in-range bar)
-and one row table: for each symbol and calendar position, the row of the
-symbol's last in-range bar on or before that day, or -1 before its first. A
-symbol's rolling window on a day is a slice of its close column: its last
-``window_bars`` closes on or before that day, none before ``start_date``.
+``build_plan`` first builds the calendar (every day with an in-range bar,
+marked in one boolean array over the days' span) and the row tables
+(``RowTables``): for each symbol and calendar position, the row of the
+symbol's last in-range bar on or before that day, or -1 before its first,
+each table built when it is first read. A symbol's rolling window on a day
+is a slice of its close column: its last ``window_bars`` closes on or before
+that day, none before ``start_date``.
 
 It then builds the candidate panel (``candidate_panel``: every symbol with
 metadata over its whole history, bars before ``start_date`` included) and
@@ -16,22 +18,24 @@ universe symbol with a window) and every rebalance (on the rebalance
 cadence). A rebalance forecasts each universe symbol with the models of its
 latest refit; a failed refit leaves the symbol without that model, and a
 symbol out of the universe at a refit keeps its older models. The refits are
-cut into tasks of one window length, at least one per usable CPU and at most
-``MODEL_CHUNK`` refits each, run through ``workers.fork_map`` (in forked
-workers when several CPUs are usable). Each job carries its window: read-only
-slices of the symbol's close and log-return columns (computed once), so the
-model helpers are functions of jobs and the config alone. A task fits both
-models of its refits (one batched call per model, each returning one stack
-of models), then forecasts every rebalance that uses them, in batched calls
-per model over windows of one length that gather each use's row from the
-stack; only the fit logs and the forecasts (fusion's (direction, size)
-pairs) come back, in refit order, so the plan is the same with any number
-of workers. Each rebalance then fuses its forecasts into insights
-(``_generate_insights``) and blends them as views into target weights
-(``_build_targets``), leaving out, with a note, a symbol whose window has a
-non-finite return. Model seeds derive from the run's seed
-with a stable CRC and every model call gives a series the same bits in any
-batch, so the plan is a pure function of data + config.
+cut into tasks of one window length and at most ``MODEL_CHUNK`` refits each;
+a length group is cut into one task per usable CPU only when each task then
+keeps ``MIN_PART`` refits or ``MODEL_CHUNK`` forecasts on average. The tasks
+run through ``workers.fork_map``: in forked workers when there are several
+tasks and usable CPUs, else in this process. Each job carries its window:
+read-only slices of the symbol's close and log-return columns (computed
+once), so the model helpers are functions of jobs and the config alone. A
+task fits both models of its refits (one batched call per model, each
+returning one stack of models), then forecasts every rebalance that uses
+them, in batched calls per model over windows of one length that gather each
+use's row from the stack; only the fit logs and the forecasts (fusion's
+(direction, size) pairs) come back, in refit order, so the plan is the same
+with any number of workers. Each rebalance then fuses its forecasts into
+insights (``_generate_insights``) and blends them as views into target
+weights (``_build_targets``), leaving out, with a note, a symbol whose
+window has a non-finite return. Model seeds derive from the run's seed with
+a stable CRC and every model call gives a series the same bits in any batch,
+so the plan is a pure function of data + config.
 """
 
 from __future__ import annotations
@@ -56,15 +60,31 @@ if TYPE_CHECKING:  # runconfig imports engine, which imports this module
 # a model (and so flat) for the period; the rest of the run goes on.
 MODEL_ERRORS = (InsufficientDataError, InvalidInputError, NumericalError, TrainingDivergedError)
 
-# Most series in one batched refit or posterior call. Wider calls spread the
-# per-step Python overhead of the recursions over more series: pinned to one
-# CPU, fitting the 480 HMMs of the ``acceptance`` benchmark (251 returns each)
-# took 0.87 s in calls of 48 and 0.51 s in calls of 240 (medians of 6
-# alternating runs). A call's (time, state, series) arrays grow with the width
-# and count toward the peak memory of the process that runs it: that
-# backtest, pinned, peaked at 48 MB with calls of 48 and 60 MB with calls of
-# 240, about 0.06 MB per series.
+# Most series in one batched refit or forecast call, and so in one refit
+# task; a task whose refits get this many forecasts on average makes at
+# least one full forecast call, which earns it a worker (see MIN_PART).
+# Wider calls spread the per-step Python overhead of the recursions over
+# more series: pinned to one CPU, fitting the 480 HMMs of the ``acceptance``
+# benchmark (251 returns each) took 0.87 s in calls of 48 and 0.51 s in
+# calls of 240 (medians of 6 alternating runs). A call's (time, state,
+# series) arrays grow with the width and count toward the peak memory of the
+# process that runs it: that backtest, pinned, peaked at 48 MB with calls of
+# 48 and 60 MB with calls of 240, about 0.06 MB per series.
 MODEL_CHUNK = 240
+
+# Fewest refits in each task when a window-length group is cut for the
+# CPUs, unless each task gets MODEL_CHUNK forecasts on average; otherwise the
+# group is one task, which runs in-process. A batch of a few series costs
+# about as much as one twice as wide (the per-step Python loops set it), two
+# concurrent fits on 2 vCPUs each run slower than one alone, and a pool costs
+# its start. Fitting both models of n 252-bar windows on 2 shared vCPUs in one
+# in-process task against two forked tasks of n/2 (medians of 15 alternating
+# runs, pool start included): 57 against 62 ms at n = 20 (one task faster in
+# 15 of 15), 94 against 92 ms at 48, and 111 against 92 ms at 64 (two tasks
+# faster in 15 of 15). So ``wide`` (20 refits, 240 forecasts) and the README
+# quick start (60, 60) fit in-process, while ``daily`` (40 refits, 10,080
+# forecasts) and ``acceptance`` (480 refits) keep one task per CPU.
+MIN_PART = 32
 
 
 def symbol_seed(base: int, salt: str, symbol: str) -> int:
@@ -92,13 +112,33 @@ class Step:
     weights: dict[str, float] | None = None
 
 
+class RowTables(dict):
+    """symbol -> row table: for each calendar position, the row of the
+    symbol's last in-range bar on or before that day, or -1 before its first.
+    A table is computed when it is first read, as a run reads only those of
+    the symbols it selects or holds; an unknown symbol raises KeyError.
+    ``in``, ``get`` and iteration see only the tables built so far."""
+
+    def __init__(
+        self, series: Mapping[str, SymbolBars], ordinals: np.ndarray, first_row: Mapping[str, int]
+    ):
+        super().__init__()
+        self.series, self.ordinals, self.first_row = series, ordinals, first_row
+
+    def __missing__(self, symbol: str) -> np.ndarray:
+        table = self.series[symbol].days.searchsorted(self.ordinals, "right") - 1
+        table[table < self.first_row[symbol]] = -1
+        self[symbol] = table
+        return table
+
+
 @dataclass
 class Plan:
-    """The calendar, the row table, each refit or rebalance day's step by
+    """The calendar, the row tables, each refit or rebalance day's step by
     calendar position, and a note on each symbol without metadata."""
 
     calendar: list[date]
-    rows: dict[str, np.ndarray]
+    rows: RowTables
     steps: dict[int, Step]
     notes: list[str]
 
@@ -112,24 +152,9 @@ def build_plan(
 ) -> Plan:
     """The run's calendar, universe, refits, forecasts, insights and targets."""
     series, engine = bars_by_symbol, config.engine
-    start, end = engine.start_date, engine.end_date
-    first_row, in_range = {}, []
-    for symbol, bars in series.items():
-        days = bars.days
-        lo = 0 if start is None else int(days.searchsorted(start.toordinal()))
-        hi = days.size if end is None else int(days.searchsorted(end.toordinal(), "right"))
-        first_row[symbol] = lo
-        in_range.append(days[lo:hi])
-    ordinals = np.sort(np.concatenate([np.empty(0, np.int64), *in_range]))
-    if ordinals.size == 0:
-        raise InsufficientDataError("no bars inside the configured date range")
-    ordinals = ordinals[np.concatenate([[True], ordinals[1:] != ordinals[:-1]])]
+    ordinals, first_row = _calendar(series, engine.start_date, engine.end_date)
     calendar = [date.fromordinal(int(day)) for day in ordinals]
-    rows = {}
-    for symbol, bars in series.items():
-        table = bars.days.searchsorted(ordinals, "right") - 1
-        table[table < first_row[symbol]] = -1
-        rows[symbol] = table
+    rows = RowTables(series, ordinals, first_row)
     missing = [s for s in sorted(series) if s not in meta]
     notes = [f"{s}: no metadata, excluded from universe selection" for s in missing]
 
@@ -172,7 +197,7 @@ def build_plan(
 
     # One task per chunk fits its refits and forecasts every rebalance that
     # uses them; only the fit logs and the forecast pairs come back.
-    chunks = list(_length_chunks(refits, workers.usable_cpus()))
+    chunks = list(_length_chunks(refits, workers.usable_cpus(), [len(u) for u in users]))
     uses = [[use for i in chunk for use in users[i]] for chunk in chunks]
 
     def fit_and_forecast(k: int) -> tuple[list, list]:
@@ -202,15 +227,44 @@ def build_plan(
     return Plan(calendar, rows, steps, notes)
 
 
-def _length_chunks(jobs: list[_Job], parts: int = 1) -> Iterable[list[int]]:
+def _calendar(
+    series: Mapping[str, SymbolBars], start: date | None, end: date | None
+) -> tuple[np.ndarray, dict[str, int]]:
+    """The day ordinals with a bar inside [start, end], ascending, and each
+    symbol's first in-range row. The days are marked in one boolean array
+    over their span, which costs less than sorting every bar's day."""
+    first_row, in_range = {}, []
+    for symbol, bars in series.items():
+        days = bars.days
+        lo = 0 if start is None else int(days.searchsorted(start.toordinal()))
+        hi = days.size if end is None else int(days.searchsorted(end.toordinal(), "right"))
+        first_row[symbol] = lo
+        if lo < hi:
+            in_range.append(days[lo:hi])
+    if not in_range:
+        raise InsufficientDataError("no bars inside the configured date range")
+    first = min(int(days[0]) for days in in_range)
+    marked = np.zeros(max(int(days[-1]) for days in in_range) + 1 - first, dtype=bool)
+    for days in in_range:
+        marked[days - first] = True
+    return np.flatnonzero(marked) + first, first_row
+
+
+def _length_chunks(
+    jobs: list[_Job], parts: int = 1, use_counts: list[int] | None = None
+) -> Iterable[list[int]]:
     """The job indices grouped by window length (first-seen order), each
-    group cut into at least ``parts`` near-equal runs of at most MODEL_CHUNK:
-    the inputs of one batched model call each."""
+    group cut into near-equal runs of at most MODEL_CHUNK: the inputs of one
+    batched model call each. A group is cut into ``parts`` runs only when
+    each run then keeps MIN_PART jobs or, on average, MODEL_CHUNK forecasts
+    (``use_counts[i]`` is job i's)."""
     groups: dict[int, list[int]] = {}
     for i, (_, _, closes, _) in enumerate(jobs):
         groups.setdefault(closes.size, []).append(i)
     for group in groups.values():
-        count = min(len(group), max(parts, -(-len(group) // MODEL_CHUNK)))
+        used = sum(use_counts[i] for i in group) if use_counts else 0
+        cut = parts if len(group) >= parts * MIN_PART or used >= parts * MODEL_CHUNK else 1
+        count = min(len(group), max(cut, -(-len(group) // MODEL_CHUNK)))
         for k in range(count):
             yield group[k * len(group) // count:(k + 1) * len(group) // count]
 

@@ -9,7 +9,7 @@ engine's job; this module only decides.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidInputError, ParameterError
 
@@ -73,7 +73,7 @@ def update_and_check(
     peak = max(state.peak_price, close)
     stop = max(state.trailing_stop, peak * (1.0 - config.trailing_fraction))
     drawdown = (peak - close) / peak
-    new_state = replace(state, peak_price=peak, trailing_stop=stop)
+    new_state = PositionRiskState(state.symbol, state.entry_price, peak, stop)
 
     if drawdown > config.max_drawdown_per_security:
         decision = RiskDecision(LIQUIDATE, REASON_MAX_DRAWDOWN, close, stop, drawdown)

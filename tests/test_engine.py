@@ -679,8 +679,45 @@ def logged_calls(log):
 
 
 class TestRefitTasks:
-    """The refits are cut into at least one pool task per usable CPU, and each
-    task forecasts with its own models in the worker that fitted them."""
+    """A window-length group of refits is cut into one task per usable CPU
+    only when each task keeps MIN_PART refits or, on average, a full forecast
+    call (MODEL_CHUNK forecasts); each task then forecasts with its own
+    models in the worker that fitted them. A smaller group is one task, which
+    runs in-process."""
+
+    def test_cut_rule_boundaries(self, monkeypatch):
+        monkeypatch.setattr(plan_mod, "MIN_PART", 4)
+        monkeypatch.setattr(plan_mod, "MODEL_CHUNK", 10)
+        jobs = [plan_job(np.arange(1.0, 5.0)) for _ in range(12)]
+
+        def sizes(jobs, parts, uses):
+            return [len(c) for c in plan_mod._length_chunks(jobs, parts, uses)]
+
+        assert sizes(jobs[:8], 2, [0] * 8) == [4, 4]  # 8 refits: 2 x MIN_PART
+        assert sizes(jobs[:7], 2, [0] * 7) == [7]
+        assert sizes(jobs[:4], 2, [5, 5, 5, 5]) == [2, 2]  # 20 forecasts: 2 x MODEL_CHUNK
+        assert sizes(jobs[:4], 2, [5, 5, 5, 4]) == [4]
+        assert sizes(jobs[:12], 3, [0] * 12) == [4, 4, 4]
+        assert sizes(jobs[:11], 3, [0] * 11) == [5, 6]  # MODEL_CHUNK still caps a task
+        # Each window length is a group of its own, cut by its own sizes.
+        mixed = jobs[:4] + [plan_job(np.arange(1.0, 4.0)) for _ in range(10)]
+        assert sizes(mixed, 2, [0] * 14) == [4, 5, 5]
+
+    def test_few_refits_and_forecasts_start_no_pool(self, monkeypatch, tmp_path, pools):
+        # Like the wide benchmark: 40 refits of one window length, under
+        # 2 x MIN_PART, and 40 forecasts, under 2 x MODEL_CHUNK.
+        log = tmp_path / "calls"
+        record_calls(monkeypatch, log, regime_hmm, "fit_batch")
+        record_calls(monkeypatch, log, regime_hmm, "forecast")
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        result = small_run(*synth_market())
+        refits = len({(r["date"], r["symbol"]) for r in result.fits})
+        assert refits == 40 < 2 * plan_mod.MIN_PART
+        assert len(result.insights) < 2 * plan_mod.MODEL_CHUNK
+        assert pools == []
+        calls = logged_calls(log)
+        assert {pid for _, pid, _ in calls} == {os.getpid()}
+        assert [width for name, _, width in calls if name == "regime_hmm.fit_batch"] == [refits]
 
     def test_tasks_per_cpu_of_at_most_model_chunk(self, monkeypatch, tmp_path):
         counts, results = [], []
@@ -691,11 +728,13 @@ class TestRefitTasks:
             return fork_map(task, count)
 
         bars_by_symbol, meta = synth_market()
-        # Every window has one length, so the refits make one group.
+        # Every window has one length, so the refits make one group; with
+        # MIN_PART 1 it is cut for the CPUs whatever its size.
         for chunk in (plan_mod.MODEL_CHUNK, 7):
             monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
             monkeypatch.setattr(workers, "fork_map", spy_fork_map)
             monkeypatch.setattr(plan_mod, "MODEL_CHUNK", chunk)
+            monkeypatch.setattr(plan_mod, "MIN_PART", 1)
             log = tmp_path / f"fits-{chunk}"
             record_calls(monkeypatch, log, regime_hmm, "fit_batch")
             results.append(small_run(bars_by_symbol, meta))
@@ -708,16 +747,39 @@ class TestRefitTasks:
         assert counts[0] == 2 < counts[1]
         assert results[0] == results[1]
 
-    def test_forecasts_run_in_the_workers(self, monkeypatch, tmp_path):
+    def assert_forecasts_in_the_fitting_workers(self, monkeypatch, tmp_path, pools, **engine):
+        """Run small_run on 2 CPUs; check that its 40 refits were cut into
+        two pool tasks of 20, and that every forecast ran in a worker that
+        fitted models."""
         log = tmp_path / "calls"
+        record_calls(monkeypatch, log, regime_hmm, "fit_batch")
         record_calls(monkeypatch, log, regime_hmm, "forecast")
         record_calls(monkeypatch, log, trend_net, "forecast")
         monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
-        result = small_run(*synth_market())
+        result = small_run(*synth_market(), **engine)
         assert any(i.direction != "flat" for i in result.insights)
+        assert pools == [2]
         calls = logged_calls(log)
-        assert {name for name, _, _ in calls} == {"regime_hmm.forecast", "trend_net.forecast"}
-        assert os.getpid() not in {pid for _, pid, _ in calls}
+        assert {name for name, _, _ in calls} == {
+            "regime_hmm.fit_batch", "regime_hmm.forecast", "trend_net.forecast"
+        }
+        fits = [(pid, width) for name, pid, width in calls if name == "regime_hmm.fit_batch"]
+        assert [width for _, width in fits] == [20, 20]
+        fitters = {pid for pid, _ in fits}
+        forecasters = {pid for name, pid, _ in calls if name.endswith(".forecast")}
+        assert os.getpid() not in fitters and forecasters <= fitters
+
+    def test_forecasts_run_in_the_workers(self, monkeypatch, tmp_path, pools):
+        # 40 refits are 2 x MIN_PART once MIN_PART is 20.
+        monkeypatch.setattr(plan_mod, "MIN_PART", 20)
+        self.assert_forecasts_in_the_fitting_workers(monkeypatch, tmp_path, pools)
+
+    def test_many_forecasts_get_a_task_per_cpu(self, monkeypatch, tmp_path, pools):
+        # Rebalancing every bar, the 40 refits serve 800 forecasts, at least
+        # 2 x MODEL_CHUNK, as daily's 40 serve 10,080.
+        self.assert_forecasts_in_the_fitting_workers(
+            monkeypatch, tmp_path, pools, rebalance_every=1
+        )
 
     @pytest.mark.parametrize(
         "module, note",
@@ -730,6 +792,7 @@ class TestRefitTasks:
             log = tmp_path / f"calls-{cpus}"
             record_calls(monkeypatch, log, getattr(plan_mod, module), "forecast", fail=True)
             monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(plan_mod, "MIN_PART", 1)  # 2 CPUs: two tasks in workers
             runs[cpus] = small_run(*synth_market())
             pids = {pid for _, pid, _ in logged_calls(log)}
             assert (os.getpid() in pids) == (cpus == 1)
@@ -742,9 +805,10 @@ class TestRefitTasks:
 class TestWorkerCount:
     def test_worker_count_leaves_the_run_unchanged(self, tmp_path, monkeypatch, pools):
         # A whole run from the bar CSV: with 2 or 3 usable CPUs, its ingest
-        # parses one byte range per worker and its refits run in as many
-        # workers; with 1, both run in this process. Each run ingests a fresh
-        # copy of the file, so that each parses it.
+        # parses one byte range per worker, and its 40 refits run in as many
+        # workers when MIN_PART is 1 and in this process when it is 48; with
+        # 1, both run in this process. Each run ingests a fresh copy of the
+        # file, so that each parses it.
         bars_by_symbol, meta = synth_market()
         data = (
             BAR_CSV_HEADER_LINE
@@ -752,13 +816,15 @@ class TestWorkerCount:
         ).encode()
         monkeypatch.setattr(marketdata, "INGEST_RANGE_BYTES", 1)
         results = []
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
-            path = fresh_copy(tmp_path / "bars.csv", data)
-            results.append(small_run(ingest_csv(path).bars_by_symbol, meta))
-        assert pools == [2, 2, 3, 3]
+        for min_part in (1, 48):
+            monkeypatch.setattr(plan_mod, "MIN_PART", min_part)
+            for cpus in (1, 2, 3):
+                monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+                path = fresh_copy(tmp_path / "bars.csv", data)
+                results.append(small_run(ingest_csv(path).bars_by_symbol, meta))
+        assert pools == [2, 2, 3, 3, 2, 3]
         assert results[0].fills
-        assert results[1] == results[0] and results[2] == results[0]
+        assert all(result == results[0] for result in results[1:])
 
 
 PLAN_CONFIG = RunConfig(seed=3, hmm=HmmConfig(n_states=2), mlp=MlpConfig(epochs=2))

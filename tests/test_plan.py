@@ -8,6 +8,7 @@ configs that differ only in what the book reads give the same plan; the book
 import functools
 import zlib
 from dataclasses import replace
+from datetime import date
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from duotrader import engine as eng
 from duotrader import portfolio_bl
 from duotrader.engine import EngineConfig
-from duotrader.marketdata import InstrumentMeta, synth_regime_series
+from duotrader.errors import InsufficientDataError
+from duotrader.marketdata import InstrumentMeta, SymbolBars, synth_regime_series
 from duotrader.plan import build_plan
 from duotrader.portfolio_bl import BlConfig
 from duotrader.regime_hmm import HmmConfig
@@ -120,6 +122,72 @@ def test_engine_holds_no_plan_names():
     for name in ("MODEL_CHUNK", "MODEL_ERRORS", "symbol_seed", "select_universe",
                  "candidate_panel", "regime_hmm", "trend_net", "portfolio_bl"):
         assert not hasattr(eng, name), name
+
+
+DAY0 = date(2021, 3, 1).toordinal()
+
+
+@st.composite
+def dated_markets(draw):
+    """Up to four symbols, each on its own strictly increasing days drawn
+    from a 91-day span (so some list late, end early or skip days, and a
+    symbol may have no bar), with an optional start and end date in or just
+    outside the span."""
+    series = {}
+    for i in range(draw(st.integers(1, 4))):
+        offsets = draw(st.lists(st.integers(0, 90), unique=True, max_size=40))
+        days = np.array(sorted(offsets), dtype=np.int64) + DAY0
+        prices, volumes = np.full(days.size, 10.0), np.full(days.size, 100.0)
+        series[f"S{i}"] = SymbolBars(days, prices, prices, prices, prices, volumes)
+    bound = st.none() | st.integers(-5, 95).map(lambda k: date.fromordinal(DAY0 + k))
+    return series, draw(bound), draw(bound)
+
+
+def reference_calendar(series, start, end):
+    """The calendar ordinals and row tables as a sort-unique of every
+    in-range bar day and one searchsorted per symbol; None without an
+    in-range bar."""
+    first_row, in_range = {}, []
+    for symbol, bars in series.items():
+        days = bars.days
+        lo = 0 if start is None else int(days.searchsorted(start.toordinal()))
+        hi = days.size if end is None else int(days.searchsorted(end.toordinal(), "right"))
+        first_row[symbol] = lo
+        in_range.append(days[lo:hi])
+    ordinals = np.sort(np.concatenate([np.empty(0, np.int64), *in_range]))
+    if ordinals.size == 0:
+        return None
+    ordinals = ordinals[np.concatenate([[True], ordinals[1:] != ordinals[:-1]])]
+    rows = {}
+    for symbol, bars in series.items():
+        table = bars.days.searchsorted(ordinals, "right") - 1
+        table[table < first_row[symbol]] = -1
+        rows[symbol] = table
+    return ordinals, rows
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(dated_markets())
+def test_calendar_and_row_tables(market):
+    # The warm-up outlasts every drawn calendar, so the plan has no steps and
+    # reads no row table before the test does.
+    series, start, end = market
+    config = RunConfig(engine=EngineConfig(start_date=start, end_date=end))
+    meta = {s: InstrumentMeta(s, "Energy", 1_000_000) for s in series}
+    reference = reference_calendar(series, start, end)
+    if reference is None:
+        with pytest.raises(InsufficientDataError):
+            build_plan(series, meta, config)
+        return
+    plan = build_plan(series, meta, config)
+    ordinals, rows = reference
+    assert [day.toordinal() for day in plan.calendar] == ordinals.tolist()
+    assert not plan.steps and not plan.rows  # each table is built on its first read
+    for symbol, table in rows.items():
+        assert plan.rows[symbol].tolist() == table.tolist()
+        assert plan.rows[symbol] is plan.rows[symbol]
+    with pytest.raises(KeyError):
+        plan.rows["S9"]
 
 
 @pytest.mark.xfail(strict=True, reason=(
