@@ -33,13 +33,15 @@ use's row from the stack; only the fit logs and the forecasts (fusion's
 with any number of workers. Each rebalance then fuses its forecasts into
 insights (``_generate_insights``) and blends them as views into target
 weights (``_build_targets``), leaving out, with a note, a symbol whose
-window has a non-finite return. Model seeds derive from the run's seed with
-a stable CRC and every model call gives a series the same bits in any batch,
-so the plan is a pure function of data + config.
+window has a non-finite return or whose market cap is not finite. Model
+seeds derive from the run's seed with a stable CRC and every model call
+gives a series the same bits in any batch, so the plan is a pure function of
+data + config.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 from datetime import date
@@ -209,7 +211,7 @@ def build_plan(
             for (step, symbol, *_), hmm, net in zip(jobs, hmms, nets)
         ]
         rows = [row for row, i in enumerate(chunks[k]) for _ in users[i]]
-        return logs, _forecast(config, uses[k], rows, fitted)
+        return logs, _forecast(uses[k], rows, fitted)
 
     logs: list[tuple[list[dict], list[str]]] = [([], [])] * len(refits)
     for k, (chunk_logs, signals) in enumerate(workers.fork_map(fit_and_forecast, len(chunks))):
@@ -294,9 +296,9 @@ def _refit_chunk(config: RunConfig, jobs: list[_Job]):
         return regime_hmm.fit_batch(np.stack([jobs[p][3] for p in positions]), config.hmm, seeds)
 
     def train_nets(positions):
-        data = [trend_net.build_training_set(jobs[p][2], config.mlp.input_size) for p in positions]
+        data = [trend_net.build_training_set(jobs[p][2]) for p in positions]
         seeds = [symbol_seed(config.seed, "mlp", jobs[p][1]) for p in positions]
-        params = trend_net.init_params(config.mlp, seeds)
+        params = trend_net.init_params(seeds)
         return trend_net.train_batch(params, data, config.mlp, seeds)
 
     ids = list(range(len(jobs)))
@@ -318,7 +320,7 @@ def _fit_log(day: date, symbol: str, hmm, net) -> tuple[list[dict], list[str]]:
     return records, notes
 
 
-def _forecast(config: RunConfig, uses: list[_Job], rows: list[int], fitted) -> list[list]:
+def _forecast(uses: list[_Job], rows: list[int], fitted) -> list[list]:
     """The (HMM signal, network signal) pair of each use, given
     ``_refit_chunk``'s (stack, outcomes) pair per model kind and the row of
     each use's refit in them: each signal the model's forecast (fusion's
@@ -328,15 +330,15 @@ def _forecast(config: RunConfig, uses: list[_Job], rows: list[int], fitted) -> l
     batched calls over windows of one length, at most MODEL_CHUNK each."""
     (hmm_stack, _), (net_stack, _) = fitted
     hmm_ok, net_ok = ([not isinstance(fits[r], Exception) for r in rows] for _, fits in fitted)
-    n_inputs, hmms, nets = config.mlp.input_size, {}, {}
+    hmms, nets = {}, {}
 
     def hmm_forecast(ids):
         returns = np.stack([uses[i][3] for i in ids])
         return None, regime_hmm.forecast(hmm_stack, [rows[i] for i in ids], returns)
 
     def net_forecast(ids):
-        diffs = np.diff(np.stack([uses[i][2][-n_inputs - 1:] for i in ids]), axis=1)
-        return None, trend_net.forecast(net_stack, [rows[i] for i in ids], diffs, config.mlp)
+        diffs = np.diff(np.stack([uses[i][2][-trend_net.INPUT_SIZE - 1:] for i in ids]), axis=1)
+        return None, trend_net.forecast(net_stack, [rows[i] for i in ids], diffs)
 
     for chunk in _length_chunks(uses):
         with_hmm = [i for i in chunk if hmm_ok[i]]
@@ -370,17 +372,21 @@ def _build_targets(
 ) -> None:
     """Estimate the covariance over the universe, blend the step's insights
     as views, and optimize into the step's weights and allocation record. A
-    symbol whose window has a non-finite return is left out.
+    symbol whose window has a non-finite return, or whose market cap (shares
+    outstanding times last close) is not finite, is left out.
     Weights stay None (hold the book) when the data is too thin for a
     covariance estimate, and are {} (all cash) without usable symbols."""
-    day, returns = step.day, {}
-    for s, (_, window) in step.windows.items():
+    day, returns, caps = step.day, {}, {}
+    for s, (closes, window) in step.windows.items():
+        cap = meta[s].shares_outstanding * float(closes[-1])  # a float overflows to inf quietly
         if not np.isfinite(window).all():
             step.notes.append(
                 f"{day}: {s} left out of the allocation: log returns require finite positive closes"
             )
+        elif not math.isfinite(cap):
+            step.notes.append(f"{day}: {s} left out of the allocation: market cap is not finite")
         elif window.size:
-            returns[s] = window
+            returns[s], caps[s] = window, cap
     usable = list(returns)
     if not usable:
         if step.universe:
@@ -396,8 +402,8 @@ def _build_targets(
         return
 
     sigma = portfolio_bl.estimate_covariance({s: r[-depth:] for s, r in returns.items()})
-    caps = np.array([meta[s].shares_outstanding * step.windows[s][0][-1] for s in usable])
-    market_weights = caps / caps.sum()
+    market_caps = np.array(list(caps.values()))
+    market_weights = market_caps / market_caps.sum()
     pi = portfolio_bl.equilibrium_returns(sigma, market_weights, bl_config.risk_aversion)
     q, precision = portfolio_bl.build_views(step.insights, usable, sigma)
     mu = portfolio_bl.posterior_returns(pi, sigma, q, precision)

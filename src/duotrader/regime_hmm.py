@@ -1,9 +1,12 @@
 """Gaussian hidden Markov regime model over one stock's daily log returns.
 
 Observations are univariate: every state k carries a mean return and a
-variance. Fitting is expectation-maximization with a scaled
-forward-backward pass, run for a bounded number of iterations; the M-step
-updates every live state at once. Every routine works on S series at once.
+variance, never below ``VARIANCE_FLOOR``. Fitting is expectation-maximization
+with a scaled forward-backward pass, run until an iteration gains less
+log-likelihood than ``CONVERGENCE_TOL``, or for at most
+``HmmConfig.max_iterations`` iterations; the M-step updates every live state
+at once. Only the state count and the iteration cap are configurable. Every
+routine works on S series at once.
 Parameters are (S, K) and (S, K, K); the emission, forward and backward
 arrays are series-last (T, K, S), so every elementwise op and every sum over
 states runs along contiguous rows of S series. ``fit_batch`` fits one model
@@ -30,6 +33,11 @@ from .directions import sign_direction
 from .errors import InsufficientDataError, InvalidInputError, NumericalError, ParameterError
 
 MIN_SAMPLES_PER_STATE = 10
+# A fit converges once an EM iteration gains less log-likelihood than this.
+CONVERGENCE_TOL = 1e-4
+# The least variance a state's Gaussian keeps, so a state fitted to
+# identical returns still has a density.
+VARIANCE_FLOOR = 1e-12
 LOG_2PI = np.log(2.0 * np.pi)
 
 
@@ -37,16 +45,12 @@ LOG_2PI = np.log(2.0 * np.pi)
 class HmmConfig:
     n_states: int = 5
     max_iterations: int = 10
-    convergence_tol: float = 1e-4
-    variance_floor: float = 1e-12
 
     def __post_init__(self):
         if self.n_states < 1:
             raise ParameterError("n_states must be >= 1")
         if self.max_iterations < 1:
             raise ParameterError("max_iterations must be >= 1")
-        if self.convergence_tol < 0 or self.variance_floor < 0:
-            raise ParameterError("convergence_tol and variance_floor must be non-negative")
 
 
 class HmmModel(NamedTuple):
@@ -226,12 +230,12 @@ def _backward(buffers: _Buffers, trans: np.ndarray) -> np.ndarray:
     return betas
 
 
-def _m_step(obs, buffers: _Buffers, trans, means, variances, floor):
+def _m_step(obs, buffers: _Buffers, trans, means, variances):
     """Re-estimate every series' parameters from one E-step's buffers
     (alphas, betas, b and norms, at the width of obs (S, T)); alphas, betas
     and b are overwritten, as the M-step's temporaries reuse them. Returns
     (pi, trans, means, variances, floored) with floored (S,) marking series
-    whose new variance hit the floor in some live state."""
+    whose new variance hit VARIANCE_FLOOR in some live state."""
     alphas, betas, b, norms = buffers.alphas, buffers.betas, buffers.b, buffers.norms
     # Expected transition counts, accumulated without materializing the
     # (T, K, K) tensor. With this scaling each xi_t is already a proper
@@ -274,9 +278,9 @@ def _m_step(obs, buffers: _Buffers, trans, means, variances, floor):
     spread = np.multiply(gammas, diff, out=b)
     spread *= diff
     new_vars = _over_time(spread) / weights
-    floored = np.any(live & (new_vars < floor), axis=1)
+    floored = np.any(live & (new_vars < VARIANCE_FLOOR), axis=1)
     means = np.where(live, new_means, means)
-    variances = np.where(live, np.maximum(new_vars, floor), variances)
+    variances = np.where(live, np.maximum(new_vars, VARIANCE_FLOOR), variances)
     return pi, trans, means, variances, floored
 
 
@@ -296,7 +300,7 @@ def _initial_parameters(obs: np.ndarray, config: HmmConfig, seeds: Sequence[int]
 
     centered = obs - obs.mean(axis=1, keepdims=True)
     pooled = np.einsum("st,st->s", centered, centered) / obs.shape[1]
-    pooled = np.maximum(pooled, config.variance_floor)
+    pooled = np.maximum(pooled, VARIANCE_FLOOR)
     variances = np.repeat(pooled[:, None], n_states, axis=1)
     for row, seed, scale in zip(means, seeds, 1e-6 * (np.sqrt(pooled) + 1e-12)):
         row += np.random.default_rng(seed).normal(0.0, scale, size=n_states)
@@ -313,7 +317,7 @@ def fit_batch(
     """Fit one model per row of an (S, T) return array by batched EM.
 
     Series s is initialized from ``seeds[s]`` and stops on its own
-    iteration: when its log-likelihood gain drops below tolerance or the
+    iteration: when its log-likelihood gain drops below CONVERGENCE_TOL or the
     iteration cap is reached. Its recorded per-iteration log-likelihood path
     is non-decreasing (standard EM guarantee). Each series gets exactly the
     model it gets in a batch of one. Returns the stacked models, row s
@@ -379,11 +383,11 @@ def fit_batch(
 
         _backward(buffers, trans)
         pi, trans, means, variances, floored_now = _m_step(
-            x, buffers, trans, means, variances, config.variance_floor
+            x, buffers, trans, means, variances
         )
         iteration += 1
         floored[rows] |= floored_now
-        converged[rows] = log_likelihood - prev_ll[rows] < config.convergence_tol
+        converged[rows] = log_likelihood - prev_ll[rows] < CONVERGENCE_TOL
         prev_ll[rows] = log_likelihood
         finished[rows] = converged[rows] | (iteration == config.max_iterations)
     return models, outcomes

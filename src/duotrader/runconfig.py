@@ -73,11 +73,8 @@ def _value(tp: Any, value: Any, path: str) -> Any:
                 pass
     elif origin is list and type(value) is list:
         return [_value(args[0], item, path) for item in value]
-    elif origin is tuple and type(value) is list:
-        if args[-1] is Ellipsis:
-            return tuple(_value(args[0], item, path) for item in value)
-        if len(args) == len(value):
-            return tuple(_value(a, item, path) for a, item in zip(args, value))
+    elif origin is tuple and type(value) is list and len(args) == len(value):
+        return tuple(_value(a, item, path) for a, item in zip(args, value))
     elif tp is float and type(value) in (int, float):
         return float(value)
     elif tp is date and type(value) is str:

@@ -1,7 +1,9 @@
 """Feed-forward trend forecaster over close-price differences.
 
-Fixed architecture 5 -> 10 -> 10 -> 10 -> 5 -> 1 with ReLU on every layer
-except the linear output. Trained with mini-batch Adam on mean squared error.
+Fixed architecture 5 -> 10 -> 10 -> 10 -> 5 -> 1 (``LAYER_SIZES``) with ReLU
+on every layer except the linear output. Trained with mini-batch Adam on mean
+squared error, at Kingma & Ba's default step, decay rates and epsilon; only
+the epochs and batch size are configurable (``MlpConfig``).
 Inputs and targets are both close-price differences, so the sign of the
 output is the directional forecast and the predicted price level is
 reconstructible as last close + prediction.
@@ -32,7 +34,12 @@ from .errors import (
 )
 
 LAYER_SIZES = (5, 10, 10, 10, 5, 1)
-# Adam's decay rates and denominator guard (Kingma & Ba's defaults).
+INPUT_SIZE = LAYER_SIZES[0]  # close differences per sample
+# The layer tensors of a parameter row, in order: every (fan_in, fan_out)
+# weight matrix, then every bias.
+SHAPES = (*zip(LAYER_SIZES[:-1], LAYER_SIZES[1:]), *((fan_out,) for fan_out in LAYER_SIZES[1:]))
+# Adam's step, decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_LEARNING_RATE = 0.001
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -40,38 +47,19 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class MlpConfig:
-    layer_sizes: tuple[int, ...] = LAYER_SIZES
-    learning_rate: float = 0.001
     epochs: int = 5
     batch_size: int = 16
 
     def __post_init__(self):
-        if len(self.layer_sizes) < 2 or any(s < 1 for s in self.layer_sizes):
-            raise ParameterError("layer_sizes must be at least two positive sizes")
-        if self.layer_sizes[-1] != 1:
-            raise ParameterError(f"layer_sizes must end in 1, the forecast, got {self.layer_sizes}")
-        if self.learning_rate <= 0:
-            raise ParameterError("learning_rate must be > 0")
         if self.epochs < 1 or self.batch_size < 1:
             raise ParameterError("epochs and batch_size must be >= 1")
-
-    @property
-    def input_size(self) -> int:
-        return self.layer_sizes[0]
-
-    @property
-    def shapes(self) -> list[tuple[int, ...]]:
-        """The layer tensors of a parameter row, in order: every
-        (fan_in, fan_out) weight matrix, then every bias."""
-        layers = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
-        return layers + [(fan_out,) for _, fan_out in layers]
 
 
 @dataclass(frozen=True)
 class TrainingSet:
     """Sliding windows of consecutive close differences and the next difference."""
 
-    inputs: np.ndarray   # (N, window)
+    inputs: np.ndarray   # (N, INPUT_SIZE)
     targets: np.ndarray  # (N,)
 
     def __len__(self) -> int:
@@ -85,12 +73,11 @@ class TrendForecast(NamedTuple):
     magnitude: float
 
 
-def init_params(config: MlpConfig, seeds: Sequence[int]) -> np.ndarray:
+def init_params(seeds: Sequence[int]) -> np.ndarray:
     """The (S, P) parameter rows of S networks, row s seeded by ``seeds[s]``:
     uniform +/-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
-    shapes = config.shapes
-    params = np.zeros((len(seeds), sum(math.prod(shape) for shape in shapes)))
-    weights = _unflatten(params, shapes)[: len(shapes) // 2]
+    params = np.zeros((len(seeds), sum(math.prod(shape) for shape in SHAPES)))
+    weights = _unflatten(params, SHAPES)[: len(SHAPES) // 2]
     for s, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
         for w in weights:
@@ -100,20 +87,20 @@ def init_params(config: MlpConfig, seeds: Sequence[int]) -> np.ndarray:
     return params
 
 
-def build_training_set(closes: Sequence[float] | np.ndarray, window: int = 5) -> TrainingSet:
-    """Each sample is ``window`` consecutive close differences; the target is
-    the difference that immediately follows. Both are read-only views of the
-    differences: the only copy is the one train_batch stacks."""
+def build_training_set(closes: Sequence[float] | np.ndarray) -> TrainingSet:
+    """Each sample is ``INPUT_SIZE`` consecutive close differences; the target
+    is the difference that immediately follows. Both are read-only views of
+    the differences: the only copy is the one train_batch stacks."""
     closes = np.asarray(closes, dtype=float)
-    needed = window + 2
+    needed = INPUT_SIZE + 2
     if closes.size < needed:
         raise InsufficientDataError(
             f"need at least {needed} closes for one sample, got {closes.size}"
         )
     diffs = np.diff(closes)
     diffs.flags.writeable = False
-    inputs = np.lib.stride_tricks.sliding_window_view(diffs, window)[:-1]
-    return TrainingSet(inputs, diffs[window:])
+    inputs = np.lib.stride_tricks.sliding_window_view(diffs, INPUT_SIZE)[:-1]
+    return TrainingSet(inputs, diffs[INPUT_SIZE:])
 
 
 class _Pass:
@@ -175,7 +162,7 @@ class _Pass:
                 delta *= mask
 
 
-def _adam_update(params, grads, m, v, step: int, learning_rate: float, scratch) -> None:
+def _adam_update(params, grads, m, v, step: int, scratch) -> None:
     """Adam update at ``step`` (counted from 1) of the (S, P) parameters and
     their moments, in place, from the (S, P) gradients, through the two (S, P)
     arrays of ``scratch`` in the order of ``lr * (m / c1) / (sqrt(v / c2) + eps)``."""
@@ -184,7 +171,8 @@ def _adam_update(params, grads, m, v, step: int, learning_rate: float, scratch) 
     m += np.multiply(1.0 - ADAM_BETA1, grads, out=step_size)
     v *= ADAM_BETA2
     v += np.multiply(np.multiply(1.0 - ADAM_BETA2, grads, out=step_size), grads, out=step_size)
-    np.multiply(learning_rate, np.divide(m, 1.0 - ADAM_BETA1**step, out=step_size), out=step_size)
+    np.divide(m, 1.0 - ADAM_BETA1**step, out=step_size)
+    np.multiply(ADAM_LEARNING_RATE, step_size, out=step_size)
     np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**step, out=denom), out=denom)
     denom += ADAM_EPS
     params -= np.divide(step_size, denom, out=step_size)
@@ -232,14 +220,13 @@ def train_batch(
     if n == 0:
         raise InsufficientDataError("training set is empty")
 
-    shapes = config.shapes
-    n_layers = len(shapes) // 2
+    n_layers = len(SHAPES) // 2
     # Gradients and Adam moments (from zero) of network s are row s of (S, P)
     # arrays laid out as the parameters, so one Adam step is one update of
     # whole arrays; the layer tensors are views into the rows.
     grads, ms, vs = np.empty_like(params), np.zeros_like(params), np.zeros_like(params)
     scratch = np.empty((2, *params.shape))
-    tensors, grad_tensors = _unflatten(params, shapes), _unflatten(grads, shapes)
+    tensors, grad_tensors = _unflatten(params, SHAPES), _unflatten(grads, SHAPES)
     # Network s's samples start at row s * n of one flat array. Each batch
     # length keeps the inputs and targets one np.take gathers, and a _Pass.
     flat_inputs = np.concatenate([d.inputs for d in data], dtype=float)
@@ -269,7 +256,7 @@ def train_batch(
                 np.take(flat_targets, idx, out=y, mode="clip")
                 step_pass.gradients(tensors, x, y, grad_tensors, losses[:, k])
                 step = epoch * len(starts) + k + 1
-                _adam_update(params, grads, ms, vs, step, config.learning_rate, scratch)
+                _adam_update(params, grads, ms, vs, step, scratch)
             diverged = ~np.isfinite(losses)
             for s in np.flatnonzero(diverged.any(axis=1)):
                 first = epoch * len(starts) + int(diverged[s].argmax()) + 1
@@ -282,10 +269,10 @@ def train_batch(
 
 
 def forecast(
-    params: np.ndarray, rows: Sequence[int], inputs: np.ndarray, config: MlpConfig
+    params: np.ndarray, rows: Sequence[int], inputs: np.ndarray
 ) -> list[TrendForecast | InvalidInputError]:
     """Forecast the next close difference of S input rows: row s of the
-    (S, input_size) recent close differences through the network of
+    (S, INPUT_SIZE) recent close differences through the network of
     parameter row ``rows[s]`` of the (N, P) stack (a network may serve
     several input rows).
 
@@ -295,10 +282,10 @@ def forecast(
     non-finite row.
     """
     x = np.asarray(inputs, dtype=float)
-    if x.shape != (len(rows), config.input_size):
-        raise InvalidInputError(f"expected one row of input_size inputs per row, got {x.shape}")
+    if x.shape != (len(rows), INPUT_SIZE):
+        raise InvalidInputError(f"expected one row of {INPUT_SIZE} inputs per row, got {x.shape}")
     finite = np.isfinite(x).all(axis=1)
-    tensors = _unflatten(np.take(params, rows, axis=0), config.shapes)
+    tensors = _unflatten(np.take(params, rows, axis=0), SHAPES)
     x = np.where(finite[:, None], x, 0.0)[:, None, :]
     out = _Pass(tensors[: len(tensors) // 2], 1).forward(tensors, x)
     return [

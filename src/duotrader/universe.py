@@ -65,7 +65,8 @@ def candidate_panel(
     close = np.zeros((len(symbols), width))
     for i, bars in enumerate(series[s] for s in symbols):
         day_keys[i, :bars.days.size] = bars.days
-        traded[i, lookback - 1:lookback - 1 + bars.days.size] = bars.close * bars.volume
+        with np.errstate(over="ignore"):  # a dollar volume that overflows is inf
+            traded[i, lookback - 1:lookback - 1 + bars.days.size] = bars.close * bars.volume
         close[i, :bars.days.size] = bars.close
     day_keys += np.arange(len(symbols))[:, None] * _SPAN
     windows = np.lib.stride_tricks.sliding_window_view(traded, lookback, axis=1)
@@ -89,8 +90,9 @@ def select_universe(panel: CandidatePanel, config: UniverseConfig, as_of: date) 
     keys = np.arange(count) * _SPAN + as_of.toordinal()
     rows = panel.day_keys.searchsorted(keys, "right") - np.arange(count) * width - 1
     live = np.flatnonzero(rows >= 0)
-    liquidity = panel.windows[live, rows[live]].cumsum(axis=1)[:, -1]
-    coarse = live[np.argsort(-liquidity, kind="stable")[: config.coarse_count]]
-    fine = coarse[panel.sectors[coarse] == config.sector.lower()]
-    caps = panel.shares[fine] * panel.close[fine, rows[fine]]
+    with np.errstate(over="ignore"):  # a liquidity or cap that overflows is inf: it ranks first
+        liquidity = panel.windows[live, rows[live]].cumsum(axis=1)[:, -1]
+        coarse = live[np.argsort(-liquidity, kind="stable")[: config.coarse_count]]
+        fine = coarse[panel.sectors[coarse] == config.sector.lower()]
+        caps = panel.shares[fine] * panel.close[fine, rows[fine]]
     return [panel.symbols[i] for i in fine[np.lexsort((fine, -caps))][: config.fine_count]]

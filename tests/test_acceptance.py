@@ -182,9 +182,8 @@ def test_criterion_04_gradient_check():
     start = time.perf_counter()
     worst = 0.0
     for draw in range(10):
-        config = MlpConfig()
-        assert config.layer_sizes == (5, 10, 10, 10, 5, 1)
-        theta = trend_net.init_params(config, [100 + draw])[0]
+        assert trend_net.LAYER_SIZES == (5, 10, 10, 10, 5, 1)
+        theta = trend_net.init_params([100 + draw])[0]
         rng = np.random.default_rng(200 + draw)
         inputs = rng.normal(0.0, 1.0, size=(8, 5))[None]
         targets = rng.normal(0.0, 1.0, size=8)[None]
@@ -192,8 +191,8 @@ def test_criterion_04_gradient_check():
         # The network's parameters and gradient as (1, P) rows, read and
         # written through the layer views and the pass that train_batch uses.
         row, grad_row, losses = theta[None].copy(), np.empty((1, theta.size)), np.empty(1)
-        views = trend_net._unflatten(row, config.shapes)
-        grads = trend_net._unflatten(grad_row, config.shapes)
+        views = trend_net._unflatten(row, trend_net.SHAPES)
+        grads = trend_net._unflatten(grad_row, trend_net.SHAPES)
         step_pass = trend_net._Pass(views[: len(views) // 2], inputs.shape[1])
 
         def loss():
@@ -228,7 +227,7 @@ def test_criterion_05_network_learnability():
     inputs = rng.normal(0.0, 1.0, size=(2000, 5))
     data = trend_net.TrainingSet(inputs, inputs.mean(axis=1))
     config = MlpConfig()  # lr 0.001, 5 epochs
-    _, (history,) = trend_net.train_batch(trend_net.init_params(config, [3]), [data], config, [3])
+    _, (history,) = trend_net.train_batch(trend_net.init_params([3]), [data], config, [3])
     ratio = history[-1] / history[0]
     elapsed = time.perf_counter() - start
     ok = ratio < 0.10 and elapsed < 10.0

@@ -396,10 +396,10 @@ class TestBacktest:
     @pytest.mark.parametrize("key, value", [
         ("bl.risk_aversion", float("nan")),
         ("engine.per_share_fee", float("nan")),
-        ("hmm.convergence_tol", float("nan")),
+        ("hmm.n_states", float("nan")),
         ("engine.initial_equity", float("nan")),
         ("engine.initial_equity", float("inf")),
-        ("mlp.layer_sizes", [5, float("-inf"), 1]),
+        ("mlp.epochs", float("-inf")),
     ])
     def test_non_finite_config_value_exit_2(self, tmp_path, capsys, key, value):
         # json.loads reads the NaN and Infinity literals, from a file and
@@ -448,10 +448,10 @@ class TestBacktest:
     ("backtest", "data.benchmark=5", "at data: benchmark"),              # str | None
     ("backtest", 'engine.start_date="2020-13-45"', "at engine: start_date"),  # date | None
     ("backtest", "engine.end_date=20200101", "at engine: end_date"),
-    ("backtest", "mlp.layer_sizes=[5,2.5,1]", "at mlp: layer_sizes"),    # tuple[int, ...]
-    ("backtest", "mlp.layer_sizes=5", "at mlp: layer_sizes"),
+    ("backtest", "mlp.layer_sizes=[5,10,10,10,5,1]", "unknown key(s) at mlp: layer_sizes"),
+    ("backtest", "mlp.learning_rate=0.001", "unknown key(s) at mlp: learning_rate"),
     ("backtest", "hmm=3", "hmm must be a JSON object"),                  # section
-    ("backtest", "mlp.layer_sizes=[5,3]", "at mlp: layer_sizes"),        # ParameterError
+    ("backtest", "hmm.n_states=0", "at hmm: n_states"),                  # ParameterError
     ("backtest", "bl.covariance_lookback=0", "at bl: covariance_lookback"),
     ("synth", {"n_bars": "abc"}, "at top level: n_bars"),
     ("synth", {"n_bars": 50.7}, "at top level: n_bars"),
@@ -469,7 +469,12 @@ class TestBacktest:
     ("synth", {"transition": "x"}, "at top level: transition"),         # list[list[float]]
     ("synth", {"start_date": "2015-02-30"}, "at top level: start_date"),  # date
     ("synth", [], "top level must be a JSON object"),
+    ("synth", {"regimes": [[0.001, "x"]]}, "at top level: regimes"),    # an element's type
+    ("synth", {"regimes": 0.001}, "at top level: regimes"),             # not a list
+    ("synth", {"regimes": [[0.001, float("inf")]]}, "non-finite value(s) at top level: regimes"),
     ("backtest", "bl.tau=0.05", "at bl: tau"),                           # removed key
+    ("backtest", "hmm.convergence_tol=0.0001", "unknown key(s) at hmm: convergence_tol"),
+    ("backtest", "hmm.variance_floor=1e-12", "unknown key(s) at hmm: variance_floor"),
     ("backtest", "foo", "override must look like section.key=value, got 'foo'"),
 ])
 def test_wrong_input_exit_2(tmp_path, capsys, command, value, named):

@@ -363,6 +363,31 @@ class TestRunBacktest:
                 assert day in tainted
         assert any("S02" in a["symbols"] for a in result.allocations)
 
+    @pytest.mark.parametrize("market", ["shares", "close"])
+    def test_overflowing_market_cap_leaves_symbol_out_of_allocation(self, market):
+        # S02's market cap overflows to inf, from its shares outstanding or
+        # from closes near 1e303 from row 200 on: its weight in the market
+        # portfolio would be NaN. Each rebalance that would allocate to S02
+        # leaves it out with a note instead, and the run goes on.
+        bars_by_symbol, meta = synth_market()
+        if market == "shares":
+            meta["S02"] = InstrumentMeta("S02", "Energy", int(1e308))
+            tainted = set()
+        else:
+            bars = bars_by_symbol["S02"] = scale_prices(bars_by_symbol["S02"], 2e301, first=200)
+            tainted = {day_of(bars, row).isoformat() for row in range(200, 320)}
+        result = small_run(bars_by_symbol, meta)
+        assert len(result.equity_curve) == 320 and result.fills
+        note = "S02 left out of the allocation: market cap is not finite"
+        left_out = {d.split(":")[0] for d in result.diagnostics if note in d}
+        assert left_out
+        for allocation in result.allocations:
+            day = allocation["date"]
+            assert ("S02" in allocation["symbols"]) == (day not in left_out)
+            assert np.isfinite(list(allocation["weights"].values())).all()
+            if market == "close":
+                assert (day in left_out) == (day in tainted)
+
     def test_rebalance_without_usable_symbols_goes_to_cash(self):
         # Without warm-up, the first rebalance's windows hold one close each.
         bars_by_symbol, meta = synth_market()
@@ -474,7 +499,7 @@ def assert_fits_match_direct(result, bars_by_symbol, seed=3, window_bars=100):
         else:
             config, mlp_seed = MlpConfig(epochs=2), plan_mod.symbol_seed(seed, "mlp", symbol)
             data = trend_net.build_training_set(closes)
-            params = trend_net.init_params(config, [mlp_seed])
+            params = trend_net.init_params([mlp_seed])
             _, (history,) = trend_net.train_batch(params, [data], config, [mlp_seed])
             assert record["loss_history"] == history
     return lengths
@@ -608,9 +633,9 @@ class TestCadenceAndChurn:
             widths["filter"].append(len(rows))
             return hmm_forecast(models, rows, returns)
 
-        def spy_net(params, rows, inputs, config):
+        def spy_net(params, rows, inputs):
             widths["net"].append(len(rows))
-            return net_forecast(params, rows, inputs, config)
+            return net_forecast(params, rows, inputs)
 
         monkeypatch.setattr(plan_mod, "MODEL_CHUNK", 3)
         monkeypatch.setattr(regime_hmm, "fit_batch", spy_fit)
@@ -868,9 +893,9 @@ class TestPlanHelpers:
             calls.append(jobs)
             return refit_chunk(config, jobs)
 
-        def spy_forecast(config, uses, rows, fitted):
+        def spy_forecast(uses, rows, fitted):
             calls.append((uses, rows, fitted))
-            return forecast(config, uses, rows, fitted)
+            return forecast(uses, rows, fitted)
 
         monkeypatch.setattr(plan_mod, "_refit_chunk", spy_refit)
         monkeypatch.setattr(plan_mod, "_forecast", spy_forecast)
@@ -893,7 +918,7 @@ class TestPlanHelpers:
         jobs, models = fitted
         closes = jobs[0][2].copy()
         closes[-1] = np.nan
-        bad, good = plan_mod._forecast(PLAN_CONFIG, [plan_job(closes), jobs[1]], [0, 1], models)
+        bad, good = plan_mod._forecast([plan_job(closes), jobs[1]], [0, 1], models)
         for signal in bad:
             assert isinstance(signal, InvalidInputError)
         assert "finite positive closes" in str(bad[0]) and "must be finite" in str(bad[1])
@@ -907,12 +932,12 @@ class TestPlanHelpers:
         jobs, models = fitted
         (hmm_stack, _), (net_stack, _) = models
         directions, rows = set(), [2, 0, 0, 1]
-        signals = plan_mod._forecast(PLAN_CONFIG, [jobs[r] for r in rows], rows, models)
+        signals = plan_mod._forecast([jobs[r] for r in rows], rows, models)
         for r, (hmm, net) in zip(rows, signals):
             _, symbol, closes, _ = jobs[r]
             assert [hmm] == regime_hmm.forecast(hmm_stack, [r], log_returns(closes)[None])
             diffs = np.diff(closes)[None, -5:]
-            assert [net] == trend_net.forecast(net_stack, [r], diffs, PLAN_CONFIG.mlp)
+            assert [net] == trend_net.forecast(net_stack, [r], diffs)
             assert tuple(hmm) == (hmm.direction, hmm.expected_return)
             assert tuple(net) == (net.direction, net.magnitude)
             insight = fuse(hmm, net, symbol, DAY, 21)

@@ -19,6 +19,7 @@ from duotrader.marketdata import synth_regime_series
 from duotrader.regime_hmm import (
     LOG_2PI,
     MIN_SAMPLES_PER_STATE,
+    VARIANCE_FLOOR,
     DirectionForecast,
     HmmConfig,
     HmmModel,
@@ -183,7 +184,7 @@ def reference_initial_parameters(obs, config, seed):
     means = np.array([obs[idx].mean() for idx in np.array_split(order, n_states)])
 
     centered = obs - obs.mean()
-    pooled = max((centered @ centered) / obs.size, config.variance_floor)
+    pooled = max((centered @ centered) / obs.size, VARIANCE_FLOOR)
     variances = np.full(n_states, pooled)
 
     rng = np.random.default_rng(seed)
@@ -271,7 +272,7 @@ class TestFit:
 
     def test_constant_returns_floors_variance(self):
         model, record = fit_one(np.full(40, 0.001), HmmConfig(n_states=1))
-        assert model.variances[0] >= 1e-12
+        assert model.variances[0] >= VARIANCE_FLOOR
         assert record["variance_floored"]
 
     def test_unvisited_source_state_keeps_finite_row(self):
@@ -377,13 +378,13 @@ class TestMStep:
             alphas, betas, b, norms = (
                 a.copy() for a in (buffers.alphas, buffers.betas, buffers.b, buffers.norms)
             )
-            got = _m_step(obs, buffers, trans, means, variances, 1e-12)
+            got = _m_step(obs, buffers, trans, means, variances)
             assert got[4][0] and not got[4][1:].all()
             assert np.all(got[2][:, -1] == 5.0)  # the dead state kept its mean
             for s in range(len(ok)):
                 want = reference_m_step(
                     obs[s], alphas[:, :, s], betas[:, :, s], b[:, :, s], norms[:, s],
-                    trans[s], means[s], variances[s], 1e-12,
+                    trans[s], means[s], variances[s], VARIANCE_FLOOR,
                 )
                 for have, ref in zip(got, want):
                     assert_close(have[s], ref)
@@ -466,7 +467,7 @@ class TestBatchInvariance:
         # runs on buffers of the series left, so it overwrites none of the above.
         kept = forward_pass(*(a[ok] for a in batch))[0]
         _backward(kept, trans[ok])
-        m_step = _m_step(obs[ok], kept, trans[ok], means[ok], variances[ok], 1e-12)
+        m_step = _m_step(obs[ok], kept, trans[ok], means[ok], variances[ok])
         initial = _initial_parameters(obs, config, seeds)
         fits = fit_batch(obs, config, seeds)
         forecasts = forecast(models, rows, windows)
@@ -480,7 +481,7 @@ class TestBatchInvariance:
             for have, own in zip(batched, (alone.alphas, alone.norms, ll_alone, alone.b, betas_alone)):
                 assert_same_bytes(np.take(have, [s], axis=-1), own)  # series are the last axis
             if s in ok:
-                own = _m_step(x, alone, tr, mu, var, 1e-12)
+                own = _m_step(x, alone, tr, mu, var)
                 for have, want in zip(m_step, own):
                     assert_same_bytes(have[ok.index(s)], want[0])
             for have, want in zip(initial, _initial_parameters(x, config, seeds[s:s + 1])):
@@ -568,15 +569,16 @@ class TestFitBatch:
         for s, seed in enumerate(seeds):
             assert_same_fit(batch, s, fit_batch(returns[s:s + 1], self.CONFIG, [seed]))
 
-    def test_failing_series_isolated(self):
+    def test_failing_series_isolated(self, monkeypatch):
         """One series fails on the first forward pass, one mid-EM while the
         others run on: each failed series leaves the batch with its
         batch-of-one error, and the others keep their batch-of-one bits."""
-        config = HmmConfig(n_states=3, max_iterations=60, variance_floor=0.0)
+        monkeypatch.setattr(regime_hmm, "VARIANCE_FLOOR", 0.0)  # a variance can collapse
+        config = HmmConfig(n_states=3, max_iterations=60)
         sparse = np.zeros(120)
         sparse[::12] = regime_returns(43, 120)[::12]  # 10 nonzero returns
         # Its first five forward passes succeed; a state's variance hits 0 on the sixth.
-        _, record = fit_one(sparse, HmmConfig(n_states=3, max_iterations=4, variance_floor=0.0), 4)
+        _, record = fit_one(sparse, HmmConfig(n_states=3, max_iterations=4), 4)
         assert record["iterations"] == 4
         returns = np.stack([regime_returns(41, 120), np.zeros(120), regime_returns(42, 120), sparse])
         batch = fit_batch(returns, config, [1, 2, 3, 4])

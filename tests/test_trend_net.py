@@ -1,3 +1,4 @@
+import contextlib
 import math
 from typing import Sequence
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duotrader import trend_net
 from duotrader.directions import sign_direction
 from duotrader.errors import (
     InsufficientDataError,
@@ -17,6 +19,7 @@ from duotrader.trend_net import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    ADAM_LEARNING_RATE,
     LAYER_SIZES,
     MlpConfig,
     TrainingSet,
@@ -29,6 +32,23 @@ from duotrader.trend_net import (
     init_params,
     train_batch,
 )
+
+
+def shapes_of(sizes):
+    """The SHAPES of a network of ``sizes``, as trend_net derives them."""
+    return (*zip(sizes[:-1], sizes[1:]), *((fan_out,) for fan_out in sizes[1:]))
+
+
+@contextlib.contextmanager
+def layer_sizes(sizes):
+    """trend_net's network is ``sizes`` inside the block: LAYER_SIZES and the
+    INPUT_SIZE and SHAPES derived from it are patched, as a test patches
+    plan.MIN_PART, for the small networks some oracles need."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trend_net, "LAYER_SIZES", sizes)
+        patch.setattr(trend_net, "INPUT_SIZE", sizes[0])
+        patch.setattr(trend_net, "SHAPES", shapes_of(sizes))
+        yield
 
 
 def assert_same_training(got, s, want, w=0):
@@ -54,18 +74,18 @@ def train_one(params, data, config, seed):
     return trained, outcome
 
 
-def network(params, config=MlpConfig(), s=0):
+def network(params, s=0):
     """Row s of an (S, P) parameter stack as (weights, biases), the lists of
     its layer tensors (views, so writes reach the row)."""
-    tensors = [t[s] for t in _unflatten(params, config.shapes)]
+    tensors = [t[s] for t in _unflatten(params, trend_net.SHAPES)]
     return tensors[: len(tensors) // 2], tensors[len(tensors) // 2:]
 
 
-def loss_and_gradient(row, shapes, x, y):
+def loss_and_gradient(row, x, y):
     """MSE loss and flat analytic gradient of the network whose parameters
     are the (1, P) row, read and written through the _unflatten views
     train_batch uses."""
-    grad_row, losses = np.empty_like(row), np.empty(1)
+    shapes, grad_row, losses = trend_net.SHAPES, np.empty_like(row), np.empty(1)
     views = _unflatten(row, shapes)
     _Pass(views[: len(shapes) // 2], len(x)).gradients(
         views, x[None], y[None], _unflatten(grad_row, shapes), losses
@@ -147,7 +167,7 @@ def reference_train_batch(
     inputs that meet its preconditions: training sets of one length n > 0."""
     params, n = np.array(params, dtype=float), len(data[0])
 
-    shapes = config.shapes
+    shapes = trend_net.SHAPES
     n_layers = len(shapes) // 2
     # Adam's moments (from zero) of network s are row s of (S, P) arrays laid
     # out as the parameters, so one Adam step is one update of whole arrays;
@@ -181,7 +201,7 @@ def reference_train_batch(
                     results[s] = results[s] or TrainingDivergedError(
                         f"non-finite loss at step {step}"
                     )
-                _adam_update(params, grads, ms, vs, step, config.learning_rate, scratch)
+                _adam_update(params, grads, ms, vs, step, scratch)
                 batch_losses.append(losses)
             # One row per network, so each mean sums its losses in the
             # same order as a mean over one network's list.
@@ -196,11 +216,11 @@ def reference_train_batch(
 # of weights and biases); the forward pass is one plain 2-D product per layer.
 
 
-def reference_init_model(config: MlpConfig, seed: int) -> tuple[list, list]:
+def reference_init_model(sizes: Sequence[int], seed: int) -> tuple[list, list]:
     """Seeded init: uniform +/-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []
-    for fan_in, fan_out in zip(config.layer_sizes[:-1], config.layer_sizes[1:]):
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
@@ -237,7 +257,7 @@ def reference_predict_direction(
 
 def forecast_one(params, x):
     """forecast of one (1, P) network on one input row: its forecast, or its error raised."""
-    (result,) = forecast(params, [0], np.asarray(x, dtype=float)[None], MlpConfig())
+    (result,) = forecast(params, [0], np.asarray(x, dtype=float)[None])
     if isinstance(result, Exception):
         raise result
     return result
@@ -251,7 +271,7 @@ def predict_one(params, x):
 
 def zero_model(n_networks=1):
     """(S, P) rows of default networks whose parameters are all zero."""
-    return np.zeros_like(init_params(MlpConfig(), range(n_networks)))
+    return np.zeros_like(init_params(range(n_networks)))
 
 
 class TestTrainingSet:
@@ -278,7 +298,8 @@ class TestTrainingSet:
         rng = np.random.default_rng(5)
         for n_closes, window in ((7, 5), (40, 5), (253, 5), (30, 3)):
             closes = 50.0 + np.cumsum(rng.normal(0, 1, n_closes))
-            data = build_training_set(closes, window)
+            with layer_sizes((window, 1)):
+                data = build_training_set(closes)
             want = reference_training_set(closes, window)
             for got, ref in ((data.inputs, want.inputs), (data.targets, want.targets)):
                 assert not got.flags.writeable
@@ -313,24 +334,24 @@ class TestForward:
         assert predict_one(model, np.ones(5) * 7) == pytest.approx(3.5)
 
     def test_purity(self):
-        model = init_params(MlpConfig(), [12])
+        model = init_params([12])
         x = np.array([0.1, -0.2, 0.3, 0.0, -0.5])
         assert predict_one(model, x) == predict_one(model, x)
 
     def test_nonfinite_input(self):
-        model = init_params(MlpConfig(), [1])
+        model = init_params([1])
         with pytest.raises(InvalidInputError):
             predict_one(model, [1.0, np.nan, 0.0, 0.0, 0.0])
 
     def test_wrong_shape(self):
-        model = init_params(MlpConfig(), [1])
+        model = init_params([1])
         with pytest.raises(InvalidInputError):
             predict_one(model, [1.0, 2.0])
 
     def test_relu_zero_region_is_bias_path(self):
         # strongly negative first-layer pre-activations zero out layer 1, so
         # the output must equal the forward path fed from a zero hidden state
-        model = init_params(MlpConfig(), [5])
+        model = init_params([5])
         weights, biases = network(model)
         weights[0][...] = np.abs(weights[0])
         biases[0][...] = 0.0
@@ -347,33 +368,32 @@ class TestForward:
 class TestGradients:
     def test_matches_finite_differences(self):
         for seed in (0, 1):
-            row, shapes = init_params(MlpConfig(), [seed]), MlpConfig().shapes
+            row = init_params([seed])
             rng = np.random.default_rng(100 + seed)
             x = rng.normal(0, 1, size=(6, 5))
             y = rng.normal(0, 1, size=6)
-            _, analytic = loss_and_gradient(row, shapes, x, y)
-            numeric = finite_difference_gradient(row, shapes, x, y)
+            _, analytic = loss_and_gradient(row, x, y)
+            numeric = finite_difference_gradient(row, x, y)
             rel = np.linalg.norm(analytic - numeric) / max(
                 np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12
             )
             assert rel < 1e-4
 
     def test_zero_residual_zero_gradient(self):
-        row, shapes = zero_model(), MlpConfig().shapes
-        loss, grad = loss_and_gradient(row, shapes, np.zeros((4, 5)), np.zeros(4))
+        loss, grad = loss_and_gradient(zero_model(), np.zeros((4, 5)), np.zeros(4))
         assert loss == 0.0
         assert np.all(grad == 0)
 
 
-def finite_difference_gradient(row, shapes, x, y, step=1e-5):
+def finite_difference_gradient(row, x, y, step=1e-5):
     """Central differences of the loss, bumping the (1, P) row in place."""
     grad = np.empty(row.shape[1])
     for i in range(row.shape[1]):
         saved = row[0, i]
         row[0, i] += step
-        up, _ = loss_and_gradient(row, shapes, x, y)
+        up, _ = loss_and_gradient(row, x, y)
         row[0, i] -= 2 * step
-        down, _ = loss_and_gradient(row, shapes, x, y)
+        down, _ = loss_and_gradient(row, x, y)
         grad[i] = (up - down) / (2 * step)
         row[0, i] = saved
     return grad
@@ -383,18 +403,19 @@ class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         # oracle: the first step of the Adam recurrence by hand, for a
         # linear (1, 1) network trained on one sample for one update
-        config = MlpConfig(layer_sizes=(1, 1), epochs=1, batch_size=1)
-        model = init_params(config, [0])
+        config = MlpConfig(epochs=1, batch_size=1)
         x, y = 0.7, 2.0
-        w, b = model[0]  # the (1, 1) weight, then the bias
-        residual = w * x + b - y
-        trained, _ = train_one(model, TrainingSet(np.array([[x]]), np.array([y])), config, 0)
+        with layer_sizes((1, 1)):
+            model = init_params([0])
+            w, b = model[0]  # the (1, 1) weight, then the bias
+            residual = w * x + b - y
+            trained, _ = train_one(model, TrainingSet(np.array([[x]]), np.array([y])), config, 0)
 
         moves = ((trained[0, 0] - w, 2 * residual * x), (trained[0, 1] - b, 2 * residual))
         for moved, g in moves:
             m_hat = (1 - ADAM_BETA1) * g / (1 - ADAM_BETA1)
             v_hat = (1 - ADAM_BETA2) * g * g / (1 - ADAM_BETA2)
-            expected = -config.learning_rate * m_hat / (math.sqrt(v_hat) + ADAM_EPS)
+            expected = -ADAM_LEARNING_RATE * m_hat / (math.sqrt(v_hat) + ADAM_EPS)
             assert moved == pytest.approx(expected, abs=1e-15)
             assert moved == pytest.approx(-0.001 * np.sign(g), abs=1e-9)
 
@@ -408,8 +429,8 @@ class TestAdam:
             for step in (1, 2, 3):
                 grads = rng.normal(0.0, 10.0 ** (step - 2), size=(n_networks, n_params))
                 params, m, v = state
-                _adam_update(params, grads, m, v, step, 0.001, scratch)
-                reference_adam_update(want[0], grads, want[1], want[2], step, 0.001)
+                _adam_update(params, grads, m, v, step, scratch)
+                reference_adam_update(want[0], grads, want[1], want[2], step, ADAM_LEARNING_RATE)
                 for got, ref in zip(state, want):
                     assert got.tobytes() == ref.tobytes()
 
@@ -427,21 +448,21 @@ class TestTrain:
         x = rng.normal(0, 1, size=(500, 5))
         data = TrainingSet(x, x.mean(axis=1))
         config = MlpConfig()
-        trained, history = train_one(init_params(config, [3]), data, config, 3)
+        trained, history = train_one(init_params([3]), data, config, 3)
         assert history[-1] < history[0]
 
         def mse(model):
-            return loss_and_gradient(model, config.shapes, data.inputs, data.targets)[0]
+            return loss_and_gradient(model, data.inputs, data.targets)[0]
 
-        assert mse(trained) < mse(init_params(config, [3]))
+        assert mse(trained) < mse(init_params([3]))
 
     def test_determinism(self):
         rng = np.random.default_rng(8)
         x = rng.normal(0, 1, size=(64, 5))
         data = TrainingSet(x, rng.normal(0, 1, 64))
         config = MlpConfig(epochs=2)
-        a, hist_a = train_one(init_params(config, [21]), data, config, 21)
-        b, hist_b = train_one(init_params(config, [21]), data, config, 21)
+        a, hist_a = train_one(init_params([21]), data, config, 21)
+        b, hist_b = train_one(init_params([21]), data, config, 21)
         assert hist_a == hist_b
         assert np.array_equal(a, b)
 
@@ -451,7 +472,7 @@ class TestTrain:
         y = rng.normal(0, 1, 40)
         data = TrainingSet(x.copy(), y.copy())
         config = MlpConfig(epochs=2)
-        train_one(init_params(config, [0]), data, config, 0)
+        train_one(init_params([0]), data, config, 0)
         assert np.array_equal(data.inputs, x)
         assert np.array_equal(data.targets, y)
 
@@ -459,7 +480,7 @@ class TestTrain:
         rng = np.random.default_rng(10)
         data = TrainingSet(rng.normal(0, 1, (40, 5)), rng.normal(0, 1, 40))
         config = MlpConfig(epochs=1)
-        model = init_params(config, [0])
+        model = init_params([0])
         before = model.copy()
         trained, _ = train_one(model, data, config, 0)
         assert np.array_equal(model, before)
@@ -468,14 +489,14 @@ class TestTrain:
     def test_empty_training_set(self):
         data = TrainingSet(np.zeros((0, 5)), np.zeros(0))
         with pytest.raises(InsufficientDataError):
-            train_one(init_params(MlpConfig(), [0]), data, MlpConfig(), 0)
+            train_one(init_params([0]), data, MlpConfig(), 0)
 
 
 class TestTrainBatch:
     CONFIG = MlpConfig(epochs=3, batch_size=16)
 
     def run_batch(self, data, seeds):
-        return train_batch(init_params(self.CONFIG, seeds), data, self.CONFIG, seeds)
+        return train_batch(init_params(seeds), data, self.CONFIG, seeds)
 
     def test_equals_per_model_train(self):
         # 83 samples: the last batch of each epoch is a short one
@@ -526,21 +547,22 @@ class TestTrainBatch:
         # Short last batches, batches longer than the set, and one network
         # whose 1e200 target overflows its loss at the update that first
         # draws it.
-        config = MlpConfig(layer_sizes=sizes, epochs=epochs, batch_size=batch_size)
+        config = MlpConfig(epochs=epochs, batch_size=batch_size)
         rng = np.random.default_rng(seed)
         window = sizes[0]
-        data = [
-            build_training_set(np.cumsum(rng.normal(0, 1, n + window + 1)), window)
-            for _ in range(n_networks)
-        ]
-        huge = int(rng.integers(n_networks))
-        targets = data[huge].targets.copy()
-        targets[rng.integers(n)] = 1e200
-        data[huge] = TrainingSet(data[huge].inputs, targets)
-        seeds = rng.integers(0, 2**32, n_networks).tolist()
-        params = init_params(config, seeds)
-        got = train_batch(params, data, config, seeds)
-        want = reference_train_batch(params, data, config, seeds)
+        with layer_sizes(sizes):
+            data = [
+                build_training_set(np.cumsum(rng.normal(0, 1, n + window + 1)))
+                for _ in range(n_networks)
+            ]
+            huge = int(rng.integers(n_networks))
+            targets = data[huge].targets.copy()
+            targets[rng.integers(n)] = 1e200
+            data[huge] = TrainingSet(data[huge].inputs, targets)
+            seeds = rng.integers(0, 2**32, n_networks).tolist()
+            params = init_params(seeds)
+            got = train_batch(params, data, config, seeds)
+            want = reference_train_batch(params, data, config, seeds)
         assert isinstance(want[1][huge], TrainingDivergedError)
         for s in range(n_networks):
             assert_same_training(got, s, want, s)
@@ -551,7 +573,7 @@ class TestTrainBatch:
         with pytest.raises(ParameterError):
             self.run_batch([random_walk_set(1)], [1, 2])
         params, outcomes = self.run_batch([], [])
-        assert outcomes == [] and params.shape == (0, init_params(self.CONFIG, [0]).shape[1])
+        assert outcomes == [] and params.shape == (0, init_params([0]).shape[1])
 
 
 class TestPredictDirection:
@@ -572,7 +594,7 @@ class TestPredictDirection:
         closes = np.arange(1.0, 301.0)
         data = build_training_set(closes)
         config = MlpConfig()
-        trained, _ = train_one(init_params(config, [2]), data, config, 2)
+        trained, _ = train_one(init_params([2]), data, config, 2)
         forecast = forecast_one(trained, np.diff(closes)[-5:])
         assert forecast.direction == "up"
         assert forecast.magnitude > 0
@@ -596,7 +618,7 @@ class TestForecast:
     def trained(self):
         """240 trained networks' rows and each one's latest five close differences."""
         data = [random_walk_set(900 + s, n_closes=60) for s in range(240)]
-        params, _ = train_batch(init_params(self.CONFIG, range(240)), data, self.CONFIG, range(240))
+        params, _ = train_batch(init_params(range(240)), data, self.CONFIG, range(240))
         return params, np.stack([d.targets[-5:] for d in data])
 
     @pytest.mark.parametrize("n_networks", [1, 7, 240])
@@ -606,9 +628,9 @@ class TestForecast:
         if n_networks > 1:
             inputs[3, 2] = np.nan
             inputs[-1, 0] = np.inf
-        got = forecast(params[:n_networks], rows, inputs, self.CONFIG)
+        got = forecast(params[:n_networks], rows, inputs)
         for result, r, row in zip(got, rows, inputs):
-            layers = network(params, self.CONFIG, r)
+            layers = network(params, r)
             if n_networks > 1 and r in (3, n_networks - 1):
                 assert isinstance(result, InvalidInputError)
                 assert str(result) == "input must be finite"
@@ -626,33 +648,33 @@ class TestForecast:
         # row the bits it gives that row alone.
         params, inputs = trained
         rows = [0] * 7 + [*range(239, 200, -3), 5, 5, 17]
-        got = forecast(params, rows, inputs[:len(rows)], self.CONFIG)
+        got = forecast(params, rows, inputs[:len(rows)])
         for result, r, row in zip(got, rows, inputs):
-            assert result == reference_predict_direction(*network(params, self.CONFIG, r), row)
-            assert [result] == forecast(params[r:r + 1].copy(), [0], row[None], self.CONFIG)
+            assert result == reference_predict_direction(*network(params, r), row)
+            assert [result] == forecast(params[r:r + 1].copy(), [0], row[None])
 
     def test_one_by_one_network(self):
         # The (1, 1) network of TestAdam: a linear map of one difference.
-        config = MlpConfig(layer_sizes=(1, 1), epochs=1, batch_size=1)
-        params = init_params(config, range(3))
         inputs = np.array([[0.7], [-2.0], [0.0]])
-        got = forecast(params, range(3), inputs, config)
-        for s, (row, result) in enumerate(zip(inputs, got)):
-            assert result == reference_predict_direction(*network(params, config, s), row)
-            pred = params[s, 0] * row[0] + params[s, 1]  # weight, then bias
-            assert result.magnitude == pytest.approx(abs(pred), abs=1e-15)
+        with layer_sizes((1, 1)):
+            params = init_params(range(3))
+            got = forecast(params, range(3), inputs)
+            for s, (row, result) in enumerate(zip(inputs, got)):
+                assert result == reference_predict_direction(*network(params, s), row)
+                pred = params[s, 0] * row[0] + params[s, 1]  # weight, then bias
+                assert result.magnitude == pytest.approx(abs(pred), abs=1e-15)
 
     def test_input_shape(self):
         for bad in (np.ones((2, 4)), np.ones((1, 5)), np.ones(5), np.ones((3, 5))):
             with pytest.raises(InvalidInputError):
-                forecast(zero_model(2), [0, 1], bad, MlpConfig())
+                forecast(zero_model(2), [0, 1], bad)
 
     def test_empty_batch(self):
         # As train_batch does for no networks; rows without networks err.
-        assert forecast(zero_model(), [], np.empty((0, 5)), MlpConfig()) == []
+        assert forecast(zero_model(), [], np.empty((0, 5))) == []
         assert train_batch(zero_model(0), [], MlpConfig(), [])[1] == []
         with pytest.raises(InvalidInputError):
-            forecast(zero_model(), [], np.ones((1, 5)), MlpConfig())
+            forecast(zero_model(), [], np.ones((1, 5)))
 
 
 class TestSerialization:
@@ -660,27 +682,24 @@ class TestSerialization:
         # init_params makes the per-network init's draws, in the row layout
         # whose _unflatten views train_batch and forecast read.
         for sizes in ((1, 1), (5, 3, 1), LAYER_SIZES):
-            config = MlpConfig(layer_sizes=sizes)
-            params = init_params(config, [7, 0, 2**31 - 1])
-            for s, seed in enumerate([7, 0, 2**31 - 1]):
-                weights, biases = reference_init_model(config, seed)
-                for view, tensor in zip(network(params, config, s), (weights, biases)):
-                    assert all(a.tobytes() == b.tobytes() for a, b in zip(view, tensor))
+            with layer_sizes(sizes):
+                params = init_params([7, 0, 2**31 - 1])
+                for s, seed in enumerate([7, 0, 2**31 - 1]):
+                    weights, biases = reference_init_model(sizes, seed)
+                    for view, tensor in zip(network(params, s), (weights, biases)):
+                        assert all(a.tobytes() == b.tobytes() for a, b in zip(view, tensor))
 
 
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ParameterError):
-            MlpConfig(learning_rate=0.0)
-        with pytest.raises(ParameterError):
             MlpConfig(epochs=0)
         with pytest.raises(ParameterError):
-            MlpConfig(layer_sizes=(5,))
-        # The output layer is the one forecast; a wider one cannot train.
-        with pytest.raises(ParameterError, match="end in 1"):
-            MlpConfig(layer_sizes=(5, 3))
+            MlpConfig(batch_size=0)
 
     def test_default_architecture(self):
-        assert MlpConfig().layer_sizes == (5, 10, 10, 10, 5, 1)
-        assert MlpConfig().learning_rate == 0.001
-        assert MlpConfig().epochs == 5
+        # The paper's one network and Adam step are constants, not fields.
+        assert LAYER_SIZES == (5, 10, 10, 10, 5, 1)
+        assert trend_net.INPUT_SIZE == 5 and trend_net.SHAPES == shapes_of(LAYER_SIZES)
+        assert ADAM_LEARNING_RATE == 0.001
+        assert (MlpConfig().epochs, MlpConfig().batch_size) == (5, 16)
