@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from datetime import date
 
 from .directions import DOWN, FLAT, UP
-from .errors import ParameterError
+
+# The confidence of every insight's view in the Black-Litterman blend: its
+# precision is VIEW_CONFIDENCE / Sigma_ii (portfolio_bl.build_views).
+VIEW_CONFIDENCE = 0.5
 
 
 @dataclass(frozen=True)
@@ -23,7 +26,6 @@ class Insight:
     symbol: str
     direction: str
     magnitude: float
-    confidence: float
     issued_at: date
     period: int
     diagnostic: str = ""
@@ -34,19 +36,10 @@ class Insight:
             "date": self.issued_at.isoformat(),
             "direction": self.direction,
             "magnitude": self.magnitude,
-            "confidence": self.confidence,
+            "confidence": VIEW_CONFIDENCE,
             "period": self.period,
             "diagnostic": self.diagnostic,
         }
-
-
-@dataclass
-class FusionConfig:
-    confidence: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.confidence <= 1.0:
-            raise ParameterError("confidence must be in (0, 1]")
 
 
 def fuse(
@@ -55,7 +48,6 @@ def fuse(
     symbol: str,
     issued_at: date,
     period: int,
-    config: FusionConfig | None = None,
 ) -> Insight:
     """Combine (direction, expected return) from the regime model with
     (direction, magnitude) from the trend network.
@@ -63,7 +55,6 @@ def fuse(
     A missing model output degrades conservatively to a flat insight with a
     diagnostic note instead of trading on a single model.
     """
-    config = config or FusionConfig()
     if hmm_signal is None or nn_signal is None:
         missing = [
             name
@@ -71,14 +62,12 @@ def fuse(
             if sig is None
         ]
         return Insight(
-            symbol, FLAT, 0.0, config.confidence, issued_at, period,
+            symbol, FLAT, 0.0, issued_at, period,
             diagnostic=f"missing model output: {','.join(missing)}",
         )
 
     hmm_dir, hmm_expected = hmm_signal
     nn_dir, _nn_magnitude = nn_signal
     if hmm_dir == nn_dir and hmm_dir in (UP, DOWN):
-        return Insight(
-            symbol, hmm_dir, abs(hmm_expected), config.confidence, issued_at, period
-        )
-    return Insight(symbol, FLAT, 0.0, config.confidence, issued_at, period)
+        return Insight(symbol, hmm_dir, abs(hmm_expected), issued_at, period)
+    return Insight(symbol, FLAT, 0.0, issued_at, period)

@@ -9,7 +9,7 @@ The book loop trades the plan's weights per day of its calendar, in order:
      target weights, if it has any
   4. ``_check_positions``: at the close, run the risk overlays on each held
      symbol with a bar today and liquidate one missing more than
-     ``max_gap_bars`` bars
+     ``MAX_GAP_BARS`` bars
   5. ``Book.equity``: append the equity point (cash + positions at last
      known closes)
 
@@ -42,6 +42,9 @@ if TYPE_CHECKING:  # runconfig imports this module for EngineConfig
 REASON_REBALANCE = "rebalance"
 REASON_DATA_GAP = "data-gap"
 
+# A held symbol that misses more than this many bars in a row is liquidated.
+MAX_GAP_BARS = 5
+
 
 @dataclass
 class EngineConfig:
@@ -54,7 +57,6 @@ class EngineConfig:
     window_bars: int = 252
     per_share_fee: float = 0.005
     min_fee: float = 1.0
-    max_gap_bars: int = 5
     risk_free_rate: float = 0.0
 
     def __post_init__(self):
@@ -66,8 +68,6 @@ class EngineConfig:
             raise ParameterError("invalid warmup_bars / window_bars")
         if self.per_share_fee < 0 or self.min_fee < 0:
             raise ParameterError("per_share_fee and min_fee must be non-negative")
-        if self.max_gap_bars < 0:
-            raise ParameterError("max_gap_bars must be non-negative")
         metrics.check_risk_free_rate(self.risk_free_rate)
 
 
@@ -366,7 +366,7 @@ def _rebalance(book: Book, weights: Mapping[str, float] | None) -> None:
 def _check_positions(book: Book, day: date) -> None:
     """Step 4: at the close, advance each held position with a bar today
     through the risk overlays, and count the trading days since the last bar
-    of each without one; a breach, or a gap longer than ``max_gap_bars``,
+    of each without one; a breach, or a gap longer than ``MAX_GAP_BARS``,
     queues a liquidation. Fills happen only on days with a bar, so a held
     symbol was held on every day it missed, and a liquidation for a gap
     cannot fill before the close. A symbol's rows never decrease, so the
@@ -386,7 +386,7 @@ def _check_positions(book: Book, day: date) -> None:
             continue
         rows = book.rows[symbol]
         missed = book.today - int(rows.searchsorted(rows[book.today]))
-        if missed > book.config.engine.max_gap_bars and _queue_liquidation(
+        if missed > MAX_GAP_BARS and _queue_liquidation(
             book, day, symbol, REASON_DATA_GAP, book.last_close(symbol), 0.0
         ):
             book.diagnostics.append(f"{day}: {symbol} missing {missed} bars, force-liquidating")

@@ -81,11 +81,14 @@ class SymbolBars:
 @dataclass
 class IngestResult:
     """Per-symbol columns, in the order each symbol first appears, plus
-    ingestion diagnostics."""
+    ingestion diagnostics: one per rejected row."""
 
     bars_by_symbol: dict[str, SymbolBars]
-    rejected_rows: int = 0
     diagnostics: list[str] = field(default_factory=list)
+
+    @property
+    def rejected_rows(self) -> int:
+        return len(self.diagnostics)
 
 
 # A bar CSV is parsed in min(usable CPUs, file bytes // INGEST_RANGE_BYTES)
@@ -173,7 +176,7 @@ class _Grouped:
             for i, symbol in enumerate(self.symbols)
         }
         diagnostics = [f"{path}:{line}: {message}" for line, message in self.rejected]
-        return IngestResult(bars, len(diagnostics), diagnostics)
+        return IngestResult(bars, diagnostics)
 
 
 def _cached(path: Path) -> IngestResult:

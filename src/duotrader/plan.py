@@ -359,9 +359,7 @@ def _generate_insights(step: Step, config: RunConfig) -> None:
             if isinstance(signal, Exception):
                 step.notes.append(f"{day}: {symbol} {name} forecast failed: {signal}")
         hmm_signal, nn_signal = (None if isinstance(s, Exception) else s for s in signals)
-        insight = alpha_fusion.fuse(
-            hmm_signal, nn_signal, symbol, day, config.engine.rebalance_every, config.fusion
-        )
+        insight = alpha_fusion.fuse(hmm_signal, nn_signal, symbol, day, config.engine.rebalance_every)
         if insight.diagnostic:
             step.notes.append(f"{day}: {symbol}: {insight.diagnostic}")
         step.insights.append(insight)
@@ -404,7 +402,7 @@ def _build_targets(
     sigma = portfolio_bl.estimate_covariance({s: r[-depth:] for s, r in returns.items()})
     market_caps = np.array(list(caps.values()))
     market_weights = market_caps / market_caps.sum()
-    pi = portfolio_bl.equilibrium_returns(sigma, market_weights, bl_config.risk_aversion)
+    pi = portfolio_bl.equilibrium_returns(sigma, market_weights, portfolio_bl.RISK_AVERSION)
     q, precision = portfolio_bl.build_views(step.insights, usable, sigma)
     mu = portfolio_bl.posterior_returns(pi, sigma, q, precision)
     step.weights = portfolio_bl.optimize_weights(mu, sigma, bl_config, usable)

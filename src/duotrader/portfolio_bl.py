@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .alpha_fusion import Insight
+from .alpha_fusion import VIEW_CONFIDENCE, Insight
 from .directions import DOWN, UP
 from .errors import (
     DataAlignmentError,
@@ -32,16 +32,16 @@ from .metrics import TRADING_DAYS
 
 COVARIANCE_RIDGE = 1e-8
 
+# The risk aversion delta of the equilibrium prior and of the mean-variance solve.
+RISK_AVERSION = 2.5
+
 
 @dataclass
 class BlConfig:
-    risk_aversion: float = 2.5
     covariance_lookback: int = 252
     max_weight: float = 0.20
 
     def __post_init__(self):
-        if self.risk_aversion <= 0:
-            raise ParameterError("risk_aversion must be > 0")
         if not 0.0 < self.max_weight <= 1.0:
             raise ParameterError("max_weight must be in (0, 1]")
         # A rebalance needs more returns than assets + 1 to estimate a
@@ -89,9 +89,9 @@ def build_views(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One absolute view per non-flat insight on a universe symbol, as two
     (N,) arrays: the view return q (the signed insight magnitude) and its
-    precision confidence / Sigma_ii, so a more confident insight weighs more
-    in the blend. Both are 0 for a symbol without a view. The plan issues at
-    most one insight per symbol.
+    precision VIEW_CONFIDENCE / Sigma_ii, so a view on a less volatile
+    symbol weighs more in the blend. Both are 0 for a symbol without a view.
+    The plan issues at most one insight per symbol.
     """
     index = {s: i for i, s in enumerate(symbols)}
     q, precision = np.zeros(len(symbols)), np.zeros(len(symbols))
@@ -100,7 +100,7 @@ def build_views(
             continue
         i = index[insight.symbol]
         q[i] = insight.magnitude if insight.direction == UP else -insight.magnitude
-        precision[i] = insight.confidence / max(float(sigma[i, i]), COVARIANCE_RIDGE)
+        precision[i] = VIEW_CONFIDENCE / max(float(sigma[i, i]), COVARIANCE_RIDGE)
     return q, precision
 
 
@@ -139,7 +139,7 @@ def optimize_weights(
     then scaled down proportionally if the clamped weights sum past 1."""
     mu = np.asarray(mu, dtype=float)
     try:
-        raw = np.linalg.solve(config.risk_aversion * sigma, mu)
+        raw = np.linalg.solve(RISK_AVERSION * sigma, mu)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"mean-variance solve failed: {exc}") from exc
     weights = np.clip(raw, 0.0, config.max_weight)

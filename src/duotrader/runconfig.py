@@ -17,7 +17,6 @@ from datetime import date
 from pathlib import Path
 from typing import Any
 
-from .alpha_fusion import FusionConfig
 from .engine import EngineConfig
 from .errors import ConfigError, ParameterError
 from .portfolio_bl import BlConfig
@@ -42,7 +41,6 @@ class RunConfig:
     universe: UniverseConfig = field(default_factory=UniverseConfig)
     hmm: HmmConfig = field(default_factory=HmmConfig)
     mlp: MlpConfig = field(default_factory=MlpConfig)
-    fusion: FusionConfig = field(default_factory=FusionConfig)
     bl: BlConfig = field(default_factory=BlConfig)
     risk: RiskConfig = field(default_factory=RiskConfig)
     engine: EngineConfig = field(default_factory=EngineConfig)

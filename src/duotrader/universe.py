@@ -78,9 +78,11 @@ def candidate_panel(
 def select_universe(panel: CandidatePanel, config: UniverseConfig, as_of: date) -> list[str]:
     """Apply the liquidity filter then the sector/market-cap filter.
 
-    Candidates with no bar on or before ``as_of`` are ignored. Liquidity is
-    the dollar volume of the last ``liquidity_lookback`` bars, summed oldest
-    first: a pairwise sum rounds differently and could reorder candidates.
+    Candidates with no bar on or before ``as_of`` are ignored, and so is a
+    candidate whose market cap overflows to inf, which no allocation could
+    weigh. Liquidity is the dollar volume of the last ``liquidity_lookback``
+    bars, summed oldest first: a pairwise sum rounds differently and could
+    reorder candidates.
     Returns an ordered list (largest market cap first), possibly shorter
     than ``fine_count``.
     """
@@ -90,9 +92,11 @@ def select_universe(panel: CandidatePanel, config: UniverseConfig, as_of: date) 
     keys = np.arange(count) * _SPAN + as_of.toordinal()
     rows = panel.day_keys.searchsorted(keys, "right") - np.arange(count) * width - 1
     live = np.flatnonzero(rows >= 0)
-    with np.errstate(over="ignore"):  # a liquidity or cap that overflows is inf: it ranks first
+    with np.errstate(over="ignore"):  # an overflow is inf: such a liquidity ranks first
         liquidity = panel.windows[live, rows[live]].cumsum(axis=1)[:, -1]
         coarse = live[np.argsort(-liquidity, kind="stable")[: config.coarse_count]]
         fine = coarse[panel.sectors[coarse] == config.sector.lower()]
         caps = panel.shares[fine] * panel.close[fine, rows[fine]]
+    finite = np.isfinite(caps)
+    fine, caps = fine[finite], caps[finite]
     return [panel.symbols[i] for i in fine[np.lexsort((fine, -caps))][: config.fine_count]]

@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 
 from duotrader import regime_hmm, trend_net
-from duotrader.alpha_fusion import FusionConfig, fuse
+from duotrader.alpha_fusion import fuse
 from duotrader.directions import DOWN, FLAT, UP
 from duotrader.engine import EngineConfig, run_backtest
 from duotrader.marketdata import InstrumentMeta, synth_regime_series
 from duotrader.metrics import cagr, compute_report, profit_loss_ratio, total_return
 from duotrader.portfolio_bl import (
+    RISK_AVERSION,
     BlConfig,
     equilibrium_returns,
     optimize_weights,
@@ -79,7 +80,6 @@ def run_engine(bars_by_symbol, meta, benchmark):
             universe=UniverseConfig(),
             hmm=HmmConfig(),       # 5 states, <= 10 EM iterations
             mlp=MlpConfig(),       # 5 -> 10 -> 10 -> 10 -> 5 -> 1, lr 0.001, 5 epochs
-            fusion=FusionConfig(),
             bl=BlConfig(),
             risk=RiskConfig(),
             engine=EngineConfig(warmup_bars=WARMUP),
@@ -272,7 +272,7 @@ def test_criterion_07_black_litterman_identities():
     weights = rng.uniform(0.1, 0.4, 4)
     weights /= weights.sum()
     config = BlConfig(max_weight=1.0)
-    prior = equilibrium_returns(sigma4, weights, config.risk_aversion)
+    prior = equilibrium_returns(sigma4, weights, RISK_AVERSION)
     recovered = np.array(list(optimize_weights(prior, sigma4, config, list("ABCD")).values()))
     round_trip_err = float(np.max(np.abs(recovered - weights)))
 

@@ -3,9 +3,8 @@ from datetime import date
 
 import pytest
 
-from duotrader.alpha_fusion import FusionConfig, fuse
+from duotrader.alpha_fusion import VIEW_CONFIDENCE, fuse
 from duotrader.directions import DOWN, FLAT, UP
-from duotrader.errors import ParameterError
 
 DAY = date(2021, 3, 1)
 
@@ -64,17 +63,7 @@ class TestMagnitudeAndConfidence:
         assert run(UP, DOWN).magnitude == 0.0
 
     def test_default_confidence(self):
-        assert run(UP, UP).confidence == 0.5
-
-    def test_configured_confidence(self):
-        insight = fuse((UP, 0.01), (UP, 1.0), "XOM", DAY, 21, FusionConfig(confidence=0.8))
-        assert insight.confidence == 0.8
-
-    def test_invalid_confidence(self):
-        with pytest.raises(ParameterError):
-            FusionConfig(confidence=0.0)
-        with pytest.raises(ParameterError):
-            FusionConfig(confidence=1.5)
+        assert run(UP, UP).to_dict()["confidence"] == VIEW_CONFIDENCE == 0.5
 
 
 class TestDegradation:

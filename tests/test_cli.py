@@ -376,7 +376,7 @@ class TestBacktest:
         assert main(["backtest", "--config", str(config), "--seed", "13"]) == 0
         resolved = json.loads((out_dir / "resolved_config.json").read_text())
         assert resolved["seed"] == 13
-        assert resolved["bl"]["risk_aversion"] == 2.5   # default preserved
+        assert resolved["bl"]["max_weight"] == 0.2      # default preserved
         assert resolved["engine"]["warmup_bars"] == 80  # file value preserved
         assert resolved["hmm"]["n_states"] == 2
         # Model seeds derive from the top-level seed; the sections list none.
@@ -394,7 +394,7 @@ class TestBacktest:
                 assert path.read_bytes() == (replay_dir / path.name).read_bytes(), path.name
 
     @pytest.mark.parametrize("key, value", [
-        ("bl.risk_aversion", float("nan")),
+        ("bl.max_weight", float("nan")),
         ("engine.per_share_fee", float("nan")),
         ("hmm.n_states", float("nan")),
         ("engine.initial_equity", float("nan")),
@@ -442,7 +442,7 @@ class TestBacktest:
     ("backtest", "universe.fine_count=2.5", "at universe: fine_count"),
     ("backtest", "engine.warmup_bars=180.5", "at engine: warmup_bars"),
     ("backtest", "seed=true", "at top level: seed"),                     # int refuses bool
-    ("backtest", 'bl.risk_aversion="0.1"', "at bl: risk_aversion"),      # float
+    ("backtest", 'bl.max_weight="0.1"', "at bl: max_weight"),            # float
     ("backtest", "bl.long_only=true", "at bl: long_only"),               # removed key
     ("backtest", "universe.sector=5", "at universe: sector"),            # str
     ("backtest", "data.benchmark=5", "at data: benchmark"),              # str | None
@@ -475,6 +475,9 @@ class TestBacktest:
     ("backtest", "bl.tau=0.05", "at bl: tau"),                           # removed key
     ("backtest", "hmm.convergence_tol=0.0001", "unknown key(s) at hmm: convergence_tol"),
     ("backtest", "hmm.variance_floor=1e-12", "unknown key(s) at hmm: variance_floor"),
+    ("backtest", "fusion.confidence=0.5", "unknown key(s) at top level: fusion"),
+    ("backtest", "bl.risk_aversion=2.5", "unknown key(s) at bl: risk_aversion"),
+    ("backtest", "engine.max_gap_bars=5", "unknown key(s) at engine: max_gap_bars"),
     ("backtest", "foo", "override must look like section.key=value, got 'foo'"),
 ])
 def test_wrong_input_exit_2(tmp_path, capsys, command, value, named):

@@ -366,27 +366,28 @@ class TestRunBacktest:
     @pytest.mark.parametrize("market", ["shares", "close"])
     def test_overflowing_market_cap_leaves_symbol_out_of_allocation(self, market):
         # S02's market cap overflows to inf, from its shares outstanding or
-        # from closes near 1e303 from row 200 on: its weight in the market
-        # portfolio would be NaN. Each rebalance that would allocate to S02
-        # leaves it out with a note instead, and the run goes on.
+        # from closes near 1e303 from row 200 (2015-10-09) on: its weight in
+        # the market portfolio would be NaN. Universe selection skips such a
+        # candidate, so the next name takes its slot. The one rebalance
+        # between the overflow and the next monthly selection leaves S02 out
+        # of its allocation with a note instead, and the run goes on.
         bars_by_symbol, meta = synth_market()
         if market == "shares":
             meta["S02"] = InstrumentMeta("S02", "Energy", int(1e308))
-            tainted = set()
+            overflow = date.min
         else:
             bars = bars_by_symbol["S02"] = scale_prices(bars_by_symbol["S02"], 2e301, first=200)
-            tainted = {day_of(bars, row).isoformat() for row in range(200, 320)}
+            overflow = day_of(bars, 200)
         result = small_run(bars_by_symbol, meta)
         assert len(result.equity_curve) == 320 and result.fills
         note = "S02 left out of the allocation: market cap is not finite"
-        left_out = {d.split(":")[0] for d in result.diagnostics if note in d}
-        assert left_out
+        left_out = [d.split(":")[0] for d in result.diagnostics if note in d]
+        assert left_out == ([] if market == "shares" else ["2015-10-15"])
         for allocation in result.allocations:
             day = allocation["date"]
-            assert ("S02" in allocation["symbols"]) == (day not in left_out)
+            assert ("S02" in allocation["symbols"]) == (date.fromisoformat(day) < overflow)
+            assert len(allocation["symbols"]) == (3 if day in left_out else 4)
             assert np.isfinite(list(allocation["weights"].values())).all()
-            if market == "close":
-                assert (day in left_out) == (day in tainted)
 
     def test_rebalance_without_usable_symbols_goes_to_cash(self):
         # Without warm-up, the first rebalance's windows hold one close each.
@@ -992,7 +993,7 @@ class TestReturnColumns:
 
 class TestDataGap:
     def test_gap_forces_liquidation(self):
-        # one symbol stops trading for > max_gap_bars while others keep the
+        # one symbol stops trading for > MAX_GAP_BARS while others keep the
         # calendar alive, then returns; the position must be force-closed
         closes = list(np.linspace(50, 55, 60))
         steady = {f"K{i}": make_bars(closes) for i in range(2)}
@@ -1023,7 +1024,7 @@ class TestDataGap:
         assert gap_events and gap_events[0]["symbol"] == "GAP"
         assert gap_fills and gap_fills[0].symbol == "GAP"
         assert gap_fills[0].side == "sell"
-        # The 12-bar gap passes max_gap_bars on its 6th missing day; the
+        # The 12-bar gap passes MAX_GAP_BARS on its 6th missing day; the
         # pending liquidation then blocks a second one on each later day.
         liquidating = [d for d in result.diagnostics if "force-liquidating" in d]
         assert len(gap_events) == 1
@@ -1032,7 +1033,7 @@ class TestDataGap:
 
     def test_same_day_risk_events_in_symbol_order(self):
         # Both symbols are bought at the second open. S1's last bar is the
-        # third, so at the ninth close it has missed 6 > max_gap_bars bars;
+        # third, so at the ninth close it has missed 6 > MAX_GAP_BARS bars;
         # at that close S0 falls 10 % from its peak, past its 5 % maximum
         # drawdown. The close-of-day stage logs both in symbol order.
         bars_by_symbol = {"S0": make_bars([10.0] * 8 + [9.0] * 4), "S1": make_bars([10.0] * 3)}

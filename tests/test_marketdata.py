@@ -237,14 +237,12 @@ def reference_read_rows(path):
     records, not lines, so it reads a quoted field that spans lines as one
     row (see ``test_quoted_field_spanning_lines``)."""
     rows: dict[str, list[tuple]] = {}
-    rejected = 0
     diagnostics: list[str] = []
     with marketdata._open_csv(path, BAR_CSV_HEADER, "bar") as handle:
         for lineno, row in enumerate(csv.reader(handle), start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(BAR_CSV_HEADER):
-                rejected += 1
                 diagnostics.append(f"{path}:{lineno}: wrong field count")
                 continue
             symbol = row[0].strip()
@@ -257,15 +255,12 @@ def reference_read_rows(path):
                 vol_text = row[6].strip()
                 volume = int(float(vol_text)) if vol_text else 0
             except (ValueError, OverflowError) as exc:
-                rejected += 1
                 diagnostics.append(f"{path}:{lineno}: {exc}")
                 continue
             if not symbol:
-                rejected += 1
                 diagnostics.append(f"{path}:{lineno}: empty symbol")
                 continue
             if volume < 0 or low > min(open_, close) or max(open_, close) > high:
-                rejected += 1
                 diagnostics.append(f"{path}:{lineno}: inconsistent OHLCV fields")
                 continue
             prior = rows.setdefault(symbol, [])
@@ -281,7 +276,7 @@ def reference_read_rows(path):
         days, *fields = zip(*records)
         arrays = [np.array(days, dtype=np.int64)] + [np.array(f, dtype=float) for f in fields]
         columns[symbol] = SymbolBars(*arrays)
-    return IngestResult(columns, rejected, diagnostics)
+    return IngestResult(columns, diagnostics)
 
 
 @pytest.fixture

@@ -77,7 +77,6 @@ BOOK_FIELDS = st.fixed_dictionaries({
     "initial_equity": st.sampled_from([1.0, 5_000.0, 100_000.0, 1e9]),
     "per_share_fee": st.sampled_from([0.0, 0.005, 0.5]),
     "min_fee": st.sampled_from([0.0, 1.0, 25.0]),
-    "max_gap_bars": st.integers(0, 10),
 })
 MARKET = small_market()
 

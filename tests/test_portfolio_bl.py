@@ -11,6 +11,7 @@ from duotrader.errors import (
 )
 from duotrader.portfolio_bl import (
     COVARIANCE_RIDGE,
+    RISK_AVERSION,
     BlConfig,
     build_views,
     equilibrium_returns,
@@ -22,8 +23,8 @@ from duotrader.portfolio_bl import (
 DAY = date(2021, 5, 3)
 
 
-def insight(symbol, direction, magnitude=0.02, confidence=0.5):
-    return Insight(symbol, direction, magnitude, confidence, DAY, 21)
+def insight(symbol, direction, magnitude=0.02):
+    return Insight(symbol, direction, magnitude, DAY, 21)
 
 
 class TestEstimateCovariance:
@@ -99,9 +100,9 @@ class TestBuildViews:
         assert precision == pytest.approx([0.5 / 0.04, 0.0, 0.5 / 0.04])
 
     def test_omega_proportional_rule(self):
-        # precision = tau / Omega_ii = confidence / Sigma_ii
+        # precision = tau / Omega_ii = VIEW_CONFIDENCE / Sigma_ii, with VIEW_CONFIDENCE 0.5
         sigma = np.diag([0.04, 0.09])
-        _, precision = build_views([insight("B", "up", 0.02, confidence=0.5)], ["A", "B"], sigma)
+        _, precision = build_views([insight("B", "up", 0.02)], ["A", "B"], sigma)
         assert precision[1] == pytest.approx(0.5 / 0.09)
 
     def test_unknown_symbols_skipped(self):
@@ -200,7 +201,7 @@ class TestOptimizeWeights:
         # Market weights are positive, at most the cap and sum to 1, so the
         # projection leaves them (to rounding).
         config = BlConfig(max_weight=1.0)
-        pi = equilibrium_returns(sigma, w_mkt, config.risk_aversion)
+        pi = equilibrium_returns(sigma, w_mkt, RISK_AVERSION)
         result = optimize_weights(pi, sigma, config, list("ABCDE"))
         assert np.array(list(result.values())) == pytest.approx(w_mkt, abs=1e-9)
 
@@ -214,7 +215,8 @@ class TestOptimizeWeights:
         # unconstrained w = mu / (delta * var) = [0.2, -0.1]
         sigma = np.diag([0.04, 0.04])
         mu = np.array([0.02, -0.01])
-        config = BlConfig(risk_aversion=2.5, max_weight=0.20)
+        config = BlConfig(max_weight=0.20)
+        assert RISK_AVERSION == 2.5
         result = optimize_weights(mu, sigma, config, ["A", "B"])
         assert result["A"] == pytest.approx(0.20)
         assert result["B"] == 0.0
@@ -245,10 +247,6 @@ class TestOptimizeWeights:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ParameterError):
-            BlConfig(risk_aversion=0)
-        with pytest.raises(ParameterError):
-            BlConfig(risk_aversion=-1)
         with pytest.raises(ParameterError):
             BlConfig(max_weight=0.0)
 

@@ -18,7 +18,7 @@ def test_defaults_without_file():
     assert config.engine.warmup_bars == 756
     assert config.hmm.n_states == 5
     assert config.mlp.epochs == 5
-    assert config.bl.risk_aversion == 2.5
+    assert config.bl.max_weight == 0.2
 
 
 def test_file_values_applied(tmp_path):
@@ -67,11 +67,10 @@ def test_invalid_section_value(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("engine.max_gap_bars", -3), ("engine.per_share_fee", -0.01), ("engine.min_fee", -1.0),
+    ("engine.per_share_fee", -0.01), ("engine.min_fee", -1.0),
 ])
 def test_negative_limit_rejected(key, value):
-    # A negative gap limit would act as 0 and a negative fee would pay the
-    # trader; zero is a legal value of each.
+    # A negative fee would pay the trader; zero is a legal value of each.
     section, field = key.split(".")
     with pytest.raises(ConfigError, match=f"invalid values at {section}: .*{field}"):
         load_config(None, {key: value})
@@ -79,7 +78,7 @@ def test_negative_limit_rejected(key, value):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("engine.start_date", "2020-13-45"), ("bl.risk_aversion", ["a"]),
+    ("engine.start_date", "2020-13-45"), ("bl.max_weight", ["a"]),
 ])
 def test_uncoercible_value_rejected(key, value):
     with pytest.raises(ConfigError, match=key.split(".")[0]):
@@ -90,6 +89,20 @@ def test_engine_seed_rejected(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"engine": {"seed": 9}}))
     with pytest.raises(ConfigError, match="seed"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"fusion": {"confidence": 0.5}}, "unknown key(s) at top level: fusion"),
+    ({"bl": {"risk_aversion": 2.5}}, "unknown key(s) at bl: risk_aversion"),
+    ({"engine": {"max_gap_bars": 5}}, "unknown key(s) at engine: max_gap_bars"),
+])
+def test_key_made_a_constant_rejected(tmp_path, payload, message):
+    # The view confidence, the risk aversion and the gap limit are module
+    # constants; a file that still sets one fails the load.
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(path)
 
 
@@ -131,8 +144,8 @@ def test_resolved_config_decodes_to_the_config(tmp_path, payload):
 
 
 def test_int_for_float_field_stored_as_float():
-    config = load_config(None, {"bl.risk_aversion": 1, "engine.initial_equity": 50000})
-    assert type(config.bl.risk_aversion) is float and config.bl.risk_aversion == 1.0
+    config = load_config(None, {"bl.max_weight": 1, "engine.initial_equity": 50000})
+    assert type(config.bl.max_weight) is float and config.bl.max_weight == 1.0
     assert type(config.resolved()["engine"]["initial_equity"]) is float
 
 
