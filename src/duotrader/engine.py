@@ -18,8 +18,8 @@ pending orders (at most one per symbol) and, on rebalance days, the target
 symbols, so the book is a function of the plan's calendar, row tables and
 weights, the open and close columns and the config. Both liquidation paths
 go through ``_queue_liquidation``. Orders always fill at the NEXT bar's open,
-so no decision uses a price that was not yet observable, and every price the
-book reads must be positive and finite.
+so no decision uses a price that was not yet observable. Every price the book
+reads is positive and finite: ``SymbolBars`` holds no other.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import metrics, risk_controls
 from .alpha_fusion import Insight
-from .errors import InvalidInputError, ParameterError
+from .errors import ParameterError
 from .marketdata import InstrumentMeta, SymbolBars
 from .plan import Plan, build_plan
 
@@ -224,14 +224,7 @@ class Book:
 
     def price(self, symbol: str, column: str, row: int) -> float:
         """The symbol's ``column`` ("open" or "close") price at ``row``."""
-        bars = self.series[symbol]
-        value = float(getattr(bars, column)[row])
-        if not 0.0 < value < np.inf:
-            raise InvalidInputError(
-                f"{date.fromordinal(int(bars.days[row]))}: {symbol} {column}"
-                f" must be a positive price, got {value}"
-            )
-        return value
+        return float(getattr(self.series[symbol], column)[row])
 
     def last_close(self, symbol: str) -> float | None:
         row = self.rows[symbol][self.today]

@@ -1,10 +1,10 @@
 """Daily bar ingestion and synthetic regime-switching data.
 
-All prices are daily closes in currency units. Ingestion keeps each
-symbol's history as columns (``SymbolBars``), not as one object per bar. It
-is strict about prices (a bar without a valid positive close, open, high
-and low, or with a non-finite volume, is dropped) and about per-symbol
-timestamp ordering (a violation is fatal).
+All prices are daily closes in currency units. Each symbol's history is
+columns (``SymbolBars``), not one object per bar. One rule (``_usable``)
+says which bar is usable: ingestion drops a row that breaks it, and
+``SymbolBars`` refuses to hold one, so no reader checks prices again. A
+per-symbol timestamp that does not increase is fatal.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .errors import (
     DataAlignmentError,
     DataOrderingError,
     DuotraderError,
+    InvalidInputError,
     ParameterError,
 )
 
@@ -42,11 +43,27 @@ META_CSV_HEADER = ["symbol", "sector", "shares_outstanding"]
 
 @dataclass(frozen=True)
 class InstrumentMeta:
-    """Static per-symbol metadata used by the universe filters."""
+    """Static per-symbol metadata used by the universe filters. Construction
+    refuses an empty symbol and shares outstanding below 1."""
 
     symbol: str
     sector: str
     shares_outstanding: int
+
+    def __post_init__(self):
+        if not self.symbol or not self.shares_outstanding >= 1:
+            raise InvalidInputError("invalid metadata row")
+
+
+def _usable(open_, high, low, close, volume) -> np.ndarray:
+    """The mask of usable bars: finite, positive, ordered prices (low <= open,
+    close <= high < inf) and a finite, non-negative volume. np.minimum and
+    np.maximum pass a NaN open or close on to fail the ordering (np.fmin and
+    np.fmax would drop it)."""
+    return (
+        (low > 0) & (low <= np.minimum(open_, close)) & (np.maximum(open_, close) <= high)
+        & (high < np.inf) & (volume >= 0) & (volume < np.inf)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,9 +71,9 @@ class SymbolBars:
     """One symbol's daily history as columns, oldest first: ``days`` holds
     strictly increasing day ordinals (``date.toordinal``) and the other five
     float64 arrays hold that day's fields. A volume is a whole number of
-    shares. Construction checks that the six columns share one length and
-    that the days strictly increase, and makes every column read-only; it
-    copies none of them."""
+    shares. Construction checks that the six columns share one length, that
+    the days strictly increase and that every bar is usable (``_usable``),
+    and makes every column read-only; it copies none of them."""
 
     days: np.ndarray
     open: np.ndarray
@@ -71,6 +88,11 @@ class SymbolBars:
             raise DataAlignmentError("the columns of a SymbolBars must share one length")
         if np.any(np.diff(self.days) <= 0):
             raise DataOrderingError("bars must be in strictly increasing day order")
+        if not (usable := _usable(*columns[1:])).all():
+            row = int(usable.argmin())
+            fields = (f"{name} {float(c[row])}" for name, c in zip(BAR_CSV_HEADER[2:], columns[1:]))
+            day = date.fromordinal(int(self.days[row]))
+            raise InvalidInputError(f"{day}: unusable bar: {', '.join(fields)}")
         for column in columns:
             column.flags.writeable = False
 
@@ -290,7 +312,7 @@ def _load(record: np.lib.npyio.NpzFile, path: Path) -> IngestResult | None:
     )
     try:
         return grouped.result(path)
-    except DataOrderingError:  # days no parse would keep
+    except (DataOrderingError, InvalidInputError):  # bars no parse would keep
         return None
 
 
@@ -432,13 +454,7 @@ def _parse_columns(lines: Iterable[str], skip: int):
     ordinals = [date.fromisoformat(d.strip()).toordinal() for d in dates]
     days = np.array(ordinals, dtype=np.int64)[date_codes]
     volume = np.trunc(volume) + 0.0  # int(float(text)), with -0.0 as 0
-    # low > 0 and the OHLC ordering make every price positive.
-    clean = (
-        np.isfinite(open_) & np.isfinite(high) & np.isfinite(low)
-        & np.isfinite(close) & np.isfinite(volume) & (low > 0) & (volume >= 0)
-        & (low <= np.minimum(open_, close)) & (np.maximum(open_, close) <= high)
-    )
-    if not clean.all():
+    if not _usable(open_, high, low, close, volume).all():
         raise ValueError("a row to reject")
     return symbols, codes, days, [open_, high, low, close, volume]
 
@@ -540,16 +556,16 @@ def ingest_meta_csv(path: str | Path) -> dict[str, InstrumentMeta]:
                 raise DuotraderError(f"{path}:{lineno}: wrong field count")
             symbol = row[0].strip()
             try:
-                shares = int(float(row[2]))
+                item = InstrumentMeta(symbol, row[1].strip(), int(float(row[2])))
             except (ValueError, OverflowError) as exc:
                 raise DuotraderError(f"{path}:{lineno}: invalid shares_outstanding: {exc}") from exc
-            if not symbol or shares <= 0:
-                raise DuotraderError(f"{path}:{lineno}: invalid metadata row")
+            except InvalidInputError as exc:
+                raise DuotraderError(f"{path}:{lineno}: {exc}") from exc
             if symbol in first_line:
                 at = first_line[symbol]
                 raise DuotraderError(f"{path}:{lineno}: duplicate symbol {symbol} (first on line {at})")
             first_line[symbol] = lineno
-            meta[symbol] = InstrumentMeta(symbol, row[1].strip(), shares)
+            meta[symbol] = item
     return meta
 
 

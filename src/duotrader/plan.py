@@ -33,7 +33,7 @@ use's row from the stack; only the fit logs and the forecasts (fusion's
 with any number of workers. Each rebalance then fuses its forecasts into
 insights (``_generate_insights``) and blends them as views into target
 weights (``_build_targets``), leaving out, with a note, a symbol whose
-window has a non-finite return or whose market cap is not finite. Model
+market cap is not finite. Model
 seeds derive from the run's seed with a stable CRC and every model call
 gives a series the same bits in any batch, so the plan is a pure function of
 data + config.
@@ -181,9 +181,8 @@ def build_plan(
         step = steps[day_index] = Step(day, universe, rebalance)
         for s in universe:
             if (row := int(rows[s][day_index])) >= 0:
-                if s not in columns:  # a bad close's returns are non-finite: the users report it
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        columns[s] = np.diff(np.log(series[s].close))
+                if s not in columns:
+                    columns[s] = np.diff(np.log(series[s].close))
                     columns[s].flags.writeable = False
                 lo = max(first_row[s], row + 1 - engine.window_bars)
                 step.windows[s] = (series[s].close[lo:row + 1], columns[s][lo:row])
@@ -370,18 +369,14 @@ def _build_targets(
 ) -> None:
     """Estimate the covariance over the universe, blend the step's insights
     as views, and optimize into the step's weights and allocation record. A
-    symbol whose window has a non-finite return, or whose market cap (shares
-    outstanding times last close) is not finite, is left out.
+    symbol whose market cap (shares outstanding times last close) is not
+    finite is left out.
     Weights stay None (hold the book) when the data is too thin for a
     covariance estimate, and are {} (all cash) without usable symbols."""
     day, returns, caps = step.day, {}, {}
     for s, (closes, window) in step.windows.items():
         cap = meta[s].shares_outstanding * float(closes[-1])  # a float overflows to inf quietly
-        if not np.isfinite(window).all():
-            step.notes.append(
-                f"{day}: {s} left out of the allocation: log returns require finite positive closes"
-            )
-        elif not math.isfinite(cap):
+        if not math.isfinite(cap):
             step.notes.append(f"{day}: {s} left out of the allocation: market cap is not finite")
         elif window.size:
             returns[s], caps[s] = window, cap

@@ -13,8 +13,8 @@ states runs along contiguous rows of S series. ``fit_batch`` fits one model
 per series, in arrays it allocates once per batch width and reuses every EM
 iteration, and returns them as one stack (``HmmModel``, row s series s's);
 ``forecast`` gathers a row of the stack for each series it filters, so one
-model can serve several windows. Both give a series with a non-finite
-return (from a bad close) its own InvalidInputError. A series gets the same
+model can serve several windows. Both refuse a batch holding a non-finite
+return (which no plan holds) with an InvalidInputError. A series gets the same
 bits in any batch and under any BLAS: products are two-operand
 ``np.einsum`` calls or elementwise, and no sum's order depends on the batch.
 
@@ -70,15 +70,15 @@ class DirectionForecast(NamedTuple):
     expected_return: float
 
 
-def _as_batch(returns: np.ndarray) -> tuple[np.ndarray, list[InvalidInputError | None]]:
-    """(S, T) float returns, and each series' non-finite-return error or None."""
-    obs = np.asarray(returns, dtype=float)
+def _as_batch(returns: np.ndarray) -> np.ndarray:
+    """(S, T) float returns, C-ordered; InvalidInputError for another shape
+    or a non-finite return."""
+    obs = np.ascontiguousarray(returns, dtype=float)
     if obs.ndim != 2:
         raise InvalidInputError(f"batched returns must be (series, time), got shape {obs.shape}")
-    return obs, [
-        None if ok else InvalidInputError("log returns require finite positive closes")
-        for ok in np.isfinite(obs).all(axis=1).tolist()
-    ]
+    if not np.isfinite(obs).all():
+        raise InvalidInputError("returns must be finite")
+    return obs
 
 
 class _Buffers:
@@ -313,7 +313,7 @@ def _initial_parameters(obs: np.ndarray, config: HmmConfig, seeds: Sequence[int]
 
 def fit_batch(
     returns: np.ndarray, config: HmmConfig, seeds: Sequence[int]
-) -> tuple[HmmModel, list[dict | InvalidInputError | NumericalError]]:
+) -> tuple[HmmModel, list[dict | NumericalError]]:
     """Fit one model per row of an (S, T) return array by batched EM.
 
     Series s is initialized from ``seeds[s]`` and stops on its own
@@ -324,10 +324,11 @@ def fit_batch(
     series s's (NaN for a failed fit), and one outcome per series: its fit
     record (iterations, converged, variance_floored and the log-likelihood
     of every EM iteration, the last the final parameters'), or the error its
-    fit ran into. Raises for the whole batch when the series are too short.
+    fit ran into. Raises for the whole batch when the series are too short
+    or hold a non-finite return.
     """
-    obs, outcomes = _as_batch(returns)
-    n_series, n_obs = obs.shape
+    x = _as_batch(returns)
+    n_series, n_obs = x.shape
     if n_obs < MIN_SAMPLES_PER_STATE * config.n_states:
         raise InsufficientDataError(
             f"need >= {MIN_SAMPLES_PER_STATE * config.n_states} returns "
@@ -335,11 +336,11 @@ def fit_batch(
         )
     if len(seeds) != n_series:
         raise ParameterError(f"need one seed per series, got {len(seeds)} for {n_series}")
-    rows = np.flatnonzero([error is None for error in outcomes])  # open fits, in batch order
-    x = obs[rows]
-    initial = _initial_parameters(x, config, [seeds[r] for r in rows])
+    rows = np.arange(n_series)  # open fits, in batch order
+    initial = _initial_parameters(x, config, seeds)
     models = HmmModel(*(np.full((n_series, *p.shape[1:]), np.nan) for p in initial))
     pi, trans, means, variances = initial
+    outcomes: list = [None] * n_series
     paths: list[list[float]] = [[] for _ in range(n_series)]
     floored = np.zeros(n_series, dtype=bool)
     converged = np.zeros(n_series, dtype=bool)
@@ -398,23 +399,20 @@ def _filter(models: HmmModel, returns: np.ndarray):
     row s of the (S, T) returns under row s of the stacked models: (S, T, K)
     alphas (a transposed view of the series-last (T, K, S) forward array) and
     one error (or None) per series."""
-    obs, bad = _as_batch(returns)
+    obs = _as_batch(returns)
     if obs.shape[1] == 0:
         raise InsufficientDataError("filtering needs at least one return")
     pi, trans, means, variances = models
     if len(pi) != obs.shape[0]:
         raise ParameterError(f"need one model per series, got {len(pi)} for {obs.shape[0]}")
     buffers = _Buffers(obs.shape[1], pi.shape[1], obs.shape[0])
-    _, errors = _forward(  # bad series run on zeros, which raise no warnings
-        np.where(np.isfinite(obs).all(axis=1, keepdims=True), obs, 0.0),
-        means, variances, pi, trans, buffers,
-    )
-    return buffers.alphas.transpose(2, 0, 1), [own or error for own, error in zip(bad, errors)]
+    _, errors = _forward(obs, means, variances, pi, trans, buffers)
+    return buffers.alphas.transpose(2, 0, 1), errors
 
 
 def forecast(
     models: HmmModel, rows: Sequence[int], returns: np.ndarray
-) -> list[DirectionForecast | InvalidInputError | NumericalError]:
+) -> list[DirectionForecast | NumericalError]:
     """One-step-ahead expected returns of S series, and their signs.
 
     Gathers row ``rows[s]`` of the stacked models for series s of the (S, T)

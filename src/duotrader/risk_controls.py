@@ -1,17 +1,17 @@
 """Per-position risk overlays: maximum drawdown from peak, and a trailing
 stop that ratchets up with the peak close and never loosens.
 
-Both checks run on daily closes. When both rules breach on the same bar the
-drawdown reason wins. Execution timing (liquidate at the next open) is the
-engine's job; this module only decides.
+Both checks run on daily closes, which are positive and finite (the book
+reads them from ``SymbolBars``, which holds no other). When both rules
+breach on the same bar the drawdown reason wins. Execution timing
+(liquidate at the next open) is the engine's job; this module only decides.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, ParameterError
+from .errors import ParameterError
 
 HOLD = "hold"
 LIQUIDATE = "liquidate"
@@ -40,8 +40,6 @@ class PositionRiskState:
 
     @classmethod
     def open_position(cls, symbol: str, entry_price: float, config: RiskConfig) -> "PositionRiskState":
-        if not 0.0 < entry_price < math.inf:
-            raise InvalidInputError(f"entry price must be a positive price, got {entry_price}")
         return cls(
             symbol=symbol,
             entry_price=entry_price,
@@ -68,8 +66,6 @@ def update_and_check(
     Liquidation reasons: drawdown from peak exceeding the per-security cap
     (checked first), else close at or below the trailing stop.
     """
-    if not 0.0 < close < math.inf:
-        raise InvalidInputError(f"close must be a positive price, got {close}")
     peak = max(state.peak_price, close)
     stop = max(state.trailing_stop, peak * (1.0 - config.trailing_fraction))
     drawdown = (peak - close) / peak

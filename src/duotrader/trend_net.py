@@ -270,7 +270,7 @@ def train_batch(
 
 def forecast(
     params: np.ndarray, rows: Sequence[int], inputs: np.ndarray
-) -> list[TrendForecast | InvalidInputError]:
+) -> list[TrendForecast]:
     """Forecast the next close difference of S input rows: row s of the
     (S, INPUT_SIZE) recent close differences through the network of
     parameter row ``rows[s]`` of the (N, P) stack (a network may serve
@@ -278,17 +278,14 @@ def forecast(
 
     One stacked forward pass over the gathered rows, in which each input row
     is its own batch of one, so a network gets the same bits in any stack.
-    Returns S entries: each row's forecast, or an InvalidInputError for a
-    non-finite row.
+    Returns each row's forecast; a non-finite input (which no plan holds)
+    refuses the whole call.
     """
-    x = np.asarray(inputs, dtype=float)
+    x = np.ascontiguousarray(inputs, dtype=float)
     if x.shape != (len(rows), INPUT_SIZE):
         raise InvalidInputError(f"expected one row of {INPUT_SIZE} inputs per row, got {x.shape}")
-    finite = np.isfinite(x).all(axis=1)
+    if not np.isfinite(x).all():
+        raise InvalidInputError("inputs must be finite")
     tensors = _unflatten(np.take(params, rows, axis=0), SHAPES)
-    x = np.where(finite[:, None], x, 0.0)[:, None, :]
-    out = _Pass(tensors[: len(tensors) // 2], 1).forward(tensors, x)
-    return [
-        TrendForecast(sign_direction(p), abs(p)) if ok else InvalidInputError("input must be finite")
-        for p, ok in zip(out[:, 0, 0].tolist(), finite)
-    ]
+    out = _Pass(tensors[: len(tensors) // 2], 1).forward(tensors, x[:, None, :])
+    return [TrendForecast(sign_direction(p), abs(p)) for p in out[:, 0, 0].tolist()]

@@ -3,7 +3,6 @@ import hashlib
 import json
 import os
 import random
-import re
 import time
 import zlib
 from concurrent.futures.process import BrokenProcessPool
@@ -26,7 +25,7 @@ from duotrader.errors import InsufficientDataError, InvalidInputError, Numerical
 from duotrader import marketdata, regime_hmm, trend_net, workers
 from duotrader import plan as plan_mod
 from duotrader.marketdata import (
-    InstrumentMeta, SymbolBars, ingest_csv, synth_regime_series,
+    InstrumentMeta, ingest_csv, synth_regime_series,
 )
 from duotrader.portfolio_bl import BlConfig
 from duotrader.regime_hmm import HmmConfig
@@ -338,31 +337,6 @@ class TestRunBacktest:
             "7a55a61ee23a9a2f9e4b5a79bb5babfe9b3bf31337c2d87ee3c408934708a841"
         )
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-    def test_bad_close_leaves_symbol_out_of_allocation(self, bad):
-        # Every window that holds S02's bad close at row 100 leaves S02 out
-        # of the allocation with a note; the run goes on and S02 comes back
-        # once the window has moved past that row.
-        bars_by_symbol, meta = synth_market()
-        bars = bars_by_symbol["S02"]
-        close = bars.close.copy()
-        close[100] = bad
-        bars_by_symbol["S02"] = SymbolBars(
-            bars.days, bars.open, bars.high, bars.low, close, bars.volume
-        )
-        result = small_run(bars_by_symbol, meta)
-        assert len(result.equity_curve) == 320 and result.fills
-        note = "S02 left out of the allocation"
-        left_out = {d.split(":")[0] for d in result.diagnostics if note in d}
-        tainted = {day_of(bars, row).isoformat() for row in range(100, 200)}
-        assert left_out
-        for allocation in result.allocations:
-            day = allocation["date"]
-            assert ("S02" in allocation["symbols"]) == (day not in left_out)
-            if day in left_out:
-                assert day in tainted
-        assert any("S02" in a["symbols"] for a in result.allocations)
-
     @pytest.mark.parametrize("market", ["shares", "close"])
     def test_overflowing_market_cap_leaves_symbol_out_of_allocation(self, market):
         # S02's market cap overflows to inf, from its shares outstanding or
@@ -411,34 +385,24 @@ class TestRunBacktest:
 
 
 class TestUnusablePrice:
-    """A price the book reads for a symbol it holds or trades must be
-    positive and finite; any other ends the run with an error that names the
-    symbol, the column and the day."""
+    """A bar the book could read is usable: SymbolBars refuses any other
+    when it is built, as ingest drops its row, and names its day, so no run
+    starts on one."""
 
-    @pytest.fixture(scope="class")
-    def s02_days(self):
-        """The day of S02's first buy fill (an open the book reads) and of
-        the next rebalance, at whose close S02 is still held."""
-        result = small_run(*synth_market())
-        bought, sold = [f for f in result.fills if f.symbol == "S02"][:2]
-        rebalance = min(
-            day for a in result.allocations
-            if (day := date.fromisoformat(a["date"])) > bought.timestamp
-        )
-        assert (bought.side, sold.side) == ("buy", "sell") and sold.timestamp > rebalance
-        return {"open": bought.timestamp, "close": rebalance}
-
-    @pytest.mark.parametrize("column", ["close", "open"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
-    def test_bad_price_ends_the_run(self, s02_days, column, bad):
-        bars_by_symbol, meta = synth_market()
-        bars, day = bars_by_symbol["S02"], s02_days[column]
-        prices = getattr(bars, column).copy()
-        prices[bars.days == day.toordinal()] = bad
-        bars_by_symbol["S02"] = replace(bars, **{column: prices})
-        message = f"{day}: S02 {column} must be a positive price, got {bad}"
-        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
-            small_run(bars_by_symbol, meta)
+    @pytest.mark.parametrize("column, bad", [
+        *((column, bad) for column in ("open", "high", "low", "close")
+          for bad in (np.nan, np.inf, 0.0, -1.0)),
+        *(("volume", bad) for bad in (np.nan, np.inf, -1.0)),
+    ])
+    def test_bad_price_is_refused_when_built(self, column, bad):
+        bars = synth_market()[0]["S02"]
+        values = getattr(bars, column).copy()
+        values[100] = bad
+        with pytest.raises(InvalidInputError) as refused:
+            replace(bars, **{column: values})
+        message = str(refused.value)
+        assert message.startswith(f"{day_of(bars, 100)}: unusable bar: ")
+        assert f"{column} {bad}" in message
 
 
 BAR_CSV_HEADER_LINE = "symbol,date,open,high,low,close,volume\n"
@@ -858,10 +822,9 @@ PLAN_CONFIG = RunConfig(seed=3, hmm=HmmConfig(n_states=2), mlp=MlpConfig(epochs=
 
 def plan_job(closes, symbol="S00"):
     """A plan job as _forecast reads it: no step, a symbol, its closes and
-    their log returns (non-finite for a bad close, as the plan's are)."""
+    their log returns."""
     closes = np.array(closes, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        returns = np.diff(np.log(closes))
+    returns = np.diff(np.log(closes))
     closes.flags.writeable = returns.flags.writeable = False
     return (None, symbol, closes, returns)
 
@@ -914,17 +877,17 @@ class TestPlanHelpers:
         assert {("S03", True), ("S03", False)} <= grown
 
     def test_failing_forecasts_give_their_errors(self, fitted):
-        # A NaN close fails the HMM's returns and the network's inputs; the
-        # other use in the same batched filter still forecasts.
+        # A batched forecast that fails gives its error to every use in the
+        # call. Here both models refuse a window with a NaN close for the
+        # whole call; a plan never holds one, as SymbolBars refuses it.
         jobs, models = fitted
         closes = jobs[0][2].copy()
         closes[-1] = np.nan
-        bad, good = plan_mod._forecast([plan_job(closes), jobs[1]], [0, 1], models)
-        for signal in bad:
-            assert isinstance(signal, InvalidInputError)
-        assert "finite positive closes" in str(bad[0]) and "must be finite" in str(bad[1])
-        assert isinstance(good[0], regime_hmm.DirectionForecast)
-        assert isinstance(good[1], trend_net.TrendForecast)
+        uses = [plan_job(closes), jobs[1]]
+        for hmm_signal, net_signal in plan_mod._forecast(uses, [0, 1], models):
+            assert type(hmm_signal) is type(net_signal) is InvalidInputError
+            assert str(hmm_signal) == "returns must be finite"
+            assert str(net_signal) == "inputs must be finite"
 
     def test_forecasts_are_fusions_pairs(self, fitted):
         # Each signal is what the model's forecast returns for that window

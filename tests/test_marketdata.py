@@ -1,6 +1,7 @@
 import csv
 import faulthandler
 import hashlib
+import io
 import math
 import os
 import stat
@@ -11,18 +12,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from duotrader.engine import run_backtest
 from duotrader.errors import (
     DataAlignmentError,
     DataOrderingError,
     DuotraderError,
+    InvalidInputError,
     ParameterError,
 )
 from duotrader import marketdata, workers
 from duotrader.marketdata import (
     BAR_CSV_HEADER,
     IngestResult,
+    InstrumentMeta,
     SymbolBars,
     ingest_csv,
     ingest_meta_csv,
@@ -159,7 +164,15 @@ class TestIngest:
     def test_meta_invalid_shares(self, tmp_path):
         path = tmp_path / "meta.csv"
         path.write_text("symbol,sector,shares_outstanding\nXOM,Energy,0\n")
-        with pytest.raises(DuotraderError):
+        with pytest.raises(DuotraderError, match=r"meta\.csv:2: invalid metadata row$"):
+            ingest_meta_csv(path)
+
+    @pytest.mark.parametrize("row", ["XOM,Energy,-5", "XOM,Energy,0.5", ",Energy,7"])
+    def test_meta_refused_row(self, tmp_path, row):
+        # InstrumentMeta refuses the row; ingest names its line.
+        path = tmp_path / "meta.csv"
+        path.write_text(f"symbol,sector,shares_outstanding\n{row}\n")
+        with pytest.raises(DuotraderError, match=r"meta\.csv:2: invalid metadata row$"):
             ingest_meta_csv(path)
 
     @pytest.mark.parametrize("shares", ["abc", "inf", ""])
@@ -969,6 +982,62 @@ class TestIngestCache:
         assert len(raised_on) == 1 and raised_on[0] is not threading.current_thread()
         assert len(parses) == 2
         assert cache_of(path).read_bytes() == recorded
+
+
+class TestInstrumentMeta:
+    @pytest.mark.parametrize("symbol, shares", [("S00", 0), ("S00", -5), ("", 100)])
+    def test_refused_when_built(self, symbol, shares):
+        # Shares of 0 gave a market cap of 0, and a one-symbol universe 0/0
+        # market weights, which crashed the book: "cannot convert float NaN
+        # to integer".
+        with pytest.raises(InvalidInputError, match="^invalid metadata row$"):
+            InstrumentMeta(symbol, "Energy", shares)
+
+    def test_one_share_is_enough(self):
+        assert InstrumentMeta("S00", "Energy", 1).shares_outstanding == 1
+
+
+# Bar fields at the edge of each rule of a usable bar: NaN, both
+# infinities, both zeros, a negative, subnormals, the largest float and a
+# few small prices, sometimes ordered and sometimes not.
+EDGE_PRICES = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 2e-310, 1.7976931348623157e308,
+    1.0, 2.0, 3.0,
+]
+EDGE_VOLUMES = [math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 1.0, 1e300]
+# Open, high, low and close drawn from the edges, or ordered and positive.
+BAR_PRICES = st.lists(
+    st.sampled_from(EDGE_PRICES) | st.floats(-4.0, 4.0), min_size=4, max_size=4
+) | st.lists(
+    st.floats(0.0, exclude_min=True, allow_infinity=False), min_size=4, max_size=4
+).map(sorted).map(lambda p: [p[1], p[3], p[0], p[2]])
+
+
+class TestUsableBarRule:
+    """One rule decides which bar is usable: ``SymbolBars`` accepts a bar
+    exactly when ingest keeps the same bar written as a CSV row, read row by
+    row (``_read_lines``) or by the C parser first (``_read_range``)."""
+
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(BAR_PRICES, st.sampled_from(EDGE_VOLUMES) | st.integers(-3, 10**12).map(float))
+    @example([2.0, 3.0, 1.0, 2.0], 100.0)  # usable
+    @example([math.nan, 3.0, 1.0, 2.0], 100.0)  # np.fmin and np.fmax drop the NaN
+    @example([2.0, math.inf, 1.0, 2.0], 100.0)
+    @example([2.0, 3.0, 1.0, 2.0], math.inf)
+    @example([2.0, 3.0, 1.0, 2.0], -1.0)
+    def test_symbolbars_accepts_what_ingest_keeps(self, prices, volume):
+        fields = [*prices, volume]
+        line = "XOM,2020-01-02," + ",".join(repr(x) for x in fields) + "\n"
+        try:
+            SymbolBars(np.array([737426]), *(np.array([x]) for x in fields))
+            accepted = True
+        except InvalidInputError:
+            accepted = False
+        for read in (marketdata._read_lines, marketdata._read_range):
+            kept = read(io.StringIO(HEADER + line), 1)
+            assert len(kept.lines) == int(accepted)
+            if accepted:
+                assert [f.tolist() for f in kept.fields] == [[x] for x in fields]
 
 
 class TestSynthSeries:
