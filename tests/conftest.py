@@ -1,3 +1,5 @@
+import hashlib
+import json
 from dataclasses import fields
 from datetime import date, timedelta
 
@@ -28,6 +30,12 @@ def fresh_copy(path, data):
     fresh = path.with_name(f"{path.name}.fresh")
     fresh.write_bytes(data)
     return fresh.replace(path)
+
+
+def jsonl_sha256(records) -> str:
+    """sha256 of the records as the CLI writes them to a ``.jsonl`` file."""
+    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def make_bars(closes, start=date(2020, 1, 2), volumes=None):

@@ -1,6 +1,4 @@
 import faulthandler
-import hashlib
-import json
 import os
 import random
 import time
@@ -35,7 +33,8 @@ from duotrader.trend_net import MlpConfig
 from duotrader.universe import UniverseConfig, candidate_panel, select_universe
 
 from conftest import (
-    day_of, fifo_accounting_gap, fresh_copy, log_returns, make_bars, scale_prices, take_rows,
+    day_of, fifo_accounting_gap, fresh_copy, jsonl_sha256, log_returns, make_bars, scale_prices,
+    take_rows,
 )
 
 DAY = date(2020, 1, 2)
@@ -517,11 +516,6 @@ def cadence_churn_run():
         ),
     )
     return bars_by_symbol, result
-
-
-def jsonl_sha256(records) -> str:
-    text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestCadenceAndChurn:

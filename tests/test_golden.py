@@ -20,6 +20,8 @@ from duotrader.engine import EngineConfig, run_backtest
 from duotrader.marketdata import InstrumentMeta, synth_regime_series
 from duotrader.runconfig import RunConfig
 
+from conftest import jsonl_sha256
+
 GOLDEN_FILLS_SHA256 = "e227110ae77ce01d36e6c75b892635c3b0cd98c17c2c37907ca9d199d65396d5"
 GOLDEN_FINAL_EQUITY = "99862.44534543942"
 
@@ -48,12 +50,6 @@ def test_fill_log_and_final_equity_fingerprint():
     assert result.fills
     assert hashlib.sha256(fills_jsonl.encode()).hexdigest() == GOLDEN_FILLS_SHA256
     assert repr(result.equity_curve[-1].equity) == GOLDEN_FINAL_EQUITY
-
-
-def jsonl_sha256(records) -> str:
-    """sha256 of the records as the CLI writes them to a ``.jsonl`` file."""
-    text = "".join(json.dumps(r, sort_keys=True, allow_nan=False) + "\n" for r in records)
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_default_shape_model_outputs():
