@@ -388,6 +388,65 @@ class TestUnusablePrice:
     when it is built, as ingest drops its row, and names its day, so no run
     starts on one."""
 
+    @pytest.fixture(scope="class")
+    def clean_run(self):
+        return small_run(*synth_market())
+
+    @pytest.fixture(scope="class")
+    def s02_days(self, clean_run):
+        """The day of S02's first buy fill (an open the book reads) and of
+        the next rebalance, at whose close S02 is still held."""
+        bought, sold = [f for f in clean_run.fills if f.symbol == "S02"][:2]
+        rebalance = min(
+            day for a in clean_run.allocations
+            if (day := date.fromisoformat(a["date"])) > bought.timestamp
+        )
+        assert (bought.side, sold.side) == ("buy", "sell") and sold.timestamp > rebalance
+        return {"open": bought.timestamp, "close": rebalance}
+
+    @pytest.mark.parametrize("column", ["close", "open"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_price_ends_the_run(self, s02_days, column, bad):
+        # A bad price on a day the book would read it ends the run before
+        # its first day: the market that holds it cannot be built.
+        bars_by_symbol, meta = synth_market()
+        bars, day = bars_by_symbol["S02"], s02_days[column]
+        prices = getattr(bars, column).copy()
+        prices[bars.days == day.toordinal()] = bad
+        with pytest.raises(InvalidInputError) as refused:
+            bars_by_symbol["S02"] = replace(bars, **{column: prices})
+            small_run(bars_by_symbol, meta)
+        message = str(refused.value)
+        assert message.startswith(f"{day}: unusable bar: ")
+        assert f"{column} {bad}" in message
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_close_row_is_dropped_at_ingest(self, tmp_path, clean_run, bad):
+        # A bar CSV row with S02's bad close at row 100 is dropped with a
+        # diagnostic naming its line; the run on the rest goes on, and S02,
+        # one bar short, is allocated as in the clean run.
+        bars_by_symbol, meta = synth_market()
+        rows = bar_csv_rows(bars_by_symbol)
+        cells = rows["S02"][100].split(",")
+        cells[5] = repr(bad)
+        rows["S02"][100] = ",".join(cells)
+        path = tmp_path / "bars.csv"
+        path.write_text(BAR_CSV_HEADER_LINE + "".join(
+            line + "\n" for symbol in sorted(rows) for line in rows[symbol]
+        ))
+        ingested = ingest_csv(path)
+        line = 2 + len(rows["S00"]) + len(rows["S01"]) + 100
+        assert ingested.diagnostics == [f"{path}:{line}: invalid close"]
+        kept = ingested.bars_by_symbol["S02"]
+        assert len(kept) == 319
+        assert day_of(bars_by_symbol["S02"], 100).toordinal() not in kept.days
+        result = small_run(ingested.bars_by_symbol, meta)
+        assert len(result.equity_curve) == 320 and result.fills
+        assert [a["symbols"] for a in result.allocations] == [
+            a["symbols"] for a in clean_run.allocations
+        ]
+        assert any("S02" in a["symbols"] for a in result.allocations)
+
     @pytest.mark.parametrize("column, bad", [
         *((column, bad) for column in ("open", "high", "low", "close")
           for bad in (np.nan, np.inf, 0.0, -1.0)),
