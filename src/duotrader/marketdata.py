@@ -72,8 +72,8 @@ class SymbolBars:
     strictly increasing day ordinals (``date.toordinal``) and the other five
     float64 arrays hold that day's fields. A volume is a whole number of
     shares. Construction checks that the six columns share one length, that
-    the days strictly increase and that every bar is usable (``_usable``),
-    and makes every column read-only; it copies none of them."""
+    the days strictly increase and are dates, and that every bar is usable
+    (``_usable``), and makes every column read-only; it copies none of them."""
 
     days: np.ndarray
     open: np.ndarray
@@ -88,6 +88,11 @@ class SymbolBars:
             raise DataAlignmentError("the columns of a SymbolBars must share one length")
         if np.any(np.diff(self.days) <= 0):
             raise DataOrderingError("bars must be in strictly increasing day order")
+        # The days increase, so only the first or the last can lie outside
+        # the calendar.
+        for day in self.days[[0, -1]].tolist() if self.days.size else ():
+            if not 1 <= day <= date.max.toordinal():
+                raise InvalidInputError(f"day ordinal {day} is not a date")
         if not (usable := _usable(*columns[1:])).all():
             row = int(usable.argmin())
             fields = (f"{name} {float(c[row])}" for name, c in zip(BAR_CSV_HEADER[2:], columns[1:]))

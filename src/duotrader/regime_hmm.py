@@ -16,7 +16,8 @@ iteration, and returns them as one stack (``HmmModel``, row s series s's);
 model can serve several windows. Both refuse a batch holding a non-finite
 return (which no plan holds) with an InvalidInputError. A series gets the same
 bits in any batch and under any BLAS: products are two-operand
-``np.einsum`` calls or elementwise, and no sum's order depends on the batch.
+``np.einsum`` calls or elementwise, every sum over states in the recursions
+adds the states left to right, and no sum's order depends on the batch.
 
 The directional forecast is the sign of the posterior-weighted one-step-ahead
 expected return: e = sum_j (sum_i posterior_i A_ij) mean_returns_j.
@@ -107,33 +108,6 @@ def _over_states(op, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _state_sum(padded: np.ndarray, lanes: np.ndarray):
-    """A function that writes to ``out`` the sum of the K state rows of
-    ``padded`` in two interleaved lanes, (x0 + x2 + x4 + ...) + (x1 + x3 +
-    ...), each lane added left to right.
-
-    That is the order in which numpy's einsum sums a contiguous axis of fewer
-    than 8 elements (the two lanes of its baseline SIMD loop), and the order
-    the pinned fits and forecasts were recorded in. Spelled out as
-    elementwise adds over rows of S series, it holds in any batch, at any K
-    and under any dispatch target. ``padded`` holds the K rows and, for odd
-    K, a zero row (x + 0 is x), so the lanes add row pair by row pair,
-    (x0, x1) + (x2, x3) + ..., into ``lanes`` (2, ...): ceil(K / 2) adds in
-    all. The operands are bound once per pass; only ``out`` changes from step
-    to step.
-    """
-    pairs = list(padded.reshape(len(padded) // 2, 2, *padded.shape[1:]))
-    adds = [(pairs[0], pairs[1]), *((lanes, pair) for pair in pairs[2:])] if len(pairs) > 1 else []
-    first, second = lanes if adds else pairs[0]
-
-    def state_sum(out: np.ndarray) -> np.ndarray:
-        for x, y in adds:
-            np.add(x, y, out=lanes)
-        return np.add(first, second, out=out)
-
-    return state_sum
-
-
 def _over_time(x: np.ndarray) -> np.ndarray:
     """C-ordered (S, K) sums over time of (T, K, S) x, in an order the batch
     does not change: row by row in time, but with one state (where numpy sums
@@ -184,9 +158,8 @@ def _forward(obs, means, variances, pi, trans, buffers: _Buffers):
     b -= shifts[:, None, :]
     np.exp(b, out=b)
     into = trans.transpose(1, 2, 0).copy()  # [i, j, s]: from state i into state j
-    padded = np.zeros((n_states + n_states % 2, n_series))
-    a = padded[:n_states]  # alpha_t-1 A, times b_t, before its norm
-    state_sum = _state_sum(padded, np.empty((2, n_series)))
+    a = np.empty((n_states, n_series))  # alpha_t-1 A, times b_t, before its norm
+    sums = np.empty((n_states, n_series))  # running sums of a over states
 
     # A collapsed series divides by a zero norm and turns NaN from there
     # on; it is reported at its first zero norm, and nothing it computes
@@ -198,7 +171,10 @@ def _forward(obs, means, variances, pi, trans, buffers: _Buffers):
             if alpha is not None:
                 np.einsum("is,ijs->js", alpha, into, out=a)
                 np.multiply(a, b_t, out=a)
-            alpha = np.divide(a, state_sum(norm), out=alpha_t)
+            # The last running sum is the norm, added left to right.
+            np.add.accumulate(a, axis=0, out=sums)
+            np.copyto(norm, sums[-1])
+            alpha = np.divide(a, norm, out=alpha_t)
         # Summed pairwise along contiguous rows, as a batch of one would be.
         log_likelihood = np.log(norms.T.copy()).sum(axis=1) + shifts.T.copy().sum(axis=1)
     collapsed = (norms <= 0).T
@@ -211,22 +187,16 @@ def _forward(obs, means, variances, pi, trans, buffers: _Buffers):
 def _backward(buffers: _Buffers, trans: np.ndarray) -> np.ndarray:
     """Backward pass (Rabiner-style) scaled by the forward norms, into
     buffers.betas (T, K, S): beta_t,i = sum_j A_ij b_t+1,j beta_t+1,j / n_t+1,
-    the sum over j in ``_state_sum``'s order. Reads buffers.b and .norms."""
+    the sum over j left to right. Reads buffers.b and .norms."""
     b, betas, scaled = buffers.b, buffers.betas, buffers.scaled
     betas[-1] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):  # a collapsed series' zero norms
         np.divide(b[1:], buffers.norms[1:, None, :], out=scaled)
-    n_states = b.shape[1]
     into = trans.transpose(2, 1, 0).copy()  # [j, i, s]: from state i into state j
-    padded = np.zeros((n_states + n_states % 2, *b.shape[1:]))
-    products = padded[:n_states]  # [j, i, s]: A_ij times step_j
-    state_sum = _state_sum(padded, np.empty((2, *b.shape[1:])))
     step = np.empty(b.shape[1:])
-    step_by_target = step[:, None, :]
     for t in range(b.shape[0] - 2, -1, -1):
         np.multiply(scaled[t], betas[t + 1], out=step)
-        np.multiply(into, step_by_target, out=products)
-        state_sum(betas[t])
+        np.einsum("jis,js->is", into, step, out=betas[t])
     return betas
 
 

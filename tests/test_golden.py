@@ -65,8 +65,8 @@ def test_default_shape_model_outputs():
     hmm_fits = [record for record in result.fits if record["model"] == "hmm"]
     assert len(hmm_fits) == len(result.insights) == 78
     assert jsonl_sha256(hmm_fits) == (
-        "549db3224a0521959daeb9cf29f77e76ea2854fb28a323a098c09ecdc3edd928"
+        "e40e8ffc12f7104ae773995923a56472b19d065ca719b63cbafb7d3c71ba5cea"
     )
     assert jsonl_sha256(i.to_dict() for i in result.insights) == (
-        "d749e9deac4641469106879b9af9946b7e90113de644c60317a050c2a5aa1264"
+        "618f8aa2f3106a91ba7a036753d82b384246b710f7b0693b77c773f228c5fc0c"
     )

@@ -460,12 +460,19 @@ class TestFastPathParity:
 
     def test_unordered_days_rejected(self):
         # run_backtest takes only SymbolBars, whose construction refuses
-        # days that do not strictly increase.
+        # days that do not strictly increase, and day ordinals that are not
+        # dates, at either end and on an unusable bar too.
         bars, _ = synth_regime_series(4, 3, [(0.0, 0.01)], [[1.0]])
         with pytest.raises(DataOrderingError):
             run_backtest({"S": take_rows(bars, [0, 2, 1])}, {}, RunConfig())
         with pytest.raises(DataOrderingError):
             take_rows(bars, [0, 1, 1])
+        columns, last = _columns(bars), date.max.toordinal()
+        for first, bad in ((-5, -5), (0, 0), (last - 1, last + 1)):
+            for volume in (columns[5], np.full(3, np.nan)):
+                with pytest.raises(InvalidInputError, match=f"^day ordinal {bad} is not a date$"):
+                    SymbolBars(np.arange(first, first + 3), *columns[1:5], volume)
+        SymbolBars(np.array([1, 2, last]), *columns[1:])  # the calendar's ends
 
     def test_columns_of_unequal_length_rejected(self):
         bars, _ = synth_regime_series(4, 3, [(0.0, 0.01)], [[1.0]])

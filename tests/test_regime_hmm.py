@@ -491,18 +491,16 @@ class TestBatchInvariance:
             assert_same_forecasts([got], forecast(stack([row(models, r)]), [0], window[None]))
 
 
-def two_lanes(terms):
-    """(x0 + x2 + x4 + ...) + (x1 + x3 + ...) in Python floats, each lane
-    left to right from 0."""
-    return sum(terms[0::2]) + sum(terms[1::2])
-
-
 class TestStateSumOrder:
-    """The forward norms and the backward betas sum over states in two
-    interleaved lanes at every number of states, whatever order numpy's own
-    reductions use. Every other operation is recomputed here one IEEE float
-    at a time: the forward product sum_i alpha_i A_ij left to right, and the
-    products and quotients of the recursions."""
+    """The forward norms and the backward betas sum over states left to
+    right, as a plain Python ``sum`` does, at every number of states and
+    batch width. Every other operation is recomputed here one IEEE float at
+    a time: the forward product sum_i alpha_i A_ij left to right, and the
+    products and quotients of the recursions. Widths 1 and 7 and 8-9 states
+    are kept because there numpy's own reductions would break batch
+    invariance: over a wider batch both add the states left to right, but in
+    a batch of one ``einsum("js->s")`` adds them in two lanes from 3 states
+    up and ``np.add.reduce`` pairwise from 8 states up."""
 
     @pytest.mark.parametrize("n_states", range(1, 10))
     @pytest.mark.parametrize("n_series", [1, 7])
@@ -521,12 +519,12 @@ class TestStateSumOrder:
                     * b[t][j][s]
                     for j in states
                 ]
-                assert norms[t][s] == two_lanes(a)
+                assert norms[t][s] == sum(a)
                 assert [alphas[t][k][s] for k in states] == [x / norms[t][s] for x in a]
             for t in range(obs.shape[1] - 1):
                 step = [b[t + 1][j][s] / norms[t + 1][s] * betas[t + 1][j][s] for j in states]
                 for i in states:
-                    assert betas[t][i][s] == two_lanes([trans[s][i][j] * step[j] for j in states])
+                    assert betas[t][i][s] == sum(trans[s][i][j] * step[j] for j in states)
 
 
 class TestBuffers:
