@@ -69,11 +69,12 @@ def _usable(open_, high, low, close, volume) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SymbolBars:
     """One symbol's daily history as columns, oldest first: ``days`` holds
-    strictly increasing day ordinals (``date.toordinal``) and the other five
-    float64 arrays hold that day's fields. A volume is a whole number of
-    shares. Construction checks that the six columns share one length, that
-    the days strictly increase and are dates, and that every bar is usable
-    (``_usable``), and makes every column read-only; it copies none of them."""
+    strictly increasing day ordinals (``date.toordinal``) as signed integers,
+    and the other five float64 arrays hold that day's fields. A volume is a
+    whole number of shares. Construction checks that the six columns share
+    one length, that the days are signed integers, strictly increase and are
+    dates, and that every bar is usable (``_usable``), and makes every column
+    read-only; it copies none of them."""
 
     days: np.ndarray
     open: np.ndarray
@@ -86,6 +87,8 @@ class SymbolBars:
         columns = (self.days, self.open, self.high, self.low, self.close, self.volume)
         if any(column.shape != (self.days.size,) for column in columns):
             raise DataAlignmentError("the columns of a SymbolBars must share one length")
+        if self.days.dtype.kind != "i":
+            raise InvalidInputError(f"day ordinals must be signed integers, got {self.days.dtype}")
         if np.any(np.diff(self.days) <= 0):
             raise DataOrderingError("bars must be in strictly increasing day order")
         # The days increase, so only the first or the last can lie outside

@@ -9,7 +9,9 @@ at once. Only the state count and the iteration cap are configurable. Every
 routine works on S series at once.
 Parameters are (S, K) and (S, K, K); the emission, forward and backward
 arrays are series-last (T, K, S), so every elementwise op and every sum over
-states runs along contiguous rows of S series. ``fit_batch`` fits one model
+states in the recursions runs along contiguous rows of S series, and the
+M-step copies the gammas time-last (S, K, T), so every sum over time runs
+along one contiguous (series, state) row. ``fit_batch`` fits one model
 per series, in arrays it allocates once per batch width and reuses every EM
 iteration, and returns them as one stack (``HmmModel``, row s series s's);
 ``forecast`` gathers a row of the stack for each series it filters, so one
@@ -17,7 +19,8 @@ model can serve several windows. Both refuse a batch holding a non-finite
 return (which no plan holds) with an InvalidInputError. A series gets the same
 bits in any batch and under any BLAS: products are two-operand
 ``np.einsum`` calls or elementwise, every sum over states in the recursions
-adds the states left to right, and no sum's order depends on the batch.
+and the gammas adds the states left to right, every sum over time reads one
+contiguous (series, state) row, and no sum's order depends on the batch.
 
 The directional forecast is the sign of the posterior-weighted one-step-ahead
 expected return: e = sum_j (sum_i posterior_i A_ij) mean_returns_j.
@@ -83,11 +86,13 @@ def _as_batch(returns: np.ndarray) -> np.ndarray:
 
 
 class _Buffers:
-    """The (T, K, S) arrays of a forward-backward pass and an M-step, and the
-    M-step's two (S, K, T - 1) time-last copies, allocated once for
-    ``n_series`` series. EM rewrites them every iteration. The copy of the
+    """The (T, K, S) arrays of a forward-backward pass, and the M-step's two
+    (S, K, T - 1) time-last copies for the transition counts, allocated once
+    for ``n_series`` series. EM rewrites them every iteration. The copy of the
     alphas (``past``) is a view of ``scaled``, which only the backward pass
-    reads."""
+    reads. The M-step's gammas and temporaries are (S, K, T) time-last views
+    of ``alphas``, ``betas`` and ``b``, each taken once the M-step has read
+    what the array held."""
 
     def __init__(self, n_obs: int, n_states: int, n_series: int):
         self.b, self.alphas, self.betas = (np.empty((n_obs, n_states, n_series)) for _ in range(3))
@@ -95,27 +100,6 @@ class _Buffers:
         self.past = self.scaled.reshape(n_series, n_states, n_obs - 1)
         self.future = np.empty((n_series, n_states, n_obs - 1))
         self.norms, self.shifts = np.empty((n_obs, n_series)), np.empty((n_obs, n_series))
-
-
-def _over_states(op, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``op`` (np.add or np.maximum) over the state axis of (T, K, S) x into
-    (T, S) out, as a chain of its state slices, k = 0, 1, ..., K - 1: each op
-    reads contiguous rows of S series, and the chain's order is the same in
-    any batch."""
-    np.copyto(out, x[:, 0])
-    for k in range(1, x.shape[1]):
-        op(out, x[:, k], out=out)
-    return out
-
-
-def _over_time(x: np.ndarray) -> np.ndarray:
-    """C-ordered (S, K) sums over time of (T, K, S) x, in an order the batch
-    does not change: row by row in time, but with one state (where numpy sums
-    a batch of one pairwise) pairwise along a contiguous copy of each series'
-    row."""
-    if x.shape[1] == 1:
-        return np.ascontiguousarray(x[:, 0].T).sum(axis=1)[:, None]
-    return np.ascontiguousarray(x.sum(axis=0).T)
 
 
 def _emission_log_probs(obs, means, variances, out: np.ndarray) -> np.ndarray:
@@ -154,7 +138,7 @@ def _forward(obs, means, variances, pi, trans, buffers: _Buffers):
 
     b, alphas, norms = buffers.b, buffers.alphas, buffers.norms
     _emission_log_probs(obs, means, variances, out=b)
-    shifts = _over_states(np.maximum, b, out=buffers.shifts)
+    shifts = np.max(b, axis=1, out=buffers.shifts)
     b -= shifts[:, None, :]
     np.exp(b, out=b)
     into = trans.transpose(1, 2, 0).copy()  # [i, j, s]: from state i into state j
@@ -219,16 +203,21 @@ def _m_step(obs, buffers: _Buffers, trans, means, variances):
     np.copyto(future, weighted.transpose(2, 1, 0))
     xi_sum = trans * np.einsum("sit,sjt->sij", past, future)
 
-    gammas = betas  # betas are not needed again
-    gammas *= alphas
-    gammas /= _over_states(np.add, gammas, out=buffers.shifts)[:, None, :]
+    # The gammas, time-last (S, K, T) in the alphas' memory: each sum over
+    # time is numpy's pairwise sum along one contiguous (series, state) row,
+    # and each sum over states adds those rows left to right, in any batch.
+    time_last = (obs.shape[0], b.shape[1], obs.shape[1])
+    betas *= alphas
+    gammas = alphas.reshape(time_last)  # alphas are not needed again
+    np.copyto(gammas, betas.transpose(2, 1, 0))
+    gammas /= gammas.sum(axis=1, keepdims=True)
 
-    first = np.ascontiguousarray(gammas[0].T)
+    first = np.ascontiguousarray(gammas[:, :, 0])
     pi = first / first.sum(axis=1, keepdims=True)
     # A row whose source state is (almost) never occupied keeps its
     # previous probabilities; the guarded denominator only avoids a
     # division by zero in rows that np.where discards.
-    from_counts = _over_time(gammas[:-1])
+    from_counts = gammas[:, :, :-1].sum(axis=2)
     live_rows = from_counts > 1e-12
     new_trans = np.where(
         live_rows[:, :, None],
@@ -239,15 +228,16 @@ def _m_step(obs, buffers: _Buffers, trans, means, variances):
     trans = new_trans / new_trans.sum(axis=2, keepdims=True)
 
     # Dead states keep their previous mean and variance.
-    occupancy = _over_time(gammas)
+    occupancy = gammas.sum(axis=2)
     live = ~(occupancy <= 1e-10)
     weights = np.where(live, occupancy, 1.0)
-    weighted_obs = np.multiply(gammas, obs.T[:, None, :], out=alphas)  # alphas are not needed again
-    new_means = _over_time(weighted_obs) / weights
-    diff = np.subtract(obs.T[:, None, :], new_means.T, out=alphas)
-    spread = np.multiply(gammas, diff, out=b)
+    # b and betas, not needed again, hold the time-last temporaries.
+    spread, diff = b.reshape(time_last), betas.reshape(time_last)
+    new_means = np.multiply(gammas, obs[:, None, :], out=spread).sum(axis=2) / weights
+    np.subtract(obs[:, None, :], new_means[:, :, None], out=diff)
+    np.multiply(gammas, diff, out=spread)
     spread *= diff
-    new_vars = _over_time(spread) / weights
+    new_vars = spread.sum(axis=2) / weights
     floored = np.any(live & (new_vars < VARIANCE_FLOOR), axis=1)
     means = np.where(live, new_means, means)
     variances = np.where(live, np.maximum(new_vars, VARIANCE_FLOOR), variances)

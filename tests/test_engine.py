@@ -583,7 +583,7 @@ class TestCadenceAndChurn:
     failed refit drops the model it would have replaced."""
 
     FILLS_SHA256 = "8fea22de0c42ee50f7bc6bb0a6e98f30030e50959866a88d5513b0731ad2cbad"
-    FITS_SHA256 = "492713004995070ea0d2cd0d1e35873a35b8b8544e43ea01e1d605c9154808e8"
+    FITS_SHA256 = "605455e134cb28bc203a7e03bf37dc821dc2710d4e78f644a869dc1ad1b2643c"
     DIAGNOSTICS = [
         "2015-08-14: S04: missing model output: hmm,nn",
         "2016-01-01: S00: missing model output: hmm,nn",

@@ -65,8 +65,8 @@ def test_default_shape_model_outputs():
     hmm_fits = [record for record in result.fits if record["model"] == "hmm"]
     assert len(hmm_fits) == len(result.insights) == 78
     assert jsonl_sha256(hmm_fits) == (
-        "e40e8ffc12f7104ae773995923a56472b19d065ca719b63cbafb7d3c71ba5cea"
+        "f682bc2002141336fd343eabd404e29595e43751f65e710069273ef7012c2136"
     )
     assert jsonl_sha256(i.to_dict() for i in result.insights) == (
-        "618f8aa2f3106a91ba7a036753d82b384246b710f7b0693b77c773f228c5fc0c"
+        "8bf707d51628dbbb766b096f87cb61bb70ddbdd6bf210e494efba45232914120"
     )

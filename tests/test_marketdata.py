@@ -460,8 +460,9 @@ class TestFastPathParity:
 
     def test_unordered_days_rejected(self):
         # run_backtest takes only SymbolBars, whose construction refuses
-        # days that do not strictly increase, and day ordinals that are not
-        # dates, at either end and on an unusable bar too.
+        # days that do not strictly increase, day ordinals that are not
+        # dates, at either end and on an unusable bar too, and days that are
+        # not signed integers.
         bars, _ = synth_regime_series(4, 3, [(0.0, 0.01)], [[1.0]])
         with pytest.raises(DataOrderingError):
             run_backtest({"S": take_rows(bars, [0, 2, 1])}, {}, RunConfig())
@@ -473,6 +474,12 @@ class TestFastPathParity:
                 with pytest.raises(InvalidInputError, match=f"^day ordinal {bad} is not a date$"):
                     SymbolBars(np.arange(first, first + 3), *columns[1:5], volume)
         SymbolBars(np.array([1, 2, last]), *columns[1:])  # the calendar's ends
+        # Float days would fail later as indices, and unsigned days wrap in
+        # the order check, which would pass these decreasing ones.
+        for days in (columns[0].astype(float), np.array([738000, 737999, 737998], dtype=np.uint64)):
+            message = f"^day ordinals must be signed integers, got {days.dtype}$"
+            with pytest.raises(InvalidInputError, match=message):
+                SymbolBars(days, *columns[1:])
 
     def test_columns_of_unequal_length_rejected(self):
         bars, _ = synth_regime_series(4, 3, [(0.0, 0.01)], [[1.0]])

@@ -504,7 +504,7 @@ class TestStateSumOrder:
 
     @pytest.mark.parametrize("n_states", range(1, 10))
     @pytest.mark.parametrize("n_series", [1, 7])
-    def test_norms_and_betas_add_in_two_lanes(self, n_series, n_states):
+    def test_norms_and_betas_add_left_to_right(self, n_series, n_states):
         rng = np.random.default_rng(3000 * n_series + n_states)
         obs, means, variances, pi, trans = hazard_batch(rng, n_series, n_states, 40)
         buffers, _, errors = forward_pass(obs, means, variances, pi, trans)
@@ -525,6 +525,40 @@ class TestStateSumOrder:
                 step = [b[t + 1][j][s] / norms[t + 1][s] * betas[t + 1][j][s] for j in states]
                 for i in states:
                     assert betas[t][i][s] == sum(trans[s][i][j] * step[j] for j in states)
+
+
+class TestTimeSumOrder:
+    """The M-step sums each live state's gammas over time as numpy's own
+    ``.sum()`` sums that state's contiguous time row (pairwise), at every
+    number of states and batch width; its new mean and variance are the
+    quotients of those sums. The gammas are recomputed here one IEEE float at
+    a time, alpha times beta over its left-to-right sum over states."""
+
+    @pytest.mark.parametrize("n_states", range(1, 10))
+    @pytest.mark.parametrize("n_series", [1, 7])
+    def test_means_and_variances_sum_each_time_row(self, n_series, n_states):
+        rng = np.random.default_rng(4000 * n_series + n_states)
+        batch = hazard_batch(rng, n_series, n_states, 40)
+        _, _, errors = forward_pass(*batch)
+        obs, means, variances, pi, trans = (a[[e is None for e in errors]] for a in batch)
+        buffers = forward_pass(obs, means, variances, pi, trans)[0]
+        _backward(buffers, trans)
+        alphas, betas = buffers.alphas.tolist(), buffers.betas.tolist()
+        _, _, new_means, new_vars, _ = _m_step(obs, buffers, trans, means, variances)
+        states, live_states = range(n_states), 0
+        for s, x in enumerate(obs.tolist()):
+            products = [[alphas[t][k][s] * betas[t][k][s] for k in states] for t in range(len(x))]
+            for k in states:
+                gammas = [p[k] / sum(p) for p in products]
+                occupancy = np.array(gammas).sum()
+                if occupancy <= 1e-10:
+                    continue  # a dead state keeps its mean and variance
+                live_states += 1
+                mean = np.array([g * xt for g, xt in zip(gammas, x)]).sum() / occupancy
+                spread = np.array([g * (xt - mean) * (xt - mean) for g, xt in zip(gammas, x)])
+                assert new_means[s, k] == mean
+                assert new_vars[s, k] == max(spread.sum() / occupancy, VARIANCE_FLOOR)
+        assert live_states >= len(obs)
 
 
 class TestBuffers:
