@@ -237,8 +237,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def _read_equity_csv(path: Path) -> tuple[list[date], list[float]]:
     try:
         lines = path.read_text().strip().splitlines()
-    except OSError as exc:
-        raise DuotraderError(f"cannot read equity curve {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DuotraderError(f"cannot read equity file {path}: {exc}") from exc
     if not lines or lines[0] != "date,equity":
         raise DuotraderError(f"{path}: expected header 'date,equity'")
     dates, values = [], []
@@ -264,14 +264,17 @@ def _read_fills_jsonl(path: Path, dates: list[date]) -> list[engine_mod.Fill]:
     curve's ``dates`` and each sell within the shares the fills before it hold."""
     try:
         text = path.read_text()
-    except OSError as exc:
-        raise DuotraderError(f"cannot read fills {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DuotraderError(f"cannot read fills file {path}: {exc}") from exc
     fills, held = [], {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
+            for name in ("price", "fee"):  # float() would take a string or a bool
+                if type(record[name]) not in (int, float):
+                    raise ValueError(f"{name} {record[name]!r} is not a number")
             fill = engine_mod.Fill(
                 symbol=record["symbol"],
                 side=record["side"],

@@ -149,17 +149,19 @@ def _cells(line: str) -> list[str] | None:
     return row if any(cell.strip() for cell in row) else None
 
 
+@contextlib.contextmanager
 def _open_csv(path: Path, header: list[str], kind: str):
-    """Open a CSV and check its header: the handle, past the header."""
+    """The CSV's handle, past its header, which it checks. An OS error or a
+    byte that is not UTF-8, met here or in the block, raises ``cannot read
+    <kind> file``."""
     try:
-        handle = path.open(newline="")
-    except OSError as exc:
+        with path.open(newline="") as handle:
+            found = next(csv.reader(handle), None)
+            if found is None or [h.strip().lower() for h in found] != header:
+                raise DuotraderError(f"{path}: expected header {','.join(header)}, got {found}")
+            yield handle
+    except (OSError, UnicodeDecodeError) as exc:
         raise DuotraderError(f"cannot read {kind} file {path}: {exc}") from exc
-    found = next(csv.reader(handle), None)
-    if found is None or [h.strip().lower() for h in found] != header:
-        handle.close()
-        raise DuotraderError(f"{path}: expected header {','.join(header)}, got {found}")
-    return handle
 
 
 def ingest_csv(path: str | Path) -> IngestResult:
@@ -176,14 +178,11 @@ def ingest_csv(path: str | Path) -> IngestResult:
     C parser and column-wise checks, or, if it holds a line they cannot
     vouch for, the row reader (``_read_range``). The ranges are then grouped
     by symbol and order-checked once (``_merge``). Whatever its size, a
-    file is parsed once per content from its second ingest on (``_cached``).
+    file is parsed once per content (``_cached``).
     """
     path = Path(path)
-    _open_csv(path, BAR_CSV_HEADER, "bar").close()
-    try:
+    with _open_csv(path, BAR_CSV_HEADER, "bar"):
         return _cached(path)
-    except OSError as exc:
-        raise DuotraderError(f"cannot read bar file {path}: {exc}") from exc
 
 
 @dataclass
@@ -210,49 +209,38 @@ class _Grouped:
 
 
 def _cached(path: Path) -> IngestResult:
-    """The ``IngestResult`` of the file's ranges (``_merge``), parsed at most
-    once per content from the file's second ingest on.
+    """The ``IngestResult`` of the file's ranges (``_merge``), parsed once
+    per content.
 
-    A hidden sibling file records the file's ``_stamp`` as of its last parse.
-    A file under another stamp (new, edited or replaced) is parsed and only
-    its stamp recorded, so a one-off ingest pays for no hash and no write of
-    its columns. A file under the recorded stamp has been ingested before,
-    and its key (``_cache_key``) is taken:
-    - under a record of the stamp alone, first; the file is then parsed and
-      the parse recorded with the key and its columns;
-    - under a record with columns, on a second thread while this one loads
-      them and builds their result (``_load``). The thread is joined before
-      the keys are compared, so none is alive when this returns or when a
-      parse forks its workers. Equal keys return the loaded result; other
-      keys drop it, and the parse is recorded as above. Columns that
-      ``_load`` refuses count as no record.
-    Nothing is recorded if the stamp moved during the hash or the parse, or
-    if the parse raises."""
+    A hidden sibling file records the grouped columns of the file's last
+    parse under its key (``_cache_key``). Every ingest takes the file's key
+    on a second thread while this one loads the record and builds its
+    result (``_load``). The thread is joined before the keys are compared,
+    so none is alive when this returns or when a parse forks its workers.
+    Equal keys return the loaded result. Otherwise (no record, one that
+    ``_load`` refuses, or another key) the file is parsed, and the parse
+    recorded under the key unless the file's ``_stamp`` moved during the
+    hash or the parse. A parse that raises records nothing."""
     cache = path.with_name(f".{path.name}.ingest.npz")
     stamp = _stamp(path)
-    key = ""
     with contextlib.ExitStack() as stack:
-        record, recorded = _open_record(cache, stamp, stack)
-        if recorded == "":
-            key = _cache_key(path)
-        elif recorded is not None:
-            with ThreadPoolExecutor(1) as pool:  # leaving the block joins its thread
-                hashing = pool.submit(_cache_key, path)
-                kept = _load(record, path)
-                key = hashing.result()
-            if kept is None:  # refused columns: as if there were no record
-                key = ""
-            elif key == recorded:
-                return kept
+        record, recorded = _open_record(cache, stack)
+        with ThreadPoolExecutor(1) as pool:  # leaving the block joins its thread
+            hashing = pool.submit(_cache_key, path)
+            kept = None if record is None else _load(record, path)
+            key = hashing.result()
+        if kept is not None and key == recorded:
+            return kept
+    del kept  # its columns would stay alive through the parse
     grouped = _merge(path, _read_ranges(path))
     if _stamp(path) == stamp:
-        _store(cache, stamp, key, grouped, path.stat().st_mode & 0o666)
+        _store(cache, key, grouped, path.stat().st_mode & 0o666)
     return grouped.result(path)
 
 
 def _stamp(path: Path) -> tuple[int, int, int]:
     """The file's inode, size and mtime: any of them moves when the file is
-    replaced or written."""
+    replaced or written while it is hashed or parsed."""
     st = path.stat()
     return st.st_ino, st.st_size, st.st_mtime_ns
 
@@ -278,18 +266,17 @@ _RECORD_ERRORS = (OSError, EOFError, KeyError, ValueError, RuntimeError, zipfile
 
 
 def _open_record(
-    cache: Path, stamp: tuple[int, int, int], stack: contextlib.ExitStack
+    cache: Path, stack: contextlib.ExitStack
 ) -> tuple[np.lib.npyio.NpzFile | None, str | None]:
     """The record that ``_store`` kept in ``cache``, open on ``stack``, and
-    its key ("" for a record of the stamp alone); (None, None) if the file is
-    missing or unreadable, or holds another stamp."""
+    its key; (None, None) if the file is missing or unreadable."""
     try:
         raw = stack.enter_context(cache.open("rb"))
         record = stack.enter_context(np.lib.npyio.NpzFile(raw, allow_pickle=False))
-        stamped, key = record["stamp"], record["key"]
+        key = record["key"]
     except _RECORD_ERRORS:
         return None, None
-    if stamped.tolist() != list(stamp) or key.dtype.kind != "U" or key.ndim:
+    if key.dtype.kind != "U" or key.ndim:
         return None, None
     return record, key.item()
 
@@ -324,24 +311,20 @@ def _load(record: np.lib.npyio.NpzFile, path: Path) -> IngestResult | None:
         return None
 
 
-def _store(
-    cache: Path, stamp: tuple[int, int, int], key: str, grouped: _Grouped, mode: int
-) -> None:
-    """Record ``stamp`` in ``cache``, with ``key`` and ``grouped`` unless the
-    key is empty: written to a temporary file in its directory, given the
-    permission bits ``mode`` (the CSV's, so whoever can read the CSV can read
-    its record) and renamed over it. Nothing is recorded if that fails, or if
-    a string would not survive numpy's str arrays, which drop trailing NULs."""
+def _store(cache: Path, key: str, grouped: _Grouped, mode: int) -> None:
+    """Record ``grouped`` under ``key`` in ``cache``: written to a temporary
+    file in its directory, given the permission bits ``mode`` (the CSV's, so
+    whoever can read the CSV can read its record) and renamed over it.
+    Nothing is recorded if that fails, or if a string would not survive
+    numpy's str arrays, which drop trailing NULs."""
     lines, messages = zip(*grouped.rejected) if grouped.rejected else ((), ())
     if any(s.endswith("\0") for s in (*grouped.symbols, *messages)):
         return
-    arrays = dict(stamp=np.array(stamp, dtype=np.int64), key=np.array(key))
-    if key:
-        arrays.update(
-            zip(_CACHE_COLUMNS, grouped.columns), bounds=grouped.bounds,
-            symbols=np.array(grouped.symbols, dtype=str),
-            lines=np.array(lines, dtype=np.int64), messages=np.array(messages, dtype=str),
-        )
+    arrays = dict(
+        zip(_CACHE_COLUMNS, grouped.columns), key=np.array(key), bounds=grouped.bounds,
+        symbols=np.array(grouped.symbols, dtype=str),
+        lines=np.array(lines, dtype=np.int64), messages=np.array(messages, dtype=str),
+    )
     try:
         tmp = tempfile.NamedTemporaryFile(dir=cache.parent, prefix=f"{cache.name}.", delete=False)
     except OSError:  # the directory cannot be written

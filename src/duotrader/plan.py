@@ -33,7 +33,7 @@ use's row from the stack; only the fit logs and the forecasts (fusion's
 with any number of workers. Each rebalance then fuses its forecasts into
 insights (``_generate_insights``) and blends them as views into target
 weights (``_build_targets``), leaving out, with a note, a symbol whose
-market cap is not finite. Model
+market cap is not finite or whose window holds no return. Model
 seeds derive from the run's seed with a stable CRC and every model call
 gives a series the same bits in any batch, so the plan is a pure function of
 data + config.
@@ -370,7 +370,7 @@ def _build_targets(
     """Estimate the covariance over the universe, blend the step's insights
     as views, and optimize into the step's weights and allocation record. A
     symbol whose market cap (shares outstanding times last close) is not
-    finite is left out.
+    finite, or whose window holds no return, is left out with a note.
     Weights stay None (hold the book) when the data is too thin for a
     covariance estimate, and are {} (all cash) without usable symbols."""
     day, returns, caps = step.day, {}, {}
@@ -378,7 +378,9 @@ def _build_targets(
         cap = meta[s].shares_outstanding * float(closes[-1])  # a float overflows to inf quietly
         if not math.isfinite(cap):
             step.notes.append(f"{day}: {s} left out of the allocation: market cap is not finite")
-        elif window.size:
+        elif not window.size:
+            step.notes.append(f"{day}: {s} left out of the allocation: no returns in its window")
+        else:
             returns[s], caps[s] = window, cap
     usable = list(returns)
     if not usable:

@@ -24,9 +24,16 @@ def pools(monkeypatch):
     return started
 
 
+def cache_of(path):
+    """The ingest record that ``ingest_csv`` keeps beside a bar CSV."""
+    return path.with_name(f".{path.name}.ingest.npz")
+
+
 def fresh_copy(path, data):
-    """``path`` with ``data`` written to it as a new file (a new inode), so
-    that its next ingest parses it rather than loading its record."""
+    """``path`` with ``data`` written to it as a new file (a new inode) and
+    its ingest record deleted, so that its next ingest parses it rather than
+    loading the record."""
+    cache_of(path).unlink(missing_ok=True)
     fresh = path.with_name(f"{path.name}.fresh")
     fresh.write_bytes(data)
     return fresh.replace(path)

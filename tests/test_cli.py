@@ -4,9 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from duotrader import marketdata, workers
 from duotrader.cli import _json, main
 from duotrader.errors import ConfigError
 from duotrader.runconfig import load_config
+
+from conftest import cache_of
 
 SYNTH_SPEC = {
     "symbols": 4,
@@ -305,6 +308,40 @@ class TestBacktest:
         assert code == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case", ["bars-header-chunk", "bars-later", "bars-split", "metadata", "benchmark"]
+    )
+    def test_non_utf8_input_exit_1(self, tmp_path, monkeypatch, pools, capsys, case):
+        # One Latin-1 byte in an input file: exit 1 with an error naming the
+        # file, and no ingest record. In the bar CSV the byte is met as its
+        # header is read (in the first chunk that the text layer decodes), or
+        # by the parse, in this process or in the last range's worker.
+        data_dir = run_synth(tmp_path)
+        bench_dir = run_synth(tmp_path / "bench", seed=99, spec=dict(SYNTH_SPEC, symbols=1))
+        target, kind = {
+            "metadata": (data_dir / "meta.csv", "metadata"),
+            "benchmark": (bench_dir / "bars.csv", "bar"),
+        }.get(case, (data_dir / "bars.csv", "bar"))
+        lines = target.read_bytes().splitlines(keepends=True)
+        row = -2 if case in ("bars-later", "bars-split") else 1
+        lines[row] = lines[row].replace(b"SYN", b"SYN\xe9", 1)
+        data = b"".join(lines)
+        assert (data.index(b"\xe9") > 8192) == (row == -2)  # 8192: the text layer's chunk
+        target.write_bytes(data)
+        if case == "bars-split":
+            monkeypatch.setattr(marketdata, "INGEST_RANGE_BYTES", len(data) // 2)
+            monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+        config = write_run_config(tmp_path, data_dir, tmp_path / "out")
+        capsys.readouterr()
+        argv = ["backtest", "--config", str(config)]
+        assert main(argv + (["--benchmark", str(target)] if case == "benchmark" else [])) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot read {kind} file {target}: 'utf-8' codec can't decode byte 0xe9" in err
+        assert "Traceback" not in err
+        assert pools == ([2] if case == "bars-split" else [])
+        assert not cache_of(target).exists()
+        assert not (tmp_path / "out").exists()
+
     def test_unparsable_metadata_exit_1(self, tmp_path, capsys):
         data_dir = run_synth(tmp_path)
         meta = data_dir / "meta.csv"
@@ -575,8 +612,11 @@ class TestReport:
         return equity, fills
 
     def refused(self, tmp_path, capsys, equity_rows, fill_lines=(), flags=()):
-        """report's exit code and error text on those inputs; it must write no report."""
-        equity, fills = self.write_report_inputs(tmp_path, equity_rows, fill_lines)
+        """report's exit code and error text on those inputs (None: on the
+        inputs already written); it must write no report."""
+        if equity_rows is not None:
+            self.write_report_inputs(tmp_path, equity_rows, fill_lines)
+        equity, fills = tmp_path / "equity_curve.csv", tmp_path / "fills.jsonl"
         out = tmp_path / "r.json"
         code = main(["report", "--equity", str(equity), "--fills", str(fills), *flags,
                      "--out", str(out)])
@@ -601,6 +641,8 @@ class TestReport:
                      id="zero-price"),
         pytest.param(fill_line(price="1e400"), "price inf is not finite and positive",
                      id="infinite-price"),
+        pytest.param(fill_line(price='"12.5"'), "price '12.5' is not a number", id="string-price"),
+        pytest.param(fill_line(fee="true"), "fee True is not a number", id="bool-fee"),
         pytest.param(fill_line(fee="-1.0"), "fee -1.0 is not finite and non-negative",
                      id="negative-fee"),
         pytest.param(fill_line(fee="NaN"), "fee nan is not finite and non-negative",
@@ -627,6 +669,16 @@ class TestReport:
         code, err = self.refused(tmp_path, capsys, equity_rows, [good, record])
         assert code == 1 and f"{tmp_path / 'fills.jsonl'}:2: bad fill record: " in err
         assert defect in err
+
+    @pytest.mark.parametrize("name, kind", [("equity_curve.csv", "equity"), ("fills.jsonl", "fills")])
+    def test_non_utf8_input_exit_1(self, tmp_path, capsys, name, kind):
+        equity_rows = [f"2020-01-0{d},100000.0" for d in range(1, 6)]
+        self.write_report_inputs(tmp_path, equity_rows, [fill_line()])
+        target = tmp_path / name
+        target.write_bytes(target.read_bytes().replace(b"2020-01-03", b"2020-01-\xe93", 1))
+        code, err = self.refused(tmp_path, capsys, None)
+        assert code == 1
+        assert f"error: cannot read {kind} file {target}: 'utf-8' codec can't decode byte 0xe9" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_equity_exit_1(self, tmp_path, capsys, value):

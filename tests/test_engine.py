@@ -362,6 +362,21 @@ class TestRunBacktest:
             assert len(allocation["symbols"]) == (3 if day in left_out else 4)
             assert np.isfinite(list(allocation["weights"].values())).all()
 
+    def test_symbol_without_returns_left_out_of_allocation_with_a_note(self):
+        # LATE's first bar is on 2015-07-01, the first trading day of a month
+        # and, rebalancing every bar, a rebalance day: the universe takes it
+        # on that day, when its window holds one close and no return.
+        bars_by_symbol, meta = synth_market(n_symbols=3)
+        first = bars_by_symbol["S00"].days >= date(2015, 7, 1).toordinal()
+        bars_by_symbol["LATE"] = take_rows(bars_by_symbol["S00"], first)
+        meta["LATE"] = InstrumentMeta("LATE", "Energy", 10**9)
+        result = small_run(bars_by_symbol, meta, rebalance_every=1)
+        assert [d for d in result.diagnostics if "left out of the allocation" in d] == [
+            "2015-07-01: LATE left out of the allocation: no returns in its window"
+        ]
+        day = [a for a in result.allocations if a["date"] == "2015-07-01"]
+        assert [a["symbols"] for a in day] == [["S02", "S00", "S01"]]
+
     def test_rebalance_without_usable_symbols_goes_to_cash(self):
         # Without warm-up, the first rebalance's windows hold one close each.
         bars_by_symbol, meta = synth_market()

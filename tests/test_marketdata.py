@@ -5,6 +5,7 @@ import io
 import math
 import os
 import stat
+import tempfile
 import threading
 from concurrent.futures.process import BrokenProcessPool
 from datetime import date, timedelta
@@ -35,7 +36,7 @@ from duotrader.marketdata import (
 )
 from duotrader.runconfig import RunConfig
 
-from conftest import fresh_copy, log_returns, take_rows
+from conftest import cache_of, fresh_copy, log_returns, take_rows
 
 
 HEADER = "symbol,date,open,high,low,close,volume\n"
@@ -648,17 +649,6 @@ class TestSplitIngest:
             faulthandler.cancel_dump_traceback_later()
 
 
-def cache_of(path):
-    return path.with_name(f".{path.name}.ingest.npz")
-
-
-def kept_columns(path):
-    """Whether the file's cache record holds grouped columns, not only the
-    file's stamp."""
-    with np.load(cache_of(path)) as kept:
-        return "days" in kept.files
-
-
 @pytest.fixture
 def parses(monkeypatch):
     """The paths of every parse ``ingest_csv`` has started, in order."""
@@ -671,20 +661,6 @@ def parses(monkeypatch):
 
     monkeypatch.setattr(marketdata, "_read_ranges", spy)
     return started
-
-
-@pytest.fixture
-def hashes(monkeypatch):
-    """The paths of every cache key ``ingest_csv`` has taken, in order."""
-    taken = []
-    cache_key = marketdata._cache_key
-
-    def spy(path):
-        taken.append(path)
-        return cache_key(path)
-
-    monkeypatch.setattr(marketdata, "_cache_key", spy)
-    return taken
 
 
 @pytest.fixture
@@ -717,9 +693,15 @@ def key_threads(monkeypatch):
     return taken
 
 
+# Spoils that write the whole record, so the CSV needs no ingest before them.
+WHOLE_RECORD_SPOILS = ("foreign-key", "older-stamp-only")
+
+
 def spoil(kind, cache, tmp_path, monkeypatch):
-    """Make the cache record ``cache``, which holds columns, one that
-    ``_load`` must refuse or whose key must not match."""
+    """Make the cache record ``cache`` one that ``_load`` must refuse or
+    whose key must not match. Only the kinds of ``WHOLE_RECORD_SPOILS``
+    write it whole; the others change the record the CSV's ingest kept."""
+    path = cache.with_name(cache.name[1:].removesuffix(".ingest.npz"))
     if kind == "truncated":
         cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2])
     elif kind == "garbage":
@@ -728,17 +710,21 @@ def spoil(kind, cache, tmp_path, monkeypatch):
         monkeypatch.setattr(np, "__version__", "0.0.0")
     elif kind == "python-version":
         monkeypatch.setattr(marketdata.sys, "version", "0.0.0")
+    elif kind == "foreign-key":  # another file's record
+        other = write_bars(tmp_path, [XOM_ROW], name="other.csv")
+        ingest_csv(other)
+        cache_of(other).replace(cache)
+    elif kind == "older-stamp-only":  # as an older version wrote it for a file's first ingest
+        stamp = np.array(marketdata._stamp(path), dtype=np.int64)
+        np.savez(cache, stamp=stamp, key=np.array(""))
     else:
         with np.load(cache) as kept:
             arrays = dict(kept)
-        if kind == "foreign-key":  # another file's columns under this file's stamp
-            other = write_bars(tmp_path, [XOM_ROW], name="other.csv")
-            for _ in range(2):
-                ingest_csv(other)
-            with np.load(cache_of(other)) as kept:
-                arrays = {**kept, "stamp": arrays["stamp"]}
-        elif kind == "other-stamp":
-            arrays["stamp"] = arrays["stamp"] + 1
+        if kind == "older-columns":  # as an older version wrote it: a stamp, another key
+            arrays.update(
+                stamp=np.array(marketdata._stamp(path), dtype=np.int64),
+                key=np.array(hashlib.sha256(b"older code").hexdigest()),
+            )
         elif kind == "dtype":
             arrays["close"] = arrays["close"].astype(np.float32)
         elif kind == "shape":
@@ -750,13 +736,45 @@ def spoil(kind, cache, tmp_path, monkeypatch):
         np.savez(cache, **arrays)
 
 
+# The defects a drawn row may carry, each as (field, value); field 7 is an
+# extra field.
+ROW_DEFECTS = [
+    (0, ""), (2, "0"), (4, "71.0"), (5, ""), (5, "abc"), (5, "-1"), (6, "-5"), (6, "1e400"),
+    (7, "7"),
+]
+
+
+@st.composite
+def bar_csvs(draw):
+    """Small bar CSV texts: padded or quoted symbols, blank optional fields,
+    rows with one defect each (rejected), blank lines, LF or CRLF line ends,
+    and now and then a day that does not increase."""
+    lines = []
+    for i in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", ",,,,,,"])))
+            continue
+        day = date(2020, 1, 2) + timedelta(days=i - draw(st.sampled_from([0] * 5 + [1])))
+        fields = [
+            draw(st.sampled_from(["XOM", "CVX", " XOM", "CVX ", '"XOM"'])), str(day),
+            draw(st.sampled_from(["", "70.0"])), draw(st.sampled_from(["", "72.0"])),
+            draw(st.sampled_from(["", "69.0"])), "70.5",
+            draw(st.sampled_from(["", "100", "2500.7"])), None,
+        ]
+        field, value = draw(st.sampled_from([(7, None)] * len(ROW_DEFECTS) + ROW_DEFECTS))
+        fields[field] = value
+        lines.append(",".join(f for f in fields if f is not None))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from([newline, ""])) if lines else ""
+    return (HEADER + newline.join(lines) + end).replace("\n", newline, 1)
+
+
 class TestIngestCache:
-    """A bar CSV, whatever its size, is parsed once per content from its
-    second ingest on: the first ingest records only the
-    file's stamp, the second (under the same stamp) also keeps the grouped
-    columns under a key of its bytes and the ingest code, and later ingests
-    load them, while a second thread takes the key, and give the parse's
-    outcome."""
+    """A bar CSV, whatever its size, is parsed once per content: every
+    ingest takes the key of the file's bytes and the ingest code on a second
+    thread while it loads the record beside the file; a matching key gives
+    the record's columns, and any other outcome parses the file and records
+    its grouped columns under the key. Either way the outcome is the parse's."""
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("name", list(SPLIT_CASES))
@@ -770,40 +788,38 @@ class TestIngestCache:
         cold = _outcome(ingest_csv, path)
         failed = isinstance(cold, DataOrderingError)
         assert cache_of(path).exists() != failed
-        kept = _outcome(ingest_csv, path)
-        assert pools == ([cpus] * 2 if cpus > 1 else [])
         assert row_reads() == dirty_ranges(text, cpus, dirt)
-        assert cache_of(path).exists() != failed
-        warm = _outcome(ingest_csv, path)
-        assert len(parses) == 2 + failed
-        if not failed:
-            assert kept_columns(path)
-            assert pools == ([cpus] * 2 if cpus > 1 else []) and row_reads() == []
-        assert_same_outcome(kept, cold)
-        assert_same_outcome(warm, cold)
-        assert_same_outcome(warm, _outcome(reference_read_rows, path))
+        recorded = None if failed else cache_of(path).stat().st_ino
+        warm = [_outcome(ingest_csv, path) for _ in range(2)]
+        # A failed parse records nothing, so each ingest parses again.
+        assert len(parses) == (3 if failed else 1)
+        assert pools == ([cpus] * len(parses) if cpus > 1 else [])
+        assert row_reads() == (dirty_ranges(text, cpus, dirt) if failed else [])
+        if not failed:  # loaded: a parse would have renamed a new record over it
+            assert cache_of(path).stat().st_ino == recorded
+        for outcome in warm:
+            assert_same_outcome(outcome, cold)
+        assert_same_outcome(warm[-1], _outcome(reference_read_rows, path))
 
-    def test_one_off_ingest_takes_no_key(self, tmp_path, parses, hashes):
-        path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
-        ingest_csv(path)
-        assert (len(parses), len(hashes)) == (1, 0)
-        assert not kept_columns(path)
-        ingest_csv(path)
-        assert (len(parses), len(hashes)) == (2, 1)
-        assert kept_columns(path)
-        ingest_csv(path)
-        assert (len(parses), len(hashes)) == (2, 2)
-        # A new mtime is a new file: parsed, with only its stamp recorded.
-        os.utime(path, ns=(path.stat().st_atime_ns, path.stat().st_mtime_ns + 10**9))
-        assert_same_ingest(ingest_csv(path), reference_read_rows(path))
-        assert (len(parses), len(hashes)) == (3, 2)
-        assert not kept_columns(path)
+    @pytest.mark.parametrize("change", ["identical-copy", "touched"])
+    def test_same_bytes_load_without_a_parse(self, tmp_path, parses, change):
+        # The same bytes under a new inode and mtime, or a new mtime alone.
+        path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW.replace(",70.5,", ",abc,"), XOM_LATER])
+        cold = ingest_csv(path)
+        recorded = cache_of(path).stat().st_ino
+        if change == "identical-copy":
+            copy = tmp_path / "copy.csv"
+            copy.write_bytes(path.read_bytes())
+            copy.replace(path)
+        else:
+            os.utime(path, ns=(path.stat().st_atime_ns, path.stat().st_mtime_ns + 10**9))
+        assert_same_ingest(ingest_csv(path), cold)
+        assert parses == [path]
+        assert cache_of(path).stat().st_ino == recorded
 
     def test_same_size_edit_with_old_mtime_is_parsed_again(self, tmp_path, parses):
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
-        for _ in range(2):
-            ingest_csv(path)
-        assert kept_columns(path)
+        ingest_csv(path)
         before = path.stat()
         path.write_bytes(path.read_bytes().replace(b",111.25,", b",111.75,"))
         os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
@@ -811,62 +827,72 @@ class TestIngestCache:
         assert marketdata._stamp(path) == (before.st_ino, before.st_size, before.st_mtime_ns)
         assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
         edited = ingest_csv(path)
-        assert len(parses) == 3
+        assert len(parses) == 2
         assert edited.bars_by_symbol["CVX"].close.tolist() == [111.0, 111.75]
         assert_same_ingest(edited, reference_read_rows(path))
+        assert_same_ingest(ingest_csv(path), edited)
+        assert len(parses) == 2
 
     @pytest.mark.parametrize("when", ["hash", "parse"])
     def test_file_replaced_during_its_ingest_keeps_nothing(
         self, tmp_path, monkeypatch, parses, when
     ):
-        # A new file renamed over the CSV after the stamp is taken: the
-        # ingest that read the new bytes records nothing under the old
-        # stamp, and the next one parses the file in place.
+        # The CSV is edited after its record was kept, and a new file is
+        # renamed over it once the key of the edited bytes is taken, or as
+        # the parse starts: the ingest parses the new file and records
+        # nothing under the edited bytes' key. The next ingest parses the
+        # new file and records it, and later ones load it.
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
         ingest_csv(path)
         recorded = cache_of(path).read_bytes()
+        path.write_bytes(path.read_bytes().replace(b",111.25,", b",111.75,"))
         fresh = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW, XOM_LATER], name="fresh.csv")
         seam = {"hash": "_cache_key", "parse": "_read_ranges"}[when]
         call = getattr(marketdata, seam)
 
-        def replace_then_call(p):
-            fresh.replace(path)
-            return call(p)
+        def call_beside_the_replace(p):
+            if when == "parse":
+                fresh.replace(path)
+            out = call(p)
+            if when == "hash":
+                fresh.replace(path)
+            return out
 
-        monkeypatch.setattr(marketdata, seam, replace_then_call)
-        ingest_csv(path)
+        monkeypatch.setattr(marketdata, seam, call_beside_the_replace)
+        assert ingest_csv(path).bars_by_symbol["XOM"].close.tolist() == [70.5, 70.5]
         monkeypatch.setattr(marketdata, seam, call)
         assert cache_of(path).read_bytes() == recorded
         for _ in range(3):
             assert_same_ingest(ingest_csv(path), reference_read_rows(path))
         assert ingest_csv(path).bars_by_symbol["XOM"].close.tolist() == [70.5, 70.5]
-        assert len(parses) == 4
+        assert len(parses) == 3
 
     @pytest.mark.parametrize(
         "kind, parsed",
-        [("truncated", 2), ("garbage", 2), ("other-stamp", 2), ("dtype", 2), ("shape", 2),
-         ("bounds", 2), ("days", 2), ("foreign-key", 1), ("code-stamp", 1),
-         ("python-version", 1)],
+        [("truncated", 2), ("garbage", 2), ("dtype", 2), ("shape", 2), ("bounds", 2),
+         ("days", 2), ("foreign-key", 1), ("code-stamp", 2), ("python-version", 2),
+         ("older-stamp-only", 1), ("older-columns", 2)],
     )
     def test_refused_cache_is_parsed_over_and_replaced(
         self, tmp_path, monkeypatch, parses, kind, parsed
     ):
-        # A record that cannot be read or is under another stamp counts as a
-        # new file's (parsed, then parsed and kept); one under this stamp and
-        # another key is parsed and kept at once.
+        # A record that cannot be read, holds another file's key or one of
+        # other code, or is in the format of an older version, which recorded
+        # the file's stamp, is parsed over and replaced, and the next ingest
+        # loads. ``parsed``
+        # counts the file's parses: the ingest that meets the spoiled record,
+        # after the one that kept the record unless the spoil wrote it whole.
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW.replace(",70.5,", ",abc,"), XOM_LATER])
-        cold = ingest_csv(path)
-        assert_same_ingest(ingest_csv(path), cold)
+        expected = reference_read_rows(path)
         cache = cache_of(path)
+        if kind not in WHOLE_RECORD_SPOILS:
+            assert_same_ingest(ingest_csv(path), expected)
         spoil(kind, cache, tmp_path, monkeypatch)
         spoiled = cache.read_bytes()
-        before = len(parses)
-        assert_same_ingest(ingest_csv(path), cold)
-        assert cache.read_bytes() != spoiled
-        for _ in range(parsed):
-            assert_same_ingest(ingest_csv(path), cold)
-        assert len(parses) == before + parsed
-        assert kept_columns(path)
+        for _ in range(2):
+            assert_same_ingest(ingest_csv(path), expected)
+            assert cache.read_bytes() != spoiled
+        assert parses.count(path) == parsed
 
     @pytest.mark.parametrize(
         "case", ["read-only-directory", "cache-path-is-a-directory", "nul-in-symbol"]
@@ -900,10 +926,11 @@ class TestIngestCache:
         # Whoever can read the CSV can read its record, and no one else can.
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
         path.chmod(mode)
-        for _ in range(2):  # the stamp alone, then the kept columns
-            ingest_csv(path)
-            assert stat.S_IMODE(cache_of(path).stat().st_mode) == mode
-        assert kept_columns(path)
+        ingest_csv(path)
+        recorded = cache_of(path).stat()
+        assert stat.S_IMODE(recorded.st_mode) == mode
+        ingest_csv(path)  # loads, leaving the record as it is
+        assert cache_of(path).stat() == recorded
 
     def test_failed_parse_leaves_no_file(self, tmp_path):
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_LATER, XOM_ROW])
@@ -915,7 +942,7 @@ class TestIngestCache:
     def test_file_without_a_kept_row_loads_warm(self, tmp_path, parses):
         path = write_bars(tmp_path, [XOM_ROW.replace(",70.5,", ",abc,"), XOM_ROW + ",7"])
         results = [ingest_csv(path) for _ in range(3)]
-        assert len(parses) == 2
+        assert len(parses) == 1
         assert results[0].bars_by_symbol == {} and results[0].rejected_rows == 2
         for result in results[1:]:
             assert_same_ingest(result, results[0])
@@ -926,32 +953,32 @@ class TestIngestCache:
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW.replace(",70.0,", ",-1,")])
         for name in ("bars.csv", path, "bars.csv", path):
             assert ingest_csv(name).diagnostics == [f"{name}:4: invalid open"]
-        assert parses == [Path("bars.csv"), path]
+        assert parses == [Path("bars.csv")]
 
     def test_warm_key_is_taken_on_a_second_thread(self, tmp_path, monkeypatch, parses):
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW.replace(",70.0,", ",-1,"), XOM_LATER])
         taken = key_threads(monkeypatch)
         caller = threading.current_thread()
         outcomes = [_outcome(ingest_csv, path) for _ in range(3)]
-        assert len(parses) == 2 and kept_columns(path)
-        # The stamp alone: the key on the caller's thread, then the parse;
-        # the kept columns: the key on another thread while they load.
-        assert taken[0] is caller and taken[1] is not caller
-        assert len(taken) == 2 and not taken[1].is_alive()
+        assert len(parses) == 1
+        # Every ingest, the first too, takes the key on a thread that it
+        # joins before it returns.
+        assert len(taken) == 3
+        assert not any(t is caller or t.is_alive() for t in taken)
         for outcome in outcomes:
             assert_same_outcome(outcome, _outcome(reference_read_rows, path))
 
     @pytest.mark.parametrize(
-        "case", ["first", "stamp-only", "refused", "same-stamp-edit", "replaced-during-hash"]
+        "case", ["first", "refused", "same-stamp-edit", "replaced-during-hash"]
     )
     def test_no_thread_is_alive_when_a_parse_starts(
         self, tmp_path, monkeypatch, threads_at_parse, case
     ):
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
-        ingests = {"first": 1, "stamp-only": 2}.get(case, 3)
-        for _ in range(ingests - 1):
+        ingests = 1 if case == "first" else 2
+        if case != "first":
             ingest_csv(path)
-        if case == "refused":  # stamp and key kept, columns refused
+        if case == "refused":  # the key kept, the columns refused
             spoil("dtype", cache_of(path), tmp_path, monkeypatch)
         elif case == "same-stamp-edit":
             before = path.stat()
@@ -970,32 +997,52 @@ class TestIngestCache:
         caller = threading.current_thread()
         outcome = ingest_csv(path)
         assert threads_at_parse == [[]] * ingests
-        # No key, the key on the caller's thread, or on another beside a load.
-        assert [t is caller for t in taken] == {1: [], 2: [True], 3: [False]}[ingests]
-        assert not any(t.is_alive() for t in taken if t is not caller)
+        assert len(taken) == 1 and taken[0] is not caller and not taken[0].is_alive()
         assert_same_ingest(outcome, reference_read_rows(path))
 
     def test_key_error_on_its_thread_reaches_the_caller(self, tmp_path, monkeypatch, parses):
         path = write_bars(tmp_path, [*GOOD_ROWS, XOM_ROW])
-        for _ in range(2):
-            ingest_csv(path)
-        recorded = cache_of(path).read_bytes()
+        cache_key = marketdata._cache_key
         raised_on = []
 
         def refuse(p):
             raised_on.append(threading.current_thread())
             raise PermissionError(13, "Permission denied", str(p))
 
-        monkeypatch.setattr(marketdata, "_cache_key", refuse)
-        with pytest.raises(DuotraderError) as error:
-            ingest_csv(path)
-        assert str(error.value) == (
-            f"cannot read bar file {path}: [Errno 13] Permission denied: '{path}'"
-        )
-        assert isinstance(error.value.__cause__, PermissionError)
-        assert len(raised_on) == 1 and raised_on[0] is not threading.current_thread()
-        assert len(parses) == 2
-        assert cache_of(path).read_bytes() == recorded
+        # Without a record, then beside one: the error ends the ingest
+        # before any parse, and the record stays as it was.
+        for recorded in (False, True):
+            if recorded:
+                monkeypatch.setattr(marketdata, "_cache_key", cache_key)
+                ingest_csv(path)
+                kept = cache_of(path).read_bytes()
+            monkeypatch.setattr(marketdata, "_cache_key", refuse)
+            with pytest.raises(DuotraderError) as error:
+                ingest_csv(path)
+            assert str(error.value) == (
+                f"cannot read bar file {path}: [Errno 13] Permission denied: '{path}'"
+            )
+            assert isinstance(error.value.__cause__, PermissionError)
+            assert raised_on[-1] is not threading.current_thread()
+            assert len(parses) == int(recorded)
+            assert (cache_of(path).read_bytes() == kept) if recorded else not cache_of(path).exists()
+        assert len(raised_on) == 2
+
+    @settings(max_examples=250, derandomize=True, database=None, deadline=None)
+    @given(bar_csvs())
+    def test_first_and_loaded_ingests_agree_with_rows(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bars.csv"
+            path.write_bytes(text.encode())
+            first = _outcome(ingest_csv, path)
+            failed = isinstance(first, DataOrderingError)
+            assert cache_of(path).exists() != failed
+            recorded = None if failed else cache_of(path).stat().st_ino
+            second = _outcome(ingest_csv, path)
+            if not failed:  # loaded: a parse would have renamed a new record over it
+                assert cache_of(path).stat().st_ino == recorded
+            assert_same_outcome(first, second)
+            assert_same_outcome(second, _outcome(reference_read_rows, path))
 
 
 class TestInstrumentMeta:
